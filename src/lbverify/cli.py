@@ -26,6 +26,11 @@ from .suites import (
 
 
 def _threads_from_env() -> int:
+    """Validated LBVERIFY_THREADS (default min(8, nproc)).
+
+    Sweeps run serially; the variable is still checked so that a malformed
+    value is reported as a usage error.
+    """
     raw = os.environ.get("LBVERIFY_THREADS", "")
     if not raw:
         return min(8, os.cpu_count() or 1)
@@ -109,9 +114,8 @@ def _build_report(args) -> Report:
         _validate_window(args)
         return build_tortoise_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
     if args.subcommand == "sweep":
-        return build_sweep_report(
-            str(args.lam), str(args.xi), str(args.e_tilde), args.samples, _threads_from_env()
-        )
+        _threads_from_env()
+        return build_sweep_report(str(args.lam), str(args.xi), str(args.e_tilde), args.samples)
     raise LBVerifyError(f"unknown subcommand {args.subcommand!r}")
 
 

@@ -52,9 +52,9 @@ class CongruenceConfig:
     direction: int = 1
 
     def __post_init__(self):
-        if abs(self.e_tilde) < 1.0:
+        if not (abs(self.e_tilde) >= 1.0 and math.isfinite(self.e_tilde)):
             raise ParameterDomainError(
-                f"|e_tilde| must be >= 1 for a real radial velocity, got {self.e_tilde}"
+                f"|e_tilde| must be finite and >= 1 for a real radial velocity, got {self.e_tilde}"
             )
         if self.direction not in (1, -1):
             raise ParameterDomainError(f"direction must be +1 or -1, got {self.direction}")
@@ -81,7 +81,7 @@ class KinematicsSample:
 
 @dataclass(frozen=True)
 class ScaledRateComparison:
-    """Quoted-closed-form versus direct focusing rate at one radius."""
+    """Quoted-closed-form versus direct focusing rate at one radius (or a grid)."""
 
     quoted: float
     direct: float
@@ -109,13 +109,30 @@ def _w_scalar(params: SolutionParams, r: float) -> float:
     return float(w_eval(params, r)[0])
 
 
-def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r: float):
-    """u^mu = (E/w, dir * sqrt(E^2/w - 1), 0, 0); exactly normalized to -1."""
-    w = _w_scalar(params, r)
+def _first(values, mask):
+    """The entry of ``values`` (scalar or array) at the first true entry of ``mask``."""
+    return np.atleast_1d(values)[int(np.argmax(np.atleast_1d(mask)))]
+
+
+def _require_allowed(w, e2: float, r) -> None:
+    """Raise ForbiddenRegionError at the first radius where w > E^2."""
+    forbidden = w > e2
+    if np.any(forbidden):
+        raise ForbiddenRegionError(
+            f"w(r) = {_first(w, forbidden):.6g} > E^2 = {e2:.6g} at r = {_first(r, forbidden):.6g}"
+        )
+
+
+def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
+    """u^mu = (E/w, dir * sqrt(E^2/w - 1), 0, 0); exactly normalized to -1.
+
+    Elementwise over an array of radii; raises ForbiddenRegionError if any
+    radius has w > E^2.
+    """
+    w = w_eval(params, r)[0]
     e2 = cfg.e_tilde**2
-    if w > e2:
-        raise ForbiddenRegionError(f"w(r) = {w:.6g} > E^2 = {e2:.6g} at r = {r:.6g}")
-    u_r = cfg.direction * math.sqrt(max(e2 / w - 1.0, 0.0))
+    _require_allowed(w, e2, r)
+    u_r = cfg.direction * np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
     return (cfg.e_tilde / w, u_r, 0.0, 0.0)
 
 
@@ -167,93 +184,108 @@ def hypersurface_potential(
     return -cfg.direction * integral
 
 
-def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
+def _theta(w, w_p, e2: float, direction: int):
+    """dir * w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)) for w <= E^2.
+
+    At w = E^2 the IEEE quotient is the turning-point flag: +/-inf with the
+    sign of the numerator, NaN where the numerator vanishes too.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(direction * w_p * (2.0 * e2 - 3.0 * w), 2.0 * w**1.5 * np.sqrt(e2 - w))
+
+
+def _rate(w, w_p, w_pp, e2: float):
+    """The closed-form d theta / d tau of ``expansion_rate`` for w <= E^2.
+
+    At w = E^2 the second term's IEEE quotient carries the flag, as in
+    ``_theta``; the first term stays finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (w_pp * (2.0 * e2 - 3.0 * w) - 3.0 * w_p**2) / (2.0 * w * w)
+        tail = -(w_p**2) * (2.0 * e2 - 3.0 * w) * (3.0 * e2 - 4.0 * w)
+        return first + np.divide(tail, 4.0 * w**3 * (e2 - w))
+
+
+def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r):
     """Expansion scalar theta = dir * w^{-3/2} d/dr (w sqrt(E^2 - w)).
 
     Evaluates to dir * w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)); both terms
     of the derivative are proportional to w', so theta vanishes wherever w
     is stationary.  At a turning point the value diverges and +/-inf is
-    returned as the flag.
+    returned as the flag.  Elementwise over an array of radii.
     """
-    w, w_p, _ = (float(v) for v in w_eval(params, r))
+    w, w_p, _ = w_eval(params, r)
     e2 = cfg.e_tilde**2
-    q2 = e2 - w
-    if q2 < 0.0:
-        raise ForbiddenRegionError(f"w(r) = {w:.6g} > E^2 = {e2:.6g} at r = {r:.6g}")
-    numerator = cfg.direction * w_p * (2.0 * e2 - 3.0 * w)
-    if q2 == 0.0:
-        if numerator == 0.0:
-            return math.nan
-        return math.copysign(math.inf, numerator)
-    return numerator / (2.0 * w**1.5 * math.sqrt(q2))
+    _require_allowed(w, e2, r)
+    return _theta(w, w_p, e2, cfg.direction)
 
 
-def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
-    """Step for finite-differencing the expansion in r.
+def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
+    """Step for finite-differencing the expansion in r (elementwise).
 
     The derivatives of theta grow like powers of w'/(E^2 - w) toward a
     turning point, so the usual eps^(1/3) step must shrink with the distance
     to it for the chain-rule oracle to keep its relative accuracy.
     """
-    w, w_p, _ = (float(v) for v in w_eval(params, r))
+    w, w_p, _ = w_eval(params, r)
     q2 = cfg.e_tilde**2 - w
-    h = fd_step(r)
-    if q2 > 0.0 and w_p != 0.0:
-        h = min(h, 1e-4 * q2 / abs(w_p))
-    return min(h, 0.02 * params.a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.where((q2 > 0.0) & (w_p != 0.0), 1e-4 * q2 / np.abs(w_p), np.inf)
+    return np.minimum(np.minimum(fd_step(r), cap), 0.02 * params.a)
 
 
-def expansion_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
+def expansion_rate(params: SolutionParams, cfg: CongruenceConfig, r):
     """Proper-time rate of the expansion, d theta / d tau = theta' u^r.
 
     Closed form in (w, w', w''), independent of the congruence direction:
 
         [w''(2E^2 - 3w) - 3 w'^2] / (2 w^2)
           - w'^2 (2E^2 - 3w)(3E^2 - 4w) / (4 w^3 (E^2 - w)).
+
+    Elementwise over an array of radii.
     """
-    w, w_p, w_pp = (float(v) for v in w_eval(params, r))
+    w, w_p, w_pp = w_eval(params, r)
     e2 = cfg.e_tilde**2
-    q2 = e2 - w
-    if q2 < 0.0:
-        raise ForbiddenRegionError(f"w(r) = {w:.6g} > E^2 = {e2:.6g} at r = {r:.6g}")
-    first = (w_pp * (2.0 * e2 - 3.0 * w) - 3.0 * w_p**2) / (2.0 * w * w)
-    if q2 == 0.0:
-        tail = -(w_p**2) * (2.0 * e2 - 3.0 * w) * (3.0 * e2 - 4.0 * w)
-        if tail == 0.0:
-            return math.nan
-        return math.copysign(math.inf, tail)
-    second = -(w_p**2) * (2.0 * e2 - 3.0 * w) * (3.0 * e2 - 4.0 * w) / (4.0 * w**3 * q2)
-    return first + second
+    _require_allowed(w, e2, r)
+    return _rate(w, w_p, w_pp, e2)
+
+
+def _scaled_vars(params: SolutionParams, cfg: CongruenceConfig, w):
+    """x = w/E^2, b = |xi/E| and y^2 = x^6 - 4 b^2 x^3."""
+    x = w / cfg.e_tilde**2
+    b = abs(params.xi / cfg.e_tilde)
+    return x, b, x**6 - 4.0 * b * b * x**3
 
 
 def focusing_vars(params: SolutionParams, cfg: CongruenceConfig, r: float) -> FocusingVars:
     """Scaled variables of the quoted focusing-rate form at radius r."""
-    w = _w_scalar(params, r)
-    e2 = cfg.e_tilde**2
-    x = w / e2
-    b = abs(params.xi / cfg.e_tilde)
-    y_sq = x**6 - 4.0 * b * b * x**3
+    x, b, y_sq = _scaled_vars(params, cfg, _w_scalar(params, r))
     if y_sq < 0.0:
         raise DomainError(f"y^2 = {y_sq:.6g} < 0 at r = {r:.6g} (x = {x:.6g}, b = {b:.6g})")
     return FocusingVars(x=x, b=b, y=math.sqrt(y_sq), a=params.a)
 
 
-def focusing_polynomial(x: float, b: float) -> float:
+def focusing_polynomial(x, b: float):
     """The quoted rational form in (x, y(x, b)) whose sign decides focusing.
 
     y = sqrt(x^6 - 4 b^2 x^3); raises DomainError for y^2 < 0 and PoleError
-    where the denominator 3 (x^3 + y) vanishes.
+    where the denominator 3 (x^3 + y) vanishes, at any point of an array x.
     """
+    x = np.asarray(x, dtype=float)
     y_sq = x**6 - 4.0 * b * b * x**3
     # Clamp cancellation noise at the y = 0 domain edge; genuine violations
     # sit far above this scale.
-    noise = 8.0 * np.finfo(float).eps * (abs(x) ** 6 + 4.0 * b * b * abs(x) ** 3)
-    if y_sq < -noise:
-        raise DomainError(f"y^2 = {y_sq:.6g} < 0 at x = {x:.6g}, b = {b:.6g}")
-    y = math.sqrt(max(y_sq, 0.0))
+    noise = 8.0 * np.finfo(float).eps * (np.abs(x) ** 6 + 4.0 * b * b * np.abs(x) ** 3)
+    outside = y_sq < -noise
+    if np.any(outside):
+        raise DomainError(
+            f"y^2 = {_first(y_sq, outside):.6g} < 0 at x = {_first(x, outside):.6g}, b = {b:.6g}"
+        )
+    y = np.sqrt(np.maximum(y_sq, 0.0))
     denominator = 3.0 * (x**3 + y)
-    if denominator == 0.0:
-        raise PoleError(f"x^3 + y = 0 at x = {x:.6g}, b = {b:.6g}")
+    pole = denominator == 0.0
+    if np.any(pole):
+        raise PoleError(f"x^3 + y = 0 at x = {_first(x, pole):.6g}, b = {b:.6g}")
     numerator = (
         (27.0 * x * x - 45.0 * x + 20.0) * y
         - 36.0 * b * b * x * x
@@ -271,6 +303,12 @@ def focusing_polynomial_reduced(x: float) -> float:
     return (54.0 * x * x - 91.0 * x + 40.0) / 6.0
 
 
+def _quoted_rate(lam: float, poly, x):
+    """(lambda/2) * poly / (x (1 - x)); at x = 1 the IEEE quotient is the flag."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(0.5 * lam * poly, x * (1.0 - x))
+
+
 def expansion_rate_scaled(
     params: SolutionParams, cfg: CongruenceConfig, r: float
 ) -> ScaledRateComparison:
@@ -281,13 +319,29 @@ def expansion_rate_scaled(
     point, and both come back as inf flags.
     """
     fv = focusing_vars(params, cfg, r)
-    poly = focusing_polynomial(fv.x, fv.b)
-    denom = fv.x * (1.0 - fv.x)
-    if denom == 0.0:
-        quoted = math.copysign(math.inf, poly) if poly != 0.0 else math.nan
-    else:
-        quoted = 0.5 * params.lam * poly / denom
+    quoted = _quoted_rate(params.lam, focusing_polynomial(fv.x, fv.b), fv.x)
     direct = expansion_rate(params, cfg, r)
+    return ScaledRateComparison(quoted=quoted, direct=direct, difference=quoted - direct)
+
+
+def expansion_rate_scaled_scan(
+    params: SolutionParams, cfg: CongruenceConfig, r_grid
+) -> ScaledRateComparison:
+    """``expansion_rate_scaled`` over a grid of allowed radii, as arrays.
+
+    Where the scaled variables leave the quoted domain (y^2 < 0, where
+    ``focusing_vars`` raises) the quoted value and the difference are NaN.
+    Raises ForbiddenRegionError if any radius has w > E^2.
+    """
+    r = np.asarray(r_grid, dtype=float)
+    w, w_p, w_pp = w_eval(params, r)
+    e2 = cfg.e_tilde**2
+    _require_allowed(w, e2, r)
+    x, b, y_sq = _scaled_vars(params, cfg, w)
+    inside = y_sq >= 0.0
+    quoted = np.full_like(r, np.nan)
+    quoted[inside] = _quoted_rate(params.lam, focusing_polynomial(x[inside], b), x[inside])
+    direct = _rate(w, w_p, w_pp, e2)
     return ScaledRateComparison(quoted=quoted, direct=direct, difference=quoted - direct)
 
 
@@ -348,7 +402,7 @@ def radius_candidates(
         raise ParameterDomainError(f"X must be positive, got {X}")
     from_exponential = params.a / 6.0 * math.log(X)
     half = half_width_in_a * params.a
-    fn = lambda r: _w_scalar(params, r) - X
+    fn = lambda r: w_eval(params, r)[0] - X
     w_roots = []
     for blo, bhi in bracket_sign_changes(fn, -half, half, brackets):
         w_roots.append(blo if blo == bhi else bisect(fn, blo, bhi))
@@ -391,10 +445,18 @@ def tortoise(params: SolutionParams, r: float) -> float:
     return series_val
 
 
+def _null_bracket(w, w_p, w_pp):
+    return w_pp - 1.5 * w_p * w_p / w
+
+
+def _null_rate(w, w_p, w_pp, e2: float):
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(e2 - w) / w * _null_bracket(w, w_p, w_pp)
+
+
 def null_rate_bracket(params: SolutionParams, r: float) -> float:
     """The energy-independent bracket w'' - (3/2) w'^2 / w of the null rate."""
-    w, w_p, w_pp = (float(v) for v in w_eval(params, r))
-    return w_pp - 1.5 * w_p * w_p / w
+    return _null_bracket(*w_eval(params, r))
 
 
 def null_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
@@ -404,11 +466,29 @@ def null_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
     congruence has no rest-mass normalization; the bracket alone carries the
     energy-independent content and is exposed separately).
     """
-    w, _, _ = (float(v) for v in w_eval(params, r))
+    w, w_p, w_pp = w_eval(params, r)
     e2 = cfg.e_tilde**2
-    if w > e2:
-        raise ForbiddenRegionError(f"w(r) = {w:.6g} > E^2 = {e2:.6g} at r = {r:.6g}")
-    return math.sqrt(e2 - w) / w * null_rate_bracket(params, r)
+    _require_allowed(w, e2, r)
+    return _null_rate(w, w_p, w_pp, e2)
+
+
+def _scan_profile(params: SolutionParams, cfg: CongruenceConfig, r_grid):
+    """(r, w, w', w'', status, ok) from one ``w_eval`` over a scan grid.
+
+    status is "forbidden" where w > E^2, "turning" inside the guard band
+    |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere.
+    """
+    r = np.asarray(r_grid, dtype=float)
+    w, w_p, w_pp = w_eval(params, r)
+    e2 = cfg.e_tilde**2
+    turning = np.abs(e2 - w) < TURNING_GUARD_REL * e2
+    status = np.where(w > e2, "forbidden", np.where(turning, "turning", "ok"))
+    return r, w, w_p, w_pp, status, status == "ok"
+
+
+def _samples(r, theta, rate, channel: str, status) -> list[KinematicsSample]:
+    rows = zip(r.tolist(), theta.tolist(), rate.tolist(), status.tolist())
+    return [KinematicsSample(r_i, theta_i, rate_i, channel, s) for r_i, theta_i, rate_i, s in rows]
 
 
 def null_rate_sign_scan(
@@ -419,38 +499,20 @@ def null_rate_sign_scan(
     Radii in the forbidden region or inside the turning-point guard band are
     carried with the matching status and NaN values.
     """
-    e2 = cfg.e_tilde**2
-    out: list[KinematicsSample] = []
-    for r in np.asarray(r_grid, dtype=float):
-        r = float(r)
-        w = _w_scalar(params, r)
-        if w > e2:
-            out.append(KinematicsSample(r, math.nan, math.nan, "null", "forbidden"))
-        elif abs(e2 - w) < TURNING_GUARD_REL * e2:
-            out.append(KinematicsSample(r, math.nan, math.nan, "null", "turning"))
-        else:
-            out.append(KinematicsSample(r, math.nan, null_rate(params, cfg, r), "null", "ok"))
-    return out
+    r, w, w_p, w_pp, status, ok = _scan_profile(params, cfg, r_grid)
+    rate = np.where(ok, _null_rate(w, w_p, w_pp, cfg.e_tilde**2), np.nan)
+    return _samples(r, np.full_like(r, np.nan), rate, "null", status)
 
 
 def timelike_scan(
     params: SolutionParams, cfg: CongruenceConfig, r_grid
 ) -> list[KinematicsSample]:
     """Expansion and proper-time rate over a grid, with the same statuses."""
+    r, w, w_p, w_pp, status, ok = _scan_profile(params, cfg, r_grid)
     e2 = cfg.e_tilde**2
-    out: list[KinematicsSample] = []
-    for r in np.asarray(r_grid, dtype=float):
-        r = float(r)
-        w = _w_scalar(params, r)
-        if w > e2:
-            out.append(KinematicsSample(r, math.nan, math.nan, "timelike", "forbidden"))
-        elif abs(e2 - w) < TURNING_GUARD_REL * e2:
-            out.append(KinematicsSample(r, math.nan, math.nan, "timelike", "turning"))
-        else:
-            theta = expansion_timelike(params, cfg, r)
-            rate = expansion_rate(params, cfg, r)
-            out.append(KinematicsSample(r, theta, rate, "timelike", "ok"))
-    return out
+    theta = np.where(ok, _theta(w, w_p, e2, cfg.direction), np.nan)
+    rate = np.where(ok, _rate(w, w_p, w_pp, e2), np.nan)
+    return _samples(r, theta, rate, "timelike", status)
 
 
 def focusing_sign_map(
@@ -465,6 +527,6 @@ def focusing_sign_map(
     for b in b_values:
         lo = (4.0 * b * b) ** (1.0 / 3.0)
         xs = np.linspace(lo, 1.0, nx + 2)[1:-1]
-        vals = np.array([focusing_polynomial(float(x), float(b)) for x in xs])
+        vals = focusing_polynomial(xs, float(b))
         out[float(b)] = (xs, vals)
     return out

@@ -29,6 +29,7 @@ Functions accept a scalar r or a numpy array and vectorize elementwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ _MAX_EXPONENT = 700.0
 
 #: Residual tolerance for the integration-constant sum checks.
 CONSTANT_SUM_TOL = 1e-12
+
+#: Largest accepted |xi|: c1 = xi^2 must stay a finite float.
+MAX_ABS_XI = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,18 @@ def params_from_xi(lam: float, xi: float, phi_branch: int = 1) -> tuple[Solution
     """Build parameters and canonical integration constants from (lambda, xi).
 
     Canonical gauge: c2 = -1, c1 = xi^2 (hence xi^2 = -c1/c2 exactly),
-    beta_j = -(2/3) log(-c2) = 0 and alpha_i = 0.
+    beta_j = -(2/3) log(-c2) = 0 and alpha_i = 0.  Rejects non-finite inputs,
+    |xi| > MAX_ABS_XI and a lambda so small that a = sqrt(3/lambda) overflows.
     """
-    if not lam > 0.0:
-        raise ParameterDomainError(f"lambda must be positive, got {lam}")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ParameterDomainError(f"lambda must be positive and finite, got {lam}")
+    if not abs(xi) <= MAX_ABS_XI:
+        raise ParameterDomainError(f"xi must be finite with |xi| <= {MAX_ABS_XI:.6g}, got {xi}")
     if phi_branch not in (1, -1):
         raise ParameterDomainError(f"phi_branch must be +1 or -1, got {phi_branch}")
     a = math.sqrt(3.0 / lam)
+    if math.isinf(a):
+        raise ParameterDomainError(f"lambda = {lam} is too small: a = sqrt(3/lambda) overflows")
     params = SolutionParams(lam=float(lam), xi=float(xi), a=a, phi_branch=phi_branch)
     c2 = -1.0
     c1 = float(xi) ** 2
@@ -120,7 +129,11 @@ def radial_bound(params: SolutionParams) -> float:
 
 def _check_range(params: SolutionParams, r) -> None:
     bound = radial_bound(params)
-    if np.max(np.abs(r)) > bound:
+    if isinstance(r, (int, float, np.integer, np.floating)):
+        magnitude = abs(r)
+    else:
+        magnitude = np.max(np.abs(r), initial=0.0)
+    if magnitude > bound:
         raise RangeError(
             f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}", r_bound=bound
         )
@@ -132,6 +145,10 @@ def _sech_sq(x):
     return (2.0 * e / (1.0 + e * e)) ** 2
 
 
+def _as_float(r):
+    return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+
+
 def f_eval(params: SolutionParams, r):
     """Closed-form (f, f', f'') at r, in the printed normalization.
 
@@ -140,13 +157,17 @@ def f_eval(params: SolutionParams, r):
     so f'' + f'^2 = 3 lambda identically.
     """
     _check_range(params, r)
-    r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+    return _f_core(params, _as_float(r))
+
+
+def _f_core(params: SolutionParams, r):
+    """``f_eval`` without the range check; r is a float or a float array."""
     k = params.k
     lam = params.lam
     if params.xi == 0.0:
         f = -k * r - 0.5 * math.log(12.0 * lam)
-        f_p = -k * np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else -k
-        f_pp = np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
+        f_p = -k * np.ones_like(r) if np.ndim(r) else -k
+        f_pp = np.zeros_like(r) if np.ndim(r) else 0.0
         return f, f_p, f_pp
     # xi != 0: with q = 2kr + 2 log|xi|, c1 E - c2 = e^q + 1 and
     # f' = k tanh(q/2), f'' = k^2 sech^2(q/2); log(1 + e^q) = logaddexp(0, q).
@@ -165,11 +186,16 @@ def w_eval(params: SolutionParams, r):
     are cross-checked against each other in the test suite.
     """
     _check_range(params, r)
-    r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+    r = _as_float(r)
+    _, f_p, f_pp = _f_core(params, r)
+    return _w_core(params, r, f_p, f_pp)
+
+
+def _w_core(params: SolutionParams, r, f_p, f_pp):
+    """``w_eval`` from (f', f'') at r, without the range check."""
     a = params.a
     xi2 = params.xi ** 2
     w = np.exp(-2.0 * r / a) * (1.0 + xi2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
-    _, f_p, f_pp = f_eval(params, r)
     u_p = (2.0 / 3.0) * f_p
     u_pp = (2.0 / 3.0) * f_pp
     w_p = w * u_p
@@ -185,11 +211,13 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     -2/a is inconsistent with this derivation and is not used (the mismatch
     is surfaced in the verification reports).
     """
-    f9, f_p, f_pp = f_eval(params, r)
+    _check_range(params, r)
+    r_float = _as_float(r)
+    f9, f_p, f_pp = _f_core(params, r_float)
     u1 = (2.0 / 3.0) * f9 + (1.0 / 3.0) * math.log(12.0 * params.lam)
     u1_p = (2.0 / 3.0) * f_p
     u1_pp = (2.0 / 3.0) * f_pp
-    w, w_p, w_pp = w_eval(params, r)
+    w, w_p, w_pp = _w_core(params, r_float, f_p, f_pp)
     return MetricSample(
         r=r,
         f=1.5 * u1,

@@ -22,13 +22,16 @@ FD_FIRST_STEP = EPS ** (1.0 / 3.0)
 FD_PAIR_STEP = EPS ** (1.0 / 5.0)
 
 
-def fd_step(x: float) -> float:
-    """Central-difference step scaled to the magnitude of ``x``."""
-    return FD_FIRST_STEP * max(1.0, abs(x))
+def fd_step(x):
+    """Central-difference step scaled to the magnitude of ``x`` (elementwise)."""
+    return FD_FIRST_STEP * np.maximum(1.0, np.abs(x))
 
 
-def central_diff(fn: Callable[[float], float], x: float, h: float | None = None) -> float:
-    """3-point central first derivative of ``fn`` at ``x``."""
+def central_diff(fn: Callable, x, h=None):
+    """3-point central first derivative of ``fn`` at ``x``.
+
+    Elementwise over arrays ``x`` (and ``h``) when ``fn`` accepts arrays.
+    """
     if h is None:
         h = fd_step(x)
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
@@ -91,24 +94,22 @@ def adaptive_simpson(
 
 
 def bracket_sign_changes(
-    fn: Callable[[float], float], lo: float, hi: float, n: int
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int
 ) -> list[tuple[float, float]]:
     """Scan [lo, hi] with ``n`` sub-intervals and return those bracketing a root.
 
-    Grid points where ``fn`` is exactly zero produce a degenerate bracket.
+    ``fn`` must accept an array: it is called once, on the whole grid of
+    ``n + 1`` points.  Grid points where ``fn`` is exactly zero produce a
+    degenerate bracket.
     """
     xs = np.linspace(lo, hi, n + 1)
-    vals = [fn(float(x)) for x in xs]
-    brackets: list[tuple[float, float]] = []
-    for i in range(n):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            brackets.append((float(xs[i]), float(xs[i])))
-        elif v0 * v1 < 0.0:
-            brackets.append((float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        brackets.append((float(xs[-1]), float(xs[-1])))
-    return brackets
+    vals = np.asarray(fn(xs), dtype=float)
+    zero = vals == 0.0
+    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    return [
+        (float(xs[i]), float(xs[i] if zero[i] else xs[i + 1]))
+        for i in np.flatnonzero(zero | change)
+    ]
 
 
 def bisect(

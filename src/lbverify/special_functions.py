@@ -43,8 +43,12 @@ def pochhammer(a: float, k: int) -> float:
     return result
 
 
-def _series(a: float, b: float, c: float, z: float) -> float:
-    """Defining series at |z| < 1.  Two consecutive negligible terms stop it."""
+def _series(a: float, b: float, c: float, z: float, caller_z: float | None = None) -> float:
+    """Defining series at |z| < 1.  Two consecutive negligible terms stop it.
+
+    ``caller_z`` is the argument the caller asked for when ``z`` is a
+    transformed one; the non-convergence error quotes it first.
+    """
     total = 1.0
     term = 1.0
     small_streak = 0
@@ -57,9 +61,8 @@ def _series(a: float, b: float, c: float, z: float) -> float:
                 return total
         else:
             small_streak = 0
-    raise SpecialFunctionError(
-        f"2F1 series did not converge within {MAX_TERMS} terms at z = {z:.6g}"
-    )
+    where = f"z = {z:.6g}" if caller_z is None else f"z = {caller_z:.6g} (Pfaff argument t = z/(z-1) = {z:.12g})"
+    raise SpecialFunctionError(f"2F1 series did not converge within {MAX_TERMS} terms at {where}")
 
 
 def _check_c(c: float) -> None:
@@ -95,7 +98,7 @@ def gauss_2f1_pfaff(q: HypergeometricQuery) -> float:
     if q.z == 0.0:
         return 1.0
     t = q.z / (q.z - 1.0)
-    return (1.0 - q.z) ** (-q.a) * _series(q.a, q.c - q.b, q.c, t)
+    return (1.0 - q.z) ** (-q.a) * _series(q.a, q.c - q.b, q.c, t, caller_z=q.z)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:

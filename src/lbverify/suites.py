@@ -9,7 +9,6 @@ toolkit's own oracles can only "pass" or end up "discrepancy-logged".
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .curvature import (
     ricci_diagonal,
     ricci_diagonal_fd,
 )
-from .errors import DomainError, ParameterDomainError
+from .errors import ParameterDomainError
 from .numerics import central_diff
 from .report import Report
 
@@ -40,6 +39,11 @@ def _window(params, r_min, r_max):
 
 def _loc(r_min, r_max, samples):
     return f"grid[{r_min:.9g};{r_max:.9g}]x{samples}"
+
+
+def _max_abs(values) -> float:
+    """Largest |value|, 0 for an empty array."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def build_verify_report(
@@ -197,26 +201,27 @@ def build_congruence_report(
     scan = cg.timelike_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
     admissible = [s for s in scan if s.status == "ok"]
     rpt.add("timelike-admissible-points", loc, float(len(admissible)), 0.0, "pass")
+    r = np.array([s.r for s in admissible])
+    theta = np.array([s.theta for s in admissible])
+    rate = np.array([s.dtheta_dtau for s in admissible])
 
     e2 = cfg.e_tilde**2
-    norm_err = 0.0
-    chain_err = 0.0
-    div_err = 0.0
-    sqrt_g = lambda x: cg._w_scalar(params, x) ** 1.5
-    u_r = lambda x: cg.four_velocity(params, cfg, x)[1]
-    for s in admissible:
-        w = cg._w_scalar(params, s.r)
-        u = cg.four_velocity(params, cfg, s.r)
-        norm_err = max(norm_err, abs(-w * u[0] ** 2 + u[1] ** 2 + 1.0))
-        # The chain-rule and divergence oracles need finite differences that
-        # stay clear of the turning-point divergence.
-        if e2 - w < 1e-3 * e2 or abs(s.dtheta_dtau) < 1e-2:
-            continue
-        h = cg.chain_rule_fd_step(params, cfg, s.r)
-        theta_fd = central_diff(lambda x: cg.expansion_timelike(params, cfg, x), s.r, h)
-        chain_err = max(chain_err, abs(theta_fd * u[1] - s.dtheta_dtau) / abs(s.dtheta_dtau))
-        div = covariant_divergence_radial(sqrt_g, u_r, s.r, h)
-        div_err = max(div_err, abs(div - s.theta))
+    w = model.w_eval(params, r)[0]
+    u_t, u_r, _, _ = cg.four_velocity(params, cfg, r)
+    norm_err = _max_abs(-w * u_t**2 + u_r**2 + 1.0)
+    # The chain-rule and divergence oracles need finite differences that
+    # stay clear of the turning-point divergence.
+    fd = (e2 - w >= 1e-3 * e2) & (np.abs(rate) >= 1e-2)
+    h = cg.chain_rule_fd_step(params, cfg, r[fd])
+    theta_fd = central_diff(lambda x: cg.expansion_timelike(params, cfg, x), r[fd], h)
+    chain_err = _max_abs((theta_fd * u_r[fd] - rate[fd]) / rate[fd])
+    div = covariant_divergence_radial(
+        lambda x: model.w_eval(params, x)[0] ** 1.5,
+        lambda x: cg.four_velocity(params, cfg, x)[1],
+        r[fd],
+        h,
+    )
+    div_err = _max_abs(div - theta[fd])
     rpt.add_check("four-velocity-normalization", loc, norm_err, 1e-12)
     rpt.add_check("rate-chain-rule-rel", loc, chain_err, 1e-5)
     rpt.add_check("expansion-covariant-divergence", loc, div_err, 1e-6)
@@ -235,19 +240,12 @@ def build_congruence_report(
                 1e-6,
             )
 
-    scaled_gap = 0.0
-    scaled_points = 0
-    for s in admissible:
-        try:
-            comparison = cg.expansion_rate_scaled(params, cfg, s.r)
-        except DomainError:
-            continue
-        if math.isfinite(comparison.difference):
-            scaled_gap = max(scaled_gap, abs(comparison.difference))
-            scaled_points += 1
-    rpt.add("quoted-scaled-rate-points", loc, float(scaled_points), 0.0, "pass")
-    if scaled_points:
-        rpt.add_comparison("quoted-scaled-rate-vs-direct", loc, scaled_gap, 1e-8)
+    # NaN differences are points outside the quoted domain or divergence flags.
+    difference = cg.expansion_rate_scaled_scan(params, cfg, r).difference
+    difference = difference[np.isfinite(difference)]
+    rpt.add("quoted-scaled-rate-points", loc, float(difference.size), 0.0, "pass")
+    if difference.size:
+        rpt.add_comparison("quoted-scaled-rate-vs-direct", loc, _max_abs(difference), 1e-8)
 
     b_values = list(SIGN_MAP_B_VALUES)
     if b_extra is not None and b_extra not in b_values:
@@ -305,12 +303,10 @@ def build_congruence_report(
     for s in violations[:16]:
         rpt.add("null-rate-violation", f"r={s.r:.9g}", s.dtheta_dtau, 0.0, "discrepancy-logged")
     if xi == 0.0:
-        reduction_err = 0.0
-        for s in ok:
-            w = cg._w_scalar(params, s.r)
-            expected_rate = -(2.0 / params.a**2) * math.sqrt(e2 - w)
-            reduction_err = max(reduction_err, abs(s.dtheta_dtau - expected_rate))
-        rpt.add_check("null-rate-exponential-reduction", loc, reduction_err, 1e-9)
+        r_ok = np.array([s.r for s in ok])
+        rate_ok = np.array([s.dtheta_dtau for s in ok])
+        expected_rate = -(2.0 / params.a**2) * np.sqrt(e2 - model.w_eval(params, r_ok)[0])
+        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(rate_ok - expected_rate), 1e-9)
     return rpt
 
 
@@ -362,14 +358,8 @@ def _parse_triple(text: str, name: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def build_sweep_report(
-    lam_spec: str, xi_spec: str, e_spec: str, samples: int = 257, threads: int = 1
-) -> Report:
-    """Compact verification rows over a (lambda, xi, e_tilde) grid.
-
-    Grid points evaluate concurrently; rows are assembled in grid order so
-    the output is deterministic regardless of thread count.
-    """
+def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 257) -> Report:
+    """Compact verification rows over a (lambda, xi, e_tilde) grid, in grid order."""
     lams = _parse_triple(lam_spec, "lambda")
     xis = _parse_triple(xi_spec, "xi")
     es = _parse_triple(e_spec, "e-tilde")
@@ -405,12 +395,7 @@ def build_sweep_report(
         return out
 
     rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_rows = list(pool.map(rows_for, points))
-    else:
-        all_rows = [rows_for(p) for p in points]
-    for rows in all_rows:
-        for check, tag, value, tol, verdict in rows:
+    for point in points:
+        for check, tag, value, tol, verdict in rows_for(point):
             rpt.add(check, tag, value, tol, verdict)
     return rpt

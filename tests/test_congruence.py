@@ -8,8 +8,10 @@ from lbverify.congruence import (
     CongruenceConfig,
     QUOTED_FOCUSING_ROOTS,
     QUOTED_ROOT_RADIUS_FACTOR,
+    TURNING_GUARD_REL,
     expansion_rate,
     expansion_rate_scaled,
+    expansion_rate_scaled_scan,
     expansion_timelike,
     focusing_polynomial,
     focusing_polynomial_reduced,
@@ -22,6 +24,7 @@ from lbverify.congruence import (
     null_rate_bracket,
     null_rate_sign_scan,
     radius_candidates,
+    timelike_scan,
     tortoise,
     tortoise_quadrature,
     tortoise_series,
@@ -34,7 +37,7 @@ from lbverify.errors import (
     PoleError,
 )
 from lbverify.model import params_from_xi, w_eval
-from lbverify.numerics import adaptive_simpson, central_diff
+from lbverify.numerics import adaptive_simpson, bracket_sign_changes, central_diff
 
 
 @pytest.fixture
@@ -55,6 +58,9 @@ OUT2 = CongruenceConfig(e_tilde=2.0, direction=1)
 def test_config_rejects_subunit_energy():
     with pytest.raises(ParameterDomainError):
         CongruenceConfig(e_tilde=0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterDomainError):
+            CongruenceConfig(e_tilde=bad)
     with pytest.raises(ParameterDomainError):
         CongruenceConfig(e_tilde=2.0, direction=0)
 
@@ -373,6 +379,20 @@ def test_tortoise_series_nonconvergence_error():
         tortoise_series(params, 2.0)
 
 
+def test_tortoise_series_nonconvergence_quotes_caller_argument():
+    # The error names the caller's z = -xi^2 e^{6r/a}, not only the Pfaff
+    # argument z/(z-1), which sits just below 1 and would look harmless.
+    from lbverify.errors import SpecialFunctionError
+
+    params, _ = params_from_xi(3.0, 2.0)
+    z = -(2.0**2) * math.exp(6.0 * 2.0 / params.a)
+    with pytest.raises(SpecialFunctionError) as excinfo:
+        tortoise_series(params, 2.0)
+    message = str(excinfo.value)
+    assert f"at z = {z:.6g} " in message
+    assert f"t = z/(z-1) = {z / (z - 1.0):.12g}" in message
+
+
 def test_null_rate_zero_for_constant_profile(monkeypatch, unit_xi):
     monkeypatch.setattr(congruence, "w_eval", lambda p, r: (2.0, 0.0, 0.0))
     assert null_rate(unit_xi, OUT2, 0.3) == 0.0
@@ -415,3 +435,119 @@ def test_scan_statuses(unit_xi):
     scan = null_rate_sign_scan(unit_xi, OUT2, np.linspace(-2.0, 2.0, 65))
     statuses = {s.status for s in scan}
     assert "forbidden" in statuses and "ok" in statuses
+
+
+def _rel_close(got, want, rel):
+    return abs(got - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("xi", (0.0, 0.5, 1.0))
+def test_array_scans_match_scalar_point_functions(xi):
+    params, _ = params_from_xi(3.0, xi)
+    e2 = OUT2.e_tilde**2
+    # The grid includes the turning points w = E^2 themselves.
+    turning = radius_candidates(params, e2).from_w
+    grid = np.sort(np.concatenate([np.linspace(-2.0 * params.a, 2.0 * params.a, 257), turning]))
+    timelike = timelike_scan(params, OUT2, grid)
+    null = null_rate_sign_scan(params, OUT2, grid)
+    seen = set()
+    for r, t, n in zip(grid.tolist(), timelike, null):
+        assert t.r == n.r == r
+        w = float(w_eval(params, r)[0])
+        if w > e2:
+            expected = "forbidden"
+            for point_fn in (expansion_timelike, expansion_rate, null_rate):
+                with pytest.raises(ForbiddenRegionError):
+                    point_fn(params, OUT2, r)
+        elif abs(e2 - w) < TURNING_GUARD_REL * e2:
+            expected = "turning"
+        else:
+            expected = "ok"
+        assert t.status == n.status == expected
+        seen.add(expected)
+        if expected == "ok":
+            assert _rel_close(t.theta, expansion_timelike(params, OUT2, r), 1e-12)
+            assert _rel_close(t.dtheta_dtau, expansion_rate(params, OUT2, r), 1e-12)
+            assert _rel_close(n.dtheta_dtau, null_rate(params, OUT2, r), 1e-12)
+        else:
+            assert math.isnan(t.theta) and math.isnan(t.dtheta_dtau) and math.isnan(n.dtheta_dtau)
+        assert math.isnan(n.theta)
+    assert seen == {"forbidden", "turning", "ok"}
+
+
+def test_scans_of_empty_grid():
+    params, _ = params_from_xi(3.0, 1.0)
+    assert timelike_scan(params, OUT2, np.array([])) == []
+    assert null_rate_sign_scan(params, OUT2, np.array([])) == []
+
+
+def test_scaled_rate_scan_matches_scalar_comparison():
+    params, _ = params_from_xi(3.0, 0.1)
+    r = np.linspace(-0.6, 0.6, 41)
+    scan = expansion_rate_scaled_scan(params, OUT2, r)
+    inside = 0
+    for i, r_i in enumerate(r.tolist()):
+        try:
+            pair = expansion_rate_scaled(params, OUT2, r_i)
+        except DomainError:
+            assert math.isnan(scan.quoted[i])
+            continue
+        inside += 1
+        assert _rel_close(scan.quoted[i], pair.quoted, 1e-12)
+        assert _rel_close(scan.direct[i], pair.direct, 1e-12)
+    assert 0 < inside < r.size
+
+
+def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
+    # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so focusing_vars raises.
+    r = np.array([-0.2, 0.0, 0.3])
+    scan = expansion_rate_scaled_scan(unit_xi, OUT2, r)
+    for i, r_i in enumerate(r.tolist()):
+        with pytest.raises(DomainError):
+            focusing_vars(unit_xi, OUT2, r_i)
+        assert math.isnan(scan.quoted[i]) and math.isnan(scan.difference[i])
+        assert scan.direct[i] == pytest.approx(expansion_rate(unit_xi, OUT2, r_i), rel=1e-12)
+
+
+def test_sign_map_matches_scalar_polynomial():
+    b_values = (0.0, 0.1, 0.25, 0.49)
+    sign_map = focusing_sign_map(b_values, nx=512)
+    for b in b_values:
+        xs, vals = sign_map[b]
+        for x, v in zip(xs.tolist(), vals.tolist()):
+            assert _rel_close(v, focusing_polynomial(x, b), 1e-13)
+
+
+def test_focusing_polynomial_array_errors():
+    with pytest.raises(DomainError):
+        focusing_polynomial(np.array([0.9, 0.5]), 0.49)
+    with pytest.raises(PoleError):
+        focusing_polynomial(np.array([0.5, -0.5]), 0.0)
+
+
+def test_point_functions_vectorize(unit_xi):
+    r = np.array([-0.3, 0.0, 0.25])
+    u_t, u_r, _, _ = four_velocity(unit_xi, OUT2, r)
+    h = congruence.chain_rule_fd_step(unit_xi, OUT2, r)
+    theta = expansion_timelike(unit_xi, OUT2, r)
+    for i, r_i in enumerate(r.tolist()):
+        u = four_velocity(unit_xi, OUT2, r_i)
+        assert (u_t[i], u_r[i]) == (u[0], u[1])
+        assert h[i] == congruence.chain_rule_fd_step(unit_xi, OUT2, r_i)
+        assert theta[i] == expansion_timelike(unit_xi, OUT2, r_i)
+    with pytest.raises(ForbiddenRegionError):
+        four_velocity(unit_xi, OUT2, np.array([0.0, -2.0]))
+
+
+def test_bracket_scan_calls_fn_once_on_the_grid():
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return (x - 0.5) * (x - 0.8)
+
+    # Grid 0, 0.25, 0.5, 0.75, 1: an exact zero at 0.5, a sign change in [0.75, 1].
+    assert bracket_sign_changes(fn, 0.0, 1.0, 4) == [(0.5, 0.5), (0.75, 1.0)]
+    assert calls == [(5,)]
+    assert bracket_sign_changes(lambda x: x - 1.0, 0.0, 1.0, 4) == [(1.0, 1.0)]
+    assert bracket_sign_changes(lambda x: x + 1.0, 0.0, 1.0, 4) == []

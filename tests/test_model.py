@@ -5,6 +5,7 @@ import pytest
 
 from lbverify.errors import ParameterDomainError, RangeError
 from lbverify.model import (
+    MAX_ABS_XI,
     default_grid,
     f_eval,
     metric_eval,
@@ -48,6 +49,29 @@ def test_params_rejects_nonpositive_lambda():
         params_from_xi(0.0, 1.0)
     with pytest.raises(ParameterDomainError):
         params_from_xi(-1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lam, xi",
+    [
+        (math.inf, 1.0),
+        (math.nan, 1.0),
+        (1e-320, 1.0),  # a = sqrt(3/lambda) overflows
+        (3.0, math.inf),
+        (3.0, -math.inf),
+        (3.0, math.nan),
+        (3.0, 1e200),
+        (3.0, -1e200),
+    ],
+)
+def test_params_rejects_nonfinite_and_overflowing_inputs(lam, xi):
+    with pytest.raises(ParameterDomainError):
+        params_from_xi(lam, xi)
+
+
+def test_params_accepts_largest_xi():
+    _, raw = params_from_xi(3.0, MAX_ABS_XI)
+    assert math.isfinite(raw.c1)
 
 
 def test_negative_xi_gives_identical_metric():
@@ -188,6 +212,28 @@ def test_range_error_reports_bound():
     assert excinfo.value.r_bound == bound
     with pytest.raises(RangeError):
         metric_eval(params, -bound * 1.01)
+
+
+@pytest.mark.parametrize("fn", (f_eval, w_eval, metric_eval))
+@pytest.mark.parametrize("kind", ("float", "int", "float64", "0-d", "array"))
+def test_range_check_every_input_type(fn, kind):
+    params, _ = params_from_xi(3.0, 1.0)
+    bound = radial_bound(params)
+    make = {
+        "float": float,
+        "int": int,
+        "float64": np.float64,
+        "0-d": np.array,
+        "array": lambda x: np.array([0.0, x]),
+    }[kind]
+    if kind == "int":
+        inside, beyond = math.floor(bound), math.floor(bound) + 1
+    else:
+        inside, beyond = bound, math.nextafter(bound, math.inf)
+    for sign in (1, -1):
+        fn(params, make(sign * inside))
+        with pytest.raises(RangeError):
+            fn(params, make(sign * beyond))
 
 
 def test_validate_constants_canonical():

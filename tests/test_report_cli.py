@@ -113,6 +113,26 @@ def test_cli_invalid_lambda_exits_2():
     assert b"lambda" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--xi", "inf"),
+        ("verify", "--xi", "1e200"),
+        ("verify", "--lambda", "inf"),
+        ("congruence", "--e-tilde", "inf"),
+        ("congruence", "--e-tilde", "nan"),
+    ],
+    ids=("xi-inf", "xi-overflow", "lambda-inf", "e-tilde-inf", "e-tilde-nan"),
+)
+def test_cli_rejects_nonfinite_or_overflowing_parameters(args):
+    proc = run_cli(*args, "--samples", "64")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert proc.stderr.startswith(b"lbverify: error:")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_cli_congruence_requires_unit_energy():
     proc = run_cli("congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "0.5")
     assert proc.returncode == 2
