@@ -25,22 +25,21 @@ from .suites import (
 )
 
 
-def _threads_from_env() -> int:
-    """Validated LBVERIFY_THREADS (default min(8, nproc)).
+def _threads_from_env() -> None:
+    """Reject a set LBVERIFY_THREADS that is not an integer >= 1.
 
-    Sweeps run serially; the variable is still checked so that a malformed
-    value is reported as a usage error.
+    Sweeps run serially and the value is otherwise unused; it is still
+    checked so that a malformed value is reported as a usage error.
     """
     raw = os.environ.get("LBVERIFY_THREADS", "")
     if not raw:
-        return min(8, os.cpu_count() or 1)
+        return
     try:
         n = int(raw)
     except ValueError:
         raise LBVerifyError(f"LBVERIFY_THREADS must be an integer, got {raw!r}")
     if n < 1:
         raise LBVerifyError(f"LBVERIFY_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _add_common(sub: argparse.ArgumentParser, samples_default: int = 4096) -> None:

@@ -26,7 +26,6 @@ from .errors import (
     ForbiddenRegionError,
     ParameterDomainError,
     PoleError,
-    SpecialFunctionError,
 )
 from .model import SolutionParams, w_eval
 from .numerics import adaptive_simpson, bisect, bracket_sign_changes, fd_step
@@ -39,9 +38,6 @@ TURNING_GUARD_REL = 1e-10
 #: quoted for the larger one; recorded verbatim for comparison reports.
 QUOTED_FOCUSING_ROOTS = (0.377, 1.178)
 QUOTED_ROOT_RADIUS_FACTOR = 0.0273
-
-#: Mutual tolerance of the two tortoise evaluation channels.
-TORTOISE_CHANNEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,16 +57,6 @@ class CongruenceConfig:
 
 
 @dataclass(frozen=True)
-class FocusingVars:
-    """Scaled variables x = w/E^2, b = |xi/E|, y = sqrt(x^6 - 4 b^2 x^3)."""
-
-    x: float
-    b: float
-    y: float
-    a: float
-
-
-@dataclass(frozen=True)
 class KinematicsSample:
     r: float
     theta: float
@@ -81,11 +67,11 @@ class KinematicsSample:
 
 @dataclass(frozen=True)
 class ScaledRateComparison:
-    """Quoted-closed-form versus direct focusing rate at one radius (or a grid)."""
+    """Quoted-closed-form versus direct focusing rate over a grid of radii."""
 
-    quoted: float
-    direct: float
-    difference: float
+    quoted: np.ndarray
+    direct: np.ndarray
+    difference: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,7 +138,8 @@ def hypersurface_potential(
     Normalized so that the full potential is E * t + (this value) and the
     covector relation u_alpha = -d_alpha(potential) holds; the gauge is
     potential(r0) = 0.  An endpoint at a turning point is handled with the
-    substitution r = r_end -/+ s^2, which removes the square-root cusp.
+    substitution r = end + step * s^2 from the turning end, with step = +/-1
+    pointing to the other end, which removes the square-root cusp.
     """
     if r0 == r1:
         return 0.0
@@ -165,20 +152,12 @@ def hypersurface_potential(
         return hypersurface_potential(params, cfg, r0, mid, tol) + hypersurface_potential(
             params, cfg, mid, r1, tol
         )
-    if turn1:
-        span = r1 - r0
-        s_max = math.sqrt(abs(span))
-        sgn = 1.0 if span > 0 else -1.0
-        integral = adaptive_simpson(
-            lambda s: g(r1 - sgn * s * s) * 2.0 * s, 0.0, s_max, tol
-        ) * sgn
-    elif turn0:
-        span = r1 - r0
-        s_max = math.sqrt(abs(span))
-        sgn = 1.0 if span > 0 else -1.0
-        integral = adaptive_simpson(
-            lambda s: g(r0 + sgn * s * s) * 2.0 * s, 0.0, s_max, tol
-        ) * sgn
+    if turn0 or turn1:
+        sgn = 1.0 if r1 > r0 else -1.0
+        end, step = (r1, -sgn) if turn1 else (r0, sgn)
+        integral = sgn * adaptive_simpson(
+            lambda s: g(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(r1 - r0)), tol
+        )
     else:
         integral = adaptive_simpson(g, r0, r1, tol)
     return -cfg.direction * integral
@@ -257,14 +236,6 @@ def _scaled_vars(params: SolutionParams, cfg: CongruenceConfig, w):
     return x, b, x**6 - 4.0 * b * b * x**3
 
 
-def focusing_vars(params: SolutionParams, cfg: CongruenceConfig, r: float) -> FocusingVars:
-    """Scaled variables of the quoted focusing-rate form at radius r."""
-    x, b, y_sq = _scaled_vars(params, cfg, _w_scalar(params, r))
-    if y_sq < 0.0:
-        raise DomainError(f"y^2 = {y_sq:.6g} < 0 at r = {r:.6g} (x = {x:.6g}, b = {b:.6g})")
-    return FocusingVars(x=x, b=b, y=math.sqrt(y_sq), a=params.a)
-
-
 def focusing_polynomial(x, b: float):
     """The quoted rational form in (x, y(x, b)) whose sign decides focusing.
 
@@ -309,28 +280,16 @@ def _quoted_rate(lam: float, poly, x):
         return np.divide(0.5 * lam * poly, x * (1.0 - x))
 
 
-def expansion_rate_scaled(
-    params: SolutionParams, cfg: CongruenceConfig, r: float
-) -> ScaledRateComparison:
-    """Quoted closed form (lambda/2) * poly / (x (1 - x)) next to the direct rate.
-
-    Both numbers are returned; at x = 1 the quoted form diverges through
-    1/(1 - x) exactly where the direct rate diverges through the turning
-    point, and both come back as inf flags.
-    """
-    fv = focusing_vars(params, cfg, r)
-    quoted = _quoted_rate(params.lam, focusing_polynomial(fv.x, fv.b), fv.x)
-    direct = expansion_rate(params, cfg, r)
-    return ScaledRateComparison(quoted=quoted, direct=direct, difference=quoted - direct)
-
-
 def expansion_rate_scaled_scan(
     params: SolutionParams, cfg: CongruenceConfig, r_grid
 ) -> ScaledRateComparison:
-    """``expansion_rate_scaled`` over a grid of allowed radii, as arrays.
+    """Quoted closed form (lambda/2) * poly / (x (1 - x)) next to the direct rate.
 
-    Where the scaled variables leave the quoted domain (y^2 < 0, where
-    ``focusing_vars`` raises) the quoted value and the difference are NaN.
+    Elementwise over a grid of allowed radii, in the scaled variables
+    x = w/E^2, b = |xi/E|, y^2 = x^6 - 4 b^2 x^3.  Where y^2 < 0 (outside the
+    quoted domain) the quoted value and the difference are NaN.  At x = 1 the
+    quoted form diverges through 1/(1 - x) exactly where the direct rate
+    diverges through the turning point, and both come back as inf flags.
     Raises ForbiddenRegionError if any radius has w > E^2.
     """
     r = np.asarray(r_grid, dtype=float)
@@ -364,7 +323,7 @@ def focusing_polynomial_roots(b: float, brackets: int = 4096) -> FocusingRootSca
         scan_lo = lo if b > 0.0 else lo + (hi - lo) * 1e-9
         fn = lambda x: focusing_polynomial(x, b)
         for blo, bhi in bracket_sign_changes(fn, scan_lo, hi, brackets):
-            root = blo if blo == bhi else bisect(fn, blo, bhi)
+            root = bisect(fn, blo, bhi)
             if lo < root < hi:
                 roots.append(root)
             else:
@@ -403,9 +362,7 @@ def radius_candidates(
     from_exponential = params.a / 6.0 * math.log(X)
     half = half_width_in_a * params.a
     fn = lambda r: w_eval(params, r)[0] - X
-    w_roots = []
-    for blo, bhi in bracket_sign_changes(fn, -half, half, brackets):
-        w_roots.append(blo if blo == bhi else bisect(fn, blo, bhi))
+    w_roots = [bisect(fn, blo, bhi) for blo, bhi in bracket_sign_changes(fn, -half, half, brackets)]
     return RadiusCandidates(from_exponential=from_exponential, from_w=tuple(sorted(set(w_roots))))
 
 
@@ -426,23 +383,6 @@ def tortoise_quadrature(params: SolutionParams, r: float, tol: float = 1e-11) ->
         return constant
     integral = adaptive_simpson(lambda x: 1.0 / math.sqrt(_w_scalar(params, x)), 0.0, r, tol)
     return constant + integral
-
-
-def tortoise(params: SolutionParams, r: float) -> float:
-    """Tortoise coordinate with the two evaluation channels cross-checked.
-
-    Returns the series value after verifying the quadrature channel agrees
-    to TORTOISE_CHANNEL_TOL (absolute, scaled by max(1, |r*|)).
-    """
-    series_val = tortoise_series(params, r)
-    quad_val = tortoise_quadrature(params, r)
-    scale = max(1.0, abs(series_val))
-    if abs(series_val - quad_val) > TORTOISE_CHANNEL_TOL * scale:
-        raise SpecialFunctionError(
-            f"tortoise channels disagree at r = {r:.6g}: "
-            f"series {series_val!r} vs quadrature {quad_val!r}"
-        )
-    return series_val
 
 
 def _null_bracket(w, w_p, w_pp):

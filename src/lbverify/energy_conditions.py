@@ -27,6 +27,7 @@ import numpy as np
 from .curvature import ricci_diagonal
 from .errors import ParameterDomainError
 from .model import SolutionParams, metric_eval
+from .numerics import bisect
 
 #: A condition holds at r iff every one of its margins is >= -HOLD_TOL.
 HOLD_TOL = 1e-12
@@ -112,9 +113,10 @@ def region_scan(
 ) -> dict[str, list[tuple[float, float]]]:
     """Sub-intervals of [r_min, r_max] where each condition holds.
 
-    Boundaries are located by sign changes of (minimum margin + HOLD_TOL) on
-    the sample grid, refined by interval bisection.  A degenerate window
-    (r_min == r_max) produces single-point intervals.
+    Holding runs are read off the sign of (minimum margin + HOLD_TOL) on the
+    sample grid; run edges strictly inside the window are refined by
+    bisection, and edges on the window boundary stay at the grid endpoints.
+    A degenerate window (r_min == r_max) produces single-point intervals.
     """
     if samples < 2:
         raise ParameterDomainError(f"need at least 2 samples, got {samples}")
@@ -128,41 +130,18 @@ def region_scan(
     margins = condition_margins(stress_decompose(params, grid))
     out: dict[str, list[tuple[float, float]]] = {}
     for cond in CONDITIONS:
-        shifted = np.asarray(_min_margin(margins, cond)) + HOLD_TOL
-        ok = shifted >= 0.0
-        intervals: list[tuple[float, float]] = []
-        i = 0
-        while i < samples:
-            if not ok[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < samples and ok[j + 1]:
-                j += 1
-            lo = grid[i]
-            hi = grid[j]
-            # Refine the edges that sit strictly inside the window.
-            fn = lambda x: float(
-                _min_margin(condition_margins(stress_decompose(params, x)), cond) + HOLD_TOL
+        ok = np.asarray(_min_margin(margins, cond)) + HOLD_TOL >= 0.0
+        steps = np.diff(np.concatenate(([0], ok.astype(np.int8), [0])))
+        starts = np.flatnonzero(steps == 1)
+        ends = np.flatnonzero(steps == -1) - 1
+        fn = lambda x: float(
+            _min_margin(condition_margins(stress_decompose(params, x)), cond) + HOLD_TOL
+        )
+        out[cond] = [
+            (
+                float(grid[i] if i == 0 else bisect(fn, grid[i - 1], grid[i])),
+                float(grid[j] if j == samples - 1 else bisect(fn, grid[j], grid[j + 1])),
             )
-            if i > 0:
-                lo = _refine_edge(fn, grid[i - 1], grid[i])
-            if j + 1 < samples:
-                hi = _refine_edge(fn, grid[j + 1], grid[j])
-            intervals.append((float(lo), float(hi)))
-            i = j + 1
-        out[cond] = intervals
+            for i, j in zip(starts, ends)
+        ]
     return out
-
-
-def _refine_edge(fn, bad: float, good: float, iters: int = 60) -> float:
-    """Bisect between a failing and a holding abscissa."""
-    for _ in range(iters):
-        mid = 0.5 * (bad + good)
-        if fn(mid) >= 0.0:
-            good = mid
-        else:
-            bad = mid
-        if abs(good - bad) < 1e-14 * max(1.0, abs(good)):
-            break
-    return good

@@ -232,12 +232,6 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     )
 
 
-def default_grid(params: SolutionParams, samples: int = 4096, half_width_in_a: float = 2.0) -> np.ndarray:
-    """Default radial scan window [-2a, 2a] (configurable width and density)."""
-    half = half_width_in_a * params.a
-    return np.linspace(-half, half, samples)
-
-
 def validate_constants(raw: RawConstants, lam: float) -> list[VerificationRow]:
     """Check the two sum conditions on the integration constants.
 

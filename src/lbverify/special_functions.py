@@ -1,19 +1,21 @@
 """Gauss hypergeometric 2F1 on the non-positive real axis.
 
 Only z <= 0 is supported: that is the full argument range reached by the
-tortoise coordinate, whose z is -xi^2 e^{6r/a}.  For |z| <= 0.5 the defining
-series is summed directly with term-ratio updates (no Gamma calls in the
-loop); for z < -0.5 the Pfaff transformation
+tortoise coordinate, whose z is -xi^2 e^{6r/a}.  ``hyp2f1`` is the one entry
+point.  It sums the defining series directly for |z| <= 0.5, with term-ratio
+updates (no Gamma calls in the loop); for z < -0.5 it applies the Pfaff
+transformation
 
-    F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; z / (z - 1))
+    F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; z / (z - 1)),
 
-maps the argument into [0, 1) where the same series applies.
+which maps the argument into [0, 1) where the same series applies.  The two
+branches are also exposed on their own, as ``gauss_2f1_series`` and
+``gauss_2f1_pfaff``, so that they can be cross-checked against each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterDomainError, RangeError, SpecialFunctionError
 
@@ -21,26 +23,6 @@ from .errors import ParameterDomainError, RangeError, SpecialFunctionError
 SERIES_RTOL = 1e-16
 #: Hard cap on the number of series terms.
 MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class HypergeometricQuery:
-    a: float
-    b: float
-    c: float
-    z: float
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a (a+1) ... (a+k-1); overflow saturates to inf."""
-    if k < 0:
-        raise ParameterDomainError(f"k must be non-negative, got {k}")
-    result = 1.0
-    for i in range(k):
-        result *= a + i
-        if math.isinf(result):
-            break
-    return result
 
 
 def _series(a: float, b: float, c: float, z: float, caller_z: float | None = None) -> float:
@@ -70,37 +52,35 @@ def _check_c(c: float) -> None:
         raise ParameterDomainError(f"c must not be a non-positive integer, got {c}")
 
 
-def gauss_2f1(q: HypergeometricQuery) -> float:
-    """Evaluate F(a, b; c; z) for z <= 0."""
-    _check_c(q.c)
-    if q.z > 0.0:
-        raise RangeError(f"z = {q.z:.6g} > 0 is unsupported", r_bound=0.0)
-    if q.z == 0.0:
-        return 1.0
-    if q.z >= -0.5:
-        return _series(q.a, q.b, q.c, q.z)
-    return gauss_2f1_pfaff(q)
-
-
-def gauss_2f1_series(q: HypergeometricQuery) -> float:
-    """Direct series evaluation; requires |z| < 1."""
-    _check_c(q.c)
-    if abs(q.z) >= 1.0:
-        raise RangeError(f"direct series diverges at |z| = {abs(q.z):.6g} >= 1", r_bound=1.0)
-    return _series(q.a, q.b, q.c, q.z)
-
-
-def gauss_2f1_pfaff(q: HypergeometricQuery) -> float:
-    """Pfaff-transformed evaluation; valid for any z <= 0."""
-    _check_c(q.c)
-    if q.z > 0.0:
-        raise RangeError(f"z = {q.z:.6g} > 0 is unsupported", r_bound=0.0)
-    if q.z == 0.0:
-        return 1.0
-    t = q.z / (q.z - 1.0)
-    return (1.0 - q.z) ** (-q.a) * _series(q.a, q.c - q.b, q.c, t, caller_z=q.z)
+def _check_nonpositive(z: float) -> None:
+    if z > 0.0:
+        raise RangeError(f"z = {z:.6g} > 0 is unsupported", r_bound=0.0)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Convenience wrapper around :func:`gauss_2f1`."""
-    return gauss_2f1(HypergeometricQuery(a, b, c, z))
+    """Evaluate F(a, b; c; z) for z <= 0."""
+    _check_c(c)
+    _check_nonpositive(z)
+    if z == 0.0:
+        return 1.0
+    if z >= -0.5:
+        return _series(a, b, c, z)
+    return gauss_2f1_pfaff(a, b, c, z)
+
+
+def gauss_2f1_series(a: float, b: float, c: float, z: float) -> float:
+    """Direct series evaluation; requires |z| < 1."""
+    _check_c(c)
+    if abs(z) >= 1.0:
+        raise RangeError(f"direct series diverges at |z| = {abs(z):.6g} >= 1", r_bound=1.0)
+    return _series(a, b, c, z)
+
+
+def gauss_2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
+    """Pfaff-transformed evaluation; valid for any z <= 0."""
+    _check_c(c)
+    _check_nonpositive(z)
+    if z == 0.0:
+        return 1.0
+    t = z / (z - 1.0)
+    return (1.0 - z) ** (-a) * _series(a, c - b, c, t, caller_z=z)

@@ -25,7 +25,7 @@ from .errors import ParameterDomainError
 
 #: Note attached to every report: the quoted general solution of the
 #: linearized profile equation f'' = 3 lambda omits the homogeneous linear
-#: term c2 * r; the operation below implements the quoted quadratic form.
+#: term c2 * r.
 LINEAR_TERM_NOTE = (
     "quoted linearized profile f = (3 lambda / 2) r^2 + c1 omits the"
     " homogeneous linear term c2 * r of f'' = 3 lambda"
@@ -98,12 +98,3 @@ def expected_eigenvalues(lam: float) -> tuple[float, float, float]:
     """Analytic spectrum {-6/a, -3/a, -3/a}, sorted ascending."""
     a = math.sqrt(3.0 / lam)
     return (-6.0 / a, -3.0 / a, -3.0 / a)
-
-
-def linearized_profile(lam: float, c1: float, r: float) -> float:
-    """Quoted solution (3 lambda / 2) r^2 + c1 of the linearized equation.
-
-    Its second derivative is 3 lambda by construction; see LINEAR_TERM_NOTE
-    for the omitted homogeneous term.
-    """
-    return 1.5 * lam * r * r + c1

@@ -8,6 +8,7 @@ toolkit's own oracles can only "pass" or end up "discrepancy-logged".
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -363,39 +364,19 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
     lams = _parse_triple(lam_spec, "lambda")
     xis = _parse_triple(xi_spec, "xi")
     es = _parse_triple(e_spec, "e-tilde")
-    points = [
-        (float(lam), float(xi), float(e))
-        for lam in lams
-        for xi in xis
-        for e in es
-    ]
-
-    def rows_for(point):
-        lam, xi, e_tilde = point
+    rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
+    for lam, xi, e_tilde in itertools.product(lams.tolist(), xis.tolist(), es.tolist()):
         params, _ = model.params_from_xi(lam, xi)
         grid = np.linspace(-2.0 * params.a, 2.0 * params.a, samples)
         sample = model.metric_eval(params, grid)
         tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
-        out = []
-        f_res = float(np.max(np.abs(sample.f_pp + sample.f_p**2 - 3.0 * lam)))
-        out.append(("f-ode-residual", tag, f_res, 1e-9, "pass" if f_res <= 1e-9 else "fail"))
-        field_res = field_residual(params, grid).max_abs
-        out.append(("field-equation-residual", tag, field_res, 1e-8, "pass" if field_res <= 1e-8 else "fail"))
-        stress = ec.stress_decompose(params, grid)
-        margins = ec.condition_margins(stress)
-        sec_err = float(np.max(np.abs(margins.sec + 2.0 * lam)))
-        out.append(("strong-margin-constant", tag, sec_err, 1e-8, "pass" if sec_err <= 1e-8 else "fail"))
+        rpt.add_check("f-ode-residual", tag, float(np.max(np.abs(sample.f_pp + sample.f_p**2 - 3.0 * lam))), 1e-9)
+        rpt.add_check("field-equation-residual", tag, field_residual(params, grid).max_abs, 1e-8)
+        margins = ec.condition_margins(ec.stress_decompose(params, grid))
+        rpt.add_check("strong-margin-constant", tag, float(np.max(np.abs(margins.sec + 2.0 * lam))), 1e-8)
         if abs(e_tilde) >= 1.0:
             cfg = cg.CongruenceConfig(e_tilde=e_tilde)
             null_scan = cg.null_rate_sign_scan(params, cfg, grid)
-            ok = [s for s in null_scan if s.status == "ok"]
-            violations = sum(1 for s in ok if s.dtheta_dtau >= 0.0)
-            verdict = "pass" if violations == 0 else "discrepancy-logged"
-            out.append(("null-rate-nonnegative-cells", tag, float(violations), 0.0, verdict))
-        return out
-
-    rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
-    for point in points:
-        for check, tag, value, tol, verdict in rows_for(point):
-            rpt.add(check, tag, value, tol, verdict)
+            violations = sum(1 for s in null_scan if s.status == "ok" and s.dtheta_dtau >= 0.0)
+            rpt.add_comparison("null-rate-nonnegative-cells", tag, float(violations), 0.0)
     return rpt

@@ -10,14 +10,12 @@ from lbverify.congruence import (
     QUOTED_ROOT_RADIUS_FACTOR,
     TURNING_GUARD_REL,
     expansion_rate,
-    expansion_rate_scaled,
     expansion_rate_scaled_scan,
     expansion_timelike,
     focusing_polynomial,
     focusing_polynomial_reduced,
     focusing_polynomial_roots,
     focusing_sign_map,
-    focusing_vars,
     four_velocity,
     hypersurface_potential,
     null_rate,
@@ -25,7 +23,6 @@ from lbverify.congruence import (
     null_rate_sign_scan,
     radius_candidates,
     timelike_scan,
-    tortoise,
     tortoise_quadrature,
     tortoise_series,
 )
@@ -132,7 +129,6 @@ def test_potential_gradient_is_minus_velocity_covector(vacuum, unit_xi):
 def test_potential_turning_point_endpoint(vacuum):
     # w = 4 = E^2 at r = -log(4)/2: integrable square-root endpoint.
     r_turn = -0.5 * math.log(4.0)
-    got = hypersurface_potential(vacuum, OUT2, 0.0, r_turn)
     s_max = math.sqrt(-r_turn)
     oracle = -adaptive_simpson(
         lambda s: math.sqrt(max(4.0 * math.exp(2.0 * (r_turn + s * s)) - 1.0, 0.0)) * 2.0 * s,
@@ -140,7 +136,10 @@ def test_potential_turning_point_endpoint(vacuum):
         s_max,
         1e-12,
     )
-    assert got == pytest.approx(-oracle, abs=1e-8)
+    # The turning point as the upper and as the lower limit.
+    for r0, r1, orientation in ((0.0, r_turn, 1.0), (r_turn, 0.0, -1.0)):
+        got = hypersurface_potential(vacuum, OUT2, r0, r1)
+        assert got == pytest.approx(-orientation * oracle, abs=1e-8)
 
 
 def test_potential_forbidden_interval(unit_xi):
@@ -212,38 +211,28 @@ def test_rate_chain_rule_random_admissible():
 
 def test_scaled_form_comparison_pair():
     params, _ = params_from_xi(3.0, 0.1)
-    pair = expansion_rate_scaled(params, OUT2, 0.0)
-    fv = focusing_vars(params, OUT2, 0.0)
-    assert pair.quoted == pytest.approx(
-        0.5 * 3.0 * focusing_polynomial(fv.x, fv.b) / (fv.x * (1.0 - fv.x)), rel=1e-14
+    pair = expansion_rate_scaled_scan(params, OUT2, np.array([0.0]))
+    x = float(w_eval(params, 0.0)[0]) / OUT2.e_tilde**2
+    b = abs(params.xi / OUT2.e_tilde)
+    assert pair.quoted[0] == pytest.approx(
+        0.5 * 3.0 * focusing_polynomial(x, b) / (x * (1.0 - x)), rel=1e-14
     )
-    assert pair.direct == pytest.approx(expansion_rate(params, OUT2, 0.0), rel=1e-14)
+    assert pair.direct[0] == pytest.approx(expansion_rate(params, OUT2, 0.0), rel=1e-14)
     # The two forms disagree wildly: that disagreement is the report.
-    assert pair.quoted > 0.0 > pair.direct
-    assert abs(pair.difference) > 10.0
+    assert pair.quoted[0] > 0.0 > pair.direct[0]
+    assert abs(pair.difference[0]) > 10.0
 
 
 def test_scaled_form_shared_singularity_flags(vacuum):
     # x -> 1 is exactly the turning point: the quoted form diverges through
     # 1/(1-x) where the direct form diverges too; both come back as flags.
     r_turn = -0.5 * math.log(4.0)
-    pair = expansion_rate_scaled(vacuum, OUT2, r_turn)
-    assert math.isinf(pair.quoted)
-    assert math.isinf(pair.direct)
+    pair = expansion_rate_scaled_scan(vacuum, OUT2, np.array([r_turn]))
+    assert math.isinf(pair.quoted[0])
+    assert math.isinf(pair.direct[0])
 
 
-def test_focusing_vars_domain(unit_xi):
-    # b = 1/2 exactly at xi = 1, E = 2: y^2 = x^3 (x^3 - 1) < 0 for x < 1.
-    with pytest.raises(DomainError):
-        focusing_vars(unit_xi, OUT2, 0.0)
-    params, _ = params_from_xi(3.0, 0.1)
-    fv = focusing_vars(params, OUT2, 0.0)
-    assert 0.0 < fv.x < 1.0
-    assert fv.b == pytest.approx(0.05, abs=0)
-    assert fv.y == pytest.approx(math.sqrt(fv.x**6 - 4 * fv.b**2 * fv.x**3), rel=1e-15)
-
-
-def test_focusing_vars_scale_invariance_of_b():
+def test_scaled_b_invariant_under_common_scale():
     for scale in (1.0, 2.0, 3.0):
         p1, _ = params_from_xi(3.0, 0.2)
         p2, _ = params_from_xi(3.0, 0.2 * scale)
@@ -343,7 +332,9 @@ def test_radius_rejects_nonpositive(unit_xi):
 
 def test_tortoise_vacuum_exponential(vacuum):
     for r in (-1.0, 0.0, 0.5, 1.0):
-        assert tortoise(vacuum, r) == pytest.approx(math.exp(r), rel=1e-14)
+        series = tortoise_series(vacuum, r)
+        assert series == pytest.approx(math.exp(r), rel=1e-14)
+        assert abs(series - tortoise_quadrature(vacuum, r)) <= 1e-8 * max(1.0, abs(series))
 
 
 def test_tortoise_constant_pinned_by_improper_integral(unit_xi):
@@ -481,30 +472,13 @@ def test_scans_of_empty_grid():
     assert null_rate_sign_scan(params, OUT2, np.array([])) == []
 
 
-def test_scaled_rate_scan_matches_scalar_comparison():
-    params, _ = params_from_xi(3.0, 0.1)
-    r = np.linspace(-0.6, 0.6, 41)
-    scan = expansion_rate_scaled_scan(params, OUT2, r)
-    inside = 0
-    for i, r_i in enumerate(r.tolist()):
-        try:
-            pair = expansion_rate_scaled(params, OUT2, r_i)
-        except DomainError:
-            assert math.isnan(scan.quoted[i])
-            continue
-        inside += 1
-        assert _rel_close(scan.quoted[i], pair.quoted, 1e-12)
-        assert _rel_close(scan.direct[i], pair.direct, 1e-12)
-    assert 0 < inside < r.size
-
-
 def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
-    # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so focusing_vars raises.
+    # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so the polynomial raises.
     r = np.array([-0.2, 0.0, 0.3])
     scan = expansion_rate_scaled_scan(unit_xi, OUT2, r)
     for i, r_i in enumerate(r.tolist()):
         with pytest.raises(DomainError):
-            focusing_vars(unit_xi, OUT2, r_i)
+            focusing_polynomial(float(w_eval(unit_xi, r_i)[0]) / OUT2.e_tilde**2, 0.5)
         assert math.isnan(scan.quoted[i]) and math.isnan(scan.difference[i])
         assert scan.direct[i] == pytest.approx(expansion_rate(unit_xi, OUT2, r_i), rel=1e-12)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lbverify import energy_conditions
 from lbverify.energy_conditions import (
     CONDITIONS,
+    HOLD_TOL,
     FrameStress,
     condition_margins,
     holds,
@@ -82,6 +84,34 @@ def test_region_scan_vacuum_member():
         lo, hi = intervals[cond][0]
         assert (lo, hi) == (-2.0, 2.0)
     assert intervals["SEC"] == []
+
+
+def test_region_scan_refines_interior_edges(monkeypatch):
+    # The family's own margins never change sign inside a window, so a
+    # synthetic stress with rho = +/-(r - r1)(r - r2)(r - r3) - HOLD_TOL and
+    # zero pressures stands in: every condition then holds exactly where the
+    # cubic is >= 0, with edges at its roots.
+    roots = (-0.6123, 0.1357, 0.7071)
+    params, _ = params_from_xi(3.0, 1.0)
+    for sign, expected in (
+        (1.0, [(roots[0], roots[1]), (roots[2], 1.0)]),
+        (-1.0, [(-1.0, roots[0]), (roots[1], roots[2])]),
+    ):
+        def synthetic(_params, r, sign=sign):
+            r = np.asarray(r, dtype=float)
+            rho = sign * (r - roots[0]) * (r - roots[1]) * (r - roots[2]) - HOLD_TOL
+            return FrameStress(rho=rho, p_r=0.0 * r, p_phi=0.0 * r, p_z=0.0 * r)
+
+        monkeypatch.setattr(energy_conditions, "stress_decompose", synthetic)
+        intervals = region_scan(params, -1.0, 1.0, 41)
+        for cond in CONDITIONS:
+            assert len(intervals[cond]) == len(expected), cond
+            for (lo, hi), (lo_ref, hi_ref) in zip(intervals[cond], expected):
+                for edge, ref in ((lo, lo_ref), (hi, hi_ref)):
+                    if abs(ref) == 1.0:
+                        assert edge == ref  # a run touching the window keeps the grid endpoint
+                    else:
+                        assert abs(edge - ref) <= 1e-12, (cond, edge, ref)
 
 
 def test_region_scan_degenerate_window():

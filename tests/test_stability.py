@@ -9,7 +9,6 @@ from lbverify.stability import (
     fixed_point,
     jacobian,
     jacobian_eigen,
-    linearized_profile,
     stationarity_residuals,
 )
 
@@ -81,16 +80,3 @@ def test_report_carries_missing_term_note():
     report = jacobian_eigen(3.0)
     assert any("omits" in note for note in report.notes)
 
-
-def test_linearized_profile_values():
-    assert linearized_profile(3.0, 2.5, 0.0) == 2.5
-    assert linearized_profile(3.0, 0.0, 1.0) == pytest.approx(4.5, abs=0)
-
-
-def test_linearized_profile_curvature():
-    h = 1e-3
-    second = (
-        linearized_profile(3.0, 0.7, h) - 2.0 * linearized_profile(3.0, 0.7, 0.0)
-        + linearized_profile(3.0, 0.7, -h)
-    ) / (h * h)
-    assert second == pytest.approx(9.0, abs=1e-5)
