@@ -11,10 +11,17 @@ written by the commit that introduced this test:
     python -m lbverify sweep --lambda 0.75:12:4 --xi 0:2:5 --e-tilde 2 --out tests/golden/sweep.csv
     python -m lbverify congruence --e-tilde 1 --xi 5 --samples 64 --out tests/golden/congruence-no-admissible.csv
     python -m lbverify congruence --xi 0.5 --e-tilde 2 --b 0.3 --out tests/golden/congruence-b.csv
+    python -m lbverify tortoise --lambda 3 --xi 0 --out tests/golden/tortoise-vacuum.csv
+    python -m lbverify tortoise --lambda 3 --xi 1 --samples 100 --r-min -0.2 --r-max 0.7 --out tests/golden/tortoise-window.csv
+    python -m lbverify verify --lambda 0.75 --xi 0 --out tests/golden/verify-vacuum.csv
 
 The first six are the README examples; the congruence edge cases have zero
-admissible points and an extra focusing-polynomial b.  Every configuration
-exits 0.  A report matches its golden file when the (check, location,
+admissible points and an extra focusing-polynomial b.  The last three were
+added by a later commit, from the code of its parent: ``tortoise-vacuum`` is
+the only configuration with the ``tortoise-exponential-form`` row,
+``tortoise-window`` has an asymmetric window and a quadrature-channel stride
+of 3, and ``verify-vacuum`` has the ``noether-zero`` row and the
+``ricci-dual-path`` stencil at a = 2.  Every configuration exits 0.  A report matches its golden file when the (check, location,
 verdict) sequence is identical and each value agrees within
 ``REL * |ref| + ref_tolerance``: array and scalar evaluation orders may move
 the last digits, and a residual row only asserts |value| <= tolerance.
@@ -40,6 +47,11 @@ CONFIGS = {
     "sweep": ["sweep", "--lambda", "0.75:12:4", "--xi", "0:2:5", "--e-tilde", "2"],
     "congruence-no-admissible": ["congruence", "--e-tilde", "1", "--xi", "5", "--samples", "64"],
     "congruence-b": ["congruence", "--xi", "0.5", "--e-tilde", "2", "--b", "0.3"],
+    "tortoise-vacuum": ["tortoise", "--lambda", "3", "--xi", "0"],
+    "tortoise-window": [
+        "tortoise", "--lambda", "3", "--xi", "1", "--samples", "100", "--r-min", "-0.2", "--r-max", "0.7"
+    ],
+    "verify-vacuum": ["verify", "--lambda", "0.75", "--xi", "0"],
 }
 
 
