@@ -39,6 +39,9 @@ TURNING_GUARD_REL = 1e-10
 QUOTED_FOCUSING_ROOTS = (0.377, 1.178)
 QUOTED_ROOT_RADIUS_FACTOR = 0.0273
 
+#: Interior x points per b of the focusing-polynomial sign map.
+SIGN_MAP_NX = 512
+
 
 @dataclass(frozen=True)
 class CongruenceConfig:
@@ -91,10 +94,6 @@ class RadiusCandidates:
     from_w: tuple[float, ...]
 
 
-def _w_scalar(params: SolutionParams, r: float) -> float:
-    return float(w_eval(params, r)[0])
-
-
 def _first(values, mask):
     """The entry of ``values`` (scalar or array) at the first true entry of ``mask``."""
     return np.atleast_1d(values)[int(np.argmax(np.atleast_1d(mask)))]
@@ -122,44 +121,40 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     return (cfg.e_tilde / w, u_r, 0.0, 0.0)
 
 
-def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
-    w = _w_scalar(params, r)
-    val = cfg.e_tilde**2 / w - 1.0
-    if val < -1e-14 * cfg.e_tilde**2:
-        raise ForbiddenRegionError(f"w > E^2 at r = {r:.6g} inside the integration interval")
-    return math.sqrt(max(val, 0.0))
+def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray) -> np.ndarray:
+    val = cfg.e_tilde**2 / w_eval(params, r)[0] - 1.0
+    bad = val < -1e-14 * cfg.e_tilde**2
+    if np.any(bad):
+        raise ForbiddenRegionError(f"w > E^2 at r = {_first(r, bad):.6g} inside the integration interval")
+    return np.sqrt(np.maximum(val, 0.0))
 
 
-def hypersurface_potential(
-    params: SolutionParams, cfg: CongruenceConfig, r0: float, r1: float, tol: float = 1e-10
-) -> float:
+def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: float, r1: float) -> float:
     """Radial part of the potential the congruence is orthogonal to.
 
     Normalized so that the full potential is E * t + (this value) and the
     covector relation u_alpha = -d_alpha(potential) holds; the gauge is
     potential(r0) = 0.  An endpoint at a turning point is handled with the
     substitution r = end + step * s^2 from the turning end, with step = +/-1
-    pointing to the other end, which removes the square-root cusp.
+    pointing to the other end, which removes the square-root cusp.  The
+    quadrature's absolute tolerance is 1e-10.
     """
     if r0 == r1:
         return 0.0
     g = lambda r: _sqrt_integrand(params, cfg, r)
     e2 = cfg.e_tilde**2
-    turn0 = abs(e2 - _w_scalar(params, r0)) <= 1e-9 * e2
-    turn1 = abs(e2 - _w_scalar(params, r1)) <= 1e-9 * e2
+    turn0, turn1 = np.abs(e2 - w_eval(params, np.array([r0, r1]))[0]) <= 1e-9 * e2
     if turn0 and turn1:
         mid = 0.5 * (r0 + r1)
-        return hypersurface_potential(params, cfg, r0, mid, tol) + hypersurface_potential(
-            params, cfg, mid, r1, tol
-        )
+        return hypersurface_potential(params, cfg, r0, mid) + hypersurface_potential(params, cfg, mid, r1)
     if turn0 or turn1:
         sgn = 1.0 if r1 > r0 else -1.0
         end, step = (r1, -sgn) if turn1 else (r0, sgn)
         integral = sgn * adaptive_simpson(
-            lambda s: g(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(r1 - r0)), tol
+            lambda s: g(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(r1 - r0)), 1e-10
         )
     else:
-        integral = adaptive_simpson(g, r0, r1, tol)
+        integral = adaptive_simpson(g, r0, r1, 1e-10)
     return -cfg.direction * integral
 
 
@@ -304,7 +299,7 @@ def expansion_rate_scaled_scan(
     return ScaledRateComparison(quoted=quoted, direct=direct, difference=quoted - direct)
 
 
-def focusing_polynomial_roots(b: float, brackets: int = 4096) -> FocusingRootScan:
+def focusing_polynomial_roots(b: float) -> FocusingRootScan:
     """Bracketing + bisection root scan over the quoted domain x in (cbrt(4b^2), 1).
 
     For b = 0 the reduced quadratic 54 x^2 - 91 x + 40 is additionally
@@ -322,7 +317,7 @@ def focusing_polynomial_roots(b: float, brackets: int = 4096) -> FocusingRootSca
         # Stay clear of x = 0 where the b = 0 expression is 0/0.
         scan_lo = lo if b > 0.0 else lo + (hi - lo) * 1e-9
         fn = lambda x: focusing_polynomial(x, b)
-        for blo, bhi in bracket_sign_changes(fn, scan_lo, hi, brackets):
+        for blo, bhi in bracket_sign_changes(fn, scan_lo, hi, 4096):
             root = bisect(fn, blo, bhi)
             if lo < root < hi:
                 roots.append(root)
@@ -348,21 +343,20 @@ def focusing_polynomial_roots(b: float, brackets: int = 4096) -> FocusingRootSca
     )
 
 
-def radius_candidates(
-    params: SolutionParams, X: float, half_width_in_a: float = 2.0, brackets: int = 4096
-) -> RadiusCandidates:
+def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
     """Radii from both readings of "the profile equals X".
 
     Channel one solves e^{6r/a} = X, giving r = (a/6) ln X; channel two
-    solves w(r) = X by bracketing bisection on the default window and may
-    return zero, one or two radii (empty means no solution there).
+    solves w(r) = X by bracketing (4096 sub-intervals) and bisection on the
+    default window [-2a, 2a] and may return zero, one or two radii (empty
+    means no solution there).
     """
     if not X > 0.0:
         raise ParameterDomainError(f"X must be positive, got {X}")
     from_exponential = params.a / 6.0 * math.log(X)
-    half = half_width_in_a * params.a
+    half = 2.0 * params.a
     fn = lambda r: w_eval(params, r)[0] - X
-    w_roots = [bisect(fn, blo, bhi) for blo, bhi in bracket_sign_changes(fn, -half, half, brackets)]
+    w_roots = [bisect(fn, lo, hi) for lo, hi in bracket_sign_changes(fn, -half, half, 4096)]
     return RadiusCandidates(from_exponential=from_exponential, from_w=tuple(sorted(set(w_roots))))
 
 
@@ -376,13 +370,13 @@ def tortoise_series(params: SolutionParams, r: float) -> float:
     return a * math.exp(r / a) * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, z)
 
 
-def tortoise_quadrature(params: SolutionParams, r: float, tol: float = 1e-11) -> float:
-    """Tortoise coordinate as int_0^r dr'/sqrt(w) plus the r = 0 constant."""
+def tortoise_quadrature(params: SolutionParams, r):
+    """Tortoise coordinate as int_0^r dr'/sqrt(w) plus the r = 0 constant.
+
+    Elementwise over an array of radii, to an absolute 1e-11 per radius.
+    """
     constant = params.a * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, -params.xi**2)
-    if r == 0.0:
-        return constant
-    integral = adaptive_simpson(lambda x: 1.0 / math.sqrt(_w_scalar(params, x)), 0.0, r, tol)
-    return constant + integral
+    return constant + adaptive_simpson(lambda x: 1.0 / np.sqrt(w_eval(params, x)[0]), 0.0, r, 1e-11)
 
 
 def _null_bracket(w, w_p, w_pp):
@@ -455,10 +449,8 @@ def timelike_scan(
     return _samples(r, theta, rate, "timelike", status)
 
 
-def focusing_sign_map(
-    b_values, nx: int = 512
-) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Values of the focusing polynomial on a grid over its quoted domain.
+def focusing_sign_map(b_values) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+    """Values of the focusing polynomial on ``SIGN_MAP_NX`` interior points of its quoted domain.
 
     Returns {b: (x_grid, values)}; cells with positive values contradict the
     quoted everywhere-negative claim and are itemized by the report layer.
@@ -466,7 +458,7 @@ def focusing_sign_map(
     out = {}
     for b in b_values:
         lo = (4.0 * b * b) ** (1.0 / 3.0)
-        xs = np.linspace(lo, 1.0, nx + 2)[1:-1]
+        xs = np.linspace(lo, 1.0, SIGN_MAP_NX + 2)[1:-1]
         vals = focusing_polynomial(xs, float(b))
         out[float(b)] = (xs, vals)
     return out

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterDomainError, ResolutionError
 from .model import MetricSample, SolutionParams, f_eval, metric_eval
-from .numerics import FD_PAIR_STEP, central_diff, five_point_diffs, rk4
+from .numerics import central_diff, five_point_diffs, rk4
 from .scalar_field import phi_prime_sq_constraint
 
 
@@ -57,7 +57,7 @@ def ricci_diagonal(sample: MetricSample):
     return r_tt, r_rr, r_pp, r_zz
 
 
-def ricci_diagonal_fd(metric_fn: Callable[[float], tuple], r: float, h: float | None = None):
+def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
     """Diagonal Ricci from the metric components alone, by finite differences.
 
     ``metric_fn(r)`` must return the diagonal (g_tt, g_rr, g_phiphi, g_zz).
@@ -66,37 +66,24 @@ def ricci_diagonal_fd(metric_fn: Callable[[float], tuple], r: float, h: float | 
     rounding-dominated at the usual eps**(1/3) step).  Assembly is the
     generic Christoffel contraction for a diagonal r-dependent metric; the
     result is flipped to the convention documented in this module.
+    Elementwise over an array of radii when ``metric_fn`` accepts arrays.
     """
-    if h is None:
-        h = FD_PAIR_STEP * max(1.0, abs(r))
-    g = np.array(metric_fn(r), dtype=float)
-    gp = np.empty(4)
-    gpp = np.empty(4)
-    for mu in range(4):
-        gp[mu], gpp[mu] = five_point_diffs(lambda x, m=mu: metric_fn(x)[m], r, h)
+    components = lambda x: np.array(metric_fn(x), dtype=float)
+    g = components(r)
+    gp, gpp = five_point_diffs(components, r, h)
 
     g1, g1p = g[1], gp[1]
     # Gamma^mu_{mu r} for all mu; Gamma^r_{nu nu} = -g_nu' / (2 g_rr) for nu != r.
     gamma_mur = gp / (2.0 * g)
-    sum_gamma = float(np.sum(gamma_mur))
-
-    ricci_std = np.empty(4)
-    for nu in range(4):
-        if nu == 1:
-            d_gamma_rr_sum = float(np.sum(gpp / (2.0 * g) - gp**2 / (2.0 * g**2)))
-            d_gamma_r_rr = gpp[1] / (2.0 * g1) - g1p**2 / (2.0 * g1**2)
-            ricci_std[1] = (
-                d_gamma_r_rr
-                - d_gamma_rr_sum
-                + sum_gamma * gamma_mur[1]
-                - float(np.sum(gamma_mur**2))
-            )
-        else:
-            gamma_r_nunu = -gp[nu] / (2.0 * g1)
-            d_gamma_r_nunu = -gpp[nu] / (2.0 * g1) + gp[nu] * g1p / (2.0 * g1**2)
-            ricci_std[nu] = (
-                d_gamma_r_nunu + gamma_r_nunu * sum_gamma - 2.0 * gamma_mur[nu] * gamma_r_nunu
-            )
+    sum_gamma = np.sum(gamma_mur, axis=0)
+    gamma_r_nunu = -gp / (2.0 * g1)
+    d_gamma_r_nunu = -gpp / (2.0 * g1) + gp * g1p / (2.0 * g1**2)
+    ricci_std = d_gamma_r_nunu + gamma_r_nunu * sum_gamma - 2.0 * gamma_mur * gamma_r_nunu
+    # The rr row has its own contraction; (g'/g)^2 rather than g'^2/g^2
+    # keeps the squares finite for large components.
+    d_gamma_rr_sum = np.sum(gpp / (2.0 * g) - 0.5 * (gp / g) ** 2, axis=0)
+    d_gamma_r_rr = gpp[1] / (2.0 * g1) - 0.5 * (g1p / g1) ** 2
+    ricci_std[1] = d_gamma_r_rr - d_gamma_rr_sum + sum_gamma * gamma_mur[1] - np.sum(gamma_mur**2, axis=0)
     return tuple(-ricci_std)
 
 

@@ -129,11 +129,7 @@ def radial_bound(params: SolutionParams) -> float:
 
 def _check_range(params: SolutionParams, r) -> None:
     bound = radial_bound(params)
-    if isinstance(r, (int, float, np.integer, np.floating)):
-        magnitude = abs(r)
-    else:
-        magnitude = np.max(np.abs(r), initial=0.0)
-    if magnitude > bound:
+    if np.max(np.abs(r), initial=0.0) > bound:
         raise RangeError(
             f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}", r_bound=bound
         )

@@ -1,6 +1,10 @@
 """Shared numerical kernels: finite differences, adaptive Simpson quadrature,
 bracketing bisection and a fixed-step RK4 integrator.
 
+The difference stencils, the quadrature and the bracket scan are array-first:
+they call ``fn`` on whole arrays of points (one call per Simpson level).
+``bisect`` and ``rk4`` step one point at a time.
+
 These are deliberately plain implementations; every closed-form expression in
 the toolkit is cross-checked against at least one of them, so they must stay
 independent of the analytic code paths they audit.
@@ -21,6 +25,9 @@ EPS = sys.float_info.epsilon
 FD_FIRST_STEP = EPS ** (1.0 / 3.0)
 FD_PAIR_STEP = EPS ** (1.0 / 5.0)
 
+#: Subdivision levels after which ``adaptive_simpson`` accepts a subinterval.
+SIMPSON_DEPTH_CAP = 60
+
 
 def fd_step(x):
     """Central-difference step scaled to the magnitude of ``x`` (elementwise)."""
@@ -37,60 +44,65 @@ def central_diff(fn: Callable, x, h=None):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def five_point_diffs(fn: Callable[[float], float], x: float, h: float | None = None) -> tuple[float, float]:
+def five_point_diffs(fn: Callable, x, h=None):
     """First and second derivative from one 5-point stencil.
 
-    Returns (f', f'').  The wider default step keeps the second difference
-    out of the rounding-dominated regime.
+    Returns (f', f'').  Elementwise over ``x`` (and ``h``), also when ``fn``
+    returns a stack of components along the last axis.  The wider default
+    step keeps the second difference out of the rounding-dominated regime.
     """
     if h is None:
-        h = FD_PAIR_STEP * max(1.0, abs(x))
+        h = FD_PAIR_STEP * np.maximum(1.0, np.abs(x))
     fm2, fm1, f0, fp1, fp2 = (fn(x - 2 * h), fn(x - h), fn(x), fn(x + h), fn(x + 2 * h))
     d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
     return d1, d2
 
 
-def adaptive_simpson(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 60,
-) -> float:
+def _simpson(lo, hi, flo, fmid, fhi):
+    return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+
+def _halves(left, right, keep):
+    """The kept entries of ``left`` followed by the kept entries of ``right``."""
+    return np.concatenate([left[keep], right[keep]])
+
+
+def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-10):
     """Adaptive Simpson quadrature with Richardson correction.
 
-    ``tol`` is an absolute tolerance on the whole interval; it is halved on
-    each subdivision so the accumulated error stays below it.
+    ``tol`` is an absolute tolerance on each interval [a, b]; it is halved on
+    each subdivision so the accumulated error stays below it.  A subinterval
+    ``depth`` halvings deep is accepted once its error estimate is below
+    ``tol / 2**depth``, or at ``SIMPSON_DEPTH_CAP``.  ``a`` and ``b``
+    broadcast, and the open subintervals of all intervals are refined
+    together, one level at a time: ``fn`` must accept an array, and is called
+    once for the endpoints and midpoints, then once per level.  A reversed
+    interval integrates to minus the forward one, a zero-length one to 0.
     """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(fn, b, a, tol, max_depth)
-
-    def _simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def _recurse(lo, hi, flo, fmid, fhi, whole, tol_, depth):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    flo, fmid, fhi = np.split(fn(np.concatenate([lo, 0.5 * (lo + hi), hi])), 3)
+    whole = _simpson(lo, hi, flo, fmid, fhi)
+    owner = np.arange(lo.size)
+    total = np.zeros(lo.size)
+    for depth in range(SIMPSON_DEPTH_CAP + 1):
         mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = fn(lm)
-        frm = fn(rm)
+        flm, frm = np.split(fn(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), 2)
         left = _simpson(lo, mid, flo, flm, fmid)
         right = _simpson(mid, hi, fmid, frm, fhi)
         err = (left + right - whole) / 15.0
-        if depth >= max_depth or abs(err) < tol_:
-            return left + right + err
-        return _recurse(lo, mid, flo, flm, fmid, left, tol_ / 2.0, depth + 1) + _recurse(
-            mid, hi, fmid, frm, fhi, right, tol_ / 2.0, depth + 1
-        )
-
-    fa = fn(a)
-    fb = fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    return _recurse(a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 0)
+        done = (np.abs(err) < tol / 2.0**depth) | (depth == SIMPSON_DEPTH_CAP)
+        total += np.bincount(owner[done], weights=(left + right + err)[done], minlength=total.size)
+        keep = ~done
+        if not keep.any():
+            break
+        lo, hi = _halves(lo, mid, keep), _halves(mid, hi, keep)
+        flo, fmid, fhi = _halves(flo, fmid, keep), _halves(flm, frm, keep), _halves(fmid, fhi, keep)
+        whole = _halves(left, right, keep)
+        owner = _halves(owner, owner, keep)
+    total = np.where(b < a, -total.reshape(a.shape), total.reshape(a.shape))
+    return float(total) if total.ndim == 0 else total
 
 
 def bracket_sign_changes(
@@ -112,14 +124,8 @@ def bracket_sign_changes(
     ]
 
 
-def bisect(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
-    """Bisection on a sign-change bracket [lo, hi]."""
+def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisection on a sign-change bracket [lo, hi], to 1e-13 relative width or 200 halvings."""
     if lo == hi:
         return lo
     flo = fn(lo)
@@ -130,10 +136,10 @@ def bisect(
         return hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) < xtol * max(1.0, abs(mid)):
+        if fmid == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             return mid
         if flo * fmid < 0.0:
             hi = mid

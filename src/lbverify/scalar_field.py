@@ -17,7 +17,6 @@ phi_branch * |xi| * sqrt(2/3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,8 @@ from .errors import DomainError
 from .model import MetricSample, SolutionParams, f_eval, metric_eval
 from .numerics import adaptive_simpson
 
-#: Quadrature control for phi accumulation.
+#: Absolute quadrature tolerance for phi accumulation.
 PHI_QUAD_TOL = 1e-10
-PHI_QUAD_MAX_DEPTH = 60
 
 # Negative phi'^2 below this is treated as rounding noise and clamped.
 _NEGATIVE_NOISE = 1e-12
@@ -64,27 +62,27 @@ def phi_prime_sq_quoted(sample: MetricSample, lam: float):
 def phi_prime(params: SolutionParams, r):
     """Branch-signed phi'(r) = phi_branch * sqrt(phi'^2_constraint)."""
     val = phi_prime_sq_constraint(metric_eval(params, r), params.lam)
-    val = np.maximum(val, 0.0) if np.ndim(val) else max(val, 0.0)
-    return params.phi_branch * np.sqrt(val)
+    return params.phi_branch * np.sqrt(np.maximum(val, 0.0))
 
 
 def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
     """phi(r1) with phi(r0) = 0, by adaptive quadrature of the constraint root.
 
-    Raises DomainError if phi'^2 < 0 anywhere on the interval.
+    Raises DomainError if phi'^2 < 0 at any quadrature node of the interval.
     """
-    if r0 == r1:
-        return 0.0
 
-    def integrand(r: float) -> float:
+    def integrand(r: np.ndarray) -> np.ndarray:
         val = phi_prime_sq_constraint(metric_eval(params, r), params.lam)
-        if val < -_NEGATIVE_NOISE:
+        bad = val < -_NEGATIVE_NOISE
+        if np.any(bad):
+            i = np.argmax(bad)
             raise DomainError(
-                f"phi'^2 = {val:.6g} < 0 at r = {r:.6g} inside [{min(r0, r1):.6g}, {max(r0, r1):.6g}]"
+                f"phi'^2 = {np.atleast_1d(val)[i]:.6g} < 0 at r = {r[i]:.6g}"
+                f" inside [{min(r0, r1):.6g}, {max(r0, r1):.6g}]"
             )
-        return params.phi_branch * math.sqrt(max(val, 0.0))
+        return params.phi_branch * np.sqrt(np.maximum(val, 0.0))
 
-    return adaptive_simpson(integrand, r0, r1, tol=PHI_QUAD_TOL, max_depth=PHI_QUAD_MAX_DEPTH)
+    return adaptive_simpson(integrand, r0, r1, PHI_QUAD_TOL)
 
 
 def noether_charge(params: SolutionParams, r: float) -> float:
@@ -95,16 +93,9 @@ def noether_charge(params: SolutionParams, r: float) -> float:
     """
     f9, _, f_pp = f_eval(params, r)
     val = (2.0 / 3.0) * f_pp
-    if np.ndim(val):
-        bad = val < -_NEGATIVE_NOISE
-        if np.any(bad):
-            raise DomainError("phi'^2 < 0 on the requested grid")
-        val = np.maximum(val, 0.0)
-    elif val < -_NEGATIVE_NOISE:
-        raise DomainError(f"phi'^2 = {val:.6g} < 0 at r = {r:.6g}")
-    else:
-        val = max(val, 0.0)
-    return np.exp(f9) * params.phi_branch * np.sqrt(val)
+    if np.any(val < -_NEGATIVE_NOISE):
+        raise DomainError(f"phi'^2 = {np.min(val):.6g} < 0 on the requested radii")
+    return np.exp(f9) * params.phi_branch * np.sqrt(np.maximum(val, 0.0))
 
 
 def scalar_profile(params: SolutionParams, r_grid: np.ndarray) -> ScalarProfile:

@@ -16,12 +16,13 @@ from lbverify.curvature import (
 from lbverify.errors import DomainError, ParameterDomainError, ResolutionError
 from lbverify.model import MetricSample, f_eval, metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
+from lbverify.suites import build_verify_report
 
 
 def _metric_fn(params):
     def fn(r):
         m = metric_eval(params, r)
-        return (-math.exp(m.u[0]), 1.0, math.exp(m.u[1]), math.exp(m.u[2]))
+        return (-np.exp(m.u[0]), np.ones_like(m.u[0]), np.exp(m.u[1]), np.exp(m.u[2]))
 
     return fn
 
@@ -38,9 +39,18 @@ def test_flat_metric_has_zero_ricci():
 
 def test_dual_path_ricci_spot():
     params, _ = params_from_xi(3.0, 1.0)
-    closed = ricci_diagonal(metric_eval(params, 0.3))
-    fd = ricci_diagonal_fd(_metric_fn(params), 0.3)
-    assert max(abs(float(c) - d) for c, d in zip(closed, fd)) < 1e-6
+    for r in (0.3, np.array([-0.9, 0.3, 1.1])):
+        closed = ricci_diagonal(metric_eval(params, r))
+        fd = ricci_diagonal_fd(_metric_fn(params), r)
+        assert np.max(np.abs(np.subtract(closed, fd))) < 1e-6
+
+
+def test_dual_path_huge_xi_raises_no_overflow_warning():
+    # g'^2 / (2 g^2) overflowed for components near 1e200; RuntimeWarnings
+    # are errors under the test configuration.
+    rpt = build_verify_report(3.0, 1e150)
+    row = next(row for row in rpt.rows if row.check == "ricci-dual-path")
+    assert math.isfinite(row.value)
 
 
 def test_dual_path_ricci_random_draws():

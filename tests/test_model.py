@@ -189,13 +189,14 @@ def test_w_has_one_interior_minimum(xi):
 
 def test_metric_derivatives_match_finite_differences():
     params, _ = params_from_xi(0.75, 0.8)
-    for r in (-2.5, -0.7, 0.0, 1.2, 3.1):
-        w_fn = lambda x: float(w_eval(params, x)[0])
+    radii = (-2.5, -0.7, 0.0, 1.2, 3.1)
+    for r in (*radii, np.array(radii)):
+        w_fn = lambda x: w_eval(params, x)[0]
         d1, d2 = five_point_diffs(w_fn, r)
-        w, w_p, w_pp = (float(v) for v in w_eval(params, r))
+        w, w_p, w_pp = w_eval(params, r)
         assert d1 == pytest.approx(w_p, rel=1e-9, abs=1e-9)
         assert d2 == pytest.approx(w_pp, rel=1e-6, abs=1e-6)
-        f_fn = lambda x: float(f_eval(params, x)[0])
+        f_fn = lambda x: f_eval(params, x)[0]
         d1, d2 = five_point_diffs(f_fn, r)
         _, f_p, f_pp = f_eval(params, r)
         assert d1 == pytest.approx(f_p, rel=1e-9, abs=1e-9)
