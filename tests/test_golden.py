@@ -14,14 +14,23 @@ written by the commit that introduced this test:
     python -m lbverify tortoise --lambda 3 --xi 0 --out tests/golden/tortoise-vacuum.csv
     python -m lbverify tortoise --lambda 3 --xi 1 --samples 100 --r-min -0.2 --r-max 0.7 --out tests/golden/tortoise-window.csv
     python -m lbverify verify --lambda 0.75 --xi 0 --out tests/golden/verify-vacuum.csv
+    python -m lbverify energy --lambda 12 --xi 0 --r-min -0.3 --r-max 0.9 --samples 2 --out tests/golden/energy-vacuum-window.csv
+    python -m lbverify sweep --lambda 3 --xi 0:1:2 --e-tilde 0.5:2:2 --out tests/golden/sweep-subunit.csv
+    python -m lbverify congruence --lambda 3 --xi 0 --e-tilde 3 --b 0 --out tests/golden/congruence-vacuum.csv
 
 The first six are the README examples; the congruence edge cases have zero
-admissible points and an extra focusing-polynomial b.  The last three were
+admissible points and an extra focusing-polynomial b.  The next three were
 added by a later commit, from the code of its parent: ``tortoise-vacuum`` is
 the only configuration with the ``tortoise-exponential-form`` row,
 ``tortoise-window`` has an asymmetric window and a quadrature-channel stride
 of 3, and ``verify-vacuum`` has the ``noether-zero`` row and the
-``ricci-dual-path`` stencil at a = 2.  Every configuration exits 0.  A report matches its golden file when the (check, location,
+``ricci-dual-path`` stencil at a = 2.  The last three were added the same
+way: ``energy-vacuum-window`` is the vacuum member on an asymmetric
+two-point window (the smallest ``region_scan`` grid), ``sweep-subunit`` has
+rows with E < 1 and so no null-rate row, and a vacuum member on the sweep's
+residual and stress path, and ``congruence-vacuum`` is the only
+configuration with the ``null-rate-exponential-reduction`` row.  Every
+configuration exits 0.  A report matches its golden file when the (check, location,
 verdict) sequence is identical and each value agrees within
 ``REL * |ref| + ref_tolerance``: array and scalar evaluation orders may move
 the last digits, and a residual row only asserts |value| <= tolerance.
@@ -52,6 +61,11 @@ CONFIGS = {
         "tortoise", "--lambda", "3", "--xi", "1", "--samples", "100", "--r-min", "-0.2", "--r-max", "0.7"
     ],
     "verify-vacuum": ["verify", "--lambda", "0.75", "--xi", "0"],
+    "energy-vacuum-window": [
+        "energy", "--lambda", "12", "--xi", "0", "--r-min", "-0.3", "--r-max", "0.9", "--samples", "2"
+    ],
+    "sweep-subunit": ["sweep", "--lambda", "3", "--xi", "0:1:2", "--e-tilde", "0.5:2:2"],
+    "congruence-vacuum": ["congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "3", "--b", "0"],
 }
 
 
