@@ -87,7 +87,7 @@ def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
     return tuple(-ricci_std)
 
 
-def field_residual_from_sample(sample: MetricSample, lam: float) -> FieldResidual:
+def field_residual(sample: MetricSample, lam: float) -> FieldResidual:
     """Residual of R_mn - lambda g_mn - phi_,m phi_,n for an arbitrary sample.
 
     phi'^2 is taken from the rr constraint, so the rr component vanishes by
@@ -109,11 +109,6 @@ def field_residual_from_sample(sample: MetricSample, lam: float) -> FieldResidua
         )
     )
     return FieldResidual(sample.r, res_tt, res_rr, res_pp, res_zz, max_abs)
-
-
-def field_residual(params: SolutionParams, r) -> FieldResidual:
-    """Field-equation residual of the closed-form family member at r."""
-    return field_residual_from_sample(metric_eval(params, r), params.lam)
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
@@ -199,7 +194,7 @@ def alpha_family_residual(
     form: str = "printed",
 ) -> FieldResidual:
     """Field residual of the alpha-deformed exponents (uniqueness experiment)."""
-    return field_residual_from_sample(alpha_deformation_sample(params, alpha, r, form), params.lam)
+    return field_residual(alpha_deformation_sample(params, alpha, r, form), params.lam)
 
 
 def covariant_divergence_radial(

@@ -14,6 +14,7 @@ hold pointwise, so the transverse null margins saturate, the strong-energy
 margin is the constant -2 lambda (violated for every lambda > 0), and the
 radial null margin equals the scalar-field gradient squared.
 
+The stress takes a ``MetricSample`` that the caller evaluates once per grid.
 Margins are the primitive output; booleans derive from the single tolerance
 HOLD_TOL so that marginal saturation stays visible.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from .curvature import ricci_diagonal
 from .errors import ParameterDomainError
-from .model import SolutionParams, metric_eval
+from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import bisect
 
 #: A condition holds at r iff every one of its margins is >= -HOLD_TOL.
@@ -57,9 +58,8 @@ class ConditionMargins:
     dec_z: float | np.ndarray
 
 
-def stress_decompose(params: SolutionParams, r) -> FrameStress:
+def stress_decompose(sample: MetricSample) -> FrameStress:
     """Orthonormal-frame (rho, p_r, p_phi, p_z) from the curvature oracle."""
-    sample = metric_eval(params, r)
     r_tt, r_rr, r_pp, r_zz = ricci_diagonal(sample)
     u1, u2, u3 = sample.u
     g_tt = -np.exp(u1)
@@ -109,38 +109,28 @@ def holds(margins: ConditionMargins, condition: str):
 
 
 def region_scan(
-    params: SolutionParams, r_min: float, r_max: float, samples: int
+    params: SolutionParams, grid: np.ndarray, margins: ConditionMargins
 ) -> dict[str, list[tuple[float, float]]]:
-    """Sub-intervals of [r_min, r_max] where each condition holds.
+    """Sub-intervals of the sorted ``grid`` where each condition holds.
 
-    Holding runs are read off the sign of (minimum margin + HOLD_TOL) on the
-    sample grid; run edges strictly inside the window are refined by
-    bisection, and edges on the window boundary stay at the grid endpoints.
-    A degenerate window (r_min == r_max) produces single-point intervals.
+    Holding runs are read off ``holds`` on the caller's ``margins`` for the
+    grid; run edges strictly inside the window are refined by bisection, and
+    edges on the window boundary stay at the grid endpoints.  An all-equal
+    grid (a degenerate window) yields one single-point interval or none.
     """
-    if samples < 2:
-        raise ParameterDomainError(f"need at least 2 samples, got {samples}")
-    if r_min == r_max:
-        margins = condition_margins(stress_decompose(params, r_min))
-        return {
-            cond: ([(r_min, r_min)] if bool(holds(margins, cond)) else [])
-            for cond in CONDITIONS
-        }
-    grid = np.linspace(r_min, r_max, samples)
-    margins = condition_margins(stress_decompose(params, grid))
     out: dict[str, list[tuple[float, float]]] = {}
     for cond in CONDITIONS:
-        ok = np.asarray(_min_margin(margins, cond)) + HOLD_TOL >= 0.0
+        ok = holds(margins, cond)
         steps = np.diff(np.concatenate(([0], ok.astype(np.int8), [0])))
         starts = np.flatnonzero(steps == 1)
         ends = np.flatnonzero(steps == -1) - 1
         fn = lambda x: float(
-            _min_margin(condition_margins(stress_decompose(params, x)), cond) + HOLD_TOL
+            _min_margin(condition_margins(stress_decompose(metric_eval(params, x))), cond) + HOLD_TOL
         )
         out[cond] = [
             (
                 float(grid[i] if i == 0 else bisect(fn, grid[i - 1], grid[i])),
-                float(grid[j] if j == samples - 1 else bisect(fn, grid[j], grid[j + 1])),
+                float(grid[j] if j == grid.size - 1 else bisect(fn, grid[j], grid[j + 1])),
             )
             for i, j in zip(starts, ends)
         ]

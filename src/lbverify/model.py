@@ -23,7 +23,8 @@ from it by the constant log(12 lambda)/2 in the canonical gauge.  All
 residual checks depend only on derivatives or on e^f-normalized quantities,
 so the offset is immaterial to them.
 
-Functions accept a scalar r or a numpy array and vectorize elementwise.
+Functions accept a scalar r or a numpy array and vectorize elementwise: one
+array path serves both, and a scalar r yields NumPy float scalars.
 """
 
 from __future__ import annotations
@@ -141,10 +142,6 @@ def _sech_sq(x):
     return (2.0 * e / (1.0 + e * e)) ** 2
 
 
-def _as_float(r):
-    return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
-
-
 def f_eval(params: SolutionParams, r):
     """Closed-form (f, f', f'') at r, in the printed normalization.
 
@@ -153,22 +150,17 @@ def f_eval(params: SolutionParams, r):
     so f'' + f'^2 = 3 lambda identically.
     """
     _check_range(params, r)
-    return _f_core(params, _as_float(r))
+    return _f_core(params, np.asarray(r, dtype=float))
 
 
 def _f_core(params: SolutionParams, r):
-    """``f_eval`` without the range check; r is a float or a float array."""
+    """``f_eval`` without the range check; r is a float array (0-d for a scalar)."""
     k = params.k
-    lam = params.lam
-    if params.xi == 0.0:
-        f = -k * r - 0.5 * math.log(12.0 * lam)
-        f_p = -k * np.ones_like(r) if np.ndim(r) else -k
-        f_pp = np.zeros_like(r) if np.ndim(r) else 0.0
-        return f, f_p, f_pp
-    # xi != 0: with q = 2kr + 2 log|xi|, c1 E - c2 = e^q + 1 and
-    # f' = k tanh(q/2), f'' = k^2 sech^2(q/2); log(1 + e^q) = logaddexp(0, q).
-    q = 2.0 * k * r + 2.0 * math.log(abs(params.xi))
-    f = -k * r + np.logaddexp(0.0, q) - 0.5 * math.log(12.0 * lam)
+    # With q = 2kr + 2 log|xi|, c1 E - c2 = e^q + 1 and f' = k tanh(q/2),
+    # f'' = k^2 sech^2(q/2); log(1 + e^q) = logaddexp(0, q).  At xi = 0,
+    # q = -inf gives exactly f = -kr - log(12 lambda)/2, f' = -k, f'' = +0.
+    q = 2.0 * k * r + (2.0 * math.log(abs(params.xi)) if params.xi else -math.inf)
+    f = -k * r + np.logaddexp(0.0, q) - 0.5 * math.log(12.0 * params.lam)
     f_p = k * np.tanh(0.5 * q)
     f_pp = k * k * _sech_sq(0.5 * q)
     return f, f_p, f_pp
@@ -182,7 +174,7 @@ def w_eval(params: SolutionParams, r):
     are cross-checked against each other in the test suite.
     """
     _check_range(params, r)
-    r = _as_float(r)
+    r = np.asarray(r, dtype=float)
     _, f_p, f_pp = _f_core(params, r)
     return _w_core(params, r, f_p, f_pp)
 
@@ -208,7 +200,7 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     is surfaced in the verification reports).
     """
     _check_range(params, r)
-    r_float = _as_float(r)
+    r_float = np.asarray(r, dtype=float)
     f9, f_p, f_pp = _f_core(params, r_float)
     u1 = (2.0 / 3.0) * f9 + (1.0 / 3.0) * math.log(12.0 * params.lam)
     u1_p = (2.0 / 3.0) * f_p

@@ -98,11 +98,13 @@ def noether_charge(params: SolutionParams, r: float) -> float:
     return np.exp(f9) * params.phi_branch * np.sqrt(np.maximum(val, 0.0))
 
 
-def scalar_profile(params: SolutionParams, r_grid: np.ndarray) -> ScalarProfile:
-    """Evaluate all scalar-field quantities on a grid; phi is accumulated
-    from the first grid point by cumulative Simpson on the grid cells."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    sample = metric_eval(params, r_grid)
+def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfile:
+    """All scalar-field quantities on the grid ``sample.r``; phi is accumulated
+    from the first grid point by cumulative Simpson on the grid cells.
+
+    The cell midpoints and the first integral are evaluated separately, the
+    latter on the independent closed-form f path."""
+    r_grid = sample.r
     constraint = np.asarray(phi_prime_sq_constraint(sample, params.lam))
     quoted = np.asarray(phi_prime_sq_quoted(sample, params.lam))
     phi_p = params.phi_branch * np.sqrt(np.maximum(constraint, 0.0))

@@ -9,7 +9,6 @@ toolkit's own oracles can only "pass" or end up "discrepancy-logged".
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -66,7 +65,7 @@ def build_verify_report(
     eq_three = np.abs(2.0 * sample.u_pp[0] + sample.u_p[0] * sum_up - 4.0 * lam)
     rpt.add_check("exponent-system-residual", loc, float(np.max(eq_three)), 1e-9)
 
-    rpt.add_check("field-equation-residual", loc, field_residual(params, grid).max_abs, 1e-8)
+    rpt.add_check("field-equation-residual", loc, field_residual(sample, lam).max_abs, 1e-8)
 
     def metric_fn(x):
         m = model.metric_eval(params, x)
@@ -81,7 +80,7 @@ def build_verify_report(
     tol = max(1e-6, 1e-9 * _max_abs(cf))
     rpt.add_check("ricci-dual-path", loc.replace(f"x{samples}", "x25"), _max_abs(cf - fd), tol)
 
-    profile = scalar_field.scalar_profile(params, grid)
+    profile = scalar_field.scalar_profile(params, sample)
     if xi != 0.0:
         j = profile.noether
         constancy = float((np.max(j) - np.min(j)) / abs(np.mean(j)))
@@ -127,9 +126,9 @@ def build_verify_report(
 
 
 def build_stability_report(lam: float) -> Report:
+    a = model.params_from_xi(lam, 0.0)[0].a
     rpt = Report(lam=lam, xi=0.0, rows=[])
     sr = stability.jacobian_eigen(lam)
-    a = math.sqrt(3.0 / lam)
     rpt.add_check("fixed-point-offset", "stationary point", max(abs(x - 2.0 / a) for x in sr.fixed_point), 1e-14)
     rpt.add_check("stationarity-linear", "stationary point", sr.stationarity_residuals[0], 1e-12)
     rpt.add_check("stationarity-quadratic", "stationary point", sr.stationarity_residuals[1], 1e-12)
@@ -152,9 +151,8 @@ def build_energy_report(
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
-    stress = ec.stress_decompose(params, grid)
-    margins = ec.condition_margins(stress)
     sample = model.metric_eval(params, grid)
+    margins = ec.condition_margins(ec.stress_decompose(sample))
     phi_sq = scalar_field.phi_prime_sq_constraint(sample, lam)
 
     rpt.add_check("transverse-null-margin-phi", loc, float(np.max(np.abs(margins.nec_phi))), 1e-9)
@@ -166,7 +164,7 @@ def build_energy_report(
     min_dec_r = float(np.min(margins.dec_r))
     rpt.add("radial-dominant-margin-min", loc, min_dec_r, 1e-9, "pass" if min_dec_r >= -1e-9 else "fail")
 
-    intervals = ec.region_scan(params, r_min, r_max, samples)
+    intervals = ec.region_scan(params, grid, margins)
     width = r_max - r_min
     for cond in ec.CONDITIONS:
         held = sum(hi - lo for lo, hi in intervals[cond])
@@ -363,8 +361,8 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         sample = model.metric_eval(params, grid)
         tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
         rpt.add_check("f-ode-residual", tag, float(np.max(np.abs(sample.f_pp + sample.f_p**2 - 3.0 * lam))), 1e-9)
-        rpt.add_check("field-equation-residual", tag, field_residual(params, grid).max_abs, 1e-8)
-        margins = ec.condition_margins(ec.stress_decompose(params, grid))
+        rpt.add_check("field-equation-residual", tag, field_residual(sample, lam).max_abs, 1e-8)
+        margins = ec.condition_margins(ec.stress_decompose(sample))
         rpt.add_check("strong-margin-constant", tag, float(np.max(np.abs(margins.sec + 2.0 * lam))), 1e-8)
         if abs(e_tilde) >= 1.0:
             cfg = cg.CongruenceConfig(e_tilde=e_tilde)

@@ -69,7 +69,7 @@ def test_criterion_02_field_equation_residual():
         for xi in XIS:
             params, _ = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, GRID_SAMPLES)
-            worst = max(worst, field_residual(params, grid).max_abs)
+            worst = max(worst, field_residual(metric_eval(params, grid), params.lam).max_abs)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 5.0
     _report("2", ok, f"componentwise max {worst:.3e}, {elapsed:.2f}s")
@@ -98,7 +98,7 @@ def test_criterion_04_scalar_first_integral_and_discrepancy_report():
         for xi in XIS:
             params, _ = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, GRID_SAMPLES)
-            prof = scalar_profile(params, grid)
+            prof = scalar_profile(params, metric_eval(params, grid))
             min_constraint = min(min_constraint, float(np.min(prof.phi_p_sq_constraint)))
             if xi != 0.0:
                 j = prof.noether
@@ -147,7 +147,7 @@ def test_criterion_06_energy_condition_margins():
         for xi in XIS:
             params, _ = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, GRID_SAMPLES)
-            stress = stress_decompose(params, grid)
+            stress = stress_decompose(metric_eval(params, grid))
             margins = condition_margins(stress)
             phi_sq = phi_prime_sq_constraint(metric_eval(params, grid), lam)
             worst_phi = max(worst_phi, float(np.max(np.abs(margins.nec_phi))))

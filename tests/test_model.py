@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from lbverify import model, suites
 from lbverify.errors import ParameterDomainError, RangeError
 from lbverify.model import (
     MAX_ABS_XI,
@@ -264,3 +266,22 @@ def test_validate_constants_beta_at_special_lambda():
     rows = {row.check: row for row in validate_constants(raw, 1.0 / 12.0)}
     assert rows["beta-gauge-sum"].value == pytest.approx(0.0, abs=1e-15)
     assert rows["beta-gauge-sum"].verdict == "pass"
+
+
+def test_builders_evaluate_each_report_grid_once(monkeypatch):
+    # Every f_eval, w_eval and metric_eval passes through _f_core: count the
+    # arrays it evaluates, by size.
+    sizes = Counter()
+    core = model._f_core
+
+    def counting(params, r):
+        sizes[np.size(r)] += 1
+        return core(params, r)
+
+    monkeypatch.setattr(model, "_f_core", counting)
+    suites.build_energy_report(3.0, 1.0, samples=257)
+    assert sizes[257] == 1
+    sizes.clear()
+    suites.build_verify_report(3.0, 1.0, samples=257)
+    # The sample and noether_charge's closed-form f; the cell midpoints.
+    assert (sizes[257], sizes[256]) == (2, 1)

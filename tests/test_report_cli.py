@@ -133,6 +133,16 @@ def test_cli_rejects_nonfinite_or_overflowing_parameters(args):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("lam", ("inf", "1e-320"))
+def test_cli_stability_rejects_unusable_lambda(lam):
+    proc = run_cli("stability", "--lambda", lam)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert proc.stderr.startswith(b"lbverify: error:")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_cli_congruence_requires_unit_energy():
     proc = run_cli("congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "0.5")
     assert proc.returncode == 2

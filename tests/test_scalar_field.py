@@ -152,8 +152,8 @@ def test_branch_sign_flip():
     plus, _ = params_from_xi(3.0, 1.0, phi_branch=1)
     minus, _ = params_from_xi(3.0, 1.0, phi_branch=-1)
     grid = np.linspace(-1.0, 1.0, 65)
-    prof_plus = scalar_profile(plus, grid)
-    prof_minus = scalar_profile(minus, grid)
+    prof_plus = scalar_profile(plus, metric_eval(plus, grid))
+    prof_minus = scalar_profile(minus, metric_eval(minus, grid))
     assert np.allclose(prof_plus.phi, -prof_minus.phi, rtol=0, atol=1e-15)
     assert np.array_equal(prof_plus.phi_p_sq_constraint, prof_minus.phi_p_sq_constraint)
     assert np.array_equal(metric_eval(plus, grid).w, metric_eval(minus, grid).w)
@@ -162,7 +162,7 @@ def test_branch_sign_flip():
 def test_profile_phi_gauge_and_consistency():
     params, _ = params_from_xi(3.0, 1.0)
     grid = np.linspace(-1.0, 1.0, 201)
-    prof = scalar_profile(params, grid)
+    prof = scalar_profile(params, metric_eval(params, grid))
     assert prof.phi[0] == 0.0
     idx = 150
     direct = phi_accumulate(params, float(grid[0]), float(grid[idx]))
