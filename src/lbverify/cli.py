@@ -10,6 +10,7 @@ configuration produces byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -83,6 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` uses, built on first use; parsing does not mutate it.
+_parser = functools.cache(build_parser)
+
+
 def _validate_window(args) -> None:
     if getattr(args, "r_min", None) is not None and getattr(args, "r_max", None) is not None:
         if not args.r_min < args.r_max:
@@ -119,8 +124,7 @@ def _build_report(args) -> Report:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = _build_report(args)
     except LBVerifyError as exc:

@@ -26,8 +26,9 @@ from .errors import (
     ForbiddenRegionError,
     ParameterDomainError,
     PoleError,
+    RangeError,
 )
-from .model import SolutionParams, w_eval
+from .model import SolutionParams, radial_bound, w_eval
 from .numerics import adaptive_simpson, bisect, bracket_sign_changes, fd_step
 from .special_functions import hyp2f1
 
@@ -366,6 +367,14 @@ def tortoise_series(params: SolutionParams, r: float) -> float:
     This is the antiderivative of 1/sqrt(w) that vanishes as r -> -inf.
     """
     a = params.a
+    # |z| = e^q with q = 2kr + 2 log|xi| (6r/a = 2kr); the model's radial
+    # bound keeps 2kr below its overflow exponent, and this keeps q there too.
+    bound = radial_bound(params) - math.log(max(1.0, abs(params.xi))) / params.k
+    if r > bound:
+        raise RangeError(
+            f"tortoise argument -xi^2 e^(6r/a) at r = {r:.6g} exceeds its overflow bound r = {bound:.6g}",
+            r_bound=bound,
+        )
     z = -params.xi**2 * math.exp(6.0 * r / a)
     return a * math.exp(r / a) * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, z)
 

@@ -2,15 +2,35 @@
 
 Only z <= 0 is supported: that is the full argument range reached by the
 tortoise coordinate, whose z is -xi^2 e^{6r/a}.  ``hyp2f1`` is the one entry
-point.  It sums the defining series directly for |z| <= 0.5, with term-ratio
-updates (no Gamma calls in the loop); for z < -0.5 it applies the Pfaff
-transformation
+point.  It picks one of three branches, each of which ends in the defining
+series, summed with term-ratio updates (no Gamma calls in the loop):
 
-    F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; z / (z - 1)),
+* -0.5 <= z <= 0: the series at z itself;
+* -2 <= z < -0.5: the Pfaff transformation
 
-which maps the argument into [0, 1) where the same series applies.  The two
-branches are also exposed on their own, as ``gauss_2f1_series`` and
-``gauss_2f1_pfaff``, so that they can be cross-checked against each other.
+      F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; z / (z - 1)),
+
+  whose argument t = z/(z - 1) lies in (1/3, 2/3];
+* z < -2: the z -> 1/z connection formula (DLMF 15.8.2, A&S 15.3.7)
+
+      F(a, b; c; z) = G(c)G(b-a) / (G(b)G(c-a)) (-z)^(-a) F(a, a-c+1; a-b+1; 1/z)
+                    + G(c)G(a-b) / (G(a)G(c-b)) (-z)^(-b) F(b, b-c+1; b-a+1; 1/z),
+
+  with G = Gamma and both series at t = 1/z in [-1/2, 0).
+
+So every series argument has |t| <= 2/3, and the term count stays bounded
+however negative z is.  In the connection formula a reciprocal Gamma at one
+of its poles is 0, which drops the matching term (c = a, for instance, gives
+the binomial (1 - z)^(-b) from the second term alone).  When b - a is an
+integer the formula is degenerate (Gamma(b - a) or Gamma(a - b) is a pole)
+and the Pfaff branch is used instead; near such integers the two terms
+cancel and the relative error grows like eps / dist(b - a, Z).  The
+Gamma functions overflow for parameters above about 171; the Pfaff branch
+is used then too.
+
+The three branches are also exposed on their own, as ``gauss_2f1_series``,
+``gauss_2f1_pfaff`` and ``gauss_2f1_connection``, so that they can be
+cross-checked against each other.
 """
 
 from __future__ import annotations
@@ -21,15 +41,22 @@ from .errors import ParameterDomainError, RangeError, SpecialFunctionError
 
 #: Relative term size at which the series is declared converged.
 SERIES_RTOL = 1e-16
-#: Hard cap on the number of series terms.
+#: Hard cap on the number of series terms.  With every series argument at
+#: |t| <= 2/3 it is a safety net for extreme parameters, not for any z <= 0.
 MAX_TERMS = 100_000
 
+_PFAFF_ARGUMENT = "Pfaff argument t = z/(z-1)"
+_CONNECTION_ARGUMENT = "connection argument t = 1/z"
 
-def _series(a: float, b: float, c: float, z: float, caller_z: float | None = None) -> float:
+
+def _series(
+    a: float, b: float, c: float, z: float, caller_z: float | None = None, transform: str = _PFAFF_ARGUMENT
+) -> float:
     """Defining series at |z| < 1.  Two consecutive negligible terms stop it.
 
     ``caller_z`` is the argument the caller asked for when ``z`` is a
-    transformed one; the non-convergence error quotes it first.
+    transformed one; the non-convergence error quotes it first, followed by
+    ``transform``, which names the transformed argument.
     """
     total = 1.0
     term = 1.0
@@ -43,12 +70,21 @@ def _series(a: float, b: float, c: float, z: float, caller_z: float | None = Non
                 return total
         else:
             small_streak = 0
-    where = f"z = {z:.6g}" if caller_z is None else f"z = {caller_z:.6g} (Pfaff argument t = z/(z-1) = {z:.12g})"
+    where = f"z = {z:.6g}" if caller_z is None else f"z = {caller_z:.6g} ({transform} = {z:.12g})"
     raise SpecialFunctionError(f"2F1 series did not converge within {MAX_TERMS} terms at {where}")
 
 
+def _is_nonpositive_integer(x: float) -> bool:
+    return x <= 0.0 and x == math.floor(x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), which is 0 at the poles x = 0, -1, -2, ..."""
+    return 0.0 if _is_nonpositive_integer(x) else 1.0 / math.gamma(x)
+
+
 def _check_c(c: float) -> None:
-    if c <= 0.0 and c == math.floor(c):
+    if _is_nonpositive_integer(c):
         raise ParameterDomainError(f"c must not be a non-positive integer, got {c}")
 
 
@@ -65,7 +101,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         return 1.0
     if z >= -0.5:
         return _series(a, b, c, z)
-    return gauss_2f1_pfaff(a, b, c, z)
+    if z >= -2.0:
+        return gauss_2f1_pfaff(a, b, c, z)
+    return gauss_2f1_connection(a, b, c, z)
 
 
 def gauss_2f1_series(a: float, b: float, c: float, z: float) -> float:
@@ -84,3 +122,26 @@ def gauss_2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
         return 1.0
     t = z / (z - 1.0)
     return (1.0 - z) ** (-a) * _series(a, c - b, c, t, caller_z=z)
+
+
+def gauss_2f1_connection(a: float, b: float, c: float, z: float) -> float:
+    """z -> 1/z connection-formula evaluation; requires z <= -1.
+
+    Falls back to ``gauss_2f1_pfaff`` when b - a is an integer or a Gamma
+    function overflows.
+    """
+    _check_c(c)
+    if z > -1.0:
+        raise RangeError(f"connection formula needs z <= -1, got z = {z:.6g}", r_bound=-1.0)
+    if b - a == math.floor(b - a):
+        return gauss_2f1_pfaff(a, b, c, z)
+    try:
+        gamma_c = math.gamma(c)
+        coef_a = gamma_c * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+        coef_b = gamma_c * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
+    except OverflowError:
+        return gauss_2f1_pfaff(a, b, c, z)
+    t = 1.0 / z
+    term_a = coef_a * (-z) ** (-a) * _series(a, a - c + 1.0, a - b + 1.0, t, z, _CONNECTION_ARGUMENT)
+    term_b = coef_b * (-z) ** (-b) * _series(b, b - c + 1.0, b - a + 1.0, t, z, _CONNECTION_ARGUMENT)
+    return term_a + term_b

@@ -308,8 +308,9 @@ def build_tortoise_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 513
 ) -> Report:
     params, _ = model.params_from_xi(lam, xi)
-    # Narrower default window than the other scans: the series channel term
-    # count grows with e^{6r/a}.
+    # Narrower default window than the other scans.  The series channel's
+    # term count is bounded for every r; the window stays [-a, a] only
+    # because widening it would change the default reports.
     if r_min is None:
         r_min = -params.a
     if r_max is None:

@@ -363,28 +363,51 @@ def test_tortoise_derivative_identity():
             assert d * math.sqrt(w) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_tortoise_series_nonconvergence_error():
-    # Far out on the window at large xi the transformed argument approaches 1
-    # and the term cap is exceeded: that is a reported evaluation error.
-    from lbverify.errors import SpecialFunctionError
+def test_tortoise_series_past_old_term_cap_matches_mpmath():
+    # z = -4 e^12 sent the Pfaff series (t = z/(z-1) -> 1) past its term cap;
+    # the connection branch evaluates it at 1/z instead.
+    mpmath = pytest.importorskip("mpmath")
 
     params, _ = params_from_xi(3.0, 2.0)
-    with pytest.raises(SpecialFunctionError):
-        tortoise_series(params, 2.0)
+    z = -(2.0**2) * math.exp(6.0 * 2.0 / params.a)
+    with mpmath.workdps(40):
+        expected = float(params.a * mpmath.exp(2.0 / params.a) * mpmath.hyp2f1(
+            mpmath.mpf(1) / 6, mpmath.mpf(1) / 3, mpmath.mpf(7) / 6, z))
+    assert tortoise_series(params, 2.0) == pytest.approx(expected, rel=1e-14)
 
 
-def test_tortoise_series_nonconvergence_quotes_caller_argument():
+def test_pfaff_nonconvergence_quotes_caller_argument():
     # The error names the caller's z = -xi^2 e^{6r/a}, not only the Pfaff
     # argument z/(z-1), which sits just below 1 and would look harmless.
     from lbverify.errors import SpecialFunctionError
+    from lbverify.special_functions import gauss_2f1_pfaff
 
     params, _ = params_from_xi(3.0, 2.0)
     z = -(2.0**2) * math.exp(6.0 * 2.0 / params.a)
     with pytest.raises(SpecialFunctionError) as excinfo:
-        tortoise_series(params, 2.0)
+        gauss_2f1_pfaff(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, z)
     message = str(excinfo.value)
     assert f"at z = {z:.6g} " in message
     assert f"t = z/(z-1) = {z / (z - 1.0):.12g}" in message
+
+
+def test_tortoise_series_asymptote():
+    # F(1/6, 1/3; 7/6; z) -> G(7/6)G(1/6)/G(1/3) (-z)^(-1/6) as z -> -inf, so
+    # r* -> a G(7/6)G(1/6)/G(1/3) xi^(-1/3) as r -> inf.
+    limit = math.gamma(7.0 / 6.0) * math.gamma(1.0 / 6.0) / math.gamma(1.0 / 3.0)
+    assert limit == pytest.approx(1.9276212966599988, rel=1e-15)
+    params, _ = params_from_xi(3.0, 2.0)
+    assert tortoise_series(params, 100.0) == pytest.approx(
+        params.a * limit * 2.0 ** (-1.0 / 3.0), rel=1e-15)
+
+
+def test_tortoise_series_rejects_overflowing_argument(unit_xi):
+    from lbverify.errors import RangeError
+
+    for params, r in ((unit_xi, 1000.0), (params_from_xi(3.0, 1e154)[0], 1.0)):
+        with pytest.raises(RangeError) as excinfo:
+            tortoise_series(params, r)
+        assert excinfo.value.r_bound < r
 
 
 def test_null_rate_zero_for_constant_profile(monkeypatch, unit_xi):

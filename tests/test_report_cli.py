@@ -206,6 +206,25 @@ def test_cli_tortoise_green():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("extra", [("--xi", "4"), ("--xi", "1e3"), ("--r-max", "1.5")])
+def test_cli_tortoise_large_argument_green(extra):
+    # z = -xi^2 e^{6r/a} reaches about -5e3 here, past where a Pfaff-only
+    # 2F1 series would need more than 100,000 terms.
+    proc = run_cli("tortoise", *extra)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
+    assert [row["check"] for row in rows] == ["tortoise-channel-agreement", "tortoise-derivative-identity"]
+    assert all(row["verdict"] == "pass" for row in rows)
+
+
+def test_cli_tortoise_overflowing_window_is_usage_error():
+    proc = run_cli("tortoise", "--r-max", "1000")
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("lbverify: error: tortoise argument")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_congruence_extra_b_scan():
     proc = run_cli("congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", "2",
                    "--samples", "64", "--b", "0.49")
@@ -247,6 +266,26 @@ def test_exit_code_contract_randomized_configs():
                 "--samples", "64", "--out", "/dev/null"]
         code = main(argv)
         assert code == (0 if abs(e_tilde) >= 1.0 else 2)
+
+
+def test_main_reuses_parser_across_calls(tmp_path, capsys):
+    # main keeps one parser per process: repeated and interleaved calls give
+    # the same bytes, and a parse error still exits 2 with argparse's message.
+    from lbverify import cli
+
+    argv = ["tortoise", "--xi", "0.5", "--samples", "33"]
+    outputs = []
+    for i, extra in enumerate(([], ["--format", "json"], [])):
+        out = tmp_path / f"r{i}"
+        assert cli.main(argv + extra + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[2] != outputs[1]
+    assert cli._parser() is cli._parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tortoise", "--samples", "many"])
+        assert excinfo.value.code == 2
+        assert "argument --samples: invalid int value: 'many'" in capsys.readouterr().err
 
 
 def test_cli_energy_green():

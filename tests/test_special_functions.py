@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from lbverify.errors import ParameterDomainError, RangeError
-from lbverify.special_functions import gauss_2f1_pfaff, gauss_2f1_series, hyp2f1
+from lbverify.special_functions import gauss_2f1_connection, gauss_2f1_pfaff, gauss_2f1_series, hyp2f1
 
 # Frozen from the averaged brute-force series oracle below (and agreeing
 # with the quadrature pin of the tortoise test to ~1e-13).
 F_SIXTH_AT_MINUS_ONE = 0.9638106483299994
+
+TORTOISE_ABC = (1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0)
 
 
 def brute_force_alternating(a, b, c, n=1_000_000, levels=2):
@@ -97,3 +99,56 @@ def test_series_outside_unit_disc_rejected():
     with pytest.raises(RangeError):
         gauss_2f1_series(0.5, 0.5, 1.5, -1.5)
 
+
+def test_connection_continuous_with_pfaff_at_cut():
+    # hyp2f1 switches from Pfaff to the connection formula below z = -2.
+    pfaff = gauss_2f1_pfaff(*TORTOISE_ABC, -2.0)
+    assert hyp2f1(*TORTOISE_ABC, -2.0) == pfaff
+    assert gauss_2f1_connection(*TORTOISE_ABC, -2.0) == pytest.approx(pfaff, rel=1e-14)
+    assert hyp2f1(*TORTOISE_ABC, math.nextafter(-2.0, -math.inf)) == pytest.approx(pfaff, rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [-3.0, -1e2, -1e4, -1e8, -1e300])
+def test_connection_matches_mpmath(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        third = mpmath.mpf(1) / 3
+        expected = float(mpmath.hyp2f1(third / 2, third, 1 + third / 2, z))
+    assert hyp2f1(*TORTOISE_ABC, z) == pytest.approx(expected, rel=1e-14)
+    assert gauss_2f1_connection(*TORTOISE_ABC, z) == hyp2f1(*TORTOISE_ABC, z)
+
+
+@pytest.mark.parametrize("z", [-10.0, -1e6])
+def test_connection_reciprocal_gamma_pole(z):
+    # c = a puts Gamma(c - a) = Gamma(0) in a denominator: that term drops out
+    # and the binomial F(a, b; a; z) = (1 - z)^(-b) remains.
+    for a, b in ((0.3, 1.7), (1.25, 0.4)):
+        assert hyp2f1(a, b, a, z) == pytest.approx((1.0 - z) ** (-b), rel=1e-14)
+
+
+def test_connection_integer_b_minus_a_uses_pfaff():
+    for a, b, c, z in ((0.5, 1.5, 1.2, -10.0), (0.7, 0.7, 2.1, -3.0), (1.4, -0.6, 0.9, -50.0)):
+        assert gauss_2f1_connection(a, b, c, z) == gauss_2f1_pfaff(a, b, c, z)
+        assert hyp2f1(a, b, c, z) == gauss_2f1_pfaff(a, b, c, z)
+
+
+def test_connection_rejects_argument_inside_unit_disc():
+    with pytest.raises(RangeError):
+        gauss_2f1_connection(*TORTOISE_ABC, -0.5)
+
+
+def test_tortoise_argument_sweep_never_raises():
+    values = np.array([hyp2f1(*TORTOISE_ABC, float(z)) for z in -np.logspace(-3, 300, 2000)])
+    assert np.all(np.isfinite(values))
+    assert np.all((values > 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 0.0)
+
+
+def test_connection_gamma_overflow_uses_pfaff():
+    # Gamma(200.1) overflows a float; the Pfaff series still converges.
+    a, b, c, z = 0.5, 200.3, 200.1, -10.0
+    assert gauss_2f1_connection(a, b, c, z) == gauss_2f1_pfaff(a, b, c, z)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        expected = float(mpmath.hyp2f1(a, b, c, z))
+    assert hyp2f1(a, b, c, z) == pytest.approx(expected, rel=1e-13)
