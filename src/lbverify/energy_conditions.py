@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import ricci_diagonal
-from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import bisect
 
@@ -88,44 +87,42 @@ def condition_margins(stress: FrameStress) -> ConditionMargins:
     )
 
 
-def _min_margin(margins: ConditionMargins, condition: str):
-    """Minimum margin of one condition (NEC/WEC include their sub-margins)."""
+def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
+    """Minimum margin of each condition; every one includes the NEC minimum."""
     nec = np.minimum(np.minimum(margins.nec_r, margins.nec_phi), margins.nec_z)
-    if condition == "NEC":
-        return nec
-    if condition == "WEC":
-        return np.minimum(nec, margins.wec_extra)
-    if condition == "SEC":
-        return np.minimum(nec, margins.sec)
-    if condition == "DEC":
-        dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
-        return np.minimum(nec, dec)
-    raise ParameterDomainError(f"unknown condition {condition!r}")
+    dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
+    return {
+        "NEC": nec,
+        "WEC": np.minimum(nec, margins.wec_extra),
+        "SEC": np.minimum(nec, margins.sec),
+        "DEC": np.minimum(nec, dec),
+    }
 
 
-def holds(margins: ConditionMargins, condition: str):
-    """Boolean(s): does ``condition`` hold (all margins >= -HOLD_TOL)?"""
-    return _min_margin(margins, condition) >= -HOLD_TOL
+def hold_masks(margins: ConditionMargins) -> dict[str, bool | np.ndarray]:
+    """Boolean(s) per condition: does it hold (all margins >= -HOLD_TOL)?"""
+    return {cond: minimum >= -HOLD_TOL for cond, minimum in _condition_minima(margins).items()}
 
 
 def region_scan(
-    params: SolutionParams, grid: np.ndarray, margins: ConditionMargins
+    params: SolutionParams, grid: np.ndarray, held: dict[str, np.ndarray]
 ) -> dict[str, list[tuple[float, float]]]:
     """Sub-intervals of the sorted ``grid`` where each condition holds.
 
-    Holding runs are read off ``holds`` on the caller's ``margins`` for the
-    grid; run edges strictly inside the window are refined by bisection, and
-    edges on the window boundary stay at the grid endpoints.  An all-equal
-    grid (a degenerate window) yields one single-point interval or none.
+    Holding runs are read off ``held``, the ``hold_masks`` of each condition
+    on the whole grid (the caller may assemble them block by block); run
+    edges strictly inside the window are refined by bisection, and edges on
+    the window boundary stay at the grid endpoints.  An all-equal grid (a
+    degenerate window) yields one single-point interval or none.
     """
     out: dict[str, list[tuple[float, float]]] = {}
     for cond in CONDITIONS:
-        ok = holds(margins, cond)
-        steps = np.diff(np.concatenate(([0], ok.astype(np.int8), [0])))
+        steps = np.diff(np.concatenate(([0], held[cond], [0]), dtype=np.int8))
         starts = np.flatnonzero(steps == 1)
         ends = np.flatnonzero(steps == -1) - 1
         fn = lambda x: float(
-            _min_margin(condition_margins(stress_decompose(metric_eval(params, x))), cond) + HOLD_TOL
+            _condition_minima(condition_margins(stress_decompose(metric_eval(params, x))))[cond]
+            + HOLD_TOL
         )
         out[cond] = [
             (

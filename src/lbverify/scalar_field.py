@@ -12,17 +12,19 @@ turns negative wherever f'^2 > lambda (always true at large |r|).
 
 The wave equation on this background has first integral J = e^f phi'
 (a constant of r); with the printed normalization of f this constant is
-phi_branch * |xi| * sqrt(2/3).
+phi_branch * |xi| * sqrt(2/3).  J is composed in log space, because
+f'' ~ xi^2 underflows long before J = O(|xi|) does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import MetricSample, SolutionParams, f_eval, metric_eval
+from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import adaptive_simpson
 
 #: Absolute quadrature tolerance for phi accumulation.
@@ -85,25 +87,41 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
     return adaptive_simpson(integrand, r0, r1, PHI_QUAD_TOL)
 
 
+def log_noether(params: SolutionParams, sample: MetricSample):
+    """log |J| on ``sample.r``, where J = e^f phi' is the first integral.
+
+    f is ``sample.f`` shifted to the printed normalization.  phi'^2 is
+    (2/3) f'', with f'' = k^2 sech^2(q/2) and q = 2kr + 2 log|xi| taken as
+
+        log f'' = 2 log k + log 4 - |q| - 2 log1p(e^-|q|),
+
+    which stays finite where f'' itself underflows.  -inf at xi = 0.
+    """
+    k = params.k
+    q = 2.0 * k * np.asarray(sample.r, dtype=float) + (
+        2.0 * math.log(abs(params.xi)) if params.xi else -math.inf
+    )
+    abs_q = np.abs(q)
+    log_f_pp = 2.0 * math.log(k) + math.log(4.0) - abs_q - 2.0 * np.log1p(np.exp(-abs_q))
+    f = sample.f - 0.5 * math.log(12.0 * params.lam)
+    return f + 0.5 * (math.log(2.0 / 3.0) + log_f_pp)
+
+
 def noether_charge(params: SolutionParams, r: float) -> float:
     """First integral J(r) = e^{f(r)} phi'(r) of the wave equation.
 
     Uses the printed normalization of f; constancy in r is asserted by the
     test suite, and the value is phi_branch * |xi| * sqrt(2/3).
     """
-    f9, _, f_pp = f_eval(params, r)
-    val = (2.0 / 3.0) * f_pp
-    if np.any(val < -_NEGATIVE_NOISE):
-        raise DomainError(f"phi'^2 = {np.min(val):.6g} < 0 on the requested radii")
-    return np.exp(f9) * params.phi_branch * np.sqrt(np.maximum(val, 0.0))
+    return params.phi_branch * np.exp(log_noether(params, metric_eval(params, r)))
 
 
 def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfile:
     """All scalar-field quantities on the grid ``sample.r``; phi is accumulated
     from the first grid point by cumulative Simpson on the grid cells.
 
-    The cell midpoints and the first integral are evaluated separately, the
-    latter on the independent closed-form f path."""
+    Only the cell midpoints take a second model evaluation; the first
+    integral is composed from ``sample`` by ``log_noether``."""
     r_grid = sample.r
     constraint = np.asarray(phi_prime_sq_constraint(sample, params.lam))
     quoted = np.asarray(phi_prime_sq_quoted(sample, params.lam))
@@ -113,7 +131,7 @@ def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfil
     phi_p_mid = phi_prime(params, mids)
     cell = (r_grid[1:] - r_grid[:-1]) / 6.0 * (phi_p[:-1] + 4.0 * phi_p_mid + phi_p[1:])
     phi = np.concatenate([[0.0], np.cumsum(cell)])
-    noether = np.asarray(noether_charge(params, r_grid))
+    noether = params.phi_branch * np.exp(log_noether(params, sample))
     return ScalarProfile(
         r=r_grid,
         phi_p_sq_constraint=constraint,

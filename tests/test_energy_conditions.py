@@ -7,12 +7,13 @@ from lbverify.energy_conditions import (
     HOLD_TOL,
     FrameStress,
     condition_margins,
-    holds,
+    hold_masks,
     region_scan,
     stress_decompose,
 )
 from lbverify.model import metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
+from lbverify.suites import GRID_BLOCK
 
 
 def test_trace_identities_random_points():
@@ -64,9 +65,10 @@ def test_margin_arithmetic():
     assert (margins.nec_r, margins.nec_phi, margins.nec_z) == (2.0, 0.0, 0.0)
     assert margins.sec == 0.0
     assert (margins.dec_r, margins.dec_phi, margins.dec_z) == (0.0, 0.0, 0.0)
-    assert bool(holds(margins, "NEC"))
-    assert bool(holds(margins, "SEC"))
-    assert bool(holds(margins, "DEC"))
+    held = hold_masks(margins)
+    assert bool(held["NEC"])
+    assert bool(held["SEC"])
+    assert bool(held["DEC"])
 
 
 def test_sec_margin_constant_in_radius():
@@ -79,7 +81,7 @@ def test_sec_margin_constant_in_radius():
 def _scan(params, grid):
     # Through the module attribute, so a monkeypatched stress applies here too.
     margins = condition_margins(energy_conditions.stress_decompose(metric_eval(params, grid)))
-    return region_scan(params, grid, margins)
+    return region_scan(params, grid, hold_masks(margins))
 
 
 def test_region_scan_vacuum_member():
@@ -92,32 +94,64 @@ def test_region_scan_vacuum_member():
     assert intervals["SEC"] == []
 
 
-def test_region_scan_refines_interior_edges(monkeypatch):
+def _cubic_stress(roots, sign):
     # The family's own margins never change sign inside a window, so a
     # synthetic stress with rho = +/-(r - r1)(r - r2)(r - r3) - HOLD_TOL and
     # zero pressures stands in: every condition then holds exactly where the
     # cubic is >= 0, with edges at its roots.
+    def synthetic(sample):
+        r = np.asarray(sample.r, dtype=float)
+        rho = sign * (r - roots[0]) * (r - roots[1]) * (r - roots[2]) - HOLD_TOL
+        return FrameStress(rho=rho, p_r=0.0 * r, p_phi=0.0 * r, p_z=0.0 * r)
+
+    return synthetic
+
+
+def _assert_cubic_intervals(intervals, expected):
+    for cond in CONDITIONS:
+        assert len(intervals[cond]) == len(expected), cond
+        for (lo, hi), (lo_ref, hi_ref) in zip(intervals[cond], expected):
+            for edge, ref in ((lo, lo_ref), (hi, hi_ref)):
+                if abs(ref) == 1.0:
+                    assert edge == ref  # a run touching the window keeps the grid endpoint
+                else:
+                    assert abs(edge - ref) <= 1e-12, (cond, edge, ref)
+
+
+def test_region_scan_refines_interior_edges(monkeypatch):
     roots = (-0.6123, 0.1357, 0.7071)
     params, _ = params_from_xi(3.0, 1.0)
     for sign, expected in (
         (1.0, [(roots[0], roots[1]), (roots[2], 1.0)]),
         (-1.0, [(-1.0, roots[0]), (roots[1], roots[2])]),
     ):
-        def synthetic(sample, sign=sign):
-            r = np.asarray(sample.r, dtype=float)
-            rho = sign * (r - roots[0]) * (r - roots[1]) * (r - roots[2]) - HOLD_TOL
-            return FrameStress(rho=rho, p_r=0.0 * r, p_phi=0.0 * r, p_z=0.0 * r)
+        monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress(roots, sign))
+        _assert_cubic_intervals(_scan(params, np.linspace(-1.0, 1.0, 41)), expected)
 
-        monkeypatch.setattr(energy_conditions, "stress_decompose", synthetic)
-        intervals = _scan(params, np.linspace(-1.0, 1.0, 41))
+
+def test_region_scan_reads_masks_assembled_block_by_block(monkeypatch):
+    # The energy report evaluates its grid in GRID_BLOCK blocks and joins
+    # the blocks' hold masks.  On 2 blocks + 808 points of [-1, 1] the block
+    # boundaries sit at r = -0.0897 and 0.8206: one holding run crosses each,
+    # and the runs of the two signs touch both window edges.
+    roots = (-0.6123, 0.1357, 0.9071)
+    params, _ = params_from_xi(3.0, 1.0)
+    grid = np.linspace(-1.0, 1.0, 2 * GRID_BLOCK + 808)
+    for sign, expected, boundary in (
+        (1.0, [(roots[0], roots[1]), (roots[2], 1.0)], GRID_BLOCK),
+        (-1.0, [(-1.0, roots[0]), (roots[1], roots[2])], 2 * GRID_BLOCK),
+    ):
+        monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress(roots, sign))
+        blocks = [
+            hold_masks(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))))
+            for r in np.split(grid, [GRID_BLOCK, 2 * GRID_BLOCK])
+        ]
+        held = {cond: np.concatenate([block[cond] for block in blocks]) for cond in CONDITIONS}
         for cond in CONDITIONS:
-            assert len(intervals[cond]) == len(expected), cond
-            for (lo, hi), (lo_ref, hi_ref) in zip(intervals[cond], expected):
-                for edge, ref in ((lo, lo_ref), (hi, hi_ref)):
-                    if abs(ref) == 1.0:
-                        assert edge == ref  # a run touching the window keeps the grid endpoint
-                    else:
-                        assert abs(edge - ref) <= 1e-12, (cond, edge, ref)
+            assert held[cond][boundary - 1] and held[cond][boundary], cond
+        intervals = region_scan(params, grid, held)
+        assert intervals == _scan(params, grid)
+        _assert_cubic_intervals(intervals, expected)
 
 
 def test_region_scan_degenerate_window():

@@ -17,6 +17,9 @@ written by the commit that introduced this test:
     python -m lbverify energy --lambda 12 --xi 0 --r-min -0.3 --r-max 0.9 --samples 2 --out tests/golden/energy-vacuum-window.csv
     python -m lbverify sweep --lambda 3 --xi 0:1:2 --e-tilde 0.5:2:2 --out tests/golden/sweep-subunit.csv
     python -m lbverify congruence --lambda 3 --xi 0 --e-tilde 3 --b 0 --out tests/golden/congruence-vacuum.csv
+    python -m lbverify verify --lambda 3 --xi 1 --samples 9000 --out tests/golden/verify-blocks.csv
+    python -m lbverify verify --lambda 0.75 --xi 0 --samples 9000 --out tests/golden/verify-vacuum-blocks.csv
+    python -m lbverify energy --lambda 12 --xi 0.5 --samples 9000 --out tests/golden/energy-blocks.csv
 
 The first six are the README examples; the congruence edge cases have zero
 admissible points and an extra focusing-polynomial b.  The next three were
@@ -29,7 +32,11 @@ way: ``energy-vacuum-window`` is the vacuum member on an asymmetric
 two-point window (the smallest ``region_scan`` grid), ``sweep-subunit`` has
 rows with E < 1 and so no null-rate row, and a vacuum member on the sweep's
 residual and stress path, and ``congruence-vacuum`` is the only
-configuration with the ``null-rate-exponential-reduction`` row.  Every
+configuration with the ``null-rate-exponential-reduction`` row.  The
+``*-blocks`` three were recorded by the parent of the commit that evaluates
+dense grids in ``suites.GRID_BLOCK`` blocks: at 9000 samples they span two
+full blocks and a remainder, so every row folded across blocks (including
+``noether-zero`` and the energy hold masks) crosses a block boundary.  Every
 configuration exits 0.  A report matches its golden file when the (check, location,
 verdict) sequence is identical and each value agrees within
 ``REL * |ref| + ref_tolerance``: array and scalar evaluation orders may move
@@ -66,6 +73,9 @@ CONFIGS = {
     ],
     "sweep-subunit": ["sweep", "--lambda", "3", "--xi", "0:1:2", "--e-tilde", "0.5:2:2"],
     "congruence-vacuum": ["congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "3", "--b", "0"],
+    "verify-blocks": ["verify", "--lambda", "3", "--xi", "1", "--samples", "9000"],
+    "verify-vacuum-blocks": ["verify", "--lambda", "0.75", "--xi", "0", "--samples", "9000"],
+    "energy-blocks": ["energy", "--lambda", "12", "--xi", "0.5", "--samples", "9000"],
 }
 
 

@@ -1,10 +1,9 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from lbverify import model, suites
+from lbverify import model, scalar_field, suites
 from lbverify.errors import ParameterDomainError, RangeError
 from lbverify.model import (
     MAX_ABS_XI,
@@ -269,19 +268,35 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every f_eval, w_eval and metric_eval passes through _f_core: count the
-    # arrays it evaluates, by size.
-    sizes = Counter()
+    # Every f_eval, w_eval and metric_eval passes through _f_core: record the
+    # arrays it evaluates.  Beside the report grid, verify only evaluates the
+    # 25-point Ricci stencils and energy only the scalar bisection steps.
+    arrays = []
     core = model._f_core
 
-    def counting(params, r):
-        sizes[np.size(r)] += 1
+    def recording(params, r):
+        arrays.append(np.array(r))
         return core(params, r)
 
-    monkeypatch.setattr(model, "_f_core", counting)
-    suites.build_energy_report(3.0, 1.0, samples=257)
-    assert sizes[257] == 1
-    sizes.clear()
-    suites.build_verify_report(3.0, 1.0, samples=257)
-    # The sample and noether_charge's closed-form f; the cell midpoints.
-    assert (sizes[257], sizes[256]) == (2, 1)
+    monkeypatch.setattr(model, "_f_core", recording)
+    for samples in (9000, 65536):
+        grid = np.linspace(-2.0, 2.0, samples)
+        for build in (suites.build_energy_report, suites.build_verify_report):
+            arrays.clear()
+            build(3.0, 1.0, samples=samples)
+            assert max(r.size for r in arrays) <= suites.GRID_BLOCK
+            dense = [r for r in arrays if r.size > 25]
+            # Each report-grid radius once, in order: no midpoint pass.
+            assert np.array_equal(np.concatenate(dense), grid), (build.__name__, samples)
+
+
+def test_verify_folds_noether_rows_across_blocks(monkeypatch):
+    # A non-constant stand-in for log J makes both Noether rows depend on
+    # every block: the folded values must be the whole-grid ones.
+    monkeypatch.setattr(scalar_field, "log_noether", lambda params, sample: np.sin(3.0 * sample.r) - 5.0)
+    samples = 9000
+    j = np.exp(np.sin(3.0 * np.linspace(-2.0, 2.0, samples)) - 5.0)
+    rows = {row.check: row.value for row in suites.build_verify_report(3.0, 1.0, samples=samples).rows}
+    assert rows["noether-constancy-rel"] == pytest.approx((j.max() - j.min()) / j.mean(), rel=1e-13)
+    rows = {row.check: row.value for row in suites.build_verify_report(3.0, 0.0, samples=samples).rows}
+    assert rows["noether-zero"] == j.max()

@@ -133,6 +133,17 @@ def test_cli_rejects_nonfinite_or_overflowing_parameters(args):
     assert b"Traceback" not in proc.stderr
 
 
+def test_cli_verify_tiny_xi_reports_constant_noether_charge():
+    # f'' ~ xi^2 underflows to 0 on the whole grid; J = e^f phi' ~ |xi| does not.
+    proc = run_cli("verify", "--xi", "1e-300")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
+    constancy = next(r for r in rows if r["check"] == "noether-constancy-rel")
+    assert float(constancy["value"]) < 1e-12
+    assert all(r["verdict"] != "fail" for r in rows)
+
+
 @pytest.mark.parametrize("lam", ("inf", "1e-320"))
 def test_cli_stability_rejects_unusable_lambda(lam):
     proc = run_cli("stability", "--lambda", lam)
