@@ -16,6 +16,7 @@ guard band ``TURNING_GUARD_REL`` around them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ QUOTED_ROOT_RADIUS_FACTOR = 0.0273
 
 #: Interior x points per b of the focusing-polynomial sign map.
 SIGN_MAP_NX = 512
+
+#: Distinct b values whose sign-map rows and root scans stay cached: the
+#: report's four fixed sign-map b values plus a few ``--b`` values.
+_FOCUSING_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -130,32 +135,49 @@ def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: float, r1: float) -> float:
+def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: float, r1):
     """Radial part of the potential the congruence is orthogonal to.
 
     Normalized so that the full potential is E * t + (this value) and the
     covector relation u_alpha = -d_alpha(potential) holds; the gauge is
-    potential(r0) = 0.  An endpoint at a turning point is handled with the
+    potential(r0) = 0.  Elementwise over an array ``r1``: every interval
+    [r0, r1_i] without a turning end is integrated by one ``adaptive_simpson``
+    call, which gives each the value of its own scalar call.  An endpoint at
+    a turning point is handled, one interval at a time, with the
     substitution r = end + step * s^2 from the turning end, with step = +/-1
     pointing to the other end, which removes the square-root cusp.  The
     quadrature's absolute tolerance is 1e-10.
     """
-    if r0 == r1:
-        return 0.0
-    g = lambda r: _sqrt_integrand(params, cfg, r)
+    r1 = np.asarray(r1, dtype=float)
+    ends = r1.ravel()
     e2 = cfg.e_tilde**2
-    turn0, turn1 = np.abs(e2 - w_eval(params, np.array([r0, r1]))[0]) <= 1e-9 * e2
+    turning = np.abs(e2 - w_eval(params, np.append(r0, ends))[0]) <= 1e-9 * e2
+    moving = ends != r0
+    plain = moving & ~turning[0] & ~turning[1:]
+    potential = np.zeros(ends.size)
+    if plain.any():
+        g = lambda r: _sqrt_integrand(params, cfg, r)
+        potential[plain] = -cfg.direction * adaptive_simpson(g, r0, ends[plain], 1e-10)
+    for i in np.flatnonzero(moving & ~plain):
+        potential[i] = _turning_end_potential(params, cfg, r0, float(ends[i]), turning[0], turning[1 + i])
+    return float(potential[0]) if r1.ndim == 0 else potential.reshape(r1.shape)
+
+
+def _turning_end_potential(
+    params: SolutionParams, cfg: CongruenceConfig, r0: float, r1: float, turn0: bool, turn1: bool
+) -> float:
+    """``hypersurface_potential`` over one interval [r0, r1] with a turning end."""
     if turn0 and turn1:
         mid = 0.5 * (r0 + r1)
         return hypersurface_potential(params, cfg, r0, mid) + hypersurface_potential(params, cfg, mid, r1)
-    if turn0 or turn1:
-        sgn = 1.0 if r1 > r0 else -1.0
-        end, step = (r1, -sgn) if turn1 else (r0, sgn)
-        integral = sgn * adaptive_simpson(
-            lambda s: g(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(r1 - r0)), 1e-10
-        )
-    else:
-        integral = adaptive_simpson(g, r0, r1, 1e-10)
+    sgn = 1.0 if r1 > r0 else -1.0
+    end, step = (r1, -sgn) if turn1 else (r0, sgn)
+    integral = sgn * adaptive_simpson(
+        lambda s: _sqrt_integrand(params, cfg, end + step * s * s) * 2.0 * s,
+        0.0,
+        math.sqrt(abs(r1 - r0)),
+        1e-10,
+    )
     return -cfg.direction * integral
 
 
@@ -306,10 +328,17 @@ def focusing_polynomial_roots(b: float) -> FocusingRootScan:
     For b = 0 the reduced quadratic 54 x^2 - 91 x + 40 is additionally
     solved in closed form and its discriminant reported.  An empty root list
     is a valid result; zeros sitting exactly on the domain boundary are
-    reported separately.
+    reported separately.  The scan depends on b alone, so it is computed
+    once per b per process and the same (immutable) result is returned to
+    every later caller.
     """
     if not 0.0 <= b <= 0.5:
         raise ParameterDomainError(f"b must lie in [0, 1/2], got {b}")
+    return _focusing_root_scan(float(b))
+
+
+@functools.lru_cache(maxsize=_FOCUSING_CACHE_SIZE)
+def _focusing_root_scan(b: float) -> FocusingRootScan:
     lo = (4.0 * b * b) ** (1.0 / 3.0)
     hi = 1.0
     roots: list[float] = []
@@ -397,17 +426,12 @@ def _null_rate(w, w_p, w_pp, e2: float):
         return np.sqrt(e2 - w) / w * _null_bracket(w, w_p, w_pp)
 
 
-def null_rate_bracket(params: SolutionParams, r: float) -> float:
-    """The energy-independent bracket w'' - (3/2) w'^2 / w of the null rate."""
-    return _null_bracket(*w_eval(params, r))
-
-
 def null_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
     """Null expansion rate as quoted: (1/w) sqrt(E^2 - w) [w'' - (3/2) w'^2 / w].
 
     Kept exactly as printed, including the energy factor (an affine-null
-    congruence has no rest-mass normalization; the bracket alone carries the
-    energy-independent content and is exposed separately).
+    congruence has no rest-mass normalization; the bracket
+    w'' - (3/2) w'^2 / w alone carries the energy-independent content).
     """
     w, w_p, w_pp = w_eval(params, r)
     e2 = cfg.e_tilde**2
@@ -463,11 +487,17 @@ def focusing_sign_map(b_values) -> dict[float, tuple[np.ndarray, np.ndarray]]:
 
     Returns {b: (x_grid, values)}; cells with positive values contradict the
     quoted everywhere-negative claim and are itemized by the report layer.
+    Each b's row is computed once per process and shared by every later
+    call, so both arrays are read-only.
     """
-    out = {}
-    for b in b_values:
-        lo = (4.0 * b * b) ** (1.0 / 3.0)
-        xs = np.linspace(lo, 1.0, SIGN_MAP_NX + 2)[1:-1]
-        vals = focusing_polynomial(xs, float(b))
-        out[float(b)] = (xs, vals)
-    return out
+    return {float(b): _sign_map_row(float(b)) for b in b_values}
+
+
+@functools.lru_cache(maxsize=_FOCUSING_CACHE_SIZE)
+def _sign_map_row(b: float) -> tuple[np.ndarray, np.ndarray]:
+    lo = (4.0 * b * b) ** (1.0 / 3.0)
+    xs = np.linspace(lo, 1.0, SIGN_MAP_NX + 2)[1:-1]
+    vals = focusing_polynomial(xs, b)
+    xs.flags.writeable = False
+    vals.flags.writeable = False
+    return xs, vals

@@ -187,16 +187,6 @@ def alpha_deformation_sample(
     )
 
 
-def alpha_family_residual(
-    params: SolutionParams,
-    alpha: tuple[float, float, float],
-    r,
-    form: str = "printed",
-) -> FieldResidual:
-    """Field residual of the alpha-deformed exponents (uniqueness experiment)."""
-    return field_residual(alpha_deformation_sample(params, alpha, r, form), params.lam)
-
-
 def covariant_divergence_radial(
     sqrt_g_fn: Callable[[float], float],
     u_r_fn: Callable[[float], float],

@@ -41,6 +41,10 @@ from .report import VerificationRow
 # e^{2k|r|} stays finite (and so does e^f downstream) below this exponent.
 _MAX_EXPONENT = 700.0
 
+# xi^2 e^{6r/a} stays below the float maximum (about e^709.78) up to this
+# exponent of it; ``_w_core`` composes w through log|xi| beyond it.
+_W_PRODUCT_EXPONENT = 709.0
+
 #: Residual tolerance for the integration-constant sum checks.
 CONSTANT_SUM_TOL = 1e-12
 
@@ -128,12 +132,15 @@ def radial_bound(params: SolutionParams) -> float:
     return _MAX_EXPONENT / (2.0 * params.k)
 
 
-def _check_range(params: SolutionParams, r) -> None:
+def _check_range(params: SolutionParams, r) -> float:
+    """Raise RangeError beyond ``radial_bound``; return max |r| (0 for no radii)."""
     bound = radial_bound(params)
-    if np.max(np.abs(r), initial=0.0) > bound:
+    reach = float(np.max(np.abs(r), initial=0.0))
+    if reach > bound:
         raise RangeError(
             f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}", r_bound=bound
         )
+    return reach
 
 
 def _sech_sq(x):
@@ -171,19 +178,29 @@ def w_eval(params: SolutionParams, r):
 
     The value is composed directly as e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3},
     which is deliberately a different arithmetic path from exp(u1); the two
-    are cross-checked against each other in the test suite.
+    are cross-checked against each other in the test suite.  Where
+    xi^2 e^{6r/a} could overflow on the requested radii, the power is taken
+    as e^{2r/a} |xi|^{4/3} (1 + xi^-2 e^{-6r/a})^{2/3} through log|xi|.
     """
-    _check_range(params, r)
+    reach = _check_range(params, r)
     r = np.asarray(r, dtype=float)
     _, f_p, f_pp = _f_core(params, r)
-    return _w_core(params, r, f_p, f_pp)
+    return _w_core(params, r, f_p, f_pp, reach)
 
 
-def _w_core(params: SolutionParams, r, f_p, f_pp):
-    """``w_eval`` from (f', f'') at r, without the range check."""
+def _w_core(params: SolutionParams, r, f_p, f_pp, reach: float):
+    """``w_eval`` from (f', f'') at r, without the range check; reach = max |r|."""
     a = params.a
-    xi2 = params.xi ** 2
-    w = np.exp(-2.0 * r / a) * (1.0 + xi2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
+    log_xi = math.log(abs(params.xi)) if params.xi else -math.inf
+    if 2.0 * log_xi + 6.0 * reach / a <= _W_PRODUCT_EXPONENT:
+        w = np.exp(-2.0 * r / a) * (1.0 + params.xi**2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
+    else:
+        # xi^2 e^{6r/a} = e^q, q = 6r/a + 2 log|xi|, may overflow on these
+        # radii: factor it out of the power, w = e^{2r/a} |xi|^{4/3} (1 + e^{-q})^{2/3}.
+        # Inside the radial bound 6|r|/a <= _MAX_EXPONENT, so this branch
+        # has 2 log|xi| > 9 and e^{-q} < e^{_MAX_EXPONENT - 9} stays finite.
+        q = 6.0 * r / a + 2.0 * log_xi
+        w = np.exp(2.0 * r / a + (4.0 / 3.0) * log_xi) * (1.0 + np.exp(-q)) ** (2.0 / 3.0)
     u_p = (2.0 / 3.0) * f_p
     u_pp = (2.0 / 3.0) * f_pp
     w_p = w * u_p
@@ -199,13 +216,13 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     -2/a is inconsistent with this derivation and is not used (the mismatch
     is surfaced in the verification reports).
     """
-    _check_range(params, r)
+    reach = _check_range(params, r)
     r_float = np.asarray(r, dtype=float)
     f9, f_p, f_pp = _f_core(params, r_float)
     u1 = (2.0 / 3.0) * f9 + (1.0 / 3.0) * math.log(12.0 * params.lam)
     u1_p = (2.0 / 3.0) * f_p
     u1_pp = (2.0 / 3.0) * f_pp
-    w, w_p, w_pp = _w_core(params, r_float, f_p, f_pp)
+    w, w_p, w_pp = _w_core(params, r_float, f_p, f_pp, reach)
     return MetricSample(
         r=r,
         f=1.5 * u1,

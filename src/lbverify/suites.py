@@ -24,7 +24,7 @@ from .curvature import (
     ricci_diagonal_fd,
 )
 from .errors import ParameterDomainError
-from .numerics import central_diff
+from .numerics import central_diff, fd_step
 from .report import Report
 
 #: Fixed b values of the focusing-polynomial sign map.
@@ -271,9 +271,11 @@ def build_congruence_report(
         mid = admissible[len(admissible) // 2]
         other = admissible[len(admissible) // 4]
         if mid.r != other.r:
-            pot_grad = central_diff(
-                lambda x: cg.hypersurface_potential(params, cfg, other.r, x), mid.r
-            )
+            # The central difference of the potential at mid.r, both
+            # stencil ends in one quadrature call.
+            h = fd_step(mid.r)
+            ahead, behind = cg.hypersurface_potential(params, cfg, other.r, np.array([mid.r + h, mid.r - h]))
+            pot_grad = (ahead - behind) / (2.0 * h)
             rpt.add_check(
                 "potential-gradient-covector",
                 f"r={mid.r:.9g}",

@@ -19,7 +19,6 @@ from lbverify.congruence import (
     four_velocity,
     hypersurface_potential,
     null_rate,
-    null_rate_bracket,
     null_rate_sign_scan,
     radius_candidates,
     timelike_scan,
@@ -140,6 +139,21 @@ def test_potential_turning_point_endpoint(vacuum):
     for r0, r1, orientation in ((0.0, r_turn, 1.0), (r_turn, 0.0, -1.0)):
         got = hypersurface_potential(vacuum, OUT2, r0, r1)
         assert got == pytest.approx(-orientation * oracle, abs=1e-8)
+
+
+def test_potential_array_matches_scalar_calls_bit_for_bit(vacuum, unit_xi):
+    r_turn = -0.5 * math.log(4.0)
+    # A forward, a reversed, an empty and a turning-end interval from each base.
+    for params, r0, r1 in (
+        (vacuum, 0.0, [0.4, -0.3, 0.0, r_turn, 0.25]),
+        (vacuum, r_turn, [0.0, r_turn, -0.2]),
+        (unit_xi, 0.2, [[0.25, -0.1], [0.2, 0.6]]),
+    ):
+        for cfg in (OUT2, CongruenceConfig(e_tilde=2.0, direction=-1)):
+            batch = hypersurface_potential(params, cfg, r0, np.array(r1))
+            assert batch.shape == np.shape(r1)
+            single = [hypersurface_potential(params, cfg, r0, x) for x in np.ravel(r1).tolist()]
+            assert batch.ravel().tolist() == single
 
 
 def test_potential_forbidden_interval(unit_xi):
@@ -422,7 +436,8 @@ def test_null_rate_vacuum_reduction(vacuum):
         w = float(w_eval(vacuum, r)[0])
         expected = -2.0 * math.sqrt(4.0 - w)
         assert null_rate(vacuum, OUT2, r) == pytest.approx(expected, abs=1e-9)
-        assert null_rate_bracket(vacuum, r) == pytest.approx(-2.0 * w, rel=1e-12)
+        bracket = null_rate(vacuum, OUT2, r) * w / math.sqrt(4.0 - w)
+        assert bracket == pytest.approx(-2.0 * w, rel=1e-12)
 
 
 def test_null_rate_forbidden(unit_xi):
@@ -516,6 +531,34 @@ def test_sign_map_matches_scalar_polynomial():
         xs, vals = sign_map[b]
         for x, v in zip(xs.tolist(), vals.tolist()):
             assert _rel_close(v, focusing_polynomial(x, b), 1e-13)
+
+
+def test_focusing_scans_computed_once_per_b(monkeypatch):
+    calls = []
+    polynomial = congruence.focusing_polynomial
+
+    def counting(x, b):
+        calls.append(b)
+        return polynomial(x, b)
+
+    congruence._sign_map_row.cache_clear()
+    congruence._focusing_root_scan.cache_clear()
+    monkeypatch.setattr(congruence, "focusing_polynomial", counting)
+    b_values = (0.0, 0.1, 0.25, 0.49)
+    sign_map = focusing_sign_map(b_values)
+    scans = [focusing_polynomial_roots(b) for b in (0.0, 0.3)]
+    assert calls
+    for b in b_values:
+        xs, vals = sign_map[b]
+        assert not xs.flags.writeable and not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+        assert np.array_equal(vals, polynomial(xs, b))
+    calls.clear()
+    again = focusing_sign_map(b_values)
+    assert [focusing_polynomial_roots(b) for b in (0.0, 0.3)] == scans
+    assert calls == []
+    assert all(again[b][1] is sign_map[b][1] for b in b_values)
 
 
 def test_focusing_polynomial_array_errors():

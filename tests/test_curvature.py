@@ -5,7 +5,6 @@ import pytest
 
 from lbverify.curvature import (
     alpha_deformation_sample,
-    alpha_family_residual,
     covariant_divergence_radial,
     field_residual,
     ode_integrate_f,
@@ -147,7 +146,7 @@ def test_ode_too_few_steps():
 
 def test_deformation_zero_reduces_to_base():
     params, _ = params_from_xi(3.0, 1.0)
-    res = alpha_family_residual(params, (0.0, 0.0, 0.0), 0.4)
+    res = field_residual(alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4), params.lam)
     assert res.max_abs < 1e-8
     sample = alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4)
     base = metric_eval(params, 0.4)
@@ -160,7 +159,7 @@ def test_deformation_printed_form_breaks_equations_linearly():
     params, _ = params_from_xi(3.0, 1.0)
     eps_values = (1e-2, 1e-3, 1e-4)
     residuals = [
-        alpha_family_residual(params, (e, -e, 0.0), -1.0, form="printed").max_abs
+        field_residual(alpha_deformation_sample(params, (e, -e, 0.0), -1.0, form="printed"), params.lam).max_abs
         for e in eps_values
     ]
     assert all(res > 0.0 for res in residuals)
@@ -173,28 +172,28 @@ def test_deformation_continued_form_solves_equations():
     # solution: any zero-sum deformation built with it stays a solution.
     params, _ = params_from_xi(3.0, 1.0)
     for eps in (1e-3, 0.1, 0.5):
-        res = alpha_family_residual(params, (eps, -eps, 0.0), -1.0, form="arctan")
+        res = field_residual(alpha_deformation_sample(params, (eps, -eps, 0.0), -1.0, form="arctan"), params.lam)
         assert res.max_abs < 1e-10
-    res = alpha_family_residual(params, (0.3, 0.2, -0.5), 0.7, form="arctan")
+    res = field_residual(alpha_deformation_sample(params, (0.3, 0.2, -0.5), 0.7, form="arctan"), params.lam)
     assert res.max_abs < 1e-10
 
 
 def test_deformation_domain_error():
     params, _ = params_from_xi(3.0, 1.0)
     with pytest.raises(DomainError, match="admissible"):
-        alpha_family_residual(params, (1.0, -1.0, 0.0), 0.0, form="printed")
+        field_residual(alpha_deformation_sample(params, (1.0, -1.0, 0.0), 0.0, form="printed"), params.lam)
 
 
 def test_deformation_alpha_sum_enforced():
     params, _ = params_from_xi(3.0, 1.0)
     with pytest.raises(ParameterDomainError):
-        alpha_family_residual(params, (1.0, 0.0, 0.0), -1.0)
+        field_residual(alpha_deformation_sample(params, (1.0, 0.0, 0.0), -1.0), params.lam)
 
 
 def test_deformation_undefined_for_vacuum_member():
     params, _ = params_from_xi(3.0, 0.0)
     with pytest.raises(DomainError):
-        alpha_family_residual(params, (1e-3, -1e-3, 0.0), -1.0)
+        field_residual(alpha_deformation_sample(params, (1e-3, -1e-3, 0.0), -1.0), params.lam)
 
 
 def test_covariant_divergence_of_static_vector():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lbverify import model, scalar_field, suites
+from lbverify import congruence, model, scalar_field, suites
 from lbverify.errors import ParameterDomainError, RangeError
 from lbverify.model import (
     MAX_ABS_XI,
@@ -167,6 +167,22 @@ def test_w_matches_exponential_of_u():
     assert abs(s.w - math.exp(s.u[0])) / s.w < 1e-12
 
 
+@pytest.mark.parametrize(
+    "xi, r",
+    (
+        (1e154, np.linspace(-2.0, 2.0, 9)),
+        (-1.3e154, np.linspace(-3.0, 3.0, 9)),
+        (1e5, np.array([-116.0, -50.0, 0.0, 1.0])),
+    ),
+)
+def test_w_through_log_xi_matches_exponential_of_u(xi, r):
+    # xi^2 e^{6r/a} may overflow on these radii, so w is composed through
+    # log|xi|; it must still agree with exp(u1) and raise no warning.
+    params, _ = params_from_xi(3.0, xi)
+    s = metric_eval(params, r)
+    assert np.max(np.abs(s.w - np.exp(s.u[0])) / s.w) < 1e-12
+
+
 def test_w_positive_everywhere():
     for lam in LAMBDAS:
         for xi in XIS:
@@ -288,6 +304,21 @@ def test_builders_evaluate_each_report_grid_once(monkeypatch):
             dense = [r for r in arrays if r.size > 25]
             # Each report-grid radius once, in order: no midpoint pass.
             assert np.array_equal(np.concatenate(dense), grid), (build.__name__, samples)
+
+
+def test_congruence_report_takes_one_potential_quadrature(monkeypatch):
+    # Both ends of the potential-gradient stencil share one adaptive_simpson
+    # call; no other congruence row integrates.
+    calls = []
+    simpson = congruence.adaptive_simpson
+
+    def counting(fn, a, b, tol):
+        calls.append(np.size(b))
+        return simpson(fn, a, b, tol)
+
+    monkeypatch.setattr(congruence, "adaptive_simpson", counting)
+    suites.build_congruence_report(3.0, 1.0, 2.0)
+    assert calls == [2]
 
 
 def test_verify_folds_noether_rows_across_blocks(monkeypatch):

@@ -144,6 +144,19 @@ def test_cli_verify_tiny_xi_reports_constant_noether_charge():
     assert all(r["verdict"] != "fail" for r in rows)
 
 
+@pytest.mark.parametrize("subcommand", ("verify", "energy"))
+def test_cli_huge_xi_writes_nothing_to_stderr(subcommand, tmp_path, capsys):
+    # xi^2 e^{6r/a} overflows on the default window at |xi| = 1e154; in
+    # process, any RuntimeWarning is an error under the test configuration.
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    assert cli.main([subcommand, "--xi", "1e154", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert rows and all(math.isfinite(float(r["value"])) for r in rows)
+
+
 @pytest.mark.parametrize("lam", ("inf", "1e-320"))
 def test_cli_stability_rejects_unusable_lambda(lam):
     proc = run_cli("stability", "--lambda", lam)
