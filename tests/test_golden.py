@@ -20,6 +20,9 @@ written by the commit that introduced this test:
     python -m lbverify verify --lambda 3 --xi 1 --samples 9000 --out tests/golden/verify-blocks.csv
     python -m lbverify verify --lambda 0.75 --xi 0 --samples 9000 --out tests/golden/verify-vacuum-blocks.csv
     python -m lbverify energy --lambda 12 --xi 0.5 --samples 9000 --out tests/golden/energy-blocks.csv
+    python -m lbverify verify --lambda 3 --xi 1e154 --out tests/golden/verify-huge-xi.csv
+    python -m lbverify energy --lambda 3 --xi 1e154 --out tests/golden/energy-huge-xi.csv
+    python -m lbverify verify --lambda 3 --xi 1e-300 --out tests/golden/verify-tiny-xi.csv
 
 The first six are the README examples; the congruence edge cases have zero
 admissible points and an extra focusing-polynomial b.  The next three were
@@ -36,7 +39,11 @@ configuration with the ``null-rate-exponential-reduction`` row.  The
 ``*-blocks`` three were recorded by the parent of the commit that evaluates
 dense grids in ``suites.GRID_BLOCK`` blocks: at 9000 samples they span two
 full blocks and a remainder, so every row folded across blocks (including
-``noether-zero`` and the energy hold masks) crosses a block boundary.  Every
+``noether-zero`` and the energy hold masks) crosses a block boundary.  The huge-xi and tiny-xi
+three were recorded, the same way, by the parent of the commit that computes
+each model quantity once per dense block: at xi = 1e154 w is composed through
+log|xi| and q = 2kr + 2 log|xi| reaches about +721, at xi = 1e-300 it reaches
+about -1400, so they pin both far tails of f.  Every
 configuration exits 0.  A report matches its golden file when the (check, location,
 verdict) sequence is identical and each value agrees within
 ``REL * |ref| + ref_tolerance``: array and scalar evaluation orders may move
@@ -76,6 +83,9 @@ CONFIGS = {
     "verify-blocks": ["verify", "--lambda", "3", "--xi", "1", "--samples", "9000"],
     "verify-vacuum-blocks": ["verify", "--lambda", "0.75", "--xi", "0", "--samples", "9000"],
     "energy-blocks": ["energy", "--lambda", "12", "--xi", "0.5", "--samples", "9000"],
+    "verify-huge-xi": ["verify", "--lambda", "3", "--xi", "1e154"],
+    "energy-huge-xi": ["energy", "--lambda", "3", "--xi", "1e154"],
+    "verify-tiny-xi": ["verify", "--lambda", "3", "--xi", "1e-300"],
 }
 
 
