@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .errors import LBVerifyError
@@ -24,23 +23,6 @@ from .suites import (
     build_tortoise_report,
     build_verify_report,
 )
-
-
-def _threads_from_env() -> None:
-    """Reject a set LBVERIFY_THREADS that is not an integer >= 1.
-
-    Sweeps run serially and the value is otherwise unused; it is still
-    checked so that a malformed value is reported as a usage error.
-    """
-    raw = os.environ.get("LBVERIFY_THREADS", "")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise LBVerifyError(f"LBVERIFY_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise LBVerifyError(f"LBVERIFY_THREADS must be >= 1, got {n}")
 
 
 def _add_common(sub: argparse.ArgumentParser, samples_default: int = 4096) -> None:
@@ -118,7 +100,6 @@ def _build_report(args) -> Report:
         _validate_window(args)
         return build_tortoise_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
     if args.subcommand == "sweep":
-        _threads_from_env()
         return build_sweep_report(str(args.lam), str(args.xi), str(args.e_tilde), args.samples)
     raise LBVerifyError(f"unknown subcommand {args.subcommand!r}")
 

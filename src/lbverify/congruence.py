@@ -440,17 +440,27 @@ def null_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
 
 
 def _scan_profile(params: SolutionParams, cfg: CongruenceConfig, r_grid):
-    """(r, w, w', w'', status, ok) from one ``w_eval`` over a scan grid.
+    """(r, status, ok, (w, w', w'') at the ok points) from one ``w_eval`` over a scan grid.
 
     status is "forbidden" where w > E^2, "turning" inside the guard band
-    |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere.
+    |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere.  The closed
+    forms are only evaluated on the ok profile: at forbidden points w may be
+    large enough for its powers to overflow.
     """
     r = np.asarray(r_grid, dtype=float)
     w, w_p, w_pp = w_eval(params, r)
     e2 = cfg.e_tilde**2
     turning = np.abs(e2 - w) < TURNING_GUARD_REL * e2
     status = np.where(w > e2, "forbidden", np.where(turning, "turning", "ok"))
-    return r, w, w_p, w_pp, status, status == "ok"
+    ok = status == "ok"
+    return r, status, ok, (w[ok], w_p[ok], w_pp[ok])
+
+
+def _at_ok(ok, values) -> np.ndarray:
+    """An array over the scan grid holding ``values`` at the ok points and NaN elsewhere."""
+    out = np.full(ok.shape, np.nan)
+    out[ok] = values
+    return out
 
 
 def _samples(r, theta, rate, channel: str, status) -> list[KinematicsSample]:
@@ -466,8 +476,8 @@ def null_rate_sign_scan(
     Radii in the forbidden region or inside the turning-point guard band are
     carried with the matching status and NaN values.
     """
-    r, w, w_p, w_pp, status, ok = _scan_profile(params, cfg, r_grid)
-    rate = np.where(ok, _null_rate(w, w_p, w_pp, cfg.e_tilde**2), np.nan)
+    r, status, ok, (w, w_p, w_pp) = _scan_profile(params, cfg, r_grid)
+    rate = _at_ok(ok, _null_rate(w, w_p, w_pp, cfg.e_tilde**2))
     return _samples(r, np.full_like(r, np.nan), rate, "null", status)
 
 
@@ -475,10 +485,10 @@ def timelike_scan(
     params: SolutionParams, cfg: CongruenceConfig, r_grid
 ) -> list[KinematicsSample]:
     """Expansion and proper-time rate over a grid, with the same statuses."""
-    r, w, w_p, w_pp, status, ok = _scan_profile(params, cfg, r_grid)
+    r, status, ok, (w, w_p, w_pp) = _scan_profile(params, cfg, r_grid)
     e2 = cfg.e_tilde**2
-    theta = np.where(ok, _theta(w, w_p, e2, cfg.direction), np.nan)
-    rate = np.where(ok, _rate(w, w_p, w_pp, e2), np.nan)
+    theta = _at_ok(ok, _theta(w, w_p, e2, cfg.direction))
+    rate = _at_ok(ok, _rate(w, w_p, w_pp, e2))
     return _samples(r, theta, rate, "timelike", status)
 
 

@@ -31,7 +31,11 @@ from .scalar_field import phi_prime_sq_constraint
 
 @dataclass(frozen=True)
 class FieldResidual:
-    """Componentwise residual of the field equations at one radius."""
+    """Componentwise residual of the field equations at one radius (or grid).
+
+    phi_p_sq is the rr-constraint phi'^2 that the residual subtracts, kept so
+    that callers do not evaluate it again.
+    """
 
     r: float | np.ndarray
     res_tt: float | np.ndarray
@@ -39,21 +43,22 @@ class FieldResidual:
     res_phiphi: float | np.ndarray
     res_zz: float | np.ndarray
     max_abs: float
+    phi_p_sq: float | np.ndarray
 
 
 def ricci_diagonal(sample: MetricSample):
     """Closed-form diagonal Ricci (R_tt, R_rr, R_phiphi, R_zz)."""
-    u1, u2, u3 = sample.u
+    g1, g2, g3 = sample.g
     u1p, u2p, u3p = sample.u_p
     u1pp, u2pp, u3pp = sample.u_pp
     s = u1p + u2p + u3p
     # R_nn = (1/4) g_nn (2 u_n'' + u_n' s) for the non-radial axes; the tt
     # sign flips relative to phi/z because g_tt = -e^{u1} while the others
     # are +e^{u_i}.
-    r_tt = -0.25 * np.exp(u1) * (2.0 * u1pp + u1p * s)
+    r_tt = -0.25 * g1 * (2.0 * u1pp + u1p * s)
     r_rr = 0.5 * (u1pp + u2pp + u3pp) + 0.25 * (u1p**2 + u2p**2 + u3p**2)
-    r_pp = 0.25 * np.exp(u2) * (2.0 * u2pp + u2p * s)
-    r_zz = 0.25 * np.exp(u3) * (2.0 * u3pp + u3p * s)
+    r_pp = 0.25 * g2 * (2.0 * u2pp + u2p * s)
+    r_zz = 0.25 * g3 * (2.0 * u3pp + u3p * s)
     return r_tt, r_rr, r_pp, r_zz
 
 
@@ -94,21 +99,14 @@ def field_residual(sample: MetricSample, lam: float) -> FieldResidual:
     construction; the content of the check sits in the tt/phi/z components.
     """
     r_tt, r_rr, r_pp, r_zz = ricci_diagonal(sample)
-    u1, u2, u3 = sample.u
+    g1, g2, g3 = sample.g
     phi_p_sq = phi_prime_sq_constraint(sample, lam)
-    res_tt = r_tt - lam * (-np.exp(u1))
+    res_tt = r_tt - lam * (-g1)
     res_rr = r_rr - lam - phi_p_sq
-    res_pp = r_pp - lam * np.exp(u2)
-    res_zz = r_zz - lam * np.exp(u3)
-    max_abs = float(
-        max(
-            np.max(np.abs(res_tt)),
-            np.max(np.abs(res_rr)),
-            np.max(np.abs(res_pp)),
-            np.max(np.abs(res_zz)),
-        )
-    )
-    return FieldResidual(sample.r, res_tt, res_rr, res_pp, res_zz, max_abs)
+    res_pp = r_pp - lam * g2
+    res_zz = r_zz - lam * g3
+    max_abs = float(max(np.abs(res).max() for res in (res_tt, res_rr, res_pp, res_zz)))
+    return FieldResidual(sample.r, res_tt, res_rr, res_pp, res_zz, max_abs, phi_p_sq)
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
@@ -182,8 +180,6 @@ def alpha_deformation_sample(
         u_p=u_p,
         u_pp=u_pp,
         w=np.exp(u[0]),
-        w_p=np.exp(u[0]) * u_p[0],
-        w_pp=np.exp(u[0]) * (u_pp[0] + u_p[0] ** 2),
     )
 
 

@@ -60,10 +60,8 @@ class ConditionMargins:
 def stress_decompose(sample: MetricSample) -> FrameStress:
     """Orthonormal-frame (rho, p_r, p_phi, p_z) from the curvature oracle."""
     r_tt, r_rr, r_pp, r_zz = ricci_diagonal(sample)
-    u1, u2, u3 = sample.u
-    g_tt = -np.exp(u1)
-    g_pp = np.exp(u2)
-    g_zz = np.exp(u3)
+    g1, g_pp, g_zz = sample.g
+    g_tt = -g1
     ricci_scalar = r_tt / g_tt + r_rr + r_pp / g_pp + r_zz / g_zz
     rho = (r_tt - 0.5 * ricci_scalar * g_tt) / (-g_tt)
     p_r = r_rr - 0.5 * ricci_scalar

@@ -29,6 +29,7 @@ array path serves both, and a scalar r yields NumPy float scalars.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .report import VerificationRow
 _MAX_EXPONENT = 700.0
 
 # xi^2 e^{6r/a} stays below the float maximum (about e^709.78) up to this
-# exponent of it; ``_w_core`` composes w through log|xi| beyond it.
+# exponent of it; ``_w_value`` composes w through log|xi| beyond it.
 _W_PRODUCT_EXPONENT = 709.0
 
 #: Residual tolerance for the integration-constant sum checks.
@@ -87,8 +88,16 @@ class RawConstants:
 class MetricSample:
     """All radial profile quantities at one radius (or one grid).
 
-    f here is the sum definition (u1+u2+u3)/2; its derivatives coincide with
-    those of the closed form returned by ``f_eval``.
+    r        the radius or radii
+    f        (u1+u2+u3)/2, the sum definition; its derivatives f_p, f_pp
+             coincide with those of the closed form returned by ``f_eval``
+    u        the exponents (u1, u2, u3) of g_tt = -e^{u1}, g_phiphi = e^{u2},
+             g_zz = e^{u3}; u_p and u_pp are their r-derivatives
+    w        the conformal factor of the isotropic form, from its own
+             arithmetic path (``metric_eval``) or e^{u1} (other samples)
+    g        derived, not passed in: (e^{u1}, e^{u2}, e^{u3}), computed on
+             first use with one ``np.exp`` per distinct exponent array (all
+             three axes share one array in ``metric_eval``), then cached
     """
 
     r: float | np.ndarray
@@ -99,8 +108,14 @@ class MetricSample:
     u_p: tuple
     u_pp: tuple
     w: float | np.ndarray
-    w_p: float | np.ndarray
-    w_pp: float | np.ndarray
+
+    @functools.cached_property
+    def g(self) -> tuple:
+        u1, u2, u3 = self.u
+        g1 = np.exp(u1)
+        g2 = g1 if u2 is u1 else np.exp(u2)
+        g3 = g1 if u3 is u1 else g2 if u3 is u2 else np.exp(u3)
+        return g1, g2, g3
 
 
 def params_from_xi(lam: float, xi: float, phi_branch: int = 1) -> tuple[SolutionParams, RawConstants]:
@@ -160,17 +175,31 @@ def f_eval(params: SolutionParams, r):
     return _f_core(params, np.asarray(r, dtype=float))
 
 
+def _q(params: SolutionParams, r):
+    """q = 2kr + 2 log|xi|, so that c1 e^{2kr} - c2 = e^q + 1; -inf at xi = 0."""
+    return 2.0 * params.k * r + (2.0 * math.log(abs(params.xi)) if params.xi else -math.inf)
+
+
+def _log1p_exp(q):
+    """log(1 + e^q) as max(q, 0) + log1p(e^-|q|): no overflow for finite q, 0 at q = -inf."""
+    return np.maximum(q, 0.0) + np.log1p(np.exp(-np.abs(q)))
+
+
+def _f_derivs(k: float, q):
+    """(f', f'') = (k tanh(q/2), k^2 sech^2(q/2)); at q = -inf, (-k, +0)."""
+    return k * np.tanh(0.5 * q), k * k * _sech_sq(0.5 * q)
+
+
 def _f_core(params: SolutionParams, r):
-    """``f_eval`` without the range check; r is a float array (0-d for a scalar)."""
+    """``f_eval`` without the range check; r is a float array (0-d for a scalar).
+
+    f = -kr + log(1 + e^q) - log(12 lambda)/2 with ``_log1p_exp``; at xi = 0
+    (q = -inf) that is exactly -kr - log(12 lambda)/2.
+    """
     k = params.k
-    # With q = 2kr + 2 log|xi|, c1 E - c2 = e^q + 1 and f' = k tanh(q/2),
-    # f'' = k^2 sech^2(q/2); log(1 + e^q) = logaddexp(0, q).  At xi = 0,
-    # q = -inf gives exactly f = -kr - log(12 lambda)/2, f' = -k, f'' = +0.
-    q = 2.0 * k * r + (2.0 * math.log(abs(params.xi)) if params.xi else -math.inf)
-    f = -k * r + np.logaddexp(0.0, q) - 0.5 * math.log(12.0 * params.lam)
-    f_p = k * np.tanh(0.5 * q)
-    f_pp = k * k * _sech_sq(0.5 * q)
-    return f, f_p, f_pp
+    q = _q(params, r)
+    f = -k * r + _log1p_exp(q) - 0.5 * math.log(12.0 * params.lam)
+    return (f, *_f_derivs(k, q))
 
 
 def w_eval(params: SolutionParams, r):
@@ -181,31 +210,30 @@ def w_eval(params: SolutionParams, r):
     are cross-checked against each other in the test suite.  Where
     xi^2 e^{6r/a} could overflow on the requested radii, the power is taken
     as e^{2r/a} |xi|^{4/3} (1 + xi^-2 e^{-6r/a})^{2/3} through log|xi|.
+    The derivatives are w' = w u' and w'' = w (u'' + u'^2) with u = (2/3) f,
+    from (f', f'') alone: the value of f is never computed here.
     """
     reach = _check_range(params, r)
     r = np.asarray(r, dtype=float)
-    _, f_p, f_pp = _f_core(params, r)
-    return _w_core(params, r, f_p, f_pp, reach)
+    w = _w_value(params, r, reach)
+    f_p, f_pp = _f_derivs(params.k, _q(params, r))
+    u_p = (2.0 / 3.0) * f_p
+    u_pp = (2.0 / 3.0) * f_pp
+    return w, w * u_p, w * (u_pp + u_p * u_p)
 
 
-def _w_core(params: SolutionParams, r, f_p, f_pp, reach: float):
-    """``w_eval`` from (f', f'') at r, without the range check; reach = max |r|."""
+def _w_value(params: SolutionParams, r, reach: float):
+    """The value of ``w_eval`` at r, without the range check; reach = max |r|."""
     a = params.a
     log_xi = math.log(abs(params.xi)) if params.xi else -math.inf
     if 2.0 * log_xi + 6.0 * reach / a <= _W_PRODUCT_EXPONENT:
-        w = np.exp(-2.0 * r / a) * (1.0 + params.xi**2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
-    else:
-        # xi^2 e^{6r/a} = e^q, q = 6r/a + 2 log|xi|, may overflow on these
-        # radii: factor it out of the power, w = e^{2r/a} |xi|^{4/3} (1 + e^{-q})^{2/3}.
-        # Inside the radial bound 6|r|/a <= _MAX_EXPONENT, so this branch
-        # has 2 log|xi| > 9 and e^{-q} < e^{_MAX_EXPONENT - 9} stays finite.
-        q = 6.0 * r / a + 2.0 * log_xi
-        w = np.exp(2.0 * r / a + (4.0 / 3.0) * log_xi) * (1.0 + np.exp(-q)) ** (2.0 / 3.0)
-    u_p = (2.0 / 3.0) * f_p
-    u_pp = (2.0 / 3.0) * f_pp
-    w_p = w * u_p
-    w_pp = w * (u_pp + u_p * u_p)
-    return w, w_p, w_pp
+        return np.exp(-2.0 * r / a) * (1.0 + params.xi**2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
+    # xi^2 e^{6r/a} = e^q, q = 6r/a + 2 log|xi|, may overflow on these
+    # radii: factor it out of the power, w = e^{2r/a} |xi|^{4/3} (1 + e^{-q})^{2/3}.
+    # Inside the radial bound 6|r|/a <= _MAX_EXPONENT, so this branch
+    # has 2 log|xi| > 9 and e^{-q} < e^{_MAX_EXPONENT - 9} stays finite.
+    q = 6.0 * r / a + 2.0 * log_xi
+    return np.exp(2.0 * r / a + (4.0 / 3.0) * log_xi) * (1.0 + np.exp(-q)) ** (2.0 / 3.0)
 
 
 def metric_eval(params: SolutionParams, r) -> MetricSample:
@@ -214,7 +242,8 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     u_i = (2/3) f + log(12 lambda)/3 + beta_i, which reproduces w = e^{u_i};
     the printed one-parameter form with linear coefficient -1/a instead of
     -2/a is inconsistent with this derivation and is not used (the mismatch
-    is surfaced in the verification reports).
+    is surfaced in the verification reports).  The three exponents are one
+    shared array, so ``MetricSample.g`` takes a single exponential.
     """
     reach = _check_range(params, r)
     r_float = np.asarray(r, dtype=float)
@@ -222,7 +251,6 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     u1 = (2.0 / 3.0) * f9 + (1.0 / 3.0) * math.log(12.0 * params.lam)
     u1_p = (2.0 / 3.0) * f_p
     u1_pp = (2.0 / 3.0) * f_pp
-    w, w_p, w_pp = _w_core(params, r_float, f_p, f_pp, reach)
     return MetricSample(
         r=r,
         f=1.5 * u1,
@@ -231,9 +259,7 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
         u=(u1, u1, u1),
         u_p=(u1_p, u1_p, u1_p),
         u_pp=(u1_pp, u1_pp, u1_pp),
-        w=w,
-        w_p=w_p,
-        w_pp=w_pp,
+        w=_w_value(params, r_float, reach),
     )
 
 

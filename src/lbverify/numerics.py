@@ -112,12 +112,14 @@ def bracket_sign_changes(
 
     ``fn`` must accept an array: it is called once, on the whole grid of
     ``n + 1`` points.  Grid points where ``fn`` is exactly zero produce a
-    degenerate bracket.
+    degenerate bracket.  Neighbours are compared by sign, so values of any
+    magnitude neither overflow nor underflow the test.
     """
     xs = np.linspace(lo, hi, n + 1)
     vals = np.asarray(fn(xs), dtype=float)
     zero = vals == 0.0
-    change = np.append(vals[:-1] * vals[1:] < 0.0, False)
+    signs = np.sign(vals)
+    change = np.append(signs[:-1] * signs[1:] < 0.0, False)
     return [
         (float(xs[i]), float(xs[i] if zero[i] else xs[i + 1]))
         for i in np.flatnonzero(zero | change)
@@ -125,7 +127,11 @@ def bracket_sign_changes(
 
 
 def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection on a sign-change bracket [lo, hi], to 1e-13 relative width or 200 halvings."""
+    """Bisection on a sign-change bracket [lo, hi], to 1e-13 relative width or 200 halvings.
+
+    Values are compared by sign, never multiplied, so that no magnitude
+    overflows or underflows the test.
+    """
     if lo == hi:
         return lo
     flo = fn(lo)
@@ -134,14 +140,14 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     fhi = fn(hi)
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         if fmid == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             return mid
-        if flo * fmid < 0.0:
+        if flo < 0.0 < fmid or fmid < 0.0 < flo:
             hi = mid
         else:
             lo, flo = mid, fmid

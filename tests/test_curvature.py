@@ -30,7 +30,7 @@ def test_flat_metric_has_zero_ricci():
     flat = MetricSample(
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(zero,) * 3, u_p=(zero,) * 3, u_pp=(zero,) * 3,
-        w=1.0, w_p=0.0, w_pp=0.0,
+        w=1.0,
     )
     assert ricci_diagonal(flat) == (0.0, 0.0, 0.0, 0.0)
 
@@ -105,7 +105,7 @@ def test_field_residual_detects_corruption():
         u=(s.u[0] * 1.01, s.u[1], s.u[2]),
         u_p=(s.u_p[0] * 1.01, s.u_p[1], s.u_p[2]),
         u_pp=(s.u_pp[0] * 1.01, s.u_pp[1], s.u_pp[2]),
-        w=s.w, w_p=s.w_p, w_pp=s.w_pp,
+        w=s.w,
     )
     assert field_residual(corrupted, params.lam).max_abs > 1e-3
 

@@ -85,6 +85,11 @@ def test_f_prime_vacuum_member():
     params, _ = params_from_xi(3.0, 0.0)
     _, f_p, _ = f_eval(params, 0.0)
     assert f_p == pytest.approx(-3.0, abs=1e-15)
+    # q = -inf: the log(1 + e^q) term is exactly 0 and f exactly linear.
+    r = np.linspace(-2.0, 2.0, 65)
+    f, f_p, f_pp = f_eval(params, r)
+    assert np.array_equal(f, -params.k * r - 0.5 * math.log(12.0 * params.lam))
+    assert np.all(f_p == -params.k) and np.all(f_pp == 0.0)
 
 
 def test_f_prime_vanishes_at_origin_for_unit_xi():
@@ -181,6 +186,89 @@ def test_w_through_log_xi_matches_exponential_of_u(xi, r):
     params, _ = params_from_xi(3.0, xi)
     s = metric_eval(params, r)
     assert np.max(np.abs(s.w - np.exp(s.u[0])) / s.w) < 1e-12
+
+
+def _ulps(value, ref):
+    """|value - ref| in units of the spacing at ref; 0 where both are equal (also infinite)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(value == ref, 0.0, np.abs(value - ref) / np.spacing(np.abs(ref)))
+
+
+def test_log1p_exp_matches_logaddexp():
+    # f's log(1 + e^q) term is max(q, 0) + log1p(e^-|q|), with NumPy's array
+    # exp/log1p; np.logaddexp rounds the same function through scalar ones.
+    # On the integer grid of q the two agree to 1 ulp.  Off it they may round
+    # to opposite sides of the exact value (3 ulp apart at one of 200,000
+    # uniform draws in [-40, 40]), so the dense check is against the exact
+    # value itself.
+    mpmath = pytest.importorskip("mpmath")
+    edges = np.array([-np.inf, 0.0, -0.0])
+    coarse = np.concatenate([edges, np.arange(-1000.0, 1001.0)])
+    assert np.max(_ulps(model._log1p_exp(coarse), np.logaddexp(0.0, coarse))) <= 1.0
+    assert model._log1p_exp(np.float64(-np.inf)) == 0.0
+    dense = np.random.default_rng(2718).uniform(-40.0, 40.0, 4000)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.log1p(mpmath.exp(mpmath.mpf(q)))) for q in dense.tolist()])
+    assert np.max(_ulps(model._log1p_exp(dense), exact)) <= 2.0
+
+
+def test_metric_sample_g_is_exp_of_each_exponent():
+    from lbverify.curvature import alpha_deformation_sample
+
+    params, _ = params_from_xi(3.0, 0.5)
+    r = np.linspace(-2.0, 0.5, 33)
+    base = metric_eval(params, r)
+    # The three exponents are one array: one exponential serves every axis.
+    assert base.g[0] is base.g[1] is base.g[2]
+    deformed = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
+    for s in (base, deformed):
+        assert s.g is s.g
+        for g_i, u_i in zip(s.g, s.u):
+            assert np.array_equal(g_i, np.exp(u_i))
+    assert len({id(g_i) for g_i in deformed.g}) == 3
+
+
+def test_w_eval_never_evaluates_f_value(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def fn(*args):
+            calls.append(name)
+            return original(*args)
+
+        return fn
+
+    for name in ("_f_core", "_log1p_exp"):
+        monkeypatch.setattr(model, name, counted(name))
+    params, _ = params_from_xi(3.0, 0.7)
+    w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
+    w_eval(params, 0.3)
+    assert calls == []
+    s = metric_eval(params, np.linspace(-2.0, 2.0, 17))
+    assert calls == ["_f_core", "_log1p_exp"]
+    assert np.allclose(w, s.w, rtol=1e-14, atol=0.0)
+    assert np.allclose(w_p, s.w * s.u_p[0], rtol=1e-14, atol=0.0)
+    assert np.allclose(w_pp, s.w * (s.u_pp[0] + s.u_p[0] ** 2), rtol=1e-14, atol=0.0)
+
+
+def test_verify_block_evaluates_phi_constraint_once(monkeypatch):
+    # field_residual hands its phi'^2 to the verify block, which reads it
+    # instead of evaluating the constraint a second time.
+    from lbverify import curvature
+
+    calls = []
+    original = scalar_field.phi_prime_sq_constraint
+
+    def counting(sample, lam):
+        calls.append(np.size(sample.r))
+        return original(sample, lam)
+
+    monkeypatch.setattr(scalar_field, "phi_prime_sq_constraint", counting)
+    monkeypatch.setattr(curvature, "phi_prime_sq_constraint", counting)
+    suites.build_verify_report(3.0, 1.0, samples=9000)
+    assert calls == [4096, 4096, 808]
 
 
 def test_w_positive_everywhere():
@@ -284,9 +372,10 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every f_eval, w_eval and metric_eval passes through _f_core: record the
-    # arrays it evaluates.  Beside the report grid, verify only evaluates the
-    # 25-point Ricci stencils and energy only the scalar bisection steps.
+    # Every f_eval and metric_eval passes through _f_core (w_eval does not,
+    # and neither builder calls it): record the arrays it evaluates.  Beside
+    # the report grid, verify only evaluates the 25-point Ricci stencils and
+    # energy only the scalar bisection steps.
     arrays = []
     core = model._f_core
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lbverify.numerics import SIMPSON_DEPTH_CAP, adaptive_simpson
+from lbverify.numerics import SIMPSON_DEPTH_CAP, adaptive_simpson, bisect, bracket_sign_changes
 
 
 def _integrand(x):
@@ -62,3 +62,17 @@ def test_node_set_matches_recursive_count():
     fx = _integrand(x)
     composite = (x[1] - x[0]) / 3.0 * (fx[0] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum() + fx[-1])
     assert value == pytest.approx(composite, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", (1e200, 1e-200))
+def test_sign_tests_neither_overflow_nor_underflow(scale):
+    # The product of two neighbouring values overflows at 1e200 (a
+    # RuntimeWarning, an error under the test configuration) and underflows
+    # to -0.0 at 1e-200, which would hide the sign change.
+    fn = lambda x: scale * (np.asarray(x) - 0.3)
+    brackets = bracket_sign_changes(fn, -1.0, 1.0, 8)
+    assert brackets == [(0.25, 0.5)]
+    root = bisect(lambda x: float(fn(x)), *brackets[0])
+    assert root == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect(lambda x: float(fn(x)), 0.5, 1.0)

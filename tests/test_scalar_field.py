@@ -82,7 +82,7 @@ def test_negative_constraint_is_flag_not_exception():
     fake = MetricSample(
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
-        w=1.0, w_p=0.0, w_pp=0.0,
+        w=1.0,
     )
     assert phi_prime_sq_constraint(fake, 3.0) == -3.0
 
@@ -115,7 +115,7 @@ def test_accumulate_domain_error_reports_interval(monkeypatch):
     bad = MetricSample(
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
-        w=1.0, w_p=0.0, w_pp=0.0,
+        w=1.0,
     )
     monkeypatch.setattr(scalar_field, "metric_eval", lambda p, r: bad)
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
