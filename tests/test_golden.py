@@ -23,6 +23,7 @@ written by the commit that introduced this test:
     python -m lbverify verify --lambda 3 --xi 1e154 --out tests/golden/verify-huge-xi.csv
     python -m lbverify energy --lambda 3 --xi 1e154 --out tests/golden/energy-huge-xi.csv
     python -m lbverify verify --lambda 3 --xi 1e-300 --out tests/golden/verify-tiny-xi.csv
+    python -m lbverify energy --lambda 3 --xi 1e10 --out tests/golden/energy-large-xi.csv
 
 The first six are the README examples; the congruence edge cases have zero
 admissible points and an extra focusing-polynomial b.  The next three were
@@ -43,9 +44,12 @@ full blocks and a remainder, so every row folded across blocks (including
 three were recorded, the same way, by the parent of the commit that computes
 each model quantity once per dense block: at xi = 1e154 w is composed through
 log|xi| and q = 2kr + 2 log|xi| reaches about +721, at xi = 1e-300 it reaches
-about -1400, so they pin both far tails of f.  Every
-configuration exits 0.  A report matches its golden file when the (check, location,
-verdict) sequence is identical and each value agrees within
+about -1400, so they pin both far tails of f.  ``energy-large-xi`` was
+recorded the same way by the parent of the commit that computes the frame
+stresses from mixed Ricci components: there e^u runs from about 4e11 to 1e15
+on the window, so it pins the stress rows where the covariant route carried
+the rounding of e^u.  Every configuration exits 0.  A report matches its
+golden file when the (check, location, verdict) sequence is identical and each value agrees within
 ``REL * |ref| + ref_tolerance``: array and scalar evaluation orders may move
 the last digits, and a residual row only asserts |value| <= tolerance.
 """
@@ -86,6 +90,7 @@ CONFIGS = {
     "verify-huge-xi": ["verify", "--lambda", "3", "--xi", "1e154"],
     "energy-huge-xi": ["energy", "--lambda", "3", "--xi", "1e154"],
     "verify-tiny-xi": ["verify", "--lambda", "3", "--xi", "1e-300"],
+    "energy-large-xi": ["energy", "--lambda", "3", "--xi", "1e10"],
 }
 
 
