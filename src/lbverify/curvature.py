@@ -2,13 +2,22 @@
 
 Provides the diagonal Ricci tensor along two routes that share no code:
 
-* closed forms in the exponents (u_i, u_i', u_i''), and
+* closed forms in the exponent derivatives (u_i', u_i''), and
 * a generic finite-difference assembly from the metric components alone
   (Christoffel contraction with numerically differentiated g_mu).
 
+The closed forms are mixed components R^m_n.  For this ansatz they contain
+no metric factor: R^n_n = (2 u_n'' + u_n' s)/4 on the non-radial axes, with
+s = u1' + u2' + u3', and R^r_r = R_rr.  The field residual and the frame
+stresses read them directly, so neither carries the rounding of e^u (about
+xi^(4/3) at large xi).  ``ricci_diagonal`` lowers them to the covariant
+components R_mn = g_mm R^m_m for the comparison with the finite-difference
+route, which works in covariant components.
+
 Sign convention (fixed, not an option): components are reported in the
 convention for which the field equations of this family read
-``R_mn = lambda g_mn + phi_,m phi_,n`` with signature (-,+,+,+).  That is
+``R_mn = lambda g_mn + phi_,m phi_,n`` (mixed: ``R^m_n = lambda delta^m_n
++ phi'^2 delta^m_r delta^r_n``) with signature (-,+,+,+).  That is
 minus the sphere-positive convention, hence the leading signs below.
 Off-diagonal components vanish identically for this ansatz (no Christoffel
 symbol mixes r with two distinct non-radial axes), so only the four
@@ -33,8 +42,9 @@ from .scalar_field import phi_prime_sq_constraint
 class FieldResidual:
     """Componentwise residual of the field equations at one radius (or grid).
 
-    phi_p_sq is the rr-constraint phi'^2 that the residual subtracts, kept so
-    that callers do not evaluate it again.
+    The res_* fields are mixed components R^m_m - lambda - phi'^2 delta^m_r,
+    free of any metric factor.  phi_p_sq is the rr-constraint phi'^2 that
+    the residual subtracts, kept so that callers do not evaluate it again.
     """
 
     r: float | np.ndarray
@@ -46,20 +56,32 @@ class FieldResidual:
     phi_p_sq: float | np.ndarray
 
 
-def ricci_diagonal(sample: MetricSample):
-    """Closed-form diagonal Ricci (R_tt, R_rr, R_phiphi, R_zz)."""
-    g1, g2, g3 = sample.g
-    u1p, u2p, u3p = sample.u_p
-    u1pp, u2pp, u3pp = sample.u_pp
-    s = u1p + u2p + u3p
-    # R_nn = (1/4) g_nn (2 u_n'' + u_n' s) for the non-radial axes; the tt
-    # sign flips relative to phi/z because g_tt = -e^{u1} while the others
-    # are +e^{u_i}.
-    r_tt = -0.25 * g1 * (2.0 * u1pp + u1p * s)
-    r_rr = 0.5 * (u1pp + u2pp + u3pp) + 0.25 * (u1p**2 + u2p**2 + u3p**2)
-    r_pp = 0.25 * g2 * (2.0 * u2pp + u2p * s)
-    r_zz = 0.25 * g3 * (2.0 * u3pp + u3p * s)
+def _ricci_mixed(sample: MetricSample):
+    """Closed-form mixed diagonal Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z).
+
+    When the three axes hold the same (u', u'') arrays, as every
+    ``metric_eval`` sample does, they share one bracket: the three
+    non-radial components are then one object.
+    """
+    u_p, u_pp = sample.u_p, sample.u_pp
+    s = u_p[0] + u_p[1] + u_p[2]
+    r_rr = 0.5 * (u_pp[0] + u_pp[1] + u_pp[2]) + 0.25 * (u_p[0] ** 2 + u_p[1] ** 2 + u_p[2] ** 2)
+    if u_p[0] is u_p[1] is u_p[2] and u_pp[0] is u_pp[1] is u_pp[2]:
+        r_tt = r_pp = r_zz = 0.25 * (2.0 * u_pp[0] + u_p[0] * s)
+    else:
+        r_tt, r_pp, r_zz = (0.25 * (2.0 * upp + up * s) for up, upp in zip(u_p, u_pp))
     return r_tt, r_rr, r_pp, r_zz
+
+
+def ricci_diagonal(sample: MetricSample):
+    """Closed-form covariant diagonal Ricci (R_tt, R_rr, R_phiphi, R_zz).
+
+    The mixed components lowered by (g_tt, g_rr, g_phiphi, g_zz) =
+    (-e^{u1}, 1, e^{u2}, e^{u3}).
+    """
+    r_tt, r_rr, r_pp, r_zz = _ricci_mixed(sample)
+    u1, u2, u3 = sample.u
+    return -np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
 
 
 def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
@@ -93,19 +115,21 @@ def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
 
 
 def field_residual(sample: MetricSample, lam: float) -> FieldResidual:
-    """Residual of R_mn - lambda g_mn - phi_,m phi_,n for an arbitrary sample.
+    """Residual R^m_n - lambda delta^m_n - phi'^2 delta^m_r delta^r_n for an
+    arbitrary sample.
 
     phi'^2 is taken from the rr constraint, so the rr component vanishes by
     construction; the content of the check sits in the tt/phi/z components.
+    Shared axes share one residual array, reduced once.
     """
-    r_tt, r_rr, r_pp, r_zz = ricci_diagonal(sample)
-    g1, g2, g3 = sample.g
+    r_tt, r_rr, r_pp, r_zz = _ricci_mixed(sample)
     phi_p_sq = phi_prime_sq_constraint(sample, lam)
-    res_tt = r_tt - lam * (-g1)
+    shared = r_pp is r_tt and r_zz is r_tt
+    res_tt = r_tt - lam
+    res_pp, res_zz = (res_tt, res_tt) if shared else (r_pp - lam, r_zz - lam)
     res_rr = r_rr - lam - phi_p_sq
-    res_pp = r_pp - lam * g2
-    res_zz = r_zz - lam * g3
-    max_abs = float(max(np.abs(res).max() for res in (res_tt, res_rr, res_pp, res_zz)))
+    checked = (res_tt, res_rr) if shared else (res_tt, res_rr, res_pp, res_zz)
+    max_abs = float(np.max([np.abs(res).max() for res in checked]))
     return FieldResidual(sample.r, res_tt, res_rr, res_pp, res_zz, max_abs, phi_p_sq)
 
 
@@ -179,7 +203,6 @@ def alpha_deformation_sample(
         u=u,
         u_p=u_p,
         u_pp=u_pp,
-        w=np.exp(u[0]),
     )
 
 

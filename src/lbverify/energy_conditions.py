@@ -2,9 +2,14 @@
 
 The total effective source (scalar field plus the cosmological term moved to
 the right-hand side) is read off the Einstein tensor of the metric in an
-orthonormal frame, with units 8 pi G = 1:
+orthonormal frame, with units 8 pi G = 1.  For a diagonal metric the frame
+components are the mixed ones, G^m_n = R^m_n - (R/2) delta^m_n, up to the
+sign of the time row:
 
-    rho = G_tt(frame),   p_i = G_ii(frame).
+    rho = -G^t_t = R/2 - R^t_t,   p_i = G^i_i = R^i_i - R/2,
+
+with R the sum of the mixed diagonal Ricci components.  No metric factor
+enters, so the stresses do not carry the rounding of e^u.
 
 For this family the trace identities
 
@@ -15,6 +20,9 @@ margin is the constant -2 lambda (violated for every lambda > 0), and the
 radial null margin equals the scalar-field gradient squared.
 
 The stress takes a ``MetricSample`` that the caller evaluates once per grid.
+On a ``metric_eval`` sample the three non-radial axes share one Ricci
+component, so rho + p_phi and rho + p_z are exact zeros there; samples
+with distinct axes (``alpha_deformation_sample``) exercise the general case.
 Margins are the primitive output; booleans derive from the single tolerance
 HOLD_TOL so that marginal saturation stays visible.
 """
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ricci_diagonal
+from .curvature import _ricci_mixed
 from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import bisect
 
@@ -58,16 +66,12 @@ class ConditionMargins:
 
 
 def stress_decompose(sample: MetricSample) -> FrameStress:
-    """Orthonormal-frame (rho, p_r, p_phi, p_z) from the curvature oracle."""
-    r_tt, r_rr, r_pp, r_zz = ricci_diagonal(sample)
-    g1, g_pp, g_zz = sample.g
-    g_tt = -g1
-    ricci_scalar = r_tt / g_tt + r_rr + r_pp / g_pp + r_zz / g_zz
-    rho = (r_tt - 0.5 * ricci_scalar * g_tt) / (-g_tt)
-    p_r = r_rr - 0.5 * ricci_scalar
-    p_phi = (r_pp - 0.5 * ricci_scalar * g_pp) / g_pp
-    p_z = (r_zz - 0.5 * ricci_scalar * g_zz) / g_zz
-    return FrameStress(rho=rho, p_r=p_r, p_phi=p_phi, p_z=p_z)
+    """Orthonormal-frame (rho, p_r, p_phi, p_z) from the mixed curvature oracle."""
+    r_tt, r_rr, r_pp, r_zz = _ricci_mixed(sample)
+    half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
+    p_phi = r_pp - half_r
+    p_z = p_phi if r_zz is r_pp else r_zz - half_r
+    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=p_phi, p_z=p_z)
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:

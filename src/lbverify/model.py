@@ -29,7 +29,6 @@ array path serves both, and a scalar r yields NumPy float scalars.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -92,12 +91,13 @@ class MetricSample:
     f        (u1+u2+u3)/2, the sum definition; its derivatives f_p, f_pp
              coincide with those of the closed form returned by ``f_eval``
     u        the exponents (u1, u2, u3) of g_tt = -e^{u1}, g_phiphi = e^{u2},
-             g_zz = e^{u3}; u_p and u_pp are their r-derivatives
-    w        the conformal factor of the isotropic form, from its own
-             arithmetic path (``metric_eval``) or e^{u1} (other samples)
-    g        derived, not passed in: (e^{u1}, e^{u2}, e^{u3}), computed on
-             first use with one ``np.exp`` per distinct exponent array (all
-             three axes share one array in ``metric_eval``), then cached
+             g_zz = e^{u3}; u_p and u_pp are their r-derivatives.  Axes
+             that hold the same arrays (all three in ``metric_eval``) share
+             one curvature bracket
+
+    The sample carries no metric factor e^u and no conformal factor w:
+    the curvature layers read mixed components, which need neither, and w
+    comes from ``w_value`` or ``w_eval`` on its own arithmetic path.
     """
 
     r: float | np.ndarray
@@ -107,15 +107,6 @@ class MetricSample:
     u: tuple
     u_p: tuple
     u_pp: tuple
-    w: float | np.ndarray
-
-    @functools.cached_property
-    def g(self) -> tuple:
-        u1, u2, u3 = self.u
-        g1 = np.exp(u1)
-        g2 = g1 if u2 is u1 else np.exp(u2)
-        g3 = g1 if u3 is u1 else g2 if u3 is u2 else np.exp(u3)
-        return g1, g2, g3
 
 
 def params_from_xi(lam: float, xi: float, phi_branch: int = 1) -> tuple[SolutionParams, RawConstants]:
@@ -222,6 +213,16 @@ def w_eval(params: SolutionParams, r):
     return w, w * u_p, w * (u_pp + u_p * u_p)
 
 
+def w_value(params: SolutionParams, r):
+    """The value of ``w_eval`` alone, range-checked the same way.
+
+    Same arithmetic path as ``w_eval``'s w, bit for bit, without the
+    derivatives and so without (f', f'').
+    """
+    reach = _check_range(params, r)
+    return _w_value(params, np.asarray(r, dtype=float), reach)
+
+
 def _w_value(params: SolutionParams, r, reach: float):
     """The value of ``w_eval`` at r, without the range check; reach = max |r|."""
     a = params.a
@@ -243,11 +244,11 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     the printed one-parameter form with linear coefficient -1/a instead of
     -2/a is inconsistent with this derivation and is not used (the mismatch
     is surfaced in the verification reports).  The three exponents are one
-    shared array, so ``MetricSample.g`` takes a single exponential.
+    shared array, and so are their derivatives, so the curvature layers
+    build one bracket for all three axes.
     """
-    reach = _check_range(params, r)
-    r_float = np.asarray(r, dtype=float)
-    f9, f_p, f_pp = _f_core(params, r_float)
+    _check_range(params, r)
+    f9, f_p, f_pp = _f_core(params, np.asarray(r, dtype=float))
     u1 = (2.0 / 3.0) * f9 + (1.0 / 3.0) * math.log(12.0 * params.lam)
     u1_p = (2.0 / 3.0) * f_p
     u1_pp = (2.0 / 3.0) * f_pp
@@ -259,7 +260,6 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
         u=(u1, u1, u1),
         u_p=(u1_p, u1_p, u1_p),
         u_pp=(u1_pp, u1_pp, u1_pp),
-        w=_w_value(params, r_float, reach),
     )
 
 

@@ -95,7 +95,7 @@ def build_verify_report(
         constraint = residual.phi_p_sq
         quoted = scalar_field.phi_prime_sq_quoted(sample, lam)
         fold["scalar-gradient-sq-min"].append(np.min(constraint))
-        fold["w-positivity-min"].append(np.min(sample.w))
+        fold["w-positivity-min"].append(np.min(model.w_value(params, sample.r)))
         fold["quoted-scalar-integrand-min"].append(np.min(quoted))
         fold["quoted-integrand-vs-constraint"].append(_max_abs(quoted - constraint))
     peak = lambda check: float(np.max(fold[check]))
@@ -107,8 +107,8 @@ def build_verify_report(
     rpt.add_check("field-equation-residual", loc, peak("field-equation-residual"), 1e-8)
 
     def metric_fn(x):
-        g1, g2, g3 = model.metric_eval(params, x).g
-        return (-g1, np.ones_like(g1), g2, g3)
+        u1, u2, u3 = model.metric_eval(params, x).u
+        return (-np.exp(u1), np.ones_like(u1), np.exp(u2), np.exp(u3))
 
     # The FD stencil step scales with the de Sitter length (all radial
     # structure does), and the row tolerance scales with the Ricci magnitude

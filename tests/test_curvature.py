@@ -11,6 +11,7 @@ from lbverify.curvature import (
     ricci_diagonal,
     ricci_diagonal_fd,
 )
+from lbverify.energy_conditions import condition_margins, stress_decompose
 from lbverify.errors import DomainError, ParameterDomainError, ResolutionError
 from lbverify.model import MetricSample, f_eval, metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
@@ -30,7 +31,6 @@ def test_flat_metric_has_zero_ricci():
     flat = MetricSample(
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(zero,) * 3, u_p=(zero,) * 3, u_pp=(zero,) * 3,
-        w=1.0,
     )
     assert ricci_diagonal(flat) == (0.0, 0.0, 0.0, 0.0)
 
@@ -105,9 +105,68 @@ def test_field_residual_detects_corruption():
         u=(s.u[0] * 1.01, s.u[1], s.u[2]),
         u_p=(s.u_p[0] * 1.01, s.u_p[1], s.u_p[2]),
         u_pp=(s.u_pp[0] * 1.01, s.u_pp[1], s.u_pp[2]),
-        w=s.w,
     )
     assert field_residual(corrupted, params.lam).max_abs > 1e-3
+
+
+@pytest.mark.parametrize("xi", (1e4, 1e8, 1e10))
+def test_field_residual_free_of_metric_rounding_at_large_xi(xi):
+    # e^u reaches about xi^(4/3) here.  The covariant residual R_mn - lambda
+    # g_mn carried its rounding (1.5e-8 at xi = 1e4, above the 1e-8 row
+    # tolerance); the mixed components contain no metric factor.
+    params, _ = params_from_xi(3.0, xi)
+    grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
+    assert field_residual(metric_eval(params, grid), params.lam).max_abs <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "form, r",
+    (("arctan", np.linspace(-2.0, 2.0, 65)), ("printed", np.linspace(-2.0, -0.1, 65))),
+    ids=("arctan", "printed"),
+)
+def test_mixed_components_match_covariant_on_distinct_axes(form, r):
+    # A deformed sample has three distinct exponent arrays, so the residual
+    # and the stresses go through one bracket per axis, not the shared one.
+    # Both must equal the covariant formulas divided by g_mm = (-e^u1, 1,
+    # e^u2, e^u3), assembled here from ricci_diagonal.
+    params, _ = params_from_xi(3.0, 1.0)
+    lam = params.lam
+    s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, form)
+    assert len({id(u_p) for u_p in s.u_p}) == 3
+    r_tt, r_rr, r_pp, r_zz = ricci_diagonal(s)
+    g_tt, g_pp, g_zz = -np.exp(s.u[0]), np.exp(s.u[1]), np.exp(s.u[2])
+
+    def close(got, covariant, g_mm):
+        want = covariant / g_mm
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), lam))
+
+    res = field_residual(s, lam)
+    close(res.res_tt, r_tt - lam * g_tt, g_tt)
+    close(res.res_rr, r_rr - lam - phi_prime_sq_constraint(s, lam), 1.0)
+    close(res.res_phiphi, r_pp - lam * g_pp, g_pp)
+    close(res.res_zz, r_zz - lam * g_zz, g_zz)
+
+    ricci_scalar = r_tt / g_tt + r_rr + r_pp / g_pp + r_zz / g_zz
+    stress = stress_decompose(s)
+    close(stress.rho, r_tt - 0.5 * ricci_scalar * g_tt, -g_tt)
+    close(stress.p_r, r_rr - 0.5 * ricci_scalar, 1.0)
+    close(stress.p_phi, r_pp - 0.5 * ricci_scalar * g_pp, g_pp)
+    close(stress.p_z, r_zz - 0.5 * ricci_scalar * g_zz, g_zz)
+    if form == "printed":
+        # Not a solution: the transverse null margin rho + p_phi = R^phi_phi
+        # - R^t_t is visibly nonzero on distinct axes.
+        assert np.max(np.abs(condition_margins(stress).nec_phi)) > 1e-3
+
+
+def test_transverse_null_margins_exactly_zero_on_shared_axes():
+    # rho + p_phi = R^phi_phi - R^t_t, and on a metric_eval sample the two
+    # mixed components are one array (all axes share u), so the transverse
+    # null margins are exact zeros there, not merely small.  Their energy
+    # rows keep auditing distinct-axis samples, as in the test above.
+    params, _ = params_from_xi(3.0, 0.7)
+    grid = np.linspace(-2.0, 2.0, 257)
+    margins = condition_margins(stress_decompose(metric_eval(params, grid)))
+    assert np.all(margins.nec_phi == 0.0) and np.all(margins.nec_z == 0.0)
 
 
 def test_ode_degenerate_interval():

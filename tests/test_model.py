@@ -13,6 +13,7 @@ from lbverify.model import (
     radial_bound,
     validate_constants,
     w_eval,
+    w_value,
 )
 from lbverify.numerics import central_diff, five_point_diffs
 
@@ -78,7 +79,7 @@ def test_negative_xi_gives_identical_metric():
     pos, _ = params_from_xi(3.0, 0.7)
     neg, _ = params_from_xi(3.0, -0.7)
     r = np.linspace(-2.0, 2.0, 64)
-    assert np.array_equal(metric_eval(pos, r).w, metric_eval(neg, r).w)
+    assert np.array_equal(w_value(pos, r), w_value(neg, r))
 
 
 def test_f_prime_vacuum_member():
@@ -152,24 +153,24 @@ def test_sample_f_is_half_exponent_sum():
 
 def test_w_unit_at_origin_for_vacuum_member():
     params, _ = params_from_xi(2.0, 0.0)
-    assert metric_eval(params, 0.0).w == pytest.approx(1.0, abs=1e-15)
+    assert w_value(params, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_w_at_origin_for_unit_xi():
     params, _ = params_from_xi(0.9, 1.0)
-    assert metric_eval(params, 0.0).w == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
+    assert w_value(params, 0.0) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("xi", (0.1, 0.7, 2.0))
 def test_w_at_origin_general(xi):
     params, _ = params_from_xi(3.0, xi)
-    assert metric_eval(params, 0.0).w == pytest.approx((1.0 + xi**2) ** (2.0 / 3.0), rel=1e-14)
+    assert w_value(params, 0.0) == pytest.approx((1.0 + xi**2) ** (2.0 / 3.0), rel=1e-14)
 
 
 def test_w_matches_exponential_of_u():
     params, _ = params_from_xi(3.0, 0.1)
-    s = metric_eval(params, 0.5)
-    assert abs(s.w - math.exp(s.u[0])) / s.w < 1e-12
+    s, w = metric_eval(params, 0.5), w_value(params, 0.5)
+    assert abs(w - math.exp(s.u[0])) / w < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -184,8 +185,8 @@ def test_w_through_log_xi_matches_exponential_of_u(xi, r):
     # xi^2 e^{6r/a} may overflow on these radii, so w is composed through
     # log|xi|; it must still agree with exp(u1) and raise no warning.
     params, _ = params_from_xi(3.0, xi)
-    s = metric_eval(params, r)
-    assert np.max(np.abs(s.w - np.exp(s.u[0])) / s.w) < 1e-12
+    s, w = metric_eval(params, r), w_value(params, r)
+    assert np.max(np.abs(w - np.exp(s.u[0])) / w) < 1e-12
 
 
 def _ulps(value, ref):
@@ -212,20 +213,34 @@ def test_log1p_exp_matches_logaddexp():
     assert np.max(_ulps(model._log1p_exp(dense), exact)) <= 2.0
 
 
-def test_metric_sample_g_is_exp_of_each_exponent():
-    from lbverify.curvature import alpha_deformation_sample
+def test_ricci_diagonal_is_exp_u_times_mixed_components():
+    from lbverify import curvature
 
     params, _ = params_from_xi(3.0, 0.5)
     r = np.linspace(-2.0, 0.5, 33)
     base = metric_eval(params, r)
-    # The three exponents are one array: one exponential serves every axis.
-    assert base.g[0] is base.g[1] is base.g[2]
-    deformed = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
+    deformed = curvature.alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
+    # The three exponents of a metric_eval sample are one array: one bracket
+    # serves every non-radial axis.  Distinct axes get brackets of their own.
+    r_tt, _, r_pp, r_zz = curvature._ricci_mixed(base)
+    assert r_tt is r_pp is r_zz
+    assert len({id(c) for c in curvature._ricci_mixed(deformed)}) == 4
     for s in (base, deformed):
-        assert s.g is s.g
-        for g_i, u_i in zip(s.g, s.u):
-            assert np.array_equal(g_i, np.exp(u_i))
-    assert len({id(g_i) for g_i in deformed.g}) == 3
+        r_tt, r_rr, r_pp, r_zz = curvature._ricci_mixed(s)
+        lowered = (-np.exp(s.u[0]) * r_tt, r_rr, np.exp(s.u[1]) * r_pp, np.exp(s.u[2]) * r_zz)
+        covariant = curvature.ricci_diagonal(s)
+        for got, want in zip(covariant, lowered):
+            assert np.array_equal(got, want)
+        # The covariant closed forms R_nn = g_nn (2 u_n'' + u_n' s) / 4,
+        # written out: the scaling by 1/4 is exact, so lowering the mixed
+        # components reproduces them bit for bit, and ricci-dual-path with
+        # them.
+        g1, g2, g3 = (np.exp(u) for u in s.u)
+        (u1p, u2p, u3p), (u1pp, u2pp, u3pp) = s.u_p, s.u_pp
+        total = u1p + u2p + u3p
+        assert np.array_equal(covariant[0], -0.25 * g1 * (2.0 * u1pp + u1p * total))
+        assert np.array_equal(covariant[2], 0.25 * g2 * (2.0 * u2pp + u2p * total))
+        assert np.array_equal(covariant[3], 0.25 * g3 * (2.0 * u3pp + u3p * total))
 
 
 def test_w_eval_never_evaluates_f_value(monkeypatch):
@@ -246,11 +261,14 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
     w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
     w_eval(params, 0.3)
     assert calls == []
+    w_value(params, 0.3)
+    assert calls == []
     s = metric_eval(params, np.linspace(-2.0, 2.0, 17))
     assert calls == ["_f_core", "_log1p_exp"]
-    assert np.allclose(w, s.w, rtol=1e-14, atol=0.0)
-    assert np.allclose(w_p, s.w * s.u_p[0], rtol=1e-14, atol=0.0)
-    assert np.allclose(w_pp, s.w * (s.u_pp[0] + s.u_p[0] ** 2), rtol=1e-14, atol=0.0)
+    s_w = w_value(params, s.r)
+    assert np.allclose(w, s_w, rtol=1e-14, atol=0.0)
+    assert np.allclose(w_p, s_w * s.u_p[0], rtol=1e-14, atol=0.0)
+    assert np.allclose(w_pp, s_w * (s.u_pp[0] + s.u_p[0] ** 2), rtol=1e-14, atol=0.0)
 
 
 def test_verify_block_evaluates_phi_constraint_once(monkeypatch):
@@ -271,12 +289,53 @@ def test_verify_block_evaluates_phi_constraint_once(monkeypatch):
     assert calls == [4096, 4096, 808]
 
 
+def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
+    # Energy blocks never read w.  Verify blocks read its value alone, once
+    # per block, through w_value and never through w_eval (which would also
+    # compute w' and w'').
+    calls = []
+    value = model._w_value
+
+    def counting(params, r, reach):
+        calls.append(np.size(r))
+        return value(params, r, reach)
+
+    def forbidden(*args):
+        raise AssertionError("w_eval called by a dense report")
+
+    monkeypatch.setattr(model, "_w_value", counting)
+    monkeypatch.setattr(model, "w_eval", forbidden)
+    suites.build_energy_report(12.0, 0.5, samples=9000)
+    assert calls == []
+    suites.build_verify_report(3.0, 1.0, samples=9000)
+    assert calls == [4096, 4096, 808]
+
+
+def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
+    from lbverify.curvature import field_residual
+    from lbverify.energy_conditions import stress_decompose
+
+    params, _ = params_from_xi(3.0, 1e10)
+    sample = metric_eval(params, np.linspace(-2.0, 2.0, 4096))
+    calls = []
+    exp = np.exp
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    assert field_residual(sample, params.lam).max_abs <= 1e-13
+    stress_decompose(sample)
+    assert calls == []
+
+
 def test_w_positive_everywhere():
     for lam in LAMBDAS:
         for xi in XIS:
             params, _ = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 1024)
-            assert np.min(metric_eval(params, grid).w) > 0.0
+            assert np.min(w_value(params, grid)) > 0.0
 
 
 @pytest.mark.parametrize("xi", (0.1, 0.5, 1.0, 2.0))

@@ -162,6 +162,35 @@ def test_cli_huge_xi_writes_nothing_to_stderr(argv, tmp_path, capsys):
     assert rows and all(math.isfinite(float(r["value"])) for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (["verify", "--xi", "1e4"], ["sweep", "--xi", "0:1e8:3", "--e-tilde", "2"]),
+    ids=("verify", "sweep"),
+)
+def test_cli_large_xi_field_residual_passes(argv, tmp_path):
+    # e^u reaches about xi^(4/3); a residual that carried its rounding
+    # failed here (1.5e-8 at xi = 1e4, 4.6e-5 and 6.1e-5 in the sweep).
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    assert cli.main([argv[0], "--lambda", "3", *argv[1:], "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    residuals = [float(r["value"]) for r in rows if r["check"] == "field-equation-residual"]
+    assert residuals and max(residuals) <= 1e-13
+
+
+@pytest.mark.parametrize("xi", ("1e5", "1e100"))
+def test_cli_verify_huge_xi_fails_only_the_dual_path(xi, tmp_path):
+    # The finite-difference Ricci oracle has a rounding floor that the row
+    # tolerance does not model yet; every other row passes.
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    assert cli.main(["verify", "--lambda", "3", "--xi", xi, "--out", str(out)]) == 1
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [r["check"] for r in rows if r["verdict"] == "fail"] == ["ricci-dual-path"]
+
+
 @pytest.mark.parametrize("lam", ("inf", "1e-320"))
 def test_cli_stability_rejects_unusable_lambda(lam):
     proc = run_cli("stability", "--lambda", lam)

@@ -5,7 +5,7 @@ import pytest
 
 from lbverify import scalar_field
 from lbverify.errors import DomainError
-from lbverify.model import MetricSample, metric_eval, params_from_xi
+from lbverify.model import MetricSample, metric_eval, params_from_xi, w_value
 from lbverify.scalar_field import (
     noether_charge,
     phi_accumulate,
@@ -82,7 +82,6 @@ def test_negative_constraint_is_flag_not_exception():
     fake = MetricSample(
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
-        w=1.0,
     )
     assert phi_prime_sq_constraint(fake, 3.0) == -3.0
 
@@ -115,7 +114,6 @@ def test_accumulate_domain_error_reports_interval(monkeypatch):
     bad = MetricSample(
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
-        w=1.0,
     )
     monkeypatch.setattr(scalar_field, "metric_eval", lambda p, r: bad)
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
@@ -156,7 +154,7 @@ def test_branch_sign_flip():
     prof_minus = scalar_profile(minus, metric_eval(minus, grid))
     assert np.allclose(prof_plus.phi, -prof_minus.phi, rtol=0, atol=1e-15)
     assert np.array_equal(prof_plus.phi_p_sq_constraint, prof_minus.phi_p_sq_constraint)
-    assert np.array_equal(metric_eval(plus, grid).w, metric_eval(minus, grid).w)
+    assert np.array_equal(w_value(plus, grid), w_value(minus, grid))
 
 
 def test_profile_phi_gauge_and_consistency():
