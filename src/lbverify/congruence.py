@@ -10,8 +10,9 @@ the tortoise coordinate, and the null expansion rate.
 Quoted numeric anchors (root values 0.377 / 1.178 and the radius factor
 0.0273) are never used as inputs; they live in comparison reports only.
 Turning points (w = E^2) are flags, not exceptions, in the expansion-rate
-evaluations: the divergence there is genuine, and scans exclude a relative
-guard band ``TURNING_GUARD_REL`` around them.
+evaluations: the divergence there is genuine, and ``kinematics_scan``, one
+pass over a grid for both congruences, excludes a relative guard band
+``TURNING_GUARD_REL`` around them.
 """
 
 from __future__ import annotations
@@ -66,12 +67,19 @@ class CongruenceConfig:
 
 
 @dataclass(frozen=True)
-class KinematicsSample:
-    r: float
-    theta: float
-    dtheta_dtau: float
-    channel: str
-    status: str  # "ok", "turning", "forbidden"
+class KinematicsScan:
+    """Timelike and null kinematics over a scan grid, one array per column.
+
+    status is "forbidden" where w > E^2, "turning" inside the guard band
+    |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere; theta,
+    dtheta_dtau (the timelike rate) and null_rate are NaN off the ok points.
+    """
+
+    r: np.ndarray
+    status: np.ndarray
+    theta: np.ndarray
+    dtheta_dtau: np.ndarray
+    null_rate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -439,23 +447,6 @@ def null_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
     return _null_rate(w, w_p, w_pp, e2)
 
 
-def _scan_profile(params: SolutionParams, cfg: CongruenceConfig, r_grid):
-    """(r, status, ok, (w, w', w'') at the ok points) from one ``w_eval`` over a scan grid.
-
-    status is "forbidden" where w > E^2, "turning" inside the guard band
-    |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere.  The closed
-    forms are only evaluated on the ok profile: at forbidden points w may be
-    large enough for its powers to overflow.
-    """
-    r = np.asarray(r_grid, dtype=float)
-    w, w_p, w_pp = w_eval(params, r)
-    e2 = cfg.e_tilde**2
-    turning = np.abs(e2 - w) < TURNING_GUARD_REL * e2
-    status = np.where(w > e2, "forbidden", np.where(turning, "turning", "ok"))
-    ok = status == "ok"
-    return r, status, ok, (w[ok], w_p[ok], w_pp[ok])
-
-
 def _at_ok(ok, values) -> np.ndarray:
     """An array over the scan grid holding ``values`` at the ok points and NaN elsewhere."""
     out = np.full(ok.shape, np.nan)
@@ -463,33 +454,27 @@ def _at_ok(ok, values) -> np.ndarray:
     return out
 
 
-def _samples(r, theta, rate, channel: str, status) -> list[KinematicsSample]:
-    rows = zip(r.tolist(), theta.tolist(), rate.tolist(), status.tolist())
-    return [KinematicsSample(r_i, theta_i, rate_i, channel, s) for r_i, theta_i, rate_i, s in rows]
+def kinematics_scan(params: SolutionParams, cfg: CongruenceConfig, r_grid) -> KinematicsScan:
+    """Expansion, its proper-time rate and the null rate over a grid, with statuses.
 
-
-def null_rate_sign_scan(
-    params: SolutionParams, cfg: CongruenceConfig, r_grid
-) -> list[KinematicsSample]:
-    """Per-point sign map of the null rate over a grid.
-
-    Radii in the forbidden region or inside the turning-point guard band are
-    carried with the matching status and NaN values.
+    One ``w_eval`` serves both congruences.  The closed forms are only
+    evaluated at ok points: at forbidden points w may be large enough for
+    its powers to overflow.
     """
-    r, status, ok, (w, w_p, w_pp) = _scan_profile(params, cfg, r_grid)
-    rate = _at_ok(ok, _null_rate(w, w_p, w_pp, cfg.e_tilde**2))
-    return _samples(r, np.full_like(r, np.nan), rate, "null", status)
-
-
-def timelike_scan(
-    params: SolutionParams, cfg: CongruenceConfig, r_grid
-) -> list[KinematicsSample]:
-    """Expansion and proper-time rate over a grid, with the same statuses."""
-    r, status, ok, (w, w_p, w_pp) = _scan_profile(params, cfg, r_grid)
+    r = np.asarray(r_grid, dtype=float)
+    w, w_p, w_pp = w_eval(params, r)
     e2 = cfg.e_tilde**2
-    theta = _at_ok(ok, _theta(w, w_p, e2, cfg.direction))
-    rate = _at_ok(ok, _rate(w, w_p, w_pp, e2))
-    return _samples(r, theta, rate, "timelike", status)
+    turning = np.abs(e2 - w) < TURNING_GUARD_REL * e2
+    status = np.where(w > e2, "forbidden", np.where(turning, "turning", "ok"))
+    ok = status == "ok"
+    w, w_p, w_pp = w[ok], w_p[ok], w_pp[ok]
+    return KinematicsScan(
+        r=r,
+        status=status,
+        theta=_at_ok(ok, _theta(w, w_p, e2, cfg.direction)),
+        dtheta_dtau=_at_ok(ok, _rate(w, w_p, w_pp, e2)),
+        null_rate=_at_ok(ok, _null_rate(w, w_p, w_pp, e2)),
+    )
 
 
 def focusing_sign_map(b_values) -> dict[float, tuple[np.ndarray, np.ndarray]]:

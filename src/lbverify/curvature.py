@@ -35,25 +35,21 @@ import numpy as np
 from .errors import DomainError, ParameterDomainError, ResolutionError
 from .model import MetricSample, SolutionParams, f_eval, metric_eval
 from .numerics import central_diff, five_point_diffs, rk4
-from .scalar_field import phi_prime_sq_constraint
 
 
 @dataclass(frozen=True)
 class FieldResidual:
     """Componentwise residual of the field equations at one radius (or grid).
 
-    The res_* fields are mixed components R^m_m - lambda - phi'^2 delta^m_r,
-    free of any metric factor.  phi_p_sq is the rr-constraint phi'^2 that
-    the residual subtracts, kept so that callers do not evaluate it again.
+    The res_* fields are the non-radial mixed components R^m_m - lambda,
+    free of any metric factor; ``field_residual`` says why rr has none.
     """
 
     r: float | np.ndarray
     res_tt: float | np.ndarray
-    res_rr: float | np.ndarray
     res_phiphi: float | np.ndarray
     res_zz: float | np.ndarray
     max_abs: float
-    phi_p_sq: float | np.ndarray
 
 
 def _ricci_mixed(sample: MetricSample):
@@ -115,22 +111,26 @@ def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
 
 
 def field_residual(sample: MetricSample, lam: float) -> FieldResidual:
-    """Residual R^m_n - lambda delta^m_n - phi'^2 delta^m_r delta^r_n for an
+    """Residual R^m_n - lambda delta^m_n of the t, phi and z axes for an
     arbitrary sample.
 
-    phi'^2 is taken from the rr constraint, so the rr component vanishes by
-    construction; the content of the check sits in the tt/phi/z components.
-    Shared axes share one residual array, reduced once.
+    The rr equation R^r_r - lambda = phi'^2 is not checked: it is what
+    defines phi'^2 (``phi_prime_sq_constraint``), which is built from the
+    same sums as R^r_r and differs from R^r_r - lambda only by the exact
+    scalings 1/2 and 1/4, so its residual is bitwise 0 on any sample,
+    barring under/overflow.  Shared axes share one residual array, reduced
+    once.
     """
-    r_tt, r_rr, r_pp, r_zz = _ricci_mixed(sample)
-    phi_p_sq = phi_prime_sq_constraint(sample, lam)
-    shared = r_pp is r_tt and r_zz is r_tt
+    r_tt, _, r_pp, r_zz = _ricci_mixed(sample)
     res_tt = r_tt - lam
-    res_pp, res_zz = (res_tt, res_tt) if shared else (r_pp - lam, r_zz - lam)
-    res_rr = r_rr - lam - phi_p_sq
-    checked = (res_tt, res_rr) if shared else (res_tt, res_rr, res_pp, res_zz)
+    if r_pp is r_tt and r_zz is r_tt:
+        res_pp = res_zz = res_tt
+        checked = (res_tt,)
+    else:
+        res_pp, res_zz = r_pp - lam, r_zz - lam
+        checked = (res_tt, res_pp, res_zz)
     max_abs = float(np.max([np.abs(res).max() for res in checked]))
-    return FieldResidual(sample.r, res_tt, res_rr, res_pp, res_zz, max_abs, phi_p_sq)
+    return FieldResidual(sample.r, res_tt, res_pp, res_zz, max_abs)
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):

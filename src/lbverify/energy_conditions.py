@@ -75,24 +75,32 @@ def stress_decompose(sample: MetricSample) -> FrameStress:
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:
-    """Pure arithmetic margins of the four classical conditions."""
+    """Pure arithmetic margins of the four classical conditions.
+
+    When p_z is p_phi, as on every ``metric_eval`` sample, the z margins
+    are the phi margin objects.
+    """
     rho = stress.rho
+    nec_phi, dec_phi = rho + stress.p_phi, rho - np.abs(stress.p_phi)
+    shared = stress.p_z is stress.p_phi
     return ConditionMargins(
         nec_r=rho + stress.p_r,
-        nec_phi=rho + stress.p_phi,
-        nec_z=rho + stress.p_z,
+        nec_phi=nec_phi,
+        nec_z=nec_phi if shared else rho + stress.p_z,
         wec_extra=rho,
         sec=rho + stress.p_r + stress.p_phi + stress.p_z,
         dec_r=rho - np.abs(stress.p_r),
-        dec_phi=rho - np.abs(stress.p_phi),
-        dec_z=rho - np.abs(stress.p_z),
+        dec_phi=dec_phi,
+        dec_z=dec_phi if shared else rho - np.abs(stress.p_z),
     )
 
 
 def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
     """Minimum margin of each condition; every one includes the NEC minimum."""
-    nec = np.minimum(np.minimum(margins.nec_r, margins.nec_phi), margins.nec_z)
-    dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
+    nec = np.minimum(margins.nec_r, margins.nec_phi)
+    dec = np.minimum(margins.dec_r, margins.dec_phi)
+    if margins.nec_z is not margins.nec_phi:  # ``condition_margins`` shares both or neither
+        nec, dec = np.minimum(nec, margins.nec_z), np.minimum(dec, margins.dec_z)
     return {
         "NEC": nec,
         "WEC": np.minimum(nec, margins.wec_extra),

@@ -81,8 +81,7 @@ def build_verify_report(
         sum_up = sample.u_p[0] + sample.u_p[1] + sample.u_p[2]
         eq_three = 2.0 * sample.u_pp[0] + sample.u_p[0] * sum_up - 4.0 * lam
         fold["exponent-system-residual"].append(_max_abs(eq_three))
-        residual = field_residual(sample, lam)
-        fold["field-equation-residual"].append(residual.max_abs)
+        fold["field-equation-residual"].append(field_residual(sample, lam).max_abs)
         log_j = scalar_field.log_noether(params, sample)
         if xi != 0.0:
             # J / |xi| is O(1) for every xi; the constancy ratio is scale-free.
@@ -92,7 +91,7 @@ def build_verify_report(
             fold["noether-sum"].append(np.sum(j))
         else:
             fold["noether-zero"].append(_max_abs(np.exp(log_j)))
-        constraint = residual.phi_p_sq
+        constraint = scalar_field.phi_prime_sq_constraint(sample, lam)
         quoted = scalar_field.phi_prime_sq_quoted(sample, lam)
         fold["scalar-gradient-sq-min"].append(np.min(constraint))
         fold["w-positivity-min"].append(np.min(model.w_value(params, sample.r)))
@@ -193,8 +192,10 @@ def build_energy_report(
     for sample in _grid_samples(params, grid):
         margins = ec.condition_margins(ec.stress_decompose(sample))
         phi_sq = scalar_field.phi_prime_sq_constraint(sample, lam)
-        fold["transverse-null-margin-phi"].append(_max_abs(margins.nec_phi))
-        fold["transverse-null-margin-z"].append(_max_abs(margins.nec_z))
+        nec_phi = _max_abs(margins.nec_phi)
+        nec_z = nec_phi if margins.nec_z is margins.nec_phi else _max_abs(margins.nec_z)
+        fold["transverse-null-margin-phi"].append(nec_phi)
+        fold["transverse-null-margin-z"].append(nec_z)
         fold["strong-margin-constant"].append(_max_abs(margins.sec + 2.0 * lam))
         fold["radial-null-vs-gradient-sq"].append(_max_abs(margins.nec_r - phi_sq))
         fold["radial-null-margin-min"].append(np.min(margins.nec_r))
@@ -240,12 +241,11 @@ def build_congruence_report(
     loc = _loc(r_min, r_max, scan_samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
-    scan = cg.timelike_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
-    admissible = [s for s in scan if s.status == "ok"]
-    rpt.add("timelike-admissible-points", loc, float(len(admissible)), 0.0, "pass")
-    r = np.array([s.r for s in admissible])
-    theta = np.array([s.theta for s in admissible])
-    rate = np.array([s.dtheta_dtau for s in admissible])
+    # One scan feeds the timelike rows and the null rows below.
+    scan = cg.kinematics_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
+    ok = scan.status == "ok"
+    r, theta, rate = scan.r[ok], scan.theta[ok], scan.dtheta_dtau[ok]
+    rpt.add("timelike-admissible-points", loc, float(r.size), 0.0, "pass")
 
     e2 = cfg.e_tilde**2
     w = model.w_eval(params, r)[0]
@@ -268,19 +268,18 @@ def build_congruence_report(
     rpt.add_check("rate-chain-rule-rel", loc, chain_err, 1e-5)
     rpt.add_check("expansion-covariant-divergence", loc, div_err, 1e-6)
 
-    if admissible:
-        mid = admissible[len(admissible) // 2]
-        other = admissible[len(admissible) // 4]
-        if mid.r != other.r:
-            # The central difference of the potential at mid.r, both
-            # stencil ends in one quadrature call.
-            h = fd_step(mid.r)
-            ahead, behind = cg.hypersurface_potential(params, cfg, other.r, np.array([mid.r + h, mid.r - h]))
+    if r.size:
+        mid, other = float(r[r.size // 2]), float(r[r.size // 4])
+        if mid != other:
+            # The central difference of the potential at mid, both stencil
+            # ends in one quadrature call.
+            h = fd_step(mid)
+            ahead, behind = cg.hypersurface_potential(params, cfg, other, np.array([mid + h, mid - h]))
             pot_grad = (ahead - behind) / (2.0 * h)
             rpt.add_check(
                 "potential-gradient-covector",
-                f"r={mid.r:.9g}",
-                abs(pot_grad + cg.four_velocity(params, cfg, mid.r)[1]),
+                f"r={mid:.9g}",
+                abs(pot_grad + cg.four_velocity(params, cfg, mid)[1]),
                 1e-6,
             )
 
@@ -341,17 +340,14 @@ def build_congruence_report(
     for root in candidates.from_w:
         rpt.add("radius-w-channel", f"X={cg.QUOTED_FOCUSING_ROOTS[1]:.9g}", root, 0.0, "pass")
 
-    null_scan = cg.null_rate_sign_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
-    ok = [s for s in null_scan if s.status == "ok"]
-    violations = [s for s in ok if s.dtheta_dtau >= 0.0]
-    rpt.add_comparison("null-rate-nonnegative-cells", loc, float(len(violations)), 0.0)
-    for s in violations[:16]:
-        rpt.add("null-rate-violation", f"r={s.r:.9g}", s.dtheta_dtau, 0.0, "discrepancy-logged")
+    null_rate = scan.null_rate[ok]
+    violation = null_rate >= 0.0
+    rpt.add_comparison("null-rate-nonnegative-cells", loc, float(np.count_nonzero(violation)), 0.0)
+    for r_v, rate_v in zip(r[violation][:16].tolist(), null_rate[violation][:16].tolist()):
+        rpt.add("null-rate-violation", f"r={r_v:.9g}", rate_v, 0.0, "discrepancy-logged")
     if xi == 0.0:
-        r_ok = np.array([s.r for s in ok])
-        rate_ok = np.array([s.dtheta_dtau for s in ok])
-        expected_rate = -(2.0 / params.a**2) * np.sqrt(e2 - model.w_eval(params, r_ok)[0])
-        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(rate_ok - expected_rate), 1e-9)
+        expected_rate = -(2.0 / params.a**2) * np.sqrt(e2 - w)
+        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(null_rate - expected_rate), 1e-9)
     return rpt
 
 
@@ -418,7 +414,7 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         rpt.add_check("strong-margin-constant", tag, float(np.max(np.abs(margins.sec + 2.0 * lam))), 1e-8)
         if abs(e_tilde) >= 1.0:
             cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-            null_scan = cg.null_rate_sign_scan(params, cfg, grid)
-            violations = sum(1 for s in null_scan if s.status == "ok" and s.dtheta_dtau >= 0.0)
+            # NaN off the ok points, so only ok points can count.
+            violations = np.count_nonzero(cg.kinematics_scan(params, cfg, grid).null_rate >= 0.0)
             rpt.add_comparison("null-rate-nonnegative-cells", tag, float(violations), 0.0)
     return rpt

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lbverify import congruence
+from lbverify import congruence, suites
 from lbverify.congruence import (
     CongruenceConfig,
     QUOTED_FOCUSING_ROOTS,
@@ -18,10 +19,9 @@ from lbverify.congruence import (
     focusing_sign_map,
     four_velocity,
     hypersurface_potential,
+    kinematics_scan,
     null_rate,
-    null_rate_sign_scan,
     radius_candidates,
-    timelike_scan,
     tortoise_quadrature,
     tortoise_series,
 )
@@ -446,26 +446,26 @@ def test_null_rate_forbidden(unit_xi):
 
 
 def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
-    scan = null_rate_sign_scan(vacuum, OUT2, np.linspace(-0.6, 2.0, 257))
-    ok = [s for s in scan if s.status == "ok"]
-    assert ok
-    assert all(s.dtheta_dtau < 0.0 for s in ok)
+    scan = kinematics_scan(vacuum, OUT2, np.linspace(-0.6, 2.0, 257))
+    ok = scan.status == "ok"
+    assert ok.any()
+    assert np.all(scan.null_rate[ok] < 0.0)
 
 
 @pytest.mark.parametrize("xi", (0.5, 1.0))
 def test_null_sign_scan_violations_itemized(xi):
     params, _ = params_from_xi(3.0, xi)
-    scan = null_rate_sign_scan(params, OUT2, np.linspace(-2.0, 2.0, 257))
-    ok = [s for s in scan if s.status == "ok"]
-    violations = [s for s in ok if s.dtheta_dtau >= 0.0]
-    assert violations, "expected sign violations of the always-negative claim"
+    scan = kinematics_scan(params, OUT2, np.linspace(-2.0, 2.0, 257))
+    ok = scan.null_rate[scan.status == "ok"]
+    violations = ok[ok >= 0.0]
+    assert violations.size, "expected sign violations of the always-negative claim"
     # The bracket changes sign where 12 p = (p - 1)^2, p = xi^2 e^{6r/a}.
-    assert any(s.dtheta_dtau > 0.1 for s in violations)
+    assert np.any(violations > 0.1)
 
 
 def test_scan_statuses(unit_xi):
-    scan = null_rate_sign_scan(unit_xi, OUT2, np.linspace(-2.0, 2.0, 65))
-    statuses = {s.status for s in scan}
+    scan = kinematics_scan(unit_xi, OUT2, np.linspace(-2.0, 2.0, 65))
+    statuses = set(scan.status.tolist())
     assert "forbidden" in statuses and "ok" in statuses
 
 
@@ -480,11 +480,10 @@ def test_array_scans_match_scalar_point_functions(xi):
     # The grid includes the turning points w = E^2 themselves.
     turning = radius_candidates(params, e2).from_w
     grid = np.sort(np.concatenate([np.linspace(-2.0 * params.a, 2.0 * params.a, 257), turning]))
-    timelike = timelike_scan(params, OUT2, grid)
-    null = null_rate_sign_scan(params, OUT2, grid)
+    scan = kinematics_scan(params, OUT2, grid)
     seen = set()
-    for r, t, n in zip(grid.tolist(), timelike, null):
-        assert t.r == n.r == r
+    for i, r in enumerate(grid.tolist()):
+        assert scan.r[i] == r
         w = float(w_eval(params, r)[0])
         if w > e2:
             expected = "forbidden"
@@ -495,22 +494,42 @@ def test_array_scans_match_scalar_point_functions(xi):
             expected = "turning"
         else:
             expected = "ok"
-        assert t.status == n.status == expected
+        assert scan.status[i] == expected
         seen.add(expected)
         if expected == "ok":
-            assert _rel_close(t.theta, expansion_timelike(params, OUT2, r), 1e-12)
-            assert _rel_close(t.dtheta_dtau, expansion_rate(params, OUT2, r), 1e-12)
-            assert _rel_close(n.dtheta_dtau, null_rate(params, OUT2, r), 1e-12)
+            assert _rel_close(scan.theta[i], expansion_timelike(params, OUT2, r), 1e-12)
+            assert _rel_close(scan.dtheta_dtau[i], expansion_rate(params, OUT2, r), 1e-12)
+            assert _rel_close(scan.null_rate[i], null_rate(params, OUT2, r), 1e-12)
         else:
-            assert math.isnan(t.theta) and math.isnan(t.dtheta_dtau) and math.isnan(n.dtheta_dtau)
-        assert math.isnan(n.theta)
+            assert math.isnan(scan.theta[i]) and math.isnan(scan.dtheta_dtau[i])
+            assert math.isnan(scan.null_rate[i])
     assert seen == {"forbidden", "turning", "ok"}
 
 
 def test_scans_of_empty_grid():
     params, _ = params_from_xi(3.0, 1.0)
-    assert timelike_scan(params, OUT2, np.array([])) == []
-    assert null_rate_sign_scan(params, OUT2, np.array([])) == []
+    scan = kinematics_scan(params, OUT2, np.array([]))
+    assert all(getattr(scan, field.name).size == 0 for field in dataclasses.fields(scan))
+
+
+def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
+    # The timelike and null rows of a congruence report read one scan of
+    # one grid; a sweep scans each point with |E| >= 1 and none below.
+    calls = []
+    scan = congruence.kinematics_scan
+
+    def counting(params, cfg, r_grid):
+        calls.append((cfg.e_tilde, np.size(r_grid)))
+        return scan(params, cfg, r_grid)
+
+    monkeypatch.setattr(congruence, "kinematics_scan", counting)
+    suites.build_congruence_report(3.0, 1.0, 2.0)
+    assert calls == [(2.0, 257)]
+    calls.clear()
+    suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65)
+    assert calls == [(-2.0, 65), (2.0, 65)] * 2
+    for name in ("KinematicsSample", "timelike_scan", "null_rate_sign_scan"):
+        assert not hasattr(congruence, name)
 
 
 def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):

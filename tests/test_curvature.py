@@ -142,7 +142,7 @@ def test_mixed_components_match_covariant_on_distinct_axes(form, r):
 
     res = field_residual(s, lam)
     close(res.res_tt, r_tt - lam * g_tt, g_tt)
-    close(res.res_rr, r_rr - lam - phi_prime_sq_constraint(s, lam), 1.0)
+    close(phi_prime_sq_constraint(s, lam), r_rr - lam, 1.0)
     close(res.res_phiphi, r_pp - lam * g_pp, g_pp)
     close(res.res_zz, r_zz - lam * g_zz, g_zz)
 
@@ -156,6 +156,21 @@ def test_mixed_components_match_covariant_on_distinct_axes(form, r):
         # Not a solution: the transverse null margin rho + p_phi = R^phi_phi
         # - R^t_t is visibly nonzero on distinct axes.
         assert np.max(np.abs(condition_margins(stress).nec_phi)) > 1e-3
+
+
+@pytest.mark.parametrize("deformed", (False, True), ids=("metric_eval", "arctan"))
+def test_field_residual_max_is_over_tt_phi_z(deformed):
+    # The rr residual R^r_r - lambda - phi'^2 is bitwise zero by
+    # construction, so max_abs reduces the three other axes alone.
+    params, _ = params_from_xi(3.0, 1.0)
+    r = np.linspace(-2.0, 2.0, 65)
+    s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan") if deformed else metric_eval(params, r)
+    res = field_residual(s, params.lam)
+    assert not hasattr(res, "res_rr")
+    r_rr = ricci_diagonal(s)[1]
+    assert np.all(r_rr - params.lam - phi_prime_sq_constraint(s, params.lam) == 0.0)
+    axes = (res.res_tt, res.res_phiphi, res.res_zz)
+    assert res.max_abs == max(float(np.max(np.abs(res_m))) for res_m in axes)
 
 
 def test_transverse_null_margins_exactly_zero_on_shared_axes():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lbverify import energy_conditions
+from lbverify.curvature import alpha_deformation_sample
 from lbverify.energy_conditions import (
     CONDITIONS,
     HOLD_TOL,
@@ -69,6 +70,24 @@ def test_margin_arithmetic():
     assert bool(held["NEC"])
     assert bool(held["SEC"])
     assert bool(held["DEC"])
+
+
+def test_z_margins_shared_only_when_p_z_is_p_phi():
+    params, _ = params_from_xi(3.0, 1.0)
+    r = np.linspace(-2.0, 2.0, 65)
+    shared = condition_margins(stress_decompose(metric_eval(params, r)))
+    assert shared.nec_z is shared.nec_phi and shared.dec_z is shared.dec_phi
+    # Distinct axes keep z margins of their own, and the minima read them:
+    # on this non-solution only the z margins fail.
+    r = np.linspace(-2.0, -0.1, 65)
+    stress = stress_decompose(alpha_deformation_sample(params, (0.2, -0.5, 0.3), r, "printed"))
+    margins = condition_margins(stress)
+    assert np.array_equal(margins.nec_z, stress.rho + stress.p_z)
+    assert np.array_equal(margins.dec_z, stress.rho - np.abs(stress.p_z))
+    assert np.all(np.minimum(margins.nec_r, margins.nec_phi) >= -HOLD_TOL)
+    assert np.all(np.minimum(margins.dec_r, margins.dec_phi) >= -HOLD_TOL)
+    held = hold_masks(margins)
+    assert not held["NEC"].any() and not held["DEC"].any()
 
 
 def test_sec_margin_constant_in_radius():

@@ -272,10 +272,8 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
 
 
 def test_verify_block_evaluates_phi_constraint_once(monkeypatch):
-    # field_residual hands its phi'^2 to the verify block, which reads it
-    # instead of evaluating the constraint a second time.
-    from lbverify import curvature
-
+    # The verify block evaluates the constraint once and field_residual,
+    # which checks no rr component, not at all.
     calls = []
     original = scalar_field.phi_prime_sq_constraint
 
@@ -284,7 +282,6 @@ def test_verify_block_evaluates_phi_constraint_once(monkeypatch):
         return original(sample, lam)
 
     monkeypatch.setattr(scalar_field, "phi_prime_sq_constraint", counting)
-    monkeypatch.setattr(curvature, "phi_prime_sq_constraint", counting)
     suites.build_verify_report(3.0, 1.0, samples=9000)
     assert calls == [4096, 4096, 808]
 
