@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .errors import LBVerifyError
@@ -71,24 +72,26 @@ _parser = functools.cache(build_parser)
 
 
 def _validate_window(args) -> None:
-    if getattr(args, "r_min", None) is not None and getattr(args, "r_max", None) is not None:
-        if not args.r_min < args.r_max:
-            raise LBVerifyError(f"r-min must be < r-max, got [{args.r_min}, {args.r_max}]")
+    """The window and density rules of every subcommand that has them."""
+    r_min, r_max = getattr(args, "r_min", None), getattr(args, "r_max", None)
+    for name, bound in (("r-min", r_min), ("r-max", r_max)):
+        if bound is not None and not math.isfinite(bound):
+            raise LBVerifyError(f"{name} must be finite, got {bound}")
+    if r_min is not None and r_max is not None and not r_min < r_max:
+        raise LBVerifyError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
     if getattr(args, "samples", 2) < 2:
         raise LBVerifyError(f"samples must be >= 2, got {args.samples}")
 
 
 def _build_report(args) -> Report:
+    _validate_window(args)
     if args.subcommand == "verify":
-        _validate_window(args)
         return build_verify_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
     if args.subcommand == "stability":
         return build_stability_report(args.lam)
     if args.subcommand == "energy":
-        _validate_window(args)
         return build_energy_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
     if args.subcommand == "congruence":
-        _validate_window(args)
         if args.e_tilde is None:
             raise LBVerifyError("congruence requires --e-tilde")
         if args.b is not None and not 0.0 <= args.b <= 0.5:
@@ -97,7 +100,6 @@ def _build_report(args) -> Report:
             args.lam, args.xi, args.e_tilde, args.r_min, args.r_max, args.samples, args.b
         )
     if args.subcommand == "tortoise":
-        _validate_window(args)
         return build_tortoise_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
     if args.subcommand == "sweep":
         return build_sweep_report(str(args.lam), str(args.xi), str(args.e_tilde), args.samples)

@@ -3,16 +3,17 @@
 
 Covers the 4-velocity of marginally bound radial geodesics, the potential
 whose gradient they follow, the expansion scalar and its proper-time rate
-(evaluated both directly from w and via the quoted closed form in the scaled
-variables x = w/E^2, b = |xi/E|), the focusing polynomial and its root scan,
-the tortoise coordinate, and the null expansion rate.
+(in closed form from w and its derivatives, and in the quoted form in the
+scaled variables x = w/E^2, b = |xi/E|), the focusing polynomial and its
+root scan, the tortoise coordinate, and the null expansion rate.
 
 Quoted numeric anchors (root values 0.377 / 1.178 and the radius factor
 0.0273) are never used as inputs; they live in comparison reports only.
 Turning points (w = E^2) are flags, not exceptions, in the expansion-rate
 evaluations: the divergence there is genuine, and ``kinematics_scan``, one
 pass over a grid for both congruences, excludes a relative guard band
-``TURNING_GUARD_REL`` around them.
+``TURNING_GUARD_REL`` around them.  Its columns, w included, are what a
+report reads on the scan grid.
 """
 
 from __future__ import annotations
@@ -70,25 +71,18 @@ class CongruenceConfig:
 class KinematicsScan:
     """Timelike and null kinematics over a scan grid, one array per column.
 
+    w is the profile at every radius, which the statuses are read from:
     status is "forbidden" where w > E^2, "turning" inside the guard band
     |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere; theta,
     dtheta_dtau (the timelike rate) and null_rate are NaN off the ok points.
     """
 
     r: np.ndarray
+    w: np.ndarray
     status: np.ndarray
     theta: np.ndarray
     dtheta_dtau: np.ndarray
     null_rate: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScaledRateComparison:
-    """Quoted-closed-form versus direct focusing rate over a grid of radii."""
-
-    quoted: np.ndarray
-    direct: np.ndarray
-    difference: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,41 +137,27 @@ def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: float, r1):
+def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: float, r1: float) -> float:
     """Radial part of the potential the congruence is orthogonal to.
 
     Normalized so that the full potential is E * t + (this value) and the
     covector relation u_alpha = -d_alpha(potential) holds; the gauge is
-    potential(r0) = 0.  Elementwise over an array ``r1``: every interval
-    [r0, r1_i] without a turning end is integrated by one ``adaptive_simpson``
-    call, which gives each the value of its own scalar call.  An endpoint at
-    a turning point is handled, one interval at a time, with the
-    substitution r = end + step * s^2 from the turning end, with step = +/-1
-    pointing to the other end, which removes the square-root cusp.  The
-    quadrature's absolute tolerance is 1e-10.
+    potential(r0) = 0.  One ``adaptive_simpson`` call integrates
+    sqrt(E^2/w - 1) over [r0, r1] (either orientation) to an absolute 1e-10.
+    An endpoint at a turning point is integrated with the substitution
+    r = end + step * s^2 from the turning end, with step = +/-1 pointing to
+    the other end, which removes the square-root cusp; an interval with two
+    turning ends is split at its midpoint.
     """
-    r1 = np.asarray(r1, dtype=float)
-    ends = r1.ravel()
+    if r1 == r0:
+        return 0.0
     e2 = cfg.e_tilde**2
-    turning = np.abs(e2 - w_eval(params, np.append(r0, ends))[0]) <= 1e-9 * e2
-    moving = ends != r0
-    plain = moving & ~turning[0] & ~turning[1:]
-    potential = np.zeros(ends.size)
-    if plain.any():
-        g = lambda r: _sqrt_integrand(params, cfg, r)
-        potential[plain] = -cfg.direction * adaptive_simpson(g, r0, ends[plain], 1e-10)
-    for i in np.flatnonzero(moving & ~plain):
-        potential[i] = _turning_end_potential(params, cfg, r0, float(ends[i]), turning[0], turning[1 + i])
-    return float(potential[0]) if r1.ndim == 0 else potential.reshape(r1.shape)
-
-
-def _turning_end_potential(
-    params: SolutionParams, cfg: CongruenceConfig, r0: float, r1: float, turn0: bool, turn1: bool
-) -> float:
-    """``hypersurface_potential`` over one interval [r0, r1] with a turning end."""
+    turn0, turn1 = np.abs(e2 - w_eval(params, np.array([r0, r1]))[0]) <= 1e-9 * e2
     if turn0 and turn1:
         mid = 0.5 * (r0 + r1)
         return hypersurface_potential(params, cfg, r0, mid) + hypersurface_potential(params, cfg, mid, r1)
+    if not (turn0 or turn1):
+        return -cfg.direction * adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
     sgn = 1.0 if r1 > r0 else -1.0
     end, step = (r1, -sgn) if turn1 else (r0, sgn)
     integral = sgn * adaptive_simpson(
@@ -255,13 +235,6 @@ def expansion_rate(params: SolutionParams, cfg: CongruenceConfig, r):
     return _rate(w, w_p, w_pp, e2)
 
 
-def _scaled_vars(params: SolutionParams, cfg: CongruenceConfig, w):
-    """x = w/E^2, b = |xi/E| and y^2 = x^6 - 4 b^2 x^3."""
-    x = w / cfg.e_tilde**2
-    b = abs(params.xi / cfg.e_tilde)
-    return x, b, x**6 - 4.0 * b * b * x**3
-
-
 def focusing_polynomial(x, b: float):
     """The quoted rational form in (x, y(x, b)) whose sign decides focusing.
 
@@ -300,34 +273,23 @@ def focusing_polynomial_reduced(x: float) -> float:
     return (54.0 * x * x - 91.0 * x + 40.0) / 6.0
 
 
-def _quoted_rate(lam: float, poly, x):
-    """(lambda/2) * poly / (x (1 - x)); at x = 1 the IEEE quotient is the flag."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(0.5 * lam * poly, x * (1.0 - x))
+def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
+    """The quoted closed form (lambda/2) * poly / (x (1 - x)) of d theta / d tau.
 
-
-def expansion_rate_scaled_scan(
-    params: SolutionParams, cfg: CongruenceConfig, r_grid
-) -> ScaledRateComparison:
-    """Quoted closed form (lambda/2) * poly / (x (1 - x)) next to the direct rate.
-
-    Elementwise over a grid of allowed radii, in the scaled variables
-    x = w/E^2, b = |xi/E|, y^2 = x^6 - 4 b^2 x^3.  Where y^2 < 0 (outside the
-    quoted domain) the quoted value and the difference are NaN.  At x = 1 the
-    quoted form diverges through 1/(1 - x) exactly where the direct rate
-    diverges through the turning point, and both come back as inf flags.
-    Raises ForbiddenRegionError if any radius has w > E^2.
+    Elementwise over profile values w <= E^2, in the scaled variables
+    x = w/E^2, b = |xi/E|, y^2 = x^6 - 4 b^2 x^3.  Where y^2 < 0 (outside
+    the quoted domain) the value is NaN.  At x = 1 the form diverges through
+    1/(1 - x) exactly where ``expansion_rate`` diverges through the turning
+    point, and the IEEE quotient comes back as an inf flag.
     """
-    r = np.asarray(r_grid, dtype=float)
-    w, w_p, w_pp = w_eval(params, r)
-    e2 = cfg.e_tilde**2
-    _require_allowed(w, e2, r)
-    x, b, y_sq = _scaled_vars(params, cfg, w)
-    inside = y_sq >= 0.0
-    quoted = np.full_like(r, np.nan)
-    quoted[inside] = _quoted_rate(params.lam, focusing_polynomial(x[inside], b), x[inside])
-    direct = _rate(w, w_p, w_pp, e2)
-    return ScaledRateComparison(quoted=quoted, direct=direct, difference=quoted - direct)
+    x = np.asarray(w, dtype=float) / cfg.e_tilde**2
+    b = abs(params.xi / cfg.e_tilde)
+    inside = x**6 - 4.0 * b * b * x**3 >= 0.0
+    x_in = x[inside]
+    quoted = np.full_like(x, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quoted[inside] = np.divide(0.5 * params.lam * focusing_polynomial(x_in, b), x_in * (1.0 - x_in))
+    return quoted
 
 
 def focusing_polynomial_roots(b: float) -> FocusingRootScan:
@@ -457,9 +419,10 @@ def _at_ok(ok, values) -> np.ndarray:
 def kinematics_scan(params: SolutionParams, cfg: CongruenceConfig, r_grid) -> KinematicsScan:
     """Expansion, its proper-time rate and the null rate over a grid, with statuses.
 
-    One ``w_eval`` serves both congruences.  The closed forms are only
-    evaluated at ok points: at forbidden points w may be large enough for
-    its powers to overflow.
+    One ``w_eval`` serves both congruences, and its w is returned with the
+    statuses read from it.  The closed forms are only evaluated at ok
+    points: at forbidden points w may be large enough for its powers to
+    overflow.
     """
     r = np.asarray(r_grid, dtype=float)
     w, w_p, w_pp = w_eval(params, r)
@@ -467,13 +430,14 @@ def kinematics_scan(params: SolutionParams, cfg: CongruenceConfig, r_grid) -> Ki
     turning = np.abs(e2 - w) < TURNING_GUARD_REL * e2
     status = np.where(w > e2, "forbidden", np.where(turning, "turning", "ok"))
     ok = status == "ok"
-    w, w_p, w_pp = w[ok], w_p[ok], w_pp[ok]
+    w_ok, w_p, w_pp = w[ok], w_p[ok], w_pp[ok]
     return KinematicsScan(
         r=r,
+        w=w,
         status=status,
-        theta=_at_ok(ok, _theta(w, w_p, e2, cfg.direction)),
-        dtheta_dtau=_at_ok(ok, _rate(w, w_p, w_pp, e2)),
-        null_rate=_at_ok(ok, _null_rate(w, w_p, w_pp, e2)),
+        theta=_at_ok(ok, _theta(w_ok, w_p, e2, cfg.direction)),
+        dtheta_dtau=_at_ok(ok, _rate(w_ok, w_p, w_pp, e2)),
+        null_rate=_at_ok(ok, _null_rate(w_ok, w_p, w_pp, e2)),
     )
 
 

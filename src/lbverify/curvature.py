@@ -52,21 +52,25 @@ class FieldResidual:
     max_abs: float
 
 
-def _ricci_mixed(sample: MetricSample):
-    """Closed-form mixed diagonal Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z).
+def _ricci_transverse(sample: MetricSample):
+    """Closed-form mixed components of the non-radial axes (R^t_t, R^phi_phi, R^z_z).
 
     When the three axes hold the same (u', u'') arrays, as every
     ``metric_eval`` sample does, they share one bracket: the three
-    non-radial components are then one object.
+    components are then one object.
     """
     u_p, u_pp = sample.u_p, sample.u_pp
     s = u_p[0] + u_p[1] + u_p[2]
-    r_rr = 0.5 * (u_pp[0] + u_pp[1] + u_pp[2]) + 0.25 * (u_p[0] ** 2 + u_p[1] ** 2 + u_p[2] ** 2)
     if u_p[0] is u_p[1] is u_p[2] and u_pp[0] is u_pp[1] is u_pp[2]:
-        r_tt = r_pp = r_zz = 0.25 * (2.0 * u_pp[0] + u_p[0] * s)
-    else:
-        r_tt, r_pp, r_zz = (0.25 * (2.0 * upp + up * s) for up, upp in zip(u_p, u_pp))
-    return r_tt, r_rr, r_pp, r_zz
+        r_tt = 0.25 * (2.0 * u_pp[0] + u_p[0] * s)
+        return r_tt, r_tt, r_tt
+    return tuple(0.25 * (2.0 * upp + up * s) for up, upp in zip(u_p, u_pp))
+
+
+def _ricci_radial(sample: MetricSample):
+    """Closed-form R^r_r = R_rr."""
+    u_p, u_pp = sample.u_p, sample.u_pp
+    return 0.5 * (u_pp[0] + u_pp[1] + u_pp[2]) + 0.25 * (u_p[0] ** 2 + u_p[1] ** 2 + u_p[2] ** 2)
 
 
 def ricci_diagonal(sample: MetricSample):
@@ -75,9 +79,9 @@ def ricci_diagonal(sample: MetricSample):
     The mixed components lowered by (g_tt, g_rr, g_phiphi, g_zz) =
     (-e^{u1}, 1, e^{u2}, e^{u3}).
     """
-    r_tt, r_rr, r_pp, r_zz = _ricci_mixed(sample)
+    r_tt, r_pp, r_zz = _ricci_transverse(sample)
     u1, u2, u3 = sample.u
-    return -np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
+    return -np.exp(u1) * r_tt, _ricci_radial(sample), np.exp(u2) * r_pp, np.exp(u3) * r_zz
 
 
 def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
@@ -121,7 +125,7 @@ def field_residual(sample: MetricSample, lam: float) -> FieldResidual:
     barring under/overflow.  Shared axes share one residual array, reduced
     once.
     """
-    r_tt, _, r_pp, r_zz = _ricci_mixed(sample)
+    r_tt, r_pp, r_zz = _ricci_transverse(sample)
     res_tt = r_tt - lam
     if r_pp is r_tt and r_zz is r_tt:
         res_pp = res_zz = res_tt

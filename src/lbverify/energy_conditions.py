@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _ricci_mixed
+from .curvature import _ricci_radial, _ricci_transverse
 from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import bisect
 
@@ -67,7 +67,8 @@ class ConditionMargins:
 
 def stress_decompose(sample: MetricSample) -> FrameStress:
     """Orthonormal-frame (rho, p_r, p_phi, p_z) from the mixed curvature oracle."""
-    r_tt, r_rr, r_pp, r_zz = _ricci_mixed(sample)
+    r_tt, r_pp, r_zz = _ricci_transverse(sample)
+    r_rr = _ricci_radial(sample)
     half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
     p_phi = r_pp - half_r
     p_z = p_phi if r_zz is r_pp else r_zz - half_r

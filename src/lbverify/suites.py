@@ -241,14 +241,14 @@ def build_congruence_report(
     loc = _loc(r_min, r_max, scan_samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
-    # One scan feeds the timelike rows and the null rows below.
+    # One scan feeds every row on the admissible radii below; only the
+    # oracles evaluate w again.
     scan = cg.kinematics_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
     ok = scan.status == "ok"
-    r, theta, rate = scan.r[ok], scan.theta[ok], scan.dtheta_dtau[ok]
+    r, w, theta, rate = scan.r[ok], scan.w[ok], scan.theta[ok], scan.dtheta_dtau[ok]
     rpt.add("timelike-admissible-points", loc, float(r.size), 0.0, "pass")
 
     e2 = cfg.e_tilde**2
-    w = model.w_eval(params, r)[0]
     u_t, u_r, _, _ = cg.four_velocity(params, cfg, r)
     norm_err = _max_abs(-w * u_t**2 + u_r**2 + 1.0)
     # The chain-rule and divergence oracles need finite differences that
@@ -268,23 +268,16 @@ def build_congruence_report(
     rpt.add_check("rate-chain-rule-rel", loc, chain_err, 1e-5)
     rpt.add_check("expansion-covariant-divergence", loc, div_err, 1e-6)
 
-    if r.size:
-        mid, other = float(r[r.size // 2]), float(r[r.size // 4])
-        if mid != other:
-            # The central difference of the potential at mid, both stencil
-            # ends in one quadrature call.
-            h = fd_step(mid)
-            ahead, behind = cg.hypersurface_potential(params, cfg, other, np.array([mid + h, mid - h]))
-            pot_grad = (ahead - behind) / (2.0 * h)
-            rpt.add_check(
-                "potential-gradient-covector",
-                f"r={mid:.9g}",
-                abs(pot_grad + cg.four_velocity(params, cfg, mid)[1]),
-                1e-6,
-            )
+    if r.size > 1:
+        # The central difference of the potential at mid is its integral
+        # over the stencil [mid - h, mid + h], divided by 2h.
+        i = r.size // 2
+        h = fd_step(r[i])
+        pot_grad = cg.hypersurface_potential(params, cfg, r[i] - h, r[i] + h) / (2.0 * h)
+        rpt.add_check("potential-gradient-covector", f"r={r[i]:.9g}", abs(pot_grad + u_r[i]), 1e-6)
 
-    # NaN differences are points outside the quoted domain or divergence flags.
-    difference = cg.expansion_rate_scaled_scan(params, cfg, r).difference
+    # The quoted form is NaN outside its domain y^2 >= 0.
+    difference = cg.quoted_scaled_rate(params, cfg, w) - rate
     difference = difference[np.isfinite(difference)]
     rpt.add("quoted-scaled-rate-points", loc, float(difference.size), 0.0, "pass")
     if difference.size:

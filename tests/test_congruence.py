@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from lbverify import congruence, suites
+from lbverify import congruence, model, suites
 from lbverify.congruence import (
     CongruenceConfig,
     QUOTED_FOCUSING_ROOTS,
     QUOTED_ROOT_RADIUS_FACTOR,
     TURNING_GUARD_REL,
     expansion_rate,
-    expansion_rate_scaled_scan,
     expansion_timelike,
     focusing_polynomial,
     focusing_polynomial_reduced,
@@ -21,6 +20,7 @@ from lbverify.congruence import (
     hypersurface_potential,
     kinematics_scan,
     null_rate,
+    quoted_scaled_rate,
     radius_candidates,
     tortoise_quadrature,
     tortoise_series,
@@ -125,7 +125,7 @@ def test_potential_gradient_is_minus_velocity_covector(vacuum, unit_xi):
             assert grad + u_r == pytest.approx(0.0, abs=1e-6)
 
 
-def test_potential_turning_point_endpoint(vacuum):
+def test_potential_turning_point_endpoint(vacuum, unit_xi):
     # w = 4 = E^2 at r = -log(4)/2: integrable square-root endpoint.
     r_turn = -0.5 * math.log(4.0)
     s_max = math.sqrt(-r_turn)
@@ -139,21 +139,25 @@ def test_potential_turning_point_endpoint(vacuum):
     for r0, r1, orientation in ((0.0, r_turn, 1.0), (r_turn, 0.0, -1.0)):
         got = hypersurface_potential(vacuum, OUT2, r0, r1)
         assert got == pytest.approx(-orientation * oracle, abs=1e-8)
+    # A reversed interval without a turning end is minus the forward one.
+    assert hypersurface_potential(vacuum, OUT2, 0.4, -0.3) == -hypersurface_potential(vacuum, OUT2, -0.3, 0.4)
+    # At xi = 1 the profile meets E^2 = 4 on both sides of its minimum: an
+    # interval with two turning ends is split at its midpoint, and each half
+    # takes the substitution from its turning end.
+    left, right = radius_candidates(unit_xi, 4.0).from_w
+    mid = 0.5 * (left + right)
 
+    def from_end(end, step):
+        integrand = lambda r: np.sqrt(np.maximum(4.0 / w_eval(unit_xi, r)[0] - 1.0, 0.0))
+        return adaptive_simpson(
+            lambda s: integrand(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(mid - end)), 1e-12
+        )
 
-def test_potential_array_matches_scalar_calls_bit_for_bit(vacuum, unit_xi):
-    r_turn = -0.5 * math.log(4.0)
-    # A forward, a reversed, an empty and a turning-end interval from each base.
-    for params, r0, r1 in (
-        (vacuum, 0.0, [0.4, -0.3, 0.0, r_turn, 0.25]),
-        (vacuum, r_turn, [0.0, r_turn, -0.2]),
-        (unit_xi, 0.2, [[0.25, -0.1], [0.2, 0.6]]),
-    ):
-        for cfg in (OUT2, CongruenceConfig(e_tilde=2.0, direction=-1)):
-            batch = hypersurface_potential(params, cfg, r0, np.array(r1))
-            assert batch.shape == np.shape(r1)
-            single = [hypersurface_potential(params, cfg, r0, x) for x in np.ravel(r1).tolist()]
-            assert batch.ravel().tolist() == single
+    oracle = from_end(left, 1.0) + from_end(right, -1.0)
+    for cfg in (OUT2, CongruenceConfig(e_tilde=2.0, direction=-1)):
+        forward = hypersurface_potential(unit_xi, cfg, left, right)
+        assert forward == pytest.approx(-cfg.direction * oracle, abs=1e-8)
+        assert hypersurface_potential(unit_xi, cfg, right, left) == -forward
 
 
 def test_potential_forbidden_interval(unit_xi):
@@ -225,25 +229,26 @@ def test_rate_chain_rule_random_admissible():
 
 def test_scaled_form_comparison_pair():
     params, _ = params_from_xi(3.0, 0.1)
-    pair = expansion_rate_scaled_scan(params, OUT2, np.array([0.0]))
+    scan = kinematics_scan(params, OUT2, np.array([0.0]))
+    quoted = quoted_scaled_rate(params, OUT2, scan.w)
+    direct = scan.dtheta_dtau[0]
     x = float(w_eval(params, 0.0)[0]) / OUT2.e_tilde**2
     b = abs(params.xi / OUT2.e_tilde)
-    assert pair.quoted[0] == pytest.approx(
+    assert quoted[0] == pytest.approx(
         0.5 * 3.0 * focusing_polynomial(x, b) / (x * (1.0 - x)), rel=1e-14
     )
-    assert pair.direct[0] == pytest.approx(expansion_rate(params, OUT2, 0.0), rel=1e-14)
+    assert direct == pytest.approx(expansion_rate(params, OUT2, 0.0), rel=1e-14)
     # The two forms disagree wildly: that disagreement is the report.
-    assert pair.quoted[0] > 0.0 > pair.direct[0]
-    assert abs(pair.difference[0]) > 10.0
+    assert quoted[0] > 0.0 > direct
+    assert abs(quoted[0] - direct) > 10.0
 
 
 def test_scaled_form_shared_singularity_flags(vacuum):
     # x -> 1 is exactly the turning point: the quoted form diverges through
     # 1/(1-x) where the direct form diverges too; both come back as flags.
     r_turn = -0.5 * math.log(4.0)
-    pair = expansion_rate_scaled_scan(vacuum, OUT2, np.array([r_turn]))
-    assert math.isinf(pair.quoted[0])
-    assert math.isinf(pair.direct[0])
+    assert math.isinf(quoted_scaled_rate(vacuum, OUT2, w_eval(vacuum, np.array([r_turn]))[0])[0])
+    assert math.isinf(expansion_rate(vacuum, OUT2, r_turn))
 
 
 def test_scaled_b_invariant_under_common_scale():
@@ -532,15 +537,56 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
         assert not hasattr(congruence, name)
 
 
+def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
+    # Outside the finite-difference and quadrature oracles, the admissible
+    # radii are evaluated once after the scan: by four_velocity.  The rest
+    # (w, the rates, the quoted form) is read from the scan's columns.
+    grid = np.linspace(-2.0, 2.0, 257)
+    admissible = grid[kinematics_scan(unit_xi, OUT2, grid).status == "ok"]
+    assert admissible.size > 1
+    arrays, depth = [], [0]
+    w_core = model.w_eval
+
+    def recording(params, r):
+        if not depth[0]:
+            arrays.append(np.array(r, dtype=float))
+        return w_core(params, r)
+
+    def oracle(fn):
+        def wrapped(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    monkeypatch.setattr(model, "w_eval", recording)
+    monkeypatch.setattr(congruence, "w_eval", recording)
+    monkeypatch.setattr(suites, "central_diff", oracle(suites.central_diff))
+    monkeypatch.setattr(suites, "covariant_divergence_radial", oracle(suites.covariant_divergence_radial))
+    monkeypatch.setattr(congruence, "chain_rule_fd_step", oracle(congruence.chain_rule_fd_step))
+    monkeypatch.setattr(congruence, "_sqrt_integrand", oracle(congruence._sqrt_integrand))
+    suites.build_congruence_report(3.0, 1.0, 2.0)
+    assert np.array_equal(arrays[0], grid)
+    assert sum(np.array_equal(r, admissible) for r in arrays[1:]) == 1
+    for name in ("expansion_rate_scaled_scan", "ScaledRateComparison", "_turning_end_potential"):
+        assert not hasattr(congruence, name)
+
+
 def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
     # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so the polynomial raises.
     r = np.array([-0.2, 0.0, 0.3])
-    scan = expansion_rate_scaled_scan(unit_xi, OUT2, r)
+    scan = kinematics_scan(unit_xi, OUT2, r)
+    assert (scan.status == "ok").all()
+    quoted = quoted_scaled_rate(unit_xi, OUT2, scan.w)
+    difference = quoted - scan.dtheta_dtau
     for i, r_i in enumerate(r.tolist()):
         with pytest.raises(DomainError):
             focusing_polynomial(float(w_eval(unit_xi, r_i)[0]) / OUT2.e_tilde**2, 0.5)
-        assert math.isnan(scan.quoted[i]) and math.isnan(scan.difference[i])
-        assert scan.direct[i] == pytest.approx(expansion_rate(unit_xi, OUT2, r_i), rel=1e-12)
+        assert math.isnan(quoted[i]) and math.isnan(difference[i])
+        assert scan.dtheta_dtau[i] == pytest.approx(expansion_rate(unit_xi, OUT2, r_i), rel=1e-12)
 
 
 def test_sign_map_matches_scalar_polynomial():

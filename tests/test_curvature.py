@@ -173,6 +173,23 @@ def test_field_residual_max_is_over_tt_phi_z(deformed):
     assert res.max_abs == max(float(np.max(np.abs(res_m))) for res_m in axes)
 
 
+def test_field_residual_does_not_build_radial_component(monkeypatch):
+    # R^r_r is read by ricci_diagonal and stress_decompose only.
+    from lbverify import curvature
+
+    params, _ = params_from_xi(3.0, 1.0)
+    s = metric_eval(params, np.linspace(-2.0, 2.0, 65))
+    want = field_residual(s, params.lam)
+
+    def unexpected(sample):
+        raise AssertionError("field_residual built R^r_r")
+
+    monkeypatch.setattr(curvature, "_ricci_radial", unexpected)
+    got = field_residual(s, params.lam)
+    assert got.max_abs == want.max_abs
+    assert np.array_equal(got.res_tt, want.res_tt)
+
+
 def test_transverse_null_margins_exactly_zero_on_shared_axes():
     # rho + p_phi = R^phi_phi - R^t_t, and on a metric_eval sample the two
     # mixed components are one array (all axes share u), so the transverse

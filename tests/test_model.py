@@ -222,11 +222,12 @@ def test_ricci_diagonal_is_exp_u_times_mixed_components():
     deformed = curvature.alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
     # The three exponents of a metric_eval sample are one array: one bracket
     # serves every non-radial axis.  Distinct axes get brackets of their own.
-    r_tt, _, r_pp, r_zz = curvature._ricci_mixed(base)
+    r_tt, r_pp, r_zz = curvature._ricci_transverse(base)
     assert r_tt is r_pp is r_zz
-    assert len({id(c) for c in curvature._ricci_mixed(deformed)}) == 4
+    assert len({id(c) for c in curvature._ricci_transverse(deformed)}) == 3
     for s in (base, deformed):
-        r_tt, r_rr, r_pp, r_zz = curvature._ricci_mixed(s)
+        r_tt, r_pp, r_zz = curvature._ricci_transverse(s)
+        r_rr = curvature._ricci_radial(s)
         lowered = (-np.exp(s.u[0]) * r_tt, r_rr, np.exp(s.u[1]) * r_pp, np.exp(s.u[2]) * r_zz)
         covariant = curvature.ricci_diagonal(s)
         for got, want in zip(covariant, lowered):
@@ -452,18 +453,18 @@ def test_builders_evaluate_each_report_grid_once(monkeypatch):
 
 
 def test_congruence_report_takes_one_potential_quadrature(monkeypatch):
-    # Both ends of the potential-gradient stencil share one adaptive_simpson
-    # call; no other congruence row integrates.
+    # The potential-gradient stencil is one adaptive_simpson call over the
+    # scalar interval [mid - h, mid + h]; no other congruence row integrates.
     calls = []
     simpson = congruence.adaptive_simpson
 
     def counting(fn, a, b, tol):
-        calls.append(np.size(b))
+        calls.append((np.ndim(a), np.ndim(b)))
         return simpson(fn, a, b, tol)
 
     monkeypatch.setattr(congruence, "adaptive_simpson", counting)
     suites.build_congruence_report(3.0, 1.0, 2.0)
-    assert calls == [2]
+    assert calls == [(0, 0)]
 
 
 def test_verify_folds_noether_rows_across_blocks(monkeypatch):

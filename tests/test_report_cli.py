@@ -221,6 +221,35 @@ def test_cli_window_validation():
     assert proc.returncode == 2
 
 
+def _assert_usage_error(proc, needle):
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert proc.stderr.startswith(b"lbverify: error: ")
+    assert needle in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--r-max", "inf"),
+        ("energy", "--r-min=-inf"),
+        ("congruence", "--e-tilde", "2", "--r-max", "inf"),
+        ("tortoise", "--r-max", "inf"),
+        ("verify", "--r-min", "nan"),
+    ],
+    ids=("verify", "energy", "congruence", "tortoise", "verify-nan"),
+)
+def test_cli_rejects_nonfinite_window(args):
+    # A non-finite bound would make a NaN grid, which passes every range check.
+    _assert_usage_error(run_cli(*args, "--samples", "64"), b"must be finite")
+
+
+@pytest.mark.parametrize("samples", ("1", "0", "-5"))
+def test_cli_sweep_follows_the_samples_rule(samples):
+    _assert_usage_error(run_cli("sweep", "--samples", samples), b"samples must be >= 2")
+
+
 def test_cli_out_file_round_trip(tmp_path):
     out = tmp_path / "report.csv"
     proc = run_cli("stability", "--lambda", "3", "--out", str(out))
