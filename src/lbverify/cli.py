@@ -17,6 +17,7 @@ import sys
 from .errors import LBVerifyError
 from .report import Report, emit_csv, emit_json
 from .suites import (
+    MAX_GRID_SIZE,
     build_congruence_report,
     build_energy_report,
     build_stability_report,
@@ -79,8 +80,11 @@ def _validate_window(args) -> None:
             raise LBVerifyError(f"{name} must be finite, got {bound}")
     if r_min is not None and r_max is not None and not r_min < r_max:
         raise LBVerifyError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
-    if getattr(args, "samples", 2) < 2:
-        raise LBVerifyError(f"samples must be >= 2, got {args.samples}")
+    samples = getattr(args, "samples", 2)
+    if samples < 2:
+        raise LBVerifyError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_GRID_SIZE:
+        raise LBVerifyError(f"samples must be <= {MAX_GRID_SIZE}, got {samples}")
 
 
 def _build_report(args) -> Report:

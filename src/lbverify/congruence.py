@@ -31,7 +31,7 @@ from .errors import (
     PoleError,
     RangeError,
 )
-from .model import SolutionParams, radial_bound, w_eval
+from .model import SolutionParams, radial_bound, w_eval, w_value
 from .numerics import adaptive_simpson, bisect, bracket_sign_changes, fd_step
 from .special_functions import hyp2f1
 
@@ -214,7 +214,8 @@ def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
     """
     w, w_p, _ = w_eval(params, r)
     q2 = cfg.e_tilde**2 - w
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal w' overflows the cap to inf, which np.minimum then drops.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cap = np.where((q2 > 0.0) & (w_p != 0.0), 1e-4 * q2 / np.abs(w_p), np.inf)
     return np.minimum(np.minimum(fd_step(r), cap), 0.02 * params.a)
 
@@ -382,9 +383,21 @@ def tortoise_quadrature(params: SolutionParams, r):
     """Tortoise coordinate as int_0^r dr'/sqrt(w) plus the r = 0 constant.
 
     Elementwise over an array of radii, to an absolute 1e-11 per radius.
+    The sorted distinct nodes {0} and r cut the axis into panels, and one
+    ``adaptive_simpson`` call integrates every panel once, each to
+    1e-11 / (number of panels); the integral to r_i is the sum of the
+    panels between 0 and r_i, so its error stays within 1e-11.  A scalar r
+    is the one panel between 0 and r, and gives a float.
     """
     constant = params.a * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, -params.xi**2)
-    return constant + adaptive_simpson(lambda x: 1.0 / np.sqrt(w_eval(params, x)[0]), 0.0, r, 1e-11)
+    r = np.asarray(r, dtype=float)
+    nodes, at = np.unique(np.append(r, 0.0), return_inverse=True)
+    panels = adaptive_simpson(
+        lambda x: 1.0 / np.sqrt(w_value(params, x)), nodes[:-1], nodes[1:], 1e-11 / max(1, nodes.size - 1)
+    )
+    cum = np.concatenate(([0.0], np.cumsum(panels)))
+    total = constant + (cum[at[:-1]] - cum[at[-1]]).reshape(r.shape)
+    return float(total) if r.ndim == 0 else total
 
 
 def _null_bracket(w, w_p, w_pp):

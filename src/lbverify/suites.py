@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Callable
 
 import numpy as np
 
@@ -35,6 +36,10 @@ SIGN_MAP_B_VALUES = (0.0, 0.1, 0.25, 0.49)
 #: blocks are reused from the heap; a whole 65,536-point grid would make
 #: every 512 KiB temporary a fresh mapping, faulted in page by page.
 GRID_BLOCK = 4096
+
+#: Largest ``--samples`` of any subcommand and largest sweep cell count (the
+#: product of the three counts); a float64 grid of this size is 128 MiB.
+MAX_GRID_SIZE = 2**24
 
 
 def _window(params, r_min, r_max):
@@ -366,7 +371,7 @@ def build_tortoise_report(
 
     deriv_r = np.linspace(r_min, r_max, 9)
     d = np.array([central_diff(lambda x: cg.tortoise_series(params, float(x)), float(r)) for r in deriv_r])
-    deriv_err = _max_abs(d * np.sqrt(model.w_eval(params, deriv_r)[0]) - 1.0)
+    deriv_err = _max_abs(d * np.sqrt(model.w_value(params, deriv_r)) - 1.0)
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 
     if xi == 0.0:
@@ -375,26 +380,36 @@ def build_tortoise_report(
     return rpt
 
 
-def _parse_triple(text: str, name: str) -> np.ndarray:
+def _parse_triple(text: str, name: str) -> tuple[int, Callable[[], np.ndarray]]:
+    """Count and values of a number or a ``start:stop:count`` triple.
+
+    The values are built on demand, so that a caller can bound the counts
+    before any array is allocated.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ParameterDomainError(f"{name} must be a number or start:stop:count, got {text!r}")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            value = float(parts[0])
+            return 1, lambda: np.array([value])
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParameterDomainError(f"malformed {name} range {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParameterDomainError(f"{name} range bounds must be finite, got {text!r}")
     if count < 1:
         raise ParameterDomainError(f"{name} count must be >= 1, got {count}")
-    return np.linspace(start, stop, count)
+    return count, lambda: np.linspace(start, stop, count)
 
 
 def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 257) -> Report:
     """Compact verification rows over a (lambda, xi, e_tilde) grid, in grid order."""
-    lams = _parse_triple(lam_spec, "lambda")
-    xis = _parse_triple(xi_spec, "xi")
-    es = _parse_triple(e_spec, "e-tilde")
+    specs = [_parse_triple(lam_spec, "lambda"), _parse_triple(xi_spec, "xi"), _parse_triple(e_spec, "e-tilde")]
+    cells = math.prod(count for count, _ in specs)
+    if cells > MAX_GRID_SIZE:
+        raise ParameterDomainError(f"sweep cell count must be <= {MAX_GRID_SIZE}, got {cells}")
+    lams, xis, es = (values() for _, values in specs)
     rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
     for lam, xi, e_tilde in itertools.product(lams.tolist(), xis.tolist(), es.tolist()):
         params, _ = model.params_from_xi(lam, xi)
@@ -405,7 +420,9 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         rpt.add_check("field-equation-residual", tag, field_residual(sample, lam).max_abs, 1e-8)
         margins = ec.condition_margins(ec.stress_decompose(sample))
         rpt.add_check("strong-margin-constant", tag, float(np.max(np.abs(margins.sec + 2.0 * lam))), 1e-8)
-        if abs(e_tilde) >= 1.0:
+        # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
+        # rejects a non-finite E.
+        if not abs(e_tilde) < 1.0:
             cfg = cg.CongruenceConfig(e_tilde=e_tilde)
             # NaN off the ok points, so only ok points can count.
             violations = np.count_nonzero(cg.kinematics_scan(params, cfg, grid).null_rate >= 0.0)

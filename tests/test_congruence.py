@@ -33,7 +33,7 @@ from lbverify.errors import (
     PoleError,
 )
 from lbverify.model import params_from_xi, w_eval
-from lbverify.numerics import adaptive_simpson, bracket_sign_changes, central_diff
+from lbverify.numerics import adaptive_simpson, bracket_sign_changes, central_diff, fd_step
 
 
 @pytest.fixture
@@ -371,6 +371,74 @@ def test_tortoise_channels_agree(unit_xi):
         assert abs(tortoise_series(unit_xi, r) - tortoise_quadrature(unit_xi, r)) < 1e-8
     series = np.array([tortoise_series(unit_xi, r) for r in radii])
     assert np.max(np.abs(series - tortoise_quadrature(unit_xi, np.array(radii)))) < 1e-8
+
+
+@pytest.mark.parametrize(
+    ("lam", "xi"), ((3.0272, 0.410624), (1.14417, 0.540746), (0.75, 10.0), (3.0, 0.0))
+)
+def test_tortoise_quadrature_within_its_tolerance_on_the_report_grid(lam, xi):
+    # The 33 radii the report checks at --samples 65, against a 30-digit 2F1.
+    mpmath = pytest.importorskip("mpmath")
+
+    params, _ = params_from_xi(lam, xi)
+    a = params.a
+    radii = np.linspace(-a, a, 65)[::2]
+    with mpmath.workdps(30):
+        sixth = mpmath.mpf(1) / 6
+        expected = [
+            float(a * mpmath.exp(r / a) * mpmath.hyp2f1(sixth, 2 * sixth, 7 * sixth, -(mpmath.mpf(xi) ** 2) * mpmath.exp(6 * r / a)))
+            for r in map(mpmath.mpf, radii.tolist())
+        ]
+    assert np.max(np.abs(tortoise_quadrature(params, radii) - expected)) <= 1e-11
+
+
+def test_tortoise_report_integrates_each_panel_once(monkeypatch):
+    intervals = []
+    simpson = congruence.adaptive_simpson
+
+    def recording(fn, lo, hi, tol):
+        intervals.append((np.array(lo), np.array(hi)))
+        return simpson(fn, lo, hi, tol)
+
+    def forbidden(*args):
+        raise AssertionError("w_eval called")
+
+    monkeypatch.setattr(congruence, "adaptive_simpson", recording)
+    monkeypatch.setattr(congruence, "w_eval", forbidden)
+    monkeypatch.setattr(model, "w_eval", forbidden)
+    rpt = suites.build_tortoise_report(3.0, 0.5, samples=65)
+    assert rpt.exit_code() == 0
+    assert len(intervals) == 1
+    lo, hi = intervals[0]
+    a = model.params_from_xi(3.0, 0.5)[0].a
+    grid = np.linspace(-a, a, 65)[::2]
+    nodes = np.unique(np.append(grid, 0.0))
+    assert np.array_equal(lo, nodes[:-1]) and np.array_equal(hi, nodes[1:])
+    assert np.max(hi - lo) <= (grid[1] - grid[0]) * (1.0 + 1e-12)
+
+
+def test_tortoise_quadrature_scalar_is_one_panel_from_zero(unit_xi):
+    constant = tortoise_series(unit_xi, 0.0)
+    integrand = lambda x: 1.0 / np.sqrt(w_eval(unit_xi, x)[0])
+    for r in (-0.7, 0.0, 0.4):
+        value = tortoise_quadrature(unit_xi, r)
+        assert type(value) is float
+        assert value == constant + adaptive_simpson(integrand, 0.0, r, 1e-11)
+    # Unsorted, repeated and 2-D radii share the panels of their sorted nodes.
+    radii = np.array([[0.4, -0.7, 0.4], [0.0, -0.2, -0.7]])
+    values = tortoise_quadrature(unit_xi, radii)
+    assert values.shape == radii.shape
+    assert values[0, 0] == values[0, 2] and values[0, 1] == values[1, 2]
+    assert values[1, 0] == constant
+    for r, value in zip(radii.ravel().tolist(), values.ravel().tolist()):
+        assert value == pytest.approx(tortoise_quadrature(unit_xi, r), abs=2e-11)
+
+
+def test_chain_rule_step_with_subnormal_slope(unit_xi):
+    # w'(5e-324) is subnormal; the cap 1e-4 (E^2 - w) / |w'| overflows to inf,
+    # which is no bound, under the suite's error::RuntimeWarning filter.
+    r = np.array([0.0, 5e-324])
+    assert np.array_equal(congruence.chain_rule_fd_step(unit_xi, OUT2, r), fd_step(r))
 
 
 def test_tortoise_derivative_identity():

@@ -250,6 +250,43 @@ def test_cli_sweep_follows_the_samples_rule(samples):
     _assert_usage_error(run_cli("sweep", "--samples", samples), b"samples must be >= 2")
 
 
+@pytest.mark.parametrize(
+    ("args", "needle"),
+    [
+        (("verify", "--samples", "100000000000"), b"samples must be <= 16777216"),
+        (("energy", "--samples", "100000000000"), b"samples must be <= 16777216"),
+        (("tortoise", "--samples", "100000000000"), b"samples must be <= 16777216"),
+        (("congruence", "--e-tilde", "2", "--samples", "16777217"), b"samples must be <= 16777216"),
+        (("sweep", "--samples", "100000000000"), b"samples must be <= 16777216"),
+        (("sweep", "--xi", "0:1:100000000000"), b"sweep cell count must be <= 16777216"),
+        (("sweep", "--xi", "0:inf:3"), b"xi range bounds must be finite"),
+    ],
+    ids=("verify", "energy", "tortoise", "congruence", "sweep", "sweep-xi-count", "sweep-inf-range"),
+)
+def test_cli_bounds_grid_sizes_before_allocating(args, needle):
+    # Without the bound, numpy fails to allocate the grid with a traceback.
+    _assert_usage_error(run_cli(*args), needle)
+
+
+def test_sweep_bounds_its_cell_count_before_building_a_grid(monkeypatch):
+    # 4097 x 4096 cells: each count is small, their product is not.
+    from lbverify import suites
+    from lbverify.errors import ParameterDomainError
+
+    def forbidden(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(suites.np, "linspace", forbidden)
+    with pytest.raises(ParameterDomainError, match="sweep cell count must be <= 16777216, got 16781312"):
+        suites.build_sweep_report("1:2:4097", "0:1:4096", "2")
+
+
+@pytest.mark.parametrize("e_tilde", ("nan", "inf", "-inf", "2:nan:2"))
+def test_cli_sweep_rejects_nonfinite_energy(e_tilde):
+    proc = run_cli("sweep", f"--e-tilde={e_tilde}", "--samples", "16")
+    _assert_usage_error(proc, b"must be finite")
+
+
 def test_cli_out_file_round_trip(tmp_path):
     out = tmp_path / "report.csv"
     proc = run_cli("stability", "--lambda", "3", "--out", str(out))
