@@ -361,22 +361,37 @@ def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
     return RadiusCandidates(from_exponential=from_exponential, from_w=tuple(sorted(set(w_roots))))
 
 
-def tortoise_series(params: SolutionParams, r: float) -> float:
-    """Tortoise coordinate a e^{r/a} F(1/6, 1/3; 7/6; -xi^2 e^{6r/a}).
-
-    This is the antiderivative of 1/sqrt(w) that vanishes as r -> -inf.
-    """
-    a = params.a
+def check_tortoise_range(params: SolutionParams, r) -> None:
+    """Raise RangeError at the first radius of ``r`` where -xi^2 e^{6r/a} overflows."""
     # |z| = e^q with q = 2kr + 2 log|xi| (6r/a = 2kr); the model's radial
     # bound keeps 2kr below its overflow exponent, and this keeps q there too.
     bound = radial_bound(params) - math.log(max(1.0, abs(params.xi))) / params.k
-    if r > bound:
+    r = np.asarray(r, dtype=float)
+    past = r > bound
+    if past.any():
+        first = float(r[past][0])
         raise RangeError(
-            f"tortoise argument -xi^2 e^(6r/a) at r = {r:.6g} exceeds its overflow bound r = {bound:.6g}",
+            f"tortoise argument -xi^2 e^(6r/a) at r = {first:.6g} exceeds its overflow bound r = {bound:.6g}",
             r_bound=bound,
         )
-    z = -params.xi**2 * math.exp(6.0 * r / a)
-    return a * math.exp(r / a) * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, z)
+
+
+def tortoise_series(params: SolutionParams, r):
+    """Tortoise coordinate a e^{r/a} F(1/6, 1/3; 7/6; -xi^2 e^{6r/a}).
+
+    This is the antiderivative of 1/sqrt(w) that vanishes as r -> -inf.
+    Elementwise over an array of radii, one scalar ``hyp2f1`` per radius; a
+    scalar r gives a float.
+    """
+    check_tortoise_range(params, r)
+    a = params.a
+    xi_sq = params.xi**2
+    r = np.asarray(r, dtype=float)
+    values = np.array([
+        a * math.exp(x / a) * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, -xi_sq * math.exp(6.0 * x / a))
+        for x in r.ravel().tolist()
+    ]).reshape(r.shape)
+    return float(values) if r.ndim == 0 else values
 
 
 def tortoise_quadrature(params: SolutionParams, r):

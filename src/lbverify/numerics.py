@@ -27,6 +27,10 @@ FD_PAIR_STEP = EPS ** (1.0 / 5.0)
 
 #: Subdivision levels after which ``adaptive_simpson`` accepts a subinterval.
 SIMPSON_DEPTH_CAP = 60
+#: Rounding floor of a Simpson error estimate, in units of eps times the
+#: magnitude of the two-panel sum: the estimate is the difference of two
+#: Simpson sums of rounded integrand values, so below this it is rounding.
+SIMPSON_ROUNDING_FLOOR = 8.0
 
 
 def fd_step(x):
@@ -74,7 +78,9 @@ def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 
     ``tol`` is an absolute tolerance on each interval [a, b]; it is halved on
     each subdivision so the accumulated error stays below it.  A subinterval
     ``depth`` halvings deep is accepted once its error estimate is below
-    ``tol / 2**depth``, or at ``SIMPSON_DEPTH_CAP``.  ``a`` and ``b``
+    ``tol / 2**depth``, or at its rounding floor ``SIMPSON_ROUNDING_FLOOR``
+    eps |S| (S its two-panel Simpson sum, below which halving cannot shrink
+    the estimate), or at ``SIMPSON_DEPTH_CAP``.  ``a`` and ``b``
     broadcast, and the open subintervals of all intervals are refined
     together, one level at a time: ``fn`` must accept an array, and is called
     once for the endpoints and midpoints, then once per level.  A reversed
@@ -92,7 +98,9 @@ def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 
         left = _simpson(lo, mid, flo, flm, fmid)
         right = _simpson(mid, hi, fmid, frm, fhi)
         err = (left + right - whole) / 15.0
-        done = (np.abs(err) < tol / 2.0**depth) | (depth == SIMPSON_DEPTH_CAP)
+        size = np.abs(err)
+        done = (size < tol / 2.0**depth) | (size <= SIMPSON_ROUNDING_FLOOR * EPS * np.abs(left + right))
+        done |= depth == SIMPSON_DEPTH_CAP
         total += np.bincount(owner[done], weights=(left + right + err)[done], minlength=total.size)
         keep = ~done
         if not keep.any():

@@ -19,9 +19,12 @@ series, summed with term-ratio updates (no Gamma calls in the loop):
   with G = Gamma and both series at t = 1/z in [-1/2, 0).
 
 So every series argument has |t| <= 2/3, and the term count stays bounded
-however negative z is.  In the connection formula a reciprocal Gamma at one
-of its poles is 0, which drops the matching term (c = a, for instance, gives
-the binomial (1 - z)^(-b) from the second term alone).  When b - a is an
+however negative z is.  The term ratios of a series and the two connection
+coefficients depend on its parameter triple alone, so each triple computes
+them once (``_term_ratios``, ``_connection_coefficients``); the tortoise
+coordinate reaches four triples.  In the connection formula a reciprocal
+Gamma at one of its poles is 0, which drops the matching term (c = a, for
+instance, gives the binomial (1 - z)^(-b) from the second term alone).  When b - a is an
 integer the formula is degenerate (Gamma(b - a) or Gamma(a - b) is a pole)
 and the Pfaff branch is used instead; near such integers the two terms
 cancel and the relative error grows like eps / dist(b - a, Z).  The
@@ -35,7 +38,9 @@ cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain
 
 from .errors import ParameterDomainError, RangeError, SpecialFunctionError
 
@@ -44,9 +49,18 @@ SERIES_RTOL = 1e-16
 #: Hard cap on the number of series terms.  With every series argument at
 #: |t| <= 2/3 it is a safety net for extreme parameters, not for any z <= 0.
 MAX_TERMS = 100_000
+#: Term ratios cached per parameter triple; a longer series computes the rest
+#: inline.  Every series of the tortoise coordinate stops within 80 terms.
+CACHED_TERMS = 128
 
 _PFAFF_ARGUMENT = "Pfaff argument t = z/(z-1)"
 _CONNECTION_ARGUMENT = "connection argument t = 1/z"
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _term_ratios(a: float, b: float, c: float) -> tuple[float, ...]:
+    """The first ``CACHED_TERMS`` ratios (a+k)(b+k) / ((c+k)(k+1)) of consecutive terms."""
+    return tuple((a + k) * (b + k) / ((c + k) * (k + 1.0)) for k in range(CACHED_TERMS))
 
 
 def _series(
@@ -61,8 +75,12 @@ def _series(
     total = 1.0
     term = 1.0
     small_streak = 0
-    for k in range(MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+    ratios = chain(
+        _term_ratios(a, b, c),
+        ((a + k) * (b + k) / ((c + k) * (k + 1.0)) for k in range(CACHED_TERMS, MAX_TERMS)),
+    )
+    for ratio in ratios:
+        term *= ratio * z
         total += term
         if abs(term) <= SERIES_RTOL * abs(total):
             small_streak += 1
@@ -124,6 +142,23 @@ def gauss_2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
     return (1.0 - z) ** (-a) * _series(a, c - b, c, t, caller_z=z)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _connection_coefficients(a: float, b: float, c: float) -> tuple[float, float] | None:
+    """The two Gamma coefficients of the connection formula, or None where it fails.
+
+    None when b - a is an integer (a Gamma pole) or a Gamma function overflows.
+    """
+    if b - a == math.floor(b - a):
+        return None
+    try:
+        gamma_c = math.gamma(c)
+        coef_a = gamma_c * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+        coef_b = gamma_c * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
+    except OverflowError:
+        return None
+    return coef_a, coef_b
+
+
 def gauss_2f1_connection(a: float, b: float, c: float, z: float) -> float:
     """z -> 1/z connection-formula evaluation; requires z <= -1.
 
@@ -133,14 +168,10 @@ def gauss_2f1_connection(a: float, b: float, c: float, z: float) -> float:
     _check_c(c)
     if z > -1.0:
         raise RangeError(f"connection formula needs z <= -1, got z = {z:.6g}", r_bound=-1.0)
-    if b - a == math.floor(b - a):
+    coefficients = _connection_coefficients(a, b, c)
+    if coefficients is None:
         return gauss_2f1_pfaff(a, b, c, z)
-    try:
-        gamma_c = math.gamma(c)
-        coef_a = gamma_c * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-        coef_b = gamma_c * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-    except OverflowError:
-        return gauss_2f1_pfaff(a, b, c, z)
+    coef_a, coef_b = coefficients
     t = 1.0 / z
     term_a = coef_a * (-z) ** (-a) * _series(a, a - c + 1.0, a - b + 1.0, t, z, _CONNECTION_ARGUMENT)
     term_b = coef_b * (-z) ** (-b) * _series(b, b - c + 1.0, b - a + 1.0, t, z, _CONNECTION_ARGUMENT)

@@ -417,6 +417,61 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
     assert np.max(hi - lo) <= (grid[1] - grid[0]) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("samples", (65, 513))
+def test_tortoise_report_runs_2f1_only_at_the_radii_it_reads(monkeypatch, samples):
+    # 33 channel radii, the 9-point derivative stencil's 18 and the r = 0
+    # constant of the quadrature: 52, whatever the grid density.
+    calls = []
+    hyp2f1 = congruence.hyp2f1
+
+    def counted(a, b, c, z):
+        calls.append(z)
+        return hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(congruence, "hyp2f1", counted)
+    assert suites.build_tortoise_report(3.0, 0.5, samples=samples).exit_code() == 0
+    assert len(calls) == 52
+
+
+def test_tortoise_vacuum_report_compares_the_whole_grid(monkeypatch, vacuum):
+    seen = []
+    series = congruence.tortoise_series
+
+    def recording(params, r):
+        seen.append(np.array(r))
+        return series(params, r)
+
+    monkeypatch.setattr(congruence, "tortoise_series", recording)
+    rpt = suites.build_tortoise_report(3.0, 0.0, samples=65)
+    assert [row.check for row in rpt.rows][-1] == "tortoise-exponential-form"
+    grid = np.linspace(-vacuum.a, vacuum.a, 65)
+    assert any(np.array_equal(r, grid) for r in seen)
+
+
+def test_tortoise_series_is_elementwise(unit_xi):
+    radii = np.array([[-0.8, 0.0, 0.4], [1.0, -0.2, 0.4]])
+    values = tortoise_series(unit_xi, radii)
+    assert values.shape == radii.shape
+    assert values.tolist() == [[tortoise_series(unit_xi, r) for r in row] for row in radii.tolist()]
+    assert type(tortoise_series(unit_xi, 0.4)) is float
+    assert tortoise_series(unit_xi, np.array([])).shape == (0,)
+
+
+def test_tortoise_range_error_names_the_first_radius_past_the_bound(unit_xi):
+    from lbverify.errors import RangeError
+
+    with pytest.raises(RangeError, match=r"at r = 1000 exceeds"):
+        tortoise_series(unit_xi, np.array([0.0, 1000.0, 2000.0]))
+    # The report checks its whole grid, not only the radii the channel row
+    # reads: the first grid radius past the bound is not one of them here.
+    a = unit_xi.a
+    grid = np.linspace(-a, 200.0, 101)
+    first = int(np.flatnonzero(grid > model.radial_bound(unit_xi))[0])
+    assert first % 3 != 0
+    with pytest.raises(RangeError, match=f"at r = {grid[first]:.6g} exceeds"):
+        suites.build_tortoise_report(3.0, 1.0, r_max=200.0, samples=101)
+
+
 def test_tortoise_quadrature_scalar_is_one_panel_from_zero(unit_xi):
     constant = tortoise_series(unit_xi, 0.0)
     integrand = lambda x: 1.0 / np.sqrt(w_eval(unit_xi, x)[0])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ def test_integrand_calls_bounded_by_depth_cap():
     value = adaptive_simpson(step, -1024.0, 1024.0, 1e-12)
     assert len(sizes) == SIMPSON_DEPTH_CAP + 2
     assert value == pytest.approx(1024.0 - 0.3, abs=1e-12)
+
+
+def test_rounding_floor_stops_refinement_of_a_large_integral():
+    # At tol 1e-20 an O(1e6) integral has no subinterval whose error estimate
+    # can meet tol / 2**depth: rounding alone puts it near 1e-10.  Each one is
+    # accepted at its rounding floor instead of splitting down to the depth
+    # cap (over a million integrand evaluations here before).
+    assert adaptive_simpson(lambda x: np.ones_like(x), 0.0, 1e6, 1e-20) == 1e6
+    fn, sizes = _counted(lambda x: np.exp(x / 1e6))
+    value = adaptive_simpson(fn, 0.0, 1e6, 1e-20)
+    assert value == pytest.approx(1e6 * math.expm1(1.0), rel=1e-14)
+    assert len(sizes) < SIMPSON_DEPTH_CAP and sum(sizes) < 10_000
 
 
 def test_node_set_matches_recursive_count():

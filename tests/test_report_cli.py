@@ -410,3 +410,24 @@ def test_cli_energy_green():
     lines = proc.stdout.decode().strip().split("\n")
     sec_rows = [l for l in lines if l.startswith("energy-SEC-holds-fraction")]
     assert len(sec_rows) == 1 and ",0," in sec_rows[0]
+
+
+@pytest.mark.parametrize("lam", ["1e-12", "1e-300"])
+def test_tiny_lambda_tortoise_runs_in_bounded_memory(lam):
+    # a = sqrt(3 / lambda) reaches 1.7e6 and 1.7e150: the quadrature channel
+    # integrates O(a) panels, whose Simpson estimates sit at rounding level.
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbverify", "tortoise", "--lambda", lam],
+        capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        timeout=60,
+    )
+    assert b"Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stdout == b"" and len(proc.stderr.decode().splitlines()) == 1
+    else:
+        assert proc.returncode in (0, 1) and proc.stderr == b""
+        assert proc.stdout.startswith(b"check,location,value,tolerance,verdict\n")

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lbverify.errors import ParameterDomainError, RangeError
-from lbverify.special_functions import gauss_2f1_connection, gauss_2f1_pfaff, gauss_2f1_series, hyp2f1
+from lbverify import special_functions
+from lbverify.errors import ParameterDomainError, RangeError, SpecialFunctionError
+from lbverify.special_functions import (
+    CACHED_TERMS,
+    MAX_TERMS,
+    SERIES_RTOL,
+    gauss_2f1_connection,
+    gauss_2f1_pfaff,
+    gauss_2f1_series,
+    hyp2f1,
+)
 
 # Frozen from the averaged brute-force series oracle below (and agreeing
 # with the quadrature pin of the tortoise test to ~1e-13).
@@ -152,3 +161,81 @@ def test_connection_gamma_overflow_uses_pfaff():
     with mpmath.workdps(40):
         expected = float(mpmath.hyp2f1(a, b, c, z))
     assert hyp2f1(a, b, c, z) == pytest.approx(expected, rel=1e-13)
+
+
+def plain_series(a, b, c, z):
+    """The defining series with every term ratio recomputed in the loop: (sum, terms)."""
+    total = 1.0
+    term = 1.0
+    small_streak = 0
+    for k in range(MAX_TERMS):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        if abs(term) <= SERIES_RTOL * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                return total, k + 1
+        else:
+            small_streak = 0
+    return None, MAX_TERMS
+
+
+def plain_hyp2f1(a, b, c, z):
+    """``hyp2f1`` with no cached ratio or coefficient: the three branches as written out."""
+    if z == 0.0:
+        return 1.0
+    if z >= -0.5:
+        return plain_series(a, b, c, z)[0]
+    if z >= -2.0 or b - a == math.floor(b - a):
+        return (1.0 - z) ** (-a) * plain_series(a, c - b, c, z / (z - 1.0))[0]
+    gamma_c = math.gamma(c)
+    coef_a = gamma_c * math.gamma(b - a) * special_functions._rgamma(b) * special_functions._rgamma(c - a)
+    coef_b = gamma_c * math.gamma(a - b) * special_functions._rgamma(a) * special_functions._rgamma(c - b)
+    t = 1.0 / z
+    term_a = coef_a * (-z) ** (-a) * plain_series(a, a - c + 1.0, a - b + 1.0, t)[0]
+    term_b = coef_b * (-z) ** (-b) * plain_series(b, b - c + 1.0, b - a + 1.0, t)[0]
+    return term_a + term_b
+
+
+def test_cached_series_is_bit_identical_to_the_plain_recurrence():
+    # The tortoise coordinate's z spans every branch; its four series triples
+    # all run from cached ratios.
+    rng = np.random.default_rng(6150)
+    zs = -np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 2000))
+    for z in zs.tolist() + [-0.5, -2.0, -1e300]:
+        assert hyp2f1(*TORTOISE_ABC, z) == plain_hyp2f1(*TORTOISE_ABC, z)
+    for _ in range(200):
+        a, b, c = (float(x) for x in rng.uniform(0.05, 3.0, size=3))
+        z = -float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+        assert hyp2f1(a, b, c, z) == plain_hyp2f1(a, b, c, z)
+
+
+def test_series_past_the_cached_ratios_is_bit_identical():
+    z = -0.99
+    expected, terms = plain_series(*TORTOISE_ABC, z)
+    assert terms > CACHED_TERMS
+    assert gauss_2f1_series(*TORTOISE_ABC, z) == expected
+
+
+def test_series_term_cap_message_unchanged():
+    z = -(1.0 - 1e-9)
+    assert plain_series(0.5, 0.5, 1.5, z)[0] is None
+    with pytest.raises(SpecialFunctionError) as excinfo:
+        gauss_2f1_series(0.5, 0.5, 1.5, z)
+    assert str(excinfo.value) == f"2F1 series did not converge within {MAX_TERMS} terms at z = {z:.6g}"
+
+
+def test_connection_coefficients_computed_once_per_triple():
+    a, b, c = TORTOISE_ABC
+    coefficients = special_functions._connection_coefficients
+    coefficients.cache_clear()
+    for z in (-3.0, -1e2, -1e8):
+        assert gauss_2f1_connection(a, b, c, z) == plain_hyp2f1(a, b, c, z)
+    info = coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # Integer b - a and Gamma overflow fall back to Pfaff on every call,
+    # cached or not.
+    for abc, z in (((0.5, 1.5, 1.2), -10.0), ((0.5, 200.3, 200.1), -10.0)):
+        assert coefficients(*abc) is None
+        for _ in range(2):
+            assert gauss_2f1_connection(*abc, z) == gauss_2f1_pfaff(*abc, z)
