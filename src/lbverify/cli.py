@@ -3,7 +3,8 @@
 Subcommands: verify, stability, energy, congruence, tortoise, sweep.
 Exit codes: 0 when every internal-consistency check passes (rows with
 verdict "discrepancy-logged" do not fail a run), 1 when any internal check
-fails, 2 for invalid parameters or usage.  Output is deterministic: the same
+fails, 2 for invalid parameters or usage, always with exactly one
+``lbverify: error:`` line on stderr.  Output is deterministic: the same
 configuration produces byte-identical CSV/JSON.
 """
 
@@ -37,8 +38,15 @@ def _add_common(sub: argparse.ArgumentParser, samples_default: int = 4096) -> No
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``lbverify: error:`` line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"lbverify: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lbverify",
         description=(
             "Verification toolkit for the cylindrically symmetric scalar-field"

@@ -1,5 +1,5 @@
-"""Radial timelike and null congruences of the isotropic line element
-``ds^2 = dr^2 + w(r)(-dt^2 + dphi^2 + dz^2)``.
+"""Outgoing radial timelike and null congruences of the isotropic line
+element ``ds^2 = dr^2 + w(r)(-dt^2 + dphi^2 + dz^2)``.
 
 Covers the 4-velocity of marginally bound radial geodesics, the potential
 whose gradient they follow, the expansion scalar and its proper-time rate
@@ -53,18 +53,15 @@ _FOCUSING_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class CongruenceConfig:
-    """Conserved energy per unit rest mass and radial direction (+1 out, -1 in)."""
+    """Conserved energy per unit rest mass of the outgoing radial congruence."""
 
     e_tilde: float
-    direction: int = 1
 
     def __post_init__(self):
         if not (abs(self.e_tilde) >= 1.0 and math.isfinite(self.e_tilde)):
             raise ParameterDomainError(
                 f"|e_tilde| must be finite and >= 1 for a real radial velocity, got {self.e_tilde}"
             )
-        if self.direction not in (1, -1):
-            raise ParameterDomainError(f"direction must be +1 or -1, got {self.direction}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +84,8 @@ class KinematicsScan:
 
 @dataclass(frozen=True)
 class FocusingRootScan:
-    b: float
     roots: tuple[float, ...]
-    boundary_roots: tuple[float, ...]
     reduced_discriminant: float | None
-    reduced_roots: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ def _require_allowed(w, e2: float, r) -> None:
 
 
 def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
-    """u^mu = (E/w, dir * sqrt(E^2/w - 1), 0, 0); exactly normalized to -1.
+    """u^mu = (E/w, sqrt(E^2/w - 1), 0, 0); exactly normalized to -1.
 
     Elementwise over an array of radii; raises ForbiddenRegionError if any
     radius has w > E^2.
@@ -125,7 +119,7 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     w = w_eval(params, r)[0]
     e2 = cfg.e_tilde**2
     _require_allowed(w, e2, r)
-    u_r = cfg.direction * np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
+    u_r = np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
     return (cfg.e_tilde / w, u_r, 0.0, 0.0)
 
 
@@ -157,7 +151,7 @@ def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: fl
         mid = 0.5 * (r0 + r1)
         return hypersurface_potential(params, cfg, r0, mid) + hypersurface_potential(params, cfg, mid, r1)
     if not (turn0 or turn1):
-        return -cfg.direction * adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
+        return -adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
     sgn = 1.0 if r1 > r0 else -1.0
     end, step = (r1, -sgn) if turn1 else (r0, sgn)
     integral = sgn * adaptive_simpson(
@@ -166,21 +160,26 @@ def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: fl
         math.sqrt(abs(r1 - r0)),
         1e-10,
     )
-    return -cfg.direction * integral
+    return -integral
 
 
-def _theta(w, w_p, e2: float, direction: int):
-    """dir * w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)) for w <= E^2.
+def _theta(w, w_p, e2: float):
+    """w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)) for w <= E^2.
 
     At w = E^2 the IEEE quotient is the turning-point flag: +/-inf with the
     sign of the numerator, NaN where the numerator vanishes too.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(direction * w_p * (2.0 * e2 - 3.0 * w), 2.0 * w**1.5 * np.sqrt(e2 - w))
+        return np.divide(w_p * (2.0 * e2 - 3.0 * w), 2.0 * w**1.5 * np.sqrt(e2 - w))
 
 
 def _rate(w, w_p, w_pp, e2: float):
-    """The closed-form d theta / d tau of ``expansion_rate`` for w <= E^2.
+    """Proper-time rate of the expansion, d theta / d tau = theta' u^r, for w <= E^2.
+
+    Closed form in (w, w', w''):
+
+        [w''(2E^2 - 3w) - 3 w'^2] / (2 w^2)
+          - w'^2 (2E^2 - 3w)(3E^2 - 4w) / (4 w^3 (E^2 - w)).
 
     At w = E^2 the second term's IEEE quotient carries the flag, as in
     ``_theta``; the first term stays finite.
@@ -192,9 +191,9 @@ def _rate(w, w_p, w_pp, e2: float):
 
 
 def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r):
-    """Expansion scalar theta = dir * w^{-3/2} d/dr (w sqrt(E^2 - w)).
+    """Expansion scalar theta = w^{-3/2} d/dr (w sqrt(E^2 - w)).
 
-    Evaluates to dir * w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)); both terms
+    Evaluates to w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)); both terms
     of the derivative are proportional to w', so theta vanishes wherever w
     is stationary.  At a turning point the value diverges and +/-inf is
     returned as the flag.  Elementwise over an array of radii.
@@ -202,7 +201,7 @@ def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r):
     w, w_p, _ = w_eval(params, r)
     e2 = cfg.e_tilde**2
     _require_allowed(w, e2, r)
-    return _theta(w, w_p, e2, cfg.direction)
+    return _theta(w, w_p, e2)
 
 
 def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
@@ -218,22 +217,6 @@ def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cap = np.where((q2 > 0.0) & (w_p != 0.0), 1e-4 * q2 / np.abs(w_p), np.inf)
     return np.minimum(np.minimum(fd_step(r), cap), 0.02 * params.a)
-
-
-def expansion_rate(params: SolutionParams, cfg: CongruenceConfig, r):
-    """Proper-time rate of the expansion, d theta / d tau = theta' u^r.
-
-    Closed form in (w, w', w''), independent of the congruence direction:
-
-        [w''(2E^2 - 3w) - 3 w'^2] / (2 w^2)
-          - w'^2 (2E^2 - 3w)(3E^2 - 4w) / (4 w^3 (E^2 - w)).
-
-    Elementwise over an array of radii.
-    """
-    w, w_p, w_pp = w_eval(params, r)
-    e2 = cfg.e_tilde**2
-    _require_allowed(w, e2, r)
-    return _rate(w, w_p, w_pp, e2)
 
 
 def focusing_polynomial(x, b: float):
@@ -280,7 +263,7 @@ def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
     Elementwise over profile values w <= E^2, in the scaled variables
     x = w/E^2, b = |xi/E|, y^2 = x^6 - 4 b^2 x^3.  Where y^2 < 0 (outside
     the quoted domain) the value is NaN.  At x = 1 the form diverges through
-    1/(1 - x) exactly where ``expansion_rate`` diverges through the turning
+    1/(1 - x) exactly where the direct rate diverges through the turning
     point, and the IEEE quotient comes back as an inf flag.
     """
     x = np.asarray(w, dtype=float) / cfg.e_tilde**2
@@ -296,12 +279,11 @@ def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
 def focusing_polynomial_roots(b: float) -> FocusingRootScan:
     """Bracketing + bisection root scan over the quoted domain x in (cbrt(4b^2), 1).
 
-    For b = 0 the reduced quadratic 54 x^2 - 91 x + 40 is additionally
-    solved in closed form and its discriminant reported.  An empty root list
-    is a valid result; zeros sitting exactly on the domain boundary are
-    reported separately.  The scan depends on b alone, so it is computed
-    once per b per process and the same (immutable) result is returned to
-    every later caller.
+    For b = 0 the discriminant of the reduced quadratic 54 x^2 - 91 x + 40
+    is reported as well.  An empty root list is a valid result; zeros on
+    the domain boundary are not roots.  The scan depends on b alone, so it
+    is computed once per b per process and the same (immutable) result is
+    returned to every later caller.
     """
     if not 0.0 <= b <= 0.5:
         raise ParameterDomainError(f"b must lie in [0, 1/2], got {b}")
@@ -313,7 +295,6 @@ def _focusing_root_scan(b: float) -> FocusingRootScan:
     lo = (4.0 * b * b) ** (1.0 / 3.0)
     hi = 1.0
     roots: list[float] = []
-    boundary: list[float] = []
     if lo < hi:
         # Stay clear of x = 0 where the b = 0 expression is 0/0.
         scan_lo = lo if b > 0.0 else lo + (hi - lo) * 1e-9
@@ -322,26 +303,8 @@ def _focusing_root_scan(b: float) -> FocusingRootScan:
             root = bisect(fn, blo, bhi)
             if lo < root < hi:
                 roots.append(root)
-            else:
-                boundary.append(root)
-    for edge in {lo, hi}:
-        if b > 0.0 or edge > 0.0:
-            if abs(focusing_polynomial(edge, b)) <= 1e-12:
-                boundary.append(edge)
-    reduced_disc = None
-    reduced_roots: tuple[float, ...] = ()
-    if b == 0.0:
-        reduced_disc = 91.0**2 - 4.0 * 54.0 * 40.0
-        if reduced_disc >= 0.0:
-            sq = math.sqrt(reduced_disc)
-            reduced_roots = ((91.0 - sq) / 108.0, (91.0 + sq) / 108.0)
-    return FocusingRootScan(
-        b=b,
-        roots=tuple(sorted(set(roots))),
-        boundary_roots=tuple(sorted(set(boundary))),
-        reduced_discriminant=reduced_disc,
-        reduced_roots=reduced_roots,
-    )
+    reduced_disc = 91.0**2 - 4.0 * 54.0 * 40.0 if b == 0.0 else None
+    return FocusingRootScan(roots=tuple(sorted(set(roots))), reduced_discriminant=reduced_disc)
 
 
 def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
@@ -371,8 +334,7 @@ def check_tortoise_range(params: SolutionParams, r) -> None:
     if past.any():
         first = float(r[past][0])
         raise RangeError(
-            f"tortoise argument -xi^2 e^(6r/a) at r = {first:.6g} exceeds its overflow bound r = {bound:.6g}",
-            r_bound=bound,
+            f"tortoise argument -xi^2 e^(6r/a) at r = {first:.6g} exceeds its overflow bound r = {bound:.6g}"
         )
 
 
@@ -415,26 +377,15 @@ def tortoise_quadrature(params: SolutionParams, r):
     return float(total) if r.ndim == 0 else total
 
 
-def _null_bracket(w, w_p, w_pp):
-    return w_pp - 1.5 * w_p * w_p / w
-
-
 def _null_rate(w, w_p, w_pp, e2: float):
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(e2 - w) / w * _null_bracket(w, w_p, w_pp)
-
-
-def null_rate(params: SolutionParams, cfg: CongruenceConfig, r: float) -> float:
     """Null expansion rate as quoted: (1/w) sqrt(E^2 - w) [w'' - (3/2) w'^2 / w].
 
     Kept exactly as printed, including the energy factor (an affine-null
     congruence has no rest-mass normalization; the bracket
     w'' - (3/2) w'^2 / w alone carries the energy-independent content).
     """
-    w, w_p, w_pp = w_eval(params, r)
-    e2 = cfg.e_tilde**2
-    _require_allowed(w, e2, r)
-    return _null_rate(w, w_p, w_pp, e2)
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(e2 - w) / w * (w_pp - 1.5 * w_p * w_p / w)
 
 
 def _at_ok(ok, values) -> np.ndarray:
@@ -463,7 +414,7 @@ def kinematics_scan(params: SolutionParams, cfg: CongruenceConfig, r_grid) -> Ki
         r=r,
         w=w,
         status=status,
-        theta=_at_ok(ok, _theta(w_ok, w_p, e2, cfg.direction)),
+        theta=_at_ok(ok, _theta(w_ok, w_p, e2)),
         dtheta_dtau=_at_ok(ok, _rate(w_ok, w_p, w_pp, e2)),
         null_rate=_at_ok(ok, _null_rate(w_ok, w_p, w_pp, e2)),
     )

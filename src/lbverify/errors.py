@@ -14,14 +14,10 @@ class ParameterDomainError(LBVerifyError):
 
 
 class RangeError(LBVerifyError):
-    """A radial coordinate is so large that exponentials would overflow.
+    """A radius past its overflow bound, or a 2F1 argument z outside its branch.
 
-    Carries the usable bound in ``r_bound``.
+    The message names the bound.
     """
-
-    def __init__(self, message: str, r_bound: float):
-        super().__init__(message)
-        self.r_bound = r_bound
 
 
 class DomainError(LBVerifyError):

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, RangeError
-from .report import VerificationRow
 
 # e^{2k|r|} stays finite (and so does e^f downstream) below this exponent.
 _MAX_EXPONENT = 700.0
@@ -45,27 +44,22 @@ _MAX_EXPONENT = 700.0
 # exponent of it; ``_w_value`` composes w through log|xi| beyond it.
 _W_PRODUCT_EXPONENT = 709.0
 
-#: Residual tolerance for the integration-constant sum checks.
-CONSTANT_SUM_TOL = 1e-12
-
 #: Largest accepted |xi|: c1 = xi^2 must stay a finite float.
 MAX_ABS_XI = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class SolutionParams:
-    """Physical parameters of one family member.
+    """Physical parameters of one family member, on the + scalar-field branch.
 
     lam        cosmological constant, geometric units, > 0
     xi         dimensionless family parameter (only xi^2 enters the metric)
     a          de Sitter length sqrt(3/lam)
-    phi_branch +1 or -1, sign of the scalar-field branch
     """
 
     lam: float
     xi: float
     a: float
-    phi_branch: int = 1
 
     @property
     def k(self) -> float:
@@ -109,7 +103,7 @@ class MetricSample:
     u_pp: tuple
 
 
-def params_from_xi(lam: float, xi: float, phi_branch: int = 1) -> tuple[SolutionParams, RawConstants]:
+def params_from_xi(lam: float, xi: float) -> tuple[SolutionParams, RawConstants]:
     """Build parameters and canonical integration constants from (lambda, xi).
 
     Canonical gauge: c2 = -1, c1 = xi^2 (hence xi^2 = -c1/c2 exactly),
@@ -120,12 +114,10 @@ def params_from_xi(lam: float, xi: float, phi_branch: int = 1) -> tuple[Solution
         raise ParameterDomainError(f"lambda must be positive and finite, got {lam}")
     if not abs(xi) <= MAX_ABS_XI:
         raise ParameterDomainError(f"xi must be finite with |xi| <= {MAX_ABS_XI:.6g}, got {xi}")
-    if phi_branch not in (1, -1):
-        raise ParameterDomainError(f"phi_branch must be +1 or -1, got {phi_branch}")
     a = math.sqrt(3.0 / lam)
     if math.isinf(a):
         raise ParameterDomainError(f"lambda = {lam} is too small: a = sqrt(3/lambda) overflows")
-    params = SolutionParams(lam=float(lam), xi=float(xi), a=a, phi_branch=phi_branch)
+    params = SolutionParams(lam=float(lam), xi=float(xi), a=a)
     c2 = -1.0
     c1 = float(xi) ** 2
     beta_j = -(2.0 / 3.0) * math.log(-c2)  # zero in this gauge
@@ -143,9 +135,7 @@ def _check_range(params: SolutionParams, r) -> float:
     bound = radial_bound(params)
     reach = float(np.max(np.abs(r), initial=0.0))
     if reach > bound:
-        raise RangeError(
-            f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}", r_bound=bound
-        )
+        raise RangeError(f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}")
     return reach
 
 
@@ -263,43 +253,15 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     )
 
 
-def validate_constants(raw: RawConstants, lam: float) -> list[VerificationRow]:
-    """Check the two sum conditions on the integration constants.
+def constant_sum_residuals(raw: RawConstants, lam: float) -> tuple[float, float]:
+    """Residuals of the two sum conditions on the integration constants.
 
-    Reports |alpha1+alpha2+alpha3| (must vanish for the exponent sum to
+    Returns |alpha1+alpha2+alpha3| (must vanish for the exponent sum to
     reproduce f) and |beta1+beta2+beta3 + log(12 lambda)/2| (the quoted gauge
     condition).  The canonical gauge absorbs all additive constants instead
-    of satisfying the quoted beta condition, so its beta row generally fails
-    except at lambda = 1/12; callers that only compare gauges should treat
-    that row as informational.
+    of satisfying the quoted beta condition, so its beta residual is nonzero
+    except at lambda = 1/12.
     """
     alpha_residual = abs(math.fsum(raw.alpha))
     beta_residual = abs(math.fsum(raw.beta) + 0.5 * math.log(12.0 * lam))
-    rows = [
-        VerificationRow(
-            check="alpha-sum",
-            location="constants",
-            value=alpha_residual,
-            tolerance=CONSTANT_SUM_TOL,
-            verdict="pass" if alpha_residual <= CONSTANT_SUM_TOL else "fail",
-        ),
-        VerificationRow(
-            check="beta-gauge-sum",
-            location="constants",
-            value=beta_residual,
-            tolerance=CONSTANT_SUM_TOL,
-            verdict="pass" if beta_residual <= CONSTANT_SUM_TOL else "fail",
-        ),
-    ]
-    for i, a_i in enumerate(raw.alpha):
-        if a_i != 0.0:
-            rows.append(
-                VerificationRow(
-                    check=f"alpha-{i + 1}-nonzero",
-                    location="constants",
-                    value=a_i,
-                    tolerance=0.0,
-                    verdict="discrepancy-logged",
-                )
-            )
-    return rows
+    return alpha_residual, beta_residual

@@ -11,8 +11,8 @@ from an intermediate reduction that the curvature oracle contradicts, and it
 turns negative wherever f'^2 > lambda (always true at large |r|).
 
 The wave equation on this background has first integral J = e^f phi'
-(a constant of r); with the printed normalization of f this constant is
-phi_branch * |xi| * sqrt(2/3).  J is composed in log space, because
+(a constant of r); with the printed normalization of f and phi' >= 0 this
+constant is |xi| * sqrt(2/3).  J is composed in log space, because
 f'' ~ xi^2 underflows long before J = O(|xi|) does.
 """
 
@@ -62,9 +62,9 @@ def phi_prime_sq_quoted(sample: MetricSample, lam: float):
 
 
 def phi_prime(params: SolutionParams, r):
-    """Branch-signed phi'(r) = phi_branch * sqrt(phi'^2_constraint)."""
+    """phi'(r) = sqrt(phi'^2_constraint) on the + branch."""
     val = phi_prime_sq_constraint(metric_eval(params, r), params.lam)
-    return params.phi_branch * np.sqrt(np.maximum(val, 0.0))
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
@@ -82,7 +82,7 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
                 f"phi'^2 = {np.atleast_1d(val)[i]:.6g} < 0 at r = {r[i]:.6g}"
                 f" inside [{min(r0, r1):.6g}, {max(r0, r1):.6g}]"
             )
-        return params.phi_branch * np.sqrt(np.maximum(val, 0.0))
+        return np.sqrt(np.maximum(val, 0.0))
 
     return adaptive_simpson(integrand, r0, r1, PHI_QUAD_TOL)
 
@@ -111,9 +111,9 @@ def noether_charge(params: SolutionParams, r: float) -> float:
     """First integral J(r) = e^{f(r)} phi'(r) of the wave equation.
 
     Uses the printed normalization of f; constancy in r is asserted by the
-    test suite, and the value is phi_branch * |xi| * sqrt(2/3).
+    test suite, and the value is |xi| * sqrt(2/3).
     """
-    return params.phi_branch * np.exp(log_noether(params, metric_eval(params, r)))
+    return np.exp(log_noether(params, metric_eval(params, r)))
 
 
 def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfile:
@@ -125,13 +125,13 @@ def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfil
     r_grid = sample.r
     constraint = np.asarray(phi_prime_sq_constraint(sample, params.lam))
     quoted = np.asarray(phi_prime_sq_quoted(sample, params.lam))
-    phi_p = params.phi_branch * np.sqrt(np.maximum(constraint, 0.0))
+    phi_p = np.sqrt(np.maximum(constraint, 0.0))
     # Simpson over each cell using midpoints.
     mids = 0.5 * (r_grid[:-1] + r_grid[1:])
     phi_p_mid = phi_prime(params, mids)
     cell = (r_grid[1:] - r_grid[:-1]) / 6.0 * (phi_p[:-1] + 4.0 * phi_p_mid + phi_p[1:])
     phi = np.concatenate([[0.0], np.cumsum(cell)])
-    noether = params.phi_branch * np.exp(log_noether(params, sample))
+    noether = np.exp(log_noether(params, sample))
     return ScalarProfile(
         r=r_grid,
         phi_p_sq_constraint=constraint,

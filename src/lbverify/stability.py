@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .model import params_from_xi
 
-#: Note attached to every report: the quoted general solution of the
+#: Note attached to every stability report: the quoted general solution of the
 #: linearized profile equation f'' = 3 lambda omits the homogeneous linear
 #: term c2 * r.
 LINEAR_TERM_NOTE = (
@@ -35,18 +35,14 @@ LINEAR_TERM_NOTE = (
 @dataclass(frozen=True)
 class StabilityReport:
     fixed_point: tuple[float, float, float]
-    jacobian: np.ndarray
     eigenvalues: tuple[complex, complex, complex]
     verdict: str
     stationarity_residuals: tuple[float, float]
-    notes: tuple[str, ...]
 
 
 def fixed_point(lam: float) -> tuple[float, float, float]:
     """Stationary point (2/a, 2/a, 2/a) of the x-subsystem."""
-    if not lam > 0.0:
-        raise ParameterDomainError(f"lambda must be positive, got {lam}")
-    x = 2.0 / math.sqrt(3.0 / lam)
+    x = 2.0 / params_from_xi(lam, 0.0)[0].a
     return (x, x, x)
 
 
@@ -65,17 +61,14 @@ def stationarity_residuals(point: tuple[float, float, float], lam: float) -> tup
 
 def jacobian(lam: float) -> np.ndarray:
     """Linearization -(3/a) I - (1/a) ones(3,3) about the stationary point."""
-    if not lam > 0.0:
-        raise ParameterDomainError(f"lambda must be positive, got {lam}")
-    a = math.sqrt(3.0 / lam)
+    a = params_from_xi(lam, 0.0)[0].a
     return -(3.0 / a) * np.eye(3) - (1.0 / a) * np.ones((3, 3))
 
 
 def jacobian_eigen(lam: float) -> StabilityReport:
     """Numeric eigenvalues of the linearization plus the stability verdict."""
     point = fixed_point(lam)
-    jac = jacobian(lam)
-    eigs = np.linalg.eigvals(jac)
+    eigs = np.linalg.eigvals(jacobian(lam))
     eigs = tuple(sorted((complex(e) for e in eigs), key=lambda e: (e.real, e.imag)))
     max_real = max(e.real for e in eigs)
     if max_real < 0.0:
@@ -86,11 +79,9 @@ def jacobian_eigen(lam: float) -> StabilityReport:
         verdict = "marginal"
     return StabilityReport(
         fixed_point=point,
-        jacobian=jac,
         eigenvalues=eigs,
         verdict=verdict,
         stationarity_residuals=stationarity_residuals(point, lam),
-        notes=(LINEAR_TERM_NOTE,),
     )
 
 

@@ -7,11 +7,12 @@ from lbverify import congruence, model, scalar_field, suites
 from lbverify.errors import ParameterDomainError, RangeError
 from lbverify.model import (
     MAX_ABS_XI,
+    RawConstants,
+    constant_sum_residuals,
     f_eval,
     metric_eval,
     params_from_xi,
     radial_bound,
-    validate_constants,
     w_eval,
     w_value,
 )
@@ -368,9 +369,8 @@ def test_metric_derivatives_match_finite_differences():
 def test_range_error_reports_bound():
     params, _ = params_from_xi(3.0, 1.0)
     bound = radial_bound(params)
-    with pytest.raises(RangeError) as excinfo:
+    with pytest.raises(RangeError, match=f"overflow bound {bound:.6g} "):
         f_eval(params, bound * 1.01)
-    assert excinfo.value.r_bound == bound
     with pytest.raises(RangeError):
         metric_eval(params, -bound * 1.01)
 
@@ -397,35 +397,35 @@ def test_range_check_every_input_type(fn, kind):
             fn(params, make(sign * beyond))
 
 
+def _constant_rows(lam):
+    rows = suites.build_verify_report(lam, 1.0, samples=64).rows
+    return {row.check: row for row in rows if row.check in ("alpha-sum", "beta-gauge-sum")}
+
+
 def test_validate_constants_canonical():
     params, raw = params_from_xi(3.0, 1.0)
-    rows = {row.check: row for row in validate_constants(raw, params.lam)}
-    assert rows["alpha-sum"].value == 0.0
+    assert constant_sum_residuals(raw, params.lam)[0] == 0.0
+    rows = _constant_rows(3.0)
+    assert (rows["alpha-sum"].location, rows["alpha-sum"].value) == ("constants", 0.0)
     assert rows["alpha-sum"].verdict == "pass"
     # The canonical gauge absorbs the additive constants, so the quoted
-    # beta condition is not met at lambda = 3: the residual is log(6).
+    # beta condition is not met at lambda = 3: the residual is log(6), a
+    # quoted-form comparison.
+    assert constant_sum_residuals(raw, params.lam)[1] == pytest.approx(math.log(6.0), rel=1e-14)
     assert rows["beta-gauge-sum"].value == pytest.approx(math.log(6.0), rel=1e-14)
-    assert rows["beta-gauge-sum"].verdict == "fail"
+    assert rows["beta-gauge-sum"].location == "canonical-gauge"
+    assert rows["beta-gauge-sum"].verdict == "discrepancy-logged"
 
 
 def test_validate_constants_alpha_pair():
-    from lbverify.model import RawConstants
-
     raw = RawConstants(c1=1.0, c2=-1.0, beta=(0.0, 0.0, 0.0), alpha=(1.0, -1.0, 0.0))
-    rows = {row.check: row for row in validate_constants(raw, 3.0)}
-    assert rows["alpha-sum"].verdict == "pass"
-    flagged = [c for c in rows if c.startswith("alpha-") and c.endswith("-nonzero")]
-    assert len(flagged) == 2
-    assert all(rows[c].verdict == "discrepancy-logged" for c in flagged)
+    assert constant_sum_residuals(raw, 3.0)[0] == 0.0
 
 
 def test_validate_constants_beta_at_special_lambda():
-    from lbverify.model import RawConstants
-
     raw = RawConstants(c1=0.0, c2=-1.0, beta=(0.0, 0.0, 0.0), alpha=(0.0, 0.0, 0.0))
-    rows = {row.check: row for row in validate_constants(raw, 1.0 / 12.0)}
-    assert rows["beta-gauge-sum"].value == pytest.approx(0.0, abs=1e-15)
-    assert rows["beta-gauge-sum"].verdict == "pass"
+    assert constant_sum_residuals(raw, 1.0 / 12.0)[1] == pytest.approx(0.0, abs=1e-15)
+    assert _constant_rows(1.0 / 12.0)["beta-gauge-sum"].verdict == "pass"
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):

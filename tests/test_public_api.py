@@ -1,0 +1,96 @@
+"""Every public function of the package is reached from the package itself.
+
+A public top-level function counts as reached when another module of
+``src/lbverify`` imports it by name or reads it as ``module.attr`` through
+an alias of an lbverify module, or when its own module calls it by name
+where no local binding shadows it.  Attribute reads on anything else do not
+count, so a field such as ``scan.null_rate`` cannot hide a function of the
+same name.  The few functions the tests alone call are listed with the
+claim that keeps them.
+"""
+
+import ast
+import pathlib
+
+import lbverify
+
+SRC = pathlib.Path(lbverify.__file__).parent
+
+#: Public functions that no module of the package calls, and why they stay.
+TEST_ONLY = {
+    ("curvature", "ode_integrate_f"): "acceptance criterion 3, the RK4 oracle of f",
+    ("scalar_field", "scalar_profile"): "acceptance criterion 4, the scalar profile",
+    ("scalar_field", "noether_charge"): "acceptance criterion 4, the first integral",
+    ("scalar_field", "phi_accumulate"): "acceptance criterion 4, phi by quadrature",
+    ("curvature", "alpha_deformation_sample"): "the paper's general-form claim",
+    ("special_functions", "gauss_2f1_series"): "the reference branch of hyp2f1",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_functions(tree):
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+
+
+def _cross_module_references(module, tree):
+    """(target module, name) pairs that ``module`` imports or reads through a module alias."""
+    refs, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("lbverify")):
+            target = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if target and target != "lbverify":
+                    refs.add((target, alias.name))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            refs.add((aliases[node.value.id], node.attr))
+    return {ref for ref in refs if ref[0] != module}
+
+
+def _own_module_calls(tree):
+    """Names a module reads at top level or in a function that binds no local of that name."""
+    used = set()
+    for top in tree.body:
+        names = [node for node in ast.walk(top) if isinstance(node, ast.Name)]
+        local = set()
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = {top.name} | {node.id for node in names if isinstance(node.ctx, ast.Store)}
+            local |= {arg.arg for arg in ast.walk(top) if isinstance(arg, ast.arg)}
+        used |= {node.id for node in names if isinstance(node.ctx, ast.Load) and node.id not in local}
+    return used
+
+
+def test_every_public_function_is_reached_from_the_package():
+    modules = _modules()
+    referenced = set().union(*(_cross_module_references(name, tree) for name, tree in modules.items()))
+    unreached = {
+        (name, fn)
+        for name, tree in modules.items()
+        for fn in _public_functions(tree) - _own_module_calls(tree)
+        if (name, fn) not in referenced
+    }
+    assert unreached == set(TEST_ONLY), (
+        f"only tests reach {sorted(unreached - set(TEST_ONLY))}; "
+        f"listed but reached or gone: {sorted(set(TEST_ONLY) - unreached)}"
+    )
+
+
+def test_a_field_of_the_same_name_does_not_count_as_a_reference():
+    tree = ast.parse(
+        "from . import congruence as cg\n"
+        "from .model import w_eval\n"
+        "def build(scan):\n"
+        "    null_rate = scan.null_rate\n"
+        "    return cg.kinematics_scan, null_rate\n"
+    )
+    assert _cross_module_references("suites", tree) == {("model", "w_eval"), ("congruence", "kinematics_scan")}
+    assert "null_rate" not in _own_module_calls(tree)

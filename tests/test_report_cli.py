@@ -211,7 +211,31 @@ def test_cli_congruence_requires_unit_energy():
 def test_cli_unknown_subcommand_usage_on_stderr():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
-    assert b"usage" in proc.stderr.lower()
+    assert proc.stderr.startswith(b"lbverify: error: argument subcommand: invalid choice: 'frobnicate'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--xi", "abc"),
+        ("verify", "--bogus"),
+        (),
+        ("nosuch",),
+        ("sweep", "--samples", "x"),
+        ("verify", "--samples", "2.5"),
+    ],
+    ids=("bad-float", "unknown-flag", "no-subcommand", "unknown-subcommand", "sweep-bad-int", "float-samples"),
+)
+def test_argparse_errors_are_one_line(argv, capsys):
+    from lbverify.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("lbverify: error: ")
 
 
 def test_cli_window_validation():

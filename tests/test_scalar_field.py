@@ -5,7 +5,7 @@ import pytest
 
 from lbverify import scalar_field
 from lbverify.errors import DomainError
-from lbverify.model import MetricSample, metric_eval, params_from_xi, w_value
+from lbverify.model import MetricSample, metric_eval, params_from_xi
 from lbverify.scalar_field import (
     noether_charge,
     phi_accumulate,
@@ -144,17 +144,6 @@ def test_noether_value_anchored_then_global():
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 257)
             j = noether_charge(params, grid)
             assert np.max(np.abs(j - anchor)) / abs(anchor) < 1e-8
-
-
-def test_branch_sign_flip():
-    plus, _ = params_from_xi(3.0, 1.0, phi_branch=1)
-    minus, _ = params_from_xi(3.0, 1.0, phi_branch=-1)
-    grid = np.linspace(-1.0, 1.0, 65)
-    prof_plus = scalar_profile(plus, metric_eval(plus, grid))
-    prof_minus = scalar_profile(minus, metric_eval(minus, grid))
-    assert np.allclose(prof_plus.phi, -prof_minus.phi, rtol=0, atol=1e-15)
-    assert np.array_equal(prof_plus.phi_p_sq_constraint, prof_minus.phi_p_sq_constraint)
-    assert np.array_equal(w_value(plus, grid), w_value(minus, grid))
 
 
 def test_profile_phi_gauge_and_consistency():

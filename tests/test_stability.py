@@ -11,6 +11,7 @@ from lbverify.stability import (
     jacobian_eigen,
     stationarity_residuals,
 )
+from lbverify.suites import build_stability_report
 
 
 def test_fixed_point_unit_length():
@@ -20,6 +21,14 @@ def test_fixed_point_unit_length():
 def test_fixed_point_rejects_bad_lambda():
     with pytest.raises(ParameterDomainError):
         fixed_point(-3.0)
+
+
+@pytest.mark.parametrize("lam", (math.inf, math.nan, 0.0, -1.0, 1e-320))
+@pytest.mark.parametrize("fn", (fixed_point, jacobian, jacobian_eigen))
+def test_lambda_outside_the_model_domain_is_rejected(fn, lam):
+    # The model's rule: lambda finite and > 0, with a = sqrt(3/lambda) finite.
+    with pytest.raises(ParameterDomainError):
+        fn(lam)
 
 
 def test_both_stationarity_conditions():
@@ -77,6 +86,7 @@ def test_stable_for_every_lambda():
 
 
 def test_report_carries_missing_term_note():
-    report = jacobian_eigen(3.0)
-    assert any("omits" in note for note in report.notes)
+    rows = [row for row in build_stability_report(3.0).rows if row.check == "linearized-profile-note"]
+    assert len(rows) == 1 and "omits" in rows[0].location
+    assert rows[0].verdict == "discrepancy-logged"
 
