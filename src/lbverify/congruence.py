@@ -31,8 +31,8 @@ from .errors import (
     PoleError,
     RangeError,
 )
-from .model import SolutionParams, radial_bound, w_eval, w_value
-from .numerics import adaptive_simpson, bisect, bracket_sign_changes, fd_step
+from .model import MAX_ABS_XI, SolutionParams, radial_bound, w_eval, w_value
+from .numerics import FD_FIRST_STEP, adaptive_simpson, bisect, bracket_sign_changes
 from .special_functions import hyp2f1
 
 #: Scans skip radii with |E^2 - w| < TURNING_GUARD_REL * E^2.
@@ -53,14 +53,17 @@ _FOCUSING_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class CongruenceConfig:
-    """Conserved energy per unit rest mass of the outgoing radial congruence."""
+    """Conserved energy per unit rest mass of the outgoing radial congruence.
+
+    |E| >= 1 for a real radial velocity; |E| <= MAX_ABS_XI keeps E^2 finite.
+    """
 
     e_tilde: float
 
     def __post_init__(self):
-        if not (abs(self.e_tilde) >= 1.0 and math.isfinite(self.e_tilde)):
+        if not 1.0 <= abs(self.e_tilde) <= MAX_ABS_XI:
             raise ParameterDomainError(
-                f"|e_tilde| must be finite and >= 1 for a real radial velocity, got {self.e_tilde}"
+                f"|e_tilde| must be finite with 1 <= |e_tilde| <= {MAX_ABS_XI:.6g}, got {self.e_tilde}"
             )
 
 
@@ -205,18 +208,20 @@ def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r):
 
 
 def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
-    """Step for finite-differencing the expansion in r (elementwise).
+    """Step for finite-differencing congruence quantities in r (elementwise).
 
-    The derivatives of theta grow like powers of w'/(E^2 - w) toward a
-    turning point, so the usual eps^(1/3) step must shrink with the distance
-    to it for the chain-rule oracle to keep its relative accuracy.
+    ``FD_FIRST_STEP * a``, capped by 1e-4 (E^2 - w)/|w'|, a ten-thousandth
+    of the linear distance to the turning point: the derivatives of theta
+    grow like powers of w'/(E^2 - w) toward it, and a stencil within that
+    cap neither crosses it nor loses the chain-rule oracle's relative
+    accuracy.
     """
     w, w_p, _ = w_eval(params, r)
     q2 = cfg.e_tilde**2 - w
     # A subnormal w' overflows the cap to inf, which np.minimum then drops.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cap = np.where((q2 > 0.0) & (w_p != 0.0), 1e-4 * q2 / np.abs(w_p), np.inf)
-    return np.minimum(np.minimum(fd_step(r), cap), 0.02 * params.a)
+    return np.minimum(FD_FIRST_STEP * params.a, cap)
 
 
 def focusing_polynomial(x, b: float):

@@ -84,16 +84,15 @@ def ricci_diagonal(sample: MetricSample):
     return -np.exp(u1) * r_tt, _ricci_radial(sample), np.exp(u2) * r_pp, np.exp(u3) * r_zz
 
 
-def ricci_diagonal_fd(metric_fn: Callable, r, h=None):
+def ricci_diagonal_fd(metric_fn: Callable, r, h):
     """Diagonal Ricci from the metric components alone, by finite differences.
 
     ``metric_fn(r)`` must return the diagonal (g_tt, g_rr, g_phiphi, g_zz).
     First and second derivatives of each component come from one 5-point
-    stencil with step ``eps**(1/5) * max(1, |r|)`` (second differences are
-    rounding-dominated at the usual eps**(1/3) step).  Assembly is the
-    generic Christoffel contraction for a diagonal r-dependent metric; the
-    result is flipped to the convention documented in this module.
-    Elementwise over an array of radii when ``metric_fn`` accepts arrays.
+    stencil with step ``h`` (the verify report takes ``FD_PAIR_STEP * a``).
+    Assembly is the generic Christoffel contraction for a diagonal
+    r-dependent metric; the result is flipped to the convention documented
+    in this module.  Elementwise over an array of radii when ``metric_fn`` accepts arrays.
     """
     components = lambda x: np.array(metric_fn(x), dtype=float)
     g = components(r)
@@ -214,13 +213,13 @@ def covariant_divergence_radial(
     sqrt_g_fn: Callable[[float], float],
     u_r_fn: Callable[[float], float],
     r: float,
-    h: float | None = None,
+    h: float,
 ) -> float:
-    """(1/sqrt|g|) d/dr (sqrt|g| u^r) by central differences.
+    """(1/sqrt|g|) d/dr (sqrt|g| u^r) by central differences with step ``h``.
 
     For a static radial vector field this is the full covariant divergence.
-    Pass a reduced step ``h`` when the flux has nearby singular structure
-    (e.g. a congruence turning point).
+    Near singular structure of the flux (e.g. a congruence turning point)
+    ``h`` must stay well inside the distance to it.
     """
     flux = lambda x: sqrt_g_fn(x) * u_r_fn(x)
     return central_diff(flux, r, h) / sqrt_g_fn(r)

@@ -3,7 +3,9 @@ bracketing bisection and a fixed-step RK4 integrator.
 
 The difference stencils, the quadrature and the bracket scan are array-first:
 they call ``fn`` on whole arrays of points (one call per Simpson level).
-``bisect`` and ``rk4`` step one point at a time.
+``bisect`` and ``rk4`` step one point at a time.  The stencils take their
+step from the caller; the report oracles use ``FD_FIRST_STEP`` or
+``FD_PAIR_STEP`` times the de Sitter length a, the family's one length.
 
 These are deliberately plain implementations; every closed-form expression in
 the toolkit is cross-checked against at least one of them, so they must stay
@@ -19,11 +21,13 @@ import numpy as np
 
 EPS = sys.float_info.epsilon
 
-# Optimal step exponents: eps**(1/3) balances truncation and rounding for a
-# 3-point first difference; second differences are rounding-dominated at that
-# step, so the 5-point pair below uses the larger eps**(1/5).
+# Steps as fractions of the length a profile varies on.  eps**(1/3) balances
+# truncation and rounding for a 3-point first difference.  Second differences
+# are rounding-dominated at that step, so the 5-point pair takes 1e-3, wider
+# than its eps**(1/5) balance: at eps**(1/5) the dual-path Ricci row of
+# verify --xi 1e154 exceeds its tolerance.
 FD_FIRST_STEP = EPS ** (1.0 / 3.0)
-FD_PAIR_STEP = EPS ** (1.0 / 5.0)
+FD_PAIR_STEP = 1e-3
 
 #: Subdivision levels after which ``adaptive_simpson`` accepts a subinterval.
 SIMPSON_DEPTH_CAP = 60
@@ -33,30 +37,20 @@ SIMPSON_DEPTH_CAP = 60
 SIMPSON_ROUNDING_FLOOR = 8.0
 
 
-def fd_step(x):
-    """Central-difference step scaled to the magnitude of ``x`` (elementwise)."""
-    return FD_FIRST_STEP * np.maximum(1.0, np.abs(x))
-
-
-def central_diff(fn: Callable, x, h=None):
-    """3-point central first derivative of ``fn`` at ``x``.
+def central_diff(fn: Callable, x, h):
+    """3-point central first derivative of ``fn`` at ``x`` with step ``h``.
 
     Elementwise over arrays ``x`` (and ``h``) when ``fn`` accepts arrays.
     """
-    if h is None:
-        h = fd_step(x)
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def five_point_diffs(fn: Callable, x, h=None):
-    """First and second derivative from one 5-point stencil.
+def five_point_diffs(fn: Callable, x, h):
+    """First and second derivative from one 5-point stencil with step ``h``.
 
     Returns (f', f'').  Elementwise over ``x`` (and ``h``), also when ``fn``
-    returns a stack of components along the last axis.  The wider default
-    step keeps the second difference out of the rounding-dominated regime.
+    returns a stack of components along the last axis.
     """
-    if h is None:
-        h = FD_PAIR_STEP * np.maximum(1.0, np.abs(x))
     fm2, fm1, f0, fp1, fp2 = (fn(x - 2 * h), fn(x - h), fn(x), fn(x + h), fn(x + 2 * h))
     d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)

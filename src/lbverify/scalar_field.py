@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import MetricSample, SolutionParams, metric_eval
+from .model import MetricSample, SolutionParams, _q, metric_eval
 from .numerics import adaptive_simpson
 
 #: Absolute quadrature tolerance for phi accumulation.
@@ -97,12 +97,8 @@ def log_noether(params: SolutionParams, sample: MetricSample):
 
     which stays finite where f'' itself underflows.  -inf at xi = 0.
     """
-    k = params.k
-    q = 2.0 * k * np.asarray(sample.r, dtype=float) + (
-        2.0 * math.log(abs(params.xi)) if params.xi else -math.inf
-    )
-    abs_q = np.abs(q)
-    log_f_pp = 2.0 * math.log(k) + math.log(4.0) - abs_q - 2.0 * np.log1p(np.exp(-abs_q))
+    abs_q = np.abs(_q(params, np.asarray(sample.r, dtype=float)))
+    log_f_pp = 2.0 * math.log(params.k) + math.log(4.0) - abs_q - 2.0 * np.log1p(np.exp(-abs_q))
     f = sample.f - 0.5 * math.log(12.0 * params.lam)
     return f + 0.5 * (math.log(2.0 / 3.0) + log_f_pp)
 

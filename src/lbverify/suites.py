@@ -25,7 +25,7 @@ from .curvature import (
     ricci_diagonal_fd,
 )
 from .errors import ParameterDomainError
-from .numerics import central_diff, fd_step
+from .numerics import FD_FIRST_STEP, FD_PAIR_STEP, central_diff
 from .report import Report
 
 #: Residual tolerance for the integration-constant sum checks.
@@ -117,12 +117,11 @@ def build_verify_report(
         u1, u2, u3 = model.metric_eval(params, x).u
         return (-np.exp(u1), np.ones_like(u1), np.exp(u2), np.exp(u3))
 
-    # The FD stencil step scales with the de Sitter length (all radial
-    # structure does), and the row tolerance scales with the Ricci magnitude
-    # once it exceeds what an absolute 1e-6 can mean in double precision.
+    # The row tolerance scales with the Ricci magnitude once it exceeds what
+    # an absolute 1e-6 can mean in double precision.
     ricci_r = np.linspace(r_min, r_max, 25)
     cf = np.array(ricci_diagonal(model.metric_eval(params, ricci_r)))
-    fd = np.array(ricci_diagonal_fd(metric_fn, ricci_r, h=1e-3 * params.a))
+    fd = np.array(ricci_diagonal_fd(metric_fn, ricci_r, FD_PAIR_STEP * params.a))
     tol = max(1e-6, 1e-9 * _max_abs(cf))
     rpt.add_check("ricci-dual-path", loc.replace(f"x{samples}", "x25"), _max_abs(cf - fd), tol)
 
@@ -258,8 +257,8 @@ def build_congruence_report(
     u_t, u_r, _, _ = cg.four_velocity(params, cfg, r)
     norm_err = _max_abs(-w * u_t**2 + u_r**2 + 1.0)
     # The chain-rule and divergence oracles need finite differences that
-    # stay clear of the turning-point divergence.
-    fd = (e2 - w >= 1e-3 * e2) & (np.abs(rate) >= 1e-2)
+    # stay clear of the turning-point divergence; a rate is 1/length^2.
+    fd = (e2 - w >= 1e-3 * e2) & (np.abs(rate) * params.a**2 >= 1e-2)
     h = cg.chain_rule_fd_step(params, cfg, r[fd])
     theta_fd = central_diff(lambda x: cg.expansion_timelike(params, cfg, x), r[fd], h)
     chain_err = _max_abs((theta_fd * u_r[fd] - rate[fd]) / rate[fd])
@@ -278,7 +277,7 @@ def build_congruence_report(
         # The central difference of the potential at mid is its integral
         # over the stencil [mid - h, mid + h], divided by 2h.
         i = r.size // 2
-        h = fd_step(r[i])
+        h = cg.chain_rule_fd_step(params, cfg, r[i])
         pot_grad = cg.hypersurface_potential(params, cfg, r[i] - h, r[i] + h) / (2.0 * h)
         rpt.add_check("potential-gradient-covector", f"r={r[i]:.9g}", abs(pot_grad + u_r[i]), 1e-6)
 
@@ -372,7 +371,7 @@ def build_tortoise_report(
     rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)
 
     deriv_r = np.linspace(r_min, r_max, 9)
-    d = central_diff(lambda x: cg.tortoise_series(params, x), deriv_r)
+    d = central_diff(lambda x: cg.tortoise_series(params, x), deriv_r, FD_FIRST_STEP * params.a)
     deriv_err = _max_abs(d * np.sqrt(model.w_value(params, deriv_r)) - 1.0)
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 
@@ -424,7 +423,7 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         margins = ec.condition_margins(ec.stress_decompose(sample))
         rpt.add_check("strong-margin-constant", tag, float(np.max(np.abs(margins.sec + 2.0 * lam))), 1e-8)
         # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
-        # rejects a non-finite E.
+        # rejects a non-finite E and one whose square overflows.
         if not abs(e_tilde) < 1.0:
             cfg = cg.CongruenceConfig(e_tilde=e_tilde)
             # NaN off the ok points, so only ok points can count.

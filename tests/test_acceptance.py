@@ -28,7 +28,7 @@ from lbverify.congruence import (
 from lbverify.curvature import field_residual, ode_integrate_f
 from lbverify.energy_conditions import condition_margins, stress_decompose
 from lbverify.model import f_eval, metric_eval, params_from_xi, w_eval
-from lbverify.numerics import central_diff
+from lbverify.numerics import FD_FIRST_STEP, central_diff
 from lbverify.scalar_field import noether_charge, phi_prime_sq_constraint, scalar_profile
 from lbverify.special_functions import gauss_2f1_pfaff, gauss_2f1_series, hyp2f1
 
@@ -244,7 +244,7 @@ def test_criterion_09_tortoise():
     for xi in (0.1, 0.5, 1.0):
         params, _ = params_from_xi(3.0, xi)
         for r in np.linspace(-params.a, params.a, 9):
-            d = central_diff(lambda x: tortoise_series(params, x), float(r))
+            d = central_diff(lambda x: tortoise_series(params, x), float(r), FD_FIRST_STEP * params.a)
             worst_deriv = max(
                 worst_deriv, abs(d * math.sqrt(float(w_eval(params, float(r))[0])) - 1.0)
             )

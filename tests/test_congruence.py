@@ -31,7 +31,7 @@ from lbverify.errors import (
     PoleError,
 )
 from lbverify.model import params_from_xi, w_eval
-from lbverify.numerics import adaptive_simpson, bracket_sign_changes, central_diff, fd_step
+from lbverify.numerics import FD_FIRST_STEP, adaptive_simpson, bracket_sign_changes, central_diff
 
 
 @pytest.fixture
@@ -125,13 +125,14 @@ def test_potential_against_elementary_antiderivative(vacuum):
     expected = -(antiderivative(0.4) - antiderivative(0.0))
     assert got == pytest.approx(expected, abs=1e-8)
     # Integrand value sqrt(3) at the origin, via the derivative.
-    grad = central_diff(lambda x: hypersurface_potential(vacuum, OUT2, 0.0, x), 0.0)
+    grad = central_diff(lambda x: hypersurface_potential(vacuum, OUT2, 0.0, x), 0.0, FD_FIRST_STEP * vacuum.a)
     assert grad == pytest.approx(-math.sqrt(3.0), abs=1e-6)
 
 
 def test_potential_gradient_is_minus_velocity_covector(vacuum, unit_xi):
     for params, base in ((vacuum, 0.1), (unit_xi, 0.2)):
-        grad = central_diff(lambda x: hypersurface_potential(params, OUT2, base, x), base + 0.05)
+        h = FD_FIRST_STEP * params.a
+        grad = central_diff(lambda x: hypersurface_potential(params, OUT2, base, x), base + 0.05, h)
         u_r = four_velocity(params, OUT2, base + 0.05)[1]
         assert grad + u_r == pytest.approx(0.0, abs=1e-6)
 
@@ -192,6 +193,7 @@ def test_expansion_matches_covariant_divergence(vacuum, unit_xi):
             lambda x: float(w_eval(params, x)[0]) ** 1.5,
             lambda x: four_velocity(params, OUT2, x)[1],
             r,
+            FD_FIRST_STEP * params.a,
         )
         assert theta == pytest.approx(div, abs=1e-6)
 
@@ -497,14 +499,14 @@ def test_chain_rule_step_with_subnormal_slope(unit_xi):
     # w'(5e-324) is subnormal; the cap 1e-4 (E^2 - w) / |w'| overflows to inf,
     # which is no bound, under the suite's error::RuntimeWarning filter.
     r = np.array([0.0, 5e-324])
-    assert np.array_equal(congruence.chain_rule_fd_step(unit_xi, OUT2, r), fd_step(r))
+    assert np.array_equal(congruence.chain_rule_fd_step(unit_xi, OUT2, r), np.full(2, FD_FIRST_STEP * unit_xi.a))
 
 
 def test_tortoise_derivative_identity():
     for xi in (0.1, 0.5, 1.0):
         params, _ = params_from_xi(3.0, xi)
         for r in (-0.7, 0.0, 0.3):
-            d = central_diff(lambda x: tortoise_series(params, x), r)
+            d = central_diff(lambda x: tortoise_series(params, x), r, FD_FIRST_STEP * params.a)
             w = float(w_eval(params, r)[0])
             assert d * math.sqrt(w) == pytest.approx(1.0, abs=1e-6)
 

@@ -14,6 +14,7 @@ from lbverify.curvature import (
 from lbverify.energy_conditions import condition_margins, stress_decompose
 from lbverify.errors import DomainError, ParameterDomainError, ResolutionError
 from lbverify.model import MetricSample, f_eval, metric_eval, params_from_xi
+from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import build_verify_report
 
@@ -39,7 +40,7 @@ def test_dual_path_ricci_spot():
     params, _ = params_from_xi(3.0, 1.0)
     for r in (0.3, np.array([-0.9, 0.3, 1.1])):
         closed = ricci_diagonal(metric_eval(params, r))
-        fd = ricci_diagonal_fd(_metric_fn(params), r)
+        fd = ricci_diagonal_fd(_metric_fn(params), r, FD_PAIR_STEP * params.a)
         assert np.max(np.abs(np.subtract(closed, fd))) < 1e-6
 
 
@@ -60,7 +61,7 @@ def test_dual_path_ricci_random_draws():
         params, _ = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
         closed = ricci_diagonal(metric_eval(params, r))
-        fd = ricci_diagonal_fd(_metric_fn(params), r)
+        fd = ricci_diagonal_fd(_metric_fn(params), r, FD_PAIR_STEP * params.a)
         worst = max(worst, max(abs(float(c) - d) for c, d in zip(closed, fd)))
     assert worst < 1e-6
 
@@ -289,5 +290,5 @@ def test_deformation_undefined_for_vacuum_member():
 
 def test_covariant_divergence_of_static_vector():
     # For sqrt|g| = r^2 and u^r = 1/r^2 the divergence vanishes.
-    div = covariant_divergence_radial(lambda r: r * r, lambda r: 1.0 / (r * r), 2.0)
+    div = covariant_divergence_radial(lambda r: r * r, lambda r: 1.0 / (r * r), 2.0, FD_FIRST_STEP)
     assert abs(div) < 1e-10

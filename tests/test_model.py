@@ -16,7 +16,7 @@ from lbverify.model import (
     w_eval,
     w_value,
 )
-from lbverify.numerics import central_diff, five_point_diffs
+from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP, central_diff, five_point_diffs
 
 LAMBDAS = (0.75, 3.0, 12.0)
 XIS = (0.0, 0.1, 0.5, 1.0, 2.0)
@@ -131,7 +131,7 @@ def test_exponent_flux_form_finite_difference():
 
     for r in (-1.3, -0.2, 0.4, 1.1):
         s = metric_eval(params, r)
-        lhs = central_diff(flux, r)
+        lhs = central_diff(flux, r, FD_FIRST_STEP * params.a)
         rhs = 2.0 * params.lam * math.exp(float(s.f))
         assert abs(lhs - rhs) / rhs < 1e-8
 
@@ -355,12 +355,12 @@ def test_metric_derivatives_match_finite_differences():
     radii = (-2.5, -0.7, 0.0, 1.2, 3.1)
     for r in (*radii, np.array(radii)):
         w_fn = lambda x: w_eval(params, x)[0]
-        d1, d2 = five_point_diffs(w_fn, r)
+        d1, d2 = five_point_diffs(w_fn, r, FD_PAIR_STEP * params.a)
         w, w_p, w_pp = w_eval(params, r)
         assert d1 == pytest.approx(w_p, rel=1e-9, abs=1e-9)
         assert d2 == pytest.approx(w_pp, rel=1e-6, abs=1e-6)
         f_fn = lambda x: f_eval(params, x)[0]
-        d1, d2 = five_point_diffs(f_fn, r)
+        d1, d2 = five_point_diffs(f_fn, r, FD_PAIR_STEP * params.a)
         _, f_p, f_pp = f_eval(params, r)
         assert d1 == pytest.approx(f_p, rel=1e-9, abs=1e-9)
         assert d2 == pytest.approx(f_pp, rel=1e-6, abs=1e-6)

@@ -121,8 +121,11 @@ def test_cli_invalid_lambda_exits_2():
         ("verify", "--lambda", "inf"),
         ("congruence", "--e-tilde", "inf"),
         ("congruence", "--e-tilde", "nan"),
+        # E^2 overflows: a Python float power raised OverflowError here.
+        ("congruence", "--e-tilde", "1e155"),
+        ("sweep", "--e-tilde", "1e200"),
     ],
-    ids=("xi-inf", "xi-overflow", "lambda-inf", "e-tilde-inf", "e-tilde-nan"),
+    ids=("xi-inf", "xi-overflow", "lambda-inf", "e-tilde-inf", "e-tilde-nan", "e-tilde-overflow", "sweep-e-tilde-overflow"),
 )
 def test_cli_rejects_nonfinite_or_overflowing_parameters(args):
     proc = run_cli(*args, "--samples", "64")
@@ -455,3 +458,37 @@ def test_tiny_lambda_tortoise_runs_in_bounded_memory(lam):
     else:
         assert proc.returncode in (0, 1) and proc.stderr == b""
         assert proc.stdout.startswith(b"check,location,value,tolerance,verdict\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, failing",
+    [
+        (("tortoise", "--lambda", "1e-12"), 0, []),
+        (("tortoise", "--lambda", "1e12"), 0, []),
+        (("congruence", "--lambda", "1e4", "--e-tilde", "2"), 0, []),
+        # The divergence tolerance is an absolute 1e-6 on a value that scales
+        # like 1/a = sqrt(lambda/3): a tolerance fail, not a stencil that
+        # leaves the window.
+        (("congruence", "--lambda", "1e12", "--e-tilde", "2"), 1, ["expansion-covariant-divergence"]),
+        # A window across the turning point r = -log(2) at xi = 0: its middle
+        # admissible radius is about 5e-6 from it, closer than eps^(1/3), and
+        # the potential stencil stays on the allowed side.
+        (
+            ("congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "2",
+             "--r-min", "-0.6931482", "--r-max", "-0.6931372", "--samples", "64"),
+            0,
+            [],
+        ),
+    ],
+    ids=("tortoise-tiny-lambda", "tortoise-huge-lambda", "congruence-lambda-1e4", "congruence-lambda-1e12",
+         "congruence-near-turning-point"),
+)
+def test_cli_finite_difference_steps_scale_with_a(argv, code, failing, tmp_path):
+    # Every stencil step is a fraction of the de Sitter length a, so no row
+    # fails on a step that is too wide or too narrow for the window.
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [r["check"] for r in rows if r["verdict"] == "fail"] == failing
