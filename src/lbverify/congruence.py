@@ -119,7 +119,7 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     Elementwise over an array of radii; raises ForbiddenRegionError if any
     radius has w > E^2.
     """
-    w = w_eval(params, r)[0]
+    w = w_value(params, r)
     e2 = cfg.e_tilde**2
     _require_allowed(w, e2, r)
     u_r = np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
@@ -127,7 +127,7 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
 
 
 def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray) -> np.ndarray:
-    val = cfg.e_tilde**2 / w_eval(params, r)[0] - 1.0
+    val = cfg.e_tilde**2 / w_value(params, r) - 1.0
     bad = val < -1e-14 * cfg.e_tilde**2
     if np.any(bad):
         raise ForbiddenRegionError(f"w > E^2 at r = {_first(r, bad):.6g} inside the integration interval")
@@ -141,29 +141,11 @@ def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: fl
     covector relation u_alpha = -d_alpha(potential) holds; the gauge is
     potential(r0) = 0.  One ``adaptive_simpson`` call integrates
     sqrt(E^2/w - 1) over [r0, r1] (either orientation) to an absolute 1e-10.
-    An endpoint at a turning point is integrated with the substitution
-    r = end + step * s^2 from the turning end, with step = +/-1 pointing to
-    the other end, which removes the square-root cusp; an interval with two
-    turning ends is split at its midpoint.
+    A turning point (w = E^2) may be an endpoint: the integrand's
+    square-root cusp there is integrable, and the quadrature refines toward
+    it until its error estimate or its rounding floor is met.
     """
-    if r1 == r0:
-        return 0.0
-    e2 = cfg.e_tilde**2
-    turn0, turn1 = np.abs(e2 - w_eval(params, np.array([r0, r1]))[0]) <= 1e-9 * e2
-    if turn0 and turn1:
-        mid = 0.5 * (r0 + r1)
-        return hypersurface_potential(params, cfg, r0, mid) + hypersurface_potential(params, cfg, mid, r1)
-    if not (turn0 or turn1):
-        return -adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
-    sgn = 1.0 if r1 > r0 else -1.0
-    end, step = (r1, -sgn) if turn1 else (r0, sgn)
-    integral = sgn * adaptive_simpson(
-        lambda s: _sqrt_integrand(params, cfg, end + step * s * s) * 2.0 * s,
-        0.0,
-        math.sqrt(abs(r1 - r0)),
-        1e-10,
-    )
-    return -integral
+    return -adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
 
 
 def _theta(w, w_p, e2: float):
@@ -324,7 +306,7 @@ def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
         raise ParameterDomainError(f"X must be positive, got {X}")
     from_exponential = params.a / 6.0 * math.log(X)
     half = 2.0 * params.a
-    fn = lambda r: w_eval(params, r)[0] - X
+    fn = lambda r: w_value(params, r) - X
     w_roots = [bisect(fn, lo, hi) for lo, hi in bracket_sign_changes(fn, -half, half, 4096)]
     return RadiusCandidates(from_exponential=from_exponential, from_w=tuple(sorted(set(w_roots))))
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +36,14 @@ from .model import MetricSample, SolutionParams, f_eval, metric_eval
 from .numerics import central_diff, five_point_diffs, rk4
 
 
-@dataclass(frozen=True)
-class FieldResidual:
-    """Componentwise residual of the field equations at one radius (or grid).
-
-    The res_* fields are the non-radial mixed components R^m_m - lambda,
-    free of any metric factor; ``field_residual`` says why rr has none.
-    """
-
-    r: float | np.ndarray
-    res_tt: float | np.ndarray
-    res_phiphi: float | np.ndarray
-    res_zz: float | np.ndarray
-    max_abs: float
-
-
 def _ricci_transverse(sample: MetricSample):
     """Closed-form mixed components of the non-radial axes (R^t_t, R^phi_phi, R^z_z).
 
     When the three axes hold the same (u', u'') arrays, as every
-    ``metric_eval`` sample does, they share one bracket: the three
-    components are then one object.
+    ``metric_eval`` sample does, they share one bracket, computed once.
+    This is the only place that knows of the sharing: callers treat the
+    three components as values, which the general expression would give
+    bit for bit.
     """
     u_p, u_pp = sample.u_p, sample.u_pp
     s = u_p[0] + u_p[1] + u_p[2]
@@ -113,27 +99,17 @@ def ricci_diagonal_fd(metric_fn: Callable, r, h):
     return tuple(-ricci_std)
 
 
-def field_residual(sample: MetricSample, lam: float) -> FieldResidual:
-    """Residual R^m_n - lambda delta^m_n of the t, phi and z axes for an
-    arbitrary sample.
+def field_residual(sample: MetricSample, lam: float) -> float:
+    """max |R^m_m - lambda| over the t, phi and z axes of an arbitrary sample.
 
-    The rr equation R^r_r - lambda = phi'^2 is not checked: it is what
-    defines phi'^2 (``phi_prime_sq_constraint``), which is built from the
-    same sums as R^r_r and differs from R^r_r - lambda only by the exact
-    scalings 1/2 and 1/4, so its residual is bitwise 0 on any sample,
-    barring under/overflow.  Shared axes share one residual array, reduced
-    once.
+    The non-radial mixed components carry no metric factor.  The rr
+    equation R^r_r - lambda = phi'^2 is not checked: it is what defines
+    phi'^2 (``phi_prime_sq_constraint``), which is built from the same sums
+    as R^r_r and differs from R^r_r - lambda only by the exact scalings 1/2
+    and 1/4, so its residual is bitwise 0 on any sample, barring
+    under/overflow.  A NaN component makes the result NaN.
     """
-    r_tt, r_pp, r_zz = _ricci_transverse(sample)
-    res_tt = r_tt - lam
-    if r_pp is r_tt and r_zz is r_tt:
-        res_pp = res_zz = res_tt
-        checked = (res_tt,)
-    else:
-        res_pp, res_zz = r_pp - lam, r_zz - lam
-        checked = (res_tt, res_pp, res_zz)
-    max_abs = float(np.max([np.abs(res).max() for res in checked]))
-    return FieldResidual(sample.r, res_tt, res_pp, res_zz, max_abs)
+    return float(np.max([np.abs(r_mm - lam).max() for r_mm in _ricci_transverse(sample)]))
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):

@@ -20,9 +20,11 @@ margin is the constant -2 lambda (violated for every lambda > 0), and the
 radial null margin equals the scalar-field gradient squared.
 
 The stress takes a ``MetricSample`` that the caller evaluates once per grid.
-On a ``metric_eval`` sample the three non-radial axes share one Ricci
-component, so rho + p_phi and rho + p_z are exact zeros there; samples
-with distinct axes (``alpha_deformation_sample``) exercise the general case.
+Every axis goes through the same general expressions.  On a ``metric_eval``
+sample the three non-radial Ricci components are equal, so rho + p_phi and
+rho + p_z are exact zeros there and the z margins equal the phi margins;
+samples with distinct axes (``alpha_deformation_sample``) exercise the
+general case.
 Margins are the primitive output; booleans derive from the single tolerance
 HOLD_TOL so that marginal saturation stays visible.
 """
@@ -70,38 +72,28 @@ def stress_decompose(sample: MetricSample) -> FrameStress:
     r_tt, r_pp, r_zz = _ricci_transverse(sample)
     r_rr = _ricci_radial(sample)
     half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
-    p_phi = r_pp - half_r
-    p_z = p_phi if r_zz is r_pp else r_zz - half_r
-    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=p_phi, p_z=p_z)
+    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=r_pp - half_r, p_z=r_zz - half_r)
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:
-    """Pure arithmetic margins of the four classical conditions.
-
-    When p_z is p_phi, as on every ``metric_eval`` sample, the z margins
-    are the phi margin objects.
-    """
+    """Pure arithmetic margins of the four classical conditions, one per axis."""
     rho = stress.rho
-    nec_phi, dec_phi = rho + stress.p_phi, rho - np.abs(stress.p_phi)
-    shared = stress.p_z is stress.p_phi
     return ConditionMargins(
         nec_r=rho + stress.p_r,
-        nec_phi=nec_phi,
-        nec_z=nec_phi if shared else rho + stress.p_z,
+        nec_phi=rho + stress.p_phi,
+        nec_z=rho + stress.p_z,
         wec_extra=rho,
         sec=rho + stress.p_r + stress.p_phi + stress.p_z,
         dec_r=rho - np.abs(stress.p_r),
-        dec_phi=dec_phi,
-        dec_z=dec_phi if shared else rho - np.abs(stress.p_z),
+        dec_phi=rho - np.abs(stress.p_phi),
+        dec_z=rho - np.abs(stress.p_z),
     )
 
 
 def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
     """Minimum margin of each condition; every one includes the NEC minimum."""
-    nec = np.minimum(margins.nec_r, margins.nec_phi)
-    dec = np.minimum(margins.dec_r, margins.dec_phi)
-    if margins.nec_z is not margins.nec_phi:  # ``condition_margins`` shares both or neither
-        nec, dec = np.minimum(nec, margins.nec_z), np.minimum(dec, margins.dec_z)
+    nec = np.minimum(np.minimum(margins.nec_r, margins.nec_phi), margins.nec_z)
+    dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
     return {
         "NEC": nec,
         "WEC": np.minimum(nec, margins.wec_extra),

@@ -68,16 +68,6 @@ class SolutionParams:
 
 
 @dataclass(frozen=True)
-class RawConstants:
-    """Integration constants of the general solution."""
-
-    c1: float
-    c2: float
-    beta: tuple[float, float, float]
-    alpha: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class MetricSample:
     """All radial profile quantities at one radius (or one grid).
 
@@ -103,12 +93,13 @@ class MetricSample:
     u_pp: tuple
 
 
-def params_from_xi(lam: float, xi: float) -> tuple[SolutionParams, RawConstants]:
-    """Build parameters and canonical integration constants from (lambda, xi).
+def params_from_xi(lam: float, xi: float) -> SolutionParams:
+    """Build the parameters of one family member from (lambda, xi).
 
-    Canonical gauge: c2 = -1, c1 = xi^2 (hence xi^2 = -c1/c2 exactly),
-    beta_j = -(2/3) log(-c2) = 0 and alpha_i = 0.  Rejects non-finite inputs,
-    |xi| > MAX_ABS_XI and a lambda so small that a = sqrt(3/lambda) overflows.
+    The canonical gauge c2 = -1, c1 = xi^2 (hence xi^2 = -c1/c2 exactly),
+    beta_j = -(2/3) log(-c2) = 0 and alpha_i = 0 is built into every
+    profile.  Rejects non-finite inputs, |xi| > MAX_ABS_XI and a lambda so
+    small that a = sqrt(3/lambda) overflows.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ParameterDomainError(f"lambda must be positive and finite, got {lam}")
@@ -117,12 +108,7 @@ def params_from_xi(lam: float, xi: float) -> tuple[SolutionParams, RawConstants]
     a = math.sqrt(3.0 / lam)
     if math.isinf(a):
         raise ParameterDomainError(f"lambda = {lam} is too small: a = sqrt(3/lambda) overflows")
-    params = SolutionParams(lam=float(lam), xi=float(xi), a=a)
-    c2 = -1.0
-    c1 = float(xi) ** 2
-    beta_j = -(2.0 / 3.0) * math.log(-c2)  # zero in this gauge
-    raw = RawConstants(c1=c1, c2=c2, beta=(beta_j,) * 3, alpha=(0.0, 0.0, 0.0))
-    return params, raw
+    return SolutionParams(lam=float(lam), xi=float(xi), a=a)
 
 
 def radial_bound(params: SolutionParams) -> float:
@@ -251,17 +237,3 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
         u_p=(u1_p, u1_p, u1_p),
         u_pp=(u1_pp, u1_pp, u1_pp),
     )
-
-
-def constant_sum_residuals(raw: RawConstants, lam: float) -> tuple[float, float]:
-    """Residuals of the two sum conditions on the integration constants.
-
-    Returns |alpha1+alpha2+alpha3| (must vanish for the exponent sum to
-    reproduce f) and |beta1+beta2+beta3 + log(12 lambda)/2| (the quoted gauge
-    condition).  The canonical gauge absorbs all additive constants instead
-    of satisfying the quoted beta condition, so its beta residual is nonzero
-    except at lambda = 1/12.
-    """
-    alpha_residual = abs(math.fsum(raw.alpha))
-    beta_residual = abs(math.fsum(raw.beta) + 0.5 * math.log(12.0 * lam))
-    return alpha_residual, beta_residual

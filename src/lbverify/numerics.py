@@ -66,7 +66,7 @@ def _halves(left, right, keep):
     return np.concatenate([left[keep], right[keep]])
 
 
-def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-10):
+def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float):
     """Adaptive Simpson quadrature with Richardson correction.
 
     ``tol`` is an absolute tolerance on each interval [a, b]; it is halved on

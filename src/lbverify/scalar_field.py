@@ -40,7 +40,6 @@ class ScalarProfile:
 
     r: np.ndarray
     phi_p_sq_constraint: np.ndarray
-    phi_p_sq_quoted: np.ndarray
     phi: np.ndarray
     noether: np.ndarray
 
@@ -120,7 +119,6 @@ def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfil
     integral is composed from ``sample`` by ``log_noether``."""
     r_grid = sample.r
     constraint = np.asarray(phi_prime_sq_constraint(sample, params.lam))
-    quoted = np.asarray(phi_prime_sq_quoted(sample, params.lam))
     phi_p = np.sqrt(np.maximum(constraint, 0.0))
     # Simpson over each cell using midpoints.
     mids = 0.5 * (r_grid[:-1] + r_grid[1:])
@@ -131,7 +129,6 @@ def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfil
     return ScalarProfile(
         r=r_grid,
         phi_p_sq_constraint=constraint,
-        phi_p_sq_quoted=quoted,
         phi=phi,
         noether=noether,
     )

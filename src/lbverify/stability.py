@@ -42,7 +42,7 @@ class StabilityReport:
 
 def fixed_point(lam: float) -> tuple[float, float, float]:
     """Stationary point (2/a, 2/a, 2/a) of the x-subsystem."""
-    x = 2.0 / params_from_xi(lam, 0.0)[0].a
+    x = 2.0 / params_from_xi(lam, 0.0).a
     return (x, x, x)
 
 
@@ -61,7 +61,7 @@ def stationarity_residuals(point: tuple[float, float, float], lam: float) -> tup
 
 def jacobian(lam: float) -> np.ndarray:
     """Linearization -(3/a) I - (1/a) ones(3,3) about the stationary point."""
-    a = params_from_xi(lam, 0.0)[0].a
+    a = params_from_xi(lam, 0.0).a
     return -(3.0 / a) * np.eye(3) - (1.0 / a) * np.ones((3, 3))
 
 

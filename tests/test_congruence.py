@@ -36,13 +36,13 @@ from lbverify.numerics import FD_FIRST_STEP, adaptive_simpson, bracket_sign_chan
 
 @pytest.fixture
 def vacuum():
-    params, _ = params_from_xi(3.0, 0.0)
+    params = params_from_xi(3.0, 0.0)
     return params
 
 
 @pytest.fixture
 def unit_xi():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     return params
 
 
@@ -100,7 +100,7 @@ def test_normalization_random_admissible():
         lam = float(rng.uniform(0.75, 12.0))
         xi = float(rng.uniform(0.0, 2.0))
         e_tilde = float(rng.uniform(1.0, 4.0))
-        params, _ = params_from_xi(lam, xi)
+        params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
         w = float(w_eval(params, r)[0])
         if w > e_tilde**2:
@@ -138,7 +138,8 @@ def test_potential_gradient_is_minus_velocity_covector(vacuum, unit_xi):
 
 
 def test_potential_turning_point_endpoint(vacuum, unit_xi):
-    # w = 4 = E^2 at r = -log(4)/2: integrable square-root endpoint.
+    # w = 4 = E^2 at r = -log(4)/2: integrable square-root endpoint.  The
+    # oracle removes the cusp with r = r_turn + s^2.
     r_turn = -0.5 * math.log(4.0)
     s_max = math.sqrt(-r_turn)
     oracle = -adaptive_simpson(
@@ -153,9 +154,10 @@ def test_potential_turning_point_endpoint(vacuum, unit_xi):
         assert got == pytest.approx(-orientation * oracle, abs=1e-8)
     # A reversed interval without a turning end is minus the forward one.
     assert hypersurface_potential(vacuum, OUT2, 0.4, -0.3) == -hypersurface_potential(vacuum, OUT2, -0.3, 0.4)
-    # At xi = 1 the profile meets E^2 = 4 on both sides of its minimum: an
-    # interval with two turning ends is split at its midpoint, and each half
-    # takes the substitution from its turning end.
+    # At xi = 1 the profile meets E^2 = 4 on both sides of its minimum.  The
+    # oracle splits the interval at its midpoint and integrates each half
+    # with the substitution from its turning end; the potential itself is
+    # one plain quadrature over the interval.
     left, right = radius_candidates(unit_xi, 4.0).from_w
     mid = 0.5 * (left + right)
 
@@ -169,6 +171,20 @@ def test_potential_turning_point_endpoint(vacuum, unit_xi):
     forward = hypersurface_potential(unit_xi, OUT2, left, right)
     assert forward == pytest.approx(-oracle, abs=1e-8)
     assert hypersurface_potential(unit_xi, OUT2, right, left) == -forward
+
+
+def test_potential_interval_with_both_ends_near_turning_point(vacuum):
+    # Both ends within 1e-9 E^2 of E^2 = 4 (r_turn = -log 2), the second
+    # interval one ulp wide: the potential is the plain quadrature there too.
+    r_turn = -math.log(2.0)
+    for r0, r1 in ((r_turn + 2e-10, r_turn + 4e-10), (-0.6931471803099453, np.nextafter(-0.6931471803099453, 0.0))):
+        e2_minus_w = 4.0 - w_eval(vacuum, np.array([r0, r1]))[0]
+        assert np.all((e2_minus_w > 0.0) & (e2_minus_w <= 4e-9))
+        plain = -adaptive_simpson(lambda r: congruence._sqrt_integrand(vacuum, OUT2, r), r0, r1, 1e-10)
+        assert hypersurface_potential(vacuum, OUT2, r0, r1) == plain
+        # q - arctan(q) with q = sqrt(4 e^{2r} - 1), as above.
+        q0, q1 = (math.sqrt(4.0 * math.exp(2.0 * r) - 1.0) for r in (r0, r1))
+        assert plain == pytest.approx(-((q1 - math.atan(q1)) - (q0 - math.atan(q0))), abs=1e-15)
 
 
 def test_potential_forbidden_interval(unit_xi):
@@ -216,7 +232,7 @@ def test_rate_chain_rule_random_admissible():
         lam = float(rng.uniform(0.75, 12.0))
         xi = float(rng.uniform(0.0, 2.0))
         e_tilde = float(rng.uniform(1.1, 3.0))
-        params, _ = params_from_xi(lam, xi)
+        params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
         w = float(w_eval(params, r)[0])
         if w > e_tilde**2 * (1.0 - 1e-3):
@@ -233,7 +249,7 @@ def test_rate_chain_rule_random_admissible():
 
 
 def test_scaled_form_comparison_pair():
-    params, _ = params_from_xi(3.0, 0.1)
+    params = params_from_xi(3.0, 0.1)
     scan = kinematics_scan(params, OUT2, np.array([0.0]))
     quoted = quoted_scaled_rate(params, OUT2, scan.w)
     direct = scan.dtheta_dtau[0]
@@ -258,8 +274,8 @@ def test_scaled_form_shared_singularity_flags(vacuum):
 
 def test_scaled_b_invariant_under_common_scale():
     for scale in (1.0, 2.0, 3.0):
-        p1, _ = params_from_xi(3.0, 0.2)
-        p2, _ = params_from_xi(3.0, 0.2 * scale)
+        p1 = params_from_xi(3.0, 0.2)
+        p2 = params_from_xi(3.0, 0.2 * scale)
         cfg1 = CongruenceConfig(e_tilde=1.5)
         cfg2 = CongruenceConfig(e_tilde=1.5 * scale)
         assert abs(p2.xi / cfg2.e_tilde) == pytest.approx(abs(p1.xi / cfg1.e_tilde), rel=1e-15)
@@ -386,7 +402,7 @@ def test_tortoise_quadrature_within_its_tolerance_on_the_report_grid(lam, xi):
     # The 33 radii the report checks at --samples 65, against a 30-digit 2F1.
     mpmath = pytest.importorskip("mpmath")
 
-    params, _ = params_from_xi(lam, xi)
+    params = params_from_xi(lam, xi)
     a = params.a
     radii = np.linspace(-a, a, 65)[::2]
     with mpmath.workdps(30):
@@ -416,7 +432,7 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
     assert rpt.exit_code() == 0
     assert len(intervals) == 1
     lo, hi = intervals[0]
-    a = model.params_from_xi(3.0, 0.5)[0].a
+    a = model.params_from_xi(3.0, 0.5).a
     grid = np.linspace(-a, a, 65)[::2]
     nodes = np.unique(np.append(grid, 0.0))
     assert np.array_equal(lo, nodes[:-1]) and np.array_equal(hi, nodes[1:])
@@ -504,7 +520,7 @@ def test_chain_rule_step_with_subnormal_slope(unit_xi):
 
 def test_tortoise_derivative_identity():
     for xi in (0.1, 0.5, 1.0):
-        params, _ = params_from_xi(3.0, xi)
+        params = params_from_xi(3.0, xi)
         for r in (-0.7, 0.0, 0.3):
             d = central_diff(lambda x: tortoise_series(params, x), r, FD_FIRST_STEP * params.a)
             w = float(w_eval(params, r)[0])
@@ -516,7 +532,7 @@ def test_tortoise_series_past_old_term_cap_matches_mpmath():
     # the connection branch evaluates it at 1/z instead.
     mpmath = pytest.importorskip("mpmath")
 
-    params, _ = params_from_xi(3.0, 2.0)
+    params = params_from_xi(3.0, 2.0)
     z = -(2.0**2) * math.exp(6.0 * 2.0 / params.a)
     with mpmath.workdps(40):
         expected = float(params.a * mpmath.exp(2.0 / params.a) * mpmath.hyp2f1(
@@ -530,7 +546,7 @@ def test_pfaff_nonconvergence_quotes_caller_argument():
     from lbverify.errors import SpecialFunctionError
     from lbverify.special_functions import gauss_2f1_pfaff
 
-    params, _ = params_from_xi(3.0, 2.0)
+    params = params_from_xi(3.0, 2.0)
     z = -(2.0**2) * math.exp(6.0 * 2.0 / params.a)
     with pytest.raises(SpecialFunctionError) as excinfo:
         gauss_2f1_pfaff(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, z)
@@ -544,7 +560,7 @@ def test_tortoise_series_asymptote():
     # r* -> a G(7/6)G(1/6)/G(1/3) xi^(-1/3) as r -> inf.
     limit = math.gamma(7.0 / 6.0) * math.gamma(1.0 / 6.0) / math.gamma(1.0 / 3.0)
     assert limit == pytest.approx(1.9276212966599988, rel=1e-15)
-    params, _ = params_from_xi(3.0, 2.0)
+    params = params_from_xi(3.0, 2.0)
     assert tortoise_series(params, 100.0) == pytest.approx(
         params.a * limit * 2.0 ** (-1.0 / 3.0), rel=1e-15)
 
@@ -552,7 +568,7 @@ def test_tortoise_series_asymptote():
 def test_tortoise_series_rejects_overflowing_argument(unit_xi):
     from lbverify.errors import RangeError
 
-    for params, r in ((unit_xi, 1000.0), (params_from_xi(3.0, 1e154)[0], 1.0)):
+    for params, r in ((unit_xi, 1000.0), (params_from_xi(3.0, 1e154), 1.0)):
         with pytest.raises(RangeError) as excinfo:
             tortoise_series(params, r)
         assert float(str(excinfo.value).rsplit("bound r = ", 1)[1]) < r
@@ -593,7 +609,7 @@ def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
 
 @pytest.mark.parametrize("xi", (0.5, 1.0))
 def test_null_sign_scan_violations_itemized(xi):
-    params, _ = params_from_xi(3.0, xi)
+    params = params_from_xi(3.0, xi)
     scan = kinematics_scan(params, OUT2, np.linspace(-2.0, 2.0, 257))
     ok = scan.null_rate[scan.status == "ok"]
     violations = ok[ok >= 0.0]
@@ -614,7 +630,7 @@ def _rel_close(got, want, rel):
 
 @pytest.mark.parametrize("xi", (0.0, 0.5, 1.0))
 def test_array_scans_match_scalar_point_functions(xi):
-    params, _ = params_from_xi(3.0, xi)
+    params = params_from_xi(3.0, xi)
     e2 = OUT2.e_tilde**2
     # The grid includes the turning points w = E^2 themselves.
     turning = radius_candidates(params, e2).from_w
@@ -645,7 +661,7 @@ def test_array_scans_match_scalar_point_functions(xi):
 
 
 def test_scans_of_empty_grid():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     scan = kinematics_scan(params, OUT2, np.array([]))
     assert all(getattr(scan, field.name).size == 0 for field in dataclasses.fields(scan))
 
@@ -672,18 +688,21 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
 
 def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     # Outside the finite-difference and quadrature oracles, the admissible
-    # radii are evaluated once after the scan: by four_velocity.  The rest
-    # (w, the rates, the quoted form) is read from the scan's columns.
+    # radii are evaluated once after the scan, through w_eval or w_value:
+    # by four_velocity.  The rest (w, the rates, the quoted form) is read
+    # from the scan's columns.
     grid = np.linspace(-2.0, 2.0, 257)
     admissible = grid[kinematics_scan(unit_xi, OUT2, grid).status == "ok"]
     assert admissible.size > 1
     arrays, depth = [], [0]
-    w_core = model.w_eval
 
-    def recording(params, r):
-        if not depth[0]:
-            arrays.append(np.array(r, dtype=float))
-        return w_core(params, r)
+    def recording(core):
+        def wrapped(params, r):
+            if not depth[0]:
+                arrays.append(np.array(r, dtype=float))
+            return core(params, r)
+
+        return wrapped
 
     def oracle(fn):
         def wrapped(*args):
@@ -695,8 +714,10 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
 
         return wrapped
 
-    monkeypatch.setattr(model, "w_eval", recording)
-    monkeypatch.setattr(congruence, "w_eval", recording)
+    for name in ("w_eval", "w_value"):
+        recorder = recording(getattr(model, name))
+        monkeypatch.setattr(model, name, recorder)
+        monkeypatch.setattr(congruence, name, recorder)
     monkeypatch.setattr(suites, "central_diff", oracle(suites.central_diff))
     monkeypatch.setattr(suites, "covariant_divergence_radial", oracle(suites.covariant_divergence_radial))
     monkeypatch.setattr(congruence, "chain_rule_fd_step", oracle(congruence.chain_rule_fd_step))

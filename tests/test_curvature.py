@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lbverify.curvature import (
+    _ricci_transverse,
     alpha_deformation_sample,
     covariant_divergence_radial,
     field_residual,
@@ -37,7 +38,7 @@ def test_flat_metric_has_zero_ricci():
 
 
 def test_dual_path_ricci_spot():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     for r in (0.3, np.array([-0.9, 0.3, 1.1])):
         closed = ricci_diagonal(metric_eval(params, r))
         fd = ricci_diagonal_fd(_metric_fn(params), r, FD_PAIR_STEP * params.a)
@@ -58,7 +59,7 @@ def test_dual_path_ricci_random_draws():
     for _ in range(100):
         lam = float(rng.uniform(0.75, 12.0))
         xi = float(rng.uniform(0.0, 2.0))
-        params, _ = params_from_xi(lam, xi)
+        params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
         closed = ricci_diagonal(metric_eval(params, r))
         fd = ricci_diagonal_fd(_metric_fn(params), r, FD_PAIR_STEP * params.a)
@@ -67,7 +68,7 @@ def test_dual_path_ricci_random_draws():
 
 
 def test_rr_component_reproduces_constraint():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     for r in (-1.5, 0.0, 0.8):
         sample = metric_eval(params, r)
         _, r_rr, _, _ = ricci_diagonal(sample)
@@ -77,7 +78,7 @@ def test_rr_component_reproduces_constraint():
 @pytest.mark.parametrize("lam,xi", [(0.75, 0.5), (3.0, 1.0), (12.0, 2.0)])
 def test_exponent_system_reproduced(lam, xi):
     # 2 u_i'' + u_i' sum_j u_j' - 4 lambda = 0 on the closed form.
-    params, _ = params_from_xi(lam, xi)
+    params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 1024)
     s = metric_eval(params, grid)
     total = s.u_p[0] + s.u_p[1] + s.u_p[2]
@@ -86,20 +87,20 @@ def test_exponent_system_reproduced(lam, xi):
 
 
 def test_field_residual_exact_solution():
-    params, _ = params_from_xi(3.0, 1.0)
-    assert field_residual(metric_eval(params, 0.0), params.lam).max_abs < 1e-9
+    params = params_from_xi(3.0, 1.0)
+    assert field_residual(metric_eval(params, 0.0), params.lam) < 1e-9
 
 
 def test_field_residual_vacuum_member():
     # The xi = 0 member solves the vacuum equations with the constant term
     # exactly (within rounding): this is the scalar-free adjudication.
-    params, _ = params_from_xi(3.0, 0.0)
+    params = params_from_xi(3.0, 0.0)
     grid = np.linspace(-2.0, 2.0, 1024)
-    assert field_residual(metric_eval(params, grid), params.lam).max_abs < 1e-12
+    assert field_residual(metric_eval(params, grid), params.lam) < 1e-12
 
 
 def test_field_residual_detects_corruption():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     s = metric_eval(params, 0.4)
     corrupted = MetricSample(
         r=s.r, f=s.f, f_p=s.f_p, f_pp=s.f_pp,
@@ -107,7 +108,7 @@ def test_field_residual_detects_corruption():
         u_p=(s.u_p[0] * 1.01, s.u_p[1], s.u_p[2]),
         u_pp=(s.u_pp[0] * 1.01, s.u_pp[1], s.u_pp[2]),
     )
-    assert field_residual(corrupted, params.lam).max_abs > 1e-3
+    assert field_residual(corrupted, params.lam) > 1e-3
 
 
 @pytest.mark.parametrize("xi", (1e4, 1e8, 1e10))
@@ -115,9 +116,9 @@ def test_field_residual_free_of_metric_rounding_at_large_xi(xi):
     # e^u reaches about xi^(4/3) here.  The covariant residual R_mn - lambda
     # g_mn carried its rounding (1.5e-8 at xi = 1e4, above the 1e-8 row
     # tolerance); the mixed components contain no metric factor.
-    params, _ = params_from_xi(3.0, xi)
+    params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
-    assert field_residual(metric_eval(params, grid), params.lam).max_abs <= 1e-13
+    assert field_residual(metric_eval(params, grid), params.lam) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -130,7 +131,7 @@ def test_mixed_components_match_covariant_on_distinct_axes(form, r):
     # and the stresses go through one bracket per axis, not the shared one.
     # Both must equal the covariant formulas divided by g_mm = (-e^u1, 1,
     # e^u2, e^u3), assembled here from ricci_diagonal.
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     lam = params.lam
     s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, form)
     assert len({id(u_p) for u_p in s.u_p}) == 3
@@ -141,11 +142,11 @@ def test_mixed_components_match_covariant_on_distinct_axes(form, r):
         want = covariant / g_mm
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), lam))
 
-    res = field_residual(s, lam)
-    close(res.res_tt, r_tt - lam * g_tt, g_tt)
+    mixed_tt, mixed_pp, mixed_zz = _ricci_transverse(s)
+    close(mixed_tt - lam, r_tt - lam * g_tt, g_tt)
     close(phi_prime_sq_constraint(s, lam), r_rr - lam, 1.0)
-    close(res.res_phiphi, r_pp - lam * g_pp, g_pp)
-    close(res.res_zz, r_zz - lam * g_zz, g_zz)
+    close(mixed_pp - lam, r_pp - lam * g_pp, g_pp)
+    close(mixed_zz - lam, r_zz - lam * g_zz, g_zz)
 
     ricci_scalar = r_tt / g_tt + r_rr + r_pp / g_pp + r_zz / g_zz
     stress = stress_decompose(s)
@@ -162,23 +163,23 @@ def test_mixed_components_match_covariant_on_distinct_axes(form, r):
 @pytest.mark.parametrize("deformed", (False, True), ids=("metric_eval", "arctan"))
 def test_field_residual_max_is_over_tt_phi_z(deformed):
     # The rr residual R^r_r - lambda - phi'^2 is bitwise zero by
-    # construction, so max_abs reduces the three other axes alone.
-    params, _ = params_from_xi(3.0, 1.0)
+    # construction, so the residual reduces the three other axes alone.
+    params = params_from_xi(3.0, 1.0)
     r = np.linspace(-2.0, 2.0, 65)
     s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan") if deformed else metric_eval(params, r)
     res = field_residual(s, params.lam)
-    assert not hasattr(res, "res_rr")
+    assert isinstance(res, float)
     r_rr = ricci_diagonal(s)[1]
     assert np.all(r_rr - params.lam - phi_prime_sq_constraint(s, params.lam) == 0.0)
-    axes = (res.res_tt, res.res_phiphi, res.res_zz)
-    assert res.max_abs == max(float(np.max(np.abs(res_m))) for res_m in axes)
+    axes = tuple(r_mm - params.lam for r_mm in _ricci_transverse(s))
+    assert res == max(float(np.max(np.abs(res_m))) for res_m in axes)
 
 
 def test_field_residual_does_not_build_radial_component(monkeypatch):
     # R^r_r is read by ricci_diagonal and stress_decompose only.
     from lbverify import curvature
 
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     s = metric_eval(params, np.linspace(-2.0, 2.0, 65))
     want = field_residual(s, params.lam)
 
@@ -187,8 +188,7 @@ def test_field_residual_does_not_build_radial_component(monkeypatch):
 
     monkeypatch.setattr(curvature, "_ricci_radial", unexpected)
     got = field_residual(s, params.lam)
-    assert got.max_abs == want.max_abs
-    assert np.array_equal(got.res_tt, want.res_tt)
+    assert got == want
 
 
 def test_transverse_null_margins_exactly_zero_on_shared_axes():
@@ -196,14 +196,14 @@ def test_transverse_null_margins_exactly_zero_on_shared_axes():
     # mixed components are one array (all axes share u), so the transverse
     # null margins are exact zeros there, not merely small.  Their energy
     # rows keep auditing distinct-axis samples, as in the test above.
-    params, _ = params_from_xi(3.0, 0.7)
+    params = params_from_xi(3.0, 0.7)
     grid = np.linspace(-2.0, 2.0, 257)
     margins = condition_margins(stress_decompose(metric_eval(params, grid)))
     assert np.all(margins.nec_phi == 0.0) and np.all(margins.nec_z == 0.0)
 
 
 def test_ode_degenerate_interval():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     rs, fs, fps = ode_integrate_f(params, 0.5, 0.5, 100)
     f0, fp0, _ = f_eval(params, 0.5)
     assert rs.tolist() == [0.5]
@@ -211,7 +211,7 @@ def test_ode_degenerate_interval():
 
 
 def test_ode_matches_closed_form():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     rs, fs, fps = ode_integrate_f(params, 0.0, 2.0, 10_000)
     f_end, fp_end, _ = f_eval(params, 2.0)
     assert abs(fs[-1] - f_end) < 1e-7
@@ -219,7 +219,7 @@ def test_ode_matches_closed_form():
 
 
 def test_ode_convergence_order():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     f_end, _, _ = f_eval(params, 2.0)
     steps = [100, 200, 400, 800]
     errors = []
@@ -231,15 +231,15 @@ def test_ode_convergence_order():
 
 
 def test_ode_too_few_steps():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     with pytest.raises(ResolutionError):
         ode_integrate_f(params, 0.0, 1.0, 8)
 
 
 def test_deformation_zero_reduces_to_base():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     res = field_residual(alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4), params.lam)
-    assert res.max_abs < 1e-8
+    assert res < 1e-8
     sample = alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4)
     base = metric_eval(params, 0.4)
     assert sample.u == base.u
@@ -248,10 +248,10 @@ def test_deformation_zero_reduces_to_base():
 def test_deformation_printed_form_breaks_equations_linearly():
     # The quoted deformation term is not a homogeneous solution on this
     # branch: the residual scales linearly with the deformation size.
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     eps_values = (1e-2, 1e-3, 1e-4)
     residuals = [
-        field_residual(alpha_deformation_sample(params, (e, -e, 0.0), -1.0, form="printed"), params.lam).max_abs
+        field_residual(alpha_deformation_sample(params, (e, -e, 0.0), -1.0, form="printed"), params.lam)
         for e in eps_values
     ]
     assert all(res > 0.0 for res in residuals)
@@ -262,28 +262,28 @@ def test_deformation_printed_form_breaks_equations_linearly():
 def test_deformation_continued_form_solves_equations():
     # The analytic continuation of the same term is the true homogeneous
     # solution: any zero-sum deformation built with it stays a solution.
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     for eps in (1e-3, 0.1, 0.5):
         res = field_residual(alpha_deformation_sample(params, (eps, -eps, 0.0), -1.0, form="arctan"), params.lam)
-        assert res.max_abs < 1e-10
+        assert res < 1e-10
     res = field_residual(alpha_deformation_sample(params, (0.3, 0.2, -0.5), 0.7, form="arctan"), params.lam)
-    assert res.max_abs < 1e-10
+    assert res < 1e-10
 
 
 def test_deformation_domain_error():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     with pytest.raises(DomainError, match="admissible"):
         field_residual(alpha_deformation_sample(params, (1.0, -1.0, 0.0), 0.0, form="printed"), params.lam)
 
 
 def test_deformation_alpha_sum_enforced():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     with pytest.raises(ParameterDomainError):
         field_residual(alpha_deformation_sample(params, (1.0, 0.0, 0.0), -1.0), params.lam)
 
 
 def test_deformation_undefined_for_vacuum_member():
-    params, _ = params_from_xi(3.0, 0.0)
+    params = params_from_xi(3.0, 0.0)
     with pytest.raises(DomainError):
         field_residual(alpha_deformation_sample(params, (1e-3, -1e-3, 0.0), -1.0), params.lam)
 

@@ -22,7 +22,7 @@ def test_trace_identities_random_points():
     for _ in range(100):
         lam = float(rng.uniform(0.75, 12.0))
         xi = float(rng.uniform(0.0, 2.0))
-        params, _ = params_from_xi(lam, xi)
+        params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
         stress = stress_decompose(metric_eval(params, r))
         phi_sq = phi_prime_sq_constraint(metric_eval(params, r), lam)
@@ -34,14 +34,14 @@ def test_trace_identities_random_points():
 
 
 def test_transverse_pressures_equal():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     grid = np.linspace(-2.0, 2.0, 257)
     stress = stress_decompose(metric_eval(params, grid))
     assert np.max(np.abs(stress.p_phi - stress.p_z)) < 1e-12
 
 
 def test_vacuum_member_margins():
-    params, _ = params_from_xi(3.0, 0.0)
+    params = params_from_xi(3.0, 0.0)
     stress = stress_decompose(metric_eval(params, 0.7))
     margins = condition_margins(stress)
     assert margins.nec_r == pytest.approx(0.0, abs=1e-12)
@@ -53,7 +53,7 @@ def test_vacuum_member_margins():
 
 
 def test_radial_margin_at_origin_unit_xi():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     stress = stress_decompose(metric_eval(params, 0.0))
     assert stress.rho + stress.p_r == pytest.approx(6.0, abs=1e-9)
     margins = condition_margins(stress)
@@ -73,10 +73,10 @@ def test_margin_arithmetic():
 
 
 def test_z_margins_shared_only_when_p_z_is_p_phi():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     r = np.linspace(-2.0, 2.0, 65)
     shared = condition_margins(stress_decompose(metric_eval(params, r)))
-    assert shared.nec_z is shared.nec_phi and shared.dec_z is shared.dec_phi
+    assert np.array_equal(shared.nec_z, shared.nec_phi) and np.array_equal(shared.dec_z, shared.dec_phi)
     # Distinct axes keep z margins of their own, and the minima read them:
     # on this non-solution only the z margins fail.
     r = np.linspace(-2.0, -0.1, 65)
@@ -91,7 +91,7 @@ def test_z_margins_shared_only_when_p_z_is_p_phi():
 
 
 def test_sec_margin_constant_in_radius():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     grid = np.linspace(-2.0, 2.0, 513)
     margins = condition_margins(stress_decompose(metric_eval(params, grid)))
     assert np.max(np.abs(margins.sec + 6.0)) < 1e-8
@@ -104,7 +104,7 @@ def _scan(params, grid):
 
 
 def test_region_scan_vacuum_member():
-    params, _ = params_from_xi(3.0, 0.0)
+    params = params_from_xi(3.0, 0.0)
     intervals = _scan(params, np.linspace(-2.0, 2.0, 257))
     for cond in ("NEC", "WEC", "DEC"):
         assert len(intervals[cond]) == 1
@@ -139,7 +139,7 @@ def _assert_cubic_intervals(intervals, expected):
 
 def test_region_scan_refines_interior_edges(monkeypatch):
     roots = (-0.6123, 0.1357, 0.7071)
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     for sign, expected in (
         (1.0, [(roots[0], roots[1]), (roots[2], 1.0)]),
         (-1.0, [(-1.0, roots[0]), (roots[1], roots[2])]),
@@ -154,7 +154,7 @@ def test_region_scan_reads_masks_assembled_block_by_block(monkeypatch):
     # boundaries sit at r = -0.0897 and 0.8206: one holding run crosses each,
     # and the runs of the two signs touch both window edges.
     roots = (-0.6123, 0.1357, 0.9071)
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     grid = np.linspace(-1.0, 1.0, 2 * GRID_BLOCK + 808)
     for sign, expected, boundary in (
         (1.0, [(roots[0], roots[1]), (roots[2], 1.0)], GRID_BLOCK),
@@ -174,7 +174,7 @@ def test_region_scan_reads_masks_assembled_block_by_block(monkeypatch):
 
 
 def test_region_scan_degenerate_window():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     intervals = _scan(params, np.full(2, 0.5))
     for cond in ("NEC", "WEC", "DEC"):
         assert intervals[cond] == [(0.5, 0.5)]
@@ -184,13 +184,13 @@ def test_region_scan_degenerate_window():
 def test_dec_radial_margin_nonnegative():
     for lam in (0.75, 3.0, 12.0):
         for xi in (0.0, 0.5, 1.0, 2.0):
-            params, _ = params_from_xi(lam, xi)
+            params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 513)
             margins = condition_margins(stress_decompose(metric_eval(params, grid)))
             assert float(np.min(margins.dec_r)) >= -1e-9
 
 
 def test_all_conditions_scanned():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     intervals = _scan(params, np.linspace(-1.0, 1.0, 65))
     assert set(intervals) == set(CONDITIONS)

@@ -7,8 +7,6 @@ from lbverify import congruence, model, scalar_field, suites
 from lbverify.errors import ParameterDomainError, RangeError
 from lbverify.model import (
     MAX_ABS_XI,
-    RawConstants,
-    constant_sum_residuals,
     f_eval,
     metric_eval,
     params_from_xi,
@@ -23,26 +21,24 @@ XIS = (0.0, 0.1, 0.5, 1.0, 2.0)
 
 
 def test_params_canonical_vacuum_member():
-    params, raw = params_from_xi(3.0, 0.0)
-    assert raw.c1 == 0.0
-    assert raw.c2 == -1.0
-    assert raw.beta == (0.0, 0.0, 0.0)
+    # c1 = xi^2 = 0 and beta_j = 0: w is exactly e^{-2r/a}.
+    params = params_from_xi(3.0, 0.0)
     assert params.a == 1.0
+    assert w_value(params, 0.0) == 1.0
 
 
 def test_params_xi_identity():
-    params, raw = params_from_xi(3.0, 1.0)
-    assert raw.c1 == 1.0
-    assert raw.c2 == -1.0
-    assert -raw.c1 / raw.c2 == params.xi**2 == 1.0
+    # Canonical gauge c1 = xi^2, c2 = -1: w(0) = (c1 - c2)^{2/3} = 2^{2/3}.
+    params = params_from_xi(3.0, 1.0)
+    assert params.xi**2 == 1.0
+    assert w_value(params, 0.0) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
 
 
 def test_params_roundtrip():
-    params, raw = params_from_xi(0.75, 0.5)
+    params = params_from_xi(0.75, 0.5)
     assert params.a == 2.0
-    assert raw.c1 == 0.25
-    assert raw.c2 == -1.0
-    assert math.sqrt(-raw.c1 / raw.c2) == pytest.approx(0.5, abs=0)
+    assert params.xi == 0.5
+    assert w_value(params, 0.0) == pytest.approx(1.25 ** (2.0 / 3.0), rel=1e-15)
     assert params.a**2 * params.lam == pytest.approx(3.0, abs=1e-15)
 
 
@@ -72,19 +68,19 @@ def test_params_rejects_nonfinite_and_overflowing_inputs(lam, xi):
 
 
 def test_params_accepts_largest_xi():
-    _, raw = params_from_xi(3.0, MAX_ABS_XI)
-    assert math.isfinite(raw.c1)
+    params = params_from_xi(3.0, MAX_ABS_XI)
+    assert math.isfinite(params.xi**2)
 
 
 def test_negative_xi_gives_identical_metric():
-    pos, _ = params_from_xi(3.0, 0.7)
-    neg, _ = params_from_xi(3.0, -0.7)
+    pos = params_from_xi(3.0, 0.7)
+    neg = params_from_xi(3.0, -0.7)
     r = np.linspace(-2.0, 2.0, 64)
     assert np.array_equal(w_value(pos, r), w_value(neg, r))
 
 
 def test_f_prime_vacuum_member():
-    params, _ = params_from_xi(3.0, 0.0)
+    params = params_from_xi(3.0, 0.0)
     _, f_p, _ = f_eval(params, 0.0)
     assert f_p == pytest.approx(-3.0, abs=1e-15)
     # q = -inf: the log(1 + e^q) term is exactly 0 and f exactly linear.
@@ -95,7 +91,7 @@ def test_f_prime_vacuum_member():
 
 
 def test_f_prime_vanishes_at_origin_for_unit_xi():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     _, f_p, _ = f_eval(params, 0.0)
     assert f_p == pytest.approx(0.0, abs=1e-15)
 
@@ -103,7 +99,7 @@ def test_f_prime_vanishes_at_origin_for_unit_xi():
 @pytest.mark.parametrize("lam", LAMBDAS)
 @pytest.mark.parametrize("xi", XIS)
 def test_f_solves_its_ode(lam, xi):
-    params, _ = params_from_xi(lam, xi)
+    params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
     _, f_p, f_pp = f_eval(params, grid)
     assert np.max(np.abs(f_pp + f_p**2 - 3.0 * lam)) < 1e-12 * max(1.0, 3.0 * lam)
@@ -113,7 +109,7 @@ def test_f_solves_its_ode(lam, xi):
 @pytest.mark.parametrize("xi", XIS)
 def test_exponent_first_order_form(lam, xi):
     # d/dr(u' e^f) = 2 lambda e^f, checked in the e^f-normalized form.
-    params, _ = params_from_xi(lam, xi)
+    params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
     s = metric_eval(params, grid)
     residual = np.abs(s.u_pp[0] + s.u_p[0] * s.f_p - 2.0 * lam)
@@ -123,7 +119,7 @@ def test_exponent_first_order_form(lam, xi):
 def test_exponent_flux_form_finite_difference():
     # The same first-order equation checked literally, d/dr(u' e^f) against
     # 2 lambda e^f with a finite-difference outer derivative.
-    params, _ = params_from_xi(3.0, 0.5)
+    params = params_from_xi(3.0, 0.5)
 
     def flux(r):
         s = metric_eval(params, r)
@@ -139,37 +135,37 @@ def test_exponent_flux_form_finite_difference():
 def test_f_prime_squared_bounded():
     for lam in LAMBDAS:
         for xi in XIS:
-            params, _ = params_from_xi(lam, xi)
+            params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 2048)
             _, f_p, _ = f_eval(params, grid)
             assert np.max(f_p**2) <= 3.0 * lam + 1e-12
 
 
 def test_sample_f_is_half_exponent_sum():
-    params, _ = params_from_xi(0.75, 1.3)
+    params = params_from_xi(0.75, 1.3)
     grid = np.linspace(-3.0, 3.0, 128)
     s = metric_eval(params, grid)
     assert np.allclose(s.f, 0.5 * (s.u[0] + s.u[1] + s.u[2]), rtol=0, atol=1e-14)
 
 
 def test_w_unit_at_origin_for_vacuum_member():
-    params, _ = params_from_xi(2.0, 0.0)
+    params = params_from_xi(2.0, 0.0)
     assert w_value(params, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_w_at_origin_for_unit_xi():
-    params, _ = params_from_xi(0.9, 1.0)
+    params = params_from_xi(0.9, 1.0)
     assert w_value(params, 0.0) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("xi", (0.1, 0.7, 2.0))
 def test_w_at_origin_general(xi):
-    params, _ = params_from_xi(3.0, xi)
+    params = params_from_xi(3.0, xi)
     assert w_value(params, 0.0) == pytest.approx((1.0 + xi**2) ** (2.0 / 3.0), rel=1e-14)
 
 
 def test_w_matches_exponential_of_u():
-    params, _ = params_from_xi(3.0, 0.1)
+    params = params_from_xi(3.0, 0.1)
     s, w = metric_eval(params, 0.5), w_value(params, 0.5)
     assert abs(w - math.exp(s.u[0])) / w < 1e-12
 
@@ -185,7 +181,7 @@ def test_w_matches_exponential_of_u():
 def test_w_through_log_xi_matches_exponential_of_u(xi, r):
     # xi^2 e^{6r/a} may overflow on these radii, so w is composed through
     # log|xi|; it must still agree with exp(u1) and raise no warning.
-    params, _ = params_from_xi(3.0, xi)
+    params = params_from_xi(3.0, xi)
     s, w = metric_eval(params, r), w_value(params, r)
     assert np.max(np.abs(w - np.exp(s.u[0])) / w) < 1e-12
 
@@ -217,7 +213,7 @@ def test_log1p_exp_matches_logaddexp():
 def test_ricci_diagonal_is_exp_u_times_mixed_components():
     from lbverify import curvature
 
-    params, _ = params_from_xi(3.0, 0.5)
+    params = params_from_xi(3.0, 0.5)
     r = np.linspace(-2.0, 0.5, 33)
     base = metric_eval(params, r)
     deformed = curvature.alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
@@ -259,7 +255,7 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
 
     for name in ("_f_core", "_log1p_exp"):
         monkeypatch.setattr(model, name, counted(name))
-    params, _ = params_from_xi(3.0, 0.7)
+    params = params_from_xi(3.0, 0.7)
     w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
     w_eval(params, 0.3)
     assert calls == []
@@ -314,7 +310,7 @@ def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
     from lbverify.curvature import field_residual
     from lbverify.energy_conditions import stress_decompose
 
-    params, _ = params_from_xi(3.0, 1e10)
+    params = params_from_xi(3.0, 1e10)
     sample = metric_eval(params, np.linspace(-2.0, 2.0, 4096))
     calls = []
     exp = np.exp
@@ -324,7 +320,7 @@ def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting)
-    assert field_residual(sample, params.lam).max_abs <= 1e-13
+    assert field_residual(sample, params.lam) <= 1e-13
     stress_decompose(sample)
     assert calls == []
 
@@ -332,14 +328,14 @@ def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
 def test_w_positive_everywhere():
     for lam in LAMBDAS:
         for xi in XIS:
-            params, _ = params_from_xi(lam, xi)
+            params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 1024)
             assert np.min(w_value(params, grid)) > 0.0
 
 
 @pytest.mark.parametrize("xi", (0.1, 0.5, 1.0, 2.0))
 def test_w_has_one_interior_minimum(xi):
-    params, _ = params_from_xi(3.0, xi)
+    params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
     _, w_p, _ = w_eval(params, grid)
     signs = np.sign(w_p)
@@ -351,7 +347,7 @@ def test_w_has_one_interior_minimum(xi):
 
 
 def test_metric_derivatives_match_finite_differences():
-    params, _ = params_from_xi(0.75, 0.8)
+    params = params_from_xi(0.75, 0.8)
     radii = (-2.5, -0.7, 0.0, 1.2, 3.1)
     for r in (*radii, np.array(radii)):
         w_fn = lambda x: w_eval(params, x)[0]
@@ -367,7 +363,7 @@ def test_metric_derivatives_match_finite_differences():
 
 
 def test_range_error_reports_bound():
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     bound = radial_bound(params)
     with pytest.raises(RangeError, match=f"overflow bound {bound:.6g} "):
         f_eval(params, bound * 1.01)
@@ -378,7 +374,7 @@ def test_range_error_reports_bound():
 @pytest.mark.parametrize("fn", (f_eval, w_eval, metric_eval))
 @pytest.mark.parametrize("kind", ("float", "int", "float64", "0-d", "array"))
 def test_range_check_every_input_type(fn, kind):
-    params, _ = params_from_xi(3.0, 1.0)
+    params = params_from_xi(3.0, 1.0)
     bound = radial_bound(params)
     make = {
         "float": float,
@@ -403,29 +399,21 @@ def _constant_rows(lam):
 
 
 def test_validate_constants_canonical():
-    params, raw = params_from_xi(3.0, 1.0)
-    assert constant_sum_residuals(raw, params.lam)[0] == 0.0
     rows = _constant_rows(3.0)
     assert (rows["alpha-sum"].location, rows["alpha-sum"].value) == ("constants", 0.0)
     assert rows["alpha-sum"].verdict == "pass"
     # The canonical gauge absorbs the additive constants, so the quoted
     # beta condition is not met at lambda = 3: the residual is log(6), a
     # quoted-form comparison.
-    assert constant_sum_residuals(raw, params.lam)[1] == pytest.approx(math.log(6.0), rel=1e-14)
     assert rows["beta-gauge-sum"].value == pytest.approx(math.log(6.0), rel=1e-14)
     assert rows["beta-gauge-sum"].location == "canonical-gauge"
     assert rows["beta-gauge-sum"].verdict == "discrepancy-logged"
 
 
-def test_validate_constants_alpha_pair():
-    raw = RawConstants(c1=1.0, c2=-1.0, beta=(0.0, 0.0, 0.0), alpha=(1.0, -1.0, 0.0))
-    assert constant_sum_residuals(raw, 3.0)[0] == 0.0
-
-
 def test_validate_constants_beta_at_special_lambda():
-    raw = RawConstants(c1=0.0, c2=-1.0, beta=(0.0, 0.0, 0.0), alpha=(0.0, 0.0, 0.0))
-    assert constant_sum_residuals(raw, 1.0 / 12.0)[1] == pytest.approx(0.0, abs=1e-15)
-    assert _constant_rows(1.0 / 12.0)["beta-gauge-sum"].verdict == "pass"
+    row = _constant_rows(1.0 / 12.0)["beta-gauge-sum"]
+    assert row.value == pytest.approx(0.0, abs=1e-15)
+    assert row.verdict == "pass"
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):

@@ -41,8 +41,8 @@ def test_reversed_interval_is_exactly_minus_forward():
 
 
 def test_zero_length_interval_is_zero():
-    assert adaptive_simpson(_integrand, 1.5, 1.5) == 0.0
-    assert adaptive_simpson(_integrand, np.array([1.5, 0.0]), np.array([1.5, 1.0]))[0] == 0.0
+    assert adaptive_simpson(_integrand, 1.5, 1.5, 1e-10) == 0.0
+    assert adaptive_simpson(_integrand, np.array([1.5, 0.0]), np.array([1.5, 1.0]), 1e-10)[0] == 0.0
 
 
 def test_integrand_calls_bounded_by_depth_cap():

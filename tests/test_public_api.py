@@ -1,12 +1,15 @@
-"""Every public function of the package is reached from the package itself.
+"""Every public function and every dataclass field of the package is reached
+from the package itself.
 
 A public top-level function counts as reached when another module of
 ``src/lbverify`` imports it by name or reads it as ``module.attr`` through
 an alias of an lbverify module, or when its own module calls it by name
 where no local binding shadows it.  Attribute reads on anything else do not
 count, so a field such as ``scan.null_rate`` cannot hide a function of the
-same name.  The few functions the tests alone call are listed with the
-claim that keeps them.
+same name.  A dataclass field counts as read when some module reads an
+attribute of its name; constructor keywords and stores do not count.  The
+few functions the tests alone call, and the fields the tests alone read,
+are listed with the claim that keeps them.
 """
 
 import ast
@@ -24,6 +27,13 @@ TEST_ONLY = {
     ("scalar_field", "phi_accumulate"): "acceptance criterion 4, phi by quadrature",
     ("curvature", "alpha_deformation_sample"): "the paper's general-form claim",
     ("special_functions", "gauss_2f1_series"): "the reference branch of hyp2f1",
+}
+
+#: Dataclass fields that no module of the package reads, and why they stay.
+TEST_ONLY_FIELDS = {
+    ("scalar_field", "ScalarProfile", "phi_p_sq_constraint"): "acceptance criterion 4, the scalar profile",
+    ("scalar_field", "ScalarProfile", "phi"): "acceptance criterion 4, the scalar profile",
+    ("scalar_field", "ScalarProfile", "noether"): "acceptance criterion 4, the scalar profile",
 }
 
 
@@ -94,3 +104,63 @@ def test_a_field_of_the_same_name_does_not_count_as_a_reference():
     )
     assert _cross_module_references("suites", tree) == {("model", "w_eval"), ("congruence", "kinematics_scan")}
     assert "null_rate" not in _own_module_calls(tree)
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every annotated field of every dataclass in ``tree``."""
+    return {
+        (node.name, stmt.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def _attribute_reads(tree):
+    """Names read as ``value.name`` anywhere in ``tree``."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    modules = _modules()
+    read = set().union(*(_attribute_reads(tree) for tree in modules.values()))
+    unread = {
+        (name, cls, field)
+        for name, tree in modules.items()
+        for cls, field in _dataclass_fields(tree)
+        if field not in read
+    }
+    assert unread == set(TEST_ONLY_FIELDS), (
+        f"only tests read {sorted(unread - set(TEST_ONLY_FIELDS))}; "
+        f"listed but read or gone: {sorted(set(TEST_ONLY_FIELDS) - unread)}"
+    )
+
+
+def test_a_constructor_keyword_or_store_does_not_count_as_a_field_read():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Pair:\n"
+        "    kept: float\n"
+        "    dropped: float\n"
+        "    LIMIT = 3\n"
+        "@dataclasses.dataclass\n"
+        "class Box:\n"
+        "    content: float\n"
+        "class Plain:\n"
+        "    ignored: float\n"
+        "def use(box):\n"
+        "    box.content = Pair(kept=1.0, dropped=2.0)\n"
+        "    return box.content.kept\n"
+    )
+    assert _dataclass_fields(tree) == {("Pair", "kept"), ("Pair", "dropped"), ("Box", "content")}
+    assert _attribute_reads(tree) == {"content", "kept", "dataclass"}

@@ -492,3 +492,16 @@ def test_cli_finite_difference_steps_scale_with_a(argv, code, failing, tmp_path)
     assert cli.main([*argv, "--out", str(out)]) == code
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [r["check"] for r in rows if r["verdict"] == "fail"] == failing
+
+
+def test_cli_potential_stencil_between_near_turning_ends():
+    # The middle admissible radius has E^2 - w of about 1e-9 E^2, so both
+    # ends of the potential stencil (h of about 1e-14) lie within 1e-9 E^2
+    # of the turning point r = -log(2).
+    proc = run_cli(
+        "congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "2",
+        "--r-min", "-0.6931471803199453", "--r-max", "-0.6931471802999453", "--samples", "3",
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
+    assert [r["verdict"] for r in rows if r["check"] == "potential-gradient-covector"] == ["pass"]
