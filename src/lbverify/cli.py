@@ -4,7 +4,10 @@ Subcommands: verify, stability, energy, congruence, tortoise, sweep.
 Exit codes: 0 when every internal-consistency check passes (rows with
 verdict "discrepancy-logged" do not fail a run), 1 when any internal check
 fails, 2 for invalid parameters or usage, always with exactly one
-``lbverify: error:`` line on stderr.  Output is deterministic: the same
+``lbverify: error:`` line on stderr, and 3 when a numerical method fails on
+accepted input, with exactly one ``lbverify: numerical failure:`` line.
+Each report builder in ``suites`` owns its defaults and input rules; this
+module parses, dispatches and emits.  Output is deterministic: the same
 configuration produces byte-identical CSV/JSON.
 """
 
@@ -12,30 +15,31 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
+import warnings
 
-from .errors import LBVerifyError
-from .report import Report, emit_csv, emit_json
-from .suites import (
-    MAX_GRID_SIZE,
-    build_congruence_report,
-    build_energy_report,
-    build_stability_report,
-    build_sweep_report,
-    build_tortoise_report,
-    build_verify_report,
-)
+from . import suites
+from .errors import LBVerifyError, NumericalError
+from .report import emit_csv, emit_json
 
 
-def _add_common(sub: argparse.ArgumentParser, samples_default: int = 4096) -> None:
-    sub.add_argument("--lambda", dest="lam", type=float, default=3.0, help="cosmological constant (> 0)")
-    sub.add_argument("--xi", type=float, default=1.0, help="family parameter")
-    sub.add_argument("--r-min", type=float, default=None, help="scan window start (default -2a)")
-    sub.add_argument("--r-max", type=float, default=None, help="scan window end (default +2a)")
-    sub.add_argument("--samples", type=int, default=samples_default, help="grid density")
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _add_common(sub: argparse.ArgumentParser, half_width: str) -> None:
+    """Options of the single-member scans; ``half_width`` names the default window in help."""
+    sub.add_argument("--lambda", dest="lam", type=float, default=3.0, help="cosmological constant (> 0)")
+    sub.add_argument("--xi", type=float, default=1.0, help="family parameter")
+    # Options that default to SUPPRESS are absent unless given, so the
+    # builder's own default applies.
+    sub.add_argument("--r-min", type=float, default=argparse.SUPPRESS,
+                     help=f"scan window start (default -{half_width})")
+    sub.add_argument("--r-max", type=float, default=argparse.SUPPRESS,
+                     help=f"scan window end (default +{half_width})")
+    sub.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="grid density")
+    _add_output(sub)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,24 +59,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    _add_common(subs.add_parser("verify", help="internal-consistency suite"))
+    _add_common(subs.add_parser("verify", help="internal-consistency suite"), "2a")
     sub = subs.add_parser("stability", help="stationary point, spectrum, verdict")
     sub.add_argument("--lambda", dest="lam", type=float, default=3.0)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
-    _add_common(subs.add_parser("energy", help="energy-condition margins and regions"))
+    _add_output(sub)
+    _add_common(subs.add_parser("energy", help="energy-condition margins and regions"), "2a")
     sub = subs.add_parser("congruence", help="timelike/null congruence and focusing scans")
-    _add_common(sub)
-    sub.add_argument("--e-tilde", type=float, default=None, help="conserved energy per rest mass (|E| >= 1)")
-    sub.add_argument("--b", type=float, default=None, help="extra focusing-polynomial scan value in [0, 1/2]")
-    _add_common(subs.add_parser("tortoise", help="tortoise-coordinate dual-channel checks"), samples_default=513)
+    _add_common(sub, "2a")
+    sub.add_argument("--e-tilde", type=float, required=True, help="conserved energy per rest mass (|E| >= 1)")
+    sub.add_argument(
+        "--b", type=float, default=argparse.SUPPRESS, help="extra focusing-polynomial scan value in [0, 1/2]"
+    )
+    _add_common(subs.add_parser("tortoise", help="tortoise-coordinate dual-channel checks"), "a")
     sub = subs.add_parser("sweep", help="grid sweep over (lambda, xi, e-tilde)")
-    sub.add_argument("--lambda", dest="lam", default="3", help="value or start:stop:count")
-    sub.add_argument("--xi", default="1", help="value or start:stop:count")
-    sub.add_argument("--e-tilde", default="2", help="value or start:stop:count")
-    sub.add_argument("--samples", type=int, default=257)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--lambda", dest="lam_spec", default="3", help="value or start:stop:count")
+    sub.add_argument("--xi", dest="xi_spec", default="1", help="value or start:stop:count")
+    sub.add_argument("--e-tilde", dest="e_spec", default="2", help="value or start:stop:count")
+    sub.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    _add_output(sub)
     return parser
 
 
@@ -80,55 +84,33 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _validate_window(args) -> None:
-    """The window and density rules of every subcommand that has them."""
-    r_min, r_max = getattr(args, "r_min", None), getattr(args, "r_max", None)
-    for name, bound in (("r-min", r_min), ("r-max", r_max)):
-        if bound is not None and not math.isfinite(bound):
-            raise LBVerifyError(f"{name} must be finite, got {bound}")
-    if r_min is not None and r_max is not None and not r_min < r_max:
-        raise LBVerifyError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
-    samples = getattr(args, "samples", 2)
-    if samples < 2:
-        raise LBVerifyError(f"samples must be >= 2, got {samples}")
-    if samples > MAX_GRID_SIZE:
-        raise LBVerifyError(f"samples must be <= {MAX_GRID_SIZE}, got {samples}")
-
-
-def _build_report(args) -> Report:
-    _validate_window(args)
-    if args.subcommand == "verify":
-        return build_verify_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
-    if args.subcommand == "stability":
-        return build_stability_report(args.lam)
-    if args.subcommand == "energy":
-        return build_energy_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
-    if args.subcommand == "congruence":
-        if args.e_tilde is None:
-            raise LBVerifyError("congruence requires --e-tilde")
-        if args.b is not None and not 0.0 <= args.b <= 0.5:
-            raise LBVerifyError(f"--b must lie in [0, 1/2], got {args.b}")
-        return build_congruence_report(
-            args.lam, args.xi, args.e_tilde, args.r_min, args.r_max, args.samples, args.b
-        )
-    if args.subcommand == "tortoise":
-        return build_tortoise_report(args.lam, args.xi, args.r_min, args.r_max, args.samples)
-    if args.subcommand == "sweep":
-        return build_sweep_report(str(args.lam), str(args.xi), str(args.e_tilde), args.samples)
-    raise LBVerifyError(f"unknown subcommand {args.subcommand!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    options = vars(_parser().parse_args(argv))
+    fmt, out = options.pop("format"), options.pop("out")
+    # The builders are read from ``suites`` on every call, so that a wrapper
+    # installed there (a tracer) is the one that runs.
+    build = {
+        "verify": suites.build_verify_report,
+        "stability": suites.build_stability_report,
+        "energy": suites.build_energy_report,
+        "congruence": suites.build_congruence_report,
+        "tortoise": suites.build_tortoise_report,
+        "sweep": suites.build_sweep_report,
+    }[options.pop("subcommand")]
     try:
-        report = _build_report(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = build(**options)
+    except (NumericalError, RuntimeWarning, OverflowError) as exc:
+        print(f"lbverify: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except LBVerifyError as exc:
         print(f"lbverify: error: {exc}", file=sys.stderr)
         return 2
-    payload = emit_csv(report) if args.format == "csv" else emit_json(report)
-    if args.out:
+    payload = emit_csv(report) if fmt == "csv" else emit_json(report)
+    if out:
         try:
-            with open(args.out, "wb") as handle:
+            with open(out, "wb") as handle:
                 handle.write(payload)
         except OSError as exc:
             print(f"lbverify: error: {exc}", file=sys.stderr)

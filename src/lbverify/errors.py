@@ -36,5 +36,9 @@ class ResolutionError(LBVerifyError):
     """A numerical routine was configured too coarsely (e.g. too few ODE steps)."""
 
 
-class SpecialFunctionError(LBVerifyError):
+class NumericalError(LBVerifyError):
+    """A numerical method failed on accepted input (non-convergence, a non-finite result)."""
+
+
+class SpecialFunctionError(NumericalError):
     """A special-function evaluation failed to converge."""

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
+from .errors import NumericalError
 
 VERDICTS = ("pass", "fail", "discrepancy-logged")
 
@@ -36,7 +37,7 @@ class VerificationRow:
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if not (math.isfinite(self.value) and math.isfinite(self.tolerance)):
-            raise ValueError(f"non-finite row value in check {self.check!r}")
+            raise NumericalError(f"non-finite row value in check {self.check!r}")
 
 
 @dataclass

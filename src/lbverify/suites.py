@@ -45,12 +45,26 @@ GRID_BLOCK = 4096
 MAX_GRID_SIZE = 2**24
 
 
-def _window(params, r_min, r_max):
+def _window(lam, xi, r_min, r_max, samples, half_width):
+    """Parameters and scan window of one family member, the window rules first.
+
+    A bound left as None defaults to -half_width * a or +half_width * a.
+    """
+    for name, bound in (("r-min", r_min), ("r-max", r_max)):
+        if bound is not None and not math.isfinite(bound):
+            raise ParameterDomainError(f"{name} must be finite, got {bound}")
+    if r_min is not None and r_max is not None and not r_min < r_max:
+        raise ParameterDomainError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
+    if samples < 2:
+        raise ParameterDomainError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_GRID_SIZE:
+        raise ParameterDomainError(f"samples must be <= {MAX_GRID_SIZE}, got {samples}")
+    params = model.params_from_xi(lam, xi)
     if r_min is None:
-        r_min = -2.0 * params.a
+        r_min = -half_width * params.a
     if r_max is None:
-        r_max = 2.0 * params.a
-    return float(r_min), float(r_max)
+        r_max = half_width * params.a
+    return params, float(r_min), float(r_max)
 
 
 def _loc(r_min, r_max, samples):
@@ -72,8 +86,7 @@ def build_verify_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 4096
 ) -> Report:
     """Internal-consistency suite for one family member."""
-    params = model.params_from_xi(lam, xi)
-    r_min, r_max = _window(params, r_min, r_max)
+    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
     grid = np.linspace(r_min, r_max, samples)
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
@@ -186,8 +199,7 @@ def build_stability_report(lam: float) -> Report:
 def build_energy_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 4096
 ) -> Report:
-    params = model.params_from_xi(lam, xi)
-    r_min, r_max = _window(params, r_min, r_max)
+    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
     grid = np.linspace(r_min, r_max, samples)
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
@@ -235,11 +247,11 @@ def build_congruence_report(
     r_min: float | None = None,
     r_max: float | None = None,
     samples: int = 4096,
-    b_extra: float | None = None,
+    b: float | None = None,
 ) -> Report:
-    params = model.params_from_xi(lam, xi)
+    scan_b = None if b is None else cg.focusing_polynomial_roots(b)
+    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
     cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-    r_min, r_max = _window(params, r_min, r_max)
     scan_samples = min(samples, 257)
     loc = _loc(r_min, r_max, scan_samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
@@ -287,13 +299,13 @@ def build_congruence_report(
         rpt.add_comparison("quoted-scaled-rate-vs-direct", loc, _max_abs(difference), 1e-8)
 
     b_values = list(SIGN_MAP_B_VALUES)
-    if b_extra is not None and b_extra not in b_values:
-        b_values.append(b_extra)
+    if b is not None and b not in b_values:
+        b_values.append(b)
     sign_map = cg.focusing_sign_map(b_values)
-    for b in b_values:
-        positives = float(np.sum(sign_map[b][1] > 0.0))
+    for b_value in b_values:
+        positives = float(np.sum(sign_map[b_value][1] > 0.0))
         rpt.add_comparison(
-            f"focusing-positive-cells[b={b:.9g}]", f"x-domain grid x{cg.SIGN_MAP_NX}", positives, 0.0
+            f"focusing-positive-cells[b={b_value:.9g}]", f"x-domain grid x{cg.SIGN_MAP_NX}", positives, 0.0
         )
 
     scan0 = cg.focusing_polynomial_roots(0.0)
@@ -313,11 +325,10 @@ def build_congruence_report(
             cg.focusing_polynomial_reduced(quoted),
             1e-6,
         )
-    if b_extra is not None:
-        scan_b = cg.focusing_polynomial_roots(b_extra)
-        rpt.add(f"focusing-roots-found[b={b_extra:.9g}]", "x-domain", float(len(scan_b.roots)), 0.0, "pass")
+    if scan_b is not None:
+        rpt.add(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(scan_b.roots)), 0.0, "pass")
         for root in scan_b.roots:
-            rpt.add(f"focusing-root[b={b_extra:.9g}]", f"x={root:.9g}", root, 0.0, "pass")
+            rpt.add(f"focusing-root[b={b:.9g}]", f"x={root:.9g}", root, 0.0, "pass")
 
     candidates = cg.radius_candidates(params, cg.QUOTED_FOCUSING_ROOTS[1])
     rpt.add_comparison(
@@ -350,14 +361,10 @@ def build_congruence_report(
 def build_tortoise_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 513
 ) -> Report:
-    params = model.params_from_xi(lam, xi)
     # Narrower default window than the other scans.  The series channel's
     # term count is bounded for every r; the window stays [-a, a] only
     # because widening it would change the default reports.
-    if r_min is None:
-        r_min = -params.a
-    if r_max is None:
-        r_max = params.a
+    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 1.0)
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
@@ -412,8 +419,8 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
     lams, xis, es = (values() for _, values in specs)
     rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
     for lam, xi, e_tilde in itertools.product(lams.tolist(), xis.tolist(), es.tolist()):
-        params = model.params_from_xi(lam, xi)
-        grid = np.linspace(-2.0 * params.a, 2.0 * params.a, samples)
+        params, r_min, r_max = _window(lam, xi, None, None, samples, 2.0)
+        grid = np.linspace(r_min, r_max, samples)
         sample = model.metric_eval(params, grid)
         tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
         rpt.add_check("f-ode-residual", tag, float(np.max(np.abs(sample.f_pp + sample.f_p**2 - 3.0 * lam))), 1e-9)

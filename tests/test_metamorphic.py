@@ -1,5 +1,10 @@
 """Metamorphic relations of the solution family at report level.
 
+M1, xi-sign: the solution reads xi only through xi^2 (q = 6r/a + 2 log|xi|),
+so xi -> -xi gives byte-identical CSV from every single-member report, or
+the same rejection.  The CSV carries no xi column; JSON does, in its meta
+object.
+
 M3, lambda-scale: (lambda, r) -> (c lambda, r / sqrt(c)) maps the family
 onto itself.  With lambda = 3 * 4^k the de Sitter length a = sqrt(3/lambda)
 is 2^-k, so every radius of a default window, and every stencil step (a
@@ -11,6 +16,8 @@ a row on a rate scales by exactly 2^k.
 import pytest
 
 from lbverify import suites
+from lbverify.errors import LBVerifyError
+from lbverify.report import emit_csv
 
 SCALE_FREE_ROWS = (
     "tortoise-derivative-identity",
@@ -35,3 +42,27 @@ def test_lambda_scale_rows_are_bitwise_covariant(k, xi, e_tilde):
     # theta is a rate, 1/length: it scales by 1/a = 2^k.
     assert scaled["expansion-covariant-divergence"] * 2.0**-k == base["expansion-covariant-divergence"]
     assert scaled["timelike-admissible-points"] == base["timelike-admissible-points"] > 0.0
+
+
+SIGN_BUILDERS = {
+    "verify": lambda xi: suites.build_verify_report(3.0, xi),
+    "energy": lambda xi: suites.build_energy_report(3.0, xi),
+    "tortoise": lambda xi: suites.build_tortoise_report(3.0, xi),
+    "congruence": lambda xi: suites.build_congruence_report(3.0, xi, 2.0),
+}
+
+
+def _csv_or_rejection(report, xi):
+    try:
+        return emit_csv(SIGN_BUILDERS[report](xi))
+    except LBVerifyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("xi", [0.7, 1.3, 9.9, 1e-300, 1e10, 1e154])
+@pytest.mark.parametrize("report", sorted(SIGN_BUILDERS))
+def test_xi_sign_gives_byte_identical_csv(report, xi):
+    outcome = _csv_or_rejection(report, xi)
+    assert _csv_or_rejection(report, -xi) == outcome
+    # Only tortoise at 1e154 is rejected: the window passes its range bound.
+    assert isinstance(outcome, bytes) == ((report, xi) != ("tortoise", 1e154))

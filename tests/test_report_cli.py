@@ -10,12 +10,8 @@ import pytest
 from lbverify.report import Report, VerificationRow, emit_csv, emit_json
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "lbverify", *args],
-        capture_output=True,
-        env=env,
-    )
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "lbverify", *args], capture_output=True)
 
 
 def sample_report():
@@ -128,12 +124,7 @@ def test_cli_invalid_lambda_exits_2():
     ids=("xi-inf", "xi-overflow", "lambda-inf", "e-tilde-inf", "e-tilde-nan", "e-tilde-overflow", "sweep-e-tilde-overflow"),
 )
 def test_cli_rejects_nonfinite_or_overflowing_parameters(args):
-    proc = run_cli(*args, "--samples", "64")
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr.count(b"\n") == 1
-    assert proc.stderr.startswith(b"lbverify: error:")
-    assert b"Traceback" not in proc.stderr
+    _assert_usage_error(run_cli(*args, "--samples", "64"), b"")
 
 
 def test_cli_verify_tiny_xi_reports_constant_noether_charge():
@@ -196,12 +187,7 @@ def test_cli_verify_huge_xi_fails_only_the_dual_path(xi, tmp_path):
 
 @pytest.mark.parametrize("lam", ("inf", "1e-320"))
 def test_cli_stability_rejects_unusable_lambda(lam):
-    proc = run_cli("stability", "--lambda", lam)
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr.count(b"\n") == 1
-    assert proc.stderr.startswith(b"lbverify: error:")
-    assert b"Traceback" not in proc.stderr
+    _assert_usage_error(run_cli("stability", "--lambda", lam), b"")
 
 
 def test_cli_congruence_requires_unit_energy():
@@ -246,6 +232,60 @@ def test_cli_window_validation():
     assert proc.returncode == 2
     proc = run_cli("verify", "--samples", "1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    ("build", "args", "kwargs", "needle"),
+    [
+        ("build_verify_report", (3.0, 1.0), {"samples": 1}, "samples must be >= 2"),
+        ("build_tortoise_report", (3.0, 1.0), {"r_min": 1.0, "r_max": -1.0}, "r-min must be < r-max"),
+        ("build_congruence_report", (3.0, 1.0, 2.0), {"b": 0.7}, "b must lie in"),
+    ],
+    ids=("verify-samples", "tortoise-window-order", "congruence-b"),
+)
+def test_builders_validate_their_own_inputs(build, args, kwargs, needle):
+    # A direct builder call gets the same input rules as the command line.
+    from lbverify import suites
+    from lbverify.errors import ParameterDomainError
+
+    with pytest.raises(ParameterDomainError, match=needle):
+        getattr(suites, build)(*args, **kwargs)
+
+
+def test_main_reads_the_builder_from_suites_on_each_call(monkeypatch, tmp_path):
+    # A tracer wraps builders by replacing the module attribute; main must
+    # see the replacement, and pass only the options given on the command line.
+    from lbverify import cli, suites
+
+    calls = []
+    original = suites.build_verify_report
+
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "build_verify_report", traced)
+    assert cli.main(["verify", "--samples", "64", "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == [{"lam": 3.0, "xi": 1.0, "samples": 64}]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("congruence", "--e-tilde", "1e100"),
+        ("congruence", "--lambda", "1e306", "--e-tilde", "2"),
+        ("verify", "--lambda", "3e306"),
+        ("stability", "--lambda", "5e307"),
+    ],
+    ids=("congruence-huge-e-tilde", "congruence-huge-lambda", "verify-huge-lambda", "stability-huge-lambda"),
+)
+def test_cli_numerical_failure_exits_3(args):
+    # Accepted inputs whose arithmetic overflows: one line, no traceback.
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert proc.stderr.startswith(b"lbverify: numerical failure: ")
 
 
 def _assert_usage_error(proc, needle):
@@ -323,19 +363,12 @@ def test_cli_out_file_round_trip(tmp_path):
     assert content.startswith(b"check,location,value,tolerance,verdict\n")
 
 
-def test_cli_sweep_thread_cap(tmp_path):
-    import os
-
-    env = dict(os.environ, LBVERIFY_THREADS="2")
-    out1 = tmp_path / "s1.csv"
-    out2 = tmp_path / "s2.csv"
-    a = run_cli("sweep", "--lambda", "0.75:3:2", "--xi", "0:1:2", "--e-tilde", "2",
-                "--samples", "65", "--out", str(out1), env=env)
-    env_single = dict(os.environ, LBVERIFY_THREADS="1")
-    b = run_cli("sweep", "--lambda", "0.75:3:2", "--xi", "0:1:2", "--e-tilde", "2",
-                "--samples", "65", "--out", str(out2), env=env_single)
-    assert a.returncode == 0 and b.returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_cli_sweep_deterministic_output():
+    args = ("sweep", "--lambda", "0.75:3:2", "--xi", "0:1:2", "--e-tilde", "2", "--samples", "65")
+    first = run_cli(*args)
+    second = run_cli(*args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
 
 
 def test_cli_sweep_rejects_malformed_range():
