@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import warnings
 
@@ -44,6 +45,12 @@ def _add_common(sub: argparse.ArgumentParser, half_width: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one ``lbverify: error:`` line and exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option starts with -<digit>, so a token such as -1e10, -.5, -inf
+        # or -nan is a negative value, not an unknown option.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         self.exit(2, f"lbverify: error: {message}\n")

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ForbiddenRegionError,
-    ParameterDomainError,
-    PoleError,
-    RangeError,
-)
+from .errors import ParameterDomainError
 from .model import MAX_ABS_XI, SolutionParams, radial_bound, w_eval, w_value
 from .numerics import FD_FIRST_STEP, adaptive_simpson, bisect, bracket_sign_changes
 from .special_functions import hyp2f1
@@ -105,10 +99,10 @@ def _first(values, mask):
 
 
 def _require_allowed(w, e2: float, r) -> None:
-    """Raise ForbiddenRegionError at the first radius where w > E^2."""
+    """Raise ParameterDomainError at the first radius where w > E^2."""
     forbidden = w > e2
     if np.any(forbidden):
-        raise ForbiddenRegionError(
+        raise ParameterDomainError(
             f"w(r) = {_first(w, forbidden):.6g} > E^2 = {e2:.6g} at r = {_first(r, forbidden):.6g}"
         )
 
@@ -116,7 +110,7 @@ def _require_allowed(w, e2: float, r) -> None:
 def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     """u^mu = (E/w, sqrt(E^2/w - 1), 0, 0); exactly normalized to -1.
 
-    Elementwise over an array of radii; raises ForbiddenRegionError if any
+    Elementwise over an array of radii; raises ParameterDomainError if any
     radius has w > E^2.
     """
     w = w_value(params, r)
@@ -128,9 +122,11 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
 
 def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray) -> np.ndarray:
     val = cfg.e_tilde**2 / w_value(params, r) - 1.0
-    bad = val < -1e-14 * cfg.e_tilde**2
+    # E^2/w - 1 is dimensionless: nodes inside the scans' turning band are
+    # clamped to 0, nodes beyond it are forbidden.
+    bad = val < -TURNING_GUARD_REL
     if np.any(bad):
-        raise ForbiddenRegionError(f"w > E^2 at r = {_first(r, bad):.6g} inside the integration interval")
+        raise ParameterDomainError(f"w > E^2 at r = {_first(r, bad):.6g} inside the integration interval")
     return np.sqrt(np.maximum(val, 0.0))
 
 
@@ -209,7 +205,7 @@ def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
 def focusing_polynomial(x, b: float):
     """The quoted rational form in (x, y(x, b)) whose sign decides focusing.
 
-    y = sqrt(x^6 - 4 b^2 x^3); raises DomainError for y^2 < 0 and PoleError
+    y = sqrt(x^6 - 4 b^2 x^3); raises ParameterDomainError for y^2 < 0 and
     where the denominator 3 (x^3 + y) vanishes, at any point of an array x.
     """
     x = np.asarray(x, dtype=float)
@@ -219,14 +215,14 @@ def focusing_polynomial(x, b: float):
     noise = 8.0 * np.finfo(float).eps * (np.abs(x) ** 6 + 4.0 * b * b * np.abs(x) ** 3)
     outside = y_sq < -noise
     if np.any(outside):
-        raise DomainError(
+        raise ParameterDomainError(
             f"y^2 = {_first(y_sq, outside):.6g} < 0 at x = {_first(x, outside):.6g}, b = {b:.6g}"
         )
     y = np.sqrt(np.maximum(y_sq, 0.0))
     denominator = 3.0 * (x**3 + y)
     pole = denominator == 0.0
     if np.any(pole):
-        raise PoleError(f"x^3 + y = 0 at x = {_first(x, pole):.6g}, b = {b:.6g}")
+        raise ParameterDomainError(f"x^3 + y = 0 at x = {_first(x, pole):.6g}, b = {b:.6g}")
     numerator = (
         (27.0 * x * x - 45.0 * x + 20.0) * y
         - 36.0 * b * b * x * x
@@ -312,7 +308,7 @@ def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
 
 
 def check_tortoise_range(params: SolutionParams, r) -> None:
-    """Raise RangeError at the first radius of ``r`` where -xi^2 e^{6r/a} overflows."""
+    """Raise ParameterDomainError at the first radius of ``r`` where -xi^2 e^{6r/a} overflows."""
     # |z| = e^q with q = 2kr + 2 log|xi| (6r/a = 2kr); the model's radial
     # bound keeps 2kr below its overflow exponent, and this keeps q there too.
     bound = radial_bound(params) - math.log(max(1.0, abs(params.xi))) / params.k
@@ -320,7 +316,7 @@ def check_tortoise_range(params: SolutionParams, r) -> None:
     past = r > bound
     if past.any():
         first = float(r[past][0])
-        raise RangeError(
+        raise ParameterDomainError(
             f"tortoise argument -xi^2 e^(6r/a) at r = {first:.6g} exceeds its overflow bound r = {bound:.6g}"
         )
 

@@ -31,7 +31,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterDomainError, ResolutionError
+from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, f_eval, metric_eval
 from .numerics import central_diff, five_point_diffs, rk4
 
@@ -119,7 +119,7 @@ def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
     empirical convergence order of this integrator is itself a deliverable.
     """
     if steps < 16:
-        raise ResolutionError(f"need at least 16 steps, got {steps}")
+        raise ParameterDomainError(f"need at least 16 steps, got {steps}")
     f0, fp0, _ = f_eval(params, r0)
     if r0 == r1:
         return np.array([r0]), np.array([f0]), np.array([fp0])
@@ -152,7 +152,7 @@ def alpha_deformation_sample(
     if all(a_i == 0.0 for a_i in alpha):
         return base
     if params.xi == 0.0:
-        raise DomainError("the deformation term is undefined at xi = 0 (c1 = 0)")
+        raise ParameterDomainError("the deformation term is undefined at xi = 0 (c1 = 0)")
     if form not in ("printed", "arctan"):
         raise ParameterDomainError(f"unknown deformation form {form!r}")
     k = params.k
@@ -161,7 +161,7 @@ def alpha_deformation_sample(
     if form == "printed":
         r_max = -math.log(axi) / k
         if np.any(m >= 1.0):
-            raise DomainError(
+            raise ParameterDomainError(
                 f"artanh argument |xi| e^(kr) >= 1; admissible interval is r < {r_max:.6g}"
             )
         t_val = -(params.a / (3.0 * axi)) * np.arctanh(m)

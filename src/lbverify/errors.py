@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, one per kind of failure.
 
-All of them derive from ValueError so that callers who do not care about
-the fine-grained kind can catch a single base class.
+An input outside a computation's domain raises ParameterDomainError (the
+CLI exits 2); a numerical method that fails on accepted input raises
+NumericalError (the CLI exits 3).  All of them derive from ValueError.
 """
 
 
@@ -10,30 +11,10 @@ class LBVerifyError(ValueError):
 
 
 class ParameterDomainError(LBVerifyError):
-    """A physical parameter is outside its admissible domain (e.g. lambda <= 0)."""
-
-
-class RangeError(LBVerifyError):
-    """A radius past its overflow bound, or a 2F1 argument z outside its branch.
+    """An input is outside its computation's domain (e.g. lambda <= 0).
 
     The message names the bound.
     """
-
-
-class DomainError(LBVerifyError):
-    """A mathematical expression was evaluated outside its real domain."""
-
-
-class ForbiddenRegionError(DomainError):
-    """A congruence was evaluated where the radial velocity is imaginary (w > E^2)."""
-
-
-class PoleError(DomainError):
-    """An expression was evaluated at a pole of its denominator."""
-
-
-class ResolutionError(LBVerifyError):
-    """A numerical routine was configured too coarsely (e.g. too few ODE steps)."""
 
 
 class NumericalError(LBVerifyError):

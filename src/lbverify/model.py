@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, RangeError
+from .errors import ParameterDomainError
 
 # e^{2k|r|} stays finite (and so does e^f downstream) below this exponent.
 _MAX_EXPONENT = 700.0
@@ -117,11 +117,11 @@ def radial_bound(params: SolutionParams) -> float:
 
 
 def _check_range(params: SolutionParams, r) -> float:
-    """Raise RangeError beyond ``radial_bound``; return max |r| (0 for no radii)."""
+    """Raise ParameterDomainError beyond ``radial_bound``; return max |r| (0 for no radii)."""
     bound = radial_bound(params)
     reach = float(np.max(np.abs(r), initial=0.0))
     if reach > bound:
-        raise RangeError(f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}")
+        raise ParameterDomainError(f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}")
     return reach
 
 

@@ -19,6 +19,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .errors import NumericalError
+
 EPS = sys.float_info.epsilon
 
 # Steps as fractions of the length a profile varies on.  eps**(1/3) balances
@@ -143,7 +145,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
     if fhi == 0.0:
         return hi
     if (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
+        raise NumericalError(f"no sign change on [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)

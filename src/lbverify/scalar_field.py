@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, _q, metric_eval
 from .numerics import adaptive_simpson
 
@@ -69,7 +69,7 @@ def phi_prime(params: SolutionParams, r):
 def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
     """phi(r1) with phi(r0) = 0, by adaptive quadrature of the constraint root.
 
-    Raises DomainError if phi'^2 < 0 at any quadrature node of the interval.
+    Raises ParameterDomainError if phi'^2 < 0 at any quadrature node of the interval.
     """
 
     def integrand(r: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
         bad = val < -_NEGATIVE_NOISE
         if np.any(bad):
             i = np.argmax(bad)
-            raise DomainError(
+            raise ParameterDomainError(
                 f"phi'^2 = {np.atleast_1d(val)[i]:.6g} < 0 at r = {r[i]:.6g}"
                 f" inside [{min(r0, r1):.6g}, {max(r0, r1):.6g}]"
             )

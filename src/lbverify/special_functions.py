@@ -42,7 +42,7 @@ import functools
 import math
 from itertools import chain
 
-from .errors import ParameterDomainError, RangeError, SpecialFunctionError
+from .errors import ParameterDomainError, SpecialFunctionError
 
 #: Relative term size at which the series is declared converged.
 SERIES_RTOL = 1e-16
@@ -108,7 +108,7 @@ def _check_c(c: float) -> None:
 
 def _check_nonpositive(z: float) -> None:
     if z > 0.0:
-        raise RangeError(f"z = {z:.6g} > 0 is unsupported")
+        raise ParameterDomainError(f"z = {z:.6g} > 0 is unsupported")
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -128,7 +128,7 @@ def gauss_2f1_series(a: float, b: float, c: float, z: float) -> float:
     """Direct series evaluation; requires |z| < 1."""
     _check_c(c)
     if abs(z) >= 1.0:
-        raise RangeError(f"direct series diverges at |z| = {abs(z):.6g} >= 1")
+        raise ParameterDomainError(f"direct series diverges at |z| = {abs(z):.6g} >= 1")
     return _series(a, b, c, z)
 
 
@@ -167,7 +167,7 @@ def gauss_2f1_connection(a: float, b: float, c: float, z: float) -> float:
     """
     _check_c(c)
     if z > -1.0:
-        raise RangeError(f"connection formula needs z <= -1, got z = {z:.6g}")
+        raise ParameterDomainError(f"connection formula needs z <= -1, got z = {z:.6g}")
     coefficients = _connection_coefficients(a, b, c)
     if coefficients is None:
         return gauss_2f1_pfaff(a, b, c, z)

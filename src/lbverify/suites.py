@@ -136,7 +136,7 @@ def build_verify_report(
     cf = np.array(ricci_diagonal(model.metric_eval(params, ricci_r)))
     fd = np.array(ricci_diagonal_fd(metric_fn, ricci_r, FD_PAIR_STEP * params.a))
     tol = max(1e-6, 1e-9 * _max_abs(cf))
-    rpt.add_check("ricci-dual-path", loc.replace(f"x{samples}", "x25"), _max_abs(cf - fd), tol)
+    rpt.add_check("ricci-dual-path", _loc(r_min, r_max, 25), _max_abs(cf - fd), tol)
 
     if xi != 0.0:
         mean = float(np.sum(fold["noether-sum"])) / samples
@@ -233,8 +233,7 @@ def build_energy_report(
     width = r_max - r_min
     for cond in ec.CONDITIONS:
         held = sum(hi - lo for lo, hi in intervals[cond])
-        fraction = held / width if width > 0.0 else float(bool(intervals[cond]))
-        rpt.add(f"energy-{cond}-holds-fraction", loc, fraction, ec.HOLD_TOL, "pass")
+        rpt.add(f"energy-{cond}-holds-fraction", loc, held / width, ec.HOLD_TOL, "pass")
         for lo, hi in intervals[cond]:
             rpt.add(f"energy-{cond}-interval", f"[{lo:.9g};{hi:.9g}]", hi - lo, ec.HOLD_TOL, "pass")
     return rpt

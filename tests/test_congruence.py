@@ -24,12 +24,7 @@ from lbverify.congruence import (
     tortoise_series,
 )
 from lbverify.curvature import covariant_divergence_radial
-from lbverify.errors import (
-    DomainError,
-    ForbiddenRegionError,
-    ParameterDomainError,
-    PoleError,
-)
+from lbverify.errors import ParameterDomainError
 from lbverify.model import params_from_xi, w_eval
 from lbverify.numerics import FD_FIRST_STEP, adaptive_simpson, bracket_sign_changes, central_diff
 
@@ -89,7 +84,7 @@ def test_four_velocity_values_and_norm(vacuum):
 
 def test_four_velocity_forbidden_region(unit_xi):
     # w(0) = 2^(2/3) > 1 = E^2.
-    with pytest.raises(ForbiddenRegionError):
+    with pytest.raises(ParameterDomainError, match=r"> E\^2"):
         four_velocity(unit_xi, CongruenceConfig(e_tilde=1.0), 0.0)
 
 
@@ -188,8 +183,13 @@ def test_potential_interval_with_both_ends_near_turning_point(vacuum):
 
 
 def test_potential_forbidden_interval(unit_xi):
-    with pytest.raises(ForbiddenRegionError):
+    with pytest.raises(ParameterDomainError, match=r"> E\^2"):
         hypersurface_potential(unit_xi, CongruenceConfig(e_tilde=1.2), -1.0, 1.0)
+    # w(-21.4) = 3.87e18 > E^2 = 1e16, where four_velocity raises too: the
+    # guard reads E^2/w - 1, which never drops below -1, so it must not
+    # scale with E^2.
+    with pytest.raises(ParameterDomainError, match=r"> E\^2 at r = -21\.4 "):
+        hypersurface_potential(unit_xi, CongruenceConfig(e_tilde=1e8), -21.4, -17.4)
 
 
 def test_expansion_zero_at_stationary_w(unit_xi):
@@ -294,9 +294,9 @@ def test_focusing_polynomial_reduction_identity():
 
 
 def test_focusing_polynomial_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterDomainError, match=r"y\^2 = .* < 0"):
         focusing_polynomial(0.5, 0.49)  # x^3 < 4 b^2
-    with pytest.raises(PoleError):
+    with pytest.raises(ParameterDomainError, match=r"x\^3 \+ y = 0"):
         focusing_polynomial(-0.5, 0.0)  # y = |x|^3 cancels x^3
 
 
@@ -480,9 +480,7 @@ def test_tortoise_series_is_elementwise(unit_xi):
 
 
 def test_tortoise_range_error_names_the_first_radius_past_the_bound(unit_xi):
-    from lbverify.errors import RangeError
-
-    with pytest.raises(RangeError, match=r"at r = 1000 exceeds"):
+    with pytest.raises(ParameterDomainError, match=r"at r = 1000 exceeds"):
         tortoise_series(unit_xi, np.array([0.0, 1000.0, 2000.0]))
     # The report checks its whole grid, not only the radii the channel row
     # reads: the first grid radius past the bound is not one of them here.
@@ -490,7 +488,7 @@ def test_tortoise_range_error_names_the_first_radius_past_the_bound(unit_xi):
     grid = np.linspace(-a, 200.0, 101)
     first = int(np.flatnonzero(grid > model.radial_bound(unit_xi))[0])
     assert first % 3 != 0
-    with pytest.raises(RangeError, match=f"at r = {grid[first]:.6g} exceeds"):
+    with pytest.raises(ParameterDomainError, match=f"at r = {grid[first]:.6g} exceeds"):
         suites.build_tortoise_report(3.0, 1.0, r_max=200.0, samples=101)
 
 
@@ -566,10 +564,8 @@ def test_tortoise_series_asymptote():
 
 
 def test_tortoise_series_rejects_overflowing_argument(unit_xi):
-    from lbverify.errors import RangeError
-
     for params, r in ((unit_xi, 1000.0), (params_from_xi(3.0, 1e154), 1.0)):
-        with pytest.raises(RangeError) as excinfo:
+        with pytest.raises(ParameterDomainError, match="exceeds its overflow bound") as excinfo:
             tortoise_series(params, r)
         assert float(str(excinfo.value).rsplit("bound r = ", 1)[1]) < r
 
@@ -642,7 +638,7 @@ def test_array_scans_match_scalar_point_functions(xi):
         w = float(w_eval(params, r)[0])
         if w > e2:
             expected = "forbidden"
-            with pytest.raises(ForbiddenRegionError):
+            with pytest.raises(ParameterDomainError, match=r"> E\^2"):
                 expansion_timelike(params, OUT2, r)
         elif abs(e2 - w) < TURNING_GUARD_REL * e2:
             expected = "turning"
@@ -737,7 +733,7 @@ def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
     quoted = quoted_scaled_rate(unit_xi, OUT2, scan.w)
     difference = quoted - scan.dtheta_dtau
     for i, r_i in enumerate(r.tolist()):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterDomainError, match=r"y\^2 = .* < 0"):
             focusing_polynomial(float(w_eval(unit_xi, r_i)[0]) / OUT2.e_tilde**2, 0.5)
         assert math.isnan(quoted[i]) and math.isnan(difference[i])
         assert scan.dtheta_dtau[i] == pytest.approx(_rate_closed_form(unit_xi, OUT2.e_tilde, r_i), rel=1e-12)
@@ -781,9 +777,9 @@ def test_focusing_scans_computed_once_per_b(monkeypatch):
 
 
 def test_focusing_polynomial_array_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterDomainError, match=r"y\^2 = .* < 0"):
         focusing_polynomial(np.array([0.9, 0.5]), 0.49)
-    with pytest.raises(PoleError):
+    with pytest.raises(ParameterDomainError, match=r"x\^3 \+ y = 0"):
         focusing_polynomial(np.array([0.5, -0.5]), 0.0)
 
 
@@ -797,7 +793,7 @@ def test_point_functions_vectorize(unit_xi):
         assert (u_t[i], u_r[i]) == (u[0], u[1])
         assert h[i] == congruence.chain_rule_fd_step(unit_xi, OUT2, r_i)
         assert theta[i] == expansion_timelike(unit_xi, OUT2, r_i)
-    with pytest.raises(ForbiddenRegionError):
+    with pytest.raises(ParameterDomainError, match=r"> E\^2"):
         four_velocity(unit_xi, OUT2, np.array([0.0, -2.0]))
 
 

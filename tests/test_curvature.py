@@ -13,7 +13,7 @@ from lbverify.curvature import (
     ricci_diagonal_fd,
 )
 from lbverify.energy_conditions import condition_margins, stress_decompose
-from lbverify.errors import DomainError, ParameterDomainError, ResolutionError
+from lbverify.errors import ParameterDomainError
 from lbverify.model import MetricSample, f_eval, metric_eval, params_from_xi
 from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP
 from lbverify.scalar_field import phi_prime_sq_constraint
@@ -232,7 +232,7 @@ def test_ode_convergence_order():
 
 def test_ode_too_few_steps():
     params = params_from_xi(3.0, 1.0)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ParameterDomainError, match="at least 16 steps"):
         ode_integrate_f(params, 0.0, 1.0, 8)
 
 
@@ -272,7 +272,7 @@ def test_deformation_continued_form_solves_equations():
 
 def test_deformation_domain_error():
     params = params_from_xi(3.0, 1.0)
-    with pytest.raises(DomainError, match="admissible"):
+    with pytest.raises(ParameterDomainError, match="admissible"):
         field_residual(alpha_deformation_sample(params, (1.0, -1.0, 0.0), 0.0, form="printed"), params.lam)
 
 
@@ -284,7 +284,7 @@ def test_deformation_alpha_sum_enforced():
 
 def test_deformation_undefined_for_vacuum_member():
     params = params_from_xi(3.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterDomainError, match="undefined at xi = 0"):
         field_residual(alpha_deformation_sample(params, (1e-3, -1e-3, 0.0), -1.0), params.lam)
 
 

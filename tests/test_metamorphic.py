@@ -11,11 +11,20 @@ is 2^-k, so every radius of a default window, and every stencil step (a
 fixed fraction of a), scales by an exact power of two.  Rows on
 dimensionless quantities then reproduce their k = 0 values bit for bit, and
 a row on a rate scales by exactly 2^k.
+
+M2, xi-shift, at model level: (xi, r) -> (xi e^{3s/a}, r - s) leaves q, and
+so f' and f'', unchanged; every exponent u moves by the constant 2s/a, and
+w scales by e^{2s/a}.  Large xi is a window far out along one profile.
 """
 
-import pytest
+import math
 
-from lbverify import suites
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lbverify import model, suites
 from lbverify.errors import LBVerifyError
 from lbverify.report import emit_csv
 
@@ -66,3 +75,27 @@ def test_xi_sign_gives_byte_identical_csv(report, xi):
     assert _csv_or_rejection(report, -xi) == outcome
     # Only tortoise at 1e154 is rejected: the window passes its range bound.
     assert isinstance(outcome, bytes) == ((report, xi) != ("tortoise", 1e154))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lam=_log_uniform(1e-3, 1e3), xi=_log_uniform(1e-8, 1e20), shift=st.floats(-5.0, 5.0))
+def test_xi_shift_moves_the_profile_along_r(lam, xi, shift):
+    # shift is s/a; the radii are 33 points of [-2a, 2a].
+    shifted_xi = xi * math.exp(3.0 * shift)
+    assume(1e-8 <= shifted_xi <= 1e20)
+    params, shifted = model.params_from_xi(lam, xi), model.params_from_xi(lam, shifted_xi)
+    r = np.linspace(-2.0 * params.a, 2.0 * params.a, 33)
+    r_shifted = r - shift * params.a
+    _, f_p, f_pp = model.f_eval(params, r)
+    _, g_p, g_pp = model.f_eval(shifted, r_shifted)
+    assert np.max(np.abs(g_p - f_p)) / params.k <= 1e-12
+    assert np.max(np.abs(g_pp - f_pp)) / params.k**2 <= 1e-12
+    u = model.metric_eval(params, r).u[0]
+    u_shifted = model.metric_eval(shifted, r_shifted).u[0]
+    assert np.max(np.abs(u_shifted - u - 2.0 * shift) / np.maximum(1.0, np.abs(u))) <= 1e-12
+    w_ratio = model.w_value(shifted, r_shifted) / model.w_value(params, r)
+    assert np.max(np.abs(w_ratio / math.exp(2.0 * shift) - 1.0)) <= 1e-12

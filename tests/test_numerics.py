@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lbverify.errors import NumericalError
 from lbverify.numerics import SIMPSON_DEPTH_CAP, adaptive_simpson, bisect, bracket_sign_changes
 
 
@@ -88,5 +89,10 @@ def test_sign_tests_neither_overflow_nor_underflow(scale):
     assert brackets == [(0.25, 0.5)]
     root = bisect(lambda x: float(fn(x)), *brackets[0])
     assert root == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(ValueError, match="no sign change"):
+    with pytest.raises(NumericalError, match="no sign change"):
         bisect(lambda x: float(fn(x)), 0.5, 1.0)
+
+
+def test_bisect_without_a_sign_change_is_a_numerical_failure():
+    with pytest.raises(NumericalError, match="no sign change"):
+        bisect(lambda x: 1.0, 0.0, 1.0)

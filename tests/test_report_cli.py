@@ -269,6 +269,26 @@ def test_main_reads_the_builder_from_suites_on_each_call(monkeypatch, tmp_path):
     assert calls == [{"lam": 3.0, "xi": 1.0, "samples": 64}]
 
 
+def test_one_exception_type_per_exit_code(monkeypatch, capsys):
+    # An input outside a computation's domain exits 2; a numerical method
+    # that fails on accepted input exits 3. No other kind is told apart.
+    from lbverify import cli, errors, suites
+
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"LBVerifyError", "ParameterDomainError", "NumericalError", "SpecialFunctionError"}
+    for exc, code, prefix in (
+        (errors.ParameterDomainError, 2, "lbverify: error: "),
+        (errors.NumericalError, 3, "lbverify: numerical failure: "),
+        (errors.SpecialFunctionError, 3, "lbverify: numerical failure: "),
+    ):
+        def failing(*_args, exc=exc, **_options):
+            raise exc("boom")
+
+        monkeypatch.setattr(suites, "build_verify_report", failing)
+        assert cli.main(["verify"]) == code
+        assert capsys.readouterr() == ("", f"{prefix}boom\n")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -304,12 +324,36 @@ def _assert_usage_error(proc, needle):
         ("congruence", "--e-tilde", "2", "--r-max", "inf"),
         ("tortoise", "--r-max", "inf"),
         ("verify", "--r-min", "nan"),
+        ("verify", "--r-min", "-inf"),
     ],
-    ids=("verify", "energy", "congruence", "tortoise", "verify-nan"),
+    ids=("verify", "energy", "congruence", "tortoise", "verify-nan", "verify-minus-inf"),
 )
 def test_cli_rejects_nonfinite_window(args):
     # A non-finite bound would make a NaN grid, which passes every range check.
     _assert_usage_error(run_cli(*args, "--samples", "64"), b"must be finite")
+
+
+@pytest.mark.parametrize(
+    ("spaced", "joined", "code"),
+    [
+        (("verify", "--xi", "-1e10"), ("verify", "--xi=-1e10"), 1),
+        (("verify", "--r-min", "-1e-3"), ("verify", "--r-min=-1e-3"), 0),
+        (("sweep", "--xi", "-1e3:1e3:2", "--samples", "8"), ("sweep", "--xi=-1e3:1e3:2", "--samples", "8"), 0),
+        (("sweep", "--xi", "-1:1:2"), ("sweep", "--xi=-1:1:2"), 0),
+    ],
+    ids=("xi-exponent", "r-min-exponent", "sweep-exponent-spec", "sweep-spec"),
+)
+def test_cli_negative_values_in_any_float_form(spaced, joined, code, capsysbinary):
+    # argparse alone reads a token such as -1e10 or -1:1:2 as an option, and
+    # only the --opt=value spelling would work. (verify at xi = 1e10 fails
+    # ricci-dual-path, ROADMAP item 3.)
+    from lbverify.cli import main
+
+    assert main(list(spaced)) == code
+    first = capsysbinary.readouterr()
+    assert main(list(joined)) == code
+    assert capsysbinary.readouterr() == first
+    assert first.out.startswith(b"check,") and first.err == b""
 
 
 @pytest.mark.parametrize("samples", ("1", "0", "-5"))

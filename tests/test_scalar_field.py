@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lbverify import scalar_field
-from lbverify.errors import DomainError
+from lbverify.errors import ParameterDomainError
 from lbverify.model import MetricSample, metric_eval, params_from_xi
 from lbverify.scalar_field import (
     noether_charge,
@@ -116,7 +116,7 @@ def test_accumulate_domain_error_reports_interval(monkeypatch):
         u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
     )
     monkeypatch.setattr(scalar_field, "metric_eval", lambda p, r: bad)
-    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+    with pytest.raises(ParameterDomainError, match=r"\[0, 1\]"):
         phi_accumulate(params, 0.0, 1.0)
 
 
