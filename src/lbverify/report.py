@@ -6,9 +6,9 @@ Schema contract:
   JSON   top-level object {"meta": {a, lambda, tool_version, xi}, "rows": [...]}
          with sorted keys and round-trip-exact float formatting.
 
-Verdict vocabulary: "pass" and "fail" are reserved for internal-consistency
-checks; "discrepancy-logged" marks comparisons between quoted values/formulas
-and this toolkit's own oracles, and never affects exit status.
+Verdicts are decided here alone.  A row that holds (by default |value| <=
+tolerance) is "pass"; a check that does not is "fail" and sets exit code 1; a
+quoted-value comparison that does not is "discrepancy-logged" and never does.
 """
 
 from __future__ import annotations
@@ -50,18 +50,21 @@ class Report:
     def a(self) -> float:
         return math.sqrt(3.0 / self.lam)
 
-    def add(self, check: str, location: str, value: float, tolerance: float, verdict: str) -> None:
+    def add_check(self, check: str, location: str, value: float, tolerance: float, holds: bool | None = None) -> None:
+        """Internal-consistency row: "pass" if it holds, else "fail"."""
+        self._add(check, location, value, tolerance, holds, "fail")
+
+    def add_comparison(
+        self, check: str, location: str, value: float, tolerance: float, holds: bool | None = None
+    ) -> None:
+        """Quoted-value comparison row: "pass" if it holds, else "discrepancy-logged"."""
+        self._add(check, location, value, tolerance, holds, "discrepancy-logged")
+
+    def _add(self, check, location, value, tolerance, holds, otherwise) -> None:
+        if holds is None:
+            holds = abs(value) <= tolerance
+        verdict = "pass" if holds else otherwise
         self.rows.append(VerificationRow(check, location, float(value), float(tolerance), verdict))
-
-    def add_check(self, check: str, location: str, value: float, tolerance: float) -> None:
-        """Internal-consistency row: pass iff |value| <= tolerance."""
-        verdict = "pass" if abs(value) <= tolerance else "fail"
-        self.add(check, location, value, tolerance, verdict)
-
-    def add_comparison(self, check: str, location: str, value: float, tolerance: float) -> None:
-        """Quoted-value comparison row: agreement passes, disagreement is logged."""
-        verdict = "pass" if abs(value) <= tolerance else "discrepancy-logged"
-        self.add(check, location, value, tolerance, verdict)
 
     def failed(self) -> bool:
         return any(row.verdict == "fail" for row in self.rows)

@@ -1,9 +1,8 @@
 """Report builders behind the command-line subcommands.
 
-Each builder returns a :class:`~lbverify.report.Report` whose rows follow the
-verdict contract: "fail" is reserved for internal-consistency breakage and
-drives the exit code; comparisons of quoted formulas/values against the
-toolkit's own oracles can only "pass" or end up "discrepancy-logged".
+Each builder returns a :class:`~lbverify.report.Report`.  It adds each row
+as a check or a comparison, saying whether the row holds where the default
+rule does not apply; :mod:`lbverify.report` holds the verdict rule.
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ from .report import Report
 #: Residual tolerance for the integration-constant sum checks.
 CONSTANT_SUM_TOL = 1e-12
 
+#: Tolerances of the rows that ``build_sweep_report`` shares with verify and energy.
+_F_ODE_TOL = 1e-9
+_FIELD_EQUATION_TOL = 1e-8
+_STRONG_MARGIN_TOL = 1e-8
+
 #: Fixed b values of the focusing-polynomial sign map.
 SIGN_MAP_B_VALUES = (0.0, 0.1, 0.25, 0.49)
 
@@ -46,25 +50,23 @@ MAX_GRID_SIZE = 2**24
 
 
 def _window(lam, xi, r_min, r_max, samples, half_width):
-    """Parameters and scan window of one family member, the window rules first.
+    """Parameters and scan window of one family member.
 
-    A bound left as None defaults to -half_width * a or +half_width * a.
+    A bound left as None defaults to -half_width * a or +half_width * a; then r-min < r-max must hold.
     """
     for name, bound in (("r-min", r_min), ("r-max", r_max)):
         if bound is not None and not math.isfinite(bound):
             raise ParameterDomainError(f"{name} must be finite, got {bound}")
-    if r_min is not None and r_max is not None and not r_min < r_max:
-        raise ParameterDomainError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
     if samples < 2:
         raise ParameterDomainError(f"samples must be >= 2, got {samples}")
     if samples > MAX_GRID_SIZE:
         raise ParameterDomainError(f"samples must be <= {MAX_GRID_SIZE}, got {samples}")
     params = model.params_from_xi(lam, xi)
-    if r_min is None:
-        r_min = -half_width * params.a
-    if r_max is None:
-        r_max = half_width * params.a
-    return params, float(r_min), float(r_max)
+    r_min = float(-half_width * params.a if r_min is None else r_min)
+    r_max = float(half_width * params.a if r_max is None else r_max)
+    if not r_min < r_max:
+        raise ParameterDomainError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
+    return params, r_min, r_max
 
 
 def _loc(r_min, r_max, samples):
@@ -74,6 +76,23 @@ def _loc(r_min, r_max, samples):
 def _max_abs(values) -> float:
     """Largest |value|, 0 for an empty array."""
     return float(np.abs(values).max(initial=0.0))
+
+
+def _f_ode_residual(sample, lam) -> float:
+    """Largest |f'' + f'^2 - 3 lambda| on a metric sample."""
+    return _max_abs(sample.f_pp + sample.f_p**2 - 3.0 * lam)
+
+
+def _strong_margin_error(margins, lam) -> float:
+    """Largest |rho + sum p + 2 lambda|: the strong-condition margin is -2 lambda."""
+    return _max_abs(margins.sec + 2.0 * lam)
+
+
+def _null_rate_cells(rpt, location, scan) -> np.ndarray:
+    """Add the ``null-rate-nonnegative-cells`` row; return the mask it counts (NaN, off the ok points, never counts)."""
+    violation = scan.null_rate >= 0.0
+    rpt.add_comparison("null-rate-nonnegative-cells", location, float(np.count_nonzero(violation)), 0.0)
+    return violation
 
 
 def _grid_samples(params, grid):
@@ -94,9 +113,8 @@ def build_verify_report(
     # Row values are folded across the grid blocks: NaN-propagating max/min
     # of the block maxima/minima, and the Noether mean as sum / samples.
     fold = defaultdict(list)
-    lam3 = 3.0 * lam
     for sample in _grid_samples(params, grid):
-        fold["f-ode-residual"].append(_max_abs(sample.f_pp + sample.f_p**2 - lam3))
+        fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
         exponent_res = sample.u_pp[0] + sample.u_p[0] * sample.f_p - 2.0 * lam
         fold["exponent-ode-residual"].append(_max_abs(exponent_res))
         sum_up = sample.u_p[0] + sample.u_p[1] + sample.u_p[2]
@@ -121,10 +139,10 @@ def build_verify_report(
     peak = lambda check: float(np.max(fold[check]))
     least = lambda check: float(np.min(fold[check]))
 
-    rpt.add_check("f-ode-residual", loc, peak("f-ode-residual"), 1e-9)
+    rpt.add_check("f-ode-residual", loc, peak("f-ode-residual"), _F_ODE_TOL)
     rpt.add_check("exponent-ode-residual", loc, peak("exponent-ode-residual"), 1e-8)
     rpt.add_check("exponent-system-residual", loc, peak("exponent-system-residual"), 1e-9)
-    rpt.add_check("field-equation-residual", loc, peak("field-equation-residual"), 1e-8)
+    rpt.add_check("field-equation-residual", loc, peak("field-equation-residual"), _FIELD_EQUATION_TOL)
 
     def metric_fn(x):
         u1, u2, u3 = model.metric_eval(params, x).u
@@ -145,15 +163,9 @@ def build_verify_report(
     else:
         rpt.add_check("noether-zero", loc, peak("noether-zero"), 1e-12)
     min_constraint = least("scalar-gradient-sq-min")
-    rpt.add(
-        "scalar-gradient-sq-min",
-        loc,
-        min_constraint,
-        1e-12,
-        "pass" if min_constraint >= -1e-12 else "fail",
-    )
+    rpt.add_check("scalar-gradient-sq-min", loc, min_constraint, 1e-12, holds=min_constraint >= -1e-12)
     min_w = least("w-positivity-min")
-    rpt.add("w-positivity-min", loc, min_w, 0.0, "pass" if min_w > 0.0 else "fail")
+    rpt.add_check("w-positivity-min", loc, min_w, 0.0, holds=min_w > 0.0)
 
     # The canonical gauge of ``params_from_xi`` has alpha_i = beta_i = 0: the
     # alpha sum vanishes, and the quoted beta condition sum(beta_i) +
@@ -162,13 +174,7 @@ def build_verify_report(
     rpt.add_comparison("beta-gauge-sum", "canonical-gauge", abs(0.5 * math.log(12.0 * lam)), CONSTANT_SUM_TOL)
 
     quoted_min = least("quoted-scalar-integrand-min")
-    rpt.add(
-        "quoted-scalar-integrand-min",
-        loc,
-        quoted_min,
-        1e-12,
-        "pass" if quoted_min >= -1e-12 else "discrepancy-logged",
-    )
+    rpt.add_comparison("quoted-scalar-integrand-min", loc, quoted_min, 1e-12, holds=quoted_min >= -1e-12)
     rpt.add_comparison("quoted-integrand-vs-constraint", loc, peak("quoted-integrand-vs-constraint"), 1e-10)
     rpt.add_comparison(
         "quoted-linear-coefficient-gap",
@@ -191,8 +197,8 @@ def build_stability_report(lam: float) -> Report:
     rpt.add_check("eigenvalue-error", "spectrum {-6/a;-3/a;-3/a}", eig_err, 1e-10)
     rpt.add_check("eigenvalue-imag", "spectrum", max(abs(e.imag) for e in sr.eigenvalues), 1e-12)
     max_real = max(e.real for e in sr.eigenvalues)
-    rpt.add("lyapunov-verdict", f"verdict={sr.verdict}", max_real, 0.0, "pass" if max_real < 0.0 else "fail")
-    rpt.add("linearized-profile-note", stability.LINEAR_TERM_NOTE, 0.0, 0.0, "discrepancy-logged")
+    rpt.add_check("lyapunov-verdict", f"verdict={sr.verdict}", max_real, 0.0, holds=max_real < 0.0)
+    rpt.add_comparison("linearized-profile-note", stability.LINEAR_TERM_NOTE, 0.0, 0.0, holds=False)
     return rpt
 
 
@@ -211,7 +217,7 @@ def build_energy_report(
         phi_sq = scalar_field.phi_prime_sq_constraint(sample, lam)
         fold["transverse-null-margin-phi"].append(_max_abs(margins.nec_phi))
         fold["transverse-null-margin-z"].append(_max_abs(margins.nec_z))
-        fold["strong-margin-constant"].append(_max_abs(margins.sec + 2.0 * lam))
+        fold["strong-margin-constant"].append(_strong_margin_error(margins, lam))
         fold["radial-null-vs-gradient-sq"].append(_max_abs(margins.nec_r - phi_sq))
         fold["radial-null-margin-min"].append(np.min(margins.nec_r))
         fold["radial-dominant-margin-min"].append(np.min(margins.dec_r))
@@ -220,22 +226,22 @@ def build_energy_report(
     for check, tol in (
         ("transverse-null-margin-phi", 1e-9),
         ("transverse-null-margin-z", 1e-9),
-        ("strong-margin-constant", 1e-8),
+        ("strong-margin-constant", _STRONG_MARGIN_TOL),
         ("radial-null-vs-gradient-sq", 1e-9),
     ):
         rpt.add_check(check, loc, float(np.max(fold[check])), tol)
     for check in ("radial-null-margin-min", "radial-dominant-margin-min"):
         least = float(np.min(fold[check]))
-        rpt.add(check, loc, least, 1e-9, "pass" if least >= -1e-9 else "fail")
+        rpt.add_check(check, loc, least, 1e-9, holds=least >= -1e-9)
 
     masks = {cond: np.concatenate([block[cond] for block in block_masks]) for cond in ec.CONDITIONS}
     intervals = ec.region_scan(params, grid, masks)
     width = r_max - r_min
     for cond in ec.CONDITIONS:
         held = sum(hi - lo for lo, hi in intervals[cond])
-        rpt.add(f"energy-{cond}-holds-fraction", loc, held / width, ec.HOLD_TOL, "pass")
+        rpt.add_check(f"energy-{cond}-holds-fraction", loc, held / width, ec.HOLD_TOL, holds=True)
         for lo, hi in intervals[cond]:
-            rpt.add(f"energy-{cond}-interval", f"[{lo:.9g};{hi:.9g}]", hi - lo, ec.HOLD_TOL, "pass")
+            rpt.add_check(f"energy-{cond}-interval", f"[{lo:.9g};{hi:.9g}]", hi - lo, ec.HOLD_TOL, holds=True)
     return rpt
 
 
@@ -260,7 +266,7 @@ def build_congruence_report(
     scan = cg.kinematics_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
     ok = scan.status == "ok"
     r, w, theta, rate = scan.r[ok], scan.w[ok], scan.theta[ok], scan.dtheta_dtau[ok]
-    rpt.add("timelike-admissible-points", loc, float(r.size), 0.0, "pass")
+    rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)
 
     e2 = cfg.e_tilde**2
     u_t, u_r, _, _ = cg.four_velocity(params, cfg, r)
@@ -293,7 +299,7 @@ def build_congruence_report(
     # The quoted form is NaN outside its domain y^2 >= 0.
     difference = cg.quoted_scaled_rate(params, cfg, w) - rate
     difference = difference[np.isfinite(difference)]
-    rpt.add("quoted-scaled-rate-points", loc, float(difference.size), 0.0, "pass")
+    rpt.add_check("quoted-scaled-rate-points", loc, float(difference.size), 0.0, holds=True)
     if difference.size:
         rpt.add_comparison("quoted-scaled-rate-vs-direct", loc, _max_abs(difference), 1e-8)
 
@@ -308,14 +314,9 @@ def build_congruence_report(
         )
 
     scan0 = cg.focusing_polynomial_roots(0.0)
-    rpt.add(
-        "focusing-reduced-discriminant",
-        "54x^2-91x+40",
-        scan0.reduced_discriminant,
-        0.0,
-        "pass" if scan0.reduced_discriminant == -359.0 else "fail",
-    )
-    rpt.add("focusing-roots-found[b=0]", "x in (0;1)", float(len(scan0.roots)), 0.0, "pass")
+    discriminant = scan0.reduced_discriminant
+    rpt.add_check("focusing-reduced-discriminant", "54x^2-91x+40", discriminant, 0.0, holds=discriminant == -359.0)
+    rpt.add_check("focusing-roots-found[b=0]", "x in (0;1)", float(len(scan0.roots)), 0.0, holds=True)
     for quoted in cg.QUOTED_FOCUSING_ROOTS:
         location = f"x={quoted:.9g}" + ("" if quoted < 1.0 else " (outside (0;1))")
         rpt.add_comparison(
@@ -325,9 +326,9 @@ def build_congruence_report(
             1e-6,
         )
     if scan_b is not None:
-        rpt.add(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(scan_b.roots)), 0.0, "pass")
+        rpt.add_check(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(scan_b.roots)), 0.0, holds=True)
         for root in scan_b.roots:
-            rpt.add(f"focusing-root[b={b:.9g}]", f"x={root:.9g}", root, 0.0, "pass")
+            rpt.add_check(f"focusing-root[b={b:.9g}]", f"x={root:.9g}", root, 0.0, holds=True)
 
     candidates = cg.radius_candidates(params, cg.QUOTED_FOCUSING_ROOTS[1])
     rpt.add_comparison(
@@ -336,24 +337,17 @@ def build_congruence_report(
         candidates.from_exponential / params.a - cg.QUOTED_ROOT_RADIUS_FACTOR,
         5e-4,
     )
-    rpt.add(
-        "radius-w-channel-solutions",
-        f"X={cg.QUOTED_FOCUSING_ROOTS[1]:.9g}",
-        float(len(candidates.from_w)),
-        0.0,
-        "pass",
-    )
+    x_root = f"X={cg.QUOTED_FOCUSING_ROOTS[1]:.9g}"
+    rpt.add_check("radius-w-channel-solutions", x_root, float(len(candidates.from_w)), 0.0, holds=True)
     for root in candidates.from_w:
-        rpt.add("radius-w-channel", f"X={cg.QUOTED_FOCUSING_ROOTS[1]:.9g}", root, 0.0, "pass")
+        rpt.add_check("radius-w-channel", x_root, root, 0.0, holds=True)
 
-    null_rate = scan.null_rate[ok]
-    violation = null_rate >= 0.0
-    rpt.add_comparison("null-rate-nonnegative-cells", loc, float(np.count_nonzero(violation)), 0.0)
-    for r_v, rate_v in zip(r[violation][:16].tolist(), null_rate[violation][:16].tolist()):
-        rpt.add("null-rate-violation", f"r={r_v:.9g}", rate_v, 0.0, "discrepancy-logged")
+    violation = _null_rate_cells(rpt, loc, scan)
+    for r_v, rate_v in zip(scan.r[violation][:16].tolist(), scan.null_rate[violation][:16].tolist()):
+        rpt.add_comparison("null-rate-violation", f"r={r_v:.9g}", rate_v, 0.0, holds=False)
     if xi == 0.0:
         expected_rate = -(2.0 / params.a**2) * np.sqrt(e2 - w)
-        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(null_rate - expected_rate), 1e-9)
+        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(scan.null_rate[ok] - expected_rate), 1e-9)
     return rpt
 
 
@@ -422,15 +416,13 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         grid = np.linspace(r_min, r_max, samples)
         sample = model.metric_eval(params, grid)
         tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
-        rpt.add_check("f-ode-residual", tag, float(np.max(np.abs(sample.f_pp + sample.f_p**2 - 3.0 * lam))), 1e-9)
-        rpt.add_check("field-equation-residual", tag, field_residual(sample, lam), 1e-8)
+        rpt.add_check("f-ode-residual", tag, _f_ode_residual(sample, lam), _F_ODE_TOL)
+        rpt.add_check("field-equation-residual", tag, field_residual(sample, lam), _FIELD_EQUATION_TOL)
         margins = ec.condition_margins(ec.stress_decompose(sample))
-        rpt.add_check("strong-margin-constant", tag, float(np.max(np.abs(margins.sec + 2.0 * lam))), 1e-8)
+        rpt.add_check("strong-margin-constant", tag, _strong_margin_error(margins, lam), _STRONG_MARGIN_TOL)
         # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
         # rejects a non-finite E and one whose square overflows.
         if not abs(e_tilde) < 1.0:
             cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-            # NaN off the ok points, so only ok points can count.
-            violations = np.count_nonzero(cg.kinematics_scan(params, cfg, grid).null_rate >= 0.0)
-            rpt.add_comparison("null-rate-nonnegative-cells", tag, float(violations), 0.0)
+            _null_rate_cells(rpt, tag, cg.kinematics_scan(params, cfg, grid))
     return rpt

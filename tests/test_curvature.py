@@ -288,6 +288,13 @@ def test_deformation_undefined_for_vacuum_member():
         field_residual(alpha_deformation_sample(params, (1e-3, -1e-3, 0.0), -1.0), params.lam)
 
 
+def test_deformation_rejects_an_unknown_form():
+    # A nonzero alpha at xi != 0 reaches the form check.
+    params = params_from_xi(3.0, 1.0)
+    with pytest.raises(ParameterDomainError, match="unknown deformation form"):
+        alpha_deformation_sample(params, (0.3, -0.1, -0.2), -1.0, form="bogus")
+
+
 def test_covariant_divergence_of_static_vector():
     # For sqrt|g| = r^2 and u^r = 1/r^2 the divergence vanishes.
     div = covariant_divergence_radial(lambda r: r * r, lambda r: 1.0 / (r * r), 2.0, FD_FIRST_STEP)

@@ -93,6 +93,14 @@ def test_sign_tests_neither_overflow_nor_underflow(scale):
         bisect(lambda x: float(fn(x)), 0.5, 1.0)
 
 
+def test_bisect_returns_an_endpoint_without_halving():
+    # An empty bracket and a root at either end need no sign test.
+    never = lambda x: pytest.fail("fn called")
+    assert bisect(never, 0.4, 0.4) == 0.4
+    assert bisect(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+    assert bisect(lambda x: x - 1.0, 0.25, 1.0) == 1.0
+
+
 def test_bisect_without_a_sign_change_is_a_numerical_failure():
     with pytest.raises(NumericalError, match="no sign change"):
         bisect(lambda x: 1.0, 0.0, 1.0)

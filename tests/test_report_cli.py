@@ -16,8 +16,8 @@ def run_cli(*args):
 
 def sample_report():
     rpt = Report(lam=3.0, xi=1.0, rows=[])
-    rpt.add("f-ode-residual", "grid[-2;2]x16", 3.5527136788005009e-15, 1e-9, "pass")
-    rpt.add("quoted-integrand-vs-constraint", "grid[-2;2]x16", 11.99970508143, 1e-10, "discrepancy-logged")
+    rpt.add_check("f-ode-residual", "grid[-2;2]x16", 3.5527136788005009e-15, 1e-9)
+    rpt.add_comparison("quoted-integrand-vs-constraint", "grid[-2;2]x16", 11.99970508143, 1e-10)
     return rpt
 
 
@@ -79,9 +79,26 @@ def test_json_parse_reserialize_idempotent():
 
 def test_exit_code_logic():
     rpt = sample_report()
+    assert [row.verdict for row in rpt.rows] == ["pass", "discrepancy-logged"]
     assert rpt.exit_code() == 0
-    rpt.add("broken", "here", 1.0, 0.5, "fail")
+    rpt.add_check("broken", "here", 1.0, 0.5)
     assert rpt.exit_code() == 1
+
+
+def test_holds_overrides_the_tolerance_rule():
+    # A check that does not hold fails; a comparison that does not hold is
+    # only logged, and never sets the exit code.
+    checks = Report(lam=3.0, xi=1.0, rows=[])
+    checks.add_check("strict-minimum", "here", 0.0, 0.0, holds=0.0 > 0.0)
+    checks.add_check("point-count", "here", 64.0, 0.0, holds=True)
+    assert [row.verdict for row in checks.rows] == ["fail", "pass"]
+    assert checks.exit_code() == 1
+    comparisons = Report(lam=3.0, xi=1.0, rows=[])
+    comparisons.add_comparison("quoted-minimum", "here", -1.0, 1e-12, holds=-1.0 >= -1e-12)
+    comparisons.add_comparison("note", "here", 0.0, 0.0, holds=False)
+    comparisons.add_comparison("quoted-count", "here", 5.0, 0.0, holds=True)
+    assert [row.verdict for row in comparisons.rows] == ["discrepancy-logged", "discrepancy-logged", "pass"]
+    assert comparisons.exit_code() == 0
 
 
 def test_cli_verify_defaults_green():
@@ -252,6 +269,59 @@ def test_builders_validate_their_own_inputs(build, args, kwargs, needle):
         getattr(suites, build)(*args, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--r-min", "2"),
+        ("verify", "--r-min", "5"),
+        ("tortoise", "--r-max", "-3"),
+        ("congruence", "--e-tilde", "2", "--r-min", "3"),
+        ("energy", "--r-min", "5"),
+    ],
+    ids=("energy-empty", "verify-reversed", "tortoise-reversed", "congruence-reversed", "energy-reversed"),
+)
+def test_one_sided_window_is_checked_against_the_default_bound(argv, capsys):
+    # At lambda = 3 the default window is [-2, 2] ([-1, 1] for tortoise); a
+    # single bound past the other one's default leaves no window to scan.
+    from lbverify import cli
+
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("lbverify: error: r-min must be < r-max")
+
+
+def test_sweep_rows_equal_single_member_rows():
+    # One definition per check: on the same 257-point grid, each sweep cell
+    # gives the same values as the verify, energy and congruence reports.
+    from lbverify import suites
+
+    def values(rpt, check):
+        return [row.value for row in rpt.rows if row.check == check]
+
+    for lam in (0.75, 3.0, 11.3):
+        for xi in (0.0, 0.7, 1.9):
+            verify = suites.build_verify_report(lam, xi, samples=257)
+            energy = suites.build_energy_report(lam, xi, samples=257)
+            sweep = suites.build_sweep_report(repr(lam), repr(xi), "1.5:3:2", samples=257)
+            for e_tilde in (1.5, 3.0):
+                tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
+                cell = [row for row in sweep.rows if row.location == tag]
+                assert [row.check for row in cell] == [
+                    "f-ode-residual", "field-equation-residual", "strong-margin-constant",
+                    "null-rate-nonnegative-cells",
+                ]
+                congruence = suites.build_congruence_report(lam, xi, e_tilde, samples=257)
+                expected = (
+                    values(verify, "f-ode-residual")
+                    + values(verify, "field-equation-residual")
+                    + values(energy, "strong-margin-constant")
+                    + values(congruence, "null-rate-nonnegative-cells")
+                )
+                assert [row.value for row in cell] == expected, tag
+
+
 def test_main_reads_the_builder_from_suites_on_each_call(monkeypatch, tmp_path):
     # A tracer wraps builders by replacing the module attribute; main must
     # see the replacement, and pass only the options given on the command line.
@@ -415,10 +485,14 @@ def test_cli_sweep_deterministic_output():
     assert first.stdout == second.stdout
 
 
-def test_cli_sweep_rejects_malformed_range():
-    for bad in ("1:2", "a:b:3", "1:2:0"):
-        proc = run_cli("sweep", "--lambda", bad, "--xi", "1", "--e-tilde", "2")
-        assert proc.returncode == 2, bad
+def test_cli_sweep_rejects_malformed_range(capsys):
+    from lbverify import cli
+
+    for bad, needle in (("1:2", "start:stop:count"), ("1:x:2", "malformed"), ("1:2:0", "count must be >= 1")):
+        assert cli.main(["sweep", "--lambda", bad, "--xi", "1", "--e-tilde", "2"]) == 2, bad
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("lbverify: error: ") and needle in err
 
 
 def test_cli_tortoise_green():
