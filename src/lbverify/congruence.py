@@ -65,18 +65,46 @@ class CongruenceConfig:
 class KinematicsScan:
     """Timelike and null kinematics over a scan grid, one array per column.
 
-    w is the profile at every radius, which the statuses are read from:
-    status is "forbidden" where w > E^2, "turning" inside the guard band
-    |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere; theta,
-    dtheta_dtau (the timelike rate) and null_rate are NaN off the ok points.
+    The fields are the grid r, the profile (w, w', w'') on it and E^2.  The
+    other columns are computed on first read, so a caller pays only for the
+    ones it reads: status is "forbidden" where w > E^2, "turning" inside the
+    guard band |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere;
+    theta, dtheta_dtau (the timelike rate) and null_rate are NaN off the ok
+    points.
     """
 
     r: np.ndarray
     w: np.ndarray
-    status: np.ndarray
-    theta: np.ndarray
-    dtheta_dtau: np.ndarray
-    null_rate: np.ndarray
+    w_p: np.ndarray
+    w_pp: np.ndarray
+    e2: float
+
+    @functools.cached_property
+    def _ok(self) -> np.ndarray:
+        turning = np.abs(self.e2 - self.w) < TURNING_GUARD_REL * self.e2
+        return ~((self.w > self.e2) | turning)
+
+    @functools.cached_property
+    def _ok_profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ok = self._ok
+        return self.w[ok], self.w_p[ok], self.w_pp[ok]
+
+    @functools.cached_property
+    def status(self) -> np.ndarray:
+        return np.where(self.w > self.e2, "forbidden", np.where(self._ok, "ok", "turning"))
+
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        w, w_p, _ = self._ok_profile
+        return _at_ok(self._ok, _theta(w, w_p, self.e2))
+
+    @functools.cached_property
+    def dtheta_dtau(self) -> np.ndarray:
+        return _at_ok(self._ok, _rate(*self._ok_profile, self.e2))
+
+    @functools.cached_property
+    def null_rate(self) -> np.ndarray:
+        return _at_ok(self._ok, _null_rate(*self._ok_profile, self.e2))
 
 
 @dataclass(frozen=True)
@@ -260,7 +288,7 @@ def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
 
 
 def focusing_polynomial_roots(b: float) -> FocusingRootScan:
-    """Bracketing + bisection root scan over the quoted domain x in (cbrt(4b^2), 1).
+    """Bracketing + multisection root scan over the quoted domain x in (cbrt(4b^2), 1).
 
     For b = 0 the discriminant of the reduced quadratic 54 x^2 - 91 x + 40
     is reported as well.  An empty root list is a valid result; zeros on
@@ -294,7 +322,7 @@ def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
     """Radii from both readings of "the profile equals X".
 
     Channel one solves e^{6r/a} = X, giving r = (a/6) ln X; channel two
-    solves w(r) = X by bracketing (4096 sub-intervals) and bisection on the
+    solves w(r) = X by bracketing (4096 sub-intervals) and multisection on the
     default window [-2a, 2a] and may return zero, one or two radii (empty
     means no solution there).
     """
@@ -378,29 +406,17 @@ def _at_ok(ok, values) -> np.ndarray:
     return out
 
 
-def kinematics_scan(params: SolutionParams, cfg: CongruenceConfig, r_grid) -> KinematicsScan:
+def kinematics_scan(profile: tuple, cfg: CongruenceConfig, r_grid) -> KinematicsScan:
     """Expansion, its proper-time rate and the null rate over a grid, with statuses.
 
-    One ``w_eval`` serves both congruences, and its w is returned with the
-    statuses read from it.  The closed forms are only evaluated at ok
-    points: at forbidden points w may be large enough for its powers to
-    overflow.
+    ``profile`` is ``w_eval`` on ``r_grid``: one profile serves both
+    congruences, and any number of energies.  Each column is derived from it
+    when first read (see ``KinematicsScan``), and the closed forms are only
+    evaluated at ok points: at forbidden points w may be large enough for
+    its powers to overflow.
     """
-    r = np.asarray(r_grid, dtype=float)
-    w, w_p, w_pp = w_eval(params, r)
-    e2 = cfg.e_tilde**2
-    turning = np.abs(e2 - w) < TURNING_GUARD_REL * e2
-    status = np.where(w > e2, "forbidden", np.where(turning, "turning", "ok"))
-    ok = status == "ok"
-    w_ok, w_p, w_pp = w[ok], w_p[ok], w_pp[ok]
-    return KinematicsScan(
-        r=r,
-        w=w,
-        status=status,
-        theta=_at_ok(ok, _theta(w_ok, w_p, e2)),
-        dtheta_dtau=_at_ok(ok, _rate(w_ok, w_p, w_pp, e2)),
-        null_rate=_at_ok(ok, _null_rate(w_ok, w_p, w_pp, e2)),
-    )
+    w, w_p, w_pp = profile
+    return KinematicsScan(r=np.asarray(r_grid, dtype=float), w=w, w_p=w_p, w_pp=w_pp, e2=cfg.e_tilde**2)
 
 
 def focusing_sign_map(b_values) -> dict[float, tuple[np.ndarray, np.ndarray]]:

@@ -114,7 +114,7 @@ def region_scan(
 
     Holding runs are read off ``held``, the ``hold_masks`` of each condition
     on the whole grid (the caller may assemble them block by block); run
-    edges strictly inside the window are refined by bisection, and edges on
+    edges strictly inside the window are refined by multisection, and edges on
     the window boundary stay at the grid endpoints.  An all-equal grid (a
     degenerate window) yields one single-point interval or none.
     """
@@ -123,9 +123,8 @@ def region_scan(
         steps = np.diff(np.concatenate(([0], held[cond], [0]), dtype=np.int8))
         starts = np.flatnonzero(steps == 1)
         ends = np.flatnonzero(steps == -1) - 1
-        fn = lambda x: float(
-            _condition_minima(condition_margins(stress_decompose(metric_eval(params, x))))[cond]
-            + HOLD_TOL
+        fn = lambda x: (
+            _condition_minima(condition_margins(stress_decompose(metric_eval(params, x))))[cond] + HOLD_TOL
         )
         out[cond] = [
             (

@@ -119,7 +119,7 @@ def radial_bound(params: SolutionParams) -> float:
 def _check_range(params: SolutionParams, r) -> float:
     """Raise ParameterDomainError beyond ``radial_bound``; return max |r| (0 for no radii)."""
     bound = radial_bound(params)
-    reach = float(np.max(np.abs(r), initial=0.0))
+    reach = float(np.abs(r).max(initial=0.0))
     if reach > bound:
         raise ParameterDomainError(f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}")
     return reach

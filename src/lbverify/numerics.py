@@ -1,11 +1,12 @@
 """Shared numerical kernels: finite differences, adaptive Simpson quadrature,
-bracketing bisection and a fixed-step RK4 integrator.
+bracketing multisection and a fixed-step RK4 integrator.
 
-The difference stencils, the quadrature and the bracket scan are array-first:
-they call ``fn`` on whole arrays of points (one call per Simpson level).
-``bisect`` and ``rk4`` step one point at a time.  The stencils take their
-step from the caller; the report oracles use ``FD_FIRST_STEP`` or
-``FD_PAIR_STEP`` times the de Sitter length a, the family's one length.
+The difference stencils, the quadrature, the bracket scan and the root
+refiner ``bisect`` are array-first: they call ``fn`` on whole arrays of
+points (one call per Simpson level, one per multisection round).  ``rk4``
+steps one point at a time.  The stencils take their step from the caller;
+the report oracles use ``FD_FIRST_STEP`` or ``FD_PAIR_STEP`` times the de
+Sitter length a, the family's one length.
 
 These are deliberately plain implementations; every closed-form expression in
 the toolkit is cross-checked against at least one of them, so they must stay
@@ -30,6 +31,12 @@ EPS = sys.float_info.epsilon
 # verify --xi 1e154 exceeds its tolerance.
 FD_FIRST_STEP = EPS ** (1.0 / 3.0)
 FD_PAIR_STEP = 1e-3
+
+#: Sections per ``bisect`` round: ``fn`` is evaluated at the 63 interior
+#: section points at once, and the bracket shrinks 64-fold.
+BISECT_SECTIONS = 64
+#: Rounds after which ``bisect`` stops: 34 rounds are 204 halvings.
+BISECT_ROUNDS = 34
 
 #: Subdivision levels after which ``adaptive_simpson`` accepts a subinterval.
 SIMPSON_DEPTH_CAP = 60
@@ -84,13 +91,16 @@ def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float):
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
-    flo, fmid, fhi = np.split(fn(np.concatenate([lo, 0.5 * (lo + hi), hi])), 3)
+    n = lo.size
+    values = fn(np.concatenate([lo, 0.5 * (lo + hi), hi]))
+    flo, fmid, fhi = values[:n], values[n : 2 * n], values[2 * n :]
     whole = _simpson(lo, hi, flo, fmid, fhi)
     owner = np.arange(lo.size)
     total = np.zeros(lo.size)
     for depth in range(SIMPSON_DEPTH_CAP + 1):
         mid = 0.5 * (lo + hi)
-        flm, frm = np.split(fn(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), 2)
+        values = fn(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]))
+        flm, frm = values[: lo.size], values[lo.size :]
         left = _simpson(lo, mid, flo, flm, fmid)
         right = _simpson(mid, hi, fmid, frm, fhi)
         err = (left + right - whole) / 15.0
@@ -130,32 +140,44 @@ def bracket_sign_changes(
     ]
 
 
-def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection on a sign-change bracket [lo, hi], to 1e-13 relative width or 200 halvings.
+def bisect(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """Multisection on a sign-change bracket [lo, hi], to 1e-13 relative width.
 
-    Values are compared by sign, never multiplied, so that no magnitude
-    overflows or underflows the test.
+    ``fn`` must accept an array.  It is called once on both endpoints (an
+    endpoint where ``fn`` is zero is returned at once), then once per round
+    on the ``BISECT_SECTIONS - 1`` interior section points; the first
+    section with a sign change (or a zero, which is returned) becomes the
+    bracket.  The search stops once the width is below
+    1e-13 * max(1, |mid|), or after ``BISECT_ROUNDS`` rounds, and returns the
+    midpoint.  Values are compared by sign, never multiplied, so that no
+    magnitude overflows or underflows the test.
     """
     if lo == hi:
         return lo
-    flo = fn(lo)
+    flo, fhi = fn(np.array([lo, hi]))
     if flo == 0.0:
         return lo
-    fhi = fn(hi)
     if fhi == 0.0:
         return hi
     if (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
         raise NumericalError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
+    fractions = np.arange(1, BISECT_SECTIONS) / BISECT_SECTIONS
+    for _ in range(BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
-            return mid
-        if flo < 0.0 < fmid or fmid < 0.0 < flo:
-            hi = mid
+        if (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+            return float(mid)
+        xs = lo + (hi - lo) * fractions
+        vals = fn(xs)
+        # The first section point where fn is zero or has the sign of fn(hi).
+        hit = (vals == 0.0) | ((vals > 0.0) if flo < 0.0 else (vals < 0.0))
+        k = int(np.argmax(hit))
+        if not hit[k]:
+            lo = xs[-1]
+        elif vals[k] == 0.0:
+            return float(xs[k])
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            lo, hi = (xs[k - 1] if k else lo), xs[k]
+    return float(0.5 * (lo + hi))
 
 
 def rk4(

@@ -86,23 +86,36 @@ def emit_csv(report: Report) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+_JSON_ROW = """    {
+      "check": %s,
+      "location": %s,
+      "tolerance": %s,
+      "value": %s,
+      "verdict": %s
+    }"""
+
+
 def emit_json(report: Report) -> bytes:
-    payload = {
-        "meta": {
-            "lambda": report.lam,
-            "xi": report.xi,
-            "a": report.a,
-            "tool_version": __version__,
-        },
-        "rows": [
-            {
-                "check": row.check,
-                "location": row.location,
-                "value": row.value,
-                "tolerance": row.tolerance,
-                "verdict": row.verdict,
-            }
-            for row in report.rows
-        ],
-    }
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+
+    ``indent`` makes ``json`` take its pure-Python encoder, so the rows are
+    written here directly: strings as ``json`` writes them, and the row
+    values, which ``Report`` stores as floats, with ``float.__repr__``.
+    """
+    meta = {"a": report.a, "lambda": report.lam, "tool_version": __version__, "xi": report.xi}
+    meta_lines = ",\n".join(f"    {_quote(key)}: {json.dumps(value)}" for key, value in sorted(meta.items()))
+    rows = ",\n".join(
+        _JSON_ROW
+        % (
+            _quote(row.check),
+            _quote(row.location),
+            float.__repr__(row.tolerance),
+            float.__repr__(row.value),
+            _quote(row.verdict),
+        )
+        for row in report.rows
+    )
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "meta": {{\n{meta_lines}\n  }},\n  "rows": {rows}\n}}\n'.encode("utf-8")

@@ -263,7 +263,8 @@ def build_congruence_report(
 
     # One scan feeds every row on the admissible radii below; only the
     # oracles evaluate w again.
-    scan = cg.kinematics_scan(params, cfg, np.linspace(r_min, r_max, scan_samples))
+    grid = np.linspace(r_min, r_max, scan_samples)
+    scan = cg.kinematics_scan(model.w_eval(params, grid), cfg, grid)
     ok = scan.status == "ok"
     r, w, theta, rate = scan.r[ok], scan.w[ok], scan.theta[ok], scan.dtheta_dtau[ok]
     rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)
@@ -404,25 +405,38 @@ def _parse_triple(text: str, name: str) -> tuple[int, Callable[[], np.ndarray]]:
 
 
 def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 257) -> Report:
-    """Compact verification rows over a (lambda, xi, e_tilde) grid, in grid order."""
+    """Compact verification rows over a (lambda, xi, e_tilde) grid, in grid order.
+
+    The rows that depend on (lambda, xi) alone, and the w profile the null
+    rate is scanned on, are computed once per (lambda, xi) member and shared
+    by its E cells.
+    """
     specs = [_parse_triple(lam_spec, "lambda"), _parse_triple(xi_spec, "xi"), _parse_triple(e_spec, "e-tilde")]
     cells = math.prod(count for count, _ in specs)
     if cells > MAX_GRID_SIZE:
         raise ParameterDomainError(f"sweep cell count must be <= {MAX_GRID_SIZE}, got {cells}")
     lams, xis, es = (values() for _, values in specs)
     rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
-    for lam, xi, e_tilde in itertools.product(lams.tolist(), xis.tolist(), es.tolist()):
+    for lam, xi in itertools.product(lams.tolist(), xis.tolist()):
         params, r_min, r_max = _window(lam, xi, None, None, samples, 2.0)
         grid = np.linspace(r_min, r_max, samples)
         sample = model.metric_eval(params, grid)
-        tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
-        rpt.add_check("f-ode-residual", tag, _f_ode_residual(sample, lam), _F_ODE_TOL)
-        rpt.add_check("field-equation-residual", tag, field_residual(sample, lam), _FIELD_EQUATION_TOL)
         margins = ec.condition_margins(ec.stress_decompose(sample))
-        rpt.add_check("strong-margin-constant", tag, _strong_margin_error(margins, lam), _STRONG_MARGIN_TOL)
-        # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
-        # rejects a non-finite E and one whose square overflows.
-        if not abs(e_tilde) < 1.0:
-            cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-            _null_rate_cells(rpt, tag, cg.kinematics_scan(params, cfg, grid))
+        member_rows = (
+            ("f-ode-residual", _f_ode_residual(sample, lam), _F_ODE_TOL),
+            ("field-equation-residual", field_residual(sample, lam), _FIELD_EQUATION_TOL),
+            ("strong-margin-constant", _strong_margin_error(margins, lam), _STRONG_MARGIN_TOL),
+        )
+        profile = None
+        for e_tilde in es.tolist():
+            tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
+            for check, value, tolerance in member_rows:
+                rpt.add_check(check, tag, value, tolerance)
+            # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
+            # rejects a non-finite E and one whose square overflows.
+            if not abs(e_tilde) < 1.0:
+                cfg = cg.CongruenceConfig(e_tilde=e_tilde)
+                if profile is None:
+                    profile = model.w_eval(params, grid)
+                _null_rate_cells(rpt, tag, cg.kinematics_scan(profile, cfg, grid))
     return rpt

@@ -182,7 +182,8 @@ def test_criterion_07_timelike_focusing_and_comparison_report():
         if float(w_eval(params, r)[0]) > e_tilde**2 * (1.0 - 1e-3):
             continue
         cfg = CongruenceConfig(e_tilde=e_tilde)
-        rate = float(kinematics_scan(params, cfg, np.array([r])).dtheta_dtau[0])
+        grid = np.array([r])
+        rate = float(kinematics_scan(w_eval(params, grid), cfg, grid).dtheta_dtau[0])
         if abs(rate) < 1e-2:
             continue
         h = cg.chain_rule_fd_step(params, cfg, r)
@@ -260,7 +261,8 @@ def test_criterion_09_tortoise():
 def test_criterion_10_null_rate():
     vacuum = params_from_xi(3.0, 0.0)
     cfg = CongruenceConfig(e_tilde=2.0)
-    scan = kinematics_scan(vacuum, cfg, np.linspace(-0.6, 2.0, 65))
+    grid = np.linspace(-0.6, 2.0, 65)
+    scan = kinematics_scan(w_eval(vacuum, grid), cfg, grid)
     expected = -(2.0 / vacuum.a**2) * np.sqrt(cfg.e_tilde**2 - w_eval(vacuum, scan.r)[0])
     # NaN (a point the scan did not rate) propagates and fails the bound.
     worst_reduction = float(np.max(np.abs(scan.null_rate - expected)))

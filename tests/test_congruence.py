@@ -26,7 +26,15 @@ from lbverify.congruence import (
 from lbverify.curvature import covariant_divergence_radial
 from lbverify.errors import ParameterDomainError
 from lbverify.model import params_from_xi, w_eval
-from lbverify.numerics import FD_FIRST_STEP, adaptive_simpson, bracket_sign_changes, central_diff
+from lbverify.numerics import (
+    EPS,
+    FD_FIRST_STEP,
+    SIMPSON_DEPTH_CAP,
+    SIMPSON_ROUNDING_FLOOR,
+    adaptive_simpson,
+    bracket_sign_changes,
+    central_diff,
+)
 
 
 @pytest.fixture
@@ -60,7 +68,8 @@ def _null_rate_closed_form(params, e_tilde, r):
 
 def _scan_rate(params, cfg, r):
     """The scan's d theta / d tau at one admissible radius."""
-    return float(kinematics_scan(params, cfg, np.array([r])).dtheta_dtau[0])
+    grid = np.array([r])
+    return float(kinematics_scan(w_eval(params, grid), cfg, grid).dtheta_dtau[0])
 
 
 def test_config_rejects_subunit_energy():
@@ -250,7 +259,8 @@ def test_rate_chain_rule_random_admissible():
 
 def test_scaled_form_comparison_pair():
     params = params_from_xi(3.0, 0.1)
-    scan = kinematics_scan(params, OUT2, np.array([0.0]))
+    grid = np.array([0.0])
+    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
     quoted = quoted_scaled_rate(params, OUT2, scan.w)
     direct = scan.dtheta_dtau[0]
     x = float(w_eval(params, 0.0)[0]) / OUT2.e_tilde**2
@@ -364,6 +374,24 @@ def test_radius_w_channel_two_solutions(unit_xi):
     # Above the minimum of w there are two radii.
     candidates = radius_candidates(unit_xi, 3.0)
     assert len(candidates.from_w) == 2
+
+
+def test_radius_w_channel_evaluates_each_multisection_round_once(monkeypatch):
+    # One call for the 4096-interval bracket scan, then per root one call on
+    # both bracket ends and one per 64-fold round: 75 scalar calls before.
+    calls = []
+    w_value = congruence.w_value
+
+    def counting(params, r):
+        calls.append(np.size(r))
+        return w_value(params, r)
+
+    monkeypatch.setattr(congruence, "w_value", counting)
+    candidates = radius_candidates(params_from_xi(3.0, 0.3), QUOTED_FOCUSING_ROOTS[1])
+    assert len(candidates.from_w) == 2
+    assert len(calls) <= 17
+    for root in candidates.from_w:
+        assert float(w_value(params_from_xi(3.0, 0.3), root)) == pytest.approx(QUOTED_FOCUSING_ROOTS[1], rel=1e-12)
 
 
 def test_radius_rejects_nonpositive(unit_xi):
@@ -509,6 +537,65 @@ def test_tortoise_quadrature_scalar_is_one_panel_from_zero(unit_xi):
         assert value == pytest.approx(tortoise_quadrature(unit_xi, r), abs=2e-11)
 
 
+def _split_simpson(fn, a, b, tol):
+    """``numerics.adaptive_simpson`` as it took the node values apart with ``np.split`` (the reference)."""
+
+    def simpson(lo, hi, flo, fmid, fhi):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def halves(left, right, keep):
+        return np.concatenate([left[keep], right[keep]])
+
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    flo, fmid, fhi = np.split(fn(np.concatenate([lo, 0.5 * (lo + hi), hi])), 3)
+    whole = simpson(lo, hi, flo, fmid, fhi)
+    owner = np.arange(lo.size)
+    total = np.zeros(lo.size)
+    for depth in range(SIMPSON_DEPTH_CAP + 1):
+        mid = 0.5 * (lo + hi)
+        flm, frm = np.split(fn(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), 2)
+        left = simpson(lo, mid, flo, flm, fmid)
+        right = simpson(mid, hi, fmid, frm, fhi)
+        err = (left + right - whole) / 15.0
+        size = np.abs(err)
+        done = (size < tol / 2.0**depth) | (size <= SIMPSON_ROUNDING_FLOOR * EPS * np.abs(left + right))
+        done |= depth == SIMPSON_DEPTH_CAP
+        total += np.bincount(owner[done], weights=(left + right + err)[done], minlength=total.size)
+        keep = ~done
+        if not keep.any():
+            break
+        lo, hi = halves(lo, mid, keep), halves(mid, hi, keep)
+        flo, fmid, fhi = halves(flo, fmid, keep), halves(flm, frm, keep), halves(fmid, fhi, keep)
+        whole = halves(left, right, keep)
+        owner = halves(owner, owner, keep)
+    total = np.where(b < a, -total.reshape(a.shape), total.reshape(a.shape))
+    return float(total) if total.ndim == 0 else total
+
+
+@pytest.mark.parametrize("xi", (0.0, 0.5, 1.0))
+def test_simpson_by_slices_is_bit_identical_to_split(monkeypatch, xi):
+    # The tortoise report's panels, and the congruence report's potential
+    # stencil plus an interval with a turning end, which refines deep.
+    params = params_from_xi(3.0, xi)
+    radii = np.linspace(-params.a, params.a, 513)[::16]
+    grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 257)
+    admissible = grid[kinematics_scan(w_eval(params, grid), OUT2, grid).status == "ok"]
+    mid = admissible[admissible.size // 2]
+    h = congruence.chain_rule_fd_step(params, OUT2, mid)
+    turning = radius_candidates(params, OUT2.e_tilde**2).from_w[0]
+    intervals = ((mid - h, mid + h), (turning, mid))
+
+    def results():
+        potentials = [hypersurface_potential(params, OUT2, r0, r1) for r0, r1 in intervals]
+        return tortoise_quadrature(params, radii), np.array(potentials)
+
+    slices = results()
+    monkeypatch.setattr(congruence, "adaptive_simpson", _split_simpson)
+    split = results()
+    assert np.array_equal(slices[0], split[0]) and np.array_equal(slices[1], split[1])
+
+
 def test_chain_rule_step_with_subnormal_slope(unit_xi):
     # w'(5e-324) is subnormal; the cap 1e-4 (E^2 - w) / |w'| overflows to inf,
     # which is no bound, under the suite's error::RuntimeWarning filter.
@@ -570,17 +657,17 @@ def test_tortoise_series_rejects_overflowing_argument(unit_xi):
         assert float(str(excinfo.value).rsplit("bound r = ", 1)[1]) < r
 
 
-def test_null_rate_zero_for_constant_profile(monkeypatch, unit_xi):
-    constant = lambda p, r: (np.full(np.shape(r), 2.0), np.zeros(np.shape(r)), np.zeros(np.shape(r)))
-    monkeypatch.setattr(congruence, "w_eval", constant)
-    assert kinematics_scan(unit_xi, OUT2, np.array([0.3])).null_rate.tolist() == [0.0]
+def test_null_rate_zero_for_constant_profile():
+    r = np.array([0.3])
+    constant = (np.full(r.shape, 2.0), np.zeros(r.shape), np.zeros(r.shape))
+    assert kinematics_scan(constant, OUT2, r).null_rate.tolist() == [0.0]
 
 
 def test_null_rate_vacuum_reduction(vacuum):
     # w = e^{-2r/a} gives bracket -2 w / a^2, so the rate is
     # -(2/a^2) sqrt(E^2 - w).
     radii = np.array([-0.5, 0.0, 0.4])
-    rates = kinematics_scan(vacuum, OUT2, radii).null_rate
+    rates = kinematics_scan(w_eval(vacuum, radii), OUT2, radii).null_rate
     for r, rate in zip(radii.tolist(), rates.tolist()):
         w = float(w_eval(vacuum, r)[0])
         expected = -2.0 * math.sqrt(4.0 - w)
@@ -591,13 +678,15 @@ def test_null_rate_vacuum_reduction(vacuum):
 
 def test_null_rate_forbidden(unit_xi):
     # w(0) = 2^(2/3) > 1 = E^2: the scan marks the radius and leaves no rate.
-    scan = kinematics_scan(unit_xi, CongruenceConfig(e_tilde=1.0), np.array([0.0]))
+    grid = np.array([0.0])
+    scan = kinematics_scan(w_eval(unit_xi, grid), CongruenceConfig(e_tilde=1.0), grid)
     assert scan.status.tolist() == ["forbidden"]
     assert math.isnan(scan.null_rate[0])
 
 
 def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
-    scan = kinematics_scan(vacuum, OUT2, np.linspace(-0.6, 2.0, 257))
+    grid = np.linspace(-0.6, 2.0, 257)
+    scan = kinematics_scan(w_eval(vacuum, grid), OUT2, grid)
     ok = scan.status == "ok"
     assert ok.any()
     assert np.all(scan.null_rate[ok] < 0.0)
@@ -606,7 +695,8 @@ def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
 @pytest.mark.parametrize("xi", (0.5, 1.0))
 def test_null_sign_scan_violations_itemized(xi):
     params = params_from_xi(3.0, xi)
-    scan = kinematics_scan(params, OUT2, np.linspace(-2.0, 2.0, 257))
+    grid = np.linspace(-2.0, 2.0, 257)
+    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
     ok = scan.null_rate[scan.status == "ok"]
     violations = ok[ok >= 0.0]
     assert violations.size, "expected sign violations of the always-negative claim"
@@ -615,7 +705,8 @@ def test_null_sign_scan_violations_itemized(xi):
 
 
 def test_scan_statuses(unit_xi):
-    scan = kinematics_scan(unit_xi, OUT2, np.linspace(-2.0, 2.0, 65))
+    grid = np.linspace(-2.0, 2.0, 65)
+    scan = kinematics_scan(w_eval(unit_xi, grid), OUT2, grid)
     statuses = set(scan.status.tolist())
     assert "forbidden" in statuses and "ok" in statuses
 
@@ -631,7 +722,7 @@ def test_array_scans_match_scalar_point_functions(xi):
     # The grid includes the turning points w = E^2 themselves.
     turning = radius_candidates(params, e2).from_w
     grid = np.sort(np.concatenate([np.linspace(-2.0 * params.a, 2.0 * params.a, 257), turning]))
-    scan = kinematics_scan(params, OUT2, grid)
+    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
     seen = set()
     for i, r in enumerate(grid.tolist()):
         assert scan.r[i] == r
@@ -658,8 +749,11 @@ def test_array_scans_match_scalar_point_functions(xi):
 
 def test_scans_of_empty_grid():
     params = params_from_xi(3.0, 1.0)
-    scan = kinematics_scan(params, OUT2, np.array([]))
-    assert all(getattr(scan, field.name).size == 0 for field in dataclasses.fields(scan))
+    grid = np.array([])
+    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
+    columns = [field.name for field in dataclasses.fields(scan) if field.name != "e2"]
+    columns += ["status", "theta", "dtheta_dtau", "null_rate"]
+    assert all(getattr(scan, column).size == 0 for column in columns)
 
 
 def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
@@ -668,9 +762,9 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
     calls = []
     scan = congruence.kinematics_scan
 
-    def counting(params, cfg, r_grid):
+    def counting(profile, cfg, r_grid):
         calls.append((cfg.e_tilde, np.size(r_grid)))
-        return scan(params, cfg, r_grid)
+        return scan(profile, cfg, r_grid)
 
     monkeypatch.setattr(congruence, "kinematics_scan", counting)
     suites.build_congruence_report(3.0, 1.0, 2.0)
@@ -682,13 +776,42 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
         assert not hasattr(congruence, name)
 
 
+def test_sweep_evaluates_each_member_once_and_reads_only_the_null_rate(monkeypatch):
+    # Two members (xi = 0, 1), three E values: -2 and 2 are scanned, 0 is
+    # sub-unit.  Each member takes one metric_eval and one w_eval, and the
+    # sweep's only scan row reads the null rate, never theta or the rate.
+    expected = suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65).rows
+    calls = []
+
+    def counting(name):
+        fn = getattr(model, name)
+
+        def counted(params, r):
+            calls.append((name, params.xi))
+            return fn(params, r)
+
+        return counted
+
+    def unread(*args):
+        raise AssertionError("the sweep evaluated a timelike column")
+
+    for name in ("metric_eval", "w_eval"):
+        monkeypatch.setattr(model, name, counting(name))
+    monkeypatch.setattr(congruence, "_theta", unread)
+    monkeypatch.setattr(congruence, "_rate", unread)
+    rows = suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65).rows
+    assert calls == [("metric_eval", 0.0), ("w_eval", 0.0), ("metric_eval", 1.0), ("w_eval", 1.0)]
+    assert rows == expected
+    assert len(rows) == 2 * (3 * 3 + 2)
+
+
 def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     # Outside the finite-difference and quadrature oracles, the admissible
     # radii are evaluated once after the scan, through w_eval or w_value:
     # by four_velocity.  The rest (w, the rates, the quoted form) is read
     # from the scan's columns.
     grid = np.linspace(-2.0, 2.0, 257)
-    admissible = grid[kinematics_scan(unit_xi, OUT2, grid).status == "ok"]
+    admissible = grid[kinematics_scan(w_eval(unit_xi, grid), OUT2, grid).status == "ok"]
     assert admissible.size > 1
     arrays, depth = [], [0]
 
@@ -728,7 +851,7 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
 def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
     # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so the polynomial raises.
     r = np.array([-0.2, 0.0, 0.3])
-    scan = kinematics_scan(unit_xi, OUT2, r)
+    scan = kinematics_scan(w_eval(unit_xi, r), OUT2, r)
     assert (scan.status == "ok").all()
     quoted = quoted_scaled_rate(unit_xi, OUT2, scan.w)
     difference = quoted - scan.dtheta_dtau

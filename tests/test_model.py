@@ -419,8 +419,9 @@ def test_validate_constants_beta_at_special_lambda():
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
     # Every f_eval and metric_eval passes through _f_core (w_eval does not,
     # and neither builder calls it): record the arrays it evaluates.  Beside
-    # the report grid, verify only evaluates the 25-point Ricci stencils and
-    # energy only the scalar bisection steps.
+    # the report grid, verify only evaluates the 25-point Ricci stencils, and
+    # energy would only evaluate the multisection rounds of region edges
+    # inside the window, of which this member has none.
     arrays = []
     core = model._f_core
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lbverify.errors import NumericalError
-from lbverify.numerics import SIMPSON_DEPTH_CAP, adaptive_simpson, bisect, bracket_sign_changes
+from lbverify.numerics import BISECT_SECTIONS, SIMPSON_DEPTH_CAP, adaptive_simpson, bisect, bracket_sign_changes
 
 
 def _integrand(x):
@@ -87,10 +87,10 @@ def test_sign_tests_neither_overflow_nor_underflow(scale):
     fn = lambda x: scale * (np.asarray(x) - 0.3)
     brackets = bracket_sign_changes(fn, -1.0, 1.0, 8)
     assert brackets == [(0.25, 0.5)]
-    root = bisect(lambda x: float(fn(x)), *brackets[0])
+    root = bisect(fn, *brackets[0])
     assert root == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(NumericalError, match="no sign change"):
-        bisect(lambda x: float(fn(x)), 0.5, 1.0)
+        bisect(fn, 0.5, 1.0)
 
 
 def test_bisect_returns_an_endpoint_without_halving():
@@ -103,4 +103,60 @@ def test_bisect_returns_an_endpoint_without_halving():
 
 def test_bisect_without_a_sign_change_is_a_numerical_failure():
     with pytest.raises(NumericalError, match="no sign change"):
-        bisect(lambda x: 1.0, 0.0, 1.0)
+        bisect(np.ones_like, 0.0, 1.0)
+
+
+def _binary_bisection(fn, lo, hi):
+    """Plain one-point-per-step bisection to the width ``bisect`` stops at (the reference)."""
+    flo = fn(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if fmid == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_multisection_matches_plain_bisection_on_monotone_functions():
+    # Both brackets keep the one root and stop below 1e-13 max(1, |mid|) wide.
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        root = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 3.0))
+        scale = float(10.0 ** rng.uniform(-3.0, 2.0))
+        slope = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        cubic = float(rng.uniform(0.0, 5.0))
+        fn = lambda x: slope * (np.sinh((x - root) / scale) + cubic * ((x - root) / scale) ** 3)
+        lo = root - scale * float(rng.uniform(1e-6, 2.0))
+        hi = root + scale * float(rng.uniform(1e-6, 2.0))
+        got = bisect(fn, lo, hi)
+        want = _binary_bisection(lambda x: float(fn(x)), lo, hi)
+        assert abs(got - want) <= 2e-13 * max(1.0, abs(want)), (root, scale, slope, cubic, lo, hi)
+
+
+def test_multisection_brackets_a_sign_change_of_non_monotone_functions():
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 200:
+        k, phase, tilt = rng.uniform(0.5, 40.0), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-0.5, 0.5)
+        fn = lambda x: np.sin(k * x + phase) + tilt * np.cos(3.0 * k * x)
+        lo, hi = sorted(rng.uniform(-50.0, 50.0, 2).tolist())
+        if np.sign(fn(lo)) * np.sign(fn(hi)) >= 0.0:
+            continue
+        x = bisect(fn, lo, hi)
+        width = 2e-13 * max(1.0, abs(x))
+        assert lo <= x <= hi
+        assert fn(x) == 0.0 or np.sign(fn(x - width)) != np.sign(fn(x + width)), (k, phase, tilt, lo, hi)
+        checked += 1
+
+
+def test_multisection_returns_a_zero_at_a_section_point():
+    # 1/4 is the 16th of 64 section points of [0, 1]: one round after the
+    # endpoints.  1/4 + 3/4096 is a section point of the second round.
+    for root, rounds in ((0.25, 1), (0.25 + 3.0 / 4096.0, 2)):
+        fn, sizes = _counted(lambda x: np.asarray(x) - root)
+        assert bisect(fn, 0.0, 1.0) == root
+        assert sizes == [2] + [BISECT_SECTIONS - 1] * rounds

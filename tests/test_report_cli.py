@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from lbverify import __version__, suites
+from lbverify.model import MAX_ABS_XI
 from lbverify.report import Report, VerificationRow, emit_csv, emit_json
 
 
@@ -75,6 +77,49 @@ def test_json_parse_reserialize_idempotent():
     doc = json.loads(payload)
     again = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert again == payload
+
+
+def _json_dumps_bytes(report):
+    """``json.dumps(payload, sort_keys=True, indent=2)`` of the report (the reference)."""
+    payload = {
+        "meta": {"lambda": report.lam, "xi": report.xi, "a": report.a, "tool_version": __version__},
+        "rows": [
+            {
+                "check": row.check,
+                "location": row.location,
+                "value": row.value,
+                "tolerance": row.tolerance,
+                "verdict": row.verdict,
+            }
+            for row in report.rows
+        ],
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def _extreme_report():
+    rpt = Report(lam=3.0, xi=MAX_ABS_XI, rows=[])
+    rpt.add_check("f-ode-residual", 'r=-0.0;"quoted"\\ \u00e9', MAX_ABS_XI, 5e-324, holds=True)
+    rpt.add_comparison("x", "r=1e-300", -0.0, 1e300)
+    return rpt
+
+
+JSON_REPORTS = {
+    "verify": lambda: suites.build_verify_report(3.0, 1.0, samples=64),
+    "stability": lambda: suites.build_stability_report(3.0),
+    "energy": lambda: suites.build_energy_report(3.0, 1.0, samples=64),
+    "congruence": lambda: suites.build_congruence_report(3.0, 0.5, 2.0, samples=64, b=0.3),
+    "tortoise": lambda: suites.build_tortoise_report(3.0, 0.5, samples=65),
+    "sweep": lambda: suites.build_sweep_report("0.75:12:2", "0:2:2", "0.5:2:2", samples=65),
+    "empty": lambda: Report(lam=3.0, xi=0.0, rows=[]),
+    "extreme": _extreme_report,
+}
+
+
+@pytest.mark.parametrize("name", JSON_REPORTS)
+def test_json_bytes_equal_json_dumps(name):
+    report = JSON_REPORTS[name]()
+    assert emit_json(report) == _json_dumps_bytes(report)
 
 
 def test_exit_code_logic():
@@ -304,21 +349,22 @@ def test_sweep_rows_equal_single_member_rows():
         for xi in (0.0, 0.7, 1.9):
             verify = suites.build_verify_report(lam, xi, samples=257)
             energy = suites.build_energy_report(lam, xi, samples=257)
-            sweep = suites.build_sweep_report(repr(lam), repr(xi), "1.5:3:2", samples=257)
-            for e_tilde in (1.5, 3.0):
+            sweep = suites.build_sweep_report(repr(lam), repr(xi), "0:3:3", samples=257)
+            for e_tilde in (0.0, 1.5, 3.0):
                 tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
                 cell = [row for row in sweep.rows if row.location == tag]
-                assert [row.check for row in cell] == [
-                    "f-ode-residual", "field-equation-residual", "strong-margin-constant",
-                    "null-rate-nonnegative-cells",
-                ]
-                congruence = suites.build_congruence_report(lam, xi, e_tilde, samples=257)
+                member_checks = ["f-ode-residual", "field-equation-residual", "strong-margin-constant"]
                 expected = (
                     values(verify, "f-ode-residual")
                     + values(verify, "field-equation-residual")
                     + values(energy, "strong-margin-constant")
-                    + values(congruence, "null-rate-nonnegative-cells")
                 )
+                if e_tilde >= 1.0:
+                    # A sub-unit E has no congruence report and no null-rate row.
+                    member_checks.append("null-rate-nonnegative-cells")
+                    congruence = suites.build_congruence_report(lam, xi, e_tilde, samples=257)
+                    expected += values(congruence, "null-rate-nonnegative-cells")
+                assert [row.check for row in cell] == member_checks
                 assert [row.value for row in cell] == expected, tag
 
 
