@@ -11,9 +11,10 @@ Quoted numeric anchors (root values 0.377 / 1.178 and the radius factor
 0.0273) are never used as inputs; they live in comparison reports only.
 Turning points (w = E^2) are flags, not exceptions, in the expansion-rate
 evaluations: the divergence there is genuine, and ``kinematics_scan``, one
-pass over a grid for both congruences, excludes a relative guard band
-``TURNING_GUARD_REL`` around them.  Its columns, w included, are what a
-report reads on the scan grid.
+pass over a grid for both congruences, keeps only the admissible radii: it
+drops the forbidden ones (w > E^2) and a relative guard band
+``TURNING_GUARD_REL`` around the turning points.  Its columns, w included,
+are what a report reads at those radii.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ QUOTED_ROOT_RADIUS_FACTOR = 0.0273
 #: Interior x points per b of the focusing-polynomial sign map.
 SIGN_MAP_NX = 512
 
-#: Distinct b values whose sign-map rows and root scans stay cached: the
+#: Distinct b values whose sign-map counts and root scans stay cached: the
 #: report's four fixed sign-map b values plus a few ``--b`` values.
 _FOCUSING_CACHE_SIZE = 16
 
@@ -63,14 +64,12 @@ class CongruenceConfig:
 
 @dataclass(frozen=True)
 class KinematicsScan:
-    """Timelike and null kinematics over a scan grid, one array per column.
+    """Timelike and null kinematics at the admissible radii of a scan grid.
 
-    The fields are the grid r, the profile (w, w', w'') on it and E^2.  The
-    other columns are computed on first read, so a caller pays only for the
-    ones it reads: status is "forbidden" where w > E^2, "turning" inside the
-    guard band |E^2 - w| < TURNING_GUARD_REL * E^2 and "ok" elsewhere;
-    theta, dtheta_dtau (the timelike rate) and null_rate are NaN off the ok
-    points.
+    The fields are the admissible radii r, in grid order, the profile
+    (w, w', w'') at them and E^2.  The columns theta, dtheta_dtau (the
+    timelike rate) and null_rate are computed on first read, so a caller
+    pays only for the ones it reads.
     """
 
     r: np.ndarray
@@ -80,37 +79,16 @@ class KinematicsScan:
     e2: float
 
     @functools.cached_property
-    def _ok(self) -> np.ndarray:
-        turning = np.abs(self.e2 - self.w) < TURNING_GUARD_REL * self.e2
-        return ~((self.w > self.e2) | turning)
-
-    @functools.cached_property
-    def _ok_profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ok = self._ok
-        return self.w[ok], self.w_p[ok], self.w_pp[ok]
-
-    @functools.cached_property
-    def status(self) -> np.ndarray:
-        return np.where(self.w > self.e2, "forbidden", np.where(self._ok, "ok", "turning"))
-
-    @functools.cached_property
     def theta(self) -> np.ndarray:
-        w, w_p, _ = self._ok_profile
-        return _at_ok(self._ok, _theta(w, w_p, self.e2))
+        return _theta(self.w, self.w_p, self.e2)
 
     @functools.cached_property
     def dtheta_dtau(self) -> np.ndarray:
-        return _at_ok(self._ok, _rate(*self._ok_profile, self.e2))
+        return _rate(self.w, self.w_p, self.w_pp, self.e2)
 
     @functools.cached_property
     def null_rate(self) -> np.ndarray:
-        return _at_ok(self._ok, _null_rate(*self._ok_profile, self.e2))
-
-
-@dataclass(frozen=True)
-class FocusingRootScan:
-    roots: tuple[float, ...]
-    reduced_discriminant: float | None
+        return _null_rate(self.w, self.w_p, self.w_pp, self.e2)
 
 
 @dataclass(frozen=True)
@@ -136,7 +114,7 @@ def _require_allowed(w, e2: float, r) -> None:
 
 
 def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
-    """u^mu = (E/w, sqrt(E^2/w - 1), 0, 0); exactly normalized to -1.
+    """(u^t, u^r) = (E/w, sqrt(E^2/w - 1)); u^phi = u^z = 0, and u is exactly normalized to -1.
 
     Elementwise over an array of radii; raises ParameterDomainError if any
     radius has w > E^2.
@@ -145,7 +123,7 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     e2 = cfg.e_tilde**2
     _require_allowed(w, e2, r)
     u_r = np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
-    return (cfg.e_tilde / w, u_r, 0.0, 0.0)
+    return cfg.e_tilde / w, u_r
 
 
 def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray) -> np.ndarray:
@@ -287,22 +265,21 @@ def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
     return quoted
 
 
-def focusing_polynomial_roots(b: float) -> FocusingRootScan:
+def focusing_polynomial_roots(b: float) -> tuple[float, ...]:
     """Bracketing + multisection root scan over the quoted domain x in (cbrt(4b^2), 1).
 
-    For b = 0 the discriminant of the reduced quadratic 54 x^2 - 91 x + 40
-    is reported as well.  An empty root list is a valid result; zeros on
-    the domain boundary are not roots.  The scan depends on b alone, so it
-    is computed once per b per process and the same (immutable) result is
+    Returns the sorted distinct roots.  An empty tuple is a valid result;
+    zeros on the domain boundary are not roots.  The scan depends on b
+    alone, so it is computed once per b per process and the same tuple is
     returned to every later caller.
     """
     if not 0.0 <= b <= 0.5:
         raise ParameterDomainError(f"b must lie in [0, 1/2], got {b}")
-    return _focusing_root_scan(float(b))
+    return _focusing_roots(float(b))
 
 
 @functools.lru_cache(maxsize=_FOCUSING_CACHE_SIZE)
-def _focusing_root_scan(b: float) -> FocusingRootScan:
+def _focusing_roots(b: float) -> tuple[float, ...]:
     lo = (4.0 * b * b) ** (1.0 / 3.0)
     hi = 1.0
     roots: list[float] = []
@@ -314,8 +291,7 @@ def _focusing_root_scan(b: float) -> FocusingRootScan:
             root = bisect(fn, blo, bhi)
             if lo < root < hi:
                 roots.append(root)
-    reduced_disc = 91.0**2 - 4.0 * 54.0 * 40.0 if b == 0.0 else None
-    return FocusingRootScan(roots=tuple(sorted(set(roots))), reduced_discriminant=reduced_disc)
+    return tuple(sorted(set(roots)))
 
 
 def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
@@ -399,42 +375,35 @@ def _null_rate(w, w_p, w_pp, e2: float):
         return np.sqrt(e2 - w) / w * (w_pp - 1.5 * w_p * w_p / w)
 
 
-def _at_ok(ok, values) -> np.ndarray:
-    """An array over the scan grid holding ``values`` at the ok points and NaN elsewhere."""
-    out = np.full(ok.shape, np.nan)
-    out[ok] = values
-    return out
-
-
 def kinematics_scan(profile: tuple, cfg: CongruenceConfig, r_grid) -> KinematicsScan:
-    """Expansion, its proper-time rate and the null rate over a grid, with statuses.
+    """Expansion, its proper-time rate and the null rate at the admissible radii of a grid.
 
     ``profile`` is ``w_eval`` on ``r_grid``: one profile serves both
-    congruences, and any number of energies.  Each column is derived from it
-    when first read (see ``KinematicsScan``), and the closed forms are only
-    evaluated at ok points: at forbidden points w may be large enough for
-    its powers to overflow.
+    congruences, and any number of energies.  A radius is admissible unless
+    w > E^2 (forbidden) or |E^2 - w| < TURNING_GUARD_REL * E^2 (the guard
+    band around a turning point); a NaN w counts as admissible.  Each column
+    is derived from the admissible profile when first read (see
+    ``KinematicsScan``): at forbidden points w may be large enough for its
+    powers to overflow.
     """
     w, w_p, w_pp = profile
-    return KinematicsScan(r=np.asarray(r_grid, dtype=float), w=w, w_p=w_p, w_pp=w_pp, e2=cfg.e_tilde**2)
+    e2 = cfg.e_tilde**2
+    ok = ~((w > e2) | (np.abs(e2 - w) < TURNING_GUARD_REL * e2))
+    return KinematicsScan(r=np.asarray(r_grid, dtype=float)[ok], w=w[ok], w_p=w_p[ok], w_pp=w_pp[ok], e2=e2)
 
 
-def focusing_sign_map(b_values) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Values of the focusing polynomial on ``SIGN_MAP_NX`` interior points of its quoted domain.
+def focusing_sign_map(b_values) -> dict[float, int]:
+    """Positive cells of the focusing polynomial on ``SIGN_MAP_NX`` interior points of its quoted domain.
 
-    Returns {b: (x_grid, values)}; cells with positive values contradict the
-    quoted everywhere-negative claim and are itemized by the report layer.
-    Each b's row is computed once per process and shared by every later
-    call, so both arrays are read-only.
+    Returns {b: count}; each positive cell contradicts the quoted
+    everywhere-negative claim, and the report counts them.  Each b's count
+    is computed once per process and shared by every later call.
     """
-    return {float(b): _sign_map_row(float(b)) for b in b_values}
+    return {float(b): _positive_cells(float(b)) for b in b_values}
 
 
 @functools.lru_cache(maxsize=_FOCUSING_CACHE_SIZE)
-def _sign_map_row(b: float) -> tuple[np.ndarray, np.ndarray]:
+def _positive_cells(b: float) -> int:
     lo = (4.0 * b * b) ** (1.0 / 3.0)
     xs = np.linspace(lo, 1.0, SIGN_MAP_NX + 2)[1:-1]
-    vals = focusing_polynomial(xs, b)
-    xs.flags.writeable = False
-    vals.flags.writeable = False
-    return xs, vals
+    return int(np.count_nonzero(focusing_polynomial(xs, b) > 0.0))

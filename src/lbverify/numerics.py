@@ -147,9 +147,10 @@ def bisect(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> floa
     endpoint where ``fn`` is zero is returned at once), then once per round
     on the ``BISECT_SECTIONS - 1`` interior section points; the first
     section with a sign change (or a zero, which is returned) becomes the
-    bracket.  The search stops once the width is below
-    1e-13 * max(1, |mid|), or after ``BISECT_ROUNDS`` rounds, and returns the
-    midpoint.  Values are compared by sign, never multiplied, so that no
+    bracket.  The search stops once the width is below 1e-13 |mid|, a
+    relative width whatever the length scale of ``fn``, or after
+    ``BISECT_ROUNDS`` rounds (which ends a bracket around an exact zero at
+    0), and returns the midpoint.  Values are compared by sign, never multiplied, so that no
     magnitude overflows or underflows the test.
     """
     if lo == hi:
@@ -164,7 +165,7 @@ def bisect(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> floa
     fractions = np.arange(1, BISECT_SECTIONS) / BISECT_SECTIONS
     for _ in range(BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+        if (hi - lo) < 1e-13 * abs(mid):
             return float(mid)
         xs = lo + (hi - lo) * fractions
         vals = fn(xs)

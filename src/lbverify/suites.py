@@ -89,7 +89,7 @@ def _strong_margin_error(margins, lam) -> float:
 
 
 def _null_rate_cells(rpt, location, scan) -> np.ndarray:
-    """Add the ``null-rate-nonnegative-cells`` row; return the mask it counts (NaN, off the ok points, never counts)."""
+    """Add the ``null-rate-nonnegative-cells`` row; return the mask over the scan's radii it counts."""
     violation = scan.null_rate >= 0.0
     rpt.add_comparison("null-rate-nonnegative-cells", location, float(np.count_nonzero(violation)), 0.0)
     return violation
@@ -254,7 +254,7 @@ def build_congruence_report(
     samples: int = 4096,
     b: float | None = None,
 ) -> Report:
-    scan_b = None if b is None else cg.focusing_polynomial_roots(b)
+    roots_b = None if b is None else cg.focusing_polynomial_roots(b)
     params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
     cfg = cg.CongruenceConfig(e_tilde=e_tilde)
     scan_samples = min(samples, 257)
@@ -265,12 +265,11 @@ def build_congruence_report(
     # oracles evaluate w again.
     grid = np.linspace(r_min, r_max, scan_samples)
     scan = cg.kinematics_scan(model.w_eval(params, grid), cfg, grid)
-    ok = scan.status == "ok"
-    r, w, theta, rate = scan.r[ok], scan.w[ok], scan.theta[ok], scan.dtheta_dtau[ok]
+    r, w, theta, rate = scan.r, scan.w, scan.theta, scan.dtheta_dtau
     rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)
 
     e2 = cfg.e_tilde**2
-    u_t, u_r, _, _ = cg.four_velocity(params, cfg, r)
+    u_t, u_r = cg.four_velocity(params, cfg, r)
     norm_err = _max_abs(-w * u_t**2 + u_r**2 + 1.0)
     # The chain-rule and divergence oracles need finite differences that
     # stay clear of the turning-point divergence; a rate is 1/length^2.
@@ -307,17 +306,16 @@ def build_congruence_report(
     b_values = list(SIGN_MAP_B_VALUES)
     if b is not None and b not in b_values:
         b_values.append(b)
-    sign_map = cg.focusing_sign_map(b_values)
-    for b_value in b_values:
-        positives = float(np.sum(sign_map[b_value][1] > 0.0))
+    for b_value, positives in cg.focusing_sign_map(b_values).items():
         rpt.add_comparison(
-            f"focusing-positive-cells[b={b_value:.9g}]", f"x-domain grid x{cg.SIGN_MAP_NX}", positives, 0.0
+            f"focusing-positive-cells[b={b_value:.9g}]", f"x-domain grid x{cg.SIGN_MAP_NX}", float(positives), 0.0
         )
 
-    scan0 = cg.focusing_polynomial_roots(0.0)
-    discriminant = scan0.reduced_discriminant
+    # The discriminant of the b = 0 reduction 54 x^2 - 91 x + 40.
+    discriminant = 91.0**2 - 4.0 * 54.0 * 40.0
     rpt.add_check("focusing-reduced-discriminant", "54x^2-91x+40", discriminant, 0.0, holds=discriminant == -359.0)
-    rpt.add_check("focusing-roots-found[b=0]", "x in (0;1)", float(len(scan0.roots)), 0.0, holds=True)
+    roots0 = cg.focusing_polynomial_roots(0.0)
+    rpt.add_check("focusing-roots-found[b=0]", "x in (0;1)", float(len(roots0)), 0.0, holds=True)
     for quoted in cg.QUOTED_FOCUSING_ROOTS:
         location = f"x={quoted:.9g}" + ("" if quoted < 1.0 else " (outside (0;1))")
         rpt.add_comparison(
@@ -326,9 +324,9 @@ def build_congruence_report(
             cg.focusing_polynomial_reduced(quoted),
             1e-6,
         )
-    if scan_b is not None:
-        rpt.add_check(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(scan_b.roots)), 0.0, holds=True)
-        for root in scan_b.roots:
+    if roots_b is not None:
+        rpt.add_check(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(roots_b)), 0.0, holds=True)
+        for root in roots_b:
             rpt.add_check(f"focusing-root[b={b:.9g}]", f"x={root:.9g}", root, 0.0, holds=True)
 
     candidates = cg.radius_candidates(params, cg.QUOTED_FOCUSING_ROOTS[1])
@@ -348,7 +346,7 @@ def build_congruence_report(
         rpt.add_comparison("null-rate-violation", f"r={r_v:.9g}", rate_v, 0.0, holds=False)
     if xi == 0.0:
         expected_rate = -(2.0 / params.a**2) * np.sqrt(e2 - w)
-        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(scan.null_rate[ok] - expected_rate), 1e-9)
+        rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(scan.null_rate - expected_rate), 1e-9)
     return rpt
 
 

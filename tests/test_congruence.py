@@ -9,6 +9,7 @@ from lbverify.congruence import (
     CongruenceConfig,
     QUOTED_FOCUSING_ROOTS,
     QUOTED_ROOT_RADIUS_FACTOR,
+    SIGN_MAP_NX,
     TURNING_GUARD_REL,
     expansion_timelike,
     focusing_polynomial,
@@ -81,12 +82,12 @@ def test_config_rejects_subunit_energy():
 
 
 def test_four_velocity_turning_point(vacuum):
-    assert four_velocity(vacuum, CongruenceConfig(e_tilde=1.0), 0.0) == (1.0, 0.0, 0.0, 0.0)
+    assert four_velocity(vacuum, CongruenceConfig(e_tilde=1.0), 0.0) == (1.0, 0.0)
 
 
 def test_four_velocity_values_and_norm(vacuum):
     u = four_velocity(vacuum, OUT2, 0.0)
-    assert u == (2.0, math.sqrt(3.0), 0.0, 0.0)
+    assert u == (2.0, math.sqrt(3.0))
     w = float(w_eval(vacuum, 0.0)[0])
     assert -w * u[0] ** 2 + u[1] ** 2 == pytest.approx(-1.0, abs=1e-12)
 
@@ -311,18 +312,19 @@ def test_focusing_polynomial_errors():
 
 
 def test_roots_none_for_b_zero():
-    scan = focusing_polynomial_roots(0.0)
-    assert scan.roots == ()
-    assert scan.reduced_discriminant == -359.0
+    assert focusing_polynomial_roots(0.0) == ()
+    # The reduction's minimum, at its vertex x = 91/108, is -D / (24 * 54)
+    # for the discriminant D = 91^2 - 4 * 54 * 40 = -359 of 54 x^2 - 91 x + 40.
+    assert focusing_polynomial_reduced(91.0 / 108.0) == pytest.approx(359.0 / 1296.0, rel=1e-14)
     # The quoted roots are not zeros of the reduction.
     for quoted in QUOTED_FOCUSING_ROOTS:
         assert abs(focusing_polynomial_reduced(quoted)) > 1.0
 
 
 def test_roots_appear_near_half(unit_xi):
-    scan = focusing_polynomial_roots(0.49)
-    assert len(scan.roots) == 1
-    root = scan.roots[0]
+    roots = focusing_polynomial_roots(0.49)
+    assert len(roots) == 1
+    root = roots[0]
     assert (4.0 * 0.49**2) ** (1.0 / 3.0) < root < 1.0
     assert abs(focusing_polynomial(root, 0.49)) < 1e-10
 
@@ -330,8 +332,7 @@ def test_roots_appear_near_half(unit_xi):
 def test_boundary_root_at_exactly_half():
     # The domain shrinks to its edge x = 1, a zero of the polynomial that
     # the open-domain scan does not count as a root.
-    scan = focusing_polynomial_roots(0.5)
-    assert scan.roots == ()
+    assert focusing_polynomial_roots(0.5) == ()
     assert abs(focusing_polynomial(1.0, 0.5)) <= 1e-12
 
 
@@ -342,14 +343,18 @@ def test_roots_reject_bad_b():
         focusing_polynomial_roots(-0.1)
 
 
+def _positive_cells_point_by_point(b):
+    """Positive values of the focusing polynomial on the sign map's x grid, one scalar call per point."""
+    lo = (4.0 * b * b) ** (1.0 / 3.0)
+    xs = np.linspace(lo, 1.0, SIGN_MAP_NX + 2)[1:-1]
+    return sum(focusing_polynomial(x, b) > 0.0 for x in xs.tolist())
+
+
 def test_sign_map_contradicts_negativity_claim():
     sign_map = focusing_sign_map((0.0, 0.1, 0.25, 0.49))
     for b in (0.0, 0.1, 0.25):
-        _, vals = sign_map[b]
-        assert np.all(vals > 0.0)
-    _, vals49 = sign_map[0.49]
-    assert np.any(vals49 < 0.0)
-    assert np.any(vals49 > 0.0)
+        assert sign_map[b] == SIGN_MAP_NX
+    assert 0 < sign_map[0.49] < SIGN_MAP_NX
 
 
 def test_radius_quoted_anchor(unit_xi):
@@ -580,7 +585,7 @@ def test_simpson_by_slices_is_bit_identical_to_split(monkeypatch, xi):
     params = params_from_xi(3.0, xi)
     radii = np.linspace(-params.a, params.a, 513)[::16]
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 257)
-    admissible = grid[kinematics_scan(w_eval(params, grid), OUT2, grid).status == "ok"]
+    admissible = kinematics_scan(w_eval(params, grid), OUT2, grid).r
     mid = admissible[admissible.size // 2]
     h = congruence.chain_rule_fd_step(params, OUT2, mid)
     turning = radius_candidates(params, OUT2.e_tilde**2).from_w[0]
@@ -677,19 +682,18 @@ def test_null_rate_vacuum_reduction(vacuum):
 
 
 def test_null_rate_forbidden(unit_xi):
-    # w(0) = 2^(2/3) > 1 = E^2: the scan marks the radius and leaves no rate.
+    # w(0) = 2^(2/3) > 1 = E^2: the scan drops the radius and leaves no rate.
     grid = np.array([0.0])
     scan = kinematics_scan(w_eval(unit_xi, grid), CongruenceConfig(e_tilde=1.0), grid)
-    assert scan.status.tolist() == ["forbidden"]
-    assert math.isnan(scan.null_rate[0])
+    assert scan.r.size == 0
+    assert scan.null_rate.size == 0
 
 
 def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
     grid = np.linspace(-0.6, 2.0, 257)
     scan = kinematics_scan(w_eval(vacuum, grid), OUT2, grid)
-    ok = scan.status == "ok"
-    assert ok.any()
-    assert np.all(scan.null_rate[ok] < 0.0)
+    assert scan.r.size
+    assert np.all(scan.null_rate < 0.0)
 
 
 @pytest.mark.parametrize("xi", (0.5, 1.0))
@@ -697,8 +701,7 @@ def test_null_sign_scan_violations_itemized(xi):
     params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0, 2.0, 257)
     scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
-    ok = scan.null_rate[scan.status == "ok"]
-    violations = ok[ok >= 0.0]
+    violations = scan.null_rate[scan.null_rate >= 0.0]
     assert violations.size, "expected sign violations of the always-negative claim"
     # The bracket changes sign where 12 p = (p - 1)^2, p = xi^2 e^{6r/a}.
     assert np.any(violations > 0.1)
@@ -707,8 +710,9 @@ def test_null_sign_scan_violations_itemized(xi):
 def test_scan_statuses(unit_xi):
     grid = np.linspace(-2.0, 2.0, 65)
     scan = kinematics_scan(w_eval(unit_xi, grid), OUT2, grid)
-    statuses = set(scan.status.tolist())
-    assert "forbidden" in statuses and "ok" in statuses
+    kept = np.isin(grid, scan.r)
+    assert kept.any() and not kept.all()
+    assert np.all(w_eval(unit_xi, grid[~kept])[0] > OUT2.e_tilde**2)
 
 
 def _rel_close(got, want, rel):
@@ -723,28 +727,25 @@ def test_array_scans_match_scalar_point_functions(xi):
     turning = radius_candidates(params, e2).from_w
     grid = np.sort(np.concatenate([np.linspace(-2.0 * params.a, 2.0 * params.a, 257), turning]))
     scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
-    seen = set()
-    for i, r in enumerate(grid.tolist()):
-        assert scan.r[i] == r
+    admissible, seen = [], set()
+    for r in grid.tolist():
         w = float(w_eval(params, r)[0])
         if w > e2:
-            expected = "forbidden"
+            seen.add("forbidden")
             with pytest.raises(ParameterDomainError, match=r"> E\^2"):
                 expansion_timelike(params, OUT2, r)
         elif abs(e2 - w) < TURNING_GUARD_REL * e2:
-            expected = "turning"
+            seen.add("turning")
         else:
-            expected = "ok"
-        assert scan.status[i] == expected
-        seen.add(expected)
-        if expected == "ok":
-            assert _rel_close(scan.theta[i], expansion_timelike(params, OUT2, r), 1e-12)
-            assert _rel_close(scan.dtheta_dtau[i], _rate_closed_form(params, OUT2.e_tilde, r), 1e-12)
-            assert _rel_close(scan.null_rate[i], _null_rate_closed_form(params, OUT2.e_tilde, r), 1e-12)
-        else:
-            assert math.isnan(scan.theta[i]) and math.isnan(scan.dtheta_dtau[i])
-            assert math.isnan(scan.null_rate[i])
+            seen.add("ok")
+            admissible.append(r)
     assert seen == {"forbidden", "turning", "ok"}
+    # The scan keeps the admissible radii, in grid order, and nothing else.
+    assert scan.r.tolist() == admissible
+    for i, r in enumerate(admissible):
+        assert _rel_close(scan.theta[i], expansion_timelike(params, OUT2, r), 1e-12)
+        assert _rel_close(scan.dtheta_dtau[i], _rate_closed_form(params, OUT2.e_tilde, r), 1e-12)
+        assert _rel_close(scan.null_rate[i], _null_rate_closed_form(params, OUT2.e_tilde, r), 1e-12)
 
 
 def test_scans_of_empty_grid():
@@ -752,7 +753,7 @@ def test_scans_of_empty_grid():
     grid = np.array([])
     scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
     columns = [field.name for field in dataclasses.fields(scan) if field.name != "e2"]
-    columns += ["status", "theta", "dtheta_dtau", "null_rate"]
+    columns += ["theta", "dtheta_dtau", "null_rate"]
     assert all(getattr(scan, column).size == 0 for column in columns)
 
 
@@ -811,7 +812,7 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     # by four_velocity.  The rest (w, the rates, the quoted form) is read
     # from the scan's columns.
     grid = np.linspace(-2.0, 2.0, 257)
-    admissible = grid[kinematics_scan(w_eval(unit_xi, grid), OUT2, grid).status == "ok"]
+    admissible = kinematics_scan(w_eval(unit_xi, grid), OUT2, grid).r
     assert admissible.size > 1
     arrays, depth = [], [0]
 
@@ -852,7 +853,7 @@ def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
     # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so the polynomial raises.
     r = np.array([-0.2, 0.0, 0.3])
     scan = kinematics_scan(w_eval(unit_xi, r), OUT2, r)
-    assert (scan.status == "ok").all()
+    assert np.array_equal(scan.r, r)
     quoted = quoted_scaled_rate(unit_xi, OUT2, scan.w)
     difference = quoted - scan.dtheta_dtau
     for i, r_i in enumerate(r.tolist()):
@@ -864,11 +865,7 @@ def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
 
 def test_sign_map_matches_scalar_polynomial():
     b_values = (0.0, 0.1, 0.25, 0.49)
-    sign_map = focusing_sign_map(b_values)
-    for b in b_values:
-        xs, vals = sign_map[b]
-        for x, v in zip(xs.tolist(), vals.tolist()):
-            assert _rel_close(v, focusing_polynomial(x, b), 1e-13)
+    assert focusing_sign_map(b_values) == {b: _positive_cells_point_by_point(b) for b in b_values}
 
 
 def test_focusing_scans_computed_once_per_b(monkeypatch):
@@ -879,24 +876,19 @@ def test_focusing_scans_computed_once_per_b(monkeypatch):
         calls.append(b)
         return polynomial(x, b)
 
-    congruence._sign_map_row.cache_clear()
-    congruence._focusing_root_scan.cache_clear()
+    congruence._positive_cells.cache_clear()
+    congruence._focusing_roots.cache_clear()
     monkeypatch.setattr(congruence, "focusing_polynomial", counting)
     b_values = (0.0, 0.1, 0.25, 0.49)
     sign_map = focusing_sign_map(b_values)
-    scans = [focusing_polynomial_roots(b) for b in (0.0, 0.3)]
+    roots = [focusing_polynomial_roots(b) for b in (0.0, 0.3)]
     assert calls
-    for b in b_values:
-        xs, vals = sign_map[b]
-        assert not xs.flags.writeable and not vals.flags.writeable
-        with pytest.raises(ValueError):
-            vals[0] = 1.0
-        assert np.array_equal(vals, polynomial(xs, b))
+    assert sign_map == {b: _positive_cells_point_by_point(b) for b in b_values}
     calls.clear()
     again = focusing_sign_map(b_values)
-    assert [focusing_polynomial_roots(b) for b in (0.0, 0.3)] == scans
+    assert [focusing_polynomial_roots(b) for b in (0.0, 0.3)] == roots
     assert calls == []
-    assert all(again[b][1] is sign_map[b][1] for b in b_values)
+    assert again == sign_map
 
 
 def test_focusing_polynomial_array_errors():
@@ -908,12 +900,12 @@ def test_focusing_polynomial_array_errors():
 
 def test_point_functions_vectorize(unit_xi):
     r = np.array([-0.3, 0.0, 0.25])
-    u_t, u_r, _, _ = four_velocity(unit_xi, OUT2, r)
+    u_t, u_r = four_velocity(unit_xi, OUT2, r)
     h = congruence.chain_rule_fd_step(unit_xi, OUT2, r)
     theta = expansion_timelike(unit_xi, OUT2, r)
     for i, r_i in enumerate(r.tolist()):
         u = four_velocity(unit_xi, OUT2, r_i)
-        assert (u_t[i], u_r[i]) == (u[0], u[1])
+        assert (u_t[i], u_r[i]) == u
         assert h[i] == congruence.chain_rule_fd_step(unit_xi, OUT2, r_i)
         assert theta[i] == expansion_timelike(unit_xi, OUT2, r_i)
     with pytest.raises(ParameterDomainError, match=r"> E\^2"):

@@ -9,8 +9,8 @@ M3, lambda-scale: (lambda, r) -> (c lambda, r / sqrt(c)) maps the family
 onto itself.  With lambda = 3 * 4^k the de Sitter length a = sqrt(3/lambda)
 is 2^-k, so every radius of a default window, and every stencil step (a
 fixed fraction of a), scales by an exact power of two.  Rows on
-dimensionless quantities then reproduce their k = 0 values bit for bit, and
-a row on a rate scales by exactly 2^k.
+dimensionless quantities then reproduce their k = 0 values bit for bit, a
+row on a rate scales by exactly 2^k, and a root radius by exactly 2^-k.
 
 M2, xi-shift, at model level: (xi, r) -> (xi e^{3s/a}, r - s) leaves q, and
 so f' and f'', unchanged; every exponent u moves by the constant 2s/a, and
@@ -36,21 +36,26 @@ SCALE_FREE_ROWS = (
 )
 
 
-def _values(lam, xi, e_tilde):
-    rows = suites.build_congruence_report(lam, xi, e_tilde).rows + suites.build_tortoise_report(lam, xi).rows
-    return {row.check: row.value for row in rows}
+def _rows(lam, xi, e_tilde):
+    return suites.build_congruence_report(lam, xi, e_tilde).rows + suites.build_tortoise_report(lam, xi).rows
 
 
 @pytest.mark.parametrize("xi, e_tilde", [(0.5, 2.0), (1.3, 1.7)])
 @pytest.mark.parametrize("k", [-10, -3, 3, 10, 20])
 def test_lambda_scale_rows_are_bitwise_covariant(k, xi, e_tilde):
-    base = _values(3.0, xi, e_tilde)
-    scaled = _values(3.0 * 4.0**k, xi, e_tilde)
+    base_rows, scaled_rows = _rows(3.0, xi, e_tilde), _rows(3.0 * 4.0**k, xi, e_tilde)
+    base, scaled = ({row.check: row.value for row in rows} for rows in (base_rows, scaled_rows))
     for check in SCALE_FREE_ROWS:
         assert scaled[check] == base[check], check
     # theta is a rate, 1/length: it scales by 1/a = 2^k.
     assert scaled["expansion-covariant-divergence"] * 2.0**-k == base["expansion-covariant-divergence"]
     assert scaled["timelike-admissible-points"] == base["timelike-admissible-points"] > 0.0
+    # The w-channel roots are radii: they scale by a = 2^-k, since the root
+    # refiner stops at a width relative to the root.
+    base_radii, scaled_radii = (
+        [row.value for row in rows if row.check == "radius-w-channel"] for rows in (base_rows, scaled_rows)
+    )
+    assert scaled_radii == [2.0**-k * radius for radius in base_radii]
 
 
 SIGN_BUILDERS = {

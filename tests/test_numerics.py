@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lbverify.errors import NumericalError
-from lbverify.numerics import BISECT_SECTIONS, SIMPSON_DEPTH_CAP, adaptive_simpson, bisect, bracket_sign_changes
+from lbverify.numerics import (
+    BISECT_ROUNDS,
+    BISECT_SECTIONS,
+    SIMPSON_DEPTH_CAP,
+    adaptive_simpson,
+    bisect,
+    bracket_sign_changes,
+)
 
 
 def _integrand(x):
@@ -112,7 +119,7 @@ def _binary_bisection(fn, lo, hi):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+        if fmid == 0.0 or (hi - lo) < 1e-13 * abs(mid):
             return mid
         if (flo < 0.0) == (fmid < 0.0):
             lo, flo = mid, fmid
@@ -122,7 +129,7 @@ def _binary_bisection(fn, lo, hi):
 
 
 def test_multisection_matches_plain_bisection_on_monotone_functions():
-    # Both brackets keep the one root and stop below 1e-13 max(1, |mid|) wide.
+    # Both brackets keep the one root and stop below 1e-13 |mid| wide.
     rng = np.random.default_rng(2024)
     for _ in range(300):
         root = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 3.0))
@@ -134,7 +141,15 @@ def test_multisection_matches_plain_bisection_on_monotone_functions():
         hi = root + scale * float(rng.uniform(1e-6, 2.0))
         got = bisect(fn, lo, hi)
         want = _binary_bisection(lambda x: float(fn(x)), lo, hi)
-        assert abs(got - want) <= 2e-13 * max(1.0, abs(want)), (root, scale, slope, cubic, lo, hi)
+        assert abs(got - want) <= 2e-13 * abs(want), (root, scale, slope, cubic, lo, hi)
+
+
+def test_multisection_ends_around_an_exact_zero():
+    # 0 is no section point of [-1, 2]: the width never falls below
+    # 1e-13 |mid|, and the round cap ends the search next to 0.
+    fn, sizes = _counted(lambda x: np.asarray(x))
+    assert abs(bisect(fn, -1.0, 2.0)) <= 3.0 * BISECT_SECTIONS**-BISECT_ROUNDS
+    assert len(sizes) == 1 + BISECT_ROUNDS
 
 
 def test_multisection_brackets_a_sign_change_of_non_monotone_functions():

@@ -1,0 +1,160 @@
+"""Compare the reports of two checkouts of lbverify, call by call.
+
+    python tools/compare_reports.py PARENT_DIR CHANGE_DIR
+
+The calls are every call of the four ``perfbench/catalog/*.json`` files and
+every ``CONFIGS`` entry of ``tests/test_golden.py``, both read from
+CHANGE_DIR.  For each tree one subprocess imports ``lbverify`` from that
+tree's ``src/`` and runs every call in process through
+``lbverify.cli.main``, each with its report written to a file and its
+stderr captured.  The two subprocesses run side by side.
+
+The script prints the call count, the number of calls that are
+byte-identical (report, stderr and exit code), and the largest relative move
+of a row value per check, over every check whose values moved.  It exits 1
+when any call differs in exit code, in stderr or in its sequence of
+(check, location, verdict) rows, and 0 otherwise.  It uses the standard
+library only and writes nothing under either tree.
+"""
+
+from __future__ import annotations
+
+import ast
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CATALOGS = ("audit-dense", "cli-cold", "scan-scalar", "tortoise-channels")
+
+# Runs in a fresh interpreter: argv[1] is the tree's src/, stdin the calls.
+_CHILD = r"""
+import contextlib, io, json, os, sys, tempfile, traceback, warnings
+
+src = sys.argv[1]
+sys.path.insert(0, src)
+import lbverify.cli
+
+if os.path.dirname(os.path.abspath(lbverify.cli.__file__)) != os.path.join(src, "lbverify"):
+    sys.exit(f"imported lbverify from {lbverify.cli.__file__}, not from {src}")
+results = []
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "report")
+    for argv in json.load(sys.stdin):
+        if os.path.exists(out):
+            os.remove(out)
+        err = io.StringIO()
+        # A fresh filter per call, so that each call shows its own warnings.
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("default")
+            try:
+                rc = lbverify.cli.main(argv + ["--out", out])
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception:
+                rc = "exception"
+                traceback.print_exc()
+        report = None
+        if os.path.exists(out):
+            with open(out, encoding="utf-8") as handle:
+                report = handle.read()
+        results.append({"rc": rc, "stderr": err.getvalue().replace(src, "<src>"), "report": report})
+json.dump(results, sys.stdout)
+"""
+
+
+def load_calls(tree: Path) -> list[list[str]]:
+    calls = []
+    for name in CATALOGS:
+        entries = json.loads((tree / "perfbench" / "catalog" / f"{name}.json").read_text(encoding="utf-8"))
+        calls += [argv for entry in entries for argv in entry["calls"]]
+    golden = ast.parse((tree / "tests" / "test_golden.py").read_text(encoding="utf-8"))
+    for node in golden.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CONFIGS" for t in node.targets):
+            calls += list(ast.literal_eval(node.value).values())
+    return calls
+
+
+def start(tree: Path, calls: list[list[str]]) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CHILD, str((tree / "src").resolve())],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdin.write(json.dumps(calls))
+    proc.stdin.close()
+    return proc
+
+
+def finish(proc: subprocess.Popen, tree: Path) -> list[dict]:
+    payload = proc.stdout.read()
+    if proc.wait() != 0:
+        raise SystemExit(f"compare_reports: the run on {tree} failed with exit code {proc.returncode}")
+    return json.loads(payload)
+
+
+def rows(report: str | None, argv: list[str]) -> list[tuple[str, str, float, str]]:
+    """(check, location, value, verdict) per row of a CSV or JSON report."""
+    if report is None:
+        return []
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        doc = json.loads(report)
+        return [(r["check"], r["location"], float(r["value"]), r["verdict"]) for r in doc["rows"]]
+    table = list(csv.reader(io.StringIO(report)))[1:]
+    return [(check, loc, float(value), verdict) for check, loc, value, _, verdict in table]
+
+
+def relative_move(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python tools/compare_reports.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 2
+    parent, change = Path(args[0]), Path(args[1])
+    calls = load_calls(change)
+    procs = [start(parent, calls), start(change, calls)]
+    before, after = finish(procs[0], parent), finish(procs[1], change)
+
+    identical, failures, moves = 0, [], {}
+    for argv, old, new in zip(calls, before, after):
+        if old == new:
+            identical += 1
+            continue
+        old_rows, new_rows = rows(old["report"], argv), rows(new["report"], argv)
+        if old["rc"] != new["rc"]:
+            failures.append(f"{argv}: exit code {old['rc']} -> {new['rc']}")
+        if old["stderr"] != new["stderr"]:
+            failures.append(f"{argv}: stderr {old['stderr']!r} -> {new['stderr']!r}")
+        if [(c, loc, v) for c, loc, _, v in old_rows] != [(c, loc, v) for c, loc, _, v in new_rows]:
+            failures.append(f"{argv}: the (check, location, verdict) rows differ")
+            continue
+        for (check, _, old_value, _), (_, _, new_value, _) in zip(old_rows, new_rows):
+            move = relative_move(old_value, new_value)
+            if move:
+                moves[check] = max(moves.get(check, 0.0), move)
+
+    print(f"calls: {len(calls)}")
+    print(f"byte-identical: {identical}")
+    if moves:
+        print("largest relative value move per check:")
+        for check, move in sorted(moves.items(), key=lambda item: -item[1]):
+            print(f"  {check}: {move:.3g}")
+    else:
+        print("no row value moved")
+    for failure in failures:
+        print(f"DIFFERENT: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
