@@ -5,7 +5,12 @@ Covers the 4-velocity of marginally bound radial geodesics, the potential
 whose gradient they follow, the expansion scalar and its proper-time rate
 (in closed form from w and its derivatives, and in the quoted form in the
 scaled variables x = w/E^2, b = |xi/E|), the focusing polynomial and its
-root scan, the tortoise coordinate, and the null expansion rate.
+root scan, the tortoise coordinate, the radii where the profile equals a
+value, and the null expansion rate.  The tortoise coordinate and those
+radii are closed forms of the identity w = (2|xi| cosh(q/2))^{2/3},
+q = 6r/a + 2 log|xi|: the tortoise coordinate is a symmetric incomplete
+beta function of s = 1/(1 + e^{-q}), and w equals a value at an arccosh
+pair of radii.
 
 Quoted numeric anchors (root values 0.377 / 1.178 and the radius factor
 0.0273) are never used as inputs; they live in comparison reports only.
@@ -37,6 +42,9 @@ TURNING_GUARD_REL = 1e-10
 #: quoted for the larger one; recorded verbatim for comparison reports.
 QUOTED_FOCUSING_ROOTS = (0.377, 1.178)
 QUOTED_ROOT_RADIUS_FACTOR = 0.0273
+
+#: B(1/6, 1/6) = Gamma(1/6)^2 / Gamma(1/3), the complete beta function of the tortoise.
+_BETA_SIXTH = math.gamma(1.0 / 6.0) ** 2 / math.gamma(1.0 / 3.0)
 
 #: Interior x points per b of the focusing-polynomial sign map.
 SIGN_MAP_NX = 512
@@ -297,24 +305,47 @@ def _focusing_roots(b: float) -> tuple[float, ...]:
 def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
     """Radii from both readings of "the profile equals X".
 
-    Channel one solves e^{6r/a} = X, giving r = (a/6) ln X; channel two
-    solves w(r) = X by bracketing (4096 sub-intervals) and multisection on the
-    default window [-2a, 2a] and may return zero, one or two radii (empty
-    means no solution there).
+    Channel one solves e^{6r/a} = X, giving r = (a/6) ln X.  Channel two
+    solves w(r) = X in closed form: with q = 6r/a + 2 log|xi|,
+    w = (2|xi| cosh(q/2))^{2/3}, so w = X where cosh(q/2) = X^{3/2}/(2|xi|),
+    at r = (a/3)(+/-arccosh(X^{3/2}/(2|xi|)) - log|xi|); at xi = 0,
+    w = e^{-2r/a} gives r = -(a/2) ln X.  It keeps the radii inside the
+    default window [-2a, 2a] and may return zero, one or two of them (empty
+    means no solution there; there is none anywhere when X^{3/2} < 2|xi|,
+    below the minimum (2|xi|)^{2/3} of w).
     """
     if not X > 0.0:
         raise ParameterDomainError(f"X must be positive, got {X}")
-    from_exponential = params.a / 6.0 * math.log(X)
-    half = 2.0 * params.a
-    fn = lambda r: w_value(params, r) - X
-    w_roots = [bisect(fn, lo, hi) for lo, hi in bracket_sign_changes(fn, -half, half, 4096)]
-    return RadiusCandidates(from_exponential=from_exponential, from_w=tuple(sorted(set(w_roots))))
+    a = params.a
+    from_exponential = a / 6.0 * math.log(X)
+    if params.xi == 0.0:
+        roots = [-0.5 * a * math.log(X)]
+    else:
+        log_xi = math.log(abs(params.xi))
+        # log(X^{3/2}/(2|xi|)) = m, taken in log form because the ratio itself
+        # over- or underflows at extreme X or xi; arccosh(e^m) for m >= 0 is
+        # m + log(1 + sqrt(1 - e^{-2m})).
+        m = 1.5 * math.log(X) - math.log(2.0) - log_xi
+        roots = []
+        if m >= 0.0:
+            arccosh = m + math.log1p(math.sqrt(-math.expm1(-2.0 * m)))
+            roots = [a / 3.0 * (-arccosh - log_xi), a / 3.0 * (arccosh - log_xi)]
+    from_w = tuple(sorted({r for r in roots if -2.0 * a <= r <= 2.0 * a}))
+    return RadiusCandidates(from_exponential=from_exponential, from_w=from_w)
 
 
 def check_tortoise_range(params: SolutionParams, r) -> None:
-    """Raise ParameterDomainError at the first radius of ``r`` where -xi^2 e^{6r/a} overflows."""
-    # |z| = e^q with q = 2kr + 2 log|xi| (6r/a = 2kr); the model's radial
-    # bound keeps 2kr below its overflow exponent, and this keeps q there too.
+    """Raise ParameterDomainError at the first radius of ``r`` past the tortoise's accepted window.
+
+    The window ends where q = 6r/a + 2 log|xi| reaches the model's overflow
+    exponent (for |xi| <= 1, where r reaches the model's radial bound).  It
+    guards no overflow of the series: the beta form of ``tortoise_series``
+    takes e^{-|q|} alone, which cannot overflow.  It bounds the accepted
+    window, whose edge the message still calls the overflow bound of
+    -xi^2 e^{6r/a}; dropping it would widen the accepted domain.
+    """
+    # q = 2kr + 2 log|xi| (6r/a = 2kr); the model's radial bound keeps 2kr
+    # below its overflow exponent, and this keeps q there too.
     bound = radial_bound(params) - math.log(max(1.0, abs(params.xi))) / params.k
     r = np.asarray(r, dtype=float)
     past = r > bound
@@ -326,20 +357,47 @@ def check_tortoise_range(params: SolutionParams, r) -> None:
 
 
 def tortoise_series(params: SolutionParams, r):
-    """Tortoise coordinate a e^{r/a} F(1/6, 1/3; 7/6; -xi^2 e^{6r/a}).
+    """Tortoise coordinate int_{-inf}^r dr'/sqrt(w), a symmetric incomplete beta function.
 
-    This is the antiderivative of 1/sqrt(w) that vanishes as r -> -inf.
+    With q = 6r/a + 2 log|xi| and s = 1/(1 + e^{-q}), the profile is
+    w = (2|xi| cosh(q/2))^{2/3}, and the integral is
+    (a/6) |xi|^{-1/3} B_s(1/6, 1/6).  For q > 0 the reflection
+    B_s = B(1/6, 1/6) - B_{1-s} leaves x = min(s, 1 - s) <= 1/2 as the only
+    argument, and (DLMF 8.17.8)
+
+        B_x(p, p) = x^p (1 - x)^p / p * F(2p, 1; p + 1; x),   p = 1/6,
+
+    whose 2F1 series converges at least like 2^{-k}.  In the prefactor,
+    (x (1 - x))^{1/6} = e^{-|q|/6} (1 + e^{-|q|})^{-1/3}, and e^{-|q|/6}
+    |xi|^{-1/3} is taken as e^{r/a} (q <= 0) or e^{-r/a} |xi|^{-2/3} (q > 0):
+    log|xi| reaches the value only through e^{-|q|}, so no xi down to 5e-324
+    underflows, and the rounding of a large log|xi| stays out of the
+    exponentials.  At xi = 0 (q = -inf) the value is a e^{r/a}.
     Elementwise over an array of radii, one scalar ``hyp2f1`` per radius; a
     scalar r gives a float.
     """
     check_tortoise_range(params, r)
+    return _tortoise(params, r)
+
+
+def _tortoise(params: SolutionParams, r):
+    """``tortoise_series`` without the range check."""
     a = params.a
-    xi_sq = params.xi**2
+    xi = abs(params.xi)
+    log_xi = math.log(xi) if xi else -math.inf
+    cbrt_xi = math.cbrt(xi)
     r = np.asarray(r, dtype=float)
-    values = np.array([
-        a * math.exp(x / a) * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, -xi_sq * math.exp(6.0 * x / a))
-        for x in r.ravel().tolist()
-    ]).reshape(r.shape)
+    values = []
+    for radius in r.ravel().tolist():
+        q = 6.0 * radius / a + 2.0 * log_xi
+        e = math.exp(-abs(q))
+        # (1 + e^{-|q|})^{-1/3} F(1/3, 1; 7/6; x) at x = e^{-|q|} / (1 + e^{-|q|}).
+        g = math.exp(-math.log1p(e) / 3.0) * hyp2f1(1.0 / 3.0, 1.0, 7.0 / 6.0, e / (1.0 + e))
+        if q <= 0.0:
+            values.append(a * math.exp(radius / a) * g)
+        else:
+            values.append(a / cbrt_xi * (_BETA_SIXTH / 6.0 - math.exp(-radius / a) / cbrt_xi * g))
+    values = np.array(values).reshape(r.shape)
     return float(values) if r.ndim == 0 else values
 
 
@@ -347,13 +405,16 @@ def tortoise_quadrature(params: SolutionParams, r):
     """Tortoise coordinate as int_0^r dr'/sqrt(w) plus the r = 0 constant.
 
     Elementwise over an array of radii, to an absolute 1e-11 per radius.
+    The constant is ``tortoise_series`` at r = 0, without its range check:
+    above |xi| ~ 1e152 r = 0 lies past the bound, and a window below it
+    still gets its constant.
     The sorted distinct nodes {0} and r cut the axis into panels, and one
     ``adaptive_simpson`` call integrates every panel once, each to
     1e-11 / (number of panels); the integral to r_i is the sum of the
     panels between 0 and r_i, so its error stays within 1e-11.  A scalar r
     is the one panel between 0 and r, and gives a float.
     """
-    constant = params.a * hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, -params.xi**2)
+    constant = _tortoise(params, 0.0)
     r = np.asarray(r, dtype=float)
     nodes, at = np.unique(np.append(r, 0.0), return_inverse=True)
     panels = adaptive_simpson(

@@ -373,7 +373,7 @@ def build_tortoise_report(
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 
     if xi == 0.0:
-        # The whole grid, at no cost: the 2F1 argument is -0 there.
+        # The whole grid, at no cost: the series is a e^{r/a} there.
         exact_err = _max_abs(cg.tortoise_series(params, grid) - params.a * np.exp(grid / params.a))
         rpt.add_check("tortoise-exponential-form", loc, exact_err, 1e-12)
     return rpt

@@ -1,0 +1,47 @@
+"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_reports.py"
+TOLERANCE_LINE = 'rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)'
+
+
+def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change)], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_tree_against_itself_is_byte_identical():
+    proc = _compare(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    calls = lines[0].removeprefix("calls: ")
+    assert int(calls) > 400
+    assert lines == [f"calls: {calls}", f"byte-identical: {calls}", "no row value moved"]
+
+
+def test_a_changed_tolerance_is_a_difference(tmp_path):
+    # The tool reads the calls from the change tree: the catalogs and the
+    # golden configurations come along with the source.
+    copy = tmp_path / "change"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench" / "catalog", copy / "perfbench" / "catalog")
+    (copy / "tests").mkdir()
+    shutil.copy(ROOT / "tests" / "test_golden.py", copy / "tests" / "test_golden.py")
+    suites = copy / "src" / "lbverify" / "suites.py"
+    text = suites.read_text()
+    assert text.count(TOLERANCE_LINE) == 1
+    # 2e-8 keeps every verdict: only the tolerance column differs.
+    suites.write_text(text.replace(TOLERANCE_LINE, TOLERANCE_LINE.replace("1e-8", "2e-8")))
+
+    proc = _compare(ROOT, copy)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differences = [line for line in proc.stdout.splitlines() if line.startswith("DIFFERENT: ")]
+    assert differences
+    assert all(line.endswith("the (check, location, tolerance, verdict) rows differ") for line in differences)
+    assert any("'tortoise'" in line for line in differences)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from lbverify.numerics import (
     SIMPSON_DEPTH_CAP,
     SIMPSON_ROUNDING_FLOOR,
     adaptive_simpson,
+    bisect,
     bracket_sign_changes,
     central_diff,
 )
@@ -382,8 +385,7 @@ def test_radius_w_channel_two_solutions(unit_xi):
 
 
 def test_radius_w_channel_evaluates_each_multisection_round_once(monkeypatch):
-    # One call for the 4096-interval bracket scan, then per root one call on
-    # both bracket ends and one per 64-fold round: 75 scalar calls before.
+    # The w channel is the closed-form arccosh pair: it evaluates no w at all.
     calls = []
     w_value = congruence.w_value
 
@@ -394,9 +396,60 @@ def test_radius_w_channel_evaluates_each_multisection_round_once(monkeypatch):
     monkeypatch.setattr(congruence, "w_value", counting)
     candidates = radius_candidates(params_from_xi(3.0, 0.3), QUOTED_FOCUSING_ROOTS[1])
     assert len(candidates.from_w) == 2
-    assert len(calls) <= 17
+    assert len(calls) == 0
     for root in candidates.from_w:
         assert float(w_value(params_from_xi(3.0, 0.3), root)) == pytest.approx(QUOTED_FOCUSING_ROOTS[1], rel=1e-12)
+
+
+def _scanned_w_roots(params, X):
+    """The w channel as a 4096-interval bracket scan plus multisection on [-2a, 2a] (the oracle)."""
+    half = 2.0 * params.a
+    fn = lambda r: model.w_value(params, r) - X
+    return tuple(sorted({bisect(fn, lo, hi) for lo, hi in bracket_sign_changes(fn, -half, half, 4096)}))
+
+
+def _catalog_congruence_members():
+    """(lambda, xi) of every congruence call in the scan-scalar benchmark catalog."""
+    entries = json.loads((Path(__file__).parents[1] / "perfbench" / "catalog" / "scan-scalar.json").read_text())
+    calls = [argv for entry in entries for argv in entry["calls"] if argv[0] == "congruence"]
+    return [(float(argv[argv.index("--lambda") + 1]), float(argv[argv.index("--xi") + 1])) for argv in calls]
+
+
+def test_radius_w_channel_closed_form_matches_the_scan():
+    X = QUOTED_FOCUSING_ROOTS[1]
+    members = _catalog_congruence_members()
+    assert len(members) == 64
+    cases = [(lam, xi, X) for lam, xi in members] + [
+        (1e12, 0.3, X),
+        (3.0 * 4.0**20, 0.3, X),
+        (3.0, 0.0, 0.377),
+        (3.0, 1e-300, X),  # the second root, near r = 461a, is outside the window
+        (3.0, 0.0, 1e-3),  # the one root, r = 3.45a, is outside the window
+        (3.0, 1.0, X),  # X^(3/2) < 2|xi|: no root
+    ]
+    counts = set()
+    for lam, xi, x_value in cases:
+        params = params_from_xi(lam, xi)
+        closed = radius_candidates(params, x_value).from_w
+        scanned = _scanned_w_roots(params, x_value)
+        assert len(closed) == len(scanned), (lam, xi, x_value)
+        for got, oracle in zip(closed, scanned):
+            assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        counts.add(len(closed))
+    assert counts == {0, 1, 2}
+
+
+def test_radius_w_channel_near_tangent_pair():
+    # Just above the minimum (2|xi|)^(2/3) of w the two roots lie 1e-4 a
+    # apart, inside one scan interval, which has no sign change.
+    params = params_from_xi(3.0, 0.5)
+    X = 1.0 + 1e-8
+    assert _scanned_w_roots(params, X) == ()
+    closed = radius_candidates(params, X).from_w
+    assert len(closed) == 2
+    assert closed[1] - closed[0] < 4.0 * params.a / 4096
+    for root in closed:
+        assert float(model.w_value(params, root)) == pytest.approx(X, rel=1e-14)
 
 
 def test_radius_rejects_nonpositive(unit_xi):
@@ -619,7 +672,7 @@ def test_tortoise_derivative_identity():
 
 def test_tortoise_series_past_old_term_cap_matches_mpmath():
     # z = -4 e^12 sent the Pfaff series (t = z/(z-1) -> 1) past its term cap;
-    # the connection branch evaluates it at 1/z instead.
+    # the beta form's series argument is 1/(1 - z) instead.
     mpmath = pytest.importorskip("mpmath")
 
     params = params_from_xi(3.0, 2.0)
@@ -628,6 +681,32 @@ def test_tortoise_series_past_old_term_cap_matches_mpmath():
         expected = float(params.a * mpmath.exp(2.0 / params.a) * mpmath.hyp2f1(
             mpmath.mpf(1) / 6, mpmath.mpf(1) / 3, mpmath.mpf(7) / 6, z))
     assert tortoise_series(params, 2.0) == pytest.approx(expected, rel=1e-14)
+
+
+def _mpmath_tortoise(mpmath, params, r):
+    """a e^(r/a) F(1/6, 1/3; 7/6; -xi^2 e^(6r/a)) at 40 digits, at the float inputs."""
+    with mpmath.workdps(40):
+        a, xi, r = (mpmath.mpf(v) for v in (params.a, params.xi, r))
+        sixth = mpmath.mpf(1) / 6
+        return float(a * mpmath.exp(r / a) * mpmath.hyp2f1(sixth, 2 * sixth, 7 * sixth, -(xi**2) * mpmath.exp(6 * r / a)))
+
+
+@pytest.mark.parametrize("lam", (1e-6, 3.0, 1e12))
+@pytest.mark.parametrize("xi", (5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e100))
+def test_tortoise_beta_form_matches_mpmath(lam, xi):
+    mpmath = pytest.importorskip("mpmath")
+    params = params_from_xi(lam, xi)
+    a = params.a
+    bound = model.radial_bound(params) - math.log(max(1.0, xi)) / params.k
+    # q = 6r/a + 2 log|xi| is 0 at r0 (exactly, at xi = 1), and r0 -/+ 1e-9 a
+    # have q = -/+6e-9, on both sides of the reflection.  Below xi ~ 1e-152,
+    # q = 0 lies past the range bound and every radius up to it has q < 0.
+    r0 = -a * math.log(xi) / 3.0
+    near = [r0 + d * a for d in (-2.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 2.0)]
+    radii = [r for r in np.linspace(-a, a, 9).tolist() + near if r <= bound]
+    values = tortoise_series(params, np.array(radii))
+    for r, value in zip(radii, values.tolist()):
+        assert value == pytest.approx(_mpmath_tortoise(mpmath, params, r), rel=1e-14, abs=0.0), r
 
 
 def test_pfaff_nonconvergence_quotes_caller_argument():

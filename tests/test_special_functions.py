@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lbverify import special_functions
+from lbverify.congruence import tortoise_series
 from lbverify.errors import ParameterDomainError, SpecialFunctionError
+from lbverify.model import params_from_xi
 from lbverify.special_functions import (
     CACHED_TERMS,
     MAX_TERMS,
     SERIES_RTOL,
-    gauss_2f1_connection,
     gauss_2f1_pfaff,
     gauss_2f1_series,
     hyp2f1,
@@ -19,7 +19,8 @@ from lbverify.special_functions import (
 # with the quadrature pin of the tortoise test to ~1e-13).
 F_SIXTH_AT_MINUS_ONE = 0.9638106483299994
 
-TORTOISE_ABC = (1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0)
+#: The tortoise coordinate's 2F1, F(2p, 1; p + 1; x) of B_x(p, p) at p = 1/6.
+TORTOISE_ABC = (1.0 / 3.0, 1.0, 7.0 / 6.0)
 
 
 def brute_force_alternating(a, b, c, n=1_000_000, levels=2):
@@ -88,14 +89,14 @@ def test_derivative_contiguity():
 
 
 def test_large_negative_argument_converges():
-    # Tortoise arguments reach about -e^6 xi^2 on the acceptance window.
+    # The Pfaff argument t = e^6/(e^6 + 1) is within 0.0025 of 1 here.
     val = hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, -math.exp(6.0))
     assert 0.0 < val < 1.0
 
 
 def test_positive_argument_rejected():
     with pytest.raises(ParameterDomainError, match="unsupported"):
-        hyp2f1(0.5, 0.5, 1.5, 0.25)
+        hyp2f1(0.5, 0.5, 1.5, 0.75)
 
 
 def test_nonpositive_integer_c_rejected():
@@ -109,58 +110,47 @@ def test_series_outside_unit_disc_rejected():
         gauss_2f1_series(0.5, 0.5, 1.5, -1.5)
 
 
-def test_connection_continuous_with_pfaff_at_cut():
-    # hyp2f1 switches from Pfaff to the connection formula below z = -2.
-    pfaff = gauss_2f1_pfaff(*TORTOISE_ABC, -2.0)
-    assert hyp2f1(*TORTOISE_ABC, -2.0) == pfaff
-    assert gauss_2f1_connection(*TORTOISE_ABC, -2.0) == pytest.approx(pfaff, rel=1e-14)
-    assert hyp2f1(*TORTOISE_ABC, math.nextafter(-2.0, -math.inf)) == pytest.approx(pfaff, rel=1e-14)
-
-
 @pytest.mark.parametrize("z", [-3.0, -1e2, -1e4, -1e8, -1e300])
 def test_connection_matches_mpmath(z):
+    # The reflection B_s = B(1/6, 1/6) - B_(1-s) connects the tortoise at
+    # q = log(-z) > 0, where its 2F1 form a e^(r/a) F(1/6, 1/3; 7/6; z) has
+    # z = -xi^2 e^(6r/a), with its series at 1 - s <= 1/2.
     mpmath = pytest.importorskip("mpmath")
+    params = params_from_xi(3.0, 1.0)
+    r = math.log(-z) / 6.0
     with mpmath.workdps(40):
         third = mpmath.mpf(1) / 3
-        expected = float(mpmath.hyp2f1(third / 2, third, 1 + third / 2, z))
-    assert hyp2f1(*TORTOISE_ABC, z) == pytest.approx(expected, rel=1e-14)
-    assert gauss_2f1_connection(*TORTOISE_ABC, z) == hyp2f1(*TORTOISE_ABC, z)
+        mp_r = mpmath.mpf(r)
+        expected = float(mpmath.exp(mp_r) * mpmath.hyp2f1(third / 2, third, 1 + third / 2, -mpmath.exp(6 * mp_r)))
+    assert tortoise_series(params, r) == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("z", [-10.0, -1e6])
+@pytest.mark.parametrize("z", [-10.0])
 def test_connection_reciprocal_gamma_pole(z):
-    # c = a puts Gamma(c - a) = Gamma(0) in a denominator: that term drops out
-    # and the binomial F(a, b; a; z) = (1 - z)^(-b) remains.
+    # c = a gives the binomial F(a, b; a; z) = (1 - z)^(-b); below z = -1/2
+    # the Pfaff branch reaches it as (1 - z)^(-a) F(a, a - b; a; t).
     for a, b in ((0.3, 1.7), (1.25, 0.4)):
         assert hyp2f1(a, b, a, z) == pytest.approx((1.0 - z) ** (-b), rel=1e-14)
 
 
-def test_connection_integer_b_minus_a_uses_pfaff():
-    for a, b, c, z in ((0.5, 1.5, 1.2, -10.0), (0.7, 0.7, 2.1, -3.0), (1.4, -0.6, 0.9, -50.0)):
-        assert gauss_2f1_connection(a, b, c, z) == gauss_2f1_pfaff(a, b, c, z)
-        assert hyp2f1(a, b, c, z) == gauss_2f1_pfaff(a, b, c, z)
-
-
-def test_connection_rejects_argument_inside_unit_disc():
-    with pytest.raises(ParameterDomainError, match="connection formula needs"):
-        gauss_2f1_connection(*TORTOISE_ABC, -0.5)
+def test_tortoise_series_matches_mpmath_on_its_argument_range():
+    # The tortoise's series argument x = min(s, 1 - s) lies in [0, 1/2].
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.linspace(0.0, 0.5, 51)[1:].tolist() + [1e-300, 5e-324]:
+        with mpmath.workdps(40):
+            expected = float(mpmath.hyp2f1(mpmath.mpf(1) / 3, 1, mpmath.mpf(7) / 6, x))
+        assert hyp2f1(*TORTOISE_ABC, x) == pytest.approx(expected, rel=1e-15, abs=0.0), x
 
 
 def test_tortoise_argument_sweep_never_raises():
-    values = np.array([hyp2f1(*TORTOISE_ABC, float(z)) for z in -np.logspace(-3, 300, 2000)])
+    # The radii where -xi^2 e^(6r/a) runs from -1e-3 to -1e300 (xi = 1, a = 1):
+    # 0 < r* <= a e^(r/a), the 2F1 form with F <= 1, and r* grows with r.
+    params = params_from_xi(3.0, 1.0)
+    radii = np.log(np.logspace(-3, 300, 2000)) / 6.0
+    values = tortoise_series(params, radii)
     assert np.all(np.isfinite(values))
-    assert np.all((values > 0.0) & (values <= 1.0))
-    assert np.all(np.diff(values) <= 0.0)
-
-
-def test_connection_gamma_overflow_uses_pfaff():
-    # Gamma(200.1) overflows a float; the Pfaff series still converges.
-    a, b, c, z = 0.5, 200.3, 200.1, -10.0
-    assert gauss_2f1_connection(a, b, c, z) == gauss_2f1_pfaff(a, b, c, z)
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        expected = float(mpmath.hyp2f1(a, b, c, z))
-    assert hyp2f1(a, b, c, z) == pytest.approx(expected, rel=1e-13)
+    assert np.all((values > 0.0) & (values <= np.exp(radii)))
+    assert np.all(np.diff(values) >= 0.0)
 
 
 def plain_series(a, b, c, z):
@@ -181,32 +171,26 @@ def plain_series(a, b, c, z):
 
 
 def plain_hyp2f1(a, b, c, z):
-    """``hyp2f1`` with no cached ratio or coefficient: the three branches as written out."""
+    """``hyp2f1`` with no cached ratio: the two branches as written out."""
     if z == 0.0:
         return 1.0
     if z >= -0.5:
         return plain_series(a, b, c, z)[0]
-    if z >= -2.0 or b - a == math.floor(b - a):
-        return (1.0 - z) ** (-a) * plain_series(a, c - b, c, z / (z - 1.0))[0]
-    gamma_c = math.gamma(c)
-    coef_a = gamma_c * math.gamma(b - a) * special_functions._rgamma(b) * special_functions._rgamma(c - a)
-    coef_b = gamma_c * math.gamma(a - b) * special_functions._rgamma(a) * special_functions._rgamma(c - b)
-    t = 1.0 / z
-    term_a = coef_a * (-z) ** (-a) * plain_series(a, a - c + 1.0, a - b + 1.0, t)[0]
-    term_b = coef_b * (-z) ** (-b) * plain_series(b, b - c + 1.0, b - a + 1.0, t)[0]
-    return term_a + term_b
+    return (1.0 - z) ** (-a) * plain_series(a, c - b, c, z / (z - 1.0))[0]
 
 
 def test_cached_series_is_bit_identical_to_the_plain_recurrence():
-    # The tortoise coordinate's z spans every branch; its four series triples
-    # all run from cached ratios.
+    # The tortoise coordinate's series argument spans [0, 1/2]; its one
+    # triple runs from cached ratios.
     rng = np.random.default_rng(6150)
-    zs = -np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 2000))
-    for z in zs.tolist() + [-0.5, -2.0, -1e300]:
-        assert hyp2f1(*TORTOISE_ABC, z) == plain_hyp2f1(*TORTOISE_ABC, z)
+    xs = rng.uniform(0.0, 0.5, 2000)
+    for x in xs.tolist() + [0.5, 1e-300, 5e-324]:
+        assert hyp2f1(*TORTOISE_ABC, x) == plain_hyp2f1(*TORTOISE_ABC, x)
     for _ in range(200):
         a, b, c = (float(x) for x in rng.uniform(0.05, 3.0, size=3))
-        z = -float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+        z = -float(np.exp(rng.uniform(math.log(1e-3), math.log(1e2))))
+        assert hyp2f1(a, b, c, z) == plain_hyp2f1(a, b, c, z)
+        z = float(rng.uniform(0.0, 0.5))
         assert hyp2f1(a, b, c, z) == plain_hyp2f1(a, b, c, z)
 
 
@@ -223,19 +207,3 @@ def test_series_term_cap_message_unchanged():
     with pytest.raises(SpecialFunctionError) as excinfo:
         gauss_2f1_series(0.5, 0.5, 1.5, z)
     assert str(excinfo.value) == f"2F1 series did not converge within {MAX_TERMS} terms at z = {z:.6g}"
-
-
-def test_connection_coefficients_computed_once_per_triple():
-    a, b, c = TORTOISE_ABC
-    coefficients = special_functions._connection_coefficients
-    coefficients.cache_clear()
-    for z in (-3.0, -1e2, -1e8):
-        assert gauss_2f1_connection(a, b, c, z) == plain_hyp2f1(a, b, c, z)
-    info = coefficients.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    # Integer b - a and Gamma overflow fall back to Pfaff on every call,
-    # cached or not.
-    for abc, z in (((0.5, 1.5, 1.2), -10.0), ((0.5, 200.3, 200.1), -10.0)):
-        assert coefficients(*abc) is None
-        for _ in range(2):
-            assert gauss_2f1_connection(*abc, z) == gauss_2f1_pfaff(*abc, z)

@@ -13,8 +13,8 @@ The script prints the call count, the number of calls that are
 byte-identical (report, stderr and exit code), and the largest relative move
 of a row value per check, over every check whose values moved.  It exits 1
 when any call differs in exit code, in stderr or in its sequence of
-(check, location, verdict) rows, and 0 otherwise.  It uses the standard
-library only and writes nothing under either tree.
+(check, location, tolerance, verdict) rows, and 0 otherwise.  It uses the
+standard library only and writes nothing under either tree.
 """
 
 from __future__ import annotations
@@ -98,15 +98,17 @@ def finish(proc: subprocess.Popen, tree: Path) -> list[dict]:
     return json.loads(payload)
 
 
-def rows(report: str | None, argv: list[str]) -> list[tuple[str, str, float, str]]:
-    """(check, location, value, verdict) per row of a CSV or JSON report."""
+def rows(report: str | None, argv: list[str]) -> list[tuple[str, str, float, float, str]]:
+    """(check, location, value, tolerance, verdict) per row of a CSV or JSON report."""
     if report is None:
         return []
     if "--format" in argv and argv[argv.index("--format") + 1] == "json":
         doc = json.loads(report)
-        return [(r["check"], r["location"], float(r["value"]), r["verdict"]) for r in doc["rows"]]
+        return [
+            (r["check"], r["location"], float(r["value"]), float(r["tolerance"]), r["verdict"]) for r in doc["rows"]
+        ]
     table = list(csv.reader(io.StringIO(report)))[1:]
-    return [(check, loc, float(value), verdict) for check, loc, value, _, verdict in table]
+    return [(check, loc, float(value), float(tol), verdict) for check, loc, value, tol, verdict in table]
 
 
 def relative_move(old: float, new: float) -> float:
@@ -135,10 +137,11 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{argv}: exit code {old['rc']} -> {new['rc']}")
         if old["stderr"] != new["stderr"]:
             failures.append(f"{argv}: stderr {old['stderr']!r} -> {new['stderr']!r}")
-        if [(c, loc, v) for c, loc, _, v in old_rows] != [(c, loc, v) for c, loc, _, v in new_rows]:
-            failures.append(f"{argv}: the (check, location, verdict) rows differ")
+        identity = [[(c, loc, tol, v) for c, loc, _, tol, v in table] for table in (old_rows, new_rows)]
+        if identity[0] != identity[1]:
+            failures.append(f"{argv}: the (check, location, tolerance, verdict) rows differ")
             continue
-        for (check, _, old_value, _), (_, _, new_value, _) in zip(old_rows, new_rows):
+        for (check, _, old_value, _, _), (_, _, new_value, _, _) in zip(old_rows, new_rows):
             move = relative_move(old_value, new_value)
             if move:
                 moves[check] = max(moves.get(check, 0.0), move)
