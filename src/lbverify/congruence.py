@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .model import MAX_ABS_XI, SolutionParams, radial_bound, w_eval, w_value
+from .model import MAX_ABS_XI, SolutionParams, _check_range, w_eval, w_value
 from .numerics import FD_FIRST_STEP, adaptive_simpson, bisect, bracket_sign_changes
 from .special_functions import hyp2f1
 
@@ -334,28 +334,6 @@ def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
     return RadiusCandidates(from_exponential=from_exponential, from_w=from_w)
 
 
-def check_tortoise_range(params: SolutionParams, r) -> None:
-    """Raise ParameterDomainError at the first radius of ``r`` past the tortoise's accepted window.
-
-    The window ends where q = 6r/a + 2 log|xi| reaches the model's overflow
-    exponent (for |xi| <= 1, where r reaches the model's radial bound).  It
-    guards no overflow of the series: the beta form of ``tortoise_series``
-    takes e^{-|q|} alone, which cannot overflow.  It bounds the accepted
-    window, whose edge the message still calls the overflow bound of
-    -xi^2 e^{6r/a}; dropping it would widen the accepted domain.
-    """
-    # q = 2kr + 2 log|xi| (6r/a = 2kr); the model's radial bound keeps 2kr
-    # below its overflow exponent, and this keeps q there too.
-    bound = radial_bound(params) - math.log(max(1.0, abs(params.xi))) / params.k
-    r = np.asarray(r, dtype=float)
-    past = r > bound
-    if past.any():
-        first = float(r[past][0])
-        raise ParameterDomainError(
-            f"tortoise argument -xi^2 e^(6r/a) at r = {first:.6g} exceeds its overflow bound r = {bound:.6g}"
-        )
-
-
 def tortoise_series(params: SolutionParams, r):
     """Tortoise coordinate int_{-inf}^r dr'/sqrt(w), a symmetric incomplete beta function.
 
@@ -373,15 +351,12 @@ def tortoise_series(params: SolutionParams, r):
     log|xi| reaches the value only through e^{-|q|}, so no xi down to 5e-324
     underflows, and the rounding of a large log|xi| stays out of the
     exponentials.  At xi = 0 (q = -inf) the value is a e^{r/a}.
+    Every finite q is accepted, so the radii are the model's: |r| up to
+    ``radial_bound``, past which ParameterDomainError is raised as for w.
     Elementwise over an array of radii, one scalar ``hyp2f1`` per radius; a
     scalar r gives a float.
     """
-    check_tortoise_range(params, r)
-    return _tortoise(params, r)
-
-
-def _tortoise(params: SolutionParams, r):
-    """``tortoise_series`` without the range check."""
+    _check_range(params, r)
     a = params.a
     xi = abs(params.xi)
     log_xi = math.log(xi) if xi else -math.inf
@@ -405,16 +380,14 @@ def tortoise_quadrature(params: SolutionParams, r):
     """Tortoise coordinate as int_0^r dr'/sqrt(w) plus the r = 0 constant.
 
     Elementwise over an array of radii, to an absolute 1e-11 per radius.
-    The constant is ``tortoise_series`` at r = 0, without its range check:
-    above |xi| ~ 1e152 r = 0 lies past the bound, and a window below it
-    still gets its constant.
+    The constant is ``tortoise_series`` at r = 0.
     The sorted distinct nodes {0} and r cut the axis into panels, and one
     ``adaptive_simpson`` call integrates every panel once, each to
     1e-11 / (number of panels); the integral to r_i is the sum of the
     panels between 0 and r_i, so its error stays within 1e-11.  A scalar r
     is the one panel between 0 and r, and gives a float.
     """
-    constant = _tortoise(params, 0.0)
+    constant = tortoise_series(params, 0.0)
     r = np.asarray(r, dtype=float)
     nodes, at = np.unique(np.append(r, 0.0), return_inverse=True)
     panels = adaptive_simpson(

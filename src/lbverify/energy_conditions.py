@@ -26,7 +26,10 @@ rho + p_z are exact zeros there and the z margins equal the phi margins;
 samples with distinct axes (``alpha_deformation_sample``) exercise the
 general case.
 Margins are the primitive output; booleans derive from the single tolerance
-HOLD_TOL so that marginal saturation stays visible.
+``hold_tolerance(lambda)`` so that marginal saturation stays visible.  Every
+frame stress is of the size of lambda, and the NEC, WEC and DEC margins,
+>= 0 by the identities above, round to as low as about -0.8 eps lambda: the
+tolerance is HOLD_TOL or 4 eps lambda, whichever is larger.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import numpy as np
 
 from .curvature import _ricci_radial, _ricci_transverse
 from .model import MetricSample, SolutionParams, metric_eval
-from .numerics import bisect
+from .numerics import EPS, bisect
 
-#: A condition holds at r iff every one of its margins is >= -HOLD_TOL.
+#: Least tolerance of ``hold_tolerance``, the one below lambda ~ 1126.
 HOLD_TOL = 1e-12
 
 CONDITIONS = ("NEC", "WEC", "SEC", "DEC")
@@ -102,9 +105,14 @@ def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray
     }
 
 
-def hold_masks(margins: ConditionMargins) -> dict[str, bool | np.ndarray]:
-    """Boolean(s) per condition: does it hold (all margins >= -HOLD_TOL)?"""
-    return {cond: minimum >= -HOLD_TOL for cond, minimum in _condition_minima(margins).items()}
+def hold_tolerance(lam: float) -> float:
+    """A condition holds at r iff every one of its margins is >= -max(HOLD_TOL, 4 eps lambda)."""
+    return max(HOLD_TOL, 4.0 * EPS * lam)
+
+
+def hold_masks(margins: ConditionMargins, tol: float) -> dict[str, bool | np.ndarray]:
+    """Boolean(s) per condition: does it hold (all margins >= -tol)?"""
+    return {cond: minimum >= -tol for cond, minimum in _condition_minima(margins).items()}
 
 
 def region_scan(
@@ -113,18 +121,20 @@ def region_scan(
     """Sub-intervals of the sorted ``grid`` where each condition holds.
 
     Holding runs are read off ``held``, the ``hold_masks`` of each condition
-    on the whole grid (the caller may assemble them block by block); run
-    edges strictly inside the window are refined by multisection, and edges on
-    the window boundary stay at the grid endpoints.  An all-equal grid (a
-    degenerate window) yields one single-point interval or none.
+    on the whole grid at ``hold_tolerance(params.lam)`` (the caller may
+    assemble them block by block); run edges strictly inside the window are
+    refined by multisection, and edges on the window boundary stay at the
+    grid endpoints.  An all-equal grid (a degenerate window) yields one
+    single-point interval or none.
     """
+    tol = hold_tolerance(params.lam)
     out: dict[str, list[tuple[float, float]]] = {}
     for cond in CONDITIONS:
         steps = np.diff(np.concatenate(([0], held[cond], [0]), dtype=np.int8))
         starts = np.flatnonzero(steps == 1)
         ends = np.flatnonzero(steps == -1) - 1
         fn = lambda x: (
-            _condition_minima(condition_margins(stress_decompose(metric_eval(params, x))))[cond] + HOLD_TOL
+            _condition_minima(condition_margins(stress_decompose(metric_eval(params, x))))[cond] + tol
         )
         out[cond] = [
             (

@@ -210,6 +210,7 @@ def build_energy_report(
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
+    hold_tol = ec.hold_tolerance(lam)
     fold = defaultdict(list)
     block_masks = []
     for sample in _grid_samples(params, grid):
@@ -221,7 +222,7 @@ def build_energy_report(
         fold["radial-null-vs-gradient-sq"].append(_max_abs(margins.nec_r - phi_sq))
         fold["radial-null-margin-min"].append(np.min(margins.nec_r))
         fold["radial-dominant-margin-min"].append(np.min(margins.dec_r))
-        block_masks.append(ec.hold_masks(margins))
+        block_masks.append(ec.hold_masks(margins, hold_tol))
 
     for check, tol in (
         ("transverse-null-margin-phi", 1e-9),
@@ -239,9 +240,9 @@ def build_energy_report(
     width = r_max - r_min
     for cond in ec.CONDITIONS:
         held = sum(hi - lo for lo, hi in intervals[cond])
-        rpt.add_check(f"energy-{cond}-holds-fraction", loc, held / width, ec.HOLD_TOL, holds=True)
+        rpt.add_check(f"energy-{cond}-holds-fraction", loc, held / width, hold_tol, holds=True)
         for lo, hi in intervals[cond]:
-            rpt.add_check(f"energy-{cond}-interval", f"[{lo:.9g};{hi:.9g}]", hi - lo, ec.HOLD_TOL, holds=True)
+            rpt.add_check(f"energy-{cond}-interval", f"[{lo:.9g};{hi:.9g}]", hi - lo, hold_tol, holds=True)
     return rpt
 
 
@@ -361,8 +362,9 @@ def build_tortoise_report(
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     grid = np.linspace(r_min, r_max, samples)
-    cg.check_tortoise_range(params, grid)
-    # The channel row evaluates the series only at the radii it compares.
+    # The channel row evaluates the series only at the radii it compares;
+    # the derivative row reads both window ends, whose range check rejects
+    # a window past the model's radial bound.
     checked = grid[:: max(1, samples // 32)]
     channel_gap = _max_abs(cg.tortoise_series(params, checked) - cg.tortoise_quadrature(params, checked))
     rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)

@@ -1,4 +1,4 @@
-"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance."""
+"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance or version."""
 
 import shutil
 import subprocess
@@ -25,7 +25,7 @@ def test_tree_against_itself_is_byte_identical():
     assert lines == [f"calls: {calls}", f"byte-identical: {calls}", "no row value moved"]
 
 
-def test_a_changed_tolerance_is_a_difference(tmp_path):
+def _copy_tree(tmp_path: Path) -> Path:
     # The tool reads the calls from the change tree: the catalogs and the
     # golden configurations come along with the source.
     copy = tmp_path / "change"
@@ -33,6 +33,11 @@ def test_a_changed_tolerance_is_a_difference(tmp_path):
     shutil.copytree(ROOT / "perfbench" / "catalog", copy / "perfbench" / "catalog")
     (copy / "tests").mkdir()
     shutil.copy(ROOT / "tests" / "test_golden.py", copy / "tests" / "test_golden.py")
+    return copy
+
+
+def test_a_changed_tolerance_is_a_difference(tmp_path):
+    copy = _copy_tree(tmp_path)
     suites = copy / "src" / "lbverify" / "suites.py"
     text = suites.read_text()
     assert text.count(TOLERANCE_LINE) == 1
@@ -45,3 +50,21 @@ def test_a_changed_tolerance_is_a_difference(tmp_path):
     assert differences
     assert all(line.endswith("the (check, location, tolerance, verdict) rows differ") for line in differences)
     assert any("'tortoise'" in line for line in differences)
+
+
+def test_a_changed_version_is_a_difference_of_the_json_reports(tmp_path):
+    # Only a JSON report carries the version, in its meta object; the rows
+    # and every CSV report stay byte-identical.
+    copy = _copy_tree(tmp_path)
+    init = copy / "src" / "lbverify" / "__init__.py"
+    text = init.read_text()
+    assert text.count('__version__ = "') == 1
+    init.write_text(text.replace('__version__ = "', '__version__ = "9.', 1))
+
+    proc = _compare(ROOT, copy)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differences = [line for line in proc.stdout.splitlines() if line.startswith("DIFFERENT: ")]
+    assert differences
+    assert all(line.endswith("the meta keys or tool_version differ") for line in differences)
+    assert all("'--format', 'json'" in line for line in differences)
+    assert "no row value moved" in proc.stdout.splitlines()

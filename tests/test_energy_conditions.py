@@ -9,12 +9,13 @@ from lbverify.energy_conditions import (
     FrameStress,
     condition_margins,
     hold_masks,
+    hold_tolerance,
     region_scan,
     stress_decompose,
 )
 from lbverify.model import metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
-from lbverify.suites import GRID_BLOCK
+from lbverify.suites import GRID_BLOCK, build_energy_report
 
 
 def test_trace_identities_random_points():
@@ -66,7 +67,7 @@ def test_margin_arithmetic():
     assert (margins.nec_r, margins.nec_phi, margins.nec_z) == (2.0, 0.0, 0.0)
     assert margins.sec == 0.0
     assert (margins.dec_r, margins.dec_phi, margins.dec_z) == (0.0, 0.0, 0.0)
-    held = hold_masks(margins)
+    held = hold_masks(margins, HOLD_TOL)
     assert bool(held["NEC"])
     assert bool(held["SEC"])
     assert bool(held["DEC"])
@@ -86,7 +87,7 @@ def test_z_margins_shared_only_when_p_z_is_p_phi():
     assert np.array_equal(margins.dec_z, stress.rho - np.abs(stress.p_z))
     assert np.all(np.minimum(margins.nec_r, margins.nec_phi) >= -HOLD_TOL)
     assert np.all(np.minimum(margins.dec_r, margins.dec_phi) >= -HOLD_TOL)
-    held = hold_masks(margins)
+    held = hold_masks(margins, HOLD_TOL)
     assert not held["NEC"].any() and not held["DEC"].any()
 
 
@@ -100,7 +101,7 @@ def test_sec_margin_constant_in_radius():
 def _scan(params, grid):
     # Through the module attribute, so a monkeypatched stress applies here too.
     margins = condition_margins(energy_conditions.stress_decompose(metric_eval(params, grid)))
-    return region_scan(params, grid, hold_masks(margins))
+    return region_scan(params, grid, hold_masks(margins, hold_tolerance(params.lam)))
 
 
 def test_region_scan_vacuum_member():
@@ -162,7 +163,7 @@ def test_region_scan_reads_masks_assembled_block_by_block(monkeypatch):
     ):
         monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress(roots, sign))
         blocks = [
-            hold_masks(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))))
+            hold_masks(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))), HOLD_TOL)
             for r in np.split(grid, [GRID_BLOCK, 2 * GRID_BLOCK])
         ]
         held = {cond: np.concatenate([block[cond] for block in blocks]) for cond in CONDITIONS}
@@ -194,3 +195,27 @@ def test_all_conditions_scanned():
     params = params_from_xi(3.0, 1.0)
     intervals = _scan(params, np.linspace(-1.0, 1.0, 65))
     assert set(intervals) == set(CONDITIONS)
+
+
+def test_hold_tolerance_follows_the_stress_scale():
+    eps = np.finfo(float).eps
+    for lam in (1e-12, 3.0, 12.0, 1000.0):
+        assert hold_tolerance(lam) == HOLD_TOL
+    for lam in (1e5, 1e13, 1e300):
+        assert hold_tolerance(lam) == 4.0 * eps * lam
+
+
+@pytest.mark.parametrize(("lam", "xi"), [(1e5, 0.0), (1e13, 1e-6)])
+def test_large_lambda_conditions_hold_on_the_whole_window(lam, xi):
+    # The margins that are >= 0 in exact arithmetic round down to -0.66 and
+    # -0.88 eps lambda here: below -HOLD_TOL, inside 4 eps lambda.
+    rpt = build_energy_report(lam, xi)
+    a = params_from_xi(lam, xi).a
+    tol = hold_tolerance(lam)
+    rows = {(row.check, row.location): row for row in rpt.rows if row.check.startswith("energy-")}
+    window = f"[{-2.0 * a:.9g};{2.0 * a:.9g}]"
+    fractions = {check: row.value for (check, _), row in rows.items() if check.endswith("-holds-fraction")}
+    assert fractions == {f"energy-{cond}-holds-fraction": float(cond != "SEC") for cond in CONDITIONS}
+    intervals = sorted((check, loc) for check, loc in rows if check.endswith("-interval"))
+    assert intervals == [(f"energy-{cond}-interval", window) for cond in ("DEC", "NEC", "WEC")]
+    assert {row.tolerance for row in rows.values()} == {tol}

@@ -78,8 +78,8 @@ def _csv_or_rejection(report, xi):
 def test_xi_sign_gives_byte_identical_csv(report, xi):
     outcome = _csv_or_rejection(report, xi)
     assert _csv_or_rejection(report, -xi) == outcome
-    # Only tortoise at 1e154 is rejected: the window passes its range bound.
-    assert isinstance(outcome, bytes) == ((report, xi) != ("tortoise", 1e154))
+    # Every window is inside the model's radial bound, so no pair is rejected.
+    assert isinstance(outcome, bytes)
 
 
 def _log_uniform(lo, hi):

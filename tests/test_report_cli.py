@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from lbverify import __version__, suites
-from lbverify.model import MAX_ABS_XI
+from lbverify.model import MAX_ABS_XI, params_from_xi, radial_bound
 from lbverify.report import Report, VerificationRow, emit_csv, emit_json
 
 
@@ -546,10 +546,14 @@ def test_cli_tortoise_green():
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("extra", [("--xi", "4"), ("--xi", "1e3"), ("--r-max", "1.5")])
+@pytest.mark.parametrize(
+    "extra",
+    [("--xi", "4"), ("--xi", "1e3"), ("--r-max", "1.5"), ("--xi", "1e154", "--r-min", "-116", "--r-max", "-112")],
+)
 def test_cli_tortoise_large_argument_green(extra):
-    # z = -xi^2 e^{6r/a} reaches about -5e3 here, past where a Pfaff-only
-    # 2F1 series would need more than 100,000 terms.
+    # z = -xi^2 e^{6r/a} reaches about -5e3 in the first three, past where a
+    # Pfaff-only 2F1 series would need more than 100,000 terms, and lies past
+    # the float range on the whole last window, which the beta form accepts.
     proc = run_cli("tortoise", *extra)
     assert proc.returncode == 0
     assert proc.stderr == b""
@@ -561,8 +565,30 @@ def test_cli_tortoise_large_argument_green(extra):
 def test_cli_tortoise_overflowing_window_is_usage_error():
     proc = run_cli("tortoise", "--r-max", "1000")
     assert proc.returncode == 2
-    assert proc.stderr.decode().startswith("lbverify: error: tortoise argument")
-    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr == b"lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n"
+
+
+_PAST_BOUND = repr(1.000001 * radial_bound(params_from_xi(3.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--r-max", _PAST_BOUND),
+        ("energy", "--r-max", _PAST_BOUND),
+        ("congruence", "--e-tilde", "2", "--r-max", _PAST_BOUND),
+        ("tortoise", "--r-max", _PAST_BOUND),
+        ("tortoise", "--r-min", "-" + _PAST_BOUND),
+        ("tortoise", "--xi", "1e154", "--r-max", _PAST_BOUND),
+    ],
+    ids=("verify", "energy", "congruence", "tortoise", "tortoise-r-min", "tortoise-huge-xi"),
+)
+def test_windows_past_the_radial_bound_share_one_usage_error(argv, capsys):
+    # Every windowed subcommand accepts the model's radial range and no more.
+    from lbverify import cli
+
+    assert cli.main([argv[0], "--lambda", "3", *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n")
 
 
 def test_cli_congruence_extra_b_scan():

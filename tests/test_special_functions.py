@@ -42,6 +42,7 @@ def brute_force_alternating(a, b, c, n=1_000_000, levels=2):
 
 def test_value_at_zero():
     assert hyp2f1(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, 0.0) == 1.0
+    assert gauss_2f1_pfaff(1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, 0.0) == 1.0
 
 
 def test_binomial_identity_spot():
@@ -97,6 +98,9 @@ def test_large_negative_argument_converges():
 def test_positive_argument_rejected():
     with pytest.raises(ParameterDomainError, match="unsupported"):
         hyp2f1(0.5, 0.5, 1.5, 0.75)
+    # The Pfaff branch on its own takes z <= 0 only.
+    with pytest.raises(ParameterDomainError, match=r"^z = 0\.25 > 0 is unsupported$"):
+        gauss_2f1_pfaff(0.5, 0.5, 1.5, 0.25)
 
 
 def test_nonpositive_integer_c_rejected():

@@ -11,10 +11,12 @@ stderr captured.  The two subprocesses run side by side.
 
 The script prints the call count, the number of calls that are
 byte-identical (report, stderr and exit code), and the largest relative move
-of a row value per check, over every check whose values moved.  It exits 1
-when any call differs in exit code, in stderr or in its sequence of
-(check, location, tolerance, verdict) rows, and 0 otherwise.  It uses the
-standard library only and writes nothing under either tree.
+of a row value per check, over every check whose values moved, and of each
+JSON ``meta`` number (``a``, ``lambda``, ``xi``) that moved.  It exits 1
+when any call differs in exit code, in stderr, in its sequence of
+(check, location, tolerance, verdict) rows, or in a JSON report's ``meta``
+keys or ``tool_version``, and 0 otherwise.  It uses the standard library
+only and writes nothing under either tree.
 """
 
 from __future__ import annotations
@@ -98,17 +100,18 @@ def finish(proc: subprocess.Popen, tree: Path) -> list[dict]:
     return json.loads(payload)
 
 
-def rows(report: str | None, argv: list[str]) -> list[tuple[str, str, float, float, str]]:
-    """(check, location, value, tolerance, verdict) per row of a CSV or JSON report."""
+def parse(report: str | None, argv: list[str]) -> tuple[dict, list[tuple[str, str, float, float, str]]]:
+    """The ``meta`` object ({} for CSV) and the (check, location, value, tolerance, verdict) rows of a report."""
     if report is None:
-        return []
+        return {}, []
     if "--format" in argv and argv[argv.index("--format") + 1] == "json":
         doc = json.loads(report)
-        return [
+        table = [
             (r["check"], r["location"], float(r["value"]), float(r["tolerance"]), r["verdict"]) for r in doc["rows"]
         ]
+        return doc["meta"], table
     table = list(csv.reader(io.StringIO(report)))[1:]
-    return [(check, loc, float(value), float(tol), verdict) for check, loc, value, tol, verdict in table]
+    return {}, [(check, loc, float(value), float(tol), verdict) for check, loc, value, tol, verdict in table]
 
 
 def relative_move(old: float, new: float) -> float:
@@ -132,11 +135,18 @@ def main(argv: list[str] | None = None) -> int:
         if old == new:
             identical += 1
             continue
-        old_rows, new_rows = rows(old["report"], argv), rows(new["report"], argv)
+        (old_meta, old_rows), (new_meta, new_rows) = parse(old["report"], argv), parse(new["report"], argv)
         if old["rc"] != new["rc"]:
             failures.append(f"{argv}: exit code {old['rc']} -> {new['rc']}")
         if old["stderr"] != new["stderr"]:
             failures.append(f"{argv}: stderr {old['stderr']!r} -> {new['stderr']!r}")
+        if old_meta.keys() != new_meta.keys() or old_meta.get("tool_version") != new_meta.get("tool_version"):
+            failures.append(f"{argv}: the meta keys or tool_version differ")
+        for key in ("a", "lambda", "xi"):
+            if key in old_meta and key in new_meta:
+                move = relative_move(float(old_meta[key]), float(new_meta[key]))
+                if move:
+                    moves[f"meta {key}"] = max(moves.get(f"meta {key}", 0.0), move)
         identity = [[(c, loc, tol, v) for c, loc, _, tol, v in table] for table in (old_rows, new_rows)]
         if identity[0] != identity[1]:
             failures.append(f"{argv}: the (check, location, tolerance, verdict) rows differ")
@@ -149,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"calls: {len(calls)}")
     print(f"byte-identical: {identical}")
     if moves:
-        print("largest relative value move per check:")
+        print("largest relative value move per check or meta number:")
         for check, move in sorted(moves.items(), key=lambda item: -item[1]):
             print(f"  {check}: {move:.3g}")
     else:
