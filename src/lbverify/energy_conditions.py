@@ -29,7 +29,9 @@ Margins are the primitive output; booleans derive from the single tolerance
 ``hold_tolerance(lambda)`` so that marginal saturation stays visible.  Every
 frame stress is of the size of lambda, and the NEC, WEC and DEC margins,
 >= 0 by the identities above, round to as low as about -0.8 eps lambda: the
-tolerance is HOLD_TOL or 4 eps lambda, whichever is larger.
+tolerance is 4 eps lambda, raised to HOLD_TOL but never above lambda, so it
+stays below half the SEC margin 2 lambda.  Each condition therefore holds on
+the whole window or nowhere: NEC, WEC and DEC everywhere, SEC nowhere.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import _ricci_radial, _ricci_transverse
-from .model import MetricSample, SolutionParams, metric_eval
-from .numerics import EPS, bisect
+from .model import MetricSample
+from .numerics import EPS
 
-#: Least tolerance of ``hold_tolerance``, the one below lambda ~ 1126.
+#: ``hold_tolerance`` for lambda from HOLD_TOL to about 1126; below it the tolerance is lambda.
 HOLD_TOL = 1e-12
 
 CONDITIONS = ("NEC", "WEC", "SEC", "DEC")
@@ -106,41 +108,14 @@ def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray
 
 
 def hold_tolerance(lam: float) -> float:
-    """A condition holds at r iff every one of its margins is >= -max(HOLD_TOL, 4 eps lambda)."""
-    return max(HOLD_TOL, 4.0 * EPS * lam)
+    """A condition holds at r iff every one of its margins is >= -max(4 eps lambda, min(HOLD_TOL, lambda)).
+
+    The floor HOLD_TOL never exceeds lambda, half the SEC margin, so SEC
+    cannot hold on rounding at any lambda > 0.
+    """
+    return max(4.0 * EPS * lam, min(HOLD_TOL, lam))
 
 
 def hold_masks(margins: ConditionMargins, tol: float) -> dict[str, bool | np.ndarray]:
     """Boolean(s) per condition: does it hold (all margins >= -tol)?"""
     return {cond: minimum >= -tol for cond, minimum in _condition_minima(margins).items()}
-
-
-def region_scan(
-    params: SolutionParams, grid: np.ndarray, held: dict[str, np.ndarray]
-) -> dict[str, list[tuple[float, float]]]:
-    """Sub-intervals of the sorted ``grid`` where each condition holds.
-
-    Holding runs are read off ``held``, the ``hold_masks`` of each condition
-    on the whole grid at ``hold_tolerance(params.lam)`` (the caller may
-    assemble them block by block); run edges strictly inside the window are
-    refined by multisection, and edges on the window boundary stay at the
-    grid endpoints.  An all-equal grid (a degenerate window) yields one
-    single-point interval or none.
-    """
-    tol = hold_tolerance(params.lam)
-    out: dict[str, list[tuple[float, float]]] = {}
-    for cond in CONDITIONS:
-        steps = np.diff(np.concatenate(([0], held[cond], [0]), dtype=np.int8))
-        starts = np.flatnonzero(steps == 1)
-        ends = np.flatnonzero(steps == -1) - 1
-        fn = lambda x: (
-            _condition_minima(condition_margins(stress_decompose(metric_eval(params, x))))[cond] + tol
-        )
-        out[cond] = [
-            (
-                float(grid[i] if i == 0 else bisect(fn, grid[i - 1], grid[i])),
-                float(grid[j] if j == grid.size - 1 else bisect(fn, grid[j], grid[j + 1])),
-            )
-            for i, j in zip(starts, ends)
-        ]
-    return out

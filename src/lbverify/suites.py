@@ -23,7 +23,7 @@ from .curvature import (
     ricci_diagonal,
     ricci_diagonal_fd,
 )
-from .errors import ParameterDomainError
+from .errors import NumericalError, ParameterDomainError
 from .numerics import FD_FIRST_STEP, FD_PAIR_STEP, central_diff
 from .report import Report
 
@@ -212,7 +212,6 @@ def build_energy_report(
 
     hold_tol = ec.hold_tolerance(lam)
     fold = defaultdict(list)
-    block_masks = []
     for sample in _grid_samples(params, grid):
         margins = ec.condition_margins(ec.stress_decompose(sample))
         phi_sq = scalar_field.phi_prime_sq_constraint(sample, lam)
@@ -222,7 +221,9 @@ def build_energy_report(
         fold["radial-null-vs-gradient-sq"].append(_max_abs(margins.nec_r - phi_sq))
         fold["radial-null-margin-min"].append(np.min(margins.nec_r))
         fold["radial-dominant-margin-min"].append(np.min(margins.dec_r))
-        block_masks.append(ec.hold_masks(margins, hold_tol))
+        for cond, held in ec.hold_masks(margins, hold_tol).items():
+            fold[f"{cond}-everywhere"].append(bool(np.all(held)))
+            fold[f"{cond}-somewhere"].append(bool(np.any(held)))
 
     for check, tol in (
         ("transverse-null-margin-phi", 1e-9),
@@ -235,14 +236,17 @@ def build_energy_report(
         least = float(np.min(fold[check]))
         rpt.add_check(check, loc, least, 1e-9, holds=least >= -1e-9)
 
-    masks = {cond: np.concatenate([block[cond] for block in block_masks]) for cond in ec.CONDITIONS}
-    intervals = ec.region_scan(params, grid, masks)
-    width = r_max - r_min
+    # By the identities of ``energy_conditions`` each condition holds on the
+    # whole window or nowhere; a partial hold is a rounding the hold
+    # tolerance does not cover.
+    window = f"[{r_min:.9g};{r_max:.9g}]"
     for cond in ec.CONDITIONS:
-        held = sum(hi - lo for lo, hi in intervals[cond])
-        rpt.add_check(f"energy-{cond}-holds-fraction", loc, held / width, hold_tol, holds=True)
-        for lo, hi in intervals[cond]:
-            rpt.add_check(f"energy-{cond}-interval", f"[{lo:.9g};{hi:.9g}]", hi - lo, hold_tol, holds=True)
+        everywhere = all(fold[f"{cond}-everywhere"])
+        if everywhere != any(fold[f"{cond}-somewhere"]):
+            raise NumericalError(f"{cond} holds on part of the window {loc} only, at tolerance {hold_tol:.3g}")
+        rpt.add_check(f"energy-{cond}-holds-fraction", loc, float(everywhere), hold_tol, holds=True)
+        if everywhere:
+            rpt.add_check(f"energy-{cond}-interval", window, r_max - r_min, hold_tol, holds=True)
     return rpt
 
 

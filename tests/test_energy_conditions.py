@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lbverify import energy_conditions
+from lbverify import cli, energy_conditions
 from lbverify.curvature import alpha_deformation_sample
 from lbverify.energy_conditions import (
     CONDITIONS,
@@ -10,9 +10,9 @@ from lbverify.energy_conditions import (
     condition_margins,
     hold_masks,
     hold_tolerance,
-    region_scan,
     stress_decompose,
 )
+from lbverify.errors import NumericalError
 from lbverify.model import metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import GRID_BLOCK, build_energy_report
@@ -98,20 +98,22 @@ def test_sec_margin_constant_in_radius():
     assert np.max(np.abs(margins.sec + 6.0)) < 1e-8
 
 
-def _scan(params, grid):
-    # Through the module attribute, so a monkeypatched stress applies here too.
-    margins = condition_margins(energy_conditions.stress_decompose(metric_eval(params, grid)))
-    return region_scan(params, grid, hold_masks(margins, hold_tolerance(params.lam)))
+def _energy_rows(*args, **kwargs):
+    """The ``energy-*`` rows of an energy report as {check: [(location, value, tolerance)]}."""
+    rows = {}
+    for row in build_energy_report(*args, **kwargs).rows:
+        if row.check.startswith("energy-"):
+            rows.setdefault(row.check, []).append((row.location, row.value, row.tolerance))
+    return rows
 
 
-def test_region_scan_vacuum_member():
-    params = params_from_xi(3.0, 0.0)
-    intervals = _scan(params, np.linspace(-2.0, 2.0, 257))
+def test_energy_report_vacuum_member():
+    rows = _energy_rows(3.0, 0.0, -2.0, 2.0, 257)
     for cond in ("NEC", "WEC", "DEC"):
-        assert len(intervals[cond]) == 1
-        lo, hi = intervals[cond][0]
-        assert (lo, hi) == (-2.0, 2.0)
-    assert intervals["SEC"] == []
+        assert [value for _, value, _ in rows[f"energy-{cond}-holds-fraction"]] == [1.0]
+        assert [(loc, value) for loc, value, _ in rows[f"energy-{cond}-interval"]] == [("[-2;2]", 4.0)]
+    assert [value for _, value, _ in rows["energy-SEC-holds-fraction"]] == [0.0]
+    assert "energy-SEC-interval" not in rows
 
 
 def _cubic_stress(roots, sign):
@@ -127,59 +129,55 @@ def _cubic_stress(roots, sign):
     return synthetic
 
 
-def _assert_cubic_intervals(intervals, expected):
-    for cond in CONDITIONS:
-        assert len(intervals[cond]) == len(expected), cond
-        for (lo, hi), (lo_ref, hi_ref) in zip(intervals[cond], expected):
-            for edge, ref in ((lo, lo_ref), (hi, hi_ref)):
-                if abs(ref) == 1.0:
-                    assert edge == ref  # a run touching the window keeps the grid endpoint
-                else:
-                    assert abs(edge - ref) <= 1e-12, (cond, edge, ref)
-
-
-def test_region_scan_refines_interior_edges(monkeypatch):
+def test_a_partial_hold_is_a_numerical_error(monkeypatch):
     roots = (-0.6123, 0.1357, 0.7071)
-    params = params_from_xi(3.0, 1.0)
-    for sign, expected in (
-        (1.0, [(roots[0], roots[1]), (roots[2], 1.0)]),
-        (-1.0, [(-1.0, roots[0]), (roots[1], roots[2])]),
-    ):
+    for sign in (1.0, -1.0):
         monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress(roots, sign))
-        _assert_cubic_intervals(_scan(params, np.linspace(-1.0, 1.0, 41)), expected)
+        with pytest.raises(NumericalError, match="NEC holds on part of the window"):
+            build_energy_report(3.0, 1.0, -1.0, 1.0, 41)
 
 
-def test_region_scan_reads_masks_assembled_block_by_block(monkeypatch):
-    # The energy report evaluates its grid in GRID_BLOCK blocks and joins
-    # the blocks' hold masks.  On 2 blocks + 808 points of [-1, 1] the block
-    # boundaries sit at r = -0.0897 and 0.8206: one holding run crosses each,
-    # and the runs of the two signs touch both window edges.
-    roots = (-0.6123, 0.1357, 0.9071)
+def _block_masks(params, grid):
+    # The hold masks of the report's GRID_BLOCK blocks of 2 blocks + 808 points.
+    return [
+        hold_masks(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))), HOLD_TOL)
+        for r in np.split(grid, [GRID_BLOCK, 2 * GRID_BLOCK])
+    ]
+
+
+def test_a_partial_hold_in_the_last_block_only_is_a_numerical_error(monkeypatch):
+    # On 2 blocks + 808 points of [-1, 1] the block boundaries sit at
+    # r = -0.0897 and 0.8206; the one edge, at 0.9071, lies in the last block.
     params = params_from_xi(3.0, 1.0)
-    grid = np.linspace(-1.0, 1.0, 2 * GRID_BLOCK + 808)
-    for sign, expected, boundary in (
-        (1.0, [(roots[0], roots[1]), (roots[2], 1.0)], GRID_BLOCK),
-        (-1.0, [(-1.0, roots[0]), (roots[1], roots[2])], 2 * GRID_BLOCK),
-    ):
-        monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress(roots, sign))
-        blocks = [
-            hold_masks(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))), HOLD_TOL)
-            for r in np.split(grid, [GRID_BLOCK, 2 * GRID_BLOCK])
-        ]
-        held = {cond: np.concatenate([block[cond] for block in blocks]) for cond in CONDITIONS}
-        for cond in CONDITIONS:
-            assert held[cond][boundary - 1] and held[cond][boundary], cond
-        intervals = region_scan(params, grid, held)
-        assert intervals == _scan(params, grid)
-        _assert_cubic_intervals(intervals, expected)
+    samples = 2 * GRID_BLOCK + 808
+    monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress((0.9071, 1.5, 2.0), -1.0))
+    first, second, last = _block_masks(params, np.linspace(-1.0, 1.0, samples))
+    for cond in CONDITIONS:
+        assert first[cond].all() and second[cond].all(), cond
+        assert last[cond].any() and not last[cond].all(), cond
+    with pytest.raises(NumericalError, match="NEC holds on part of the window"):
+        build_energy_report(3.0, 1.0, -1.0, 1.0, samples)
 
 
-def test_region_scan_degenerate_window():
+def test_a_hold_across_both_block_boundaries_is_one_window_interval(monkeypatch):
     params = params_from_xi(3.0, 1.0)
-    intervals = _scan(params, np.full(2, 0.5))
-    for cond in ("NEC", "WEC", "DEC"):
-        assert intervals[cond] == [(0.5, 0.5)]
-    assert intervals["SEC"] == []
+    samples = 2 * GRID_BLOCK + 808
+    monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress((1.5, 2.0, 3.0), -1.0))
+    for block in _block_masks(params, np.linspace(-1.0, 1.0, samples)):
+        assert all(block[cond].all() for cond in CONDITIONS)
+    rows = _energy_rows(3.0, 1.0, -1.0, 1.0, samples)
+    for cond in CONDITIONS:
+        assert [value for _, value, _ in rows[f"energy-{cond}-holds-fraction"]] == [1.0], cond
+        assert [(loc, value) for loc, value, _ in rows[f"energy-{cond}-interval"]] == [("[-1;1]", 2.0)], cond
+
+
+def test_cli_partial_hold_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress((-0.6123, 0.1357, 0.7071), 1.0))
+    assert cli.main(["energy", "--r-min", "-1", "--r-max", "1", "--samples", "41"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("lbverify: numerical failure: NEC holds on part of the window")
 
 
 def test_dec_radial_margin_nonnegative():
@@ -192,9 +190,10 @@ def test_dec_radial_margin_nonnegative():
 
 
 def test_all_conditions_scanned():
-    params = params_from_xi(3.0, 1.0)
-    intervals = _scan(params, np.linspace(-1.0, 1.0, 65))
-    assert set(intervals) == set(CONDITIONS)
+    rows = _energy_rows(3.0, 1.0, -1.0, 1.0, 65)
+    assert {check for check in rows if check.endswith("-holds-fraction")} == {
+        f"energy-{cond}-holds-fraction" for cond in CONDITIONS
+    }
 
 
 def test_hold_tolerance_follows_the_stress_scale():
@@ -203,6 +202,32 @@ def test_hold_tolerance_follows_the_stress_scale():
         assert hold_tolerance(lam) == HOLD_TOL
     for lam in (1e5, 1e13, 1e300):
         assert hold_tolerance(lam) == 4.0 * eps * lam
+    # Below HOLD_TOL the tolerance is lambda, half the SEC margin 2 lambda.
+    for lam in (1e-13, 1e-300):
+        assert hold_tolerance(lam) == lam
+
+
+_SWEEP_LAMBDAS = [float(f"1e{e}") for e in range(-300, 301, 20)] + [
+    1e-13, 4e-13, 5e-13, np.nextafter(5e-13, 1.0), np.nextafter(np.nextafter(5e-13, 1.0), 1.0),
+    1e-12, 2e-12, 1126.0, 1e5, 1e13,
+]
+
+
+@pytest.mark.parametrize("lam", _SWEEP_LAMBDAS)
+def test_each_condition_holds_on_the_whole_window_or_nowhere(lam):
+    # NEC, WEC and DEC hold on the whole window and SEC nowhere, for every
+    # lambda > 0: the hold floor stays below the SEC margin 2 lambda.
+    tol = hold_tolerance(lam)
+    for xi in (0.0, 1e-300, 1e-6, 1.0, 1e10, 1e154):
+        a = params_from_xi(lam, xi).a
+        window = f"[{-2.0 * a:.9g};{2.0 * a:.9g}]"
+        rows = _energy_rows(lam, xi, samples=64)
+        for cond in CONDITIONS:
+            held = float(cond != "SEC")
+            assert [value for _, value, _ in rows[f"energy-{cond}-holds-fraction"]] == [held], (cond, xi)
+            intervals = [loc for loc, _, _ in rows.get(f"energy-{cond}-interval", [])]
+            assert intervals == ([window] if held else []), (cond, xi)
+        assert {t for entries in rows.values() for _, _, t in entries} == {tol}, xi
 
 
 @pytest.mark.parametrize(("lam", "xi"), [(1e5, 0.0), (1e13, 1e-6)])
