@@ -174,9 +174,10 @@ def alpha_deformation_sample(
     u = tuple(base.u[i] + alpha[i] * t_val for i in range(3))
     u_p = tuple(base.u_p[i] + alpha[i] * t_p for i in range(3))
     u_pp = tuple(base.u_pp[i] + alpha[i] * t_pp for i in range(3))
+    # sum(alpha) = 0 leaves u1 + u2 + u3, and so f, unchanged.
     return MetricSample(
         r=r,
-        f=0.5 * (u[0] + u[1] + u[2]),
+        f=base.f,
         f_p=base.f_p,
         f_pp=base.f_pp,
         u=u,

@@ -110,7 +110,7 @@ def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray
 def hold_tolerance(lam: float) -> float:
     """A condition holds at r iff every one of its margins is >= -max(4 eps lambda, min(HOLD_TOL, lambda)).
 
-    The floor HOLD_TOL never exceeds lambda, half the SEC margin, so SEC
+    The floor is capped at lambda, half the SEC margin 2 lambda, so SEC
     cannot hold on rounding at any lambda > 0.
     """
     return max(4.0 * EPS * lam, min(HOLD_TOL, lam))

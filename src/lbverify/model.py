@@ -16,13 +16,6 @@ and the conformal factor of the isotropic form of the line element
 
     w(r) = e^{u_i(r)} = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3}.
 
-``f`` is only defined up to an additive constant by the ODE; ``f_eval``
-returns the normalization printed above (with the -log(12 lambda)/2 term),
-while ``MetricSample.f`` is the sum definition (u1+u2+u3)/2, which differs
-from it by the constant log(12 lambda)/2 in the canonical gauge.  All
-residual checks depend only on derivatives or on e^f-normalized quantities,
-so the offset is immaterial to them.
-
 Functions accept a scalar r or a numpy array and vectorize elementwise: one
 array path serves both, and a scalar r yields NumPy float scalars.
 """
@@ -72,8 +65,8 @@ class MetricSample:
     """All radial profile quantities at one radius (or one grid).
 
     r        the radius or radii
-    f        (u1+u2+u3)/2, the sum definition; its derivatives f_p, f_pp
-             coincide with those of the closed form returned by ``f_eval``
+    f        ``f_eval``'s f, in its printed normalization; f_p and f_pp
+             are its f' and f''
     u        the exponents (u1, u2, u3) of g_tt = -e^{u1}, g_phiphi = e^{u2},
              g_zz = e^{u3}; u_p and u_pp are their r-derivatives.  Axes
              that hold the same arrays (all three in ``metric_eval``) share
@@ -136,10 +129,16 @@ def f_eval(params: SolutionParams, r):
 
     f'  = k (c1 E + c2)/(c1 E - c2),  E = e^{2kr}
     f'' = -4 k^2 c1 c2 E / (c1 E - c2)^2
-    so f'' + f'^2 = 3 lambda identically.
+    so f'' + f'^2 = 3 lambda identically.  The value is taken as
+    f = -kr + log(1 + e^q) - log(12 lambda)/2 with ``_log1p_exp``; at xi = 0
+    (q = -inf) that is exactly -kr - log(12 lambda)/2.
     """
     _check_range(params, r)
-    return _f_core(params, np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    k = params.k
+    q = _q(params, r)
+    f = -k * r + _log1p_exp(q) - 0.5 * math.log(12.0 * params.lam)
+    return (f, *_f_derivs(k, q))
 
 
 def _q(params: SolutionParams, r):
@@ -155,18 +154,6 @@ def _log1p_exp(q):
 def _f_derivs(k: float, q):
     """(f', f'') = (k tanh(q/2), k^2 sech^2(q/2)); at q = -inf, (-k, +0)."""
     return k * np.tanh(0.5 * q), k * k * _sech_sq(0.5 * q)
-
-
-def _f_core(params: SolutionParams, r):
-    """``f_eval`` without the range check; r is a float array (0-d for a scalar).
-
-    f = -kr + log(1 + e^q) - log(12 lambda)/2 with ``_log1p_exp``; at xi = 0
-    (q = -inf) that is exactly -kr - log(12 lambda)/2.
-    """
-    k = params.k
-    q = _q(params, r)
-    f = -k * r + _log1p_exp(q) - 0.5 * math.log(12.0 * params.lam)
-    return (f, *_f_derivs(k, q))
 
 
 def w_eval(params: SolutionParams, r):
@@ -223,14 +210,13 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     shared array, and so are their derivatives, so the curvature layers
     build one bracket for all three axes.
     """
-    _check_range(params, r)
-    f9, f_p, f_pp = _f_core(params, np.asarray(r, dtype=float))
-    u1 = (2.0 / 3.0) * f9 + (1.0 / 3.0) * math.log(12.0 * params.lam)
+    f, f_p, f_pp = f_eval(params, r)
+    u1 = (2.0 / 3.0) * f + (1.0 / 3.0) * math.log(12.0 * params.lam)
     u1_p = (2.0 / 3.0) * f_p
     u1_pp = (2.0 / 3.0) * f_pp
     return MetricSample(
         r=r,
-        f=1.5 * u1,
+        f=f,
         f_p=f_p,
         f_pp=f_pp,
         u=(u1, u1, u1),

@@ -89,7 +89,7 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
 def log_noether(params: SolutionParams, sample: MetricSample):
     """log |J| on ``sample.r``, where J = e^f phi' is the first integral.
 
-    f is ``sample.f`` shifted to the printed normalization.  phi'^2 is
+    f is ``sample.f``, in the printed normalization.  phi'^2 is
     (2/3) f'', with f'' = k^2 sech^2(q/2) and q = 2kr + 2 log|xi| taken as
 
         log f'' = 2 log k + log 4 - |q| - 2 log1p(e^-|q|),
@@ -98,8 +98,7 @@ def log_noether(params: SolutionParams, sample: MetricSample):
     """
     abs_q = np.abs(_q(params, np.asarray(sample.r, dtype=float)))
     log_f_pp = 2.0 * math.log(params.k) + math.log(4.0) - abs_q - 2.0 * np.log1p(np.exp(-abs_q))
-    f = sample.f - 0.5 * math.log(12.0 * params.lam)
-    return f + 0.5 * (math.log(2.0 / 3.0) + log_f_pp)
+    return sample.f + 0.5 * (math.log(2.0 / 3.0) + log_f_pp)
 
 
 def noether_charge(params: SolutionParams, r: float) -> float:

@@ -329,7 +329,8 @@ def build_congruence_report(
             cg.focusing_polynomial_reduced(quoted),
             1e-6,
         )
-    if roots_b is not None:
+    # The b = 0 root count is the row above, whether or not --b names it.
+    if roots_b is not None and b != 0.0:
         rpt.add_check(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(roots_b)), 0.0, holds=True)
         for root in roots_b:
             rpt.add_check(f"focusing-root[b={b:.9g}]", f"x={root:.9g}", root, 0.0, holds=True)

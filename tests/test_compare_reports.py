@@ -1,4 +1,4 @@
-"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance or version."""
+"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance, value or version."""
 
 import shutil
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
 TOLERANCE_LINE = 'rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)'
+GAP_LINE = "        -1.0 / params.a,\n"
 
 
 def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
@@ -50,6 +51,23 @@ def test_a_changed_tolerance_is_a_difference(tmp_path):
     assert differences
     assert all(line.endswith("the (check, location, tolerance, verdict) rows differ") for line in differences)
     assert any("'tortoise'" in line for line in differences)
+
+
+def test_a_value_moved_beyond_its_slack_is_a_difference(tmp_path):
+    # The row has tolerance 0 and a fixed verdict: only its value moves,
+    # by 1e-6 relative, past the checker's REL = 1e-9.
+    copy = _copy_tree(tmp_path)
+    suites = copy / "src" / "lbverify" / "suites.py"
+    text = suites.read_text()
+    assert text.count(GAP_LINE) == 1
+    suites.write_text(text.replace(GAP_LINE, GAP_LINE.replace("params.a,", "params.a * (1.0 + 1e-6),")))
+
+    proc = _compare(ROOT, copy)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differences = [line for line in proc.stdout.splitlines() if line.startswith("DIFFERENT: ")]
+    assert differences
+    assert all("quoted-linear-coefficient-gap at u_i linear term" in line for line in differences)
+    assert any("'verify'" in line for line in differences)
 
 
 def test_a_changed_version_is_a_difference_of_the_json_reports(tmp_path):

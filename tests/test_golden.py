@@ -33,10 +33,13 @@ the only configuration with the ``tortoise-exponential-form`` row,
 of 3, and ``verify-vacuum`` has the ``noether-zero`` row and the
 ``ricci-dual-path`` stencil at a = 2.  The last three were added the same
 way: ``energy-vacuum-window`` is the vacuum member on an asymmetric
-two-point window (the smallest ``region_scan`` grid), ``sweep-subunit`` has
-rows with E < 1 and so no null-rate row, and a vacuum member on the sweep's
-residual and stress path, and ``congruence-vacuum`` is the only
-configuration with the ``null-rate-exponential-reduction`` row.  The
+two-point window (the smallest energy grid, whose one interval per holding
+condition is the window itself), ``sweep-subunit`` has rows with E < 1 and
+so no null-rate row, and a vacuum member on the sweep's residual and stress
+path, and ``congruence-vacuum`` is the only configuration with the
+``null-rate-exponential-reduction`` row.  ``congruence-vacuum`` was
+re-recorded, with its command above, by the commit after which ``--b 0``
+adds no second ``focusing-roots-found[b=0]`` row.  The
 ``*-blocks`` three were recorded by the parent of the commit that evaluates
 dense grids in ``suites.GRID_BLOCK`` blocks: at 9000 samples they span two
 full blocks and a remainder, so every row folded across blocks (including

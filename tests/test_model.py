@@ -141,11 +141,14 @@ def test_f_prime_squared_bounded():
             assert np.max(f_p**2) <= 3.0 * lam + 1e-12
 
 
-def test_sample_f_is_half_exponent_sum():
+def test_sample_f_is_f_eval_f():
     params = params_from_xi(0.75, 1.3)
     grid = np.linspace(-3.0, 3.0, 128)
     s = metric_eval(params, grid)
-    assert np.allclose(s.f, 0.5 * (s.u[0] + s.u[1] + s.u[2]), rtol=0, atol=1e-14)
+    f, f_p, f_pp = f_eval(params, grid)
+    assert np.array_equal(s.f, f) and np.array_equal(s.f_p, f_p) and np.array_equal(s.f_pp, f_pp)
+    # The exponents sum to 2f + log(12 lambda) in the canonical gauge.
+    assert np.allclose(s.f, 0.5 * (s.u[0] + s.u[1] + s.u[2]) - 0.5 * math.log(12.0 * 0.75), rtol=0, atol=1e-14)
 
 
 def test_w_unit_at_origin_for_vacuum_member():
@@ -253,7 +256,7 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
 
         return fn
 
-    for name in ("_f_core", "_log1p_exp"):
+    for name in ("f_eval", "_log1p_exp"):
         monkeypatch.setattr(model, name, counted(name))
     params = params_from_xi(3.0, 0.7)
     w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
@@ -262,7 +265,7 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
     w_value(params, 0.3)
     assert calls == []
     s = metric_eval(params, np.linspace(-2.0, 2.0, 17))
-    assert calls == ["_f_core", "_log1p_exp"]
+    assert calls == ["f_eval", "_log1p_exp"]
     s_w = w_value(params, s.r)
     assert np.allclose(w, s_w, rtol=1e-14, atol=0.0)
     assert np.allclose(w_p, s_w * s.u_p[0], rtol=1e-14, atol=0.0)
@@ -417,19 +420,18 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every f_eval and metric_eval passes through _f_core (w_eval does not,
-    # and neither builder calls it): record the arrays it evaluates.  Beside
-    # the report grid, verify only evaluates the 25-point Ricci stencils, and
-    # energy would only evaluate the multisection rounds of region edges
-    # inside the window, of which this member has none.
+    # Every metric_eval passes through f_eval (w_eval does not, and neither
+    # builder calls it): record the arrays it evaluates.  Beside the report
+    # grid, verify only evaluates the 25-point Ricci stencils, and energy
+    # evaluates nothing else.
     arrays = []
-    core = model._f_core
+    core = model.f_eval
 
     def recording(params, r):
         arrays.append(np.array(r))
         return core(params, r)
 
-    monkeypatch.setattr(model, "_f_core", recording)
+    monkeypatch.setattr(model, "f_eval", recording)
     for samples in (9000, 65536):
         grid = np.linspace(-2.0, 2.0, samples)
         for build in (suites.build_energy_report, suites.build_verify_report):

@@ -602,6 +602,17 @@ def test_cli_congruence_extra_b_scan():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("b", ["0", "-0"])
+def test_cli_congruence_b_zero_adds_no_root_row(b, capsys):
+    # b = 0 is the sign map's first value: its one root-count row stands.
+    from lbverify import cli
+
+    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 0
+    checks = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+    assert checks.count("focusing-roots-found[b=0]") == 1
+    assert not [check for check in checks if "[b=-0]" in check]
+
+
 def test_cli_out_io_failure_exits_1(tmp_path):
     proc = run_cli(
         "stability", "--lambda", "3", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")

@@ -14,9 +14,11 @@ byte-identical (report, stderr and exit code), and the largest relative move
 of a row value per check, over every check whose values moved, and of each
 JSON ``meta`` number (``a``, ``lambda``, ``xi``) that moved.  It exits 1
 when any call differs in exit code, in stderr, in its sequence of
-(check, location, tolerance, verdict) rows, or in a JSON report's ``meta``
-keys or ``tool_version``, and 0 otherwise.  It uses the standard library
-only and writes nothing under either tree.
+(check, location, tolerance, verdict) rows, in a row value by more than
+REL * |old value| + old tolerance (the slack of ``perfbench/check.py`` and
+``tests/test_golden.py``), or in a JSON report's ``meta`` keys or
+``tool_version``, and 0 otherwise.  It uses the standard library only and
+writes nothing under either tree.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ import sys
 from pathlib import Path
 
 CATALOGS = ("audit-dense", "cli-cold", "scan-scalar", "tortoise-channels")
+
+#: Relative slack of a row value, beside the row's own tolerance.
+REL = 1e-9
 
 # Runs in a fresh interpreter: argv[1] is the tree's src/, stdin the calls.
 _CHILD = r"""
@@ -151,10 +156,12 @@ def main(argv: list[str] | None = None) -> int:
         if identity[0] != identity[1]:
             failures.append(f"{argv}: the (check, location, tolerance, verdict) rows differ")
             continue
-        for (check, _, old_value, _, _), (_, _, new_value, _, _) in zip(old_rows, new_rows):
+        for (check, loc, old_value, tol, _), (_, _, new_value, _, _) in zip(old_rows, new_rows):
             move = relative_move(old_value, new_value)
             if move:
                 moves[check] = max(moves.get(check, 0.0), move)
+            if not abs(new_value - old_value) <= REL * abs(old_value) + tol:
+                failures.append(f"{argv}: {check} at {loc} moved from {old_value!r} to {new_value!r}")
 
     print(f"calls: {len(calls)}")
     print(f"byte-identical: {identical}")
