@@ -49,10 +49,6 @@ _BETA_SIXTH = math.gamma(1.0 / 6.0) ** 2 / math.gamma(1.0 / 3.0)
 #: Interior x points per b of the focusing-polynomial sign map.
 SIGN_MAP_NX = 512
 
-#: Distinct b values whose sign-map counts and root scans stay cached: the
-#: report's four fixed sign-map b values plus a few ``--b`` values.
-_FOCUSING_CACHE_SIZE = 16
-
 
 @dataclass(frozen=True)
 class CongruenceConfig:
@@ -277,23 +273,17 @@ def focusing_polynomial_roots(b: float) -> tuple[float, ...]:
     """Bracketing + multisection root scan over the quoted domain x in (cbrt(4b^2), 1).
 
     Returns the sorted distinct roots.  An empty tuple is a valid result;
-    zeros on the domain boundary are not roots.  The scan depends on b
-    alone, so it is computed once per b per process and the same tuple is
-    returned to every later caller.
+    zeros on the domain boundary are not roots.
     """
     if not 0.0 <= b <= 0.5:
         raise ParameterDomainError(f"b must lie in [0, 1/2], got {b}")
-    return _focusing_roots(float(b))
-
-
-@functools.lru_cache(maxsize=_FOCUSING_CACHE_SIZE)
-def _focusing_roots(b: float) -> tuple[float, ...]:
     lo = (4.0 * b * b) ** (1.0 / 3.0)
     hi = 1.0
     roots: list[float] = []
     if lo < hi:
-        # Stay clear of x = 0 where the b = 0 expression is 0/0.
-        scan_lo = lo if b > 0.0 else lo + (hi - lo) * 1e-9
+        # Stay clear of x = 0, where the expression is 0/0: at b = 0, and
+        # below b ~ 7.9e-163, where 4 b^2 rounds to 0.
+        scan_lo = lo if lo > 0.0 else lo + (hi - lo) * 1e-9
         fn = lambda x: focusing_polynomial(x, b)
         for blo, bhi in bracket_sign_changes(fn, scan_lo, hi, 4096):
             root = bisect(fn, blo, bhi)
@@ -430,14 +420,10 @@ def focusing_sign_map(b_values) -> dict[float, int]:
     """Positive cells of the focusing polynomial on ``SIGN_MAP_NX`` interior points of its quoted domain.
 
     Returns {b: count}; each positive cell contradicts the quoted
-    everywhere-negative claim, and the report counts them.  Each b's count
-    is computed once per process and shared by every later call.
+    everywhere-negative claim, and the report counts them.
     """
-    return {float(b): _positive_cells(float(b)) for b in b_values}
-
-
-@functools.lru_cache(maxsize=_FOCUSING_CACHE_SIZE)
-def _positive_cells(b: float) -> int:
-    lo = (4.0 * b * b) ** (1.0 / 3.0)
-    xs = np.linspace(lo, 1.0, SIGN_MAP_NX + 2)[1:-1]
-    return int(np.count_nonzero(focusing_polynomial(xs, b) > 0.0))
+    counts = {}
+    for b in map(float, b_values):
+        xs = np.linspace((4.0 * b * b) ** (1.0 / 3.0), 1.0, SIGN_MAP_NX + 2)[1:-1]
+        counts[b] = int(np.count_nonzero(focusing_polynomial(xs, b) > 0.0))
+    return counts

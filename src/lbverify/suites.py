@@ -7,6 +7,7 @@ rule does not apply; :mod:`lbverify.report` holds the verdict rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -250,6 +251,16 @@ def build_energy_report(
     return rpt
 
 
+@functools.cache
+def _focusing_facts() -> tuple[tuple[tuple[float, int], ...], tuple[float, ...]]:
+    """The sign-map counts at ``SIGN_MAP_B_VALUES`` as (b, count) pairs, and the b = 0 roots.
+
+    No input changes them, so a process computes them on its first
+    congruence report.
+    """
+    return tuple(cg.focusing_sign_map(SIGN_MAP_B_VALUES).items()), cg.focusing_polynomial_roots(0.0)
+
+
 def build_congruence_report(
     lam: float,
     xi: float,
@@ -308,10 +319,11 @@ def build_congruence_report(
     if difference.size:
         rpt.add_comparison("quoted-scaled-rate-vs-direct", loc, _max_abs(difference), 1e-8)
 
-    b_values = list(SIGN_MAP_B_VALUES)
-    if b is not None and b not in b_values:
-        b_values.append(b)
-    for b_value, positives in cg.focusing_sign_map(b_values).items():
+    cells, roots0 = _focusing_facts()
+    sign_map = dict(cells)
+    if b is not None and b not in sign_map:
+        sign_map.update(cg.focusing_sign_map([b]))
+    for b_value, positives in sign_map.items():
         rpt.add_comparison(
             f"focusing-positive-cells[b={b_value:.9g}]", f"x-domain grid x{cg.SIGN_MAP_NX}", float(positives), 0.0
         )
@@ -319,7 +331,6 @@ def build_congruence_report(
     # The discriminant of the b = 0 reduction 54 x^2 - 91 x + 40.
     discriminant = 91.0**2 - 4.0 * 54.0 * 40.0
     rpt.add_check("focusing-reduced-discriminant", "54x^2-91x+40", discriminant, 0.0, holds=discriminant == -359.0)
-    roots0 = cg.focusing_polynomial_roots(0.0)
     rpt.add_check("focusing-roots-found[b=0]", "x in (0;1)", float(len(roots0)), 0.0, holds=True)
     for quoted in cg.QUOTED_FOCUSING_ROOTS:
         location = f"x={quoted:.9g}" + ("" if quoted < 1.0 else " (outside (0;1))")

@@ -1,4 +1,5 @@
-"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance, value or version."""
+"""``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance, value or version,
+and a report that depends on the calls before it."""
 
 import shutil
 import subprocess
@@ -86,3 +87,27 @@ def test_a_changed_version_is_a_difference_of_the_json_reports(tmp_path):
     assert all(line.endswith("the meta keys or tool_version differ") for line in differences)
     assert all("'--format', 'json'" in line for line in differences)
     assert "no row value moved" in proc.stdout.splitlines()
+
+
+def test_a_report_that_depends_on_earlier_calls_is_order_dependent(tmp_path):
+    # The copy widens one tolerance on every tortoise call after its first
+    # in the process: against itself, only the forward run's first tortoise
+    # call differs from its second, reverse-order run.
+    copy = _copy_tree(tmp_path)
+    suites = copy / "src" / "lbverify" / "suites.py"
+    text = suites.read_text()
+    assert text.count(TOLERANCE_LINE) == 1
+    indent = text[: text.index(TOLERANCE_LINE)].rsplit("\n", 1)[1]
+    changed = TOLERANCE_LINE.replace("1e-8)", "2e-8 if _SEEN else 1e-8)") + f"\n{indent}_SEEN.append(True)"
+    suites.write_text(text.replace(TOLERANCE_LINE, changed) + "\n_SEEN = []\n")
+
+    proc = _compare(copy, copy)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    calls = lines[0].removeprefix("calls: ")
+    assert lines[1:3] == [f"byte-identical: {calls}", "no row value moved"]
+    order_dependent = lines[3:]
+    assert len(order_dependent) == 2
+    assert order_dependent[0] == order_dependent[1]
+    assert order_dependent[0].startswith("ORDER-DEPENDENT: ['tortoise'")
+    assert order_dependent[0].endswith(f" in {copy}")

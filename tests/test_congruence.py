@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -953,27 +955,58 @@ def test_sign_map_matches_scalar_polynomial():
     assert focusing_sign_map(b_values) == {b: _positive_cells_point_by_point(b) for b in b_values}
 
 
-def test_focusing_scans_computed_once_per_b(monkeypatch):
-    calls = []
-    polynomial = congruence.focusing_polynomial
+# Runs in a fresh interpreter: argv[1] is src/, argv[2] the JSON list of --b
+# values, one congruence report per value.  Prints, per report, the b values
+# that reached the focusing polynomial and the report's CSV.
+_FRESH_PROCESS = r"""
+import json, sys
 
-    def counting(x, b):
-        calls.append(b)
-        return polynomial(x, b)
+sys.path.insert(0, sys.argv[1])
+from lbverify import congruence, report, suites
 
-    congruence._positive_cells.cache_clear()
-    congruence._focusing_roots.cache_clear()
-    monkeypatch.setattr(congruence, "focusing_polynomial", counting)
-    b_values = (0.0, 0.1, 0.25, 0.49)
-    sign_map = focusing_sign_map(b_values)
-    roots = [focusing_polynomial_roots(b) for b in (0.0, 0.3)]
-    assert calls
-    assert sign_map == {b: _positive_cells_point_by_point(b) for b in b_values}
-    calls.clear()
-    again = focusing_sign_map(b_values)
-    assert [focusing_polynomial_roots(b) for b in (0.0, 0.3)] == roots
-    assert calls == []
-    assert again == sign_map
+polynomial = congruence.focusing_polynomial
+seen = []
+
+def counting(x, b):
+    seen[-1].add(float(b))
+    return polynomial(x, b)
+
+congruence.focusing_polynomial = counting
+out = []
+for b in json.loads(sys.argv[2]):
+    seen.append(set())
+    rpt = suites.build_congruence_report(3.0, 1.0, 2.0, samples=64, b=b)
+    out.append({"b_values": sorted(seen[-1]), "csv": report.emit_csv(rpt).decode()})
+json.dump(out, sys.stdout)
+"""
+
+
+def test_focusing_facts_computed_once_per_process():
+    # The run's own b = |xi/E| = 0.5 reaches the polynomial through the
+    # quoted scaled rate on every report.
+    run_b = 0.5
+    b_sequence = [None, 0.3, 0.3, -0.0, 0.49, None]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, str(src), json.dumps(b_sequence)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    seen = [set(entry["b_values"]) for entry in reports]
+    # The fixed sign-map b values and b = 0 are evaluated during the first
+    # report only; a --b value during every report that names it.
+    assert seen == [
+        set(suites.SIGN_MAP_B_VALUES) | {run_b},
+        {0.3, run_b},
+        {0.3, run_b},
+        {0.0, run_b},
+        {0.49, run_b},
+        {run_b},
+    ]
+    # No --b value leaves a trace in a later report of the process.
+    assert reports[-1]["csv"] == reports[0]["csv"]
+    assert reports[2]["csv"] == reports[1]["csv"]
 
 
 def test_focusing_polynomial_array_errors():

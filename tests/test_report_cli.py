@@ -613,6 +613,42 @@ def test_cli_congruence_b_zero_adds_no_root_row(b, capsys):
     assert not [check for check in checks if "[b=-0]" in check]
 
 
+@pytest.mark.parametrize("b", ["1e-170", "5e-324"])
+def test_cli_congruence_tiny_b_scans_its_roots(b, capsys):
+    # Below b ~ 7.9e-163, 4 b^2 rounds to 0 and the quoted domain starts at
+    # x = 0, where the focusing polynomial is 0/0.
+    from lbverify import cli
+
+    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    found = [row for row in rows if row[0] == f"focusing-roots-found[b={float(b):.9g}]"]
+    assert [(row[2], row[4]) for row in found] == [("0", "pass")]
+
+
+_FIXED_CELLS = [f"focusing-positive-cells[b={b:.9g}]" for b in suites.SIGN_MAP_B_VALUES]
+
+
+@pytest.mark.parametrize(
+    "b, cells",
+    [
+        ("0.1", _FIXED_CELLS),
+        ("0.25", _FIXED_CELLS),
+        ("0.49", _FIXED_CELLS),
+        ("0.3", [*_FIXED_CELLS, "focusing-positive-cells[b=0.3]"]),
+    ],
+)
+def test_cli_congruence_b_sign_map_rows(b, cells, capsys):
+    # A --b value that the sign map fixes adds no row; any other adds one,
+    # after the fixed rows and before the discriminant.
+    from lbverify import cli
+
+    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 0
+    checks = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+    end = checks.index("focusing-reduced-discriminant")
+    assert checks[end - len(cells) : end] == cells
+    assert sum(check.startswith("focusing-positive-cells[") for check in checks) == len(cells)
+
+
 def test_cli_out_io_failure_exits_1(tmp_path):
     proc = run_cli(
         "stability", "--lambda", "3", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")

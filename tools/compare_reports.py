@@ -7,7 +7,9 @@ every ``CONFIGS`` entry of ``tests/test_golden.py``, both read from
 CHANGE_DIR.  For each tree one subprocess imports ``lbverify`` from that
 tree's ``src/`` and runs every call in process through
 ``lbverify.cli.main``, each with its report written to a file and its
-stderr captured.  The two subprocesses run side by side.
+stderr captured.  It then runs every call a second time, in reverse order,
+in the same process: a report must not depend on the calls before it.  The
+two subprocesses run side by side.
 
 The script prints the call count, the number of calls that are
 byte-identical (report, stderr and exit code), and the largest relative move
@@ -17,7 +19,9 @@ when any call differs in exit code, in stderr, in its sequence of
 (check, location, tolerance, verdict) rows, in a row value by more than
 REL * |old value| + old tolerance (the slack of ``perfbench/check.py`` and
 ``tests/test_golden.py``), or in a JSON report's ``meta`` keys or
-``tool_version``, and 0 otherwise.  It uses the standard library only and
+``tool_version``, or when a call's exit code, stderr or report differs
+between its two runs in one tree (printed as ``ORDER-DEPENDENT``), and 0
+otherwise.  It uses the standard library only and
 writes nothing under either tree.
 """
 
@@ -48,10 +52,11 @@ import lbverify.cli
 
 if os.path.dirname(os.path.abspath(lbverify.cli.__file__)) != os.path.join(src, "lbverify"):
     sys.exit(f"imported lbverify from {lbverify.cli.__file__}, not from {src}")
+calls = json.load(sys.stdin)
 results = []
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "report")
-    for argv in json.load(sys.stdin):
+    for argv in calls + calls[::-1]:
         if os.path.exists(out):
             os.remove(out)
         err = io.StringIO()
@@ -70,7 +75,8 @@ with tempfile.TemporaryDirectory() as tmp:
             with open(out, encoding="utf-8") as handle:
                 report = handle.read()
         results.append({"rc": rc, "stderr": err.getvalue().replace(src, "<src>"), "report": report})
-json.dump(results, sys.stdout)
+# The forward run, and the reverse run back in call order.
+json.dump([results[: len(calls)], results[len(calls) :][::-1]], sys.stdout)
 """
 
 
@@ -98,7 +104,8 @@ def start(tree: Path, calls: list[list[str]]) -> subprocess.Popen:
     return proc
 
 
-def finish(proc: subprocess.Popen, tree: Path) -> list[dict]:
+def finish(proc: subprocess.Popen, tree: Path) -> list[list[dict]]:
+    """The tree's results of the forward and of the reverse run, both in call order."""
     payload = proc.stdout.read()
     if proc.wait() != 0:
         raise SystemExit(f"compare_reports: the run on {tree} failed with exit code {proc.returncode}")
@@ -133,7 +140,13 @@ def main(argv: list[str] | None = None) -> int:
     parent, change = Path(args[0]), Path(args[1])
     calls = load_calls(change)
     procs = [start(parent, calls), start(change, calls)]
-    before, after = finish(procs[0], parent), finish(procs[1], change)
+    (before, before_again), (after, after_again) = finish(procs[0], parent), finish(procs[1], change)
+    order_dependent = [
+        f"ORDER-DEPENDENT: {argv} in {tree}"
+        for tree, first, again in ((parent, before, before_again), (change, after, after_again))
+        for argv, one, other in zip(calls, first, again)
+        if one != other
+    ]
 
     identical, failures, moves = 0, [], {}
     for argv, old, new in zip(calls, before, after):
@@ -173,7 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         print("no row value moved")
     for failure in failures:
         print(f"DIFFERENT: {failure}")
-    return 1 if failures else 0
+    for line in order_dependent:
+        print(line)
+    return 1 if failures or order_dependent else 0
 
 
 if __name__ == "__main__":
