@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .model import MAX_ABS_XI, SolutionParams, _check_range, w_eval, w_value
-from .numerics import FD_FIRST_STEP, adaptive_simpson, bisect, bracket_sign_changes
+from .numerics import FD_FIRST_STEP, adaptive_simpson, sign_change_roots
 from .special_functions import hyp2f1
 
 #: Scans skip radii with |E^2 - w| < TURNING_GUARD_REL * E^2.
@@ -270,7 +270,7 @@ def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
 
 
 def focusing_polynomial_roots(b: float) -> tuple[float, ...]:
-    """Bracketing + multisection root scan over the quoted domain x in (cbrt(4b^2), 1).
+    """Root scan (``sign_change_roots``) over the quoted domain x in (cbrt(4b^2), 1).
 
     Returns the sorted distinct roots.  An empty tuple is a valid result;
     zeros on the domain boundary are not roots.
@@ -279,17 +279,13 @@ def focusing_polynomial_roots(b: float) -> tuple[float, ...]:
         raise ParameterDomainError(f"b must lie in [0, 1/2], got {b}")
     lo = (4.0 * b * b) ** (1.0 / 3.0)
     hi = 1.0
-    roots: list[float] = []
-    if lo < hi:
-        # Stay clear of x = 0, where the expression is 0/0: at b = 0, and
-        # below b ~ 7.9e-163, where 4 b^2 rounds to 0.
-        scan_lo = lo if lo > 0.0 else lo + (hi - lo) * 1e-9
-        fn = lambda x: focusing_polynomial(x, b)
-        for blo, bhi in bracket_sign_changes(fn, scan_lo, hi, 4096):
-            root = bisect(fn, blo, bhi)
-            if lo < root < hi:
-                roots.append(root)
-    return tuple(sorted(set(roots)))
+    if not lo < hi:
+        return ()
+    # Stay clear of x = 0, where the expression is 0/0: at b = 0, and
+    # below b ~ 7.9e-163, where 4 b^2 rounds to 0.
+    scan_lo = lo if lo > 0.0 else lo + (hi - lo) * 1e-9
+    roots = sign_change_roots(lambda x: focusing_polynomial(x, b), scan_lo, hi, 4096)
+    return tuple(sorted({root for root in roots if lo < root < hi}))
 
 
 def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:

@@ -1,9 +1,10 @@
 """Shared numerical kernels: finite differences, adaptive Simpson quadrature,
-bracketing multisection and a fixed-step RK4 integrator.
+a bracketing root scan and a fixed-step RK4 integrator.
 
-The difference stencils, the quadrature, the bracket scan and the root
-refiner ``bisect`` are array-first: they call ``fn`` on whole arrays of
-points (one call per Simpson level, one per multisection round).  ``rk4``
+The difference stencils, the quadrature and the bracket scan are
+array-first: they call ``fn`` on whole arrays of points (one call per
+Simpson level, one per scan).  The root scan ``sign_change_roots`` narrows
+each bracket by rescanning it, one scan per round.  ``rk4``
 steps one point at a time.  The stencils take their step from the caller;
 the report oracles use ``FD_FIRST_STEP`` or ``FD_PAIR_STEP`` times the de
 Sitter length a, the family's one length.
@@ -20,8 +21,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import NumericalError
-
 EPS = sys.float_info.epsilon
 
 # Steps as fractions of the length a profile varies on.  eps**(1/3) balances
@@ -32,10 +31,10 @@ EPS = sys.float_info.epsilon
 FD_FIRST_STEP = EPS ** (1.0 / 3.0)
 FD_PAIR_STEP = 1e-3
 
-#: Sections per ``bisect`` round: ``fn`` is evaluated at the 63 interior
-#: section points at once, and the bracket shrinks 64-fold.
+#: Sub-intervals per ``sign_change_roots`` round: each round scans the
+#: bracket at its 65 section points at once, and the bracket shrinks 64-fold.
 BISECT_SECTIONS = 64
-#: Rounds after which ``bisect`` stops: 34 rounds are 204 halvings.
+#: Rounds after which ``sign_change_roots`` stops: 34 rounds are 204 halvings.
 BISECT_ROUNDS = 34
 
 #: Subdivision levels after which ``adaptive_simpson`` accepts a subinterval.
@@ -140,45 +139,24 @@ def bracket_sign_changes(
     ]
 
 
-def bisect(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """Multisection on a sign-change bracket [lo, hi], to 1e-13 relative width.
+def sign_change_roots(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> list[float]:
+    """Roots of ``fn`` in the brackets of an ``n``-interval scan of [lo, hi], in scan order.
 
-    ``fn`` must accept an array.  It is called once on both endpoints (an
-    endpoint where ``fn`` is zero is returned at once), then once per round
-    on the ``BISECT_SECTIONS - 1`` interior section points; the first
-    section with a sign change (or a zero, which is returned) becomes the
-    bracket.  The search stops once the width is below 1e-13 |mid|, a
-    relative width whatever the length scale of ``fn``, or after
-    ``BISECT_ROUNDS`` rounds (which ends a bracket around an exact zero at
-    0), and returns the midpoint.  Values are compared by sign, never multiplied, so that no
-    magnitude overflows or underflows the test.
+    Each bracket of ``bracket_sign_changes(fn, lo, hi, n)`` is rescanned
+    with ``BISECT_SECTIONS`` sub-intervals and replaced by the first
+    bracket found, until it is narrower than 1e-13 |mid|, a relative width
+    whatever the length scale of ``fn``, or after ``BISECT_ROUNDS`` rounds
+    (which ends a bracket around an exact zero at 0).  A degenerate bracket,
+    an exact zero, is done at once.  The root is the bracket's midpoint.
     """
-    if lo == hi:
-        return lo
-    flo, fhi = fn(np.array([lo, hi]))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
-        raise NumericalError(f"no sign change on [{lo}, {hi}]")
-    fractions = np.arange(1, BISECT_SECTIONS) / BISECT_SECTIONS
-    for _ in range(BISECT_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) < 1e-13 * abs(mid):
-            return float(mid)
-        xs = lo + (hi - lo) * fractions
-        vals = fn(xs)
-        # The first section point where fn is zero or has the sign of fn(hi).
-        hit = (vals == 0.0) | ((vals > 0.0) if flo < 0.0 else (vals < 0.0))
-        k = int(np.argmax(hit))
-        if not hit[k]:
-            lo = xs[-1]
-        elif vals[k] == 0.0:
-            return float(xs[k])
-        else:
-            lo, hi = (xs[k - 1] if k else lo), xs[k]
-    return float(0.5 * (lo + hi))
+    roots = []
+    for blo, bhi in bracket_sign_changes(fn, lo, hi, n):
+        for _ in range(BISECT_ROUNDS):
+            if blo == bhi or bhi - blo < 1e-13 * abs(0.5 * (blo + bhi)):
+                break
+            blo, bhi = bracket_sign_changes(fn, blo, bhi, BISECT_SECTIONS)[0]
+        roots.append(0.5 * (blo + bhi))
+    return roots
 
 
 def rk4(

@@ -270,7 +270,8 @@ def build_congruence_report(
     samples: int = 4096,
     b: float | None = None,
 ) -> Report:
-    roots_b = None if b is None else cg.focusing_polynomial_roots(b)
+    # b = 0 lies in the range, and its root count is a row of every report.
+    roots_b = None if b is None or b == 0.0 else cg.focusing_polynomial_roots(b)
     params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
     cfg = cg.CongruenceConfig(e_tilde=e_tilde)
     scan_samples = min(samples, 257)
@@ -340,8 +341,7 @@ def build_congruence_report(
             cg.focusing_polynomial_reduced(quoted),
             1e-6,
         )
-    # The b = 0 root count is the row above, whether or not --b names it.
-    if roots_b is not None and b != 0.0:
+    if roots_b is not None:
         rpt.add_check(f"focusing-roots-found[b={b:.9g}]", "x-domain", float(len(roots_b)), 0.0, holds=True)
         for root in roots_b:
             rpt.add_check(f"focusing-root[b={b:.9g}]", f"x={root:.9g}", root, 0.0, holds=True)

@@ -1,6 +1,8 @@
 """``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance, value or version,
 and a report that depends on the calls before it."""
 
+import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
+_SPEC = importlib.util.spec_from_file_location("compare_reports", TOOL)
+compare_reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_reports)
 TOLERANCE_LINE = 'rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)'
 GAP_LINE = "        -1.0 / params.a,\n"
 
@@ -27,19 +32,35 @@ def test_tree_against_itself_is_byte_identical():
     assert lines == [f"calls: {calls}", f"byte-identical: {calls}", "no row value moved"]
 
 
-def _copy_tree(tmp_path: Path) -> Path:
-    # The tool reads the calls from the change tree: the catalogs and the
-    # golden configurations come along with the source.
+def _copy_tree(tmp_path: Path, reaches) -> Path:
+    """A copy of the source whose catalogs hold three of the tree's calls.
+
+    The tool reads the calls from the change tree.  The copy keeps the first
+    two calls that ``reaches`` accepts, the ones that reach the row a test
+    edits, and the first call it rejects, which must stay byte-identical.
+    The first catalog holds them; the other catalogs and the golden
+    configurations are empty.
+    """
     copy = tmp_path / "change"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(ROOT / "perfbench" / "catalog", copy / "perfbench" / "catalog")
+    calls = compare_reports.load_calls(ROOT)
+    kept = [argv for argv in calls if reaches(argv)][:2] + [next(argv for argv in calls if not reaches(argv))]
+    catalog = copy / "perfbench" / "catalog"
+    catalog.mkdir(parents=True)
+    for name in compare_reports.CATALOGS:
+        entries = [{"calls": kept}] if name == compare_reports.CATALOGS[0] else []
+        (catalog / f"{name}.json").write_text(json.dumps(entries))
     (copy / "tests").mkdir()
-    shutil.copy(ROOT / "tests" / "test_golden.py", copy / "tests" / "test_golden.py")
+    (copy / "tests" / "test_golden.py").write_text("CONFIGS = {}\n")
     return copy
 
 
+def _tortoise(argv):
+    return argv[0] == "tortoise"
+
+
 def test_a_changed_tolerance_is_a_difference(tmp_path):
-    copy = _copy_tree(tmp_path)
+    copy = _copy_tree(tmp_path, _tortoise)
     suites = copy / "src" / "lbverify" / "suites.py"
     text = suites.read_text()
     assert text.count(TOLERANCE_LINE) == 1
@@ -57,7 +78,7 @@ def test_a_changed_tolerance_is_a_difference(tmp_path):
 def test_a_value_moved_beyond_its_slack_is_a_difference(tmp_path):
     # The row has tolerance 0 and a fixed verdict: only its value moves,
     # by 1e-6 relative, past the checker's REL = 1e-9.
-    copy = _copy_tree(tmp_path)
+    copy = _copy_tree(tmp_path, lambda argv: argv[0] == "verify")
     suites = copy / "src" / "lbverify" / "suites.py"
     text = suites.read_text()
     assert text.count(GAP_LINE) == 1
@@ -74,7 +95,7 @@ def test_a_value_moved_beyond_its_slack_is_a_difference(tmp_path):
 def test_a_changed_version_is_a_difference_of_the_json_reports(tmp_path):
     # Only a JSON report carries the version, in its meta object; the rows
     # and every CSV report stay byte-identical.
-    copy = _copy_tree(tmp_path)
+    copy = _copy_tree(tmp_path, lambda argv: "json" in argv)
     init = copy / "src" / "lbverify" / "__init__.py"
     text = init.read_text()
     assert text.count('__version__ = "') == 1
@@ -93,7 +114,7 @@ def test_a_report_that_depends_on_earlier_calls_is_order_dependent(tmp_path):
     # The copy widens one tolerance on every tortoise call after its first
     # in the process: against itself, only the forward run's first tortoise
     # call differs from its second, reverse-order run.
-    copy = _copy_tree(tmp_path)
+    copy = _copy_tree(tmp_path, _tortoise)
     suites = copy / "src" / "lbverify" / "suites.py"
     text = suites.read_text()
     assert text.count(TOLERANCE_LINE) == 1

@@ -38,9 +38,9 @@ from lbverify.numerics import (
     SIMPSON_DEPTH_CAP,
     SIMPSON_ROUNDING_FLOOR,
     adaptive_simpson,
-    bisect,
     bracket_sign_changes,
     central_diff,
+    sign_change_roots,
 )
 
 
@@ -342,6 +342,16 @@ def test_boundary_root_at_exactly_half():
     assert abs(focusing_polynomial(1.0, 0.5)) <= 1e-12
 
 
+def test_roots_keep_their_pinned_values():
+    # Exact values: a change to the root scan that moves one bit shows
+    # here.  1e-170 is below b ~ 7.9e-163, where the scan steps off x = 0.
+    assert focusing_polynomial_roots(0.3) == (0.7162135804572667,)
+    assert focusing_polynomial_roots(0.45) == (0.9412193960056652,)
+    assert focusing_polynomial_roots(0.49) == (0.9871121589332663,)
+    assert focusing_polynomial_roots(0.5) == ()
+    assert focusing_polynomial_roots(1e-170) == ()
+
+
 def test_roots_reject_bad_b():
     with pytest.raises(ParameterDomainError):
         focusing_polynomial_roots(0.6)
@@ -372,6 +382,13 @@ def test_radius_quoted_anchor(unit_xi):
 
 def test_radius_trivial_value(unit_xi):
     assert radius_candidates(unit_xi, 1.0).from_exponential == 0.0
+
+
+def test_radius_w_channel_at_the_minimum_of_w():
+    # X^(3/2) = 2|xi| exactly: m = 1.5 ln 1 - ln 2 - ln 0.5 is 0.0, and the
+    # arccosh pair meets in the one radius -(a/3) ln|xi|.
+    params = params_from_xi(3.0, 0.5)
+    assert radius_candidates(params, 1.0).from_w == (params.a / 3.0 * math.log(2.0),)
 
 
 def test_radius_w_channel_vacuum(vacuum):
@@ -405,10 +422,9 @@ def test_radius_w_channel_evaluates_each_multisection_round_once(monkeypatch):
 
 
 def _scanned_w_roots(params, X):
-    """The w channel as a 4096-interval bracket scan plus multisection on [-2a, 2a] (the oracle)."""
+    """The w channel as a 4096-interval root scan on [-2a, 2a] (the oracle)."""
     half = 2.0 * params.a
-    fn = lambda r: model.w_value(params, r) - X
-    return tuple(sorted({bisect(fn, lo, hi) for lo, hi in bracket_sign_changes(fn, -half, half, 4096)}))
+    return tuple(sorted(set(sign_change_roots(lambda r: model.w_value(params, r) - X, -half, half, 4096))))
 
 
 def _catalog_congruence_members():
@@ -768,6 +784,18 @@ def test_null_rate_vacuum_reduction(vacuum):
         assert bracket == pytest.approx(-2.0 * w, rel=1e-12)
 
 
+def test_turning_guard_band_is_relative_to_e_squared():
+    # At E = 2 the band is |E^2 - w| < 4 TURNING_GUARD_REL: half of it
+    # inside the band is dropped, twice of it outside is kept, and so is
+    # an ordinary radius, while w > E^2 is forbidden.
+    e2 = OUT2.e_tilde**2
+    w = np.array([e2 * (1.0 - 0.5 * TURNING_GUARD_REL), e2 * (1.0 - 2.0 * TURNING_GUARD_REL), 1.0, 5.0])
+    r = np.arange(w.size, dtype=float)
+    scan = kinematics_scan((w, np.ones_like(w), np.zeros_like(w)), OUT2, r)
+    assert scan.r.tolist() == [1.0, 2.0]
+    assert scan.w.tolist() == w[1:3].tolist()
+
+
 def test_null_rate_forbidden(unit_xi):
     # w(0) = 2^(2/3) > 1 = E^2: the scan drops the radius and leaves no rate.
     grid = np.array([0.0])
@@ -985,7 +1013,7 @@ def test_focusing_facts_computed_once_per_process():
     # The run's own b = |xi/E| = 0.5 reaches the polynomial through the
     # quoted scaled rate on every report.
     run_b = 0.5
-    b_sequence = [None, 0.3, 0.3, -0.0, 0.49, None]
+    b_sequence = [None, 0.3, 0.3, -0.0, 0.0, 0.49, None]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_PROCESS, str(src), json.dumps(b_sequence)],
@@ -995,12 +1023,14 @@ def test_focusing_facts_computed_once_per_process():
     reports = json.loads(proc.stdout)
     seen = [set(entry["b_values"]) for entry in reports]
     # The fixed sign-map b values and b = 0 are evaluated during the first
-    # report only; a --b value during every report that names it.
+    # report only; a nonzero --b value during every report that names it.
+    # --b 0 and --b -0 add no row, so they evaluate no root scan.
     assert seen == [
         set(suites.SIGN_MAP_B_VALUES) | {run_b},
         {0.3, run_b},
         {0.3, run_b},
-        {0.0, run_b},
+        {run_b},
+        {run_b},
         {0.49, run_b},
         {run_b},
     ]

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lbverify.errors import NumericalError
 from lbverify.numerics import (
     BISECT_ROUNDS,
     BISECT_SECTIONS,
     SIMPSON_DEPTH_CAP,
     adaptive_simpson,
-    bisect,
     bracket_sign_changes,
+    sign_change_roots,
 )
 
 
@@ -94,27 +93,27 @@ def test_sign_tests_neither_overflow_nor_underflow(scale):
     fn = lambda x: scale * (np.asarray(x) - 0.3)
     brackets = bracket_sign_changes(fn, -1.0, 1.0, 8)
     assert brackets == [(0.25, 0.5)]
-    root = bisect(fn, *brackets[0])
+    (root,) = sign_change_roots(fn, -1.0, 1.0, 8)
     assert root == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(NumericalError, match="no sign change"):
-        bisect(fn, 0.5, 1.0)
+    assert sign_change_roots(fn, 0.5, 1.0, 8) == []
 
 
-def test_bisect_returns_an_endpoint_without_halving():
-    # An empty bracket and a root at either end need no sign test.
-    never = lambda x: pytest.fail("fn called")
-    assert bisect(never, 0.4, 0.4) == 0.4
-    assert bisect(lambda x: x - 0.25, 0.25, 1.0) == 0.25
-    assert bisect(lambda x: x - 1.0, 0.25, 1.0) == 1.0
+def test_root_scan_returns_a_zero_endpoint_without_narrowing():
+    # A zero at either end is a degenerate bracket: the scan's one call on
+    # (lo, hi) is the only one.
+    for root in (0.25, 1.0):
+        fn, sizes = _counted(lambda x: np.asarray(x) - root)
+        assert sign_change_roots(fn, 0.25, 1.0, 1) == [root]
+        assert sizes == [2]
 
 
-def test_bisect_without_a_sign_change_is_a_numerical_failure():
-    with pytest.raises(NumericalError, match="no sign change"):
-        bisect(np.ones_like, 0.0, 1.0)
+def test_root_scan_without_a_sign_change_finds_no_root():
+    for n in (1, 8):
+        assert sign_change_roots(np.ones_like, 0.0, 1.0, n) == []
 
 
 def _binary_bisection(fn, lo, hi):
-    """Plain one-point-per-step bisection to the width ``bisect`` stops at (the reference)."""
+    """Plain one-point-per-step bisection to the width ``sign_change_roots`` stops at (the reference)."""
     flo = fn(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -139,17 +138,20 @@ def test_multisection_matches_plain_bisection_on_monotone_functions():
         fn = lambda x: slope * (np.sinh((x - root) / scale) + cubic * ((x - root) / scale) ** 3)
         lo = root - scale * float(rng.uniform(1e-6, 2.0))
         hi = root + scale * float(rng.uniform(1e-6, 2.0))
-        got = bisect(fn, lo, hi)
+        # One interval: the scan's one bracket is (lo, hi).
+        (got,) = sign_change_roots(fn, lo, hi, 1)
         want = _binary_bisection(lambda x: float(fn(x)), lo, hi)
         assert abs(got - want) <= 2e-13 * abs(want), (root, scale, slope, cubic, lo, hi)
 
 
 def test_multisection_ends_around_an_exact_zero():
-    # 0 is no section point of [-1, 2]: the width never falls below
-    # 1e-13 |mid|, and the round cap ends the search next to 0.
+    # 0 is neither a point of the one-interval scan of [-1, 2] nor a
+    # section point: the width never falls below 1e-13 |mid|, and the round
+    # cap ends the search next to 0.
     fn, sizes = _counted(lambda x: np.asarray(x))
-    assert abs(bisect(fn, -1.0, 2.0)) <= 3.0 * BISECT_SECTIONS**-BISECT_ROUNDS
-    assert len(sizes) == 1 + BISECT_ROUNDS
+    (root,) = sign_change_roots(fn, -1.0, 2.0, 1)
+    assert abs(root) <= 3.0 * BISECT_SECTIONS**-BISECT_ROUNDS
+    assert sizes == [2] + [BISECT_SECTIONS + 1] * BISECT_ROUNDS
 
 
 def test_multisection_brackets_a_sign_change_of_non_monotone_functions():
@@ -161,7 +163,7 @@ def test_multisection_brackets_a_sign_change_of_non_monotone_functions():
         lo, hi = sorted(rng.uniform(-50.0, 50.0, 2).tolist())
         if np.sign(fn(lo)) * np.sign(fn(hi)) >= 0.0:
             continue
-        x = bisect(fn, lo, hi)
+        (x,) = sign_change_roots(fn, lo, hi, 1)
         width = 2e-13 * max(1.0, abs(x))
         assert lo <= x <= hi
         assert fn(x) == 0.0 or np.sign(fn(x - width)) != np.sign(fn(x + width)), (k, phase, tilt, lo, hi)
@@ -170,8 +172,9 @@ def test_multisection_brackets_a_sign_change_of_non_monotone_functions():
 
 def test_multisection_returns_a_zero_at_a_section_point():
     # 1/4 is the 16th of 64 section points of [0, 1]: one round after the
-    # endpoints.  1/4 + 3/4096 is a section point of the second round.
+    # scan of the endpoints.  1/4 + 3/4096 is a section point of the second
+    # round.  A zero found is a degenerate bracket, and no round follows it.
     for root, rounds in ((0.25, 1), (0.25 + 3.0 / 4096.0, 2)):
         fn, sizes = _counted(lambda x: np.asarray(x) - root)
-        assert bisect(fn, 0.0, 1.0) == root
-        assert sizes == [2] + [BISECT_SECTIONS - 1] * rounds
+        assert sign_change_roots(fn, 0.0, 1.0, 1) == [root]
+        assert sizes == [2] + [BISECT_SECTIONS + 1] * rounds

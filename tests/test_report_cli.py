@@ -541,6 +541,15 @@ def test_cli_sweep_rejects_malformed_range(capsys):
         assert err.startswith("lbverify: error: ") and needle in err
 
 
+def test_cli_sweep_accepts_a_count_of_one(capsys):
+    from lbverify import cli
+
+    assert cli.main(["sweep", "--lambda", "3:3:1", "--xi", "1", "--e-tilde", "2"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 4
+    assert {row[1] for row in rows} == {"lambda=3;xi=1;E=2"}
+
+
 def test_cli_tortoise_green():
     proc = run_cli("tortoise", "--lambda", "3", "--xi", "0.5", "--samples", "65")
     assert proc.returncode == 0
@@ -611,6 +620,15 @@ def test_cli_congruence_b_zero_adds_no_root_row(b, capsys):
     checks = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
     assert checks.count("focusing-roots-found[b=0]") == 1
     assert not [check for check in checks if "[b=-0]" in check]
+
+
+@pytest.mark.parametrize("b", ["nan", "-1e-300", "0.7"])
+def test_cli_congruence_rejects_b_outside_its_range(b, capsys):
+    from lbverify import cli
+
+    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("lbverify: error: b must lie in [0, 1/2]")
 
 
 @pytest.mark.parametrize("b", ["1e-170", "5e-324"])
