@@ -24,6 +24,7 @@ written by the commit that introduced this test:
     python -m lbverify energy --lambda 3 --xi 1e154 --out tests/golden/energy-huge-xi.csv
     python -m lbverify verify --lambda 3 --xi 1e-300 --out tests/golden/verify-tiny-xi.csv
     python -m lbverify energy --lambda 3 --xi 1e10 --out tests/golden/energy-large-xi.csv
+    python -m lbverify stability --lambda 1e-300 --out tests/golden/stability-tiny-lambda.csv
 
 The first six are the README examples; the congruence edge cases have zero
 admissible points and an extra focusing-polynomial b.  The next three were
@@ -51,7 +52,11 @@ about -1400, so they pin both far tails of f.  ``energy-large-xi`` was
 recorded the same way by the parent of the commit that computes the frame
 stresses from mixed Ricci components: there e^u runs from about 4e11 to 1e15
 on the window, so it pins the stress rows where the covariant route carried
-the rounding of e^u.  Every configuration exits 0.  A report matches its
+the rounding of e^u.  ``stability-tiny-lambda`` was recorded the same way
+by the parent of the commit that reads the stability verdict from one
+spectrum rule: at lambda = 1e-300, a is about 1.7e150 and
+``stationarity-linear`` is the subnormal 6.63e-316, the float edge of the
+stability report.  Every configuration exits 0.  A report matches its
 golden file when the (check, location, verdict) sequence is identical and each value agrees within
 ``REL * |ref| + ref_tolerance``: array and scalar evaluation orders may move
 the last digits, and a residual row only asserts |value| <= tolerance.
@@ -94,6 +99,7 @@ CONFIGS = {
     "energy-huge-xi": ["energy", "--lambda", "3", "--xi", "1e154"],
     "verify-tiny-xi": ["verify", "--lambda", "3", "--xi", "1e-300"],
     "energy-large-xi": ["energy", "--lambda", "3", "--xi", "1e10"],
+    "stability-tiny-lambda": ["stability", "--lambda", "1e-300"],
 }
 
 
