@@ -104,10 +104,8 @@ def field_residual(sample: MetricSample, lam: float) -> float:
 
     The non-radial mixed components carry no metric factor.  The rr
     equation R^r_r - lambda = phi'^2 is not checked: it is what defines
-    phi'^2 (``phi_prime_sq_constraint``), which is built from the same sums
-    as R^r_r and differs from R^r_r - lambda only by the exact scalings 1/2
-    and 1/4, so its residual is bitwise 0 on any sample, barring
-    under/overflow.  A NaN component makes the result NaN.
+    phi'^2 (``phi_prime_sq_constraint`` returns R^r_r - lambda), so its
+    residual is 0 by construction.  A NaN component makes the result NaN.
     """
     return float(np.max([np.abs(r_mm - lam).max() for r_mm in _ricci_transverse(sample)]))
 

@@ -2,7 +2,7 @@
 
 The authoritative expression for phi'^2 is the rr field-equation constraint
 
-    phi'^2 = (2 sum(u_i'') + sum(u_i'^2) - 4 lambda) / 4,
+    phi'^2 = R^r_r - lambda = (2 sum(u_i'') + sum(u_i'^2) - 4 lambda) / 4,
 
 which for the equal-exponent family reduces to (2/3)(3 lambda - f'^2)
 = (2/3) f'' and is non-negative everywhere.  The quoted integrand form
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import _ricci_radial
 from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, _q, metric_eval
 from .numerics import adaptive_simpson
@@ -45,14 +46,12 @@ class ScalarProfile:
 
 
 def phi_prime_sq_constraint(sample: MetricSample, lam: float):
-    """phi'^2 from the rr constraint, evaluated from the raw exponent sums.
+    """phi'^2 from the rr constraint, R^r_r - lambda.
 
     May return a negative value for a non-solution sample; that is a flag
     for the caller, not an exception.
     """
-    sum_upp = sample.u_pp[0] + sample.u_pp[1] + sample.u_pp[2]
-    sum_up_sq = sample.u_p[0] ** 2 + sample.u_p[1] ** 2 + sample.u_p[2] ** 2
-    return (2.0 * sum_upp + sum_up_sq - 4.0 * lam) / 4.0
+    return _ricci_radial(sample) - lam
 
 
 def phi_prime_sq_quoted(sample: MetricSample, lam: float):

@@ -12,16 +12,18 @@ dynamical content).  The linearization about the stationary point is
 
 with spectrum {-3/a, -3/a, -6/a}: purely real and negative, hence the
 stationary point is linearly stable for every lambda > 0.
+
+The functions take the ``SolutionParams`` of ``model.params_from_xi``,
+which has validated lambda; ``verdict`` is the one stability rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import params_from_xi
+from .model import SolutionParams
 
 #: Note attached to every stability report: the quoted general solution of the
 #: linearized profile equation f'' = 3 lambda omits the homogeneous linear
@@ -32,21 +34,13 @@ LINEAR_TERM_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    fixed_point: tuple[float, float, float]
-    eigenvalues: tuple[complex, complex, complex]
-    verdict: str
-    stationarity_residuals: tuple[float, float]
-
-
-def fixed_point(lam: float) -> tuple[float, float, float]:
+def fixed_point(params: SolutionParams) -> tuple[float, float, float]:
     """Stationary point (2/a, 2/a, 2/a) of the x-subsystem."""
-    x = 2.0 / params_from_xi(lam, 0.0).a
+    x = 2.0 / params.a
     return (x, x, x)
 
 
-def stationarity_residuals(point: tuple[float, float, float], lam: float) -> tuple[float, float]:
+def stationarity_residuals(params: SolutionParams, point: tuple[float, float, float]) -> tuple[float, float]:
     """Residuals of both stationarity conditions at ``point``.
 
     Returns (max_i |x_i sum_j x_j - 4 lambda|, |sum_j x_j^2 - 4 lambda|);
@@ -54,38 +48,34 @@ def stationarity_residuals(point: tuple[float, float, float], lam: float) -> tup
     two conditions is reported rather than hidden.
     """
     total = math.fsum(point)
-    res_linear = max(abs(x * total - 4.0 * lam) for x in point)
-    res_quadratic = abs(math.fsum(x * x for x in point) - 4.0 * lam)
+    res_linear = max(abs(x * total - 4.0 * params.lam) for x in point)
+    res_quadratic = abs(math.fsum(x * x for x in point) - 4.0 * params.lam)
     return res_linear, res_quadratic
 
 
-def jacobian(lam: float) -> np.ndarray:
+def jacobian(params: SolutionParams) -> np.ndarray:
     """Linearization -(3/a) I - (1/a) ones(3,3) about the stationary point."""
-    a = params_from_xi(lam, 0.0).a
+    a = params.a
     return -(3.0 / a) * np.eye(3) - (1.0 / a) * np.ones((3, 3))
 
 
-def jacobian_eigen(lam: float) -> StabilityReport:
-    """Numeric eigenvalues of the linearization plus the stability verdict."""
-    point = fixed_point(lam)
-    eigs = np.linalg.eigvals(jacobian(lam))
-    eigs = tuple(sorted((complex(e) for e in eigs), key=lambda e: (e.real, e.imag)))
-    max_real = max(e.real for e in eigs)
-    if max_real < 0.0:
-        verdict = "stable"
-    elif max_real > 0.0:
-        verdict = "unstable"
-    else:
-        verdict = "marginal"
-    return StabilityReport(
-        fixed_point=point,
-        eigenvalues=eigs,
-        verdict=verdict,
-        stationarity_residuals=stationarity_residuals(point, lam),
-    )
+def spectrum(params: SolutionParams) -> tuple[complex, complex, complex]:
+    """Numeric eigenvalues of the linearization, sorted by real, then imaginary part."""
+    return tuple(sorted((complex(e) for e in np.linalg.eigvals(jacobian(params))), key=lambda e: (e.real, e.imag)))
 
 
-def expected_eigenvalues(lam: float) -> tuple[float, float, float]:
+def expected_eigenvalues(params: SolutionParams) -> tuple[float, float, float]:
     """Analytic spectrum {-6/a, -3/a, -3/a}, sorted ascending."""
-    a = math.sqrt(3.0 / lam)
+    a = params.a
     return (-6.0 / a, -3.0 / a, -3.0 / a)
+
+
+def verdict(eigenvalues) -> str:
+    """Lyapunov verdict of a spectrum: "stable" iff every real part is negative.
+
+    "unstable" when some real part is positive, "marginal" when the largest is 0.
+    """
+    max_real = max(e.real for e in eigenvalues)
+    if max_real < 0.0:
+        return "stable"
+    return "unstable" if max_real > 0.0 else "marginal"

@@ -53,7 +53,8 @@ MAX_GRID_SIZE = 2**24
 def _window(lam, xi, r_min, r_max, samples, half_width):
     """Parameters and scan window of one family member.
 
-    A bound left as None defaults to -half_width * a or +half_width * a; then r-min < r-max must hold.
+    A bound left as None defaults to -half_width * a or +half_width * a; then r-min < r-max must hold,
+    and the window must lie within the model's ``radial_bound``.
     """
     for name, bound in (("r-min", r_min), ("r-max", r_max)):
         if bound is not None and not math.isfinite(bound):
@@ -67,7 +68,15 @@ def _window(lam, xi, r_min, r_max, samples, half_width):
     r_max = float(half_width * params.a if r_max is None else r_max)
     if not r_min < r_max:
         raise ParameterDomainError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
+    model._check_range(params, (r_min, r_max))
     return params, r_min, r_max
+
+
+def _stencil_centres(params, r_min, r_max, count, reach):
+    """``count`` equispaced radii of the window, clipped so that a stencil
+    reaching ``reach`` beyond each stays within the model's ``radial_bound``."""
+    edge = model.radial_bound(params) - reach
+    return np.clip(np.linspace(r_min, r_max, count), -edge, edge)
 
 
 def _loc(r_min, r_max, samples):
@@ -151,9 +160,10 @@ def build_verify_report(
 
     # The row tolerance scales with the Ricci magnitude once it exceeds what
     # an absolute 1e-6 can mean in double precision.
-    ricci_r = np.linspace(r_min, r_max, 25)
+    h = FD_PAIR_STEP * params.a
+    ricci_r = _stencil_centres(params, r_min, r_max, 25, 2 * h)
     cf = np.array(ricci_diagonal(model.metric_eval(params, ricci_r)))
-    fd = np.array(ricci_diagonal_fd(metric_fn, ricci_r, FD_PAIR_STEP * params.a))
+    fd = np.array(ricci_diagonal_fd(metric_fn, ricci_r, h))
     tol = max(1e-6, 1e-9 * _max_abs(cf))
     rpt.add_check("ricci-dual-path", _loc(r_min, r_max, 25), _max_abs(cf - fd), tol)
 
@@ -187,18 +197,20 @@ def build_verify_report(
 
 
 def build_stability_report(lam: float) -> Report:
-    a = model.params_from_xi(lam, 0.0).a
+    params = model.params_from_xi(lam, 0.0)
     rpt = Report(lam=lam, xi=0.0, rows=[])
-    sr = stability.jacobian_eigen(lam)
-    rpt.add_check("fixed-point-offset", "stationary point", max(abs(x - 2.0 / a) for x in sr.fixed_point), 1e-14)
-    rpt.add_check("stationarity-linear", "stationary point", sr.stationarity_residuals[0], 1e-12)
-    rpt.add_check("stationarity-quadratic", "stationary point", sr.stationarity_residuals[1], 1e-12)
-    expected = stability.expected_eigenvalues(lam)
-    eig_err = max(abs(e.real - x) for e, x in zip(sr.eigenvalues, expected))
+    point = stability.fixed_point(params)
+    rpt.add_check("fixed-point-offset", "stationary point", max(abs(x - 2.0 / params.a) for x in point), 1e-14)
+    res_linear, res_quadratic = stability.stationarity_residuals(params, point)
+    rpt.add_check("stationarity-linear", "stationary point", res_linear, 1e-12)
+    rpt.add_check("stationarity-quadratic", "stationary point", res_quadratic, 1e-12)
+    eigs = stability.spectrum(params)
+    eig_err = max(abs(e.real - x) for e, x in zip(eigs, stability.expected_eigenvalues(params)))
     rpt.add_check("eigenvalue-error", "spectrum {-6/a;-3/a;-3/a}", eig_err, 1e-10)
-    rpt.add_check("eigenvalue-imag", "spectrum", max(abs(e.imag) for e in sr.eigenvalues), 1e-12)
-    max_real = max(e.real for e in sr.eigenvalues)
-    rpt.add_check("lyapunov-verdict", f"verdict={sr.verdict}", max_real, 0.0, holds=max_real < 0.0)
+    rpt.add_check("eigenvalue-imag", "spectrum", max(abs(e.imag) for e in eigs), 1e-12)
+    verdict = stability.verdict(eigs)
+    max_real = max(e.real for e in eigs)
+    rpt.add_check("lyapunov-verdict", f"verdict={verdict}", max_real, 0.0, holds=verdict == "stable")
     rpt.add_comparison("linearized-profile-note", stability.LINEAR_TERM_NOTE, 0.0, 0.0, holds=False)
     return rpt
 
@@ -378,15 +390,14 @@ def build_tortoise_report(
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     grid = np.linspace(r_min, r_max, samples)
-    # The channel row evaluates the series only at the radii it compares;
-    # the derivative row reads both window ends, whose range check rejects
-    # a window past the model's radial bound.
+    # The channel row evaluates the series only at the radii it compares.
     checked = grid[:: max(1, samples // 32)]
     channel_gap = _max_abs(cg.tortoise_series(params, checked) - cg.tortoise_quadrature(params, checked))
     rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)
 
-    deriv_r = np.linspace(r_min, r_max, 9)
-    d = central_diff(lambda x: cg.tortoise_series(params, x), deriv_r, FD_FIRST_STEP * params.a)
+    h = FD_FIRST_STEP * params.a
+    deriv_r = _stencil_centres(params, r_min, r_max, 9, h)
+    d = central_diff(lambda x: cg.tortoise_series(params, x), deriv_r, h)
     deriv_err = _max_abs(d * np.sqrt(model.w_value(params, deriv_r)) - 1.0)
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 

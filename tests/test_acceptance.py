@@ -122,19 +122,18 @@ def test_criterion_04_scalar_first_integral_and_discrepancy_report():
 
 
 def test_criterion_05_stability():
-    from lbverify.stability import expected_eigenvalues, jacobian_eigen
+    from lbverify.stability import expected_eigenvalues, fixed_point, spectrum, verdict
 
     ok = True
     detail = []
     for lam in LAMBDAS:
-        report = jacobian_eigen(lam)
+        params = params_from_xi(lam, 0.0)
+        eigs = spectrum(params)
         a = math.sqrt(3.0 / lam)
-        fp_exact = all(x == 2.0 / a for x in report.fixed_point)
-        eig_err = max(
-            abs(e.real - x) for e, x in zip(report.eigenvalues, expected_eigenvalues(lam))
-        )
-        imag_max = max(abs(e.imag) for e in report.eigenvalues)
-        ok = ok and fp_exact and eig_err < 1e-10 and imag_max < 1e-12 and report.verdict == "stable"
+        fp_exact = all(x == 2.0 / a for x in fixed_point(params))
+        eig_err = max(abs(e.real - x) for e, x in zip(eigs, expected_eigenvalues(params)))
+        imag_max = max(abs(e.imag) for e in eigs)
+        ok = ok and fp_exact and eig_err < 1e-10 and imag_max < 1e-12 and verdict(eigs) == "stable"
         detail.append(f"lam={lam}: eig err {eig_err:.1e}")
     _report("5", ok, "; ".join(detail))
 

@@ -404,7 +404,7 @@ def test_radius_w_channel_two_solutions(unit_xi):
     assert len(candidates.from_w) == 2
 
 
-def test_radius_w_channel_evaluates_each_multisection_round_once(monkeypatch):
+def test_radius_w_channel_evaluates_no_w(monkeypatch):
     # The w channel is the closed-form arccosh pair: it evaluates no w at all.
     calls = []
     w_value = congruence.w_value
@@ -588,9 +588,8 @@ def test_tortoise_report_rejects_a_window_past_the_radial_bound(unit_xi):
     message = "|r| exceeds the overflow bound 116.667 for lambda=3.0"
     with pytest.raises(ParameterDomainError, match=re.escape(message)):
         tortoise_series(unit_xi, np.array([0.0, 1000.0, 2000.0]))
-    # The report needs no grid check of its own: the first grid radius past
-    # the bound is not one the channel row reads, and the window is still
-    # rejected with the model's message.
+    # The first grid radius past the bound is not one the channel row reads;
+    # the report checks its window once, with the model's message.
     a = unit_xi.a
     grid = np.linspace(-a, 200.0, 101)
     first = int(np.flatnonzero(grid > model.radial_bound(unit_xi))[0])

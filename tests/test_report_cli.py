@@ -9,7 +9,7 @@ import pytest
 
 from lbverify import __version__, suites
 from lbverify.model import MAX_ABS_XI, params_from_xi, radial_bound
-from lbverify.report import Report, VerificationRow, emit_csv, emit_json
+from lbverify.report import VERDICTS, Report, VerificationRow, emit_csv, emit_json
 
 
 def run_cli(*args):
@@ -598,6 +598,28 @@ def test_windows_past_the_radial_bound_share_one_usage_error(argv, capsys):
 
     assert cli.main([argv[0], "--lambda", "3", *argv[1:]]) == 2
     assert capsys.readouterr() == ("", "lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n")
+
+
+@pytest.mark.parametrize("side", (1.0, -1.0), ids=("r-max", "r-min"))
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("energy",), ("congruence", "--e-tilde", "2"), ("tortoise",)],
+    ids=("verify", "energy", "congruence", "tortoise"),
+)
+def test_windows_ending_at_the_radial_bound_write_a_report(argv, side, tmp_path, capsys):
+    # The accepting side of the rule above: a window ending exactly at
+    # +/- radial_bound is inside the model's range, finite-difference
+    # stencils included, and is answered with a report, not a usage error.
+    from lbverify import cli
+
+    bound = radial_bound(params_from_xi(3.0, 1.0))
+    r_min, r_max = sorted((side * bound, side * (bound - 6.0)))
+    out = tmp_path / "report.csv"
+    window = ["--r-min", repr(r_min), "--r-max", repr(r_max), "--out", str(out)]
+    assert cli.main([argv[0], "--lambda", "3", *argv[1:], *window]) in (0, 1)
+    assert capsys.readouterr() == ("", "")
+    rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert rows and all(row["verdict"] in VERDICTS for row in rows)
 
 
 def test_cli_congruence_extra_b_scan():
