@@ -36,27 +36,49 @@ from .model import MetricSample, SolutionParams, f_eval, metric_eval
 from .numerics import central_diff, five_point_diffs, rk4
 
 
+def _one_array(axes) -> bool:
+    """Whether the three axes hold one array, as in every ``metric_eval`` sample."""
+    return axes[0] is axes[1] is axes[2]
+
+
+def _per_axis(fn, *columns):
+    """(fn of axis 0's entries of ``columns``, of axis 1's, of axis 2's).
+
+    When every column holds one array for the three axes, fn is computed
+    once and the three entries are that one value, which the general path
+    would give bit for bit.
+    """
+    if all(_one_array(column) for column in columns):
+        value = fn(*(column[0] for column in columns))
+        return value, value, value
+    return tuple(fn(*entries) for entries in zip(*columns))
+
+
+def _axis_sum(axes):
+    """axes[0] + axes[1] + axes[2].
+
+    On one array it is 3.0 * axes[0], the same bits: x + x is exact, and
+    both round 3x once.
+    """
+    return 3.0 * axes[0] if _one_array(axes) else axes[0] + axes[1] + axes[2]
+
+
 def _ricci_transverse(sample: MetricSample):
     """Closed-form mixed components of the non-radial axes (R^t_t, R^phi_phi, R^z_z).
 
     When the three axes hold the same (u', u'') arrays, as every
     ``metric_eval`` sample does, they share one bracket, computed once.
-    This is the only place that knows of the sharing: callers treat the
-    three components as values, which the general expression would give
-    bit for bit.
+    Callers treat the three components as values, which the general
+    expression would give bit for bit.
     """
-    u_p, u_pp = sample.u_p, sample.u_pp
-    s = u_p[0] + u_p[1] + u_p[2]
-    if u_p[0] is u_p[1] is u_p[2] and u_pp[0] is u_pp[1] is u_pp[2]:
-        r_tt = 0.25 * (2.0 * u_pp[0] + u_p[0] * s)
-        return r_tt, r_tt, r_tt
-    return tuple(0.25 * (2.0 * upp + up * s) for up, upp in zip(u_p, u_pp))
+    s = _axis_sum(sample.u_p)
+    return _per_axis(lambda up, upp: 0.25 * (2.0 * upp + up * s), sample.u_p, sample.u_pp)
 
 
 def _ricci_radial(sample: MetricSample):
     """Closed-form R^r_r = R_rr."""
-    u_p, u_pp = sample.u_p, sample.u_pp
-    return 0.5 * (u_pp[0] + u_pp[1] + u_pp[2]) + 0.25 * (u_p[0] ** 2 + u_p[1] ** 2 + u_p[2] ** 2)
+    squares = _per_axis(lambda up: up**2, sample.u_p)
+    return 0.5 * _axis_sum(sample.u_pp) + 0.25 * _axis_sum(squares)
 
 
 def ricci_diagonal(sample: MetricSample):
@@ -107,7 +129,7 @@ def field_residual(sample: MetricSample, lam: float) -> float:
     phi'^2 (``phi_prime_sq_constraint`` returns R^r_r - lambda), so its
     residual is 0 by construction.  A NaN component makes the result NaN.
     """
-    return float(np.max([np.abs(r_mm - lam).max() for r_mm in _ricci_transverse(sample)]))
+    return float(np.max(_per_axis(lambda r_mm: np.abs(r_mm - lam).max(), _ricci_transverse(sample))))
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):

@@ -19,14 +19,16 @@ hold pointwise, so the transverse null margins saturate, the strong-energy
 margin is the constant -2 lambda (violated for every lambda > 0), and the
 radial null margin equals the scalar-field gradient squared.
 
-The stress takes a ``MetricSample`` that the caller evaluates once per grid.
-Every axis goes through the same general expressions.  On a ``metric_eval``
-sample the three non-radial Ricci components are equal, so rho + p_phi and
-rho + p_z are exact zeros there and the z margins equal the phi margins;
-samples with distinct axes (``alpha_deformation_sample``) exercise the
-general case.
-Margins are the primitive output; booleans derive from the single tolerance
-``hold_tolerance(lambda)`` so that marginal saturation stays visible.  Every
+The stress takes a ``MetricSample`` that the caller evaluates once per grid
+block.  On a ``metric_eval`` sample the three non-radial Ricci components are
+one array, so rho + p_phi and rho + p_z are exact zeros there, and the
+shared-axis path computes p_phi, its margins and its share of each minimum
+once for the phi and z axes: p_z, the z margins and their minima are the phi
+ones, bit for bit what the general expressions give.  Samples with distinct
+axes (``alpha_deformation_sample``) take the general path.
+Margins are the primitive output; whether a condition holds derives from its
+minimum margin (``_condition_minima``) and the single tolerance
+``hold_tolerance(lambda)``, so that marginal saturation stays visible.  Every
 frame stress is of the size of lambda, and the NEC, WEC and DEC margins,
 >= 0 by the identities above, round to as low as about -0.8 eps lambda: the
 tolerance is 4 eps lambda, raised to HOLD_TOL but never above lambda, so it
@@ -77,28 +79,43 @@ def stress_decompose(sample: MetricSample) -> FrameStress:
     r_tt, r_pp, r_zz = _ricci_transverse(sample)
     r_rr = _ricci_radial(sample)
     half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
-    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=r_pp - half_r, p_z=r_zz - half_r)
+    p_phi = r_pp - half_r
+    p_z = p_phi if r_zz is r_pp else r_zz - half_r
+    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=p_phi, p_z=p_z)
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:
     """Pure arithmetic margins of the four classical conditions, one per axis."""
     rho = stress.rho
+    nec_r = rho + stress.p_r
+    nec_phi = rho + stress.p_phi
+    dec_phi = rho - np.abs(stress.p_phi)
+    shared = stress.p_z is stress.p_phi
     return ConditionMargins(
-        nec_r=rho + stress.p_r,
-        nec_phi=rho + stress.p_phi,
-        nec_z=rho + stress.p_z,
+        nec_r=nec_r,
+        nec_phi=nec_phi,
+        nec_z=nec_phi if shared else rho + stress.p_z,
         wec_extra=rho,
-        sec=rho + stress.p_r + stress.p_phi + stress.p_z,
+        sec=nec_r + stress.p_phi + stress.p_z,
         dec_r=rho - np.abs(stress.p_r),
-        dec_phi=rho - np.abs(stress.p_phi),
-        dec_z=rho - np.abs(stress.p_z),
+        dec_phi=dec_phi,
+        dec_z=dec_phi if shared else rho - np.abs(stress.p_z),
     )
 
 
+def _min3(a, b, c):
+    """np.minimum of three margins; np.minimum(x, x) is x, so a z margin that is the phi one is skipped."""
+    least = np.minimum(a, b)
+    return least if c is b else np.minimum(least, c)
+
+
 def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
-    """Minimum margin of each condition; every one includes the NEC minimum."""
-    nec = np.minimum(np.minimum(margins.nec_r, margins.nec_phi), margins.nec_z)
-    dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
+    """Minimum margin of each condition; every one includes the NEC minimum.
+
+    A condition holds at r iff its minimum there is >= -``hold_tolerance``.
+    """
+    nec = _min3(margins.nec_r, margins.nec_phi, margins.nec_z)
+    dec = _min3(margins.dec_r, margins.dec_phi, margins.dec_z)
     return {
         "NEC": nec,
         "WEC": np.minimum(nec, margins.wec_extra),
@@ -114,8 +131,3 @@ def hold_tolerance(lam: float) -> float:
     cannot hold on rounding at any lambda > 0.
     """
     return max(4.0 * EPS * lam, min(HOLD_TOL, lam))
-
-
-def hold_masks(margins: ConditionMargins, tol: float) -> dict[str, bool | np.ndarray]:
-    """Boolean(s) per condition: does it hold (all margins >= -tol)?"""
-    return {cond: minimum >= -tol for cond, minimum in _condition_minima(margins).items()}

@@ -22,6 +22,7 @@ array path serves both, and a scalar r yields NumPy float scalars.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -68,9 +69,15 @@ class MetricSample:
     f        ``f_eval``'s f, in its printed normalization; f_p and f_pp
              are its f' and f''
     u        the exponents (u1, u2, u3) of g_tt = -e^{u1}, g_phiphi = e^{u2},
-             g_zz = e^{u3}; u_p and u_pp are their r-derivatives.  Axes
-             that hold the same arrays (all three in ``metric_eval``) share
-             one curvature bracket
+             g_zz = e^{u3}; u_p and u_pp are their r-derivatives
+
+    Axes that hold the same arrays, as all three do in a ``metric_eval``
+    sample, take the shared-axis path of the curvature and stress layers:
+    each per-axis quantity is computed once and serves the three axes, with
+    the bits the general path gives.  ``metric_eval`` also leaves the value
+    columns f and u, which the curvature layers never read, to be computed
+    on first read (see ``_ClosedFormSample``); f_p_sq is computed on first
+    read on every sample.
 
     The sample carries no metric factor e^u and no conformal factor w:
     the curvature layers read mixed components, which need neither, and w
@@ -84,6 +91,51 @@ class MetricSample:
     u: tuple
     u_p: tuple
     u_pp: tuple
+
+    @functools.cached_property
+    def f_p_sq(self):
+        """f'^2, read by the f ODE residual and the quoted scalar integrand."""
+        return self.f_p**2
+
+
+class _ClosedFormSample(MetricSample):
+    """The sample ``metric_eval`` returns, built from q = 2kr + 2 log|xi|.
+
+    f', f'' and the exponent derivatives are computed on construction; the
+    three axes share one array of each.  |q|, log1p(e^-|q|), f and u are
+    computed on first read, so a caller that reads only derivatives takes
+    neither the exp nor the log1p of f.  No range check is made here.
+    """
+
+    def __init__(self, params: SolutionParams, r):
+        q = _q(params, np.asarray(r, dtype=float))
+        f_p, f_pp = _f_derivs(params.k, q)
+        u_p = (2.0 / 3.0) * f_p
+        u_pp = (2.0 / 3.0) * f_pp
+        # The dataclass is frozen: set the fields as its own __init__ would,
+        # leaving f and u to the columns below.
+        vars(self).update(r=r, f_p=f_p, f_pp=f_pp, u_p=(u_p,) * 3, u_pp=(u_pp,) * 3, params=params, q=q)
+
+    @functools.cached_property
+    def abs_q(self):
+        return np.abs(self.q)
+
+    @functools.cached_property
+    def log1p_exp_neg_abs_q(self):
+        """log1p(e^-|q|); log(1 + e^q) is max(q, 0) plus it, with no overflow for finite q."""
+        return np.log1p(np.exp(-self.abs_q))
+
+    @functools.cached_property
+    def f(self):
+        """f = -kr + log(1 + e^q) - log(12 lambda)/2; at xi = 0 (q = -inf), -kr - log(12 lambda)/2."""
+        log1p_exp_q = np.maximum(self.q, 0.0) + self.log1p_exp_neg_abs_q
+        return -self.params.k * np.asarray(self.r, dtype=float) + log1p_exp_q - 0.5 * math.log(12.0 * self.params.lam)
+
+    @functools.cached_property
+    def u(self):
+        """u_i = (2/3) f + log(12 lambda)/3, one array for the three axes."""
+        u1 = (2.0 / 3.0) * self.f + (1.0 / 3.0) * math.log(12.0 * self.params.lam)
+        return u1, u1, u1
 
 
 def params_from_xi(lam: float, xi: float) -> SolutionParams:
@@ -129,26 +181,16 @@ def f_eval(params: SolutionParams, r):
 
     f'  = k (c1 E + c2)/(c1 E - c2),  E = e^{2kr}
     f'' = -4 k^2 c1 c2 E / (c1 E - c2)^2
-    so f'' + f'^2 = 3 lambda identically.  The value is taken as
-    f = -kr + log(1 + e^q) - log(12 lambda)/2 with ``_log1p_exp``; at xi = 0
-    (q = -inf) that is exactly -kr - log(12 lambda)/2.
+    so f'' + f'^2 = 3 lambda identically.  These are the columns of
+    ``metric_eval``'s sample, whose f is -kr + log(1 + e^q) - log(12 lambda)/2.
     """
-    _check_range(params, r)
-    r = np.asarray(r, dtype=float)
-    k = params.k
-    q = _q(params, r)
-    f = -k * r + _log1p_exp(q) - 0.5 * math.log(12.0 * params.lam)
-    return (f, *_f_derivs(k, q))
+    sample = metric_eval(params, r)
+    return sample.f, sample.f_p, sample.f_pp
 
 
 def _q(params: SolutionParams, r):
     """q = 2kr + 2 log|xi|, so that c1 e^{2kr} - c2 = e^q + 1; -inf at xi = 0."""
     return 2.0 * params.k * r + (2.0 * math.log(abs(params.xi)) if params.xi else -math.inf)
-
-
-def _log1p_exp(q):
-    """log(1 + e^q) as max(q, 0) + log1p(e^-|q|): no overflow for finite q, 0 at q = -inf."""
-    return np.maximum(q, 0.0) + np.log1p(np.exp(-np.abs(q)))
 
 
 def _f_derivs(k: float, q):
@@ -208,18 +250,8 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     -2/a is inconsistent with this derivation and is not used (the mismatch
     is surfaced in the verification reports).  The three exponents are one
     shared array, and so are their derivatives, so the curvature layers
-    build one bracket for all three axes.
+    build one bracket for all three axes.  f and u are computed on first
+    read (``_ClosedFormSample``).
     """
-    f, f_p, f_pp = f_eval(params, r)
-    u1 = (2.0 / 3.0) * f + (1.0 / 3.0) * math.log(12.0 * params.lam)
-    u1_p = (2.0 / 3.0) * f_p
-    u1_pp = (2.0 / 3.0) * f_pp
-    return MetricSample(
-        r=r,
-        f=f,
-        f_p=f_p,
-        f_pp=f_pp,
-        u=(u1, u1, u1),
-        u_p=(u1_p, u1_p, u1_p),
-        u_pp=(u1_pp, u1_pp, u1_pp),
-    )
+    _check_range(params, r)
+    return _ClosedFormSample(params, r)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .curvature import _ricci_radial
 from .errors import ParameterDomainError
-from .model import MetricSample, SolutionParams, _q, metric_eval
+from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import adaptive_simpson
 
 #: Absolute quadrature tolerance for phi accumulation.
@@ -56,7 +56,7 @@ def phi_prime_sq_constraint(sample: MetricSample, lam: float):
 
 def phi_prime_sq_quoted(sample: MetricSample, lam: float):
     """The quoted integrand squared, 2 (lambda - f'^2); may be negative."""
-    return 2.0 * (lam - sample.f_p ** 2)
+    return 2.0 * (lam - sample.f_p_sq)
 
 
 def phi_prime(params: SolutionParams, r):
@@ -88,15 +88,17 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
 def log_noether(params: SolutionParams, sample: MetricSample):
     """log |J| on ``sample.r``, where J = e^f phi' is the first integral.
 
-    f is ``sample.f``, in the printed normalization.  phi'^2 is
-    (2/3) f'', with f'' = k^2 sech^2(q/2) and q = 2kr + 2 log|xi| taken as
+    ``sample`` is a ``metric_eval`` sample, and f is its f, in the printed
+    normalization.  phi'^2 is (2/3) f'', with f'' = k^2 sech^2(q/2) and
+    q = 2kr + 2 log|xi| taken as
 
         log f'' = 2 log k + log 4 - |q| - 2 log1p(e^-|q|),
 
-    which stays finite where f'' itself underflows.  -inf at xi = 0.
+    which stays finite where f'' itself underflows.  |q| and
+    log1p(e^-|q|) are the sample's, the ones its f was composed from.
+    -inf at xi = 0.
     """
-    abs_q = np.abs(_q(params, np.asarray(sample.r, dtype=float)))
-    log_f_pp = 2.0 * math.log(params.k) + math.log(4.0) - abs_q - 2.0 * np.log1p(np.exp(-abs_q))
+    log_f_pp = 2.0 * math.log(params.k) + math.log(4.0) - sample.abs_q - 2.0 * sample.log1p_exp_neg_abs_q
     return sample.f + 0.5 * (math.log(2.0 / 3.0) + log_f_pp)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lbverify.curvature import (
+    _ricci_radial,
     _ricci_transverse,
     alpha_deformation_sample,
     covariant_divergence_radial,
@@ -12,7 +13,7 @@ from lbverify.curvature import (
     ricci_diagonal,
     ricci_diagonal_fd,
 )
-from lbverify.energy_conditions import condition_margins, stress_decompose
+from lbverify.energy_conditions import _condition_minima, condition_margins, stress_decompose
 from lbverify.errors import ParameterDomainError
 from lbverify.model import MetricSample, f_eval, metric_eval, params_from_xi
 from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP
@@ -299,3 +300,68 @@ def test_covariant_divergence_of_static_vector():
     # For sqrt|g| = r^2 and u^r = 1/r^2 the divergence vanishes.
     div = covariant_divergence_radial(lambda r: r * r, lambda r: 1.0 / (r * r), 2.0, FD_FIRST_STEP)
     assert abs(div) < 1e-10
+
+
+def _distinct_axes(sample):
+    """A copy of ``sample`` whose three axes are distinct arrays: it takes the general path."""
+    copies = lambda axes: tuple(np.array(axis, copy=True) for axis in axes)
+    return MetricSample(
+        r=sample.r, f=sample.f, f_p=sample.f_p, f_pp=sample.f_pp,
+        u=copies(sample.u), u_p=copies(sample.u_p), u_pp=copies(sample.u_pp),
+    )
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("lam", (1e-12, 3.0, 1e12))
+@pytest.mark.parametrize("xi", (0.0, 1.0, 1e154))
+@pytest.mark.parametrize("nan", (False, True))
+def test_shared_axis_path_gives_the_general_path_bits(lam, xi, nan):
+    # A metric_eval sample has one array for the three axes, and the curvature
+    # and stress layers compute each per-axis quantity once on it.  A copy
+    # with three distinct arrays goes through the general expressions, which
+    # must give the same bits, NaN included.
+    params = params_from_xi(lam, xi)
+    grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
+    if nan:
+        grid[1000] = np.nan
+    shared = metric_eval(params, grid)
+    general = _distinct_axes(shared)
+    assert shared.u_p[0] is shared.u_p[2] and general.u_p[0] is not general.u_p[2]
+
+    transverse = _ricci_transverse(shared)
+    assert transverse[0] is transverse[1] is transverse[2]
+    for got, want in zip(transverse, _ricci_transverse(general)):
+        assert _same_bits(got, want)
+    assert _same_bits(_ricci_radial(shared), _ricci_radial(general))
+    assert _same_bits(field_residual(shared, lam), field_residual(general, lam))
+    assert np.isnan(field_residual(shared, lam)) == nan
+
+    stress, stress_general = stress_decompose(shared), stress_decompose(general)
+    assert stress.p_z is stress.p_phi and stress_general.p_z is not stress_general.p_phi
+    for name in ("rho", "p_r", "p_phi", "p_z"):
+        assert _same_bits(getattr(stress, name), getattr(stress_general, name)), name
+    margins, margins_general = condition_margins(stress), condition_margins(stress_general)
+    for name in ("nec_r", "nec_phi", "nec_z", "wec_extra", "sec", "dec_r", "dec_phi", "dec_z"):
+        assert _same_bits(getattr(margins, name), getattr(margins_general, name)), name
+    minima, minima_general = _condition_minima(margins), _condition_minima(margins_general)
+    for cond, minimum in minima.items():
+        assert _same_bits(minimum, minima_general[cond]), cond
+
+
+@pytest.mark.parametrize("sigma", (0.25, 1.0))
+def test_levi_civita_vacuum_is_ricci_flat_on_the_fd_path(sigma):
+    # The static Levi-Civita vacuum
+    #   ds^2 = -rho^{4s} dt^2 + rho^{4s(2s-1)} (drho^2 + dz^2) + rho^{2(1-2s)} dphi^2
+    # is Ricci-flat for every s.  Its g_rr is not constant, unlike every
+    # metric of the family, so the g_rr' terms of the finite-difference
+    # oracle are exercised.
+    def metric_fn(rho):
+        rr = rho ** (4.0 * sigma * (2.0 * sigma - 1.0))
+        return (-(rho ** (4.0 * sigma)), rr, rho ** (2.0 * (1.0 - 2.0 * sigma)), rr)
+
+    rho = np.linspace(0.5, 2.0, 61)
+    ricci = ricci_diagonal_fd(metric_fn, rho, 1e-3)
+    assert max(float(np.max(np.abs(r_mm))) for r_mm in ricci) <= 1e-6

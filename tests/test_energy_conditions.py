@@ -7,8 +7,8 @@ from lbverify.energy_conditions import (
     CONDITIONS,
     HOLD_TOL,
     FrameStress,
+    _condition_minima,
     condition_margins,
-    hold_masks,
     hold_tolerance,
     stress_decompose,
 )
@@ -16,6 +16,11 @@ from lbverify.errors import NumericalError
 from lbverify.model import metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import GRID_BLOCK, build_energy_report
+
+
+def _holds(margins, tol):
+    """Per condition, where it holds: every one of its margins is >= -tol, so its minimum is."""
+    return {cond: minimum >= -tol for cond, minimum in _condition_minima(margins).items()}
 
 
 def test_trace_identities_random_points():
@@ -67,7 +72,7 @@ def test_margin_arithmetic():
     assert (margins.nec_r, margins.nec_phi, margins.nec_z) == (2.0, 0.0, 0.0)
     assert margins.sec == 0.0
     assert (margins.dec_r, margins.dec_phi, margins.dec_z) == (0.0, 0.0, 0.0)
-    held = hold_masks(margins, HOLD_TOL)
+    held = _holds(margins, HOLD_TOL)
     assert bool(held["NEC"])
     assert bool(held["SEC"])
     assert bool(held["DEC"])
@@ -87,7 +92,7 @@ def test_z_margins_shared_only_when_p_z_is_p_phi():
     assert np.array_equal(margins.dec_z, stress.rho - np.abs(stress.p_z))
     assert np.all(np.minimum(margins.nec_r, margins.nec_phi) >= -HOLD_TOL)
     assert np.all(np.minimum(margins.dec_r, margins.dec_phi) >= -HOLD_TOL)
-    held = hold_masks(margins, HOLD_TOL)
+    held = _holds(margins, HOLD_TOL)
     assert not held["NEC"].any() and not held["DEC"].any()
 
 
@@ -140,7 +145,7 @@ def test_a_partial_hold_is_a_numerical_error(monkeypatch):
 def _block_masks(params, grid):
     # The hold masks of the report's GRID_BLOCK blocks of 2 blocks + 808 points.
     return [
-        hold_masks(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))), HOLD_TOL)
+        _holds(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))), HOLD_TOL)
         for r in np.split(grid, [GRID_BLOCK, 2 * GRID_BLOCK])
     ]
 
@@ -169,6 +174,20 @@ def test_a_hold_across_both_block_boundaries_is_one_window_interval(monkeypatch)
     for cond in CONDITIONS:
         assert [value for _, value, _ in rows[f"energy-{cond}-holds-fraction"]] == [1.0], cond
         assert [(loc, value) for loc, value, _ in rows[f"energy-{cond}-interval"]] == [("[-1;1]", 2.0)], cond
+
+
+def test_a_nan_margin_is_a_non_finite_row_before_any_hold(monkeypatch):
+    # The hold flags are the least and the largest minimum against the
+    # tolerance; a NaN makes both False.  A NaN margin also makes a margin
+    # row non-finite, and that row raises before the holds are read.
+    def synthetic(sample):
+        r = np.asarray(sample.r, dtype=float)
+        rho = np.where(r > 0.5, np.nan, 1.0)
+        return FrameStress(rho=rho, p_r=0.0 * r, p_phi=0.0 * r, p_z=0.0 * r)
+
+    monkeypatch.setattr(energy_conditions, "stress_decompose", synthetic)
+    with pytest.raises(NumericalError, match="non-finite row value"):
+        build_energy_report(3.0, 1.0, -1.0, 1.0, 41)
 
 
 def test_cli_partial_hold_exits_3(monkeypatch, capsys):

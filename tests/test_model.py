@@ -149,6 +149,11 @@ def test_sample_f_is_f_eval_f():
     assert np.array_equal(s.f, f) and np.array_equal(s.f_p, f_p) and np.array_equal(s.f_pp, f_pp)
     # The exponents sum to 2f + log(12 lambda) in the canonical gauge.
     assert np.allclose(s.f, 0.5 * (s.u[0] + s.u[1] + s.u[2]) - 0.5 * math.log(12.0 * 0.75), rtol=0, atol=1e-14)
+    # f, computed on first read, is the printed closed form
+    # -kr + (1/2) log((c1 e^{2kr} - c2)^2 / (12 lambda)) with c1 = xi^2, c2 = -1.
+    k = params.k
+    printed = -k * grid + 0.5 * np.log((1.3**2 * np.exp(2.0 * k * grid) + 1.0) ** 2 / (12.0 * 0.75))
+    assert np.allclose(s.f, printed, rtol=0, atol=1e-13)
 
 
 def test_w_unit_at_origin_for_vacuum_member():
@@ -195,6 +200,17 @@ def _ulps(value, ref):
         return np.where(value == ref, 0.0, np.abs(value - ref) / np.spacing(np.abs(ref)))
 
 
+def _log1p_exp(q):
+    """f's log(1 + e^q) term, max(q, 0) + log1p(e^-|q|), from the columns of a
+    ``metric_eval`` sample whose q is ``q``: at lambda = 1/12 and xi = 1,
+    k = 1/2 and log|xi| = 0 exactly, so q = 2kr + 2 log|xi| is r."""
+    params = params_from_xi(1.0 / 12.0, 1.0 if np.all(np.isfinite(q)) else 0.0)
+    r = np.where(np.isfinite(q), q, 0.0)
+    sample = model._ClosedFormSample(params, r)
+    assert np.array_equal(sample.q, q)
+    return np.maximum(sample.q, 0.0) + sample.log1p_exp_neg_abs_q
+
+
 def test_log1p_exp_matches_logaddexp():
     # f's log(1 + e^q) term is max(q, 0) + log1p(e^-|q|), with NumPy's array
     # exp/log1p; np.logaddexp rounds the same function through scalar ones.
@@ -203,14 +219,15 @@ def test_log1p_exp_matches_logaddexp():
     # uniform draws in [-40, 40]), so the dense check is against the exact
     # value itself.
     mpmath = pytest.importorskip("mpmath")
-    edges = np.array([-np.inf, 0.0, -0.0])
+    edges = np.array([0.0])
     coarse = np.concatenate([edges, np.arange(-1000.0, 1001.0)])
-    assert np.max(_ulps(model._log1p_exp(coarse), np.logaddexp(0.0, coarse))) <= 1.0
-    assert model._log1p_exp(np.float64(-np.inf)) == 0.0
+    assert np.max(_ulps(_log1p_exp(coarse), np.logaddexp(0.0, coarse))) <= 1.0
+    # At xi = 0, q = -inf and the term is exactly 0.
+    assert _log1p_exp(np.array([-np.inf])) == 0.0
     dense = np.random.default_rng(2718).uniform(-40.0, 40.0, 4000)
     with mpmath.workdps(40):
         exact = np.array([float(mpmath.log1p(mpmath.exp(mpmath.mpf(q)))) for q in dense.tolist()])
-    assert np.max(_ulps(model._log1p_exp(dense), exact)) <= 2.0
+    assert np.max(_ulps(_log1p_exp(dense), exact)) <= 2.0
 
 
 def test_ricci_diagonal_is_exp_u_times_mixed_components():
@@ -245,10 +262,12 @@ def test_ricci_diagonal_is_exp_u_times_mixed_components():
 
 
 def test_w_eval_never_evaluates_f_value(monkeypatch):
+    # The value of f is the only log1p of the model: w_eval and w_value never
+    # take it, and a metric_eval sample takes it once, when its f is first read.
     calls = []
 
     def counted(name):
-        original = getattr(model, name)
+        original = getattr(np, name)
 
         def fn(*args):
             calls.append(name)
@@ -256,8 +275,8 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
 
         return fn
 
-    for name in ("f_eval", "_log1p_exp"):
-        monkeypatch.setattr(model, name, counted(name))
+    monkeypatch.setattr(model, "f_eval", lambda *args: calls.append("f_eval"))
+    monkeypatch.setattr(np, "log1p", counted("log1p"))
     params = params_from_xi(3.0, 0.7)
     w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
     w_eval(params, 0.3)
@@ -265,7 +284,10 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
     w_value(params, 0.3)
     assert calls == []
     s = metric_eval(params, np.linspace(-2.0, 2.0, 17))
-    assert calls == ["f_eval", "_log1p_exp"]
+    assert calls == []
+    f = s.f
+    assert s.f is f and s.u[0] is s.u[2]
+    assert calls == ["log1p"]
     s_w = w_value(params, s.r)
     assert np.allclose(w, s_w, rtol=1e-14, atol=0.0)
     assert np.allclose(w_p, s_w * s.u_p[0], rtol=1e-14, atol=0.0)
@@ -309,6 +331,19 @@ def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
     assert calls == [4096, 4096, 808]
 
 
+def test_verify_w_row_is_the_whole_grid_value_across_the_w_branch():
+    # At xi = 1e130, xi^2 e^{6r/a} passes e^709 at r = 18.38 a.  On
+    # [17a, 19a] the whole grid takes w_value's log|xi| branch, while the
+    # first 4096-point block alone, reaching 17.9 a, would take the direct
+    # one, which rounds the minimum of w 4 ulps apart.  Each block takes the
+    # window's branch, so the row is the whole-grid value.
+    params = params_from_xi(3.0, 1e130)
+    grid = np.linspace(17.0, 19.0, 9000)
+    rows = {row.check: row for row in suites.build_verify_report(3.0, 1e130, 17.0, 19.0, 9000).rows}
+    assert rows["w-positivity-min"].value == w_value(params, grid).min()
+    assert w_value(params, grid[: suites.GRID_BLOCK]).min() != rows["w-positivity-min"].value
+
+
 def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
     from lbverify.curvature import field_residual
     from lbverify.energy_conditions import stress_decompose
@@ -326,6 +361,52 @@ def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
     assert field_residual(sample, params.lam) <= 1e-13
     stress_decompose(sample)
     assert calls == []
+
+
+def _block_transcendentals(monkeypatch, build, samples):
+    """{name: calls} of np.exp, np.log1p and np.tanh on arrays of GRID_BLOCK points or more."""
+    calls = {"exp": 0, "log1p": 0, "tanh": 0}
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def fn(x, *args, **kwargs):
+            if np.size(x) >= suites.GRID_BLOCK:
+                calls[name] += 1
+            return original(x, *args, **kwargs)
+
+        return fn
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(np, name, counted(name))
+        build(samples=samples)
+    return calls
+
+
+@pytest.mark.parametrize(("lam", "xi"), [(3.0, 1.0), (0.75, 0.0), (12.0, 1e154)])
+def test_dense_blocks_keep_their_transcendental_budget(monkeypatch, lam, xi):
+    # Per block, energy takes the exp of f'' and the tanh of f' alone, and
+    # verify adds the exp and log1p of f (shared with log J), the exp of J
+    # and the two exps of w.
+    blocks = 3
+    samples = blocks * suites.GRID_BLOCK
+    energy = _block_transcendentals(monkeypatch, lambda **kw: suites.build_energy_report(lam, xi, **kw), samples)
+    assert energy["exp"] <= blocks and energy["tanh"] <= blocks and energy["log1p"] == 0, energy
+    verify = _block_transcendentals(monkeypatch, lambda **kw: suites.build_verify_report(lam, xi, **kw), samples)
+    assert verify["exp"] <= 5 * blocks and verify["log1p"] <= blocks and verify["tanh"] <= blocks, verify
+
+
+def test_energy_report_reads_no_value_column(monkeypatch):
+    def unread(self):
+        raise AssertionError("an energy block read f or u")
+
+    for name in ("f", "u"):
+        monkeypatch.setattr(model._ClosedFormSample, name, property(unread))
+    rows = {row.check: row for row in suites.build_energy_report(3.0, 1.0, samples=9000).rows}
+    assert rows["radial-null-vs-gradient-sq"].verdict == "pass"
+    with pytest.raises(AssertionError, match="read f or u"):
+        metric_eval(params_from_xi(3.0, 1.0), 0.5).f
 
 
 def test_w_positive_everywhere():
@@ -420,18 +501,18 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every metric_eval passes through f_eval (w_eval does not, and neither
-    # builder calls it): record the arrays it evaluates.  Beside the report
-    # grid, verify only evaluates the 25-point Ricci stencils, and energy
-    # evaluates nothing else.
+    # Every metric_eval sample is a _ClosedFormSample (w_eval builds none,
+    # and neither builder calls it): record the arrays they are built on.
+    # Beside the report grid, verify only evaluates the 25-point Ricci
+    # stencils, and energy evaluates nothing else.
     arrays = []
-    core = model.f_eval
+    core = model._ClosedFormSample.__init__
 
-    def recording(params, r):
+    def recording(self, params, r):
         arrays.append(np.array(r))
-        return core(params, r)
+        core(self, params, r)
 
-    monkeypatch.setattr(model, "f_eval", recording)
+    monkeypatch.setattr(model._ClosedFormSample, "__init__", recording)
     for samples in (9000, 65536):
         grid = np.linspace(-2.0, 2.0, samples)
         for build in (suites.build_energy_report, suites.build_verify_report):
