@@ -8,11 +8,18 @@ Provides the diagonal Ricci tensor along two routes that share no code:
 
 The closed forms are mixed components R^m_n.  For this ansatz they contain
 no metric factor: R^n_n = (2 u_n'' + u_n' s)/4 on the non-radial axes, with
-s = u1' + u2' + u3', and R^r_r = R_rr.  The field residual and the frame
-stresses read them directly, so neither carries the rounding of e^u (about
+s = u1' + u2' + u3', and R^r_r = R_rr.  ``ricci_mixed`` computes the four
+of them once per sample, and the field residual, phi'^2 and the frame
+stresses read that one product, so none carries the rounding of e^u (about
 xi^(4/3) at large xi).  ``ricci_diagonal`` lowers them to the covariant
 components R_mn = g_mm R^m_m for the comparison with the finite-difference
 route, which works in covariant components.
+
+The three non-radial axes of a ``metric_eval`` sample hold one array.  This
+module alone acts on that: ``ricci_mixed`` and ``field_residual`` compute a
+per-axis quantity once for the three axes, with the bits the general
+expressions give, and hand on components that are one array.  Every other
+layer reads the components through the general expressions.
 
 Sign convention (fixed, not an option): components are reported in the
 convention for which the field equations of this family read
@@ -32,7 +39,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import ParameterDomainError
-from .model import MetricSample, SolutionParams, f_eval, metric_eval
+from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import central_diff, five_point_diffs, rk4
 
 
@@ -63,33 +70,32 @@ def _axis_sum(axes):
     return 3.0 * axes[0] if _one_array(axes) else axes[0] + axes[1] + axes[2]
 
 
-def _ricci_transverse(sample: MetricSample):
-    """Closed-form mixed components of the non-radial axes (R^t_t, R^phi_phi, R^z_z).
+def ricci_mixed(sample: MetricSample):
+    """Closed-form mixed diagonal Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z).
 
-    When the three axes hold the same (u', u'') arrays, as every
-    ``metric_eval`` sample does, they share one bracket, computed once.
-    Callers treat the three components as values, which the general
-    expression would give bit for bit.
+    R^n_n = (2 u_n'' + u_n' s)/4 on the non-radial axes, with
+    s = u1' + u2' + u3', and R^r_r = sum(u_i'')/2 + sum(u_i'^2)/4.  When
+    the three axes hold the same (u', u'') arrays, as every ``metric_eval``
+    sample does, the non-radial components are one array, computed once,
+    and so is u'^2.  Callers treat the four components as values, which the
+    general expressions would give bit for bit.
     """
     s = _axis_sum(sample.u_p)
-    return _per_axis(lambda up, upp: 0.25 * (2.0 * upp + up * s), sample.u_p, sample.u_pp)
-
-
-def _ricci_radial(sample: MetricSample):
-    """Closed-form R^r_r = R_rr."""
+    r_tt, r_pp, r_zz = _per_axis(lambda up, upp: 0.25 * (2.0 * upp + up * s), sample.u_p, sample.u_pp)
     squares = _per_axis(lambda up: up**2, sample.u_p)
-    return 0.5 * _axis_sum(sample.u_pp) + 0.25 * _axis_sum(squares)
+    r_rr = 0.5 * _axis_sum(sample.u_pp) + 0.25 * _axis_sum(squares)
+    return r_tt, r_rr, r_pp, r_zz
 
 
 def ricci_diagonal(sample: MetricSample):
     """Closed-form covariant diagonal Ricci (R_tt, R_rr, R_phiphi, R_zz).
 
-    The mixed components lowered by (g_tt, g_rr, g_phiphi, g_zz) =
+    ``ricci_mixed``'s components lowered by (g_tt, g_rr, g_phiphi, g_zz) =
     (-e^{u1}, 1, e^{u2}, e^{u3}).
     """
-    r_tt, r_pp, r_zz = _ricci_transverse(sample)
+    r_tt, r_rr, r_pp, r_zz = ricci_mixed(sample)
     u1, u2, u3 = sample.u
-    return -np.exp(u1) * r_tt, _ricci_radial(sample), np.exp(u2) * r_pp, np.exp(u3) * r_zz
+    return -np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
 
 
 def ricci_diagonal_fd(metric_fn: Callable, r, h):
@@ -121,15 +127,15 @@ def ricci_diagonal_fd(metric_fn: Callable, r, h):
     return tuple(-ricci_std)
 
 
-def field_residual(sample: MetricSample, lam: float) -> float:
-    """max |R^m_m - lambda| over the t, phi and z axes of an arbitrary sample.
+def field_residual(ricci, lam: float) -> float:
+    """max |R^m_m - lambda| over the t, phi and z axes of ``ricci_mixed``'s components.
 
-    The non-radial mixed components carry no metric factor.  The rr
-    equation R^r_r - lambda = phi'^2 is not checked: it is what defines
-    phi'^2 (``phi_prime_sq_constraint`` returns R^r_r - lambda), so its
-    residual is 0 by construction.  A NaN component makes the result NaN.
+    The rr equation R^r_r - lambda = phi'^2 is not checked: it is what
+    defines phi'^2 (``phi_prime_sq_constraint`` returns R^r_r - lambda), so
+    its residual is 0 by construction.  A NaN component makes the result NaN.
     """
-    return float(np.max(_per_axis(lambda r_mm: np.abs(r_mm - lam).max(), _ricci_transverse(sample))))
+    r_tt, _, r_pp, r_zz = ricci
+    return float(np.max(_per_axis(lambda r_mm: np.abs(r_mm - lam).max(), (r_tt, r_pp, r_zz))))
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
@@ -140,7 +146,8 @@ def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
     """
     if steps < 16:
         raise ParameterDomainError(f"need at least 16 steps, got {steps}")
-    f0, fp0, _ = f_eval(params, r0)
+    start = metric_eval(params, r0)
+    f0, fp0 = start.f, start.f_p
     if r0 == r1:
         return np.array([r0]), np.array([f0]), np.array([fp0])
     three_lam = 3.0 * params.lam

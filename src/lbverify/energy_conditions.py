@@ -19,13 +19,11 @@ hold pointwise, so the transverse null margins saturate, the strong-energy
 margin is the constant -2 lambda (violated for every lambda > 0), and the
 radial null margin equals the scalar-field gradient squared.
 
-The stress takes a ``MetricSample`` that the caller evaluates once per grid
-block.  On a ``metric_eval`` sample the three non-radial Ricci components are
-one array, so rho + p_phi and rho + p_z are exact zeros there, and the
-shared-axis path computes p_phi, its margins and its share of each minimum
-once for the phi and z axes: p_z, the z margins and their minima are the phi
-ones, bit for bit what the general expressions give.  Samples with distinct
-axes (``alpha_deformation_sample``) take the general path.
+The stress takes ``curvature.ricci_mixed``'s four components, which the
+caller computes once per grid block.  On a ``metric_eval`` sample the three
+non-radial components are one array, so rho + p_phi and rho + p_z are exact
+zeros there.  The expressions below are the general ones for every sample:
+whether axes share an array is known to the curvature layer alone.
 Margins are the primitive output; whether a condition holds derives from its
 minimum margin (``_condition_minima``) and the single tolerance
 ``hold_tolerance(lambda)``, so that marginal saturation stays visible.  Every
@@ -42,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _ricci_radial, _ricci_transverse
-from .model import MetricSample
 from .numerics import EPS
 
 #: ``hold_tolerance`` for lambda from HOLD_TOL to about 1126; below it the tolerance is lambda.
@@ -74,39 +70,27 @@ class ConditionMargins:
     dec_z: float | np.ndarray
 
 
-def stress_decompose(sample: MetricSample) -> FrameStress:
-    """Orthonormal-frame (rho, p_r, p_phi, p_z) from the mixed curvature oracle."""
-    r_tt, r_pp, r_zz = _ricci_transverse(sample)
-    r_rr = _ricci_radial(sample)
+def stress_decompose(ricci) -> FrameStress:
+    """Orthonormal-frame (rho, p_r, p_phi, p_z) from the mixed Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z)."""
+    r_tt, r_rr, r_pp, r_zz = ricci
     half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
-    p_phi = r_pp - half_r
-    p_z = p_phi if r_zz is r_pp else r_zz - half_r
-    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=p_phi, p_z=p_z)
+    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=r_pp - half_r, p_z=r_zz - half_r)
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:
     """Pure arithmetic margins of the four classical conditions, one per axis."""
     rho = stress.rho
     nec_r = rho + stress.p_r
-    nec_phi = rho + stress.p_phi
-    dec_phi = rho - np.abs(stress.p_phi)
-    shared = stress.p_z is stress.p_phi
     return ConditionMargins(
         nec_r=nec_r,
-        nec_phi=nec_phi,
-        nec_z=nec_phi if shared else rho + stress.p_z,
+        nec_phi=rho + stress.p_phi,
+        nec_z=rho + stress.p_z,
         wec_extra=rho,
         sec=nec_r + stress.p_phi + stress.p_z,
         dec_r=rho - np.abs(stress.p_r),
-        dec_phi=dec_phi,
-        dec_z=dec_phi if shared else rho - np.abs(stress.p_z),
+        dec_phi=rho - np.abs(stress.p_phi),
+        dec_z=rho - np.abs(stress.p_z),
     )
-
-
-def _min3(a, b, c):
-    """np.minimum of three margins; np.minimum(x, x) is x, so a z margin that is the phi one is skipped."""
-    least = np.minimum(a, b)
-    return least if c is b else np.minimum(least, c)
 
 
 def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
@@ -114,8 +98,8 @@ def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray
 
     A condition holds at r iff its minimum there is >= -``hold_tolerance``.
     """
-    nec = _min3(margins.nec_r, margins.nec_phi, margins.nec_z)
-    dec = _min3(margins.dec_r, margins.dec_phi, margins.dec_z)
+    nec = np.minimum(np.minimum(margins.nec_r, margins.nec_phi), margins.nec_z)
+    dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
     return {
         "NEC": nec,
         "WEC": np.minimum(nec, margins.wec_extra),

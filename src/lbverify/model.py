@@ -66,18 +66,19 @@ class MetricSample:
     """All radial profile quantities at one radius (or one grid).
 
     r        the radius or radii
-    f        ``f_eval``'s f, in its printed normalization; f_p and f_pp
-             are its f' and f''
+    f        f in its printed normalization
+             -kr + (1/2) log((c1 e^{2kr} - c2)^2 / (12 lambda)); f_p and
+             f_pp are its f' and f'', with f'' + f'^2 = 3 lambda
     u        the exponents (u1, u2, u3) of g_tt = -e^{u1}, g_phiphi = e^{u2},
              g_zz = e^{u3}; u_p and u_pp are their r-derivatives
 
     Axes that hold the same arrays, as all three do in a ``metric_eval``
-    sample, take the shared-axis path of the curvature and stress layers:
-    each per-axis quantity is computed once and serves the three axes, with
-    the bits the general path gives.  ``metric_eval`` also leaves the value
-    columns f and u, which the curvature layers never read, to be computed
-    on first read (see ``_ClosedFormSample``); f_p_sq is computed on first
-    read on every sample.
+    sample, take the shared-axis path of ``curvature.ricci_mixed``, the only
+    code that acts on it: each per-axis quantity is computed once and serves
+    the three axes, with the bits the general path gives.  ``metric_eval``
+    also leaves the value columns f and u, which the curvature layers never
+    read, to be computed on first read (see ``_ClosedFormSample``); f_p_sq
+    is computed on first read on every sample.
 
     The sample carries no metric factor e^u and no conformal factor w:
     the curvature layers read mixed components, which need neither, and w
@@ -174,18 +175,6 @@ def _sech_sq(x):
     """Stable sech(x)^2 for any real x."""
     e = np.exp(-np.abs(x))
     return (2.0 * e / (1.0 + e * e)) ** 2
-
-
-def f_eval(params: SolutionParams, r):
-    """Closed-form (f, f', f'') at r, in the printed normalization.
-
-    f'  = k (c1 E + c2)/(c1 E - c2),  E = e^{2kr}
-    f'' = -4 k^2 c1 c2 E / (c1 E - c2)^2
-    so f'' + f'^2 = 3 lambda identically.  These are the columns of
-    ``metric_eval``'s sample, whose f is -kr + log(1 + e^q) - log(12 lambda)/2.
-    """
-    sample = metric_eval(params, r)
-    return sample.f, sample.f_p, sample.f_pp
 
 
 def _q(params: SolutionParams, r):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _ricci_radial
+from .curvature import ricci_mixed
 from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import adaptive_simpson
@@ -45,13 +45,13 @@ class ScalarProfile:
     noether: np.ndarray
 
 
-def phi_prime_sq_constraint(sample: MetricSample, lam: float):
-    """phi'^2 from the rr constraint, R^r_r - lambda.
+def phi_prime_sq_constraint(ricci, lam: float):
+    """phi'^2 from the rr constraint, R^r_r - lambda, on ``ricci_mixed``'s components.
 
     May return a negative value for a non-solution sample; that is a flag
     for the caller, not an exception.
     """
-    return _ricci_radial(sample) - lam
+    return ricci[1] - lam
 
 
 def phi_prime_sq_quoted(sample: MetricSample, lam: float):
@@ -61,7 +61,7 @@ def phi_prime_sq_quoted(sample: MetricSample, lam: float):
 
 def phi_prime(params: SolutionParams, r):
     """phi'(r) = sqrt(phi'^2_constraint) on the + branch."""
-    val = phi_prime_sq_constraint(metric_eval(params, r), params.lam)
+    val = phi_prime_sq_constraint(ricci_mixed(metric_eval(params, r)), params.lam)
     return np.sqrt(np.maximum(val, 0.0))
 
 
@@ -72,7 +72,7 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
     """
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        val = phi_prime_sq_constraint(metric_eval(params, r), params.lam)
+        val = phi_prime_sq_constraint(ricci_mixed(metric_eval(params, r)), params.lam)
         bad = val < -_NEGATIVE_NOISE
         if np.any(bad):
             i = np.argmax(bad)
@@ -118,7 +118,7 @@ def scalar_profile(params: SolutionParams, sample: MetricSample) -> ScalarProfil
     Only the cell midpoints take a second model evaluation; the first
     integral is composed from ``sample`` by ``log_noether``."""
     r_grid = sample.r
-    constraint = np.asarray(phi_prime_sq_constraint(sample, params.lam))
+    constraint = np.asarray(phi_prime_sq_constraint(ricci_mixed(sample), params.lam))
     phi_p = np.sqrt(np.maximum(constraint, 0.0))
     # Simpson over each cell using midpoints.
     mids = 0.5 * (r_grid[:-1] + r_grid[1:])

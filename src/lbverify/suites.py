@@ -23,6 +23,7 @@ from .curvature import (
     field_residual,
     ricci_diagonal,
     ricci_diagonal_fd,
+    ricci_mixed,
 )
 from .errors import NumericalError, ParameterDomainError
 from .numerics import FD_FIRST_STEP, FD_PAIR_STEP, central_diff
@@ -137,7 +138,8 @@ def build_verify_report(
         sum_up = sample.u_p[0] + sample.u_p[1] + sample.u_p[2]
         eq_three = 2.0 * sample.u_pp[0] + sample.u_p[0] * sum_up - 4.0 * lam
         fold["exponent-system-residual"].append(_max_abs(eq_three))
-        fold["field-equation-residual"].append(field_residual(sample, lam))
+        ricci = ricci_mixed(sample)
+        fold["field-equation-residual"].append(field_residual(ricci, lam))
         log_j = scalar_field.log_noether(params, sample)
         if xi != 0.0:
             # J / |xi| is O(1) for every xi; the constancy ratio is scale-free.
@@ -147,7 +149,7 @@ def build_verify_report(
             fold["noether-sum"].append(j.sum())
         else:
             fold["noether-zero"].append(_max_abs(np.exp(log_j)))
-        constraint = scalar_field.phi_prime_sq_constraint(sample, lam)
+        constraint = scalar_field.phi_prime_sq_constraint(ricci, lam)
         quoted = scalar_field.phi_prime_sq_quoted(sample, lam)
         fold["scalar-gradient-sq-min"].append(constraint.min())
         fold["w-positivity-min"].append(model._w_value(params, sample.r, reach).min())
@@ -233,8 +235,9 @@ def build_energy_report(
     hold_tol = ec.hold_tolerance(lam)
     fold = defaultdict(list)
     for sample in _grid_samples(params, grid):
-        margins = ec.condition_margins(ec.stress_decompose(sample))
-        phi_sq = scalar_field.phi_prime_sq_constraint(sample, lam)
+        ricci = ricci_mixed(sample)
+        margins = ec.condition_margins(ec.stress_decompose(ricci))
+        phi_sq = scalar_field.phi_prime_sq_constraint(ricci, lam)
         fold["transverse-null-margin-phi"].append(_max_abs(margins.nec_phi))
         fold["transverse-null-margin-z"].append(_max_abs(margins.nec_z))
         fold["strong-margin-constant"].append(_strong_margin_error(margins, lam))
@@ -459,10 +462,11 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         params, r_min, r_max = _window(lam, xi, None, None, samples, 2.0)
         grid = np.linspace(r_min, r_max, samples)
         sample = model.metric_eval(params, grid)
-        margins = ec.condition_margins(ec.stress_decompose(sample))
+        ricci = ricci_mixed(sample)
+        margins = ec.condition_margins(ec.stress_decompose(ricci))
         member_rows = (
             ("f-ode-residual", _f_ode_residual(sample, lam), _F_ODE_TOL),
-            ("field-equation-residual", field_residual(sample, lam), _FIELD_EQUATION_TOL),
+            ("field-equation-residual", field_residual(ricci, lam), _FIELD_EQUATION_TOL),
             ("strong-margin-constant", _strong_margin_error(margins, lam), _STRONG_MARGIN_TOL),
         )
         profile = None

@@ -25,9 +25,9 @@ from lbverify.congruence import (
     tortoise_quadrature,
     tortoise_series,
 )
-from lbverify.curvature import field_residual, ode_integrate_f
+from lbverify.curvature import field_residual, ode_integrate_f, ricci_mixed
 from lbverify.energy_conditions import condition_margins, stress_decompose
-from lbverify.model import f_eval, metric_eval, params_from_xi, w_eval
+from lbverify.model import metric_eval, params_from_xi, w_eval
 from lbverify.numerics import FD_FIRST_STEP, central_diff
 from lbverify.scalar_field import noether_charge, phi_prime_sq_constraint, scalar_profile
 from lbverify.special_functions import gauss_2f1_pfaff, gauss_2f1_series, hyp2f1
@@ -68,7 +68,7 @@ def test_criterion_02_field_equation_residual():
         for xi in XIS:
             params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, GRID_SAMPLES)
-            worst = max(worst, field_residual(metric_eval(params, grid), params.lam))
+            worst = max(worst, field_residual(ricci_mixed(metric_eval(params, grid)), params.lam))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 5.0
     _report("2", ok, f"componentwise max {worst:.3e}, {elapsed:.2f}s")
@@ -78,7 +78,7 @@ def test_criterion_03_ode_oracle():
     params = params_from_xi(3.0, 1.0)
     span = 2.0 * params.a
     _, fs, _ = ode_integrate_f(params, 0.0, span, 10_000)
-    f_end, _, _ = f_eval(params, span)
+    f_end = metric_eval(params, span).f
     endpoint_err = abs(fs[-1] - f_end)
     steps = [100, 200, 400, 800]
     errors = []
@@ -145,9 +145,9 @@ def test_criterion_06_energy_condition_margins():
         for xi in XIS:
             params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, GRID_SAMPLES)
-            stress = stress_decompose(metric_eval(params, grid))
-            margins = condition_margins(stress)
-            phi_sq = phi_prime_sq_constraint(metric_eval(params, grid), lam)
+            ricci = ricci_mixed(metric_eval(params, grid))
+            margins = condition_margins(stress_decompose(ricci))
+            phi_sq = phi_prime_sq_constraint(ricci, lam)
             worst_phi = max(worst_phi, float(np.max(np.abs(margins.nec_phi))))
             worst_z = max(worst_z, float(np.max(np.abs(margins.nec_z))))
             worst_sec = max(worst_sec, float(np.max(np.abs(margins.sec + 2.0 * lam))))

@@ -317,6 +317,25 @@ def test_focusing_polynomial_errors():
         focusing_polynomial(-0.5, 0.0)  # y = |x|^3 cancels x^3
 
 
+def test_focusing_polynomial_noise_band_edge():
+    # y^2 = x^6 - 4 b^2 x^3 vanishes at x0 = cbrt(4 b^2).  Just below x0 it
+    # is cancellation noise, clamped down to -8 eps S with
+    # S = |x|^6 + 4 b^2 |x|^3.  At b = 0.25, 6 ulps below x0 y^2 is
+    # -7.0 eps S (clamped) and 7 ulps below it is -8.25 eps S (a domain
+    # error).  A band that read S with 4 b^2 / |x|^3 would be 8.5 times as
+    # wide here and accept both.
+    b = 0.25
+    x0 = np.cbrt(4.0 * b * b)
+    eps = np.finfo(float).eps
+    for ulps, ratio in ((6, -7.0), (7, -8.25)):
+        x = x0 - ulps * np.spacing(x0)
+        scale = np.abs(x) ** 6 + 4.0 * b * b * np.abs(x) ** 3
+        assert (x**6 - 4.0 * b * b * x**3) / (eps * scale) == pytest.approx(ratio, rel=1e-12)
+    assert np.isfinite(focusing_polynomial(x0 - 6 * np.spacing(x0), b))
+    with pytest.raises(ParameterDomainError, match=r"y\^2 = .* < 0"):
+        focusing_polynomial(x0 - 7 * np.spacing(x0), b)
+
+
 def test_roots_none_for_b_zero():
     assert focusing_polynomial_roots(0.0) == ()
     # The reduction's minimum, at its vertex x = 91/108, is -D / (24 * 54)

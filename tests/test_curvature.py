@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from lbverify.curvature import (
-    _ricci_radial,
-    _ricci_transverse,
     alpha_deformation_sample,
     covariant_divergence_radial,
     field_residual,
     ode_integrate_f,
     ricci_diagonal,
     ricci_diagonal_fd,
+    ricci_mixed,
 )
 from lbverify.energy_conditions import _condition_minima, condition_margins, stress_decompose
 from lbverify.errors import ParameterDomainError
-from lbverify.model import MetricSample, f_eval, metric_eval, params_from_xi
+from lbverify.model import MetricSample, metric_eval, params_from_xi
 from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import build_verify_report
@@ -73,7 +72,7 @@ def test_rr_component_reproduces_constraint():
     for r in (-1.5, 0.0, 0.8):
         sample = metric_eval(params, r)
         _, r_rr, _, _ = ricci_diagonal(sample)
-        assert abs((r_rr - params.lam) - phi_prime_sq_constraint(sample, params.lam)) < 1e-9
+        assert abs((r_rr - params.lam) - phi_prime_sq_constraint(ricci_mixed(sample), params.lam)) < 1e-9
 
 
 @pytest.mark.parametrize("lam,xi", [(0.75, 0.5), (3.0, 1.0), (12.0, 2.0)])
@@ -89,7 +88,7 @@ def test_exponent_system_reproduced(lam, xi):
 
 def test_field_residual_exact_solution():
     params = params_from_xi(3.0, 1.0)
-    assert field_residual(metric_eval(params, 0.0), params.lam) < 1e-9
+    assert field_residual(ricci_mixed(metric_eval(params, 0.0)), params.lam) < 1e-9
 
 
 def test_field_residual_vacuum_member():
@@ -97,7 +96,7 @@ def test_field_residual_vacuum_member():
     # exactly (within rounding): this is the scalar-free adjudication.
     params = params_from_xi(3.0, 0.0)
     grid = np.linspace(-2.0, 2.0, 1024)
-    assert field_residual(metric_eval(params, grid), params.lam) < 1e-12
+    assert field_residual(ricci_mixed(metric_eval(params, grid)), params.lam) < 1e-12
 
 
 def test_field_residual_detects_corruption():
@@ -109,7 +108,7 @@ def test_field_residual_detects_corruption():
         u_p=(s.u_p[0] * 1.01, s.u_p[1], s.u_p[2]),
         u_pp=(s.u_pp[0] * 1.01, s.u_pp[1], s.u_pp[2]),
     )
-    assert field_residual(corrupted, params.lam) > 1e-3
+    assert field_residual(ricci_mixed(corrupted), params.lam) > 1e-3
 
 
 @pytest.mark.parametrize("xi", (1e4, 1e8, 1e10))
@@ -119,7 +118,7 @@ def test_field_residual_free_of_metric_rounding_at_large_xi(xi):
     # tolerance); the mixed components contain no metric factor.
     params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
-    assert field_residual(metric_eval(params, grid), params.lam) <= 1e-13
+    assert field_residual(ricci_mixed(metric_eval(params, grid)), params.lam) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -143,14 +142,15 @@ def test_mixed_components_match_covariant_on_distinct_axes(form, r):
         want = covariant / g_mm
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), lam))
 
-    mixed_tt, mixed_pp, mixed_zz = _ricci_transverse(s)
+    mixed = ricci_mixed(s)
+    mixed_tt, _, mixed_pp, mixed_zz = mixed
     close(mixed_tt - lam, r_tt - lam * g_tt, g_tt)
-    close(phi_prime_sq_constraint(s, lam), r_rr - lam, 1.0)
+    close(phi_prime_sq_constraint(mixed, lam), r_rr - lam, 1.0)
     close(mixed_pp - lam, r_pp - lam * g_pp, g_pp)
     close(mixed_zz - lam, r_zz - lam * g_zz, g_zz)
 
     ricci_scalar = r_tt / g_tt + r_rr + r_pp / g_pp + r_zz / g_zz
-    stress = stress_decompose(s)
+    stress = stress_decompose(mixed)
     close(stress.rho, r_tt - 0.5 * ricci_scalar * g_tt, -g_tt)
     close(stress.p_r, r_rr - 0.5 * ricci_scalar, 1.0)
     close(stress.p_phi, r_pp - 0.5 * ricci_scalar * g_pp, g_pp)
@@ -168,28 +168,14 @@ def test_field_residual_max_is_over_tt_phi_z(deformed):
     params = params_from_xi(3.0, 1.0)
     r = np.linspace(-2.0, 2.0, 65)
     s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan") if deformed else metric_eval(params, r)
-    res = field_residual(s, params.lam)
+    mixed = ricci_mixed(s)
+    res = field_residual(mixed, params.lam)
     assert isinstance(res, float)
     r_rr = ricci_diagonal(s)[1]
-    assert np.all(r_rr - params.lam - phi_prime_sq_constraint(s, params.lam) == 0.0)
-    axes = tuple(r_mm - params.lam for r_mm in _ricci_transverse(s))
+    assert np.all(r_rr - params.lam - phi_prime_sq_constraint(mixed, params.lam) == 0.0)
+    r_tt, _, r_pp, r_zz = mixed
+    axes = tuple(r_mm - params.lam for r_mm in (r_tt, r_pp, r_zz))
     assert res == max(float(np.max(np.abs(res_m))) for res_m in axes)
-
-
-def test_field_residual_does_not_build_radial_component(monkeypatch):
-    # R^r_r is read by ricci_diagonal and stress_decompose only.
-    from lbverify import curvature
-
-    params = params_from_xi(3.0, 1.0)
-    s = metric_eval(params, np.linspace(-2.0, 2.0, 65))
-    want = field_residual(s, params.lam)
-
-    def unexpected(sample):
-        raise AssertionError("field_residual built R^r_r")
-
-    monkeypatch.setattr(curvature, "_ricci_radial", unexpected)
-    got = field_residual(s, params.lam)
-    assert got == want
 
 
 def test_transverse_null_margins_exactly_zero_on_shared_axes():
@@ -199,29 +185,29 @@ def test_transverse_null_margins_exactly_zero_on_shared_axes():
     # rows keep auditing distinct-axis samples, as in the test above.
     params = params_from_xi(3.0, 0.7)
     grid = np.linspace(-2.0, 2.0, 257)
-    margins = condition_margins(stress_decompose(metric_eval(params, grid)))
+    margins = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, grid))))
     assert np.all(margins.nec_phi == 0.0) and np.all(margins.nec_z == 0.0)
 
 
 def test_ode_degenerate_interval():
     params = params_from_xi(3.0, 1.0)
     rs, fs, fps = ode_integrate_f(params, 0.5, 0.5, 100)
-    f0, fp0, _ = f_eval(params, 0.5)
+    start = metric_eval(params, 0.5)
     assert rs.tolist() == [0.5]
-    assert fs[0] == f0 and fps[0] == fp0
+    assert fs[0] == start.f and fps[0] == start.f_p
 
 
 def test_ode_matches_closed_form():
     params = params_from_xi(3.0, 1.0)
     rs, fs, fps = ode_integrate_f(params, 0.0, 2.0, 10_000)
-    f_end, fp_end, _ = f_eval(params, 2.0)
-    assert abs(fs[-1] - f_end) < 1e-7
-    assert abs(fps[-1] - fp_end) < 1e-7
+    end = metric_eval(params, 2.0)
+    assert abs(fs[-1] - end.f) < 1e-7
+    assert abs(fps[-1] - end.f_p) < 1e-7
 
 
 def test_ode_convergence_order():
     params = params_from_xi(3.0, 1.0)
-    f_end, _, _ = f_eval(params, 2.0)
+    f_end = metric_eval(params, 2.0).f
     steps = [100, 200, 400, 800]
     errors = []
     for n in steps:
@@ -237,11 +223,15 @@ def test_ode_too_few_steps():
         ode_integrate_f(params, 0.0, 1.0, 8)
 
 
+def _deformed_residual(params, alpha, r, form="printed"):
+    """field_residual of ``alpha_deformation_sample(params, alpha, r, form)``."""
+    return field_residual(ricci_mixed(alpha_deformation_sample(params, alpha, r, form)), params.lam)
+
+
 def test_deformation_zero_reduces_to_base():
     params = params_from_xi(3.0, 1.0)
-    res = field_residual(alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4), params.lam)
-    assert res < 1e-8
     sample = alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4)
+    assert field_residual(ricci_mixed(sample), params.lam) < 1e-8
     base = metric_eval(params, 0.4)
     assert sample.u == base.u
 
@@ -252,7 +242,7 @@ def test_deformation_printed_form_breaks_equations_linearly():
     params = params_from_xi(3.0, 1.0)
     eps_values = (1e-2, 1e-3, 1e-4)
     residuals = [
-        field_residual(alpha_deformation_sample(params, (e, -e, 0.0), -1.0, form="printed"), params.lam)
+        _deformed_residual(params, (e, -e, 0.0), -1.0, form="printed")
         for e in eps_values
     ]
     assert all(res > 0.0 for res in residuals)
@@ -265,28 +255,28 @@ def test_deformation_continued_form_solves_equations():
     # solution: any zero-sum deformation built with it stays a solution.
     params = params_from_xi(3.0, 1.0)
     for eps in (1e-3, 0.1, 0.5):
-        res = field_residual(alpha_deformation_sample(params, (eps, -eps, 0.0), -1.0, form="arctan"), params.lam)
+        res = _deformed_residual(params, (eps, -eps, 0.0), -1.0, form="arctan")
         assert res < 1e-10
-    res = field_residual(alpha_deformation_sample(params, (0.3, 0.2, -0.5), 0.7, form="arctan"), params.lam)
+    res = _deformed_residual(params, (0.3, 0.2, -0.5), 0.7, form="arctan")
     assert res < 1e-10
 
 
 def test_deformation_domain_error():
     params = params_from_xi(3.0, 1.0)
     with pytest.raises(ParameterDomainError, match="admissible"):
-        field_residual(alpha_deformation_sample(params, (1.0, -1.0, 0.0), 0.0, form="printed"), params.lam)
+        _deformed_residual(params, (1.0, -1.0, 0.0), 0.0, form="printed")
 
 
 def test_deformation_alpha_sum_enforced():
     params = params_from_xi(3.0, 1.0)
     with pytest.raises(ParameterDomainError):
-        field_residual(alpha_deformation_sample(params, (1.0, 0.0, 0.0), -1.0), params.lam)
+        _deformed_residual(params, (1.0, 0.0, 0.0), -1.0)
 
 
 def test_deformation_undefined_for_vacuum_member():
     params = params_from_xi(3.0, 0.0)
     with pytest.raises(ParameterDomainError, match="undefined at xi = 0"):
-        field_residual(alpha_deformation_sample(params, (1e-3, -1e-3, 0.0), -1.0), params.lam)
+        _deformed_residual(params, (1e-3, -1e-3, 0.0), -1.0)
 
 
 def test_deformation_rejects_an_unknown_form():
@@ -319,10 +309,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("xi", (0.0, 1.0, 1e154))
 @pytest.mark.parametrize("nan", (False, True))
 def test_shared_axis_path_gives_the_general_path_bits(lam, xi, nan):
-    # A metric_eval sample has one array for the three axes, and the curvature
-    # and stress layers compute each per-axis quantity once on it.  A copy
+    # A metric_eval sample has one array for the three axes, and ricci_mixed
+    # and field_residual compute each per-axis quantity once on it.  A copy
     # with three distinct arrays goes through the general expressions, which
-    # must give the same bits, NaN included.
+    # must give the same bits, NaN included, and so must every layer that
+    # reads the components.
     params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
     if nan:
@@ -331,16 +322,15 @@ def test_shared_axis_path_gives_the_general_path_bits(lam, xi, nan):
     general = _distinct_axes(shared)
     assert shared.u_p[0] is shared.u_p[2] and general.u_p[0] is not general.u_p[2]
 
-    transverse = _ricci_transverse(shared)
-    assert transverse[0] is transverse[1] is transverse[2]
-    for got, want in zip(transverse, _ricci_transverse(general)):
+    ricci, ricci_general = ricci_mixed(shared), ricci_mixed(general)
+    r_tt, _, r_pp, r_zz = ricci
+    assert r_tt is r_pp is r_zz
+    for got, want in zip(ricci, ricci_general):
         assert _same_bits(got, want)
-    assert _same_bits(_ricci_radial(shared), _ricci_radial(general))
-    assert _same_bits(field_residual(shared, lam), field_residual(general, lam))
-    assert np.isnan(field_residual(shared, lam)) == nan
+    assert _same_bits(field_residual(ricci, lam), field_residual(ricci_general, lam))
+    assert np.isnan(field_residual(ricci, lam)) == nan
 
-    stress, stress_general = stress_decompose(shared), stress_decompose(general)
-    assert stress.p_z is stress.p_phi and stress_general.p_z is not stress_general.p_phi
+    stress, stress_general = stress_decompose(ricci), stress_decompose(ricci_general)
     for name in ("rho", "p_r", "p_phi", "p_z"):
         assert _same_bits(getattr(stress, name), getattr(stress_general, name)), name
     margins, margins_general = condition_margins(stress), condition_margins(stress_general)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lbverify import cli, energy_conditions
-from lbverify.curvature import alpha_deformation_sample
+from lbverify import cli, suites
+from lbverify.curvature import alpha_deformation_sample, ricci_mixed
 from lbverify.energy_conditions import (
     CONDITIONS,
     HOLD_TOL,
@@ -30,8 +30,9 @@ def test_trace_identities_random_points():
         xi = float(rng.uniform(0.0, 2.0))
         params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
-        stress = stress_decompose(metric_eval(params, r))
-        phi_sq = phi_prime_sq_constraint(metric_eval(params, r), lam)
+        ricci = ricci_mixed(metric_eval(params, r))
+        stress = stress_decompose(ricci)
+        phi_sq = phi_prime_sq_constraint(ricci, lam)
         assert stress.rho + stress.p_r == pytest.approx(phi_sq, abs=1e-9)
         assert stress.rho + stress.p_phi == pytest.approx(0.0, abs=1e-9)
         assert stress.rho + stress.p_z == pytest.approx(0.0, abs=1e-9)
@@ -42,13 +43,13 @@ def test_trace_identities_random_points():
 def test_transverse_pressures_equal():
     params = params_from_xi(3.0, 1.0)
     grid = np.linspace(-2.0, 2.0, 257)
-    stress = stress_decompose(metric_eval(params, grid))
+    stress = stress_decompose(ricci_mixed(metric_eval(params, grid)))
     assert np.max(np.abs(stress.p_phi - stress.p_z)) < 1e-12
 
 
 def test_vacuum_member_margins():
     params = params_from_xi(3.0, 0.0)
-    stress = stress_decompose(metric_eval(params, 0.7))
+    stress = stress_decompose(ricci_mixed(metric_eval(params, 0.7)))
     margins = condition_margins(stress)
     assert margins.nec_r == pytest.approx(0.0, abs=1e-12)
     assert margins.nec_phi == pytest.approx(0.0, abs=1e-12)
@@ -60,7 +61,7 @@ def test_vacuum_member_margins():
 
 def test_radial_margin_at_origin_unit_xi():
     params = params_from_xi(3.0, 1.0)
-    stress = stress_decompose(metric_eval(params, 0.0))
+    stress = stress_decompose(ricci_mixed(metric_eval(params, 0.0)))
     assert stress.rho + stress.p_r == pytest.approx(6.0, abs=1e-9)
     margins = condition_margins(stress)
     assert margins.sec == pytest.approx(-6.0, abs=1e-9)
@@ -81,12 +82,12 @@ def test_margin_arithmetic():
 def test_z_margins_shared_only_when_p_z_is_p_phi():
     params = params_from_xi(3.0, 1.0)
     r = np.linspace(-2.0, 2.0, 65)
-    shared = condition_margins(stress_decompose(metric_eval(params, r)))
+    shared = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, r))))
     assert np.array_equal(shared.nec_z, shared.nec_phi) and np.array_equal(shared.dec_z, shared.dec_phi)
     # Distinct axes keep z margins of their own, and the minima read them:
     # on this non-solution only the z margins fail.
     r = np.linspace(-2.0, -0.1, 65)
-    stress = stress_decompose(alpha_deformation_sample(params, (0.2, -0.5, 0.3), r, "printed"))
+    stress = stress_decompose(ricci_mixed(alpha_deformation_sample(params, (0.2, -0.5, 0.3), r, "printed")))
     margins = condition_margins(stress)
     assert np.array_equal(margins.nec_z, stress.rho + stress.p_z)
     assert np.array_equal(margins.dec_z, stress.rho - np.abs(stress.p_z))
@@ -99,7 +100,7 @@ def test_z_margins_shared_only_when_p_z_is_p_phi():
 def test_sec_margin_constant_in_radius():
     params = params_from_xi(3.0, 1.0)
     grid = np.linspace(-2.0, 2.0, 513)
-    margins = condition_margins(stress_decompose(metric_eval(params, grid)))
+    margins = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, grid))))
     assert np.max(np.abs(margins.sec + 6.0)) < 1e-8
 
 
@@ -121,23 +122,32 @@ def test_energy_report_vacuum_member():
     assert "energy-SEC-interval" not in rows
 
 
+def _synthetic_ricci(rho_of_r):
+    """A stand-in for ``ricci_mixed`` whose frame stress is rho = rho_of_r(r) with zero pressures.
+
+    With R^t_t = -rho/2 and the other three components rho/2, R/2 is rho/2,
+    so ``stress_decompose`` gives rho and p_i = 0 exactly.
+    """
+
+    def synthetic(sample):
+        half = 0.5 * rho_of_r(np.asarray(sample.r, dtype=float))
+        return -half, half, half, half
+
+    return synthetic
+
+
 def _cubic_stress(roots, sign):
     # The family's own margins never change sign inside a window, so a
     # synthetic stress with rho = +/-(r - r1)(r - r2)(r - r3) - HOLD_TOL and
     # zero pressures stands in: every condition then holds exactly where the
     # cubic is >= 0, with edges at its roots.
-    def synthetic(sample):
-        r = np.asarray(sample.r, dtype=float)
-        rho = sign * (r - roots[0]) * (r - roots[1]) * (r - roots[2]) - HOLD_TOL
-        return FrameStress(rho=rho, p_r=0.0 * r, p_phi=0.0 * r, p_z=0.0 * r)
-
-    return synthetic
+    return _synthetic_ricci(lambda r: sign * (r - roots[0]) * (r - roots[1]) * (r - roots[2]) - HOLD_TOL)
 
 
 def test_a_partial_hold_is_a_numerical_error(monkeypatch):
     roots = (-0.6123, 0.1357, 0.7071)
     for sign in (1.0, -1.0):
-        monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress(roots, sign))
+        monkeypatch.setattr(suites, "ricci_mixed", _cubic_stress(roots, sign))
         with pytest.raises(NumericalError, match="NEC holds on part of the window"):
             build_energy_report(3.0, 1.0, -1.0, 1.0, 41)
 
@@ -145,7 +155,7 @@ def test_a_partial_hold_is_a_numerical_error(monkeypatch):
 def _block_masks(params, grid):
     # The hold masks of the report's GRID_BLOCK blocks of 2 blocks + 808 points.
     return [
-        _holds(condition_margins(energy_conditions.stress_decompose(metric_eval(params, r))), HOLD_TOL)
+        _holds(condition_margins(stress_decompose(suites.ricci_mixed(metric_eval(params, r)))), HOLD_TOL)
         for r in np.split(grid, [GRID_BLOCK, 2 * GRID_BLOCK])
     ]
 
@@ -155,7 +165,7 @@ def test_a_partial_hold_in_the_last_block_only_is_a_numerical_error(monkeypatch)
     # r = -0.0897 and 0.8206; the one edge, at 0.9071, lies in the last block.
     params = params_from_xi(3.0, 1.0)
     samples = 2 * GRID_BLOCK + 808
-    monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress((0.9071, 1.5, 2.0), -1.0))
+    monkeypatch.setattr(suites, "ricci_mixed", _cubic_stress((0.9071, 1.5, 2.0), -1.0))
     first, second, last = _block_masks(params, np.linspace(-1.0, 1.0, samples))
     for cond in CONDITIONS:
         assert first[cond].all() and second[cond].all(), cond
@@ -167,7 +177,7 @@ def test_a_partial_hold_in_the_last_block_only_is_a_numerical_error(monkeypatch)
 def test_a_hold_across_both_block_boundaries_is_one_window_interval(monkeypatch):
     params = params_from_xi(3.0, 1.0)
     samples = 2 * GRID_BLOCK + 808
-    monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress((1.5, 2.0, 3.0), -1.0))
+    monkeypatch.setattr(suites, "ricci_mixed", _cubic_stress((1.5, 2.0, 3.0), -1.0))
     for block in _block_masks(params, np.linspace(-1.0, 1.0, samples)):
         assert all(block[cond].all() for cond in CONDITIONS)
     rows = _energy_rows(3.0, 1.0, -1.0, 1.0, samples)
@@ -180,18 +190,13 @@ def test_a_nan_margin_is_a_non_finite_row_before_any_hold(monkeypatch):
     # The hold flags are the least and the largest minimum against the
     # tolerance; a NaN makes both False.  A NaN margin also makes a margin
     # row non-finite, and that row raises before the holds are read.
-    def synthetic(sample):
-        r = np.asarray(sample.r, dtype=float)
-        rho = np.where(r > 0.5, np.nan, 1.0)
-        return FrameStress(rho=rho, p_r=0.0 * r, p_phi=0.0 * r, p_z=0.0 * r)
-
-    monkeypatch.setattr(energy_conditions, "stress_decompose", synthetic)
+    monkeypatch.setattr(suites, "ricci_mixed", _synthetic_ricci(lambda r: np.where(r > 0.5, np.nan, 1.0)))
     with pytest.raises(NumericalError, match="non-finite row value"):
         build_energy_report(3.0, 1.0, -1.0, 1.0, 41)
 
 
 def test_cli_partial_hold_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(energy_conditions, "stress_decompose", _cubic_stress((-0.6123, 0.1357, 0.7071), 1.0))
+    monkeypatch.setattr(suites, "ricci_mixed", _cubic_stress((-0.6123, 0.1357, 0.7071), 1.0))
     assert cli.main(["energy", "--r-min", "-1", "--r-max", "1", "--samples", "41"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -204,7 +209,7 @@ def test_dec_radial_margin_nonnegative():
         for xi in (0.0, 0.5, 1.0, 2.0):
             params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 513)
-            margins = condition_margins(stress_decompose(metric_eval(params, grid)))
+            margins = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, grid))))
             assert float(np.min(margins.dec_r)) >= -1e-9
 
 

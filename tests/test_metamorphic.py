@@ -95,12 +95,11 @@ def test_xi_shift_moves_the_profile_along_r(lam, xi, shift):
     params, shifted = model.params_from_xi(lam, xi), model.params_from_xi(lam, shifted_xi)
     r = np.linspace(-2.0 * params.a, 2.0 * params.a, 33)
     r_shifted = r - shift * params.a
-    _, f_p, f_pp = model.f_eval(params, r)
-    _, g_p, g_pp = model.f_eval(shifted, r_shifted)
-    assert np.max(np.abs(g_p - f_p)) / params.k <= 1e-12
-    assert np.max(np.abs(g_pp - f_pp)) / params.k**2 <= 1e-12
-    u = model.metric_eval(params, r).u[0]
-    u_shifted = model.metric_eval(shifted, r_shifted).u[0]
+    s, s_shifted = model.metric_eval(params, r), model.metric_eval(shifted, r_shifted)
+    assert np.max(np.abs(s_shifted.f_p - s.f_p)) / params.k <= 1e-12
+    assert np.max(np.abs(s_shifted.f_pp - s.f_pp)) / params.k**2 <= 1e-12
+    u = s.u[0]
+    u_shifted = s_shifted.u[0]
     assert np.max(np.abs(u_shifted - u - 2.0 * shift) / np.maximum(1.0, np.abs(u))) <= 1e-12
     w_ratio = model.w_value(shifted, r_shifted) / model.w_value(params, r)
     assert np.max(np.abs(w_ratio / math.exp(2.0 * shift) - 1.0)) <= 1e-12

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lbverify import congruence, model, scalar_field, suites
+from lbverify import congruence, curvature, model, scalar_field, suites
 from lbverify.errors import ParameterDomainError
 from lbverify.model import (
     MAX_ABS_XI,
-    f_eval,
     metric_eval,
     params_from_xi,
     radial_bound,
@@ -81,19 +80,17 @@ def test_negative_xi_gives_identical_metric():
 
 def test_f_prime_vacuum_member():
     params = params_from_xi(3.0, 0.0)
-    _, f_p, _ = f_eval(params, 0.0)
-    assert f_p == pytest.approx(-3.0, abs=1e-15)
+    assert metric_eval(params, 0.0).f_p == pytest.approx(-3.0, abs=1e-15)
     # q = -inf: the log(1 + e^q) term is exactly 0 and f exactly linear.
     r = np.linspace(-2.0, 2.0, 65)
-    f, f_p, f_pp = f_eval(params, r)
-    assert np.array_equal(f, -params.k * r - 0.5 * math.log(12.0 * params.lam))
-    assert np.all(f_p == -params.k) and np.all(f_pp == 0.0)
+    s = metric_eval(params, r)
+    assert np.array_equal(s.f, -params.k * r - 0.5 * math.log(12.0 * params.lam))
+    assert np.all(s.f_p == -params.k) and np.all(s.f_pp == 0.0)
 
 
 def test_f_prime_vanishes_at_origin_for_unit_xi():
     params = params_from_xi(3.0, 1.0)
-    _, f_p, _ = f_eval(params, 0.0)
-    assert f_p == pytest.approx(0.0, abs=1e-15)
+    assert metric_eval(params, 0.0).f_p == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -101,8 +98,8 @@ def test_f_prime_vanishes_at_origin_for_unit_xi():
 def test_f_solves_its_ode(lam, xi):
     params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
-    _, f_p, f_pp = f_eval(params, grid)
-    assert np.max(np.abs(f_pp + f_p**2 - 3.0 * lam)) < 1e-12 * max(1.0, 3.0 * lam)
+    s = metric_eval(params, grid)
+    assert np.max(np.abs(s.f_pp + s.f_p**2 - 3.0 * lam)) < 1e-12 * max(1.0, 3.0 * lam)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -137,16 +134,14 @@ def test_f_prime_squared_bounded():
         for xi in XIS:
             params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 2048)
-            _, f_p, _ = f_eval(params, grid)
+            f_p = metric_eval(params, grid).f_p
             assert np.max(f_p**2) <= 3.0 * lam + 1e-12
 
 
-def test_sample_f_is_f_eval_f():
+def test_sample_f_is_the_printed_closed_form():
     params = params_from_xi(0.75, 1.3)
     grid = np.linspace(-3.0, 3.0, 128)
     s = metric_eval(params, grid)
-    f, f_p, f_pp = f_eval(params, grid)
-    assert np.array_equal(s.f, f) and np.array_equal(s.f_p, f_p) and np.array_equal(s.f_pp, f_pp)
     # The exponents sum to 2f + log(12 lambda) in the canonical gauge.
     assert np.allclose(s.f, 0.5 * (s.u[0] + s.u[1] + s.u[2]) - 0.5 * math.log(12.0 * 0.75), rtol=0, atol=1e-14)
     # f, computed on first read, is the printed closed form
@@ -231,20 +226,18 @@ def test_log1p_exp_matches_logaddexp():
 
 
 def test_ricci_diagonal_is_exp_u_times_mixed_components():
-    from lbverify import curvature
-
     params = params_from_xi(3.0, 0.5)
     r = np.linspace(-2.0, 0.5, 33)
     base = metric_eval(params, r)
     deformed = curvature.alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
     # The three exponents of a metric_eval sample are one array: one bracket
     # serves every non-radial axis.  Distinct axes get brackets of their own.
-    r_tt, r_pp, r_zz = curvature._ricci_transverse(base)
+    r_tt, _, r_pp, r_zz = curvature.ricci_mixed(base)
     assert r_tt is r_pp is r_zz
-    assert len({id(c) for c in curvature._ricci_transverse(deformed)}) == 3
+    r_tt, _, r_pp, r_zz = curvature.ricci_mixed(deformed)
+    assert len({id(c) for c in (r_tt, r_pp, r_zz)}) == 3
     for s in (base, deformed):
-        r_tt, r_pp, r_zz = curvature._ricci_transverse(s)
-        r_rr = curvature._ricci_radial(s)
+        r_tt, r_rr, r_pp, r_zz = curvature.ricci_mixed(s)
         lowered = (-np.exp(s.u[0]) * r_tt, r_rr, np.exp(s.u[1]) * r_pp, np.exp(s.u[2]) * r_zz)
         covariant = curvature.ricci_diagonal(s)
         for got, want in zip(covariant, lowered):
@@ -275,7 +268,6 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
 
         return fn
 
-    monkeypatch.setattr(model, "f_eval", lambda *args: calls.append("f_eval"))
     monkeypatch.setattr(np, "log1p", counted("log1p"))
     params = params_from_xi(3.0, 0.7)
     w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
@@ -294,19 +286,26 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
     assert np.allclose(w_pp, s_w * (s.u_pp[0] + s.u_p[0] ** 2), rtol=1e-14, atol=0.0)
 
 
-def test_verify_block_evaluates_phi_constraint_once(monkeypatch):
-    # The verify block evaluates the constraint once and field_residual,
-    # which checks no rr component, not at all.
+def test_each_block_forms_the_mixed_ricci_once(monkeypatch):
+    # Every reader of a block (field residual, phi'^2, frame stress) takes
+    # the one ricci_mixed product of that block; a sweep takes one per
+    # (lambda, xi) member, shared by its E cells.
     calls = []
-    original = scalar_field.phi_prime_sq_constraint
+    original = curvature.ricci_mixed
 
-    def counting(sample, lam):
+    def counting(sample):
         calls.append(np.size(sample.r))
-        return original(sample, lam)
+        return original(sample)
 
-    monkeypatch.setattr(scalar_field, "phi_prime_sq_constraint", counting)
+    monkeypatch.setattr(suites, "ricci_mixed", counting)
     suites.build_verify_report(3.0, 1.0, samples=9000)
     assert calls == [4096, 4096, 808]
+    calls.clear()
+    suites.build_energy_report(12.0, 0.5, samples=9000)
+    assert calls == [4096, 4096, 808]
+    calls.clear()
+    suites.build_sweep_report("1:3:2", "0:1:2", "1.5:2:2")
+    assert calls == [257] * 4
 
 
 def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
@@ -345,7 +344,6 @@ def test_verify_w_row_is_the_whole_grid_value_across_the_w_branch():
 
 
 def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
-    from lbverify.curvature import field_residual
     from lbverify.energy_conditions import stress_decompose
 
     params = params_from_xi(3.0, 1e10)
@@ -358,8 +356,9 @@ def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting)
-    assert field_residual(sample, params.lam) <= 1e-13
-    stress_decompose(sample)
+    ricci = curvature.ricci_mixed(sample)
+    assert curvature.field_residual(ricci, params.lam) <= 1e-13
+    stress_decompose(ricci)
     assert calls == []
 
 
@@ -439,23 +438,23 @@ def test_metric_derivatives_match_finite_differences():
         w, w_p, w_pp = w_eval(params, r)
         assert d1 == pytest.approx(w_p, rel=1e-9, abs=1e-9)
         assert d2 == pytest.approx(w_pp, rel=1e-6, abs=1e-6)
-        f_fn = lambda x: f_eval(params, x)[0]
+        f_fn = lambda x: metric_eval(params, x).f
         d1, d2 = five_point_diffs(f_fn, r, FD_PAIR_STEP * params.a)
-        _, f_p, f_pp = f_eval(params, r)
-        assert d1 == pytest.approx(f_p, rel=1e-9, abs=1e-9)
-        assert d2 == pytest.approx(f_pp, rel=1e-6, abs=1e-6)
+        s = metric_eval(params, r)
+        assert d1 == pytest.approx(s.f_p, rel=1e-9, abs=1e-9)
+        assert d2 == pytest.approx(s.f_pp, rel=1e-6, abs=1e-6)
 
 
 def test_range_error_reports_bound():
     params = params_from_xi(3.0, 1.0)
     bound = radial_bound(params)
     with pytest.raises(ParameterDomainError, match=f"overflow bound {bound:.6g} "):
-        f_eval(params, bound * 1.01)
+        metric_eval(params, bound * 1.01)
     with pytest.raises(ParameterDomainError, match="overflow bound"):
         metric_eval(params, -bound * 1.01)
 
 
-@pytest.mark.parametrize("fn", (f_eval, w_eval, metric_eval))
+@pytest.mark.parametrize("fn", (w_eval, metric_eval))
 @pytest.mark.parametrize("kind", ("float", "int", "float64", "0-d", "array"))
 def test_range_check_every_input_type(fn, kind):
     params = params_from_xi(3.0, 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lbverify import scalar_field
+from lbverify.curvature import ricci_mixed
 from lbverify.errors import ParameterDomainError
 from lbverify.model import MetricSample, metric_eval, params_from_xi
 from lbverify.scalar_field import (
@@ -18,13 +19,13 @@ from lbverify.scalar_field import (
 def test_gradient_sq_vanishes_for_vacuum_member():
     params = params_from_xi(3.0, 0.0)
     for r in (-1.0, 0.0, 2.0):
-        assert phi_prime_sq_constraint(metric_eval(params, r), 3.0) == pytest.approx(0.0, abs=1e-14)
+        assert phi_prime_sq_constraint(ricci_mixed(metric_eval(params, r)), 3.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gradient_sq_at_origin_unit_xi():
     # f' = 0 there, so the constraint gives (2/3) * 3 lambda = 2 lambda = 6.
     params = params_from_xi(3.0, 1.0)
-    val = phi_prime_sq_constraint(metric_eval(params, 0.0), 3.0)
+    val = phi_prime_sq_constraint(ricci_mixed(metric_eval(params, 0.0)), 3.0)
     assert val == pytest.approx(6.0, rel=1e-14)
 
 
@@ -33,7 +34,7 @@ def test_constraint_equals_two_thirds_f_second(lam, xi):
     params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 2048)
     sample = metric_eval(params, grid)
-    lhs = phi_prime_sq_constraint(sample, lam)
+    lhs = phi_prime_sq_constraint(ricci_mixed(sample), lam)
     assert np.max(np.abs(lhs - (2.0 / 3.0) * sample.f_pp)) < 1e-10
     assert np.max(np.abs(lhs - (2.0 / 3.0) * (3.0 * lam - sample.f_p**2))) < 1e-10
 
@@ -43,7 +44,7 @@ def test_constraint_nonnegative_on_grid():
         for xi in (0.1, 0.5, 1.0, 2.0):
             params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 2048)
-            vals = phi_prime_sq_constraint(metric_eval(params, grid), lam)
+            vals = phi_prime_sq_constraint(ricci_mixed(metric_eval(params, grid)), lam)
             assert np.min(vals) >= 0.0
 
 
@@ -60,7 +61,7 @@ def test_quoted_integrand_matches_constraint_at_origin():
     sample = metric_eval(params, 0.0)
     assert phi_prime_sq_quoted(sample, 3.0) == pytest.approx(6.0, rel=1e-14)
     assert phi_prime_sq_quoted(sample, 3.0) == pytest.approx(
-        phi_prime_sq_constraint(sample, 3.0), rel=1e-13
+        phi_prime_sq_constraint(ricci_mixed(sample), 3.0), rel=1e-13
     )
 
 
@@ -83,7 +84,7 @@ def test_negative_constraint_is_flag_not_exception():
         r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
         u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
     )
-    assert phi_prime_sq_constraint(fake, 3.0) == -3.0
+    assert phi_prime_sq_constraint(ricci_mixed(fake), 3.0) == -3.0
 
 
 def test_accumulate_empty_interval():
@@ -104,7 +105,7 @@ def test_accumulate_against_midpoint_refinement():
     n = 1_000_000
     edges = np.linspace(0.0, 0.5, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    integrand = np.sqrt(phi_prime_sq_constraint(metric_eval(params, mids), 3.0))
+    integrand = np.sqrt(phi_prime_sq_constraint(ricci_mixed(metric_eval(params, mids)), 3.0))
     oracle = float(np.sum(integrand) * (0.5 / n))
     assert value == pytest.approx(oracle, abs=1e-8)
 
