@@ -10,7 +10,8 @@ value, and the null expansion rate.  The tortoise coordinate and those
 radii are closed forms of the identity w = (2|xi| cosh(q/2))^{2/3},
 q = 6r/a + 2 log|xi|: the tortoise coordinate is a symmetric incomplete
 beta function of s = 1/(1 + e^{-q}), and w equals a value at an arccosh
-pair of radii.
+pair of radii.  w, w' and w'' are the columns of a ``metric_eval`` sample,
+which computes each on first read.
 
 Quoted numeric anchors (root values 0.377 / 1.178 and the radius factor
 0.0273) are never used as inputs; they live in comparison reports only.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .model import MAX_ABS_XI, SolutionParams, _check_range, w_eval, w_value
+from .model import MAX_ABS_XI, MetricSample, SolutionParams, _check_range, metric_eval
 from .numerics import FD_FIRST_STEP, adaptive_simpson, sign_change_roots
 from .special_functions import hyp2f1
 
@@ -123,7 +124,7 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     Elementwise over an array of radii; raises ParameterDomainError if any
     radius has w > E^2.
     """
-    w = w_value(params, r)
+    w = metric_eval(params, r).w
     e2 = cfg.e_tilde**2
     _require_allowed(w, e2, r)
     u_r = np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
@@ -131,7 +132,7 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
 
 
 def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray) -> np.ndarray:
-    val = cfg.e_tilde**2 / w_value(params, r) - 1.0
+    val = cfg.e_tilde**2 / metric_eval(params, r).w - 1.0
     # E^2/w - 1 is dimensionless: nodes inside the scans' turning band are
     # clamped to 0, nodes beyond it are forbidden.
     bad = val < -TURNING_GUARD_REL
@@ -189,10 +190,10 @@ def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r):
     is stationary.  At a turning point the value diverges and +/-inf is
     returned as the flag.  Elementwise over an array of radii.
     """
-    w, w_p, _ = w_eval(params, r)
+    sample = metric_eval(params, r)
     e2 = cfg.e_tilde**2
-    _require_allowed(w, e2, r)
-    return _theta(w, w_p, e2)
+    _require_allowed(sample.w, e2, r)
+    return _theta(sample.w, sample.w_p, e2)
 
 
 def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
@@ -204,11 +205,11 @@ def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
     cap neither crosses it nor loses the chain-rule oracle's relative
     accuracy.
     """
-    w, w_p, _ = w_eval(params, r)
-    q2 = cfg.e_tilde**2 - w
+    sample = metric_eval(params, r)
+    q2 = cfg.e_tilde**2 - sample.w
     # A subnormal w' overflows the cap to inf, which np.minimum then drops.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cap = np.where((q2 > 0.0) & (w_p != 0.0), 1e-4 * q2 / np.abs(w_p), np.inf)
+        cap = np.where((q2 > 0.0) & (sample.w_p != 0.0), 1e-4 * q2 / np.abs(sample.w_p), np.inf)
     return np.minimum(FD_FIRST_STEP * params.a, cap)
 
 
@@ -377,7 +378,7 @@ def tortoise_quadrature(params: SolutionParams, r):
     r = np.asarray(r, dtype=float)
     nodes, at = np.unique(np.append(r, 0.0), return_inverse=True)
     panels = adaptive_simpson(
-        lambda x: 1.0 / np.sqrt(w_value(params, x)), nodes[:-1], nodes[1:], 1e-11 / max(1, nodes.size - 1)
+        lambda x: 1.0 / np.sqrt(metric_eval(params, x).w), nodes[:-1], nodes[1:], 1e-11 / max(1, nodes.size - 1)
     )
     cum = np.concatenate(([0.0], np.cumsum(panels)))
     total = constant + (cum[at[:-1]] - cum[at[-1]]).reshape(r.shape)
@@ -395,21 +396,22 @@ def _null_rate(w, w_p, w_pp, e2: float):
         return np.sqrt(e2 - w) / w * (w_pp - 1.5 * w_p * w_p / w)
 
 
-def kinematics_scan(profile: tuple, cfg: CongruenceConfig, r_grid) -> KinematicsScan:
+def kinematics_scan(sample: MetricSample, cfg: CongruenceConfig) -> KinematicsScan:
     """Expansion, its proper-time rate and the null rate at the admissible radii of a grid.
 
-    ``profile`` is ``w_eval`` on ``r_grid``: one profile serves both
-    congruences, and any number of energies.  A radius is admissible unless
-    w > E^2 (forbidden) or |E^2 - w| < TURNING_GUARD_REL * E^2 (the guard
-    band around a turning point); a NaN w counts as admissible.  Each column
-    is derived from the admissible profile when first read (see
-    ``KinematicsScan``): at forbidden points w may be large enough for its
-    powers to overflow.
+    ``sample`` is ``metric_eval`` on the grid, read through its r, w, w'
+    and w'': one sample serves both congruences, and any number of
+    energies.  A radius is admissible unless w > E^2 (forbidden) or
+    |E^2 - w| < TURNING_GUARD_REL * E^2 (the guard band around a turning
+    point); a NaN w counts as admissible.  Each column is derived from the
+    admissible profile when first read (see ``KinematicsScan``): at
+    forbidden points w may be large enough for its powers to overflow.
     """
-    w, w_p, w_pp = profile
+    w = sample.w
     e2 = cfg.e_tilde**2
     ok = ~((w > e2) | (np.abs(e2 - w) < TURNING_GUARD_REL * e2))
-    return KinematicsScan(r=np.asarray(r_grid, dtype=float)[ok], w=w[ok], w_p=w_p[ok], w_pp=w_pp[ok], e2=e2)
+    r = np.asarray(sample.r, dtype=float)[ok]
+    return KinematicsScan(r=r, w=w[ok], w_p=sample.w_p[ok], w_pp=sample.w_pp[ok], e2=e2)
 
 
 def focusing_sign_map(b_values) -> dict[float, int]:

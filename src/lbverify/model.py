@@ -16,8 +16,10 @@ and the conformal factor of the isotropic form of the line element
 
     w(r) = e^{u_i(r)} = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3}.
 
-Functions accept a scalar r or a numpy array and vectorize elementwise: one
-array path serves both, and a scalar r yields NumPy float scalars.
+``metric_eval`` is the one evaluator: its sample carries u_i, f and w with
+their derivatives.  Functions accept a scalar r or a numpy array and
+vectorize elementwise: one array path serves both, and a scalar r yields
+NumPy float scalars.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ _W_PRODUCT_EXPONENT = 709.0
 
 #: Largest accepted |xi|: c1 = xi^2 must stay a finite float.
 MAX_ABS_XI = math.sqrt(sys.float_info.max)
+
+#: Points per sample of ``metric_blocks``.  A float64 temporary of 4096
+#: points is 32 KiB, below glibc's 128 KiB mmap threshold, so freed blocks
+#: are reused from the heap; a whole 65,536-point grid would make every
+#: 512 KiB temporary a fresh mapping, faulted in page by page.
+GRID_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -75,14 +83,13 @@ class MetricSample:
     Axes that hold the same arrays, as all three do in a ``metric_eval``
     sample, take the shared-axis path of ``curvature.ricci_mixed``, the only
     code that acts on it: each per-axis quantity is computed once and serves
-    the three axes, with the bits the general path gives.  ``metric_eval``
-    also leaves the value columns f and u, which the curvature layers never
-    read, to be computed on first read (see ``_ClosedFormSample``); f_p_sq
-    is computed on first read on every sample.
+    the three axes, with the bits the general path gives.  f_p_sq is
+    computed on first read on every sample.
 
-    The sample carries no metric factor e^u and no conformal factor w:
-    the curvature layers read mixed components, which need neither, and w
-    comes from ``w_value`` or ``w_eval`` on its own arithmetic path.
+    The sample carries no metric factor e^u: the curvature layers read
+    mixed components, which need none.  A ``metric_eval`` sample also has
+    w = e^{u_i}, w' and w'' on w's own arithmetic path, and computes every
+    column on first read (see ``_ClosedFormSample``).
     """
 
     r: float | np.ndarray
@@ -102,20 +109,38 @@ class MetricSample:
 class _ClosedFormSample(MetricSample):
     """The sample ``metric_eval`` returns, built from q = 2kr + 2 log|xi|.
 
-    f', f'' and the exponent derivatives are computed on construction; the
-    three axes share one array of each.  |q|, log1p(e^-|q|), f and u are
-    computed on first read, so a caller that reads only derivatives takes
-    neither the exp nor the log1p of f.  No range check is made here.
+    Every column is computed on first read: reading w takes neither f' nor
+    f'', and reading derivatives takes neither the exp nor the log1p of f.
+    The three axes share one array of each exponent column.  w takes the
+    branch of ``_w_value`` that ``reach``, the checked max |r|, selects.
     """
 
-    def __init__(self, params: SolutionParams, r):
-        q = _q(params, np.asarray(r, dtype=float))
-        f_p, f_pp = _f_derivs(params.k, q)
-        u_p = (2.0 / 3.0) * f_p
-        u_pp = (2.0 / 3.0) * f_pp
+    def __init__(self, params: SolutionParams, r, reach: float):
         # The dataclass is frozen: set the fields as its own __init__ would,
-        # leaving f and u to the columns below.
-        vars(self).update(r=r, f_p=f_p, f_pp=f_pp, u_p=(u_p,) * 3, u_pp=(u_pp,) * 3, params=params, q=q)
+        # leaving every column to the properties below.
+        vars(self).update(r=r, params=params, reach=reach)
+
+    @functools.cached_property
+    def q(self):
+        return _q(self.params, np.asarray(self.r, dtype=float))
+
+    @functools.cached_property
+    def f_p(self):
+        """f' = k tanh(q/2); at q = -inf, -k."""
+        return self.params.k * np.tanh(0.5 * self.q)
+
+    @functools.cached_property
+    def f_pp(self):
+        """f'' = k^2 sech^2(q/2); at q = -inf, +0."""
+        return self.params.k * self.params.k * _sech_sq(0.5 * self.q)
+
+    @functools.cached_property
+    def u_p(self):
+        return ((2.0 / 3.0) * self.f_p,) * 3
+
+    @functools.cached_property
+    def u_pp(self):
+        return ((2.0 / 3.0) * self.f_pp,) * 3
 
     @functools.cached_property
     def abs_q(self):
@@ -137,6 +162,21 @@ class _ClosedFormSample(MetricSample):
         """u_i = (2/3) f + log(12 lambda)/3, one array for the three axes."""
         u1 = (2.0 / 3.0) * self.f + (1.0 / 3.0) * math.log(12.0 * self.params.lam)
         return u1, u1, u1
+
+    @functools.cached_property
+    def w(self):
+        """w = e^{u_i} from its printed form (``_w_value``), not from exp(u)."""
+        return _w_value(self.params, np.asarray(self.r, dtype=float), self.reach)
+
+    @functools.cached_property
+    def w_p(self):
+        """w' = w u'; the value of f is never read."""
+        return self.w * self.u_p[0]
+
+    @functools.cached_property
+    def w_pp(self):
+        """w'' = w (u'' + u'^2)."""
+        return self.w * (self.u_pp[0] + self.u_p[0] * self.u_p[0])
 
 
 def params_from_xi(lam: float, xi: float) -> SolutionParams:
@@ -182,43 +222,13 @@ def _q(params: SolutionParams, r):
     return 2.0 * params.k * r + (2.0 * math.log(abs(params.xi)) if params.xi else -math.inf)
 
 
-def _f_derivs(k: float, q):
-    """(f', f'') = (k tanh(q/2), k^2 sech^2(q/2)); at q = -inf, (-k, +0)."""
-    return k * np.tanh(0.5 * q), k * k * _sech_sq(0.5 * q)
-
-
-def w_eval(params: SolutionParams, r):
-    """Conformal factor (w, w', w'') evaluated from its own printed form.
-
-    The value is composed directly as e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3},
-    which is deliberately a different arithmetic path from exp(u1); the two
-    are cross-checked against each other in the test suite.  Where
-    xi^2 e^{6r/a} could overflow on the requested radii, the power is taken
-    as e^{2r/a} |xi|^{4/3} (1 + xi^-2 e^{-6r/a})^{2/3} through log|xi|.
-    The derivatives are w' = w u' and w'' = w (u'' + u'^2) with u = (2/3) f,
-    from (f', f'') alone: the value of f is never computed here.
-    """
-    reach = _check_range(params, r)
-    r = np.asarray(r, dtype=float)
-    w = _w_value(params, r, reach)
-    f_p, f_pp = _f_derivs(params.k, _q(params, r))
-    u_p = (2.0 / 3.0) * f_p
-    u_pp = (2.0 / 3.0) * f_pp
-    return w, w * u_p, w * (u_pp + u_p * u_p)
-
-
-def w_value(params: SolutionParams, r):
-    """The value of ``w_eval`` alone, range-checked the same way.
-
-    Same arithmetic path as ``w_eval``'s w, bit for bit, without the
-    derivatives and so without (f', f'').
-    """
-    reach = _check_range(params, r)
-    return _w_value(params, np.asarray(r, dtype=float), reach)
-
-
 def _w_value(params: SolutionParams, r, reach: float):
-    """The value of ``w_eval`` at r, without the range check; reach = max |r|."""
+    """w = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3} at r, with reach = max |r|; no range check.
+
+    A different arithmetic path from exp(u1), cross-checked in the tests.
+    Where xi^2 e^{6r/a} could overflow at |r| = reach, w is taken through
+    log|xi| as e^{2r/a} |xi|^{4/3} (1 + xi^-2 e^{-6r/a})^{2/3}.
+    """
     a = params.a
     log_xi = math.log(abs(params.xi)) if params.xi else -math.inf
     if 2.0 * log_xi + 6.0 * reach / a <= _W_PRODUCT_EXPONENT:
@@ -239,8 +249,19 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     -2/a is inconsistent with this derivation and is not used (the mismatch
     is surfaced in the verification reports).  The three exponents are one
     shared array, and so are their derivatives, so the curvature layers
-    build one bracket for all three axes.  f and u are computed on first
-    read (``_ClosedFormSample``).
+    build one bracket for all three axes.  Every column, w, w' and w''
+    included, is computed on first read (``_ClosedFormSample``).
     """
-    _check_range(params, r)
-    return _ClosedFormSample(params, r)
+    return _ClosedFormSample(params, r, _check_range(params, r))
+
+
+def metric_blocks(params: SolutionParams, r_min: float, r_max: float, samples: int):
+    """``metric_eval``'s samples of ``samples`` equispaced radii on [r_min, r_max].
+
+    One range check of the window ends, whose |r| is the grid's largest,
+    then consecutive blocks of ``GRID_BLOCK`` points: each block's w takes
+    the branch the whole grid would.
+    """
+    reach = _check_range(params, (r_min, r_max))
+    grid = np.linspace(r_min, r_max, samples)
+    return (_ClosedFormSample(params, grid[i : i + GRID_BLOCK], reach) for i in range(0, samples, GRID_BLOCK))

@@ -40,12 +40,6 @@ _STRONG_MARGIN_TOL = 1e-8
 #: Fixed b values of the focusing-polynomial sign map.
 SIGN_MAP_B_VALUES = (0.0, 0.1, 0.25, 0.49)
 
-#: Points per model evaluation of a dense report grid.  A float64 temporary
-#: of 4096 points is 32 KiB, below glibc's 128 KiB mmap threshold, so freed
-#: blocks are reused from the heap; a whole 65,536-point grid would make
-#: every 512 KiB temporary a fresh mapping, faulted in page by page.
-GRID_BLOCK = 4096
-
 #: Largest ``--samples`` of any subcommand and largest sweep cell count (the
 #: product of the three counts); a float64 grid of this size is 128 MiB.
 MAX_GRID_SIZE = 2**24
@@ -106,39 +100,24 @@ def _null_rate_cells(rpt, location, scan) -> np.ndarray:
     return violation
 
 
-def _grid_samples(params, grid):
-    """``metric_eval``'s samples of ``grid`` in consecutive blocks of GRID_BLOCK points.
-
-    The grid lies in a window that ``_window`` checked, so the blocks are
-    not range-checked again.
-    """
-    for start in range(0, grid.size, GRID_BLOCK):
-        yield model._ClosedFormSample(params, grid[start : start + GRID_BLOCK])
-
-
 def build_verify_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 4096
 ) -> Report:
     """Internal-consistency suite for one family member."""
     params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
-    grid = np.linspace(r_min, r_max, samples)
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
-    # The window's reach, which ``_window`` checked: w takes the branch of
-    # ``model._w_value`` that the whole grid would.
-    reach = max(abs(r_min), abs(r_max))
 
     # Row values are folded across the grid blocks: NaN-propagating max/min
     # of the block maxima/minima, and the Noether mean as sum / samples.
     fold = defaultdict(list)
-    for sample in _grid_samples(params, grid):
+    for sample in model.metric_blocks(params, r_min, r_max, samples):
         fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
         exponent_res = sample.u_pp[0] + sample.u_p[0] * sample.f_p - 2.0 * lam
         fold["exponent-ode-residual"].append(_max_abs(exponent_res))
-        sum_up = sample.u_p[0] + sample.u_p[1] + sample.u_p[2]
-        eq_three = 2.0 * sample.u_pp[0] + sample.u_p[0] * sum_up - 4.0 * lam
-        fold["exponent-system-residual"].append(_max_abs(eq_three))
         ricci = ricci_mixed(sample)
+        # 2 u'' + u' (u1' + u2' + u3') - 4 lambda is 4 (R^t_t - lambda).
+        fold["exponent-system-residual"].append(_max_abs(4.0 * (ricci[0] - lam)))
         fold["field-equation-residual"].append(field_residual(ricci, lam))
         log_j = scalar_field.log_noether(params, sample)
         if xi != 0.0:
@@ -152,7 +131,7 @@ def build_verify_report(
         constraint = scalar_field.phi_prime_sq_constraint(ricci, lam)
         quoted = scalar_field.phi_prime_sq_quoted(sample, lam)
         fold["scalar-gradient-sq-min"].append(constraint.min())
-        fold["w-positivity-min"].append(model._w_value(params, sample.r, reach).min())
+        fold["w-positivity-min"].append(sample.w.min())
         fold["quoted-scalar-integrand-min"].append(quoted.min())
         fold["quoted-integrand-vs-constraint"].append(_max_abs(quoted - constraint))
     peak = lambda check: float(np.max(fold[check]))
@@ -228,13 +207,12 @@ def build_energy_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 4096
 ) -> Report:
     params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
-    grid = np.linspace(r_min, r_max, samples)
     loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     hold_tol = ec.hold_tolerance(lam)
     fold = defaultdict(list)
-    for sample in _grid_samples(params, grid):
+    for sample in model.metric_blocks(params, r_min, r_max, samples):
         ricci = ricci_mixed(sample)
         margins = ec.condition_margins(ec.stress_decompose(ricci))
         phi_sq = scalar_field.phi_prime_sq_constraint(ricci, lam)
@@ -307,7 +285,7 @@ def build_congruence_report(
     # One scan feeds every row on the admissible radii below; only the
     # oracles evaluate w again.
     grid = np.linspace(r_min, r_max, scan_samples)
-    scan = cg.kinematics_scan(model.w_eval(params, grid), cfg, grid)
+    scan = cg.kinematics_scan(model.metric_eval(params, grid), cfg)
     r, w, theta, rate = scan.r, scan.w, scan.theta, scan.dtheta_dtau
     rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)
 
@@ -321,7 +299,7 @@ def build_congruence_report(
     theta_fd = central_diff(lambda x: cg.expansion_timelike(params, cfg, x), r[fd], h)
     chain_err = _max_abs((theta_fd * u_r[fd] - rate[fd]) / rate[fd])
     div = covariant_divergence_radial(
-        lambda x: model.w_value(params, x) ** 1.5,
+        lambda x: model.metric_eval(params, x).w ** 1.5,
         lambda x: cg.four_velocity(params, cfg, x)[1],
         r[fd],
         h,
@@ -412,7 +390,7 @@ def build_tortoise_report(
     h = FD_FIRST_STEP * params.a
     deriv_r = _stencil_centres(params, r_min, r_max, 9, h)
     d = central_diff(lambda x: cg.tortoise_series(params, x), deriv_r, h)
-    deriv_err = _max_abs(d * np.sqrt(model.w_value(params, deriv_r)) - 1.0)
+    deriv_err = _max_abs(d * np.sqrt(model.metric_eval(params, deriv_r).w) - 1.0)
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 
     if xi == 0.0:
@@ -448,9 +426,9 @@ def _parse_triple(text: str, name: str) -> tuple[int, Callable[[], np.ndarray]]:
 def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 257) -> Report:
     """Compact verification rows over a (lambda, xi, e_tilde) grid, in grid order.
 
-    The rows that depend on (lambda, xi) alone, and the w profile the null
-    rate is scanned on, are computed once per (lambda, xi) member and shared
-    by its E cells.
+    Each (lambda, xi) member takes one ``metric_eval`` sample of its grid,
+    which feeds the rows that depend on (lambda, xi) alone and the null-rate
+    scans of its E cells.
     """
     specs = [_parse_triple(lam_spec, "lambda"), _parse_triple(xi_spec, "xi"), _parse_triple(e_spec, "e-tilde")]
     cells = math.prod(count for count, _ in specs)
@@ -469,7 +447,6 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
             ("field-equation-residual", field_residual(ricci, lam), _FIELD_EQUATION_TOL),
             ("strong-margin-constant", _strong_margin_error(margins, lam), _STRONG_MARGIN_TOL),
         )
-        profile = None
         for e_tilde in es.tolist():
             tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
             for check, value, tolerance in member_rows:
@@ -478,7 +455,5 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
             # rejects a non-finite E and one whose square overflows.
             if not abs(e_tilde) < 1.0:
                 cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-                if profile is None:
-                    profile = model.w_eval(params, grid)
-                _null_rate_cells(rpt, tag, cg.kinematics_scan(profile, cfg, grid))
+                _null_rate_cells(rpt, tag, cg.kinematics_scan(sample, cfg))
     return rpt

@@ -27,7 +27,7 @@ from lbverify.congruence import (
 )
 from lbverify.curvature import field_residual, ode_integrate_f, ricci_mixed
 from lbverify.energy_conditions import condition_margins, stress_decompose
-from lbverify.model import metric_eval, params_from_xi, w_eval
+from lbverify.model import metric_eval, params_from_xi
 from lbverify.numerics import FD_FIRST_STEP, central_diff
 from lbverify.scalar_field import noether_charge, phi_prime_sq_constraint, scalar_profile
 from lbverify.special_functions import gauss_2f1_pfaff, gauss_2f1_series, hyp2f1
@@ -178,11 +178,11 @@ def test_criterion_07_timelike_focusing_and_comparison_report():
         e_tilde = float(rng.uniform(1.1, 3.0))
         params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
-        if float(w_eval(params, r)[0]) > e_tilde**2 * (1.0 - 1e-3):
+        if float(metric_eval(params, r).w) > e_tilde**2 * (1.0 - 1e-3):
             continue
         cfg = CongruenceConfig(e_tilde=e_tilde)
         grid = np.array([r])
-        rate = float(kinematics_scan(w_eval(params, grid), cfg, grid).dtheta_dtau[0])
+        rate = float(kinematics_scan(metric_eval(params, grid), cfg).dtheta_dtau[0])
         if abs(rate) < 1e-2:
             continue
         h = cg.chain_rule_fd_step(params, cfg, r)
@@ -245,7 +245,7 @@ def test_criterion_09_tortoise():
         for r in np.linspace(-params.a, params.a, 9):
             d = central_diff(lambda x: tortoise_series(params, x), float(r), FD_FIRST_STEP * params.a)
             worst_deriv = max(
-                worst_deriv, abs(d * math.sqrt(float(w_eval(params, float(r))[0])) - 1.0)
+                worst_deriv, abs(d * math.sqrt(float(metric_eval(params, float(r)).w)) - 1.0)
             )
     ok = worst_channel < 1e-8 and worst_exact < 1e-12 and worst_deriv < 1e-6
     _report(
@@ -260,8 +260,8 @@ def test_criterion_10_null_rate():
     vacuum = params_from_xi(3.0, 0.0)
     cfg = CongruenceConfig(e_tilde=2.0)
     grid = np.linspace(-0.6, 2.0, 65)
-    scan = kinematics_scan(w_eval(vacuum, grid), cfg, grid)
-    expected = -(2.0 / vacuum.a**2) * np.sqrt(cfg.e_tilde**2 - w_eval(vacuum, scan.r)[0])
+    scan = kinematics_scan(metric_eval(vacuum, grid), cfg)
+    expected = -(2.0 / vacuum.a**2) * np.sqrt(cfg.e_tilde**2 - metric_eval(vacuum, scan.r).w)
     # NaN (a point the scan did not rate) propagates and fails the bound.
     worst_reduction = float(np.max(np.abs(scan.null_rate - expected)))
 

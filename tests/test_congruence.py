@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from lbverify.congruence import (
 )
 from lbverify.curvature import covariant_divergence_radial
 from lbverify.errors import ParameterDomainError
-from lbverify.model import params_from_xi, w_eval
+from lbverify.model import metric_eval, params_from_xi
 from lbverify.numerics import (
     EPS,
     FD_FIRST_STEP,
@@ -59,9 +60,15 @@ def unit_xi():
 OUT2 = CongruenceConfig(e_tilde=2.0)
 
 
+def _w_columns(params, r):
+    """(w, w', w'') of the ``metric_eval`` sample at r."""
+    sample = metric_eval(params, r)
+    return sample.w, sample.w_p, sample.w_pp
+
+
 def _rate_closed_form(params, e_tilde, r):
     """d theta / d tau written out from (w, w', w'') at one radius."""
-    w, w_p, w_pp = (float(v) for v in w_eval(params, r))
+    w, w_p, w_pp = (float(v) for v in _w_columns(params, r))
     e2 = e_tilde**2
     first = (w_pp * (2.0 * e2 - 3.0 * w) - 3.0 * w_p**2) / (2.0 * w * w)
     return first - w_p**2 * (2.0 * e2 - 3.0 * w) * (3.0 * e2 - 4.0 * w) / (4.0 * w**3 * (e2 - w))
@@ -69,14 +76,14 @@ def _rate_closed_form(params, e_tilde, r):
 
 def _null_rate_closed_form(params, e_tilde, r):
     """(1/w) sqrt(E^2 - w) [w'' - (3/2) w'^2 / w] at one radius."""
-    w, w_p, w_pp = (float(v) for v in w_eval(params, r))
+    w, w_p, w_pp = (float(v) for v in _w_columns(params, r))
     return math.sqrt(e_tilde**2 - w) / w * (w_pp - 1.5 * w_p * w_p / w)
 
 
 def _scan_rate(params, cfg, r):
     """The scan's d theta / d tau at one admissible radius."""
     grid = np.array([r])
-    return float(kinematics_scan(w_eval(params, grid), cfg, grid).dtheta_dtau[0])
+    return float(kinematics_scan(metric_eval(params, grid), cfg).dtheta_dtau[0])
 
 
 def test_config_rejects_subunit_energy():
@@ -94,7 +101,7 @@ def test_four_velocity_turning_point(vacuum):
 def test_four_velocity_values_and_norm(vacuum):
     u = four_velocity(vacuum, OUT2, 0.0)
     assert u == (2.0, math.sqrt(3.0))
-    w = float(w_eval(vacuum, 0.0)[0])
+    w = float(metric_eval(vacuum, 0.0).w)
     assert -w * u[0] ** 2 + u[1] ** 2 == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -113,7 +120,7 @@ def test_normalization_random_admissible():
         e_tilde = float(rng.uniform(1.0, 4.0))
         params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
-        w = float(w_eval(params, r)[0])
+        w = float(metric_eval(params, r).w)
         if w > e_tilde**2:
             continue
         u = four_velocity(params, CongruenceConfig(e_tilde=e_tilde), r)
@@ -173,7 +180,7 @@ def test_potential_turning_point_endpoint(vacuum, unit_xi):
     mid = 0.5 * (left + right)
 
     def from_end(end, step):
-        integrand = lambda r: np.sqrt(np.maximum(4.0 / w_eval(unit_xi, r)[0] - 1.0, 0.0))
+        integrand = lambda r: np.sqrt(np.maximum(4.0 / metric_eval(unit_xi, r).w - 1.0, 0.0))
         return adaptive_simpson(
             lambda s: integrand(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(mid - end)), 1e-12
         )
@@ -189,7 +196,7 @@ def test_potential_interval_with_both_ends_near_turning_point(vacuum):
     # interval one ulp wide: the potential is the plain quadrature there too.
     r_turn = -math.log(2.0)
     for r0, r1 in ((r_turn + 2e-10, r_turn + 4e-10), (-0.6931471803099453, np.nextafter(-0.6931471803099453, 0.0))):
-        e2_minus_w = 4.0 - w_eval(vacuum, np.array([r0, r1]))[0]
+        e2_minus_w = 4.0 - metric_eval(vacuum, np.array([r0, r1])).w
         assert np.all((e2_minus_w > 0.0) & (e2_minus_w <= 4e-9))
         plain = -adaptive_simpson(lambda r: congruence._sqrt_integrand(vacuum, OUT2, r), r0, r1, 1e-10)
         assert hypersurface_potential(vacuum, OUT2, r0, r1) == plain
@@ -222,7 +229,7 @@ def test_expansion_matches_covariant_divergence(vacuum, unit_xi):
     for params, r in ((vacuum, 0.1), (vacuum, -0.4), (unit_xi, 0.25), (unit_xi, -0.2)):
         theta = expansion_timelike(params, OUT2, r)
         div = covariant_divergence_radial(
-            lambda x: float(w_eval(params, x)[0]) ** 1.5,
+            lambda x: float(metric_eval(params, x).w) ** 1.5,
             lambda x: four_velocity(params, OUT2, x)[1],
             r,
             FD_FIRST_STEP * params.a,
@@ -233,7 +240,7 @@ def test_expansion_matches_covariant_divergence(vacuum, unit_xi):
 def test_expansion_divergence_flag_at_turning_point(vacuum):
     r_turn = -0.5 * math.log(4.0)
     assert math.isinf(expansion_timelike(vacuum, OUT2, r_turn))
-    assert math.isinf(congruence._rate(*w_eval(vacuum, r_turn), OUT2.e_tilde**2))
+    assert math.isinf(congruence._rate(*_w_columns(vacuum, r_turn), OUT2.e_tilde**2))
 
 
 def test_rate_frozen_value(vacuum):
@@ -250,7 +257,7 @@ def test_rate_chain_rule_random_admissible():
         e_tilde = float(rng.uniform(1.1, 3.0))
         params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
-        w = float(w_eval(params, r)[0])
+        w = float(metric_eval(params, r).w)
         if w > e_tilde**2 * (1.0 - 1e-3):
             continue
         cfg = CongruenceConfig(e_tilde=e_tilde)
@@ -267,10 +274,10 @@ def test_rate_chain_rule_random_admissible():
 def test_scaled_form_comparison_pair():
     params = params_from_xi(3.0, 0.1)
     grid = np.array([0.0])
-    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
+    scan = kinematics_scan(metric_eval(params, grid), OUT2)
     quoted = quoted_scaled_rate(params, OUT2, scan.w)
     direct = scan.dtheta_dtau[0]
-    x = float(w_eval(params, 0.0)[0]) / OUT2.e_tilde**2
+    x = float(metric_eval(params, 0.0).w) / OUT2.e_tilde**2
     b = abs(params.xi / OUT2.e_tilde)
     assert quoted[0] == pytest.approx(
         0.5 * 3.0 * focusing_polynomial(x, b) / (x * (1.0 - x)), rel=1e-14
@@ -285,8 +292,8 @@ def test_scaled_form_shared_singularity_flags(vacuum):
     # x -> 1 is exactly the turning point: the quoted form diverges through
     # 1/(1-x) where the direct form diverges too; both come back as flags.
     r_turn = -0.5 * math.log(4.0)
-    assert math.isinf(quoted_scaled_rate(vacuum, OUT2, w_eval(vacuum, np.array([r_turn]))[0])[0])
-    assert math.isinf(congruence._rate(*w_eval(vacuum, r_turn), OUT2.e_tilde**2))
+    assert math.isinf(quoted_scaled_rate(vacuum, OUT2, metric_eval(vacuum, np.array([r_turn])).w)[0])
+    assert math.isinf(congruence._rate(*_w_columns(vacuum, r_turn), OUT2.e_tilde**2))
 
 
 def test_scaled_b_invariant_under_common_scale():
@@ -426,24 +433,24 @@ def test_radius_w_channel_two_solutions(unit_xi):
 def test_radius_w_channel_evaluates_no_w(monkeypatch):
     # The w channel is the closed-form arccosh pair: it evaluates no w at all.
     calls = []
-    w_value = congruence.w_value
 
     def counting(params, r):
         calls.append(np.size(r))
-        return w_value(params, r)
+        return metric_eval(params, r)
 
-    monkeypatch.setattr(congruence, "w_value", counting)
-    candidates = radius_candidates(params_from_xi(3.0, 0.3), QUOTED_FOCUSING_ROOTS[1])
+    monkeypatch.setattr(congruence, "metric_eval", counting)
+    params = params_from_xi(3.0, 0.3)
+    candidates = radius_candidates(params, QUOTED_FOCUSING_ROOTS[1])
     assert len(candidates.from_w) == 2
     assert len(calls) == 0
     for root in candidates.from_w:
-        assert float(w_value(params_from_xi(3.0, 0.3), root)) == pytest.approx(QUOTED_FOCUSING_ROOTS[1], rel=1e-12)
+        assert float(metric_eval(params, root).w) == pytest.approx(QUOTED_FOCUSING_ROOTS[1], rel=1e-12)
 
 
 def _scanned_w_roots(params, X):
     """The w channel as a 4096-interval root scan on [-2a, 2a] (the oracle)."""
     half = 2.0 * params.a
-    return tuple(sorted(set(sign_change_roots(lambda r: model.w_value(params, r) - X, -half, half, 4096))))
+    return tuple(sorted(set(sign_change_roots(lambda r: metric_eval(params, r).w - X, -half, half, 4096))))
 
 
 def _catalog_congruence_members():
@@ -487,7 +494,7 @@ def test_radius_w_channel_near_tangent_pair():
     assert len(closed) == 2
     assert closed[1] - closed[0] < 4.0 * params.a / 4096
     for root in closed:
-        assert float(model.w_value(params, root)) == pytest.approx(X, rel=1e-14)
+        assert float(metric_eval(params, root).w) == pytest.approx(X, rel=1e-14)
 
 
 def test_radius_rejects_nonpositive(unit_xi):
@@ -506,7 +513,7 @@ def test_tortoise_constant_pinned_by_improper_integral(unit_xi):
     # r*(0) equals the integral of 1/sqrt(w) from far below, where r* -> 0.
     value = tortoise_series(unit_xi, 0.0)
     oracle = adaptive_simpson(
-        lambda x: 1.0 / np.sqrt(w_eval(unit_xi, x)[0]), -40.0, 0.0, 1e-12
+        lambda x: 1.0 / np.sqrt(metric_eval(unit_xi, x).w), -40.0, 0.0, 1e-12
     )
     assert value == pytest.approx(oracle, abs=1e-8)
 
@@ -546,12 +553,12 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
         intervals.append((np.array(lo), np.array(hi)))
         return simpson(fn, lo, hi, tol)
 
-    def forbidden(*args):
-        raise AssertionError("w_eval called")
+    def forbidden(self):
+        raise AssertionError("w' or w'' read")
 
     monkeypatch.setattr(congruence, "adaptive_simpson", recording)
-    monkeypatch.setattr(congruence, "w_eval", forbidden)
-    monkeypatch.setattr(model, "w_eval", forbidden)
+    for name in ("w_p", "w_pp"):
+        monkeypatch.setattr(model._ClosedFormSample, name, property(forbidden))
     rpt = suites.build_tortoise_report(3.0, 0.5, samples=65)
     assert rpt.exit_code() == 0
     assert len(intervals) == 1
@@ -619,7 +626,7 @@ def test_tortoise_report_rejects_a_window_past_the_radial_bound(unit_xi):
 
 def test_tortoise_quadrature_scalar_is_one_panel_from_zero(unit_xi):
     constant = tortoise_series(unit_xi, 0.0)
-    integrand = lambda x: 1.0 / np.sqrt(w_eval(unit_xi, x)[0])
+    integrand = lambda x: 1.0 / np.sqrt(metric_eval(unit_xi, x).w)
     for r in (-0.7, 0.0, 0.4):
         value = tortoise_quadrature(unit_xi, r)
         assert type(value) is float
@@ -677,7 +684,7 @@ def test_simpson_by_slices_is_bit_identical_to_split(monkeypatch, xi):
     params = params_from_xi(3.0, xi)
     radii = np.linspace(-params.a, params.a, 513)[::16]
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 257)
-    admissible = kinematics_scan(w_eval(params, grid), OUT2, grid).r
+    admissible = kinematics_scan(metric_eval(params, grid), OUT2).r
     mid = admissible[admissible.size // 2]
     h = congruence.chain_rule_fd_step(params, OUT2, mid)
     turning = radius_candidates(params, OUT2.e_tilde**2).from_w[0]
@@ -705,7 +712,7 @@ def test_tortoise_derivative_identity():
         params = params_from_xi(3.0, xi)
         for r in (-0.7, 0.0, 0.3):
             d = central_diff(lambda x: tortoise_series(params, x), r, FD_FIRST_STEP * params.a)
-            w = float(w_eval(params, r)[0])
+            w = float(metric_eval(params, r).w)
             assert d * math.sqrt(w) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -785,17 +792,17 @@ def test_tortoise_series_takes_the_model_radial_range(unit_xi):
 
 def test_null_rate_zero_for_constant_profile():
     r = np.array([0.3])
-    constant = (np.full(r.shape, 2.0), np.zeros(r.shape), np.zeros(r.shape))
-    assert kinematics_scan(constant, OUT2, r).null_rate.tolist() == [0.0]
+    constant = SimpleNamespace(r=r, w=np.full(r.shape, 2.0), w_p=np.zeros(r.shape), w_pp=np.zeros(r.shape))
+    assert kinematics_scan(constant, OUT2).null_rate.tolist() == [0.0]
 
 
 def test_null_rate_vacuum_reduction(vacuum):
     # w = e^{-2r/a} gives bracket -2 w / a^2, so the rate is
     # -(2/a^2) sqrt(E^2 - w).
     radii = np.array([-0.5, 0.0, 0.4])
-    rates = kinematics_scan(w_eval(vacuum, radii), OUT2, radii).null_rate
+    rates = kinematics_scan(metric_eval(vacuum, radii), OUT2).null_rate
     for r, rate in zip(radii.tolist(), rates.tolist()):
-        w = float(w_eval(vacuum, r)[0])
+        w = float(metric_eval(vacuum, r).w)
         expected = -2.0 * math.sqrt(4.0 - w)
         assert rate == pytest.approx(expected, abs=1e-9)
         bracket = rate * w / math.sqrt(4.0 - w)
@@ -809,7 +816,7 @@ def test_turning_guard_band_is_relative_to_e_squared():
     e2 = OUT2.e_tilde**2
     w = np.array([e2 * (1.0 - 0.5 * TURNING_GUARD_REL), e2 * (1.0 - 2.0 * TURNING_GUARD_REL), 1.0, 5.0])
     r = np.arange(w.size, dtype=float)
-    scan = kinematics_scan((w, np.ones_like(w), np.zeros_like(w)), OUT2, r)
+    scan = kinematics_scan(SimpleNamespace(r=r, w=w, w_p=np.ones_like(w), w_pp=np.zeros_like(w)), OUT2)
     assert scan.r.tolist() == [1.0, 2.0]
     assert scan.w.tolist() == w[1:3].tolist()
 
@@ -817,14 +824,14 @@ def test_turning_guard_band_is_relative_to_e_squared():
 def test_null_rate_forbidden(unit_xi):
     # w(0) = 2^(2/3) > 1 = E^2: the scan drops the radius and leaves no rate.
     grid = np.array([0.0])
-    scan = kinematics_scan(w_eval(unit_xi, grid), CongruenceConfig(e_tilde=1.0), grid)
+    scan = kinematics_scan(metric_eval(unit_xi, grid), CongruenceConfig(e_tilde=1.0))
     assert scan.r.size == 0
     assert scan.null_rate.size == 0
 
 
 def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
     grid = np.linspace(-0.6, 2.0, 257)
-    scan = kinematics_scan(w_eval(vacuum, grid), OUT2, grid)
+    scan = kinematics_scan(metric_eval(vacuum, grid), OUT2)
     assert scan.r.size
     assert np.all(scan.null_rate < 0.0)
 
@@ -833,7 +840,7 @@ def test_null_sign_scan_vacuum_negative_everywhere(vacuum):
 def test_null_sign_scan_violations_itemized(xi):
     params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0, 2.0, 257)
-    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
+    scan = kinematics_scan(metric_eval(params, grid), OUT2)
     violations = scan.null_rate[scan.null_rate >= 0.0]
     assert violations.size, "expected sign violations of the always-negative claim"
     # The bracket changes sign where 12 p = (p - 1)^2, p = xi^2 e^{6r/a}.
@@ -842,10 +849,10 @@ def test_null_sign_scan_violations_itemized(xi):
 
 def test_scan_statuses(unit_xi):
     grid = np.linspace(-2.0, 2.0, 65)
-    scan = kinematics_scan(w_eval(unit_xi, grid), OUT2, grid)
+    scan = kinematics_scan(metric_eval(unit_xi, grid), OUT2)
     kept = np.isin(grid, scan.r)
     assert kept.any() and not kept.all()
-    assert np.all(w_eval(unit_xi, grid[~kept])[0] > OUT2.e_tilde**2)
+    assert np.all(metric_eval(unit_xi, grid[~kept]).w > OUT2.e_tilde**2)
 
 
 def _rel_close(got, want, rel):
@@ -859,10 +866,10 @@ def test_array_scans_match_scalar_point_functions(xi):
     # The grid includes the turning points w = E^2 themselves.
     turning = radius_candidates(params, e2).from_w
     grid = np.sort(np.concatenate([np.linspace(-2.0 * params.a, 2.0 * params.a, 257), turning]))
-    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
+    scan = kinematics_scan(metric_eval(params, grid), OUT2)
     admissible, seen = [], set()
     for r in grid.tolist():
-        w = float(w_eval(params, r)[0])
+        w = float(metric_eval(params, r).w)
         if w > e2:
             seen.add("forbidden")
             with pytest.raises(ParameterDomainError, match=r"> E\^2"):
@@ -884,7 +891,7 @@ def test_array_scans_match_scalar_point_functions(xi):
 def test_scans_of_empty_grid():
     params = params_from_xi(3.0, 1.0)
     grid = np.array([])
-    scan = kinematics_scan(w_eval(params, grid), OUT2, grid)
+    scan = kinematics_scan(metric_eval(params, grid), OUT2)
     columns = [field.name for field in dataclasses.fields(scan) if field.name != "e2"]
     columns += ["theta", "dtheta_dtau", "null_rate"]
     assert all(getattr(scan, column).size == 0 for column in columns)
@@ -896,9 +903,9 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
     calls = []
     scan = congruence.kinematics_scan
 
-    def counting(profile, cfg, r_grid):
-        calls.append((cfg.e_tilde, np.size(r_grid)))
-        return scan(profile, cfg, r_grid)
+    def counting(sample, cfg):
+        calls.append((cfg.e_tilde, np.size(sample.r)))
+        return scan(sample, cfg)
 
     monkeypatch.setattr(congruence, "kinematics_scan", counting)
     suites.build_congruence_report(3.0, 1.0, 2.0)
@@ -912,7 +919,7 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
 
 def test_sweep_evaluates_each_member_once_and_reads_only_the_null_rate(monkeypatch):
     # Two members (xi = 0, 1), three E values: -2 and 2 are scanned, 0 is
-    # sub-unit.  Each member takes one metric_eval and one w_eval, and the
+    # sub-unit.  Each member takes one metric_eval sample, and the
     # sweep's only scan row reads the null rate, never theta or the rate.
     expected = suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65).rows
     calls = []
@@ -929,23 +936,22 @@ def test_sweep_evaluates_each_member_once_and_reads_only_the_null_rate(monkeypat
     def unread(*args):
         raise AssertionError("the sweep evaluated a timelike column")
 
-    for name in ("metric_eval", "w_eval"):
-        monkeypatch.setattr(model, name, counting(name))
+    monkeypatch.setattr(model, "metric_eval", counting("metric_eval"))
     monkeypatch.setattr(congruence, "_theta", unread)
     monkeypatch.setattr(congruence, "_rate", unread)
     rows = suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65).rows
-    assert calls == [("metric_eval", 0.0), ("w_eval", 0.0), ("metric_eval", 1.0), ("w_eval", 1.0)]
+    assert calls == [("metric_eval", 0.0), ("metric_eval", 1.0)]
     assert rows == expected
     assert len(rows) == 2 * (3 * 3 + 2)
 
 
 def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     # Outside the finite-difference and quadrature oracles, the admissible
-    # radii are evaluated once after the scan, through w_eval or w_value:
+    # radii are evaluated once after the scan, through metric_eval:
     # by four_velocity.  The rest (w, the rates, the quoted form) is read
     # from the scan's columns.
     grid = np.linspace(-2.0, 2.0, 257)
-    admissible = kinematics_scan(w_eval(unit_xi, grid), OUT2, grid).r
+    admissible = kinematics_scan(metric_eval(unit_xi, grid), OUT2).r
     assert admissible.size > 1
     arrays, depth = [], [0]
 
@@ -967,10 +973,9 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
 
         return wrapped
 
-    for name in ("w_eval", "w_value"):
-        recorder = recording(getattr(model, name))
-        monkeypatch.setattr(model, name, recorder)
-        monkeypatch.setattr(congruence, name, recorder)
+    recorder = recording(model.metric_eval)
+    monkeypatch.setattr(model, "metric_eval", recorder)
+    monkeypatch.setattr(congruence, "metric_eval", recorder)
     monkeypatch.setattr(suites, "central_diff", oracle(suites.central_diff))
     monkeypatch.setattr(suites, "covariant_divergence_radial", oracle(suites.covariant_divergence_radial))
     monkeypatch.setattr(congruence, "chain_rule_fd_step", oracle(congruence.chain_rule_fd_step))
@@ -985,13 +990,13 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
 def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
     # b = 1/2 at xi = 1, E = 2: y^2 < 0 wherever x < 1, so the polynomial raises.
     r = np.array([-0.2, 0.0, 0.3])
-    scan = kinematics_scan(w_eval(unit_xi, r), OUT2, r)
+    scan = kinematics_scan(metric_eval(unit_xi, r), OUT2)
     assert np.array_equal(scan.r, r)
     quoted = quoted_scaled_rate(unit_xi, OUT2, scan.w)
     difference = quoted - scan.dtheta_dtau
     for i, r_i in enumerate(r.tolist()):
         with pytest.raises(ParameterDomainError, match=r"y\^2 = .* < 0"):
-            focusing_polynomial(float(w_eval(unit_xi, r_i)[0]) / OUT2.e_tilde**2, 0.5)
+            focusing_polynomial(float(metric_eval(unit_xi, r_i).w) / OUT2.e_tilde**2, 0.5)
         assert math.isnan(quoted[i]) and math.isnan(difference[i])
         assert scan.dtheta_dtau[i] == pytest.approx(_rate_closed_form(unit_xi, OUT2.e_tilde, r_i), rel=1e-12)
 

@@ -13,9 +13,9 @@ from lbverify.energy_conditions import (
     stress_decompose,
 )
 from lbverify.errors import NumericalError
-from lbverify.model import metric_eval, params_from_xi
+from lbverify.model import GRID_BLOCK, metric_eval, params_from_xi
 from lbverify.scalar_field import phi_prime_sq_constraint
-from lbverify.suites import GRID_BLOCK, build_energy_report
+from lbverify.suites import build_energy_report
 
 
 def _holds(margins, tol):

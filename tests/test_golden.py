@@ -42,7 +42,7 @@ path, and ``congruence-vacuum`` is the only configuration with the
 re-recorded, with its command above, by the commit after which ``--b 0``
 adds no second ``focusing-roots-found[b=0]`` row.  The
 ``*-blocks`` three were recorded by the parent of the commit that evaluates
-dense grids in ``suites.GRID_BLOCK`` blocks: at 9000 samples they span two
+dense grids in ``GRID_BLOCK`` blocks (now ``model.GRID_BLOCK``): at 9000 samples they span two
 full blocks and a remainder, so every row folded across blocks (including
 ``noether-zero`` and the energy hold masks) crosses a block boundary.  The huge-xi and tiny-xi
 three were recorded, the same way, by the parent of the commit that computes

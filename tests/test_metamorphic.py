@@ -101,5 +101,5 @@ def test_xi_shift_moves_the_profile_along_r(lam, xi, shift):
     u = s.u[0]
     u_shifted = s_shifted.u[0]
     assert np.max(np.abs(u_shifted - u - 2.0 * shift) / np.maximum(1.0, np.abs(u))) <= 1e-12
-    w_ratio = model.w_value(shifted, r_shifted) / model.w_value(params, r)
+    w_ratio = s_shifted.w / s.w
     assert np.max(np.abs(w_ratio / math.exp(2.0 * shift) - 1.0)) <= 1e-12

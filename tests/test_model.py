@@ -10,8 +10,6 @@ from lbverify.model import (
     metric_eval,
     params_from_xi,
     radial_bound,
-    w_eval,
-    w_value,
 )
 from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP, central_diff, five_point_diffs
 
@@ -23,21 +21,21 @@ def test_params_canonical_vacuum_member():
     # c1 = xi^2 = 0 and beta_j = 0: w is exactly e^{-2r/a}.
     params = params_from_xi(3.0, 0.0)
     assert params.a == 1.0
-    assert w_value(params, 0.0) == 1.0
+    assert metric_eval(params, 0.0).w == 1.0
 
 
 def test_params_xi_identity():
     # Canonical gauge c1 = xi^2, c2 = -1: w(0) = (c1 - c2)^{2/3} = 2^{2/3}.
     params = params_from_xi(3.0, 1.0)
     assert params.xi**2 == 1.0
-    assert w_value(params, 0.0) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
+    assert metric_eval(params, 0.0).w == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
 
 
 def test_params_roundtrip():
     params = params_from_xi(0.75, 0.5)
     assert params.a == 2.0
     assert params.xi == 0.5
-    assert w_value(params, 0.0) == pytest.approx(1.25 ** (2.0 / 3.0), rel=1e-15)
+    assert metric_eval(params, 0.0).w == pytest.approx(1.25 ** (2.0 / 3.0), rel=1e-15)
     assert params.a**2 * params.lam == pytest.approx(3.0, abs=1e-15)
 
 
@@ -75,7 +73,7 @@ def test_negative_xi_gives_identical_metric():
     pos = params_from_xi(3.0, 0.7)
     neg = params_from_xi(3.0, -0.7)
     r = np.linspace(-2.0, 2.0, 64)
-    assert np.array_equal(w_value(pos, r), w_value(neg, r))
+    assert np.array_equal(metric_eval(pos, r).w, metric_eval(neg, r).w)
 
 
 def test_f_prime_vacuum_member():
@@ -153,24 +151,24 @@ def test_sample_f_is_the_printed_closed_form():
 
 def test_w_unit_at_origin_for_vacuum_member():
     params = params_from_xi(2.0, 0.0)
-    assert w_value(params, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert metric_eval(params, 0.0).w == pytest.approx(1.0, abs=1e-15)
 
 
 def test_w_at_origin_for_unit_xi():
     params = params_from_xi(0.9, 1.0)
-    assert w_value(params, 0.0) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
+    assert metric_eval(params, 0.0).w == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("xi", (0.1, 0.7, 2.0))
 def test_w_at_origin_general(xi):
     params = params_from_xi(3.0, xi)
-    assert w_value(params, 0.0) == pytest.approx((1.0 + xi**2) ** (2.0 / 3.0), rel=1e-14)
+    assert metric_eval(params, 0.0).w == pytest.approx((1.0 + xi**2) ** (2.0 / 3.0), rel=1e-14)
 
 
 def test_w_matches_exponential_of_u():
     params = params_from_xi(3.0, 0.1)
-    s, w = metric_eval(params, 0.5), w_value(params, 0.5)
-    assert abs(w - math.exp(s.u[0])) / w < 1e-12
+    s = metric_eval(params, 0.5)
+    assert abs(s.w - math.exp(s.u[0])) / s.w < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -185,8 +183,8 @@ def test_w_through_log_xi_matches_exponential_of_u(xi, r):
     # xi^2 e^{6r/a} may overflow on these radii, so w is composed through
     # log|xi|; it must still agree with exp(u1) and raise no warning.
     params = params_from_xi(3.0, xi)
-    s, w = metric_eval(params, r), w_value(params, r)
-    assert np.max(np.abs(w - np.exp(s.u[0])) / w) < 1e-12
+    s = metric_eval(params, r)
+    assert np.max(np.abs(s.w - np.exp(s.u[0])) / s.w) < 1e-12
 
 
 def _ulps(value, ref):
@@ -201,7 +199,7 @@ def _log1p_exp(q):
     k = 1/2 and log|xi| = 0 exactly, so q = 2kr + 2 log|xi| is r."""
     params = params_from_xi(1.0 / 12.0, 1.0 if np.all(np.isfinite(q)) else 0.0)
     r = np.where(np.isfinite(q), q, 0.0)
-    sample = model._ClosedFormSample(params, r)
+    sample = model._ClosedFormSample(params, r, float(np.abs(r).max()))
     assert np.array_equal(sample.q, q)
     return np.maximum(sample.q, 0.0) + sample.log1p_exp_neg_abs_q
 
@@ -254,9 +252,10 @@ def test_ricci_diagonal_is_exp_u_times_mixed_components():
         assert np.array_equal(covariant[3], 0.25 * g3 * (2.0 * u3pp + u3p * total))
 
 
-def test_w_eval_never_evaluates_f_value(monkeypatch):
-    # The value of f is the only log1p of the model: w_eval and w_value never
-    # take it, and a metric_eval sample takes it once, when its f is first read.
+def test_reading_w_takes_no_log1p(monkeypatch):
+    # The value of f is the only log1p of the model: reading w, w' and w''
+    # never takes it, and a metric_eval sample takes it once, when its f is
+    # first read.
     calls = []
 
     def counted(name):
@@ -270,20 +269,39 @@ def test_w_eval_never_evaluates_f_value(monkeypatch):
 
     monkeypatch.setattr(np, "log1p", counted("log1p"))
     params = params_from_xi(3.0, 0.7)
-    w, w_p, w_pp = w_eval(params, np.linspace(-2.0, 2.0, 17))
-    w_eval(params, 0.3)
-    assert calls == []
-    w_value(params, 0.3)
-    assert calls == []
     s = metric_eval(params, np.linspace(-2.0, 2.0, 17))
+    for sample in (s, metric_eval(params, 0.3)):
+        assert np.all(np.isfinite((sample.w, sample.w_p, sample.w_pp)))
     assert calls == []
     f = s.f
     assert s.f is f and s.u[0] is s.u[2]
     assert calls == ["log1p"]
-    s_w = w_value(params, s.r)
-    assert np.allclose(w, s_w, rtol=1e-14, atol=0.0)
-    assert np.allclose(w_p, s_w * s.u_p[0], rtol=1e-14, atol=0.0)
-    assert np.allclose(w_pp, s_w * (s.u_pp[0] + s.u_p[0] ** 2), rtol=1e-14, atol=0.0)
+
+
+def test_reading_w_takes_no_tanh_and_no_sech_sq(monkeypatch):
+    # w is composed from its printed form alone: f' and f'' stay unread.
+    def forbidden(*args):
+        raise AssertionError("f' or f'' evaluated")
+
+    sample = metric_eval(params_from_xi(3.0, 0.7), np.linspace(-2.0, 2.0, 17))
+    monkeypatch.setattr(np, "tanh", forbidden)
+    monkeypatch.setattr(model, "_sech_sq", forbidden)
+    assert np.all(sample.w > 0.0)
+
+
+def test_sweep_evaluates_q_once_per_member(monkeypatch):
+    # One sample per (lambda, xi) member feeds its residual rows and its
+    # null-rate scans, so q = 2kr + 2 log|xi| is formed once per member.
+    calls = []
+    q = model._q
+
+    def counting(params, r):
+        calls.append(np.size(r))
+        return q(params, r)
+
+    monkeypatch.setattr(model, "_q", counting)
+    suites.build_sweep_report("1:3:2", "0:1:2", "1.5:2:2")
+    assert calls == [257] * 4
 
 
 def test_each_block_forms_the_mixed_ricci_once(monkeypatch):
@@ -309,9 +327,8 @@ def test_each_block_forms_the_mixed_ricci_once(monkeypatch):
 
 
 def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
-    # Energy blocks never read w.  Verify blocks read its value alone, once
-    # per block, through w_value and never through w_eval (which would also
-    # compute w' and w'').
+    # Energy blocks never read w.  Verify blocks read its value, once per
+    # block.
     calls = []
     value = model._w_value
 
@@ -319,11 +336,7 @@ def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
         calls.append(np.size(r))
         return value(params, r, reach)
 
-    def forbidden(*args):
-        raise AssertionError("w_eval called by a dense report")
-
     monkeypatch.setattr(model, "_w_value", counting)
-    monkeypatch.setattr(model, "w_eval", forbidden)
     suites.build_energy_report(12.0, 0.5, samples=9000)
     assert calls == []
     suites.build_verify_report(3.0, 1.0, samples=9000)
@@ -332,15 +345,15 @@ def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
 
 def test_verify_w_row_is_the_whole_grid_value_across_the_w_branch():
     # At xi = 1e130, xi^2 e^{6r/a} passes e^709 at r = 18.38 a.  On
-    # [17a, 19a] the whole grid takes w_value's log|xi| branch, while the
+    # [17a, 19a] the whole grid takes _w_value's log|xi| branch, while the
     # first 4096-point block alone, reaching 17.9 a, would take the direct
     # one, which rounds the minimum of w 4 ulps apart.  Each block takes the
     # window's branch, so the row is the whole-grid value.
     params = params_from_xi(3.0, 1e130)
     grid = np.linspace(17.0, 19.0, 9000)
     rows = {row.check: row for row in suites.build_verify_report(3.0, 1e130, 17.0, 19.0, 9000).rows}
-    assert rows["w-positivity-min"].value == w_value(params, grid).min()
-    assert w_value(params, grid[: suites.GRID_BLOCK]).min() != rows["w-positivity-min"].value
+    assert rows["w-positivity-min"].value == metric_eval(params, grid).w.min()
+    assert metric_eval(params, grid[: model.GRID_BLOCK]).w.min() != rows["w-positivity-min"].value
 
 
 def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
@@ -348,6 +361,9 @@ def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
 
     params = params_from_xi(3.0, 1e10)
     sample = metric_eval(params, np.linspace(-2.0, 2.0, 4096))
+    # The sample's own exp, that of sech^2 in f'', is taken on first read:
+    # take it before counting, so that only the curvature layers are counted.
+    sample.u_pp
     calls = []
     exp = np.exp
 
@@ -370,7 +386,7 @@ def _block_transcendentals(monkeypatch, build, samples):
         original = getattr(np, name)
 
         def fn(x, *args, **kwargs):
-            if np.size(x) >= suites.GRID_BLOCK:
+            if np.size(x) >= model.GRID_BLOCK:
                 calls[name] += 1
             return original(x, *args, **kwargs)
 
@@ -389,7 +405,7 @@ def test_dense_blocks_keep_their_transcendental_budget(monkeypatch, lam, xi):
     # verify adds the exp and log1p of f (shared with log J), the exp of J
     # and the two exps of w.
     blocks = 3
-    samples = blocks * suites.GRID_BLOCK
+    samples = blocks * model.GRID_BLOCK
     energy = _block_transcendentals(monkeypatch, lambda **kw: suites.build_energy_report(lam, xi, **kw), samples)
     assert energy["exp"] <= blocks and energy["tanh"] <= blocks and energy["log1p"] == 0, energy
     verify = _block_transcendentals(monkeypatch, lambda **kw: suites.build_verify_report(lam, xi, **kw), samples)
@@ -413,14 +429,14 @@ def test_w_positive_everywhere():
         for xi in XIS:
             params = params_from_xi(lam, xi)
             grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 1024)
-            assert np.min(w_value(params, grid)) > 0.0
+            assert np.min(metric_eval(params, grid).w) > 0.0
 
 
 @pytest.mark.parametrize("xi", (0.1, 0.5, 1.0, 2.0))
 def test_w_has_one_interior_minimum(xi):
     params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
-    _, w_p, _ = w_eval(params, grid)
+    w_p = metric_eval(params, grid).w_p
     signs = np.sign(w_p)
     changes = np.nonzero(np.diff(signs) != 0)[0]
     assert len(changes) == 1
@@ -433,14 +449,13 @@ def test_metric_derivatives_match_finite_differences():
     params = params_from_xi(0.75, 0.8)
     radii = (-2.5, -0.7, 0.0, 1.2, 3.1)
     for r in (*radii, np.array(radii)):
-        w_fn = lambda x: w_eval(params, x)[0]
+        s = metric_eval(params, r)
+        w_fn = lambda x: metric_eval(params, x).w
         d1, d2 = five_point_diffs(w_fn, r, FD_PAIR_STEP * params.a)
-        w, w_p, w_pp = w_eval(params, r)
-        assert d1 == pytest.approx(w_p, rel=1e-9, abs=1e-9)
-        assert d2 == pytest.approx(w_pp, rel=1e-6, abs=1e-6)
+        assert d1 == pytest.approx(s.w_p, rel=1e-9, abs=1e-9)
+        assert d2 == pytest.approx(s.w_pp, rel=1e-6, abs=1e-6)
         f_fn = lambda x: metric_eval(params, x).f
         d1, d2 = five_point_diffs(f_fn, r, FD_PAIR_STEP * params.a)
-        s = metric_eval(params, r)
         assert d1 == pytest.approx(s.f_p, rel=1e-9, abs=1e-9)
         assert d2 == pytest.approx(s.f_pp, rel=1e-6, abs=1e-6)
 
@@ -454,7 +469,7 @@ def test_range_error_reports_bound():
         metric_eval(params, -bound * 1.01)
 
 
-@pytest.mark.parametrize("fn", (w_eval, metric_eval))
+@pytest.mark.parametrize("fn", (metric_eval,))
 @pytest.mark.parametrize("kind", ("float", "int", "float64", "0-d", "array"))
 def test_range_check_every_input_type(fn, kind):
     params = params_from_xi(3.0, 1.0)
@@ -500,16 +515,16 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every metric_eval sample is a _ClosedFormSample (w_eval builds none,
-    # and neither builder calls it): record the arrays they are built on.
+    # Every metric_eval and metric_blocks sample is a _ClosedFormSample:
+    # record the arrays they are built on.
     # Beside the report grid, verify only evaluates the 25-point Ricci
     # stencils, and energy evaluates nothing else.
     arrays = []
     core = model._ClosedFormSample.__init__
 
-    def recording(self, params, r):
+    def recording(self, params, r, reach):
         arrays.append(np.array(r))
-        core(self, params, r)
+        core(self, params, r, reach)
 
     monkeypatch.setattr(model._ClosedFormSample, "__init__", recording)
     for samples in (9000, 65536):
@@ -517,7 +532,7 @@ def test_builders_evaluate_each_report_grid_once(monkeypatch):
         for build in (suites.build_energy_report, suites.build_verify_report):
             arrays.clear()
             build(3.0, 1.0, samples=samples)
-            assert max(r.size for r in arrays) <= suites.GRID_BLOCK
+            assert max(r.size for r in arrays) <= model.GRID_BLOCK
             dense = [r for r in arrays if r.size > 25]
             # Each report-grid radius once, in order: no midpoint pass.
             assert np.array_equal(np.concatenate(dense), grid), (build.__name__, samples)
