@@ -109,15 +109,6 @@ def _first(values, mask):
     return np.atleast_1d(values)[int(np.argmax(np.atleast_1d(mask)))]
 
 
-def _require_allowed(w, e2: float, r) -> None:
-    """Raise ParameterDomainError at the first radius where w > E^2."""
-    forbidden = w > e2
-    if np.any(forbidden):
-        raise ParameterDomainError(
-            f"w(r) = {_first(w, forbidden):.6g} > E^2 = {e2:.6g} at r = {_first(r, forbidden):.6g}"
-        )
-
-
 def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     """(u^t, u^r) = (E/w, sqrt(E^2/w - 1)); u^phi = u^z = 0, and u is exactly normalized to -1.
 
@@ -126,7 +117,11 @@ def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
     """
     w = metric_eval(params, r).w
     e2 = cfg.e_tilde**2
-    _require_allowed(w, e2, r)
+    forbidden = w > e2
+    if np.any(forbidden):
+        raise ParameterDomainError(
+            f"w(r) = {_first(w, forbidden):.6g} > E^2 = {e2:.6g} at r = {_first(r, forbidden):.6g}"
+        )
     u_r = np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
     return cfg.e_tilde / w, u_r
 
@@ -182,28 +177,12 @@ def _rate(w, w_p, w_pp, e2: float):
         return first + np.divide(tail, 4.0 * w**3 * (e2 - w))
 
 
-def expansion_timelike(params: SolutionParams, cfg: CongruenceConfig, r):
-    """Expansion scalar theta = w^{-3/2} d/dr (w sqrt(E^2 - w)).
-
-    Evaluates to w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)); both terms
-    of the derivative are proportional to w', so theta vanishes wherever w
-    is stationary.  At a turning point the value diverges and +/-inf is
-    returned as the flag.  Elementwise over an array of radii.
-    """
-    sample = metric_eval(params, r)
-    e2 = cfg.e_tilde**2
-    _require_allowed(sample.w, e2, r)
-    return _theta(sample.w, sample.w_p, e2)
-
-
 def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
-    """Step for finite-differencing congruence quantities in r (elementwise).
+    """Step of the potential-gradient stencil in r (elementwise).
 
     ``FD_FIRST_STEP * a``, capped by 1e-4 (E^2 - w)/|w'|, a ten-thousandth
-    of the linear distance to the turning point: the derivatives of theta
-    grow like powers of w'/(E^2 - w) toward it, and a stencil within that
-    cap neither crosses it nor loses the chain-rule oracle's relative
-    accuracy.
+    of the linear distance to the turning point, so that a stencil of that
+    step never crosses it.
     """
     sample = metric_eval(params, r)
     q2 = cfg.e_tilde**2 - sample.w

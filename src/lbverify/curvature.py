@@ -3,8 +3,8 @@
 Provides the diagonal Ricci tensor along two routes that share no code:
 
 * closed forms in the exponent derivatives (u_i', u_i''), and
-* a generic finite-difference assembly from the metric components alone
-  (Christoffel contraction with numerically differentiated g_mu).
+* a generic assembly from the metric components alone (Christoffel
+  contraction of g_mu given as second-order jets in r, ``numerics.Jet``).
 
 The closed forms are mixed components R^m_n.  For this ansatz they contain
 no metric factor: R^n_n = (2 u_n'' + u_n' s)/4 on the non-radial axes, with
@@ -12,8 +12,8 @@ s = u1' + u2' + u3', and R^r_r = R_rr.  ``ricci_mixed`` computes the four
 of them once per sample, and the field residual, phi'^2 and the frame
 stresses read that one product, so none carries the rounding of e^u (about
 xi^(4/3) at large xi).  ``ricci_diagonal`` lowers them to the covariant
-components R_mn = g_mm R^m_m for the comparison with the finite-difference
-route, which works in covariant components.
+components R_mn = g_mm R^m_m for the comparison with the generic route,
+which works in covariant components.
 
 The three non-radial axes of a ``metric_eval`` sample hold one array.  This
 module alone acts on that: ``ricci_mixed`` and ``field_residual`` compute a
@@ -34,13 +34,12 @@ diagonal entries are carried.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
 from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, metric_eval
-from .numerics import central_diff, five_point_diffs, rk4
+from .numerics import rk4
 
 
 def _one_array(axes) -> bool:
@@ -98,19 +97,16 @@ def ricci_diagonal(sample: MetricSample):
     return -np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
 
 
-def ricci_diagonal_fd(metric_fn: Callable, r, h):
-    """Diagonal Ricci from the metric components alone, by finite differences.
+def ricci_diagonal_generic(metric):
+    """Diagonal Ricci from the metric components alone.
 
-    ``metric_fn(r)`` must return the diagonal (g_tt, g_rr, g_phiphi, g_zz).
-    First and second derivatives of each component come from one 5-point
-    stencil with step ``h`` (the verify report takes ``FD_PAIR_STEP * a``).
-    Assembly is the generic Christoffel contraction for a diagonal
-    r-dependent metric; the result is flipped to the convention documented
-    in this module.  Elementwise over an array of radii when ``metric_fn`` accepts arrays.
+    ``metric`` holds jets (``numerics.Jet``) in r of the diagonal
+    (g_tt, g_rr, g_phiphi, g_zz), whose parts may be constants or arrays of
+    one shape.  Assembly is the generic Christoffel contraction for a
+    diagonal r-dependent metric; the result is flipped to the convention
+    documented in this module.
     """
-    components = lambda x: np.array(metric_fn(x), dtype=float)
-    g = components(r)
-    gp, gpp = five_point_diffs(components, r, h)
+    g, gp, gpp = (np.array(np.broadcast_arrays(*(getattr(c, part) for c in metric))) for part in ("v", "d1", "d2"))
 
     g1, g1p = g[1], gp[1]
     # Gamma^mu_{mu r} for all mu; Gamma^r_{nu nu} = -g_nu' / (2 g_rr) for nu != r.
@@ -211,19 +207,3 @@ def alpha_deformation_sample(
         u_p=u_p,
         u_pp=u_pp,
     )
-
-
-def covariant_divergence_radial(
-    sqrt_g_fn: Callable[[float], float],
-    u_r_fn: Callable[[float], float],
-    r: float,
-    h: float,
-) -> float:
-    """(1/sqrt|g|) d/dr (sqrt|g| u^r) by central differences with step ``h``.
-
-    For a static radial vector field this is the full covariant divergence.
-    Near singular structure of the flux (e.g. a congruence turning point)
-    ``h`` must stay well inside the distance to it.
-    """
-    flux = lambda x: sqrt_g_fn(x) * u_r_fn(x)
-    return central_diff(flux, r, h) / sqrt_g_fn(r)

@@ -17,9 +17,9 @@ and the conformal factor of the isotropic form of the line element
     w(r) = e^{u_i(r)} = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3}.
 
 ``metric_eval`` is the one evaluator: its sample carries u_i, f and w with
-their derivatives.  Functions accept a scalar r or a numpy array and
-vectorize elementwise: one array path serves both, and a scalar r yields
-NumPy float scalars.
+their derivatives; ``log_w_jet`` is log w as a jet.  Functions accept a
+scalar r or a numpy array and vectorize elementwise: one array path serves
+both, and a scalar r yields NumPy float scalars.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
+from .numerics import Jet
 
 # e^{2k|r|} stays finite (and so does e^f downstream) below this exponent.
 _MAX_EXPONENT = 700.0
@@ -239,6 +240,17 @@ def _w_value(params: SolutionParams, r, reach: float):
     # has 2 log|xi| > 9 and e^{-q} < e^{_MAX_EXPONENT - 9} stays finite.
     q = 6.0 * r / a + 2.0 * log_xi
     return np.exp(2.0 * r / a + (4.0 / 3.0) * log_xi) * (1.0 + np.exp(-q)) ** (2.0 / 3.0)
+
+
+def log_w_jet(params: SolutionParams, r) -> Jet:
+    """Jet in r of the printed log w = -2r/a + (2/3) softplus(6r/a + 2 log|xi|), -2r/a at xi = 0.
+
+    Its derivatives come from the chain rule, not from the sample's f' and
+    f''.  No range check: the callers' radii lie in a checked window.
+    """
+    x = Jet.variable(r)
+    log_xi = math.log(abs(params.xi)) if params.xi else -math.inf
+    return x * (-2.0 / params.a) + (2.0 / 3.0) * (x * (6.0 / params.a) + 2.0 * log_xi).softplus()
 
 
 def metric_eval(params: SolutionParams, r) -> MetricSample:

@@ -1,13 +1,13 @@
-"""Shared numerical kernels: finite differences, adaptive Simpson quadrature,
-a bracketing root scan and a fixed-step RK4 integrator.
+"""Shared numerical kernels: second-order Taylor jets, a finite difference,
+adaptive Simpson quadrature, a bracketing root scan and a fixed-step RK4
+integrator.
 
-The difference stencils, the quadrature and the bracket scan are
-array-first: they call ``fn`` on whole arrays of points (one call per
-Simpson level, one per scan).  The root scan ``sign_change_roots`` narrows
-each bracket by rescanning it, one scan per round.  ``rk4``
-steps one point at a time.  The stencils take their step from the caller;
-the report oracles use ``FD_FIRST_STEP`` or ``FD_PAIR_STEP`` times the de
-Sitter length a, the family's one length.
+The difference, the quadrature and the bracket scan are array-first: they
+call ``fn`` on whole arrays of points (one call per Simpson level, one per
+scan).  The root scan ``sign_change_roots`` narrows each bracket by
+rescanning it, one scan per round.  ``rk4`` steps one point at a time.
+``Jet`` takes no step; the difference takes ``FD_FIRST_STEP`` times the de
+Sitter length a, the family's one length, in the report oracles.
 
 These are deliberately plain implementations; every closed-form expression in
 the toolkit is cross-checked against at least one of them, so they must stay
@@ -23,13 +23,9 @@ import numpy as np
 
 EPS = sys.float_info.epsilon
 
-# Steps as fractions of the length a profile varies on.  eps**(1/3) balances
-# truncation and rounding for a 3-point first difference.  Second differences
-# are rounding-dominated at that step, so the 5-point pair takes 1e-3, wider
-# than its eps**(1/5) balance: at eps**(1/5) the dual-path Ricci row of
-# verify --xi 1e154 exceeds its tolerance.
+# Step as a fraction of the length a profile varies on: eps**(1/3) balances
+# truncation and rounding for a 3-point first difference.
 FD_FIRST_STEP = EPS ** (1.0 / 3.0)
-FD_PAIR_STEP = 1e-3
 
 #: Sub-intervals per ``sign_change_roots`` round: each round scans the
 #: bracket at its 65 section points at once, and the bracket shrinks 64-fold.
@@ -53,16 +49,60 @@ def central_diff(fn: Callable, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def five_point_diffs(fn: Callable, x, h):
-    """First and second derivative from one 5-point stencil with step ``h``.
+class Jet:
+    """A value v with its first two derivatives d1, d2, carried by the chain rule.
 
-    Returns (f', f'').  Elementwise over ``x`` (and ``h``), also when ``fn``
-    returns a stack of components along the last axis.
+    The parts are floats or numpy arrays of one shape; the derivatives are
+    exact up to rounding.  A constant operand is a jet with zero derivatives.
     """
-    fm2, fm1, f0, fp1, fp2 = (fn(x - 2 * h), fn(x - h), fn(x), fn(x + h), fn(x + 2 * h))
-    d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    return d1, d2
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    @classmethod
+    def variable(cls, x):
+        """The independent variable (x, 1, 0) at the points x."""
+        x = np.asarray(x, dtype=float)
+        return cls(x, np.ones_like(x), np.zeros_like(x))
+
+    def _chain(self, f0, f1, f2):
+        """f of this jet, from f, f' and f'' at v."""
+        return Jet(f0, f1 * self.d1, f1 * self.d2 + f2 * self.d1 * self.d1)
+
+    def __add__(self, other):
+        o = _lift(other)
+        return Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    def __mul__(self, other):
+        o = _lift(other)
+        return Jet(self.v * o.v, self.d1 * o.v + self.v * o.d1, self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = lambda self: self * -1.0
+    __sub__ = lambda self, other: self + -_lift(other)
+    __rsub__ = lambda self, other: -self + other
+
+    def __pow__(self, p: float):
+        value = self.v**p
+        f1 = p * value / self.v
+        return self._chain(value, f1, (p - 1.0) * f1 / self.v)
+
+    def exp(self):
+        e = np.exp(self.v)
+        return self._chain(e, e, e)
+
+    def softplus(self):
+        """log(1 + e^v); it and its derivatives s = 1/(1 + e^-v) and s(1 - s) go
+        through e^-|v|, so no finite v overflows, and v = -inf gives (0, 0, 0)."""
+        e = np.exp(-np.abs(self.v))
+        logistic = np.where(self.v >= 0.0, 1.0, e) / (1.0 + e)
+        return self._chain(np.maximum(self.v, 0.0) + np.log1p(e), logistic, e / (1.0 + e) ** 2)
+
+
+def _lift(x) -> Jet:
+    return x if isinstance(x, Jet) else Jet(x, 0.0, 0.0)
 
 
 def _simpson(lo, hi, flo, fmid, fhi):

@@ -16,7 +16,6 @@ from lbverify import congruence as cg
 from lbverify import suites
 from lbverify.congruence import (
     CongruenceConfig,
-    expansion_timelike,
     focusing_polynomial_reduced,
     focusing_polynomial_roots,
     four_velocity,
@@ -186,7 +185,8 @@ def test_criterion_07_timelike_focusing_and_comparison_report():
         if abs(rate) < 1e-2:
             continue
         h = cg.chain_rule_fd_step(params, cfg, r)
-        theta_prime = central_diff(lambda x: expansion_timelike(params, cfg, x), r, h)
+        theta = lambda x: float(kinematics_scan(metric_eval(params, np.array([x])), cfg).theta[0])
+        theta_prime = central_diff(theta, r, h)
         u_r = four_velocity(params, cfg, r)[1]
         worst_rel = max(worst_rel, abs(theta_prime * u_r - rate) / abs(rate))
         count += 1

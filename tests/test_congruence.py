@@ -17,7 +17,6 @@ from lbverify.congruence import (
     QUOTED_ROOT_RADIUS_FACTOR,
     SIGN_MAP_NX,
     TURNING_GUARD_REL,
-    expansion_timelike,
     focusing_polynomial,
     focusing_polynomial_reduced,
     focusing_polynomial_roots,
@@ -30,9 +29,8 @@ from lbverify.congruence import (
     tortoise_quadrature,
     tortoise_series,
 )
-from lbverify.curvature import covariant_divergence_radial
 from lbverify.errors import ParameterDomainError
-from lbverify.model import metric_eval, params_from_xi
+from lbverify.model import log_w_jet, metric_eval, params_from_xi
 from lbverify.numerics import (
     EPS,
     FD_FIRST_STEP,
@@ -80,10 +78,23 @@ def _null_rate_closed_form(params, e_tilde, r):
     return math.sqrt(e_tilde**2 - w) / w * (w_pp - 1.5 * w_p * w_p / w)
 
 
+def _theta_closed_form(params, e_tilde, r):
+    """w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)) at one radius."""
+    w, w_p, _ = (float(v) for v in _w_columns(params, r))
+    e2 = e_tilde**2
+    return w_p * (2.0 * e2 - 3.0 * w) / (2.0 * w**1.5 * math.sqrt(e2 - w))
+
+
 def _scan_rate(params, cfg, r):
     """The scan's d theta / d tau at one admissible radius."""
     grid = np.array([r])
     return float(kinematics_scan(metric_eval(params, grid), cfg).dtheta_dtau[0])
+
+
+def _scan_theta(params, cfg, r):
+    """The scan's expansion theta at one admissible radius."""
+    grid = np.array([r])
+    return float(kinematics_scan(metric_eval(params, grid), cfg).theta[0])
 
 
 def test_config_rejects_subunit_energy():
@@ -217,29 +228,27 @@ def test_potential_forbidden_interval(unit_xi):
 
 def test_expansion_zero_at_stationary_w(unit_xi):
     # w has its minimum at r = 0 for xi = 1; both derivative terms carry w'.
-    assert expansion_timelike(unit_xi, OUT2, 0.0) == 0.0
+    assert _scan_theta(unit_xi, OUT2, 0.0) == 0.0
 
 
 def test_expansion_hand_value(vacuum):
     expected = -5.0 / math.sqrt(3.0)
-    assert expansion_timelike(vacuum, OUT2, 0.0) == pytest.approx(expected, rel=1e-14)
+    assert _scan_theta(vacuum, OUT2, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_expansion_matches_covariant_divergence(vacuum, unit_xi):
+    # (1/sqrt|g|) d/dr (sqrt|g| u^r) with sqrt|g| = w^{3/2}, from a jet of w.
     for params, r in ((vacuum, 0.1), (vacuum, -0.4), (unit_xi, 0.25), (unit_xi, -0.2)):
-        theta = expansion_timelike(params, OUT2, r)
-        div = covariant_divergence_radial(
-            lambda x: float(metric_eval(params, x).w) ** 1.5,
-            lambda x: four_velocity(params, OUT2, x)[1],
-            r,
-            FD_FIRST_STEP * params.a,
-        )
+        theta = _scan_theta(params, OUT2, r)
+        w = log_w_jet(params, r).exp()
+        volume = w**1.5
+        div = (volume * (OUT2.e_tilde**2 * w**-1.0 - 1.0) ** 0.5).d1 / volume.v
         assert theta == pytest.approx(div, abs=1e-6)
 
 
 def test_expansion_divergence_flag_at_turning_point(vacuum):
     r_turn = -0.5 * math.log(4.0)
-    assert math.isinf(expansion_timelike(vacuum, OUT2, r_turn))
+    assert math.isinf(congruence._theta(*_w_columns(vacuum, r_turn)[:2], OUT2.e_tilde**2))
     assert math.isinf(congruence._rate(*_w_columns(vacuum, r_turn), OUT2.e_tilde**2))
 
 
@@ -265,7 +274,7 @@ def test_rate_chain_rule_random_admissible():
         if abs(rate) < 1e-2:
             continue
         h = congruence.chain_rule_fd_step(params, cfg, r)
-        theta_prime = central_diff(lambda x: expansion_timelike(params, cfg, x), r, h)
+        theta_prime = central_diff(lambda x: _scan_theta(params, cfg, x), r, h)
         u_r = four_velocity(params, cfg, r)[1]
         assert abs(theta_prime * u_r - rate) / abs(rate) < 1e-5
         count += 1
@@ -873,7 +882,7 @@ def test_array_scans_match_scalar_point_functions(xi):
         if w > e2:
             seen.add("forbidden")
             with pytest.raises(ParameterDomainError, match=r"> E\^2"):
-                expansion_timelike(params, OUT2, r)
+                four_velocity(params, OUT2, r)
         elif abs(e2 - w) < TURNING_GUARD_REL * e2:
             seen.add("turning")
         else:
@@ -883,9 +892,24 @@ def test_array_scans_match_scalar_point_functions(xi):
     # The scan keeps the admissible radii, in grid order, and nothing else.
     assert scan.r.tolist() == admissible
     for i, r in enumerate(admissible):
-        assert _rel_close(scan.theta[i], expansion_timelike(params, OUT2, r), 1e-12)
+        assert _rel_close(scan.theta[i], _theta_closed_form(params, OUT2.e_tilde, r), 1e-12)
         assert _rel_close(scan.dtheta_dtau[i], _rate_closed_form(params, OUT2.e_tilde, r), 1e-12)
         assert _rel_close(scan.null_rate[i], _null_rate_closed_form(params, OUT2.e_tilde, r), 1e-12)
+
+
+def test_scan_keeps_a_radius_exactly_at_the_guard_band_edge():
+    # E = 3125/2048 gives E^2 = 5^10 / 2^22 and TURNING_GUARD_REL * E^2 =
+    # 2^-32 exactly, so w = E^2 - 2^-32 lies exactly on the edge of the band
+    # |E^2 - w| < TURNING_GUARD_REL * E^2: it is admissible, and the next
+    # float toward E^2, E^2 itself and the float above it are not.
+    cfg = CongruenceConfig(e_tilde=3125 / 2048)
+    e2 = cfg.e_tilde**2
+    assert TURNING_GUARD_REL * e2 == 2.0**-32
+    edge = e2 - 2.0**-32
+    assert e2 - edge == 2.0**-32
+    w = np.array([edge, np.nextafter(edge, e2), e2, np.nextafter(e2, 3.0)])
+    sample = SimpleNamespace(r=np.arange(4.0), w=w, w_p=np.ones(4), w_pp=np.ones(4))
+    assert kinematics_scan(sample, cfg).r.tolist() == [0.0]
 
 
 def test_scans_of_empty_grid():
@@ -946,8 +970,8 @@ def test_sweep_evaluates_each_member_once_and_reads_only_the_null_rate(monkeypat
 
 
 def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
-    # Outside the finite-difference and quadrature oracles, the admissible
-    # radii are evaluated once after the scan, through metric_eval:
+    # Outside the potential-gradient stencil and its quadrature, the
+    # admissible radii are evaluated once after the scan, through metric_eval:
     # by four_velocity.  The rest (w, the rates, the quoted form) is read
     # from the scan's columns.
     grid = np.linspace(-2.0, 2.0, 257)
@@ -976,8 +1000,6 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     recorder = recording(model.metric_eval)
     monkeypatch.setattr(model, "metric_eval", recorder)
     monkeypatch.setattr(congruence, "metric_eval", recorder)
-    monkeypatch.setattr(suites, "central_diff", oracle(suites.central_diff))
-    monkeypatch.setattr(suites, "covariant_divergence_radial", oracle(suites.covariant_divergence_radial))
     monkeypatch.setattr(congruence, "chain_rule_fd_step", oracle(congruence.chain_rule_fd_step))
     monkeypatch.setattr(congruence, "_sqrt_integrand", oracle(congruence._sqrt_integrand))
     suites.build_congruence_report(3.0, 1.0, 2.0)
@@ -1073,12 +1095,10 @@ def test_point_functions_vectorize(unit_xi):
     r = np.array([-0.3, 0.0, 0.25])
     u_t, u_r = four_velocity(unit_xi, OUT2, r)
     h = congruence.chain_rule_fd_step(unit_xi, OUT2, r)
-    theta = expansion_timelike(unit_xi, OUT2, r)
     for i, r_i in enumerate(r.tolist()):
         u = four_velocity(unit_xi, OUT2, r_i)
         assert (u_t[i], u_r[i]) == u
         assert h[i] == congruence.chain_rule_fd_step(unit_xi, OUT2, r_i)
-        assert theta[i] == expansion_timelike(unit_xi, OUT2, r_i)
     with pytest.raises(ParameterDomainError, match=r"> E\^2"):
         four_velocity(unit_xi, OUT2, np.array([0.0, -2.0]))
 

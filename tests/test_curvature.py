@@ -5,27 +5,36 @@ import pytest
 
 from lbverify.curvature import (
     alpha_deformation_sample,
-    covariant_divergence_radial,
     field_residual,
     ode_integrate_f,
     ricci_diagonal,
-    ricci_diagonal_fd,
+    ricci_diagonal_generic,
     ricci_mixed,
 )
 from lbverify.energy_conditions import _condition_minima, condition_margins, stress_decompose
 from lbverify.errors import ParameterDomainError
-from lbverify.model import MetricSample, metric_eval, params_from_xi
-from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP
+from lbverify.model import MetricSample, log_w_jet, metric_eval, params_from_xi
+from lbverify.numerics import EPS, Jet
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import build_verify_report
 
 
-def _metric_fn(params):
-    def fn(r):
-        m = metric_eval(params, r)
-        return (-np.exp(m.u[0]), np.ones_like(m.u[0]), np.exp(m.u[1]), np.exp(m.u[2]))
+#: Bound of the dual-path gap in units of eps * max |R_mm|: the worst of the
+#: spot and random-draw radii below is 4.5.
+DUAL_PATH_EPS = 64.0
 
-    return fn
+
+def _generic_ricci(params, r):
+    """Covariant Ricci of the generic contraction, as the verify report builds it.
+
+    Each component is normalised at its own point, a jet (1, l', l'' + l'^2)
+    of l = log w, and the result is lowered by the sample's e^u.
+    """
+    log_w = log_w_jet(params, r)
+    unit = (log_w - log_w.v).exp()
+    r_tt, r_rr, r_pp, r_zz = ricci_diagonal_generic((-unit, Jet(1.0, 0.0, 0.0), unit, unit))
+    u1, u2, u3 = metric_eval(params, r).u
+    return np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
 
 
 def test_flat_metric_has_zero_ricci():
@@ -41,13 +50,13 @@ def test_dual_path_ricci_spot():
     params = params_from_xi(3.0, 1.0)
     for r in (0.3, np.array([-0.9, 0.3, 1.1])):
         closed = ricci_diagonal(metric_eval(params, r))
-        fd = ricci_diagonal_fd(_metric_fn(params), r, FD_PAIR_STEP * params.a)
-        assert np.max(np.abs(np.subtract(closed, fd))) < 1e-6
+        generic = _generic_ricci(params, r)
+        assert np.max(np.abs(np.subtract(closed, generic))) <= DUAL_PATH_EPS * EPS * np.max(np.abs(closed))
 
 
 def test_dual_path_huge_xi_raises_no_overflow_warning():
-    # g'^2 / (2 g^2) overflowed for components near 1e200; RuntimeWarnings
-    # are errors under the test configuration.
+    # The components reach about 1e200 here, and RuntimeWarnings are errors
+    # under the test configuration.
     rpt = build_verify_report(3.0, 1e150)
     row = next(row for row in rpt.rows if row.check == "ricci-dual-path")
     assert math.isfinite(row.value)
@@ -62,9 +71,10 @@ def test_dual_path_ricci_random_draws():
         params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
         closed = ricci_diagonal(metric_eval(params, r))
-        fd = ricci_diagonal_fd(_metric_fn(params), r, FD_PAIR_STEP * params.a)
-        worst = max(worst, max(abs(float(c) - d) for c, d in zip(closed, fd)))
-    assert worst < 1e-6
+        generic = _generic_ricci(params, r)
+        gap = max(abs(float(c) - d) for c, d in zip(closed, generic))
+        worst = max(worst, gap / (EPS * max(abs(float(c)) for c in closed)))
+    assert worst <= DUAL_PATH_EPS
 
 
 def test_rr_component_reproduces_constraint():
@@ -287,8 +297,11 @@ def test_deformation_rejects_an_unknown_form():
 
 
 def test_covariant_divergence_of_static_vector():
-    # For sqrt|g| = r^2 and u^r = 1/r^2 the divergence vanishes.
-    div = covariant_divergence_radial(lambda r: r * r, lambda r: 1.0 / (r * r), 2.0, FD_FIRST_STEP)
+    # For sqrt|g| = r^2 and u^r = 1/r^2 the divergence (sqrt|g| u^r)' / sqrt|g|
+    # vanishes; jets in r give it as the flux's first derivative.
+    r = Jet.variable(2.0)
+    volume = r * r
+    div = (volume * r**-2.0).d1 / volume.v
     assert abs(div) < 1e-10
 
 
@@ -346,12 +359,9 @@ def test_levi_civita_vacuum_is_ricci_flat_on_the_fd_path(sigma):
     # The static Levi-Civita vacuum
     #   ds^2 = -rho^{4s} dt^2 + rho^{4s(2s-1)} (drho^2 + dz^2) + rho^{2(1-2s)} dphi^2
     # is Ricci-flat for every s.  Its g_rr is not constant, unlike every
-    # metric of the family, so the g_rr' terms of the finite-difference
-    # oracle are exercised.
-    def metric_fn(rho):
-        rr = rho ** (4.0 * sigma * (2.0 * sigma - 1.0))
-        return (-(rho ** (4.0 * sigma)), rr, rho ** (2.0 * (1.0 - 2.0 * sigma)), rr)
-
-    rho = np.linspace(0.5, 2.0, 61)
-    ricci = ricci_diagonal_fd(metric_fn, rho, 1e-3)
+    # metric of the family, so the g_rr' terms of the generic contraction
+    # are exercised, on jets of the rho powers.
+    rho = Jet.variable(np.linspace(0.5, 2.0, 61))
+    rr = rho ** (4.0 * sigma * (2.0 * sigma - 1.0))
+    ricci = ricci_diagonal_generic((-(rho ** (4.0 * sigma)), rr, rho ** (2.0 * (1.0 - 2.0 * sigma)), rr))
     assert max(float(np.max(np.abs(r_mm))) for r_mm in ricci) <= 1e-6

@@ -7,11 +7,12 @@ from lbverify import congruence, curvature, model, scalar_field, suites
 from lbverify.errors import ParameterDomainError
 from lbverify.model import (
     MAX_ABS_XI,
+    log_w_jet,
     metric_eval,
     params_from_xi,
     radial_bound,
 )
-from lbverify.numerics import FD_FIRST_STEP, FD_PAIR_STEP, central_diff, five_point_diffs
+from lbverify.numerics import FD_FIRST_STEP, central_diff
 
 LAMBDAS = (0.75, 3.0, 12.0)
 XIS = (0.0, 0.1, 0.5, 1.0, 2.0)
@@ -446,18 +447,30 @@ def test_w_has_one_interior_minimum(xi):
 
 
 def test_metric_derivatives_match_finite_differences():
+    # The sample's w', w'', f' and f'' against jets of the printed log w
+    # (f = (3/2) log w - log(12 lambda)/2) and against mpmath's numerical
+    # derivatives of the printed w and f at 30 digits.
+    mpmath = pytest.importorskip("mpmath")
     params = params_from_xi(0.75, 0.8)
     radii = (-2.5, -0.7, 0.0, 1.2, 3.1)
     for r in (*radii, np.array(radii)):
         s = metric_eval(params, r)
-        w_fn = lambda x: metric_eval(params, x).w
-        d1, d2 = five_point_diffs(w_fn, r, FD_PAIR_STEP * params.a)
-        assert d1 == pytest.approx(s.w_p, rel=1e-9, abs=1e-9)
-        assert d2 == pytest.approx(s.w_pp, rel=1e-6, abs=1e-6)
-        f_fn = lambda x: metric_eval(params, x).f
-        d1, d2 = five_point_diffs(f_fn, r, FD_PAIR_STEP * params.a)
-        assert d1 == pytest.approx(s.f_p, rel=1e-9, abs=1e-9)
-        assert d2 == pytest.approx(s.f_pp, rel=1e-6, abs=1e-6)
+        log_w = log_w_jet(params, r)
+        w = log_w.exp()
+        assert w.d1 == pytest.approx(s.w_p, rel=1e-13, abs=1e-13)
+        assert w.d2 == pytest.approx(s.w_pp, rel=1e-13, abs=1e-13)
+        assert 1.5 * log_w.d1 == pytest.approx(s.f_p, rel=1e-13, abs=1e-13)
+        assert 1.5 * log_w.d2 == pytest.approx(s.f_pp, rel=1e-13, abs=1e-13)
+
+    with mpmath.workdps(30):
+        a, xi_sq, lam = mpmath.mpf(params.a), mpmath.mpf(params.xi) ** 2, mpmath.mpf(params.lam)
+        w_mp = lambda x: mpmath.exp(-2 * x / a) * (1 + xi_sq * mpmath.exp(6 * x / a)) ** (mpmath.mpf(2) / 3)
+        f_mp = lambda x: -3 * x / a + mpmath.log(1 + xi_sq * mpmath.exp(6 * x / a)) - mpmath.log(12 * lam) / 2
+        for r in radii:
+            s = metric_eval(params, r)
+            for fn, d1, d2 in ((w_mp, s.w_p, s.w_pp), (f_mp, s.f_p, s.f_pp)):
+                assert float(mpmath.diff(fn, r, 1)) == pytest.approx(d1, rel=1e-13, abs=1e-13)
+                assert float(mpmath.diff(fn, r, 2)) == pytest.approx(d2, rel=1e-13, abs=1e-13)
 
 
 def test_range_error_reports_bound():

@@ -7,6 +7,7 @@ from lbverify.numerics import (
     BISECT_ROUNDS,
     BISECT_SECTIONS,
     SIMPSON_DEPTH_CAP,
+    Jet,
     adaptive_simpson,
     bracket_sign_changes,
     sign_change_roots,
@@ -178,3 +179,51 @@ def test_multisection_returns_a_zero_at_a_section_point():
         fn, sizes = _counted(lambda x: np.asarray(x) - root)
         assert sign_change_roots(fn, 0.0, 1.0, 1) == [root]
         assert sizes == [2] + [BISECT_SECTIONS + 1] * rounds
+
+
+def _operands(x):
+    """Jets of a = e^{2x} and b = 1 + x^2, written out by hand."""
+    e = np.exp(2.0 * x)
+    return Jet(e, 2.0 * e, 4.0 * e), Jet(1.0 + x * x, 2.0 * x, np.full_like(x, 2.0))
+
+
+JET_PRIMITIVES = {
+    "add": (lambda a, b: a + b, None),
+    "add-constant": (lambda a, b: 3.0 + a, None),
+    "sub": (lambda a, b: a - b, None),
+    "sub-from-constant": (lambda a, b: 3.0 - b, None),
+    "neg": (lambda a, b: -a, None),
+    "mul": (lambda a, b: a * b, None),
+    "mul-constant": (lambda a, b: 3.0 * a, None),
+    "pow": (lambda a, b: b**1.5, None),
+    "pow-negative": (lambda a, b: b**-2.5, None),
+    "exp": (lambda a, b: b.exp(), lambda mpmath, a, b: mpmath.exp(b)),
+    "sqrt": (lambda a, b: b**0.5, lambda mpmath, a, b: mpmath.sqrt(b)),
+    # b - 2 = x^2 - 1 changes sign on the radii, so both softplus branches run.
+    "softplus": (lambda a, b: (b - 2.0).softplus(), lambda mpmath, a, b: mpmath.log(1 + mpmath.exp(b - 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_PRIMITIVES))
+def test_jet_primitive_matches_mpmath_derivatives(name):
+    mpmath = pytest.importorskip("mpmath")
+    on_jets, on_mp = JET_PRIMITIVES[name]
+    on_mp = on_mp or (lambda mpmath, a, b: on_jets(a, b))
+    x = np.array([-1.3, -0.2, 0.4, 1.1])
+    jet = on_jets(*_operands(x))
+    with mpmath.workdps(30):
+        fn = lambda t: on_mp(mpmath, mpmath.exp(2 * t), 1 + t * t)
+        for i, t in enumerate(x.tolist()):
+            for order, part in enumerate((jet.v, jet.d1, jet.d2)):
+                assert part[i] == pytest.approx(float(mpmath.diff(fn, t, order)), rel=1e-14, abs=1e-14), (order, t)
+
+
+def test_jet_softplus_takes_any_argument_without_overflow():
+    # RuntimeWarnings are errors under the test configuration.
+    y = Jet(np.array([-np.inf, -800.0, 800.0]), np.full(3, 2.0), np.zeros(3))
+    out = y.softplus()
+    assert out.v.tolist() == [0.0, 0.0, 800.0]
+    assert out.d1.tolist() == [0.0, 0.0, 2.0]
+    assert out.d2.tolist() == [0.0, 0.0, 0.0]
+    variable = Jet.variable([0.5, 2.0])
+    assert variable.d1.tolist() == [1.0, 1.0] and variable.d2.tolist() == [0.0, 0.0]

@@ -19,7 +19,9 @@ reason each crossing stays.
 import ast
 import importlib
 import inspect
+import json
 import pathlib
+import re
 import types
 
 import lbverify
@@ -62,9 +64,15 @@ BENCHMARK_DEAD_NAMES = {
     "energy_conditions.region_scan": "removed by 271e19c; ROADMAP item 1 re-points it",
     "numerics.bisect": "removed by f580abb; ROADMAP item 1 re-points it",
     "stability.jacobian_eigen": "removed by 59a6027; ROADMAP item 1 re-points it",
+    "numerics.five_point_diffs": "removed by the commit that adds numerics.Jet; ROADMAP item 1 re-points it",
+    "curvature.ricci_diagonal_fd": (
+        "renamed curvature.ricci_diagonal_generic by the commit that adds numerics.Jet; ROADMAP item 1 re-points it"
+    ),
 }
 
 TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
+RUNNER = SRC.parents[1] / "perfbench" / "run.py"
+BENCHMARK = SRC.parents[1] / "BENCHMARK.json"
 
 
 def _modules():
@@ -220,13 +228,39 @@ def _is_package_function(name):
     return inspect.isfunction(obj) and obj.__module__ == mod.__name__
 
 
-def test_benchmark_tracer_names_resolve_or_are_listed_dead():
-    # The tracer is read and executed in memory, never imported, so nothing
-    # is written under perfbench/.
+def _tracer():
+    """``perfbench/tracer.py``, read and executed in memory, never imported, so
+    that nothing is written under perfbench/."""
     tracer = types.ModuleType("perfbench_tracer")
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), tracer.__dict__)
+    return tracer
+
+
+def test_benchmark_tracer_names_resolve_or_are_listed_dead():
+    tracer = _tracer()
     names = set(tracer._PRE) | set(tracer._POST) | {row[-1] for row in tracer._SPAN_METRICS}
     dead = {name for name in names if not _is_package_function(name)}
     assert dead <= set(BENCHMARK_DEAD_NAMES), f"unlisted dead tracer names: {sorted(dead - set(BENCHMARK_DEAD_NAMES))}"
     alive = {name for name in BENCHMARK_DEAD_NAMES if _is_package_function(name)}
     assert not alive, f"listed as dead but defined: {sorted(alive)}"
+
+
+def test_benchmark_per_layer_names_are_emitted_and_resolve_or_are_listed_dead():
+    # Each per-layer metric of BENCHMARK.json is one the tracer's
+    # layer_metrics emits (its keys do not depend on the traces) or one the
+    # runner assigns itself.  A metric of one function, a span metric or a
+    # count named function.key, names a function that resolves or is
+    # listed as dead.
+    tracer = _tracer()
+    emitted = set(tracer.layer_metrics([])) | set(re.findall(r'metrics\["([^"]+)"\] =', RUNNER.read_text()))
+    per_layer = [metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]]
+    assert not set(per_layer) - emitted, f"per-layer metrics nothing emits: {sorted(set(per_layer) - emitted)}"
+    functions = {metric: fn for metric, _, _, fn in tracer._SPAN_METRICS}
+    functions.update(
+        {metric: key.rpartition(".")[0] for metric, _, key in tracer._COUNT_METRICS if key.count(".") == 2}
+    )
+    dead = {functions[metric] for metric in per_layer if metric in functions} - set(
+        filter(_is_package_function, functions.values())
+    )
+    unlisted = dead - set(BENCHMARK_DEAD_NAMES)
+    assert not unlisted, f"unlisted dead per-layer functions: {sorted(unlisted)}"

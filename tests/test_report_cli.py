@@ -235,16 +235,21 @@ def test_cli_large_xi_field_residual_passes(argv, tmp_path):
     assert residuals and max(residuals) <= 1e-13
 
 
-@pytest.mark.parametrize("xi", ("1e5", "1e100"))
-def test_cli_verify_huge_xi_fails_only_the_dual_path(xi, tmp_path):
-    # The finite-difference Ricci oracle has a rounding floor that the row
-    # tolerance does not model yet; every other row passes.
+@pytest.mark.parametrize(
+    "argv",
+    [("--xi", "1e5"), ("--xi", "1e100"), ("--xi", "1e150"), ("--r-min", "110.8333", "--r-max", "116.6666")],
+    ids=("xi-1e5", "xi-1e100", "xi-1e150", "window-at-radial-bound"),
+)
+def test_cli_verify_dual_path_passes_at_huge_components(argv, tmp_path):
+    # The components reach e^u of about xi^(4/3) or e^{2r/a}, beyond which a
+    # difference stencil's rounding floor exceeds the row tolerance.  The
+    # generic Ricci path reads exact jets, so every row passes.
     from lbverify import cli
 
     out = tmp_path / "report.csv"
-    assert cli.main(["verify", "--lambda", "3", "--xi", xi, "--out", str(out)]) == 1
+    assert cli.main(["verify", "--lambda", "3", *argv, "--out", str(out)]) == 0
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert [r["check"] for r in rows if r["verdict"] == "fail"] == ["ricci-dual-path"]
+    assert [r["verdict"] for r in rows if r["check"] == "ricci-dual-path"] == ["pass"]
 
 
 @pytest.mark.parametrize("lam", ("inf", "1e-320"))
@@ -410,7 +415,7 @@ def test_one_exception_type_per_exit_code(monkeypatch, capsys):
     [
         ("congruence", "--e-tilde", "1e100"),
         ("congruence", "--lambda", "1e306", "--e-tilde", "2"),
-        ("verify", "--lambda", "3e306"),
+        ("verify", "--lambda", "4e307"),
         ("stability", "--lambda", "5e307"),
     ],
     ids=("congruence-huge-e-tilde", "congruence-huge-lambda", "verify-huge-lambda", "stability-huge-lambda"),
@@ -452,7 +457,7 @@ def test_cli_rejects_nonfinite_window(args):
 @pytest.mark.parametrize(
     ("spaced", "joined", "code"),
     [
-        (("verify", "--xi", "-1e10"), ("verify", "--xi=-1e10"), 1),
+        (("verify", "--xi", "-1e10"), ("verify", "--xi=-1e10"), 0),
         (("verify", "--r-min", "-1e-3"), ("verify", "--r-min=-1e-3"), 0),
         (("sweep", "--xi", "-1e3:1e3:2", "--samples", "8"), ("sweep", "--xi=-1e3:1e3:2", "--samples", "8"), 0),
         (("sweep", "--xi", "-1:1:2"), ("sweep", "--xi=-1:1:2"), 0),
@@ -461,8 +466,7 @@ def test_cli_rejects_nonfinite_window(args):
 )
 def test_cli_negative_values_in_any_float_form(spaced, joined, code, capsysbinary):
     # argparse alone reads a token such as -1e10 or -1:1:2 as an option, and
-    # only the --opt=value spelling would work. (verify at xi = 1e10 fails
-    # ricci-dual-path, ROADMAP item 3.)
+    # only the --opt=value spelling would work.
     from lbverify.cli import main
 
     assert main(list(spaced)) == code
@@ -776,10 +780,10 @@ def test_tiny_lambda_tortoise_runs_in_bounded_memory(lam):
         (("tortoise", "--lambda", "1e-12"), 0, []),
         (("tortoise", "--lambda", "1e12"), 0, []),
         (("congruence", "--lambda", "1e4", "--e-tilde", "2"), 0, []),
-        # The divergence tolerance is an absolute 1e-6 on a value that scales
-        # like 1/a = sqrt(lambda/3): a tolerance fail, not a stencil that
-        # leaves the window.
-        (("congruence", "--lambda", "1e12", "--e-tilde", "2"), 1, ["expansion-covariant-divergence"]),
+        # The divergence row takes jets, not a stencil: its rounding, about
+        # eps theta with theta of order 1/a = sqrt(lambda/3), stays below the
+        # absolute 1e-6 here.
+        (("congruence", "--lambda", "1e12", "--e-tilde", "2"), 0, []),
         # A window across the turning point r = -log(2) at xi = 0: its middle
         # admissible radius is about 5e-6 from it, closer than eps^(1/3), and
         # the potential stencil stays on the allowed side.
@@ -802,6 +806,51 @@ def test_cli_finite_difference_steps_scale_with_a(argv, code, failing, tmp_path)
     assert cli.main([*argv, "--out", str(out)]) == code
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [r["check"] for r in rows if r["verdict"] == "fail"] == failing
+
+
+@pytest.mark.parametrize(
+    "lam,xi,r_min,r_max",
+    [
+        ("3", "0", "-0.6931482", "-0.6931372"),
+        ("3", "1", "-0.6878133757", "-0.6878023757"),
+        ("1", "0", "-1.2005678995", "-1.200548847"),
+        ("1", "1", "-1.1913277128", "-1.1913086603"),
+    ],
+    ids=("lambda-3-xi-0", "lambda-3-xi-1", "lambda-1-xi-0", "lambda-1-xi-1"),
+)
+def test_cli_congruence_oracles_score_every_point_near_a_turning_point(lam, xi, r_min, r_max, tmp_path):
+    # All 58 admissible radii lie within 1e-3 E^2 of the turning point
+    # (r = -a log 2 at xi = 0, shifted at xi = 1).  The chain-rule and
+    # divergence rows read jets at each of them, so they score nonzero
+    # rounding, not 0 over no point.  The jet of w takes the scan's value,
+    # so E^2 - w agrees on both sides also where a is not a power of two.
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    argv = ["congruence", "--lambda", lam, "--xi", xi, "--e-tilde", "2", "--samples", "64"]
+    assert cli.main([*argv, "--r-min", r_min, "--r-max", r_max, "--out", str(out)]) == 0
+    rows = {r["check"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
+    assert float(rows["timelike-admissible-points"]["value"]) == 58.0
+    for check in ("rate-chain-rule-rel", "expansion-covariant-divergence"):
+        assert rows[check]["verdict"] == "pass"
+        assert 0.0 < float(rows[check]["value"]) <= 1e-3 * float(rows[check]["tolerance"]), check
+
+
+@pytest.mark.parametrize(
+    "e_tilde", [repr(math.sqrt(1.5 * 2 ** (2 / 3))), repr(math.nextafter(math.sqrt(1.5 * 2 ** (2 / 3)), 2.0))]
+)
+def test_cli_congruence_chain_rule_row_passes_at_a_root_of_the_rate(e_tilde, tmp_path):
+    # At xi = 1 the grid point r = 0 has w' = 0, and E^2 = 1.5 w(0) zeroes
+    # the rate there: exactly at the first E, from cancelling terms at the
+    # next double.  The row divides by the scan's largest rate, not by the
+    # rate at each point, so neither is a division by zero or a false fail.
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    assert cli.main(["congruence", "--xi", "1", "--e-tilde", e_tilde, "--out", str(out)]) == 0
+    rows = {r["check"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
+    assert rows["rate-chain-rule-rel"]["verdict"] == "pass"
+    assert float(rows["rate-chain-rule-rel"]["value"]) <= 1e-9
 
 
 def test_cli_potential_stencil_between_near_turning_ends():
