@@ -235,13 +235,15 @@ def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
 
     Elementwise over profile values w <= E^2, in the scaled variables
     x = w/E^2, b = |xi/E|, y^2 = x^6 - 4 b^2 x^3.  Where y^2 < 0 (outside
-    the quoted domain) the value is NaN.  At x = 1 the form diverges through
+    the quoted domain) the value is NaN, and so it is where x^3 underflows
+    to 0: for x > 0 the denominator x^3 + y is positive, so a zero there is
+    rounding, not a pole.  At x = 1 the form diverges through
     1/(1 - x) exactly where the direct rate diverges through the turning
     point, and the IEEE quotient comes back as an inf flag.
     """
     x = np.asarray(w, dtype=float) / cfg.e_tilde**2
     b = abs(params.xi / cfg.e_tilde)
-    inside = x**6 - 4.0 * b * b * x**3 >= 0.0
+    inside = (x**6 - 4.0 * b * b * x**3 >= 0.0) & (x**3 > 0.0)
     x_in = x[inside]
     quoted = np.full_like(x, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):

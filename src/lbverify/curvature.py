@@ -2,24 +2,23 @@
 
 Provides the diagonal Ricci tensor along two routes that share no code:
 
-* closed forms in the exponent derivatives (u_i', u_i''), and
+* closed forms in the exponent derivatives (u', u''), and
 * a generic assembly from the metric components alone (Christoffel
   contraction of g_mu given as second-order jets in r, ``numerics.Jet``).
 
 The closed forms are mixed components R^m_n.  For this ansatz they contain
 no metric factor: R^n_n = (2 u_n'' + u_n' s)/4 on the non-radial axes, with
-s = u1' + u2' + u3', and R^r_r = R_rr.  ``ricci_mixed`` computes the four
-of them once per sample, and the field residual, phi'^2 and the frame
-stresses read that one product, so none carries the rounding of e^u (about
-xi^(4/3) at large xi).  ``ricci_diagonal`` lowers them to the covariant
-components R_mn = g_mm R^m_m for the comparison with the generic route,
-which works in covariant components.
+s = u1' + u2' + u3', and R^r_r = R_rr.  Every member of the family has one
+exponent u on the three non-radial axes, so ``ricci_mixed`` returns the pair
+(R^n_n, R^r_r), n standing for t, phi and z, once per sample, and the field
+residual, phi'^2 and the frame stresses read that one pair, so none carries
+the rounding of e^u (about xi^(4/3) at large xi).  ``ricci_diagonal`` lowers
+it to the covariant components R_mn = g_mm R^m_m for the comparison with
+the generic route, which works in covariant components.
 
-The three non-radial axes of a ``metric_eval`` sample hold one array.  This
-module alone acts on that: ``ricci_mixed`` and ``field_residual`` compute a
-per-axis quantity once for the three axes, with the bits the general
-expressions give, and hand on components that are one array.  Every other
-layer reads the components through the general expressions.
+The paper's general form, exponents u + alpha_i T(r) that differ per axis,
+has no closed-form path: ``alpha_deformation_metric`` gives its metric as
+jets, which the generic route alone reads.
 
 Sign convention (fixed, not an option): components are reported in the
 convention for which the field equations of this family read
@@ -39,62 +38,31 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, metric_eval
-from .numerics import rk4
-
-
-def _one_array(axes) -> bool:
-    """Whether the three axes hold one array, as in every ``metric_eval`` sample."""
-    return axes[0] is axes[1] is axes[2]
-
-
-def _per_axis(fn, *columns):
-    """(fn of axis 0's entries of ``columns``, of axis 1's, of axis 2's).
-
-    When every column holds one array for the three axes, fn is computed
-    once and the three entries are that one value, which the general path
-    would give bit for bit.
-    """
-    if all(_one_array(column) for column in columns):
-        value = fn(*(column[0] for column in columns))
-        return value, value, value
-    return tuple(fn(*entries) for entries in zip(*columns))
-
-
-def _axis_sum(axes):
-    """axes[0] + axes[1] + axes[2].
-
-    On one array it is 3.0 * axes[0], the same bits: x + x is exact, and
-    both round 3x once.
-    """
-    return 3.0 * axes[0] if _one_array(axes) else axes[0] + axes[1] + axes[2]
+from .numerics import Jet, rk4
 
 
 def ricci_mixed(sample: MetricSample):
-    """Closed-form mixed diagonal Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z).
+    """Closed-form mixed diagonal Ricci as the pair (R^n_n, R^r_r), n = t, phi, z.
 
-    R^n_n = (2 u_n'' + u_n' s)/4 on the non-radial axes, with
-    s = u1' + u2' + u3', and R^r_r = sum(u_i'')/2 + sum(u_i'^2)/4.  When
-    the three axes hold the same (u', u'') arrays, as every ``metric_eval``
-    sample does, the non-radial components are one array, computed once,
-    and so is u'^2.  Callers treat the four components as values, which the
-    general expressions would give bit for bit.
+    With one exponent u on the three non-radial axes, s = 3 u',
+    R^n_n = (2 u'' + u' s)/4 and R^r_r = 3 u''/2 + 3 u'^2/4: the bits of
+    the per-axis expressions, since u' + u' + u' and 3 u' both round 3 u'
+    once.
     """
-    s = _axis_sum(sample.u_p)
-    r_tt, r_pp, r_zz = _per_axis(lambda up, upp: 0.25 * (2.0 * upp + up * s), sample.u_p, sample.u_pp)
-    squares = _per_axis(lambda up: up**2, sample.u_p)
-    r_rr = 0.5 * _axis_sum(sample.u_pp) + 0.25 * _axis_sum(squares)
-    return r_tt, r_rr, r_pp, r_zz
+    u_p, u_pp = sample.u_p, sample.u_pp
+    s = 3.0 * u_p
+    return 0.25 * (2.0 * u_pp + u_p * s), 0.5 * (3.0 * u_pp) + 0.25 * (3.0 * u_p**2)
 
 
 def ricci_diagonal(sample: MetricSample):
     """Closed-form covariant diagonal Ricci (R_tt, R_rr, R_phiphi, R_zz).
 
-    ``ricci_mixed``'s components lowered by (g_tt, g_rr, g_phiphi, g_zz) =
-    (-e^{u1}, 1, e^{u2}, e^{u3}).
+    ``ricci_mixed``'s pair lowered by (g_tt, g_rr, g_phiphi, g_zz) =
+    (-e^u, 1, e^u, e^u).
     """
-    r_tt, r_rr, r_pp, r_zz = ricci_mixed(sample)
-    u1, u2, u3 = sample.u
-    return -np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
+    r_nn, r_rr = ricci_mixed(sample)
+    g = np.exp(sample.u)
+    return -g * r_nn, r_rr, g * r_nn, g * r_nn
 
 
 def ricci_diagonal_generic(metric):
@@ -124,14 +92,13 @@ def ricci_diagonal_generic(metric):
 
 
 def field_residual(ricci, lam: float) -> float:
-    """max |R^m_m - lambda| over the t, phi and z axes of ``ricci_mixed``'s components.
+    """max |R^n_n - lambda| of ``ricci_mixed``'s pair: the t, phi and z equations.
 
     The rr equation R^r_r - lambda = phi'^2 is not checked: it is what
     defines phi'^2 (``phi_prime_sq_constraint`` returns R^r_r - lambda), so
     its residual is 0 by construction.  A NaN component makes the result NaN.
     """
-    r_tt, _, r_pp, r_zz = ricci
-    return float(np.max(_per_axis(lambda r_mm: np.abs(r_mm - lam).max(), (r_tt, r_pp, r_zz))))
+    return float(np.abs(ricci[0] - lam).max())
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
@@ -155,13 +122,18 @@ def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):
     return rs, ys[:, 0], ys[:, 1]
 
 
-def alpha_deformation_sample(
+def alpha_deformation_metric(
     params: SolutionParams,
     alpha: tuple[float, float, float],
     r,
     form: str = "printed",
-) -> MetricSample:
-    """Metric sample with exponents u_i = base_i + alpha_i * T(r).
+):
+    """Metric jets (g_tt, g_rr, g_phiphi, g_zz) of the exponents u_i = u + alpha_i * T(r).
+
+    For ``ricci_diagonal_generic``.  Each component is normalised at its
+    own point, the exp of the jet (0, u' + alpha_i T', u'' + alpha_i T''):
+    that rescales t, phi and z, which leaves the mixed components
+    unchanged, so the generic Ricci is (-R^t_t, R^r_r, R^phi_phi, R^z_z).
 
     ``form="printed"`` uses the quoted deformation term
     T = -(a / (3 |xi|)) artanh(|xi| e^{kr}), real only for |xi| e^{kr} < 1;
@@ -172,38 +144,27 @@ def alpha_deformation_sample(
     if abs(math.fsum(alpha)) > 1e-12:
         raise ParameterDomainError(f"alpha must sum to zero, got {alpha}")
     base = metric_eval(params, r)
-    if all(a_i == 0.0 for a_i in alpha):
-        return base
-    if params.xi == 0.0:
-        raise ParameterDomainError("the deformation term is undefined at xi = 0 (c1 = 0)")
-    if form not in ("printed", "arctan"):
-        raise ParameterDomainError(f"unknown deformation form {form!r}")
-    k = params.k
-    axi = abs(params.xi)
-    m = axi * np.exp(k * np.asarray(r, dtype=float))
-    if form == "printed":
-        r_max = -math.log(axi) / k
-        if np.any(m >= 1.0):
-            raise ParameterDomainError(
-                f"artanh argument |xi| e^(kr) >= 1; admissible interval is r < {r_max:.6g}"
-            )
-        t_val = -(params.a / (3.0 * axi)) * np.arctanh(m)
-        t_p = -(m / axi) / (1.0 - m * m)  # equals -e^{kr}/(1 - xi^2 e^{2kr})
-        t_pp = -k * (m / axi) * (1.0 + m * m) / (1.0 - m * m) ** 2
-    else:
-        t_val = -(params.a / (3.0 * axi)) * np.arctan(m)
-        t_p = -(m / axi) / (1.0 + m * m)
-        t_pp = -k * (m / axi) * (1.0 - m * m) / (1.0 + m * m) ** 2
-    u = tuple(base.u[i] + alpha[i] * t_val for i in range(3))
-    u_p = tuple(base.u_p[i] + alpha[i] * t_p for i in range(3))
-    u_pp = tuple(base.u_pp[i] + alpha[i] * t_pp for i in range(3))
+    t_p = t_pp = 0.0
+    if any(a_i != 0.0 for a_i in alpha):
+        if params.xi == 0.0:
+            raise ParameterDomainError("the deformation term is undefined at xi = 0 (c1 = 0)")
+        if form not in ("printed", "arctan"):
+            raise ParameterDomainError(f"unknown deformation form {form!r}")
+        k = params.k
+        axi = abs(params.xi)
+        m = axi * np.exp(k * np.asarray(r, dtype=float))
+        if form == "printed":
+            r_max = -math.log(axi) / k
+            if np.any(m >= 1.0):
+                raise ParameterDomainError(
+                    f"artanh argument |xi| e^(kr) >= 1; admissible interval is r < {r_max:.6g}"
+                )
+            t_p = -(m / axi) / (1.0 - m * m)  # equals -e^{kr}/(1 - xi^2 e^{2kr})
+            t_pp = -k * (m / axi) * (1.0 + m * m) / (1.0 - m * m) ** 2
+        else:
+            t_p = -(m / axi) / (1.0 + m * m)
+            t_pp = -k * (m / axi) * (1.0 - m * m) / (1.0 + m * m) ** 2
     # sum(alpha) = 0 leaves u1 + u2 + u3, and so f, unchanged.
-    return MetricSample(
-        r=r,
-        f=base.f,
-        f_p=base.f_p,
-        f_pp=base.f_pp,
-        u=u,
-        u_p=u_p,
-        u_pp=u_pp,
-    )
+    zero = np.zeros_like(base.u_p)
+    g_tt, g_pp, g_zz = (Jet(zero, base.u_p + a_i * t_p, base.u_pp + a_i * t_pp).exp() for a_i in alpha)
+    return -g_tt, Jet(1.0, 0.0, 0.0), g_pp, g_zz

@@ -13,17 +13,20 @@ enters, so the stresses do not carry the rounding of e^u.
 
 For this family the trace identities
 
-    rho + p_r = phi'^2,   rho + p_phi = rho + p_z = 0,   rho + sum p_i = -2 lambda
+    rho + p_r = phi'^2,   rho + p_t = 0,   rho + p_r + 2 p_t = -2 lambda
 
-hold pointwise, so the transverse null margins saturate, the strong-energy
+hold pointwise, so the transverse null margin saturates, the strong-energy
 margin is the constant -2 lambda (violated for every lambda > 0), and the
 radial null margin equals the scalar-field gradient squared.
 
-The stress takes ``curvature.ricci_mixed``'s four components, which the
-caller computes once per grid block.  On a ``metric_eval`` sample the three
-non-radial components are one array, so rho + p_phi and rho + p_z are exact
-zeros there.  The expressions below are the general ones for every sample:
-whether axes share an array is known to the curvature layer alone.
+The stress takes ``curvature.ricci_mixed``'s pair (R^n_n, R^r_r), which
+the caller computes once per grid block.  The three non-radial axes share
+R^n_n, so phi and z share one transverse pressure p_t, one transverse
+null margin and one transverse dominant margin, and each condition's
+minimum is taken over the radial and the transverse margin.  R/2 is summed
+as 0.5 (R^t_t + R^r_r + R^phi_phi + R^z_z), so every value has the bits of
+the per-axis expressions, and rho + p_t is an exact zero.
+
 Margins are the primitive output; whether a condition holds derives from its
 minimum margin (``_condition_minima``) and the single tolerance
 ``hold_tolerance(lambda)``, so that marginal saturation stays visible.  Every
@@ -50,46 +53,41 @@ CONDITIONS = ("NEC", "WEC", "SEC", "DEC")
 
 @dataclass(frozen=True)
 class FrameStress:
-    """Effective density and principal pressures in the orthonormal frame."""
+    """Effective density, radial pressure and the one transverse pressure in the orthonormal frame."""
 
     rho: float | np.ndarray
     p_r: float | np.ndarray
-    p_phi: float | np.ndarray
-    p_z: float | np.ndarray
+    p_t: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class ConditionMargins:
     nec_r: float | np.ndarray
-    nec_phi: float | np.ndarray
-    nec_z: float | np.ndarray
+    nec_t: float | np.ndarray
     wec_extra: float | np.ndarray
     sec: float | np.ndarray
     dec_r: float | np.ndarray
-    dec_phi: float | np.ndarray
-    dec_z: float | np.ndarray
+    dec_t: float | np.ndarray
 
 
 def stress_decompose(ricci) -> FrameStress:
-    """Orthonormal-frame (rho, p_r, p_phi, p_z) from the mixed Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z)."""
-    r_tt, r_rr, r_pp, r_zz = ricci
-    half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
-    return FrameStress(rho=half_r - r_tt, p_r=r_rr - half_r, p_phi=r_pp - half_r, p_z=r_zz - half_r)
+    """Orthonormal-frame (rho, p_r, p_t) from the mixed Ricci pair (R^n_n, R^r_r)."""
+    r_nn, r_rr = ricci
+    half_r = 0.5 * (r_nn + r_rr + r_nn + r_nn)
+    return FrameStress(rho=half_r - r_nn, p_r=r_rr - half_r, p_t=r_nn - half_r)
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:
-    """Pure arithmetic margins of the four classical conditions, one per axis."""
+    """Pure arithmetic margins of the four classical conditions, radial and transverse."""
     rho = stress.rho
     nec_r = rho + stress.p_r
     return ConditionMargins(
         nec_r=nec_r,
-        nec_phi=rho + stress.p_phi,
-        nec_z=rho + stress.p_z,
+        nec_t=rho + stress.p_t,
         wec_extra=rho,
-        sec=nec_r + stress.p_phi + stress.p_z,
+        sec=nec_r + stress.p_t + stress.p_t,
         dec_r=rho - np.abs(stress.p_r),
-        dec_phi=rho - np.abs(stress.p_phi),
-        dec_z=rho - np.abs(stress.p_z),
+        dec_t=rho - np.abs(stress.p_t),
     )
 
 
@@ -98,8 +96,8 @@ def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray
 
     A condition holds at r iff its minimum there is >= -``hold_tolerance``.
     """
-    nec = np.minimum(np.minimum(margins.nec_r, margins.nec_phi), margins.nec_z)
-    dec = np.minimum(np.minimum(margins.dec_r, margins.dec_phi), margins.dec_z)
+    nec = np.minimum(margins.nec_r, margins.nec_t)
+    dec = np.minimum(margins.dec_r, margins.dec_t)
     return {
         "NEC": nec,
         "WEC": np.minimum(nec, margins.wec_extra),

@@ -16,8 +16,8 @@ and the conformal factor of the isotropic form of the line element
 
     w(r) = e^{u_i(r)} = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3}.
 
-``metric_eval`` is the one evaluator: its sample carries u_i, f and w with
-their derivatives; ``log_w_jet`` is log w as a jet.  Functions accept a
+``metric_eval`` is the one evaluator: its sample carries the one exponent
+u_i, f and w with their derivatives; ``log_w_jet`` is log w as a jet.  Functions accept a
 scalar r or a numpy array and vectorize elementwise: one array path serves
 both, and a scalar r yields NumPy float scalars.
 """
@@ -70,56 +70,27 @@ class SolutionParams:
         return 3.0 / self.a
 
 
-@dataclass(frozen=True)
 class MetricSample:
-    """All radial profile quantities at one radius (or one grid).
+    """All radial profile quantities at one radius (or one grid), built from
+    q = 2kr + 2 log|xi|; ``metric_eval`` returns it.
 
     r        the radius or radii
     f        f in its printed normalization
              -kr + (1/2) log((c1 e^{2kr} - c2)^2 / (12 lambda)); f_p and
              f_pp are its f' and f'', with f'' + f'^2 = 3 lambda
-    u        the exponents (u1, u2, u3) of g_tt = -e^{u1}, g_phiphi = e^{u2},
-             g_zz = e^{u3}; u_p and u_pp are their r-derivatives
-
-    Axes that hold the same arrays, as all three do in a ``metric_eval``
-    sample, take the shared-axis path of ``curvature.ricci_mixed``, the only
-    code that acts on it: each per-axis quantity is computed once and serves
-    the three axes, with the bits the general path gives.  f_p_sq is
-    computed on first read on every sample.
-
-    The sample carries no metric factor e^u: the curvature layers read
-    mixed components, which need none.  A ``metric_eval`` sample also has
-    w = e^{u_i}, w' and w'' on w's own arithmetic path, and computes every
-    column on first read (see ``_ClosedFormSample``).
-    """
-
-    r: float | np.ndarray
-    f: float | np.ndarray
-    f_p: float | np.ndarray
-    f_pp: float | np.ndarray
-    u: tuple
-    u_p: tuple
-    u_pp: tuple
-
-    @functools.cached_property
-    def f_p_sq(self):
-        """f'^2, read by the f ODE residual and the quoted scalar integrand."""
-        return self.f_p**2
-
-
-class _ClosedFormSample(MetricSample):
-    """The sample ``metric_eval`` returns, built from q = 2kr + 2 log|xi|.
+    u        the exponent u_i shared by g_tt = -e^{u_i}, g_phiphi = e^{u_i}
+             and g_zz = e^{u_i}; u_p and u_pp are its r-derivatives
+    w        w = e^{u_i} on its own arithmetic path, with w_p and w_pp
 
     Every column is computed on first read: reading w takes neither f' nor
     f'', and reading derivatives takes neither the exp nor the log1p of f.
-    The three axes share one array of each exponent column.  w takes the
-    branch of ``_w_value`` that ``reach``, the checked max |r|, selects.
+    w takes the branch of ``_w_value`` that ``reach``, the checked max |r|,
+    selects.  The sample carries no metric factor e^u: the curvature layers
+    read mixed components, which need none.
     """
 
     def __init__(self, params: SolutionParams, r, reach: float):
-        # The dataclass is frozen: set the fields as its own __init__ would,
-        # leaving every column to the properties below.
-        vars(self).update(r=r, params=params, reach=reach)
+        self.params, self.r, self.reach = params, r, reach
 
     @functools.cached_property
     def q(self):
@@ -136,12 +107,17 @@ class _ClosedFormSample(MetricSample):
         return self.params.k * self.params.k * _sech_sq(0.5 * self.q)
 
     @functools.cached_property
+    def f_p_sq(self):
+        """f'^2, read by the f ODE residual and the quoted scalar integrand."""
+        return self.f_p**2
+
+    @functools.cached_property
     def u_p(self):
-        return ((2.0 / 3.0) * self.f_p,) * 3
+        return (2.0 / 3.0) * self.f_p
 
     @functools.cached_property
     def u_pp(self):
-        return ((2.0 / 3.0) * self.f_pp,) * 3
+        return (2.0 / 3.0) * self.f_pp
 
     @functools.cached_property
     def abs_q(self):
@@ -160,9 +136,8 @@ class _ClosedFormSample(MetricSample):
 
     @functools.cached_property
     def u(self):
-        """u_i = (2/3) f + log(12 lambda)/3, one array for the three axes."""
-        u1 = (2.0 / 3.0) * self.f + (1.0 / 3.0) * math.log(12.0 * self.params.lam)
-        return u1, u1, u1
+        """u_i = (2/3) f + log(12 lambda)/3."""
+        return (2.0 / 3.0) * self.f + (1.0 / 3.0) * math.log(12.0 * self.params.lam)
 
     @functools.cached_property
     def w(self):
@@ -172,12 +147,12 @@ class _ClosedFormSample(MetricSample):
     @functools.cached_property
     def w_p(self):
         """w' = w u'; the value of f is never read."""
-        return self.w * self.u_p[0]
+        return self.w * self.u_p
 
     @functools.cached_property
     def w_pp(self):
         """w'' = w (u'' + u'^2)."""
-        return self.w * (self.u_pp[0] + self.u_p[0] * self.u_p[0])
+        return self.w * (self.u_pp + self.u_p * self.u_p)
 
 
 def params_from_xi(lam: float, xi: float) -> SolutionParams:
@@ -259,12 +234,12 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     u_i = (2/3) f + log(12 lambda)/3 + beta_i, which reproduces w = e^{u_i};
     the printed one-parameter form with linear coefficient -1/a instead of
     -2/a is inconsistent with this derivation and is not used (the mismatch
-    is surfaced in the verification reports).  The three exponents are one
-    shared array, and so are their derivatives, so the curvature layers
-    build one bracket for all three axes.  Every column, w, w' and w''
-    included, is computed on first read (``_ClosedFormSample``).
+    is surfaced in the verification reports).  The three exponents are
+    equal, so the sample carries one, and the curvature layers build one
+    bracket for the three axes.  Every column, w, w' and w'' included, is
+    computed on first read.
     """
-    return _ClosedFormSample(params, r, _check_range(params, r))
+    return MetricSample(params, r, _check_range(params, r))
 
 
 def metric_blocks(params: SolutionParams, r_min: float, r_max: float, samples: int):
@@ -276,4 +251,4 @@ def metric_blocks(params: SolutionParams, r_min: float, r_max: float, samples: i
     """
     reach = _check_range(params, (r_min, r_max))
     grid = np.linspace(r_min, r_max, samples)
-    return (_ClosedFormSample(params, grid[i : i + GRID_BLOCK], reach) for i in range(0, samples, GRID_BLOCK))
+    return (MetricSample(params, grid[i : i + GRID_BLOCK], reach) for i in range(0, samples, GRID_BLOCK))

@@ -100,10 +100,10 @@ def build_verify_report(
     fold = defaultdict(list)
     for sample in model.metric_blocks(params, r_min, r_max, samples):
         fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
-        exponent_res = sample.u_pp[0] + sample.u_p[0] * sample.f_p - 2.0 * lam
+        exponent_res = sample.u_pp + sample.u_p * sample.f_p - 2.0 * lam
         fold["exponent-ode-residual"].append(_max_abs(exponent_res))
         ricci = ricci_mixed(sample)
-        # 2 u'' + u' (u1' + u2' + u3') - 4 lambda is 4 (R^t_t - lambda).
+        # 2 u'' + u' (u1' + u2' + u3') - 4 lambda is 4 (R^n_n - lambda).
         fold["exponent-system-residual"].append(_max_abs(4.0 * (ricci[0] - lam)))
         fold["field-equation-residual"].append(field_residual(ricci, lam))
         log_j = scalar_field.log_noether(params, sample)
@@ -140,8 +140,8 @@ def build_verify_report(
     log_w = model.log_w_jet(params, ricci_r)
     unit = (log_w - log_w.v).exp()
     r_tt, r_rr, r_pp, r_zz = ricci_diagonal_generic((-unit, Jet(1.0, 0.0, 0.0), unit, unit))
-    u1, u2, u3 = sample.u
-    generic = np.array((np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz))
+    g = np.exp(sample.u)
+    generic = np.array((g * r_tt, r_rr, g * r_pp, g * r_zz))
     tol = max(1e-6, 1e-9 * _max_abs(cf))
     rpt.add_check("ricci-dual-path", _loc(r_min, r_max, 25), _max_abs(cf - generic), tol)
 
@@ -206,8 +206,7 @@ def build_energy_report(
         ricci = ricci_mixed(sample)
         margins = ec.condition_margins(ec.stress_decompose(ricci))
         phi_sq = scalar_field.phi_prime_sq_constraint(ricci, lam)
-        fold["transverse-null-margin-phi"].append(_max_abs(margins.nec_phi))
-        fold["transverse-null-margin-z"].append(_max_abs(margins.nec_z))
+        fold["transverse-null-margin"].append(_max_abs(margins.nec_t))
         fold["strong-margin-constant"].append(_strong_margin_error(margins, lam))
         fold["radial-null-vs-gradient-sq"].append(_max_abs(margins.nec_r - phi_sq))
         fold["radial-null-margin-min"].append(margins.nec_r.min())
@@ -220,12 +219,11 @@ def build_energy_report(
             fold[f"{cond}-everywhere"].append(bool(minimum.min() >= -hold_tol))
             fold[f"{cond}-somewhere"].append(bool(minimum.max() >= -hold_tol))
 
-    for check, tol in (
-        ("transverse-null-margin-phi", 1e-9),
-        ("transverse-null-margin-z", 1e-9),
-        ("strong-margin-constant", _STRONG_MARGIN_TOL),
-        ("radial-null-vs-gradient-sq", 1e-9),
-    ):
+    # The phi and z rows read the one transverse margin.
+    transverse = float(np.max(fold["transverse-null-margin"]))
+    rpt.add_check("transverse-null-margin-phi", loc, transverse, 1e-9)
+    rpt.add_check("transverse-null-margin-z", loc, transverse, 1e-9)
+    for check, tol in (("strong-margin-constant", _STRONG_MARGIN_TOL), ("radial-null-vs-gradient-sq", 1e-9)):
         rpt.add_check(check, loc, float(np.max(fold[check])), tol)
     for check in ("radial-null-margin-min", "radial-dominant-margin-min"):
         least = float(np.min(fold[check]))

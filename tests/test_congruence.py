@@ -305,6 +305,20 @@ def test_scaled_form_shared_singularity_flags(vacuum):
     assert math.isinf(congruence._rate(*_w_columns(vacuum, r_turn), OUT2.e_tilde**2))
 
 
+def test_scaled_rate_is_nan_where_x_cubed_underflows(unit_xi):
+    # For x > 0 the denominator x^3 + y is positive, so where x = w/E^2 is
+    # so small that x^3 underflows to 0, its zero is rounding: the quoted
+    # rate marks the point outside its domain.  focusing_polynomial keeps
+    # its pole check for direct callers.
+    cfg = CongruenceConfig(e_tilde=1e60)
+    w = metric_eval(unit_xi, np.array([-1.0, 0.0, 1.0])).w
+    x = w / cfg.e_tilde**2
+    assert np.all(x > 0.0) and np.all(x**3 == 0.0)
+    assert np.all(np.isnan(quoted_scaled_rate(unit_xi, cfg, w)))
+    with pytest.raises(ParameterDomainError, match=r"x\^3 \+ y = 0"):
+        focusing_polynomial(x, abs(unit_xi.xi / cfg.e_tilde))
+
+
 def test_scaled_b_invariant_under_common_scale():
     for scale in (1.0, 2.0, 3.0):
         p1 = params_from_xi(3.0, 0.2)
@@ -567,7 +581,7 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
 
     monkeypatch.setattr(congruence, "adaptive_simpson", recording)
     for name in ("w_p", "w_pp"):
-        monkeypatch.setattr(model._ClosedFormSample, name, property(forbidden))
+        monkeypatch.setattr(model.MetricSample, name, property(forbidden))
     rpt = suites.build_tortoise_report(3.0, 0.5, samples=65)
     assert rpt.exit_code() == 0
     assert len(intervals) == 1

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lbverify.curvature import (
-    alpha_deformation_sample,
+    alpha_deformation_metric,
     field_residual,
     ode_integrate_f,
     ricci_diagonal,
@@ -13,7 +14,7 @@ from lbverify.curvature import (
 )
 from lbverify.energy_conditions import _condition_minima, condition_margins, stress_decompose
 from lbverify.errors import ParameterDomainError
-from lbverify.model import MetricSample, log_w_jet, metric_eval, params_from_xi
+from lbverify.model import log_w_jet, metric_eval, params_from_xi
 from lbverify.numerics import EPS, Jet
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import build_verify_report
@@ -33,16 +34,28 @@ def _generic_ricci(params, r):
     log_w = log_w_jet(params, r)
     unit = (log_w - log_w.v).exp()
     r_tt, r_rr, r_pp, r_zz = ricci_diagonal_generic((-unit, Jet(1.0, 0.0, 0.0), unit, unit))
-    u1, u2, u3 = metric_eval(params, r).u
-    return np.exp(u1) * r_tt, r_rr, np.exp(u2) * r_pp, np.exp(u3) * r_zz
+    g = np.exp(metric_eval(params, r).u)
+    return g * r_tt, r_rr, g * r_pp, g * r_zz
+
+
+def _deformation_term(params, r, form):
+    """The jet of T = -(a / (3 |xi|)) F(|xi| e^{kr}), F = artanh ("printed") or arctan, by the chain rule."""
+    m = (Jet.variable(r) * params.k).exp() * abs(params.xi)
+    if form == "printed":
+        f0, f1, f2 = np.arctanh(m.v), 1.0 / (1.0 - m.v**2), 2.0 * m.v / (1.0 - m.v**2) ** 2
+    else:
+        f0, f1, f2 = np.arctan(m.v), 1.0 / (1.0 + m.v**2), -2.0 * m.v / (1.0 + m.v**2) ** 2
+    return Jet(f0, f1 * m.d1, f1 * m.d2 + f2 * m.d1 * m.d1) * (-params.a / (3.0 * abs(params.xi)))
+
+
+def _deformed_exponents(params, alpha, r, form):
+    """Per axis, the jet (u_i, u_i', u_i'') of u_i = u + alpha_i T on ``metric_eval``'s u."""
+    base, t = metric_eval(params, r), _deformation_term(params, r, form)
+    return [Jet(base.u + a_i * t.v, base.u_p + a_i * t.d1, base.u_pp + a_i * t.d2) for a_i in alpha]
 
 
 def test_flat_metric_has_zero_ricci():
-    zero = 0.0
-    flat = MetricSample(
-        r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
-        u=(zero,) * 3, u_p=(zero,) * 3, u_pp=(zero,) * 3,
-    )
+    flat = SimpleNamespace(u=0.0, u_p=0.0, u_pp=0.0)
     assert ricci_diagonal(flat) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -91,9 +104,8 @@ def test_exponent_system_reproduced(lam, xi):
     params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 1024)
     s = metric_eval(params, grid)
-    total = s.u_p[0] + s.u_p[1] + s.u_p[2]
-    for i in range(3):
-        assert np.max(np.abs(2.0 * s.u_pp[i] + s.u_p[i] * total - 4.0 * lam)) < 1e-9
+    total = s.u_p + s.u_p + s.u_p
+    assert np.max(np.abs(2.0 * s.u_pp + s.u_p * total - 4.0 * lam)) < 1e-9
 
 
 def test_field_residual_exact_solution():
@@ -112,12 +124,7 @@ def test_field_residual_vacuum_member():
 def test_field_residual_detects_corruption():
     params = params_from_xi(3.0, 1.0)
     s = metric_eval(params, 0.4)
-    corrupted = MetricSample(
-        r=s.r, f=s.f, f_p=s.f_p, f_pp=s.f_pp,
-        u=(s.u[0] * 1.01, s.u[1], s.u[2]),
-        u_p=(s.u_p[0] * 1.01, s.u_p[1], s.u_p[2]),
-        u_pp=(s.u_pp[0] * 1.01, s.u_pp[1], s.u_pp[2]),
-    )
+    corrupted = SimpleNamespace(u_p=s.u_p * 1.01, u_pp=s.u_pp * 1.01)
     assert field_residual(ricci_mixed(corrupted), params.lam) > 1e-3
 
 
@@ -131,72 +138,67 @@ def test_field_residual_free_of_metric_rounding_at_large_xi(xi):
     assert field_residual(ricci_mixed(metric_eval(params, grid)), params.lam) <= 1e-13
 
 
-@pytest.mark.parametrize(
+_DEFORMED_GRIDS = pytest.mark.parametrize(
     "form, r",
     (("arctan", np.linspace(-2.0, 2.0, 65)), ("printed", np.linspace(-2.0, -0.1, 65))),
     ids=("arctan", "printed"),
 )
+
+
+@_DEFORMED_GRIDS
 def test_mixed_components_match_covariant_on_distinct_axes(form, r):
-    # A deformed sample has three distinct exponent arrays, so the residual
-    # and the stresses go through one bracket per axis, not the shared one.
-    # Both must equal the covariant formulas divided by g_mm = (-e^u1, 1,
-    # e^u2, e^u3), assembled here from ricci_diagonal.
+    # A deformed metric has three distinct exponents.  The generic Ricci of
+    # alpha_deformation_metric, normalised at each point, gives the mixed
+    # components (-R^t_t, R^r_r, R^phi_phi, R^z_z); they must equal the
+    # generic covariant components of the metric itself divided by
+    # |g_mm| = (e^u1, 1, e^u2, e^u3).
     params = params_from_xi(3.0, 1.0)
-    lam = params.lam
-    s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, form)
-    assert len({id(u_p) for u_p in s.u_p}) == 3
-    r_tt, r_rr, r_pp, r_zz = ricci_diagonal(s)
-    g_tt, g_pp, g_zz = -np.exp(s.u[0]), np.exp(s.u[1]), np.exp(s.u[2])
-
-    def close(got, covariant, g_mm):
-        want = covariant / g_mm
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), lam))
-
-    mixed = ricci_mixed(s)
-    mixed_tt, _, mixed_pp, mixed_zz = mixed
-    close(mixed_tt - lam, r_tt - lam * g_tt, g_tt)
-    close(phi_prime_sq_constraint(mixed, lam), r_rr - lam, 1.0)
-    close(mixed_pp - lam, r_pp - lam * g_pp, g_pp)
-    close(mixed_zz - lam, r_zz - lam * g_zz, g_zz)
-
-    ricci_scalar = r_tt / g_tt + r_rr + r_pp / g_pp + r_zz / g_zz
-    stress = stress_decompose(mixed)
-    close(stress.rho, r_tt - 0.5 * ricci_scalar * g_tt, -g_tt)
-    close(stress.p_r, r_rr - 0.5 * ricci_scalar, 1.0)
-    close(stress.p_phi, r_pp - 0.5 * ricci_scalar * g_pp, g_pp)
-    close(stress.p_z, r_zz - 0.5 * ricci_scalar * g_zz, g_zz)
-    if form == "printed":
-        # Not a solution: the transverse null margin rho + p_phi = R^phi_phi
-        # - R^t_t is visibly nonzero on distinct axes.
-        assert np.max(np.abs(condition_margins(stress).nec_phi)) > 1e-3
+    alpha = (0.3, -0.1, -0.2)
+    g_tt, g_pp, g_zz = (u.exp() for u in _deformed_exponents(params, alpha, r, form))
+    covariant = ricci_diagonal_generic((-g_tt, Jet(1.0, 0.0, 0.0), g_pp, g_zz))
+    mixed = ricci_diagonal_generic(alpha_deformation_metric(params, alpha, r, form))
+    for got, r_mm, g_mm in zip(mixed, covariant, (g_tt.v, 1.0, g_pp.v, g_zz.v)):
+        want = r_mm / g_mm
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), params.lam))
 
 
-@pytest.mark.parametrize("deformed", (False, True), ids=("metric_eval", "arctan"))
-def test_field_residual_max_is_over_tt_phi_z(deformed):
+@_DEFORMED_GRIDS
+def test_generic_path_matches_per_axis_closed_form_on_distinct_axes(form, r):
+    # The closed forms with one bracket per axis, written out on the
+    # deformed exponents: R^i_i = (2 u_i'' + u_i' s)/4 with s = sum u_j',
+    # and R^r_r = sum(u_i'')/2 + sum(u_i'^2)/4.
+    params = params_from_xi(3.0, 1.0)
+    exponents = _deformed_exponents(params, (0.3, -0.1, -0.2), r, form)
+    s = sum(u.d1 for u in exponents)
+    closed_rr = 0.5 * sum(u.d2 for u in exponents) + 0.25 * sum(u.d1**2 for u in exponents)
+    closed = [0.25 * (2.0 * u.d2 + u.d1 * s) for u in exponents]
+    r_tt, r_rr, r_pp, r_zz = ricci_diagonal_generic(alpha_deformation_metric(params, (0.3, -0.1, -0.2), r, form))
+    scale = max(float(np.max(np.abs(c))) for c in (*closed, closed_rr))
+    for got, want in zip((-r_tt, r_rr, r_pp, r_zz), (closed[0], closed_rr, closed[1], closed[2])):
+        assert np.max(np.abs(got - want)) <= DUAL_PATH_EPS * EPS * scale
+
+
+def test_field_residual_max_is_over_tt_phi_z():
     # The rr residual R^r_r - lambda - phi'^2 is bitwise zero by
-    # construction, so the residual reduces the three other axes alone.
+    # construction, so the residual reduces the t, phi and z component alone.
     params = params_from_xi(3.0, 1.0)
-    r = np.linspace(-2.0, 2.0, 65)
-    s = alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan") if deformed else metric_eval(params, r)
+    s = metric_eval(params, np.linspace(-2.0, 2.0, 65))
     mixed = ricci_mixed(s)
     res = field_residual(mixed, params.lam)
     assert isinstance(res, float)
     r_rr = ricci_diagonal(s)[1]
     assert np.all(r_rr - params.lam - phi_prime_sq_constraint(mixed, params.lam) == 0.0)
-    r_tt, _, r_pp, r_zz = mixed
-    axes = tuple(r_mm - params.lam for r_mm in (r_tt, r_pp, r_zz))
-    assert res == max(float(np.max(np.abs(res_m))) for res_m in axes)
+    assert res == float(np.max(np.abs(mixed[0] - params.lam)))
 
 
 def test_transverse_null_margins_exactly_zero_on_shared_axes():
-    # rho + p_phi = R^phi_phi - R^t_t, and on a metric_eval sample the two
-    # mixed components are one array (all axes share u), so the transverse
-    # null margins are exact zeros there, not merely small.  Their energy
-    # rows keep auditing distinct-axis samples, as in the test above.
+    # rho + p_t = (R/2 - R^n_n) + (R^n_n - R/2), and IEEE subtraction is
+    # antisymmetric, so the one transverse null margin is an exact zero,
+    # not merely small.
     params = params_from_xi(3.0, 0.7)
     grid = np.linspace(-2.0, 2.0, 257)
     margins = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, grid))))
-    assert np.all(margins.nec_phi == 0.0) and np.all(margins.nec_z == 0.0)
+    assert np.all(margins.nec_t == 0.0)
 
 
 def test_ode_degenerate_interval():
@@ -234,16 +236,21 @@ def test_ode_too_few_steps():
 
 
 def _deformed_residual(params, alpha, r, form="printed"):
-    """field_residual of ``alpha_deformation_sample(params, alpha, r, form)``."""
-    return field_residual(ricci_mixed(alpha_deformation_sample(params, alpha, r, form)), params.lam)
+    """max |R^m_m - lambda| over t, phi and z of the generic Ricci of ``alpha_deformation_metric``."""
+    r_tt, _, r_pp, r_zz = ricci_diagonal_generic(alpha_deformation_metric(params, alpha, r, form))
+    return max(float(np.max(np.abs(r_mm - params.lam))) for r_mm in (-r_tt, r_pp, r_zz))
 
 
 def test_deformation_zero_reduces_to_base():
     params = params_from_xi(3.0, 1.0)
-    sample = alpha_deformation_sample(params, (0.0, 0.0, 0.0), 0.4)
-    assert field_residual(ricci_mixed(sample), params.lam) < 1e-8
-    base = metric_eval(params, 0.4)
-    assert sample.u == base.u
+    assert _deformed_residual(params, (0.0, 0.0, 0.0), 0.4) < 1e-8
+    r_nn, r_rr = ricci_mixed(metric_eval(params, 0.4))
+    generic_tt, generic_rr, generic_pp, generic_zz = ricci_diagonal_generic(
+        alpha_deformation_metric(params, (0.0, 0.0, 0.0), 0.4)
+    )
+    bound = DUAL_PATH_EPS * EPS * max(abs(r_nn), abs(r_rr))
+    for got, want in ((-generic_tt, r_nn), (generic_rr, r_rr), (generic_pp, r_nn), (generic_zz, r_nn)):
+        assert abs(got - want) <= bound
 
 
 def test_deformation_printed_form_breaks_equations_linearly():
@@ -293,7 +300,7 @@ def test_deformation_rejects_an_unknown_form():
     # A nonzero alpha at xi != 0 reaches the form check.
     params = params_from_xi(3.0, 1.0)
     with pytest.raises(ParameterDomainError, match="unknown deformation form"):
-        alpha_deformation_sample(params, (0.3, -0.1, -0.2), -1.0, form="bogus")
+        alpha_deformation_metric(params, (0.3, -0.1, -0.2), -1.0, form="bogus")
 
 
 def test_covariant_divergence_of_static_vector():
@@ -305,15 +312,6 @@ def test_covariant_divergence_of_static_vector():
     assert abs(div) < 1e-10
 
 
-def _distinct_axes(sample):
-    """A copy of ``sample`` whose three axes are distinct arrays: it takes the general path."""
-    copies = lambda axes: tuple(np.array(axis, copy=True) for axis in axes)
-    return MetricSample(
-        r=sample.r, f=sample.f, f_p=sample.f_p, f_pp=sample.f_pp,
-        u=copies(sample.u), u_p=copies(sample.u_p), u_pp=copies(sample.u_pp),
-    )
-
-
 def _same_bits(a, b):
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -322,36 +320,55 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("xi", (0.0, 1.0, 1e154))
 @pytest.mark.parametrize("nan", (False, True))
 def test_shared_axis_path_gives_the_general_path_bits(lam, xi, nan):
-    # A metric_eval sample has one array for the three axes, and ricci_mixed
-    # and field_residual compute each per-axis quantity once on it.  A copy
-    # with three distinct arrays goes through the general expressions, which
-    # must give the same bits, NaN included, and so must every layer that
-    # reads the components.
+    # The three non-radial axes share one exponent, so ricci_mixed,
+    # field_residual, the frame stress and the margins compute each
+    # transverse quantity once.  The three-axis general expressions,
+    # written out here on three copies of the exponent columns, must give
+    # the same bits, NaN and the sign of zero included.
     params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
     if nan:
         grid[1000] = np.nan
-    shared = metric_eval(params, grid)
-    general = _distinct_axes(shared)
-    assert shared.u_p[0] is shared.u_p[2] and general.u_p[0] is not general.u_p[2]
+    sample = metric_eval(params, grid)
+    u_p = [np.array(sample.u_p, copy=True) for _ in range(3)]
+    u_pp = [np.array(sample.u_pp, copy=True) for _ in range(3)]
+    s = u_p[0] + u_p[1] + u_p[2]
+    r_tt, r_pp, r_zz = (0.25 * (2.0 * upp + up * s) for up, upp in zip(u_p, u_pp))
+    r_rr = 0.5 * (u_pp[0] + u_pp[1] + u_pp[2]) + 0.25 * (u_p[0] ** 2 + u_p[1] ** 2 + u_p[2] ** 2)
+    half_r = 0.5 * (r_tt + r_rr + r_pp + r_zz)
+    rho, p_r, p_phi, p_z = half_r - r_tt, r_rr - half_r, r_pp - half_r, r_zz - half_r
+    nec_r, nec_phi, nec_z = rho + p_r, rho + p_phi, rho + p_z
+    dec_r, dec_phi, dec_z = rho - np.abs(p_r), rho - np.abs(p_phi), rho - np.abs(p_z)
+    sec = nec_r + p_phi + p_z
+    nec = np.minimum(np.minimum(nec_r, nec_phi), nec_z)
+    minima = {
+        "NEC": nec,
+        "WEC": np.minimum(nec, rho),
+        "SEC": np.minimum(nec, sec),
+        "DEC": np.minimum(nec, np.minimum(np.minimum(dec_r, dec_phi), dec_z)),
+    }
 
-    ricci, ricci_general = ricci_mixed(shared), ricci_mixed(general)
-    r_tt, _, r_pp, r_zz = ricci
-    assert r_tt is r_pp is r_zz
-    for got, want in zip(ricci, ricci_general):
+    ricci = ricci_mixed(sample)
+    r_nn, pair_rr = ricci
+    for got, want in ((r_nn, r_tt), (pair_rr, r_rr), (r_nn, r_pp), (r_nn, r_zz)):
         assert _same_bits(got, want)
-    assert _same_bits(field_residual(ricci, lam), field_residual(ricci_general, lam))
-    assert np.isnan(field_residual(ricci, lam)) == nan
+    residual = field_residual(ricci, lam)
+    assert _same_bits(residual, float(np.max([np.abs(r_mm - lam).max() for r_mm in (r_tt, r_pp, r_zz)])))
+    assert np.isnan(residual) == nan
 
-    stress, stress_general = stress_decompose(ricci), stress_decompose(ricci_general)
-    for name in ("rho", "p_r", "p_phi", "p_z"):
-        assert _same_bits(getattr(stress, name), getattr(stress_general, name)), name
-    margins, margins_general = condition_margins(stress), condition_margins(stress_general)
-    for name in ("nec_r", "nec_phi", "nec_z", "wec_extra", "sec", "dec_r", "dec_phi", "dec_z"):
-        assert _same_bits(getattr(margins, name), getattr(margins_general, name)), name
-    minima, minima_general = _condition_minima(margins), _condition_minima(margins_general)
-    for cond, minimum in minima.items():
-        assert _same_bits(minimum, minima_general[cond]), cond
+    stress = stress_decompose(ricci)
+    for got, want in ((stress.rho, rho), (stress.p_r, p_r), (stress.p_t, p_phi), (stress.p_t, p_z)):
+        assert _same_bits(got, want)
+    margins = condition_margins(stress)
+    pairs = {
+        "nec_r": (margins.nec_r, nec_r), "nec_phi": (margins.nec_t, nec_phi), "nec_z": (margins.nec_t, nec_z),
+        "wec_extra": (margins.wec_extra, rho), "sec": (margins.sec, sec),
+        "dec_r": (margins.dec_r, dec_r), "dec_phi": (margins.dec_t, dec_phi), "dec_z": (margins.dec_t, dec_z),
+    }
+    for name, (got, want) in pairs.items():
+        assert _same_bits(got, want), name
+    for cond, minimum in _condition_minima(margins).items():
+        assert _same_bits(minimum, minima[cond]), cond
 
 
 @pytest.mark.parametrize("sigma", (0.25, 1.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lbverify import cli, suites
-from lbverify.curvature import alpha_deformation_sample, ricci_mixed
+from lbverify.curvature import ricci_diagonal_generic, ricci_mixed
 from lbverify.energy_conditions import (
     CONDITIONS,
     HOLD_TOL,
@@ -13,7 +13,8 @@ from lbverify.energy_conditions import (
     stress_decompose,
 )
 from lbverify.errors import NumericalError
-from lbverify.model import GRID_BLOCK, metric_eval, params_from_xi
+from lbverify.model import GRID_BLOCK, log_w_jet, metric_eval, params_from_xi
+from lbverify.numerics import Jet
 from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import build_energy_report
 
@@ -34,17 +35,25 @@ def test_trace_identities_random_points():
         stress = stress_decompose(ricci)
         phi_sq = phi_prime_sq_constraint(ricci, lam)
         assert stress.rho + stress.p_r == pytest.approx(phi_sq, abs=1e-9)
-        assert stress.rho + stress.p_phi == pytest.approx(0.0, abs=1e-9)
-        assert stress.rho + stress.p_z == pytest.approx(0.0, abs=1e-9)
-        total = stress.rho + stress.p_r + stress.p_phi + stress.p_z
+        assert stress.rho + stress.p_t == pytest.approx(0.0, abs=1e-9)
+        total = stress.rho + stress.p_r + stress.p_t + stress.p_t
         assert total == pytest.approx(-2.0 * lam, abs=1e-8)
 
 
 def test_transverse_pressures_equal():
+    # The generic contraction of the metric alone gives p_phi and p_z from
+    # components of their own; both are the one transverse pressure.  Each
+    # component is normalised at its own point, so the generic covariant
+    # Ricci is (-R^t_t, R^r_r, R^phi_phi, R^z_z) there.
     params = params_from_xi(3.0, 1.0)
     grid = np.linspace(-2.0, 2.0, 257)
     stress = stress_decompose(ricci_mixed(metric_eval(params, grid)))
-    assert np.max(np.abs(stress.p_phi - stress.p_z)) < 1e-12
+    log_w = log_w_jet(params, grid)
+    unit = (log_w - log_w.v).exp()
+    r_tt, r_rr, r_pp, r_zz = ricci_diagonal_generic((-unit, Jet(1.0, 0.0, 0.0), unit, unit))
+    half_r = 0.5 * (-r_tt + r_rr + r_pp + r_zz)
+    assert np.max(np.abs(r_pp - half_r - stress.p_t)) < 1e-12
+    assert np.max(np.abs(r_zz - half_r - stress.p_t)) < 1e-12
 
 
 def test_vacuum_member_margins():
@@ -52,8 +61,7 @@ def test_vacuum_member_margins():
     stress = stress_decompose(ricci_mixed(metric_eval(params, 0.7)))
     margins = condition_margins(stress)
     assert margins.nec_r == pytest.approx(0.0, abs=1e-12)
-    assert margins.nec_phi == pytest.approx(0.0, abs=1e-12)
-    assert margins.nec_z == pytest.approx(0.0, abs=1e-12)
+    assert margins.nec_t == pytest.approx(0.0, abs=1e-12)
     assert margins.wec_extra == pytest.approx(3.0, rel=1e-12)
     assert margins.sec == pytest.approx(-6.0, rel=1e-12)
     assert margins.dec_r == pytest.approx(0.0, abs=1e-12)
@@ -68,11 +76,11 @@ def test_radial_margin_at_origin_unit_xi():
 
 
 def test_margin_arithmetic():
-    stress = FrameStress(rho=1.0, p_r=1.0, p_phi=-1.0, p_z=-1.0)
+    stress = FrameStress(rho=1.0, p_r=1.0, p_t=-1.0)
     margins = condition_margins(stress)
-    assert (margins.nec_r, margins.nec_phi, margins.nec_z) == (2.0, 0.0, 0.0)
+    assert (margins.nec_r, margins.nec_t) == (2.0, 0.0)
     assert margins.sec == 0.0
-    assert (margins.dec_r, margins.dec_phi, margins.dec_z) == (0.0, 0.0, 0.0)
+    assert (margins.dec_r, margins.dec_t) == (0.0, 0.0)
     held = _holds(margins, HOLD_TOL)
     assert bool(held["NEC"])
     assert bool(held["SEC"])
@@ -80,21 +88,12 @@ def test_margin_arithmetic():
 
 
 def test_z_margins_shared_only_when_p_z_is_p_phi():
+    # p_z is p_phi on every member of the family, so the phi and z rows of
+    # the energy report both read the one transverse null margin.
     params = params_from_xi(3.0, 1.0)
-    r = np.linspace(-2.0, 2.0, 65)
-    shared = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, r))))
-    assert np.array_equal(shared.nec_z, shared.nec_phi) and np.array_equal(shared.dec_z, shared.dec_phi)
-    # Distinct axes keep z margins of their own, and the minima read them:
-    # on this non-solution only the z margins fail.
-    r = np.linspace(-2.0, -0.1, 65)
-    stress = stress_decompose(ricci_mixed(alpha_deformation_sample(params, (0.2, -0.5, 0.3), r, "printed")))
-    margins = condition_margins(stress)
-    assert np.array_equal(margins.nec_z, stress.rho + stress.p_z)
-    assert np.array_equal(margins.dec_z, stress.rho - np.abs(stress.p_z))
-    assert np.all(np.minimum(margins.nec_r, margins.nec_phi) >= -HOLD_TOL)
-    assert np.all(np.minimum(margins.dec_r, margins.dec_phi) >= -HOLD_TOL)
-    held = _holds(margins, HOLD_TOL)
-    assert not held["NEC"].any() and not held["DEC"].any()
+    margins = condition_margins(stress_decompose(ricci_mixed(metric_eval(params, np.linspace(-2.0, 2.0, 65)))))
+    rows = {row.check: row.value for row in build_energy_report(3.0, 1.0, -2.0, 2.0, 65).rows}
+    assert rows["transverse-null-margin-phi"] == rows["transverse-null-margin-z"] == np.max(np.abs(margins.nec_t))
 
 
 def test_sec_margin_constant_in_radius():
@@ -122,24 +121,25 @@ def test_energy_report_vacuum_member():
     assert "energy-SEC-interval" not in rows
 
 
-def _synthetic_ricci(rho_of_r):
-    """A stand-in for ``ricci_mixed`` whose frame stress is rho = rho_of_r(r) with zero pressures.
+def _synthetic_ricci(margin_of_r):
+    """A stand-in for ``ricci_mixed`` whose radial null margin is c = margin_of_r(r).
 
-    With R^t_t = -rho/2 and the other three components rho/2, R/2 is rho/2,
-    so ``stress_decompose`` gives rho and p_i = 0 exactly.
+    The pair (R^n_n, R^r_r) = (0, c) gives R/2 = c/2, rho = p_r = c/2 and
+    p_t = -c/2: rho + p_r = c, and the transverse and strong margins are 0.
+    The WEC margin rho and the dominant margins c/2 - |c|/2 are >= 0
+    wherever c is, so every condition holds exactly where c >= -tolerance.
     """
 
     def synthetic(sample):
-        half = 0.5 * rho_of_r(np.asarray(sample.r, dtype=float))
-        return -half, half, half, half
+        return 0.0, margin_of_r(np.asarray(sample.r, dtype=float))
 
     return synthetic
 
 
 def _cubic_stress(roots, sign):
     # The family's own margins never change sign inside a window, so a
-    # synthetic stress with rho = +/-(r - r1)(r - r2)(r - r3) - HOLD_TOL and
-    # zero pressures stands in: every condition then holds exactly where the
+    # synthetic stress with the radial null margin +/-(r - r1)(r - r2)(r - r3)
+    # - HOLD_TOL stands in: every condition then holds exactly where the
     # cubic is >= 0, with edges at its roots.
     return _synthetic_ricci(lambda r: sign * (r - roots[0]) * (r - roots[1]) * (r - roots[2]) - HOLD_TOL)
 

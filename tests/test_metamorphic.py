@@ -98,8 +98,6 @@ def test_xi_shift_moves_the_profile_along_r(lam, xi, shift):
     s, s_shifted = model.metric_eval(params, r), model.metric_eval(shifted, r_shifted)
     assert np.max(np.abs(s_shifted.f_p - s.f_p)) / params.k <= 1e-12
     assert np.max(np.abs(s_shifted.f_pp - s.f_pp)) / params.k**2 <= 1e-12
-    u = s.u[0]
-    u_shifted = s_shifted.u[0]
-    assert np.max(np.abs(u_shifted - u - 2.0 * shift) / np.maximum(1.0, np.abs(u))) <= 1e-12
+    assert np.max(np.abs(s_shifted.u - s.u - 2.0 * shift) / np.maximum(1.0, np.abs(s.u))) <= 1e-12
     w_ratio = s_shifted.w / s.w
     assert np.max(np.abs(w_ratio / math.exp(2.0 * shift) - 1.0)) <= 1e-12

@@ -108,7 +108,7 @@ def test_exponent_first_order_form(lam, xi):
     params = params_from_xi(lam, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
     s = metric_eval(params, grid)
-    residual = np.abs(s.u_pp[0] + s.u_p[0] * s.f_p - 2.0 * lam)
+    residual = np.abs(s.u_pp + s.u_p * s.f_p - 2.0 * lam)
     assert np.max(residual) < 1e-8
 
 
@@ -119,7 +119,7 @@ def test_exponent_flux_form_finite_difference():
 
     def flux(r):
         s = metric_eval(params, r)
-        return float(s.u_p[0] * np.exp(s.f))
+        return float(s.u_p * np.exp(s.f))
 
     for r in (-1.3, -0.2, 0.4, 1.1):
         s = metric_eval(params, r)
@@ -141,8 +141,8 @@ def test_sample_f_is_the_printed_closed_form():
     params = params_from_xi(0.75, 1.3)
     grid = np.linspace(-3.0, 3.0, 128)
     s = metric_eval(params, grid)
-    # The exponents sum to 2f + log(12 lambda) in the canonical gauge.
-    assert np.allclose(s.f, 0.5 * (s.u[0] + s.u[1] + s.u[2]) - 0.5 * math.log(12.0 * 0.75), rtol=0, atol=1e-14)
+    # The three equal exponents sum to 2f + log(12 lambda) in the canonical gauge.
+    assert np.allclose(s.f, 1.5 * s.u - 0.5 * math.log(12.0 * 0.75), rtol=0, atol=1e-14)
     # f, computed on first read, is the printed closed form
     # -kr + (1/2) log((c1 e^{2kr} - c2)^2 / (12 lambda)) with c1 = xi^2, c2 = -1.
     k = params.k
@@ -169,7 +169,7 @@ def test_w_at_origin_general(xi):
 def test_w_matches_exponential_of_u():
     params = params_from_xi(3.0, 0.1)
     s = metric_eval(params, 0.5)
-    assert abs(s.w - math.exp(s.u[0])) / s.w < 1e-12
+    assert abs(s.w - math.exp(s.u)) / s.w < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -185,7 +185,7 @@ def test_w_through_log_xi_matches_exponential_of_u(xi, r):
     # log|xi|; it must still agree with exp(u1) and raise no warning.
     params = params_from_xi(3.0, xi)
     s = metric_eval(params, r)
-    assert np.max(np.abs(s.w - np.exp(s.u[0])) / s.w) < 1e-12
+    assert np.max(np.abs(s.w - np.exp(s.u)) / s.w) < 1e-12
 
 
 def _ulps(value, ref):
@@ -200,7 +200,7 @@ def _log1p_exp(q):
     k = 1/2 and log|xi| = 0 exactly, so q = 2kr + 2 log|xi| is r."""
     params = params_from_xi(1.0 / 12.0, 1.0 if np.all(np.isfinite(q)) else 0.0)
     r = np.where(np.isfinite(q), q, 0.0)
-    sample = model._ClosedFormSample(params, r, float(np.abs(r).max()))
+    sample = model.MetricSample(params, r, float(np.abs(r).max()))
     assert np.array_equal(sample.q, q)
     return np.maximum(sample.q, 0.0) + sample.log1p_exp_neg_abs_q
 
@@ -226,31 +226,21 @@ def test_log1p_exp_matches_logaddexp():
 
 def test_ricci_diagonal_is_exp_u_times_mixed_components():
     params = params_from_xi(3.0, 0.5)
-    r = np.linspace(-2.0, 0.5, 33)
-    base = metric_eval(params, r)
-    deformed = curvature.alpha_deformation_sample(params, (0.3, -0.1, -0.2), r, "arctan")
-    # The three exponents of a metric_eval sample are one array: one bracket
-    # serves every non-radial axis.  Distinct axes get brackets of their own.
-    r_tt, _, r_pp, r_zz = curvature.ricci_mixed(base)
-    assert r_tt is r_pp is r_zz
-    r_tt, _, r_pp, r_zz = curvature.ricci_mixed(deformed)
-    assert len({id(c) for c in (r_tt, r_pp, r_zz)}) == 3
-    for s in (base, deformed):
-        r_tt, r_rr, r_pp, r_zz = curvature.ricci_mixed(s)
-        lowered = (-np.exp(s.u[0]) * r_tt, r_rr, np.exp(s.u[1]) * r_pp, np.exp(s.u[2]) * r_zz)
-        covariant = curvature.ricci_diagonal(s)
-        for got, want in zip(covariant, lowered):
-            assert np.array_equal(got, want)
-        # The covariant closed forms R_nn = g_nn (2 u_n'' + u_n' s) / 4,
-        # written out: the scaling by 1/4 is exact, so lowering the mixed
-        # components reproduces them bit for bit, and ricci-dual-path with
-        # them.
-        g1, g2, g3 = (np.exp(u) for u in s.u)
-        (u1p, u2p, u3p), (u1pp, u2pp, u3pp) = s.u_p, s.u_pp
-        total = u1p + u2p + u3p
-        assert np.array_equal(covariant[0], -0.25 * g1 * (2.0 * u1pp + u1p * total))
-        assert np.array_equal(covariant[2], 0.25 * g2 * (2.0 * u2pp + u2p * total))
-        assert np.array_equal(covariant[3], 0.25 * g3 * (2.0 * u3pp + u3p * total))
+    s = metric_eval(params, np.linspace(-2.0, 0.5, 33))
+    # The three exponents of a metric_eval sample are one: one bracket
+    # serves every non-radial axis.
+    r_nn, r_rr = curvature.ricci_mixed(s)
+    g = np.exp(s.u)
+    covariant = curvature.ricci_diagonal(s)
+    for got, want in zip(covariant, (-g * r_nn, r_rr, g * r_nn, g * r_nn)):
+        assert np.array_equal(got, want)
+    # The covariant closed forms R_nn = g_nn (2 u_n'' + u_n' s) / 4,
+    # written out: the scaling by 1/4 is exact, so lowering the mixed
+    # components reproduces them bit for bit, and ricci-dual-path with them.
+    total = s.u_p + s.u_p + s.u_p
+    assert np.array_equal(covariant[0], -0.25 * g * (2.0 * s.u_pp + s.u_p * total))
+    for n in (2, 3):
+        assert np.array_equal(covariant[n], 0.25 * g * (2.0 * s.u_pp + s.u_p * total))
 
 
 def test_reading_w_takes_no_log1p(monkeypatch):
@@ -275,7 +265,7 @@ def test_reading_w_takes_no_log1p(monkeypatch):
         assert np.all(np.isfinite((sample.w, sample.w_p, sample.w_pp)))
     assert calls == []
     f = s.f
-    assert s.f is f and s.u[0] is s.u[2]
+    assert s.f is f and np.all(np.isfinite(s.u))
     assert calls == ["log1p"]
 
 
@@ -418,7 +408,7 @@ def test_energy_report_reads_no_value_column(monkeypatch):
         raise AssertionError("an energy block read f or u")
 
     for name in ("f", "u"):
-        monkeypatch.setattr(model._ClosedFormSample, name, property(unread))
+        monkeypatch.setattr(model.MetricSample, name, property(unread))
     rows = {row.check: row for row in suites.build_energy_report(3.0, 1.0, samples=9000).rows}
     assert rows["radial-null-vs-gradient-sq"].verdict == "pass"
     with pytest.raises(AssertionError, match="read f or u"):
@@ -528,18 +518,18 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every metric_eval and metric_blocks sample is a _ClosedFormSample:
+    # Every metric_eval and metric_blocks sample is a MetricSample:
     # record the arrays they are built on.
     # Beside the report grid, verify only evaluates the 25-point Ricci
     # stencils, and energy evaluates nothing else.
     arrays = []
-    core = model._ClosedFormSample.__init__
+    core = model.MetricSample.__init__
 
     def recording(self, params, r, reach):
         arrays.append(np.array(r))
         core(self, params, r, reach)
 
-    monkeypatch.setattr(model._ClosedFormSample, "__init__", recording)
+    monkeypatch.setattr(model.MetricSample, "__init__", recording)
     for samples in (9000, 65536):
         grid = np.linspace(-2.0, 2.0, samples)
         for build in (suites.build_energy_report, suites.build_verify_report):

@@ -34,7 +34,7 @@ TEST_ONLY = {
     ("scalar_field", "scalar_profile"): "acceptance criterion 4, the scalar profile",
     ("scalar_field", "noether_charge"): "acceptance criterion 4, the first integral",
     ("scalar_field", "phi_accumulate"): "acceptance criterion 4, phi by quadrature",
-    ("curvature", "alpha_deformation_sample"): "the paper's general-form claim",
+    ("curvature", "alpha_deformation_metric"): "the paper's general-form claim",
     ("special_functions", "gauss_2f1_series"): "the reference branch of hyp2f1",
 }
 

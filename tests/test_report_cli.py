@@ -669,6 +669,30 @@ def test_cli_congruence_tiny_b_scans_its_roots(b, capsys):
     assert [(row[2], row[4]) for row in found] == [("0", "pass")]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda", "1e-300", "--xi", "1", "--e-tilde", "1e150"],
+        ["--lambda", "1e-300", "--xi", "0", "--e-tilde", "1e150"],
+        ["--e-tilde", "1e60"],
+    ],
+    ids=("tiny-lambda", "tiny-lambda-vacuum", "huge-e"),
+)
+def test_cli_congruence_underflowing_x_cubed_writes_a_report(argv, capsys):
+    # x = w/E^2 is so small here that x^3 underflows to 0.  These points
+    # lie outside the quoted domain, so the quoted comparison covers none of
+    # them; rounding in its denominator is not a usage error (exit 2).
+    # Rows of other checks may still fail on these inputs (exit 1).
+    from lbverify import cli
+
+    assert cli.main(["congruence", *argv]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
+    assert rows["quoted-scaled-rate-points"][2] == "0"
+    assert "quoted-scaled-rate-vs-direct" not in rows
+
+
 _FIXED_CELLS = [f"focusing-positive-cells[b={b:.9g}]" for b in suites.SIGN_MAP_B_VALUES]
 
 

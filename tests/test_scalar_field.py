@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lbverify import scalar_field
 from lbverify.curvature import ricci_mixed
 from lbverify.errors import ParameterDomainError
-from lbverify.model import MetricSample, metric_eval, params_from_xi
+from lbverify.model import metric_eval, params_from_xi
 from lbverify.scalar_field import (
     noether_charge,
     phi_accumulate,
@@ -80,10 +81,7 @@ def test_quoted_integrand_goes_negative_at_large_radius():
 
 
 def test_negative_constraint_is_flag_not_exception():
-    fake = MetricSample(
-        r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
-        u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
-    )
+    fake = SimpleNamespace(u_p=0.0, u_pp=0.0)
     assert phi_prime_sq_constraint(ricci_mixed(fake), 3.0) == -3.0
 
 
@@ -112,10 +110,7 @@ def test_accumulate_against_midpoint_refinement():
 
 def test_accumulate_domain_error_reports_interval(monkeypatch):
     params = params_from_xi(3.0, 1.0)
-    bad = MetricSample(
-        r=0.0, f=0.0, f_p=0.0, f_pp=0.0,
-        u=(0.0, 0.0, 0.0), u_p=(0.0, 0.0, 0.0), u_pp=(0.0, 0.0, 0.0),
-    )
+    bad = SimpleNamespace(u_p=0.0, u_pp=0.0)
     monkeypatch.setattr(scalar_field, "metric_eval", lambda p, r: bad)
     with pytest.raises(ParameterDomainError, match=r"\[0, 1\]"):
         phi_accumulate(params, 0.0, 1.0)
