@@ -10,8 +10,11 @@ value, and the null expansion rate.  The tortoise coordinate and those
 radii are closed forms of the identity w = (2|xi| cosh(q/2))^{2/3},
 q = 6r/a + 2 log|xi|: the tortoise coordinate is a symmetric incomplete
 beta function of s = 1/(1 + e^{-q}), and w equals a value at an arccosh
-pair of radii.  w, w' and w'' are the columns of a ``metric_eval`` sample,
-which computes each on first read.
+pair of radii.  The kinematics read w and the exponent's u' and u'' from
+a ``metric_eval`` sample, and E only through x = w/E^2 and the |E|
+factors of u^t and the null rate: with w' = w u' and w'' = w (u'' + u'^2)
+no E^2 w or E^4 product forms, and the direct rates meet the quoted form
+in its own variables (E. Poisson, *A Relativist's Toolkit*, 2004, §2.4).
 
 Quoted numeric anchors (root values 0.377 / 1.178 and the radius factor
 0.0273) are never used as inputs; they live in comparison reports only.
@@ -71,29 +74,47 @@ class CongruenceConfig:
 class KinematicsScan:
     """Timelike and null kinematics at the admissible radii of a scan grid.
 
-    The fields are the admissible radii r, in grid order, the profile
-    (w, w', w'') at them and E^2.  The columns theta, dtheta_dtau (the
-    timelike rate) and null_rate are computed on first read, so a caller
-    pays only for the ones it reads.
+    The fields are the admissible radii r, in grid order, the profile w,
+    x = w/E^2 and the exponent's u' and u'' at them, and E.  The columns
+    theta, dtheta_dtau (the timelike rate), null_rate and the 4-velocity
+    components u_t, u_r are computed on first read, so a caller pays only
+    for the ones it reads.
     """
 
     r: np.ndarray
     w: np.ndarray
-    w_p: np.ndarray
-    w_pp: np.ndarray
-    e2: float
+    x: np.ndarray
+    u_p: np.ndarray
+    u_pp: np.ndarray
+    e_tilde: float
 
     @functools.cached_property
     def theta(self) -> np.ndarray:
-        return _theta(self.w, self.w_p, self.e2)
+        return _theta(self.x, self.u_p)
 
     @functools.cached_property
     def dtheta_dtau(self) -> np.ndarray:
-        return _rate(self.w, self.w_p, self.w_pp, self.e2)
+        return _rate(self.x, self.u_p, self.u_pp)
 
     @functools.cached_property
     def null_rate(self) -> np.ndarray:
-        return _null_rate(self.w, self.w_p, self.w_pp, self.e2)
+        """The null expansion rate as quoted, (1/w) sqrt(E^2 - w) [w'' - (3/2) w'^2 / w].
+
+        That is |E| sqrt(1 - x) (u'' - u'^2/2).  It keeps the printed energy
+        factor (an affine-null congruence has no rest-mass normalization; the
+        bracket u'' - u'^2/2 alone carries the energy-independent content).
+        """
+        return abs(self.e_tilde) * np.sqrt(1.0 - self.x) * (self.u_pp - 0.5 * self.u_p * self.u_p)
+
+    @functools.cached_property
+    def u_t(self) -> np.ndarray:
+        """u^t = E/w of the marginally bound radial geodesics."""
+        return self.e_tilde / self.w
+
+    @functools.cached_property
+    def u_r(self) -> np.ndarray:
+        """u^r = sqrt(E^2/w - 1) = sqrt(1/x - 1); u^phi = u^z = 0, so u is normalized to -1."""
+        return np.sqrt(np.maximum(1.0 / self.x - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -107,23 +128,6 @@ class RadiusCandidates:
 def _first(values, mask):
     """The entry of ``values`` (scalar or array) at the first true entry of ``mask``."""
     return np.atleast_1d(values)[int(np.argmax(np.atleast_1d(mask)))]
-
-
-def four_velocity(params: SolutionParams, cfg: CongruenceConfig, r):
-    """(u^t, u^r) = (E/w, sqrt(E^2/w - 1)); u^phi = u^z = 0, and u is exactly normalized to -1.
-
-    Elementwise over an array of radii; raises ParameterDomainError if any
-    radius has w > E^2.
-    """
-    w = metric_eval(params, r).w
-    e2 = cfg.e_tilde**2
-    forbidden = w > e2
-    if np.any(forbidden):
-        raise ParameterDomainError(
-            f"w(r) = {_first(w, forbidden):.6g} > E^2 = {e2:.6g} at r = {_first(r, forbidden):.6g}"
-        )
-    u_r = np.sqrt(np.maximum(e2 / w - 1.0, 0.0))
-    return cfg.e_tilde / w, u_r
 
 
 def _sqrt_integrand(params: SolutionParams, cfg: CongruenceConfig, r: np.ndarray) -> np.ndarray:
@@ -150,45 +154,49 @@ def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: fl
     return -adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
 
 
-def _theta(w, w_p, e2: float):
-    """w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)) for w <= E^2.
+def _theta(x, u_p):
+    """u'(2 - 3x) / (2 sqrt(x) sqrt(1 - x)) for 0 < x = w/E^2 <= 1.
 
-    At w = E^2 the IEEE quotient is the turning-point flag: +/-inf with the
-    sign of the numerator, NaN where the numerator vanishes too.
+    The divergence w'(2E^2 - 3w) / (2 w^{3/2} sqrt(E^2 - w)) of the
+    4-velocity, with w' = w u'.  At x = 1 (w = E^2) the IEEE quotient is the
+    turning-point flag: +/-inf with the sign of the numerator, NaN where
+    the numerator vanishes too.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(w_p * (2.0 * e2 - 3.0 * w), 2.0 * w**1.5 * np.sqrt(e2 - w))
+        return np.divide(u_p * (2.0 - 3.0 * x), 2.0 * np.sqrt(x) * np.sqrt(1.0 - x))
 
 
-def _rate(w, w_p, w_pp, e2: float):
-    """Proper-time rate of the expansion, d theta / d tau = theta' u^r, for w <= E^2.
+def _rate(x, u_p, u_pp):
+    """Proper-time rate of the expansion, d theta / d tau = theta' u^r, for 0 < x <= 1.
 
-    Closed form in (w, w', w''):
+    Closed form in (x, u', u''):
 
-        [w''(2E^2 - 3w) - 3 w'^2] / (2 w^2)
-          - w'^2 (2E^2 - 3w)(3E^2 - 4w) / (4 w^3 (E^2 - w)).
+        [(u'' + u'^2)(2 - 3x) - 3x u'^2] / (2x)
+          - u'^2 (2 - 3x)(3 - 4x) / (4x (1 - x)).
 
-    At w = E^2 the second term's IEEE quotient carries the flag, as in
+    At x = 1 the second term's IEEE quotient carries the flag, as in
     ``_theta``; the first term stays finite.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        first = (w_pp * (2.0 * e2 - 3.0 * w) - 3.0 * w_p**2) / (2.0 * w * w)
-        tail = -(w_p**2) * (2.0 * e2 - 3.0 * w) * (3.0 * e2 - 4.0 * w)
-        return first + np.divide(tail, 4.0 * w**3 * (e2 - w))
+        u_p_sq = u_p * u_p
+        s = 2.0 - 3.0 * x
+        first = ((u_pp + u_p_sq) * s - 3.0 * x * u_p_sq) / (2.0 * x)
+        return first - np.divide(u_p_sq * s * (3.0 - 4.0 * x), 4.0 * x * (1.0 - x))
 
 
 def chain_rule_fd_step(params: SolutionParams, cfg: CongruenceConfig, r):
     """Step of the potential-gradient stencil in r (elementwise).
 
-    ``FD_FIRST_STEP * a``, capped by 1e-4 (E^2 - w)/|w'|, a ten-thousandth
-    of the linear distance to the turning point, so that a stencil of that
-    step never crosses it.
+    ``FD_FIRST_STEP * a``, capped by 1e-4 (E^2 - w)/|w'| with w' = w u', a
+    ten-thousandth of the linear distance to the turning point, so that a
+    stencil of that step never crosses it.
     """
     sample = metric_eval(params, r)
     q2 = cfg.e_tilde**2 - sample.w
+    w_p = sample.w * sample.u_p
     # A subnormal w' overflows the cap to inf, which np.minimum then drops.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cap = np.where((q2 > 0.0) & (sample.w_p != 0.0), 1e-4 * q2 / np.abs(sample.w_p), np.inf)
+        cap = np.where((q2 > 0.0) & (w_p != 0.0), 1e-4 * q2 / np.abs(w_p), np.inf)
     return np.minimum(FD_FIRST_STEP * params.a, cap)
 
 
@@ -230,20 +238,22 @@ def focusing_polynomial_reduced(x: float) -> float:
     return (54.0 * x * x - 91.0 * x + 40.0) / 6.0
 
 
-def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, w):
+def quoted_scaled_rate(params: SolutionParams, cfg: CongruenceConfig, x):
     """The quoted closed form (lambda/2) * poly / (x (1 - x)) of d theta / d tau.
 
-    Elementwise over profile values w <= E^2, in the scaled variables
-    x = w/E^2, b = |xi/E|, y^2 = x^6 - 4 b^2 x^3.  Where y^2 < 0 (outside
-    the quoted domain) the value is NaN, and so it is where x^3 underflows
-    to 0: for x > 0 the denominator x^3 + y is positive, so a zero there is
-    rounding, not a pole.  At x = 1 the form diverges through
-    1/(1 - x) exactly where the direct rate diverges through the turning
-    point, and the IEEE quotient comes back as an inf flag.
+    Elementwise over scaled profile values x = w/E^2 <= 1, a scan's x
+    column, with b = |xi/E| and y^2 = x^6 - 4 b^2 x^3.  Where x^3 < 4 b^2
+    (outside the quoted domain) the value is NaN, and so it is where x^3
+    underflows to 0: for x > 0 the denominator x^3 + y is positive, so a
+    zero there is rounding, not a pole.  The domain test compares x with
+    cbrt(4 b^2) itself, because x^6 and 4 b^2 x^3 underflow to 0 together
+    while x^3 is still a positive subnormal.  At x = 1 the form diverges
+    through 1/(1 - x) exactly where the direct rate diverges through the
+    turning point, and the IEEE quotient comes back as an inf flag.
     """
-    x = np.asarray(w, dtype=float) / cfg.e_tilde**2
+    x = np.asarray(x, dtype=float)
     b = abs(params.xi / cfg.e_tilde)
-    inside = (x**6 - 4.0 * b * b * x**3 >= 0.0) & (x**3 > 0.0)
+    inside = (x >= (4.0 * b * b) ** (1.0 / 3.0)) & (x**3 > 0.0)
     x_in = x[inside]
     quoted = np.full_like(x, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -366,33 +376,22 @@ def tortoise_quadrature(params: SolutionParams, r):
     return float(total) if r.ndim == 0 else total
 
 
-def _null_rate(w, w_p, w_pp, e2: float):
-    """Null expansion rate as quoted: (1/w) sqrt(E^2 - w) [w'' - (3/2) w'^2 / w].
-
-    Kept exactly as printed, including the energy factor (an affine-null
-    congruence has no rest-mass normalization; the bracket
-    w'' - (3/2) w'^2 / w alone carries the energy-independent content).
-    """
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(e2 - w) / w * (w_pp - 1.5 * w_p * w_p / w)
-
-
 def kinematics_scan(sample: MetricSample, cfg: CongruenceConfig) -> KinematicsScan:
     """Expansion, its proper-time rate and the null rate at the admissible radii of a grid.
 
-    ``sample`` is ``metric_eval`` on the grid, read through its r, w, w'
-    and w'': one sample serves both congruences, and any number of
+    ``sample`` is ``metric_eval`` on the grid, read through its r, w, u'
+    and u'': one sample serves both congruences, and any number of
     energies.  A radius is admissible unless w > E^2 (forbidden) or
     |E^2 - w| < TURNING_GUARD_REL * E^2 (the guard band around a turning
     point); a NaN w counts as admissible.  Each column is derived from the
-    admissible profile when first read (see ``KinematicsScan``): at
-    forbidden points w may be large enough for its powers to overflow.
+    admissible x, u' and u'' when first read (see ``KinematicsScan``).
     """
     w = sample.w
     e2 = cfg.e_tilde**2
     ok = ~((w > e2) | (np.abs(e2 - w) < TURNING_GUARD_REL * e2))
     r = np.asarray(sample.r, dtype=float)[ok]
-    return KinematicsScan(r=r, w=w[ok], w_p=sample.w_p[ok], w_pp=sample.w_pp[ok], e2=e2)
+    w = w[ok]
+    return KinematicsScan(r=r, w=w, x=w / e2, u_p=sample.u_p[ok], u_pp=sample.u_pp[ok], e_tilde=cfg.e_tilde)
 
 
 def focusing_sign_map(b_values) -> dict[float, int]:

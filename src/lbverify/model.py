@@ -16,10 +16,11 @@ and the conformal factor of the isotropic form of the line element
 
     w(r) = e^{u_i(r)} = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3}.
 
-``metric_eval`` is the one evaluator: its sample carries the one exponent
-u_i, f and w with their derivatives; ``log_w_jet`` is log w as a jet.  Functions accept a
-scalar r or a numpy array and vectorize elementwise: one array path serves
-both, and a scalar r yields NumPy float scalars.
+``metric_eval`` is the one evaluator: its sample carries f and the one
+exponent u_i with their derivatives, and w; ``log_w_jet`` is log w as a
+jet.  Functions accept a scalar r or a numpy array and vectorize
+elementwise: one array path serves both, and a scalar r yields NumPy float
+scalars.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class MetricSample:
              f_pp are its f' and f'', with f'' + f'^2 = 3 lambda
     u        the exponent u_i shared by g_tt = -e^{u_i}, g_phiphi = e^{u_i}
              and g_zz = e^{u_i}; u_p and u_pp are its r-derivatives
-    w        w = e^{u_i} on its own arithmetic path, with w_p and w_pp
+    w        w = e^{u_i} on its own arithmetic path; its derivatives are
+             w' = w u' and w'' = w (u'' + u'^2), formed by their readers
 
     Every column is computed on first read: reading w takes neither f' nor
     f'', and reading derivatives takes neither the exp nor the log1p of f.
@@ -143,16 +145,6 @@ class MetricSample:
     def w(self):
         """w = e^{u_i} from its printed form (``_w_value``), not from exp(u)."""
         return _w_value(self.params, np.asarray(self.r, dtype=float), self.reach)
-
-    @functools.cached_property
-    def w_p(self):
-        """w' = w u'; the value of f is never read."""
-        return self.w * self.u_p
-
-    @functools.cached_property
-    def w_pp(self):
-        """w'' = w (u'' + u'^2)."""
-        return self.w * (self.u_pp + self.u_p * self.u_p)
 
 
 def params_from_xi(lam: float, xi: float) -> SolutionParams:
@@ -236,8 +228,8 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     -2/a is inconsistent with this derivation and is not used (the mismatch
     is surfaced in the verification reports).  The three exponents are
     equal, so the sample carries one, and the curvature layers build one
-    bracket for the three axes.  Every column, w, w' and w'' included, is
-    computed on first read.
+    bracket for the three axes.  Every column, w included, is computed on
+    first read.
     """
     return MetricSample(params, r, _check_range(params, r))
 

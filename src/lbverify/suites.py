@@ -274,17 +274,17 @@ def build_congruence_report(
     # oracles evaluate w again.
     grid = np.linspace(r_min, r_max, scan_samples)
     scan = cg.kinematics_scan(model.metric_eval(params, grid), cfg)
-    r, w, theta, rate = scan.r, scan.w, scan.theta, scan.dtheta_dtau
+    r, x, theta, rate, u_r = scan.r, scan.x, scan.theta, scan.dtheta_dtau, scan.u_r
     rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)
 
-    e2 = cfg.e_tilde**2
-    u_t, u_r = cg.four_velocity(params, cfg, r)
-    norm_err = _max_abs(-w * u_t**2 + u_r**2 + 1.0)
-    # theta = F'/G, the divergence of u, and theta' = (F'' - theta G')/G: F = sqrt|g| u^r = w sqrt(E^2 - w),
-    # G = sqrt|g| = w^{3/2}, jets at every admissible radius valued at the scan's w (one E^2 - w on both sides).
+    norm_err = _max_abs(-scan.w * scan.u_t**2 + u_r**2 + 1.0)
+    # theta = F'/G, the divergence of u, and theta' = (F'' - theta G')/G: F = sqrt|g| u^r = |E| w sqrt(1 - x),
+    # G = sqrt|g| = w^{3/2}, jets at every admissible radius valued at the scan's w and x (one 1 - x on both
+    # sides), with x_jet = e^{l - l0} x.
     log_w = model.log_w_jet(params, r)
-    w_jet = (log_w - log_w.v).exp() * w
-    flux, volume = w_jet * (e2 - w_jet) ** 0.5, w_jet**1.5
+    scale = (log_w - log_w.v).exp()
+    w_jet = scale * scan.w
+    flux, volume = abs(cfg.e_tilde) * w_jet * (1.0 - scale * x) ** 0.5, w_jet**1.5
     theta_jet = flux.d1 / volume.v
     theta_p = (flux.d2 - theta_jet * volume.d1) / volume.v
     # Relative to the largest rate, so a root of the rate divides by nothing; 1/a^2 on an empty scan.
@@ -303,7 +303,7 @@ def build_congruence_report(
         rpt.add_check("potential-gradient-covector", f"r={r[i]:.9g}", abs(pot_grad + u_r[i]), 1e-6)
 
     # The quoted form is NaN outside its domain y^2 >= 0.
-    difference = cg.quoted_scaled_rate(params, cfg, w) - rate
+    difference = cg.quoted_scaled_rate(params, cfg, x) - rate
     difference = difference[np.isfinite(difference)]
     rpt.add_check("quoted-scaled-rate-points", loc, float(difference.size), 0.0, holds=True)
     if difference.size:
@@ -351,7 +351,7 @@ def build_congruence_report(
     for r_v, rate_v in zip(scan.r[violation][:16].tolist(), scan.null_rate[violation][:16].tolist()):
         rpt.add_comparison("null-rate-violation", f"r={r_v:.9g}", rate_v, 0.0, holds=False)
     if xi == 0.0:
-        expected_rate = -(2.0 / params.a**2) * np.sqrt(e2 - w)
+        expected_rate = -(2.0 / params.a**2) * abs(cfg.e_tilde) * np.sqrt(1.0 - x)
         rpt.add_check("null-rate-exponential-reduction", loc, _max_abs(scan.null_rate - expected_rate), 1e-9)
     return rpt
 

@@ -18,7 +18,6 @@ from lbverify.congruence import (
     CongruenceConfig,
     focusing_polynomial_reduced,
     focusing_polynomial_roots,
-    four_velocity,
     kinematics_scan,
     radius_candidates,
     tortoise_quadrature,
@@ -178,14 +177,14 @@ def test_criterion_07_timelike_focusing_and_comparison_report():
         if float(metric_eval(params, r).w) > e_tilde**2 * (1.0 - 1e-3):
             continue
         cfg = CongruenceConfig(e_tilde=e_tilde)
-        grid = np.array([r])
-        rate = float(kinematics_scan(metric_eval(params, grid), cfg).dtheta_dtau[0])
+        scan = kinematics_scan(metric_eval(params, np.array([r])), cfg)
+        rate = float(scan.dtheta_dtau[0])
         if abs(rate) < 1e-2:
             continue
         h = cg.chain_rule_fd_step(params, cfg, r)
         theta = lambda x: float(kinematics_scan(metric_eval(params, np.array([x])), cfg).theta[0])
         theta_prime = central_diff(theta, r, h)
-        u_r = four_velocity(params, cfg, r)[1]
+        u_r = float(scan.u_r[0])
         worst_rel = max(worst_rel, abs(theta_prime * u_r - rate) / abs(rate))
         count += 1
 

@@ -13,6 +13,7 @@ import pytest
 from lbverify import congruence, model, suites
 from lbverify.congruence import (
     CongruenceConfig,
+    KinematicsScan,
     QUOTED_FOCUSING_ROOTS,
     QUOTED_ROOT_RADIUS_FACTOR,
     SIGN_MAP_NX,
@@ -21,7 +22,6 @@ from lbverify.congruence import (
     focusing_polynomial_reduced,
     focusing_polynomial_roots,
     focusing_sign_map,
-    four_velocity,
     hypersurface_potential,
     kinematics_scan,
     quoted_scaled_rate,
@@ -59,9 +59,15 @@ OUT2 = CongruenceConfig(e_tilde=2.0)
 
 
 def _w_columns(params, r):
-    """(w, w', w'') of the ``metric_eval`` sample at r."""
+    """(w, w', w'') at r, from the ``metric_eval`` sample's w, u' and u''."""
     sample = metric_eval(params, r)
-    return sample.w, sample.w_p, sample.w_pp
+    return sample.w, sample.w * sample.u_p, sample.w * (sample.u_pp + sample.u_p * sample.u_p)
+
+
+def _x_columns(params, e_tilde, r):
+    """(x, u', u'') at r, x = w/E^2, as a scan reads them."""
+    sample = metric_eval(params, r)
+    return sample.w / e_tilde**2, sample.u_p, sample.u_pp
 
 
 def _rate_closed_form(params, e_tilde, r):
@@ -85,16 +91,25 @@ def _theta_closed_form(params, e_tilde, r):
     return w_p * (2.0 * e2 - 3.0 * w) / (2.0 * w**1.5 * math.sqrt(e2 - w))
 
 
+def _scan_at(params, cfg, r):
+    """The scan of the one radius r."""
+    return kinematics_scan(metric_eval(params, np.array([r])), cfg)
+
+
 def _scan_rate(params, cfg, r):
     """The scan's d theta / d tau at one admissible radius."""
-    grid = np.array([r])
-    return float(kinematics_scan(metric_eval(params, grid), cfg).dtheta_dtau[0])
+    return float(_scan_at(params, cfg, r).dtheta_dtau[0])
 
 
 def _scan_theta(params, cfg, r):
     """The scan's expansion theta at one admissible radius."""
-    grid = np.array([r])
-    return float(kinematics_scan(metric_eval(params, grid), cfg).theta[0])
+    return float(_scan_at(params, cfg, r).theta[0])
+
+
+def _scan_velocity(params, cfg, r):
+    """The scan's (u^t, u^r) at one admissible radius."""
+    scan = _scan_at(params, cfg, r)
+    return float(scan.u_t[0]), float(scan.u_r[0])
 
 
 def test_config_rejects_subunit_energy():
@@ -106,20 +121,24 @@ def test_config_rejects_subunit_energy():
 
 
 def test_four_velocity_turning_point(vacuum):
-    assert four_velocity(vacuum, CongruenceConfig(e_tilde=1.0), 0.0) == (1.0, 0.0)
+    # w(0) = 1 = E^2: a scan drops the radius into its guard band, so the
+    # columns are read on a scan built at x = 1 itself.
+    s = metric_eval(vacuum, np.array([0.0]))
+    scan = KinematicsScan(r=s.r, w=s.w, x=s.w / 1.0, u_p=s.u_p, u_pp=s.u_pp, e_tilde=1.0)
+    assert (scan.u_t.tolist(), scan.u_r.tolist()) == ([1.0], [0.0])
 
 
 def test_four_velocity_values_and_norm(vacuum):
-    u = four_velocity(vacuum, OUT2, 0.0)
+    u = _scan_velocity(vacuum, OUT2, 0.0)
     assert u == (2.0, math.sqrt(3.0))
     w = float(metric_eval(vacuum, 0.0).w)
     assert -w * u[0] ** 2 + u[1] ** 2 == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_four_velocity_forbidden_region(unit_xi):
-    # w(0) = 2^(2/3) > 1 = E^2.
-    with pytest.raises(ParameterDomainError, match=r"> E\^2"):
-        four_velocity(unit_xi, CongruenceConfig(e_tilde=1.0), 0.0)
+    # w(0) = 2^(2/3) > 1 = E^2: the scan drops the radius, so it has no 4-velocity there.
+    scan = _scan_at(unit_xi, CongruenceConfig(e_tilde=1.0), 0.0)
+    assert scan.u_t.size == scan.u_r.size == 0
 
 
 def test_normalization_random_admissible():
@@ -134,7 +153,7 @@ def test_normalization_random_admissible():
         w = float(metric_eval(params, r).w)
         if w > e_tilde**2:
             continue
-        u = four_velocity(params, CongruenceConfig(e_tilde=e_tilde), r)
+        u = _scan_velocity(params, CongruenceConfig(e_tilde=e_tilde), r)
         assert -w * u[0] ** 2 + u[1] ** 2 == pytest.approx(-1.0, abs=1e-12)
         count += 1
 
@@ -162,7 +181,7 @@ def test_potential_gradient_is_minus_velocity_covector(vacuum, unit_xi):
     for params, base in ((vacuum, 0.1), (unit_xi, 0.2)):
         h = FD_FIRST_STEP * params.a
         grad = central_diff(lambda x: hypersurface_potential(params, OUT2, base, x), base + 0.05, h)
-        u_r = four_velocity(params, OUT2, base + 0.05)[1]
+        u_r = _scan_velocity(params, OUT2, base + 0.05)[1]
         assert grad + u_r == pytest.approx(0.0, abs=1e-6)
 
 
@@ -219,7 +238,7 @@ def test_potential_interval_with_both_ends_near_turning_point(vacuum):
 def test_potential_forbidden_interval(unit_xi):
     with pytest.raises(ParameterDomainError, match=r"> E\^2"):
         hypersurface_potential(unit_xi, CongruenceConfig(e_tilde=1.2), -1.0, 1.0)
-    # w(-21.4) = 3.87e18 > E^2 = 1e16, where four_velocity raises too: the
+    # w(-21.4) = 3.87e18 > E^2 = 1e16, a forbidden radius of the scans: the
     # guard reads E^2/w - 1, which never drops below -1, so it must not
     # scale with E^2.
     with pytest.raises(ParameterDomainError, match=r"> E\^2 at r = -21\.4 "):
@@ -248,8 +267,8 @@ def test_expansion_matches_covariant_divergence(vacuum, unit_xi):
 
 def test_expansion_divergence_flag_at_turning_point(vacuum):
     r_turn = -0.5 * math.log(4.0)
-    assert math.isinf(congruence._theta(*_w_columns(vacuum, r_turn)[:2], OUT2.e_tilde**2))
-    assert math.isinf(congruence._rate(*_w_columns(vacuum, r_turn), OUT2.e_tilde**2))
+    assert math.isinf(congruence._theta(*_x_columns(vacuum, OUT2.e_tilde, r_turn)[:2]))
+    assert math.isinf(congruence._rate(*_x_columns(vacuum, OUT2.e_tilde, r_turn)))
 
 
 def test_rate_frozen_value(vacuum):
@@ -275,7 +294,7 @@ def test_rate_chain_rule_random_admissible():
             continue
         h = congruence.chain_rule_fd_step(params, cfg, r)
         theta_prime = central_diff(lambda x: _scan_theta(params, cfg, x), r, h)
-        u_r = four_velocity(params, cfg, r)[1]
+        u_r = _scan_velocity(params, cfg, r)[1]
         assert abs(theta_prime * u_r - rate) / abs(rate) < 1e-5
         count += 1
 
@@ -284,7 +303,7 @@ def test_scaled_form_comparison_pair():
     params = params_from_xi(3.0, 0.1)
     grid = np.array([0.0])
     scan = kinematics_scan(metric_eval(params, grid), OUT2)
-    quoted = quoted_scaled_rate(params, OUT2, scan.w)
+    quoted = quoted_scaled_rate(params, OUT2, scan.x)
     direct = scan.dtheta_dtau[0]
     x = float(metric_eval(params, 0.0).w) / OUT2.e_tilde**2
     b = abs(params.xi / OUT2.e_tilde)
@@ -301,8 +320,10 @@ def test_scaled_form_shared_singularity_flags(vacuum):
     # x -> 1 is exactly the turning point: the quoted form diverges through
     # 1/(1-x) where the direct form diverges too; both come back as flags.
     r_turn = -0.5 * math.log(4.0)
-    assert math.isinf(quoted_scaled_rate(vacuum, OUT2, metric_eval(vacuum, np.array([r_turn])).w)[0])
-    assert math.isinf(congruence._rate(*_w_columns(vacuum, r_turn), OUT2.e_tilde**2))
+    x, u_p, u_pp = _x_columns(vacuum, OUT2.e_tilde, np.array([r_turn]))
+    assert x.tolist() == [1.0]
+    assert math.isinf(quoted_scaled_rate(vacuum, OUT2, x)[0])
+    assert math.isinf(congruence._rate(x, u_p, u_pp)[0])
 
 
 def test_scaled_rate_is_nan_where_x_cubed_underflows(unit_xi):
@@ -311,10 +332,9 @@ def test_scaled_rate_is_nan_where_x_cubed_underflows(unit_xi):
     # rate marks the point outside its domain.  focusing_polynomial keeps
     # its pole check for direct callers.
     cfg = CongruenceConfig(e_tilde=1e60)
-    w = metric_eval(unit_xi, np.array([-1.0, 0.0, 1.0])).w
-    x = w / cfg.e_tilde**2
+    x = _x_columns(unit_xi, cfg.e_tilde, np.array([-1.0, 0.0, 1.0]))[0]
     assert np.all(x > 0.0) and np.all(x**3 == 0.0)
-    assert np.all(np.isnan(quoted_scaled_rate(unit_xi, cfg, w)))
+    assert np.all(np.isnan(quoted_scaled_rate(unit_xi, cfg, x)))
     with pytest.raises(ParameterDomainError, match=r"x\^3 \+ y = 0"):
         focusing_polynomial(x, abs(unit_xi.xi / cfg.e_tilde))
 
@@ -577,10 +597,10 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
         return simpson(fn, lo, hi, tol)
 
     def forbidden(self):
-        raise AssertionError("w' or w'' read")
+        raise AssertionError("u' or u'' read")
 
     monkeypatch.setattr(congruence, "adaptive_simpson", recording)
-    for name in ("w_p", "w_pp"):
+    for name in ("u_p", "u_pp"):
         monkeypatch.setattr(model.MetricSample, name, property(forbidden))
     rpt = suites.build_tortoise_report(3.0, 0.5, samples=65)
     assert rpt.exit_code() == 0
@@ -815,7 +835,7 @@ def test_tortoise_series_takes_the_model_radial_range(unit_xi):
 
 def test_null_rate_zero_for_constant_profile():
     r = np.array([0.3])
-    constant = SimpleNamespace(r=r, w=np.full(r.shape, 2.0), w_p=np.zeros(r.shape), w_pp=np.zeros(r.shape))
+    constant = SimpleNamespace(r=r, w=np.full(r.shape, 2.0), u_p=np.zeros(r.shape), u_pp=np.zeros(r.shape))
     assert kinematics_scan(constant, OUT2).null_rate.tolist() == [0.0]
 
 
@@ -839,7 +859,7 @@ def test_turning_guard_band_is_relative_to_e_squared():
     e2 = OUT2.e_tilde**2
     w = np.array([e2 * (1.0 - 0.5 * TURNING_GUARD_REL), e2 * (1.0 - 2.0 * TURNING_GUARD_REL), 1.0, 5.0])
     r = np.arange(w.size, dtype=float)
-    scan = kinematics_scan(SimpleNamespace(r=r, w=w, w_p=np.ones_like(w), w_pp=np.zeros_like(w)), OUT2)
+    scan = kinematics_scan(SimpleNamespace(r=r, w=w, u_p=np.ones_like(w), u_pp=np.zeros_like(w)), OUT2)
     assert scan.r.tolist() == [1.0, 2.0]
     assert scan.w.tolist() == w[1:3].tolist()
 
@@ -895,8 +915,6 @@ def test_array_scans_match_scalar_point_functions(xi):
         w = float(metric_eval(params, r).w)
         if w > e2:
             seen.add("forbidden")
-            with pytest.raises(ParameterDomainError, match=r"> E\^2"):
-                four_velocity(params, OUT2, r)
         elif abs(e2 - w) < TURNING_GUARD_REL * e2:
             seen.add("turning")
         else:
@@ -922,7 +940,7 @@ def test_scan_keeps_a_radius_exactly_at_the_guard_band_edge():
     edge = e2 - 2.0**-32
     assert e2 - edge == 2.0**-32
     w = np.array([edge, np.nextafter(edge, e2), e2, np.nextafter(e2, 3.0)])
-    sample = SimpleNamespace(r=np.arange(4.0), w=w, w_p=np.ones(4), w_pp=np.ones(4))
+    sample = SimpleNamespace(r=np.arange(4.0), w=w, u_p=np.ones(4), u_pp=np.ones(4))
     assert kinematics_scan(sample, cfg).r.tolist() == [0.0]
 
 
@@ -930,8 +948,8 @@ def test_scans_of_empty_grid():
     params = params_from_xi(3.0, 1.0)
     grid = np.array([])
     scan = kinematics_scan(metric_eval(params, grid), OUT2)
-    columns = [field.name for field in dataclasses.fields(scan) if field.name != "e2"]
-    columns += ["theta", "dtheta_dtau", "null_rate"]
+    columns = [field.name for field in dataclasses.fields(scan) if field.name != "e_tilde"]
+    columns += ["theta", "dtheta_dtau", "null_rate", "u_t", "u_r"]
     assert all(getattr(scan, column).size == 0 for column in columns)
 
 
@@ -984,10 +1002,9 @@ def test_sweep_evaluates_each_member_once_and_reads_only_the_null_rate(monkeypat
 
 
 def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
-    # Outside the potential-gradient stencil and its quadrature, the
-    # admissible radii are evaluated once after the scan, through metric_eval:
-    # by four_velocity.  The rest (w, the rates, the quoted form) is read
-    # from the scan's columns.
+    # Outside the potential-gradient stencil and its quadrature, nothing is
+    # evaluated after the scan: w, x, the 4-velocity, the rates and the
+    # quoted form are read from the scan's columns.
     grid = np.linspace(-2.0, 2.0, 257)
     admissible = kinematics_scan(metric_eval(unit_xi, grid), OUT2).r
     assert admissible.size > 1
@@ -1017,9 +1034,8 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     monkeypatch.setattr(congruence, "chain_rule_fd_step", oracle(congruence.chain_rule_fd_step))
     monkeypatch.setattr(congruence, "_sqrt_integrand", oracle(congruence._sqrt_integrand))
     suites.build_congruence_report(3.0, 1.0, 2.0)
-    assert np.array_equal(arrays[0], grid)
-    assert sum(np.array_equal(r, admissible) for r in arrays[1:]) == 1
-    for name in ("expansion_rate_scaled_scan", "ScaledRateComparison", "_turning_end_potential"):
+    assert len(arrays) == 1 and np.array_equal(arrays[0], grid)
+    for name in ("expansion_rate_scaled_scan", "ScaledRateComparison", "_turning_end_potential", "four_velocity"):
         assert not hasattr(congruence, name)
 
 
@@ -1028,7 +1044,7 @@ def test_scaled_rate_scan_marks_points_outside_quoted_domain(unit_xi):
     r = np.array([-0.2, 0.0, 0.3])
     scan = kinematics_scan(metric_eval(unit_xi, r), OUT2)
     assert np.array_equal(scan.r, r)
-    quoted = quoted_scaled_rate(unit_xi, OUT2, scan.w)
+    quoted = quoted_scaled_rate(unit_xi, OUT2, scan.x)
     difference = quoted - scan.dtheta_dtau
     for i, r_i in enumerate(r.tolist()):
         with pytest.raises(ParameterDomainError, match=r"y\^2 = .* < 0"):
@@ -1107,14 +1123,12 @@ def test_focusing_polynomial_array_errors():
 
 def test_point_functions_vectorize(unit_xi):
     r = np.array([-0.3, 0.0, 0.25])
-    u_t, u_r = four_velocity(unit_xi, OUT2, r)
+    scan = kinematics_scan(metric_eval(unit_xi, r), OUT2)
     h = congruence.chain_rule_fd_step(unit_xi, OUT2, r)
+    assert np.array_equal(scan.r, r)
     for i, r_i in enumerate(r.tolist()):
-        u = four_velocity(unit_xi, OUT2, r_i)
-        assert (u_t[i], u_r[i]) == u
+        assert (scan.u_t[i], scan.u_r[i]) == _scan_velocity(unit_xi, OUT2, r_i)
         assert h[i] == congruence.chain_rule_fd_step(unit_xi, OUT2, r_i)
-    with pytest.raises(ParameterDomainError, match=r"> E\^2"):
-        four_velocity(unit_xi, OUT2, np.array([0.0, -2.0]))
 
 
 def test_bracket_scan_calls_fn_once_on_the_grid():

@@ -15,6 +15,11 @@ row on a rate scales by exactly 2^k, and a root radius by exactly 2^-k.
 M2, xi-shift, at model level: (xi, r) -> (xi e^{3s/a}, r - s) leaves q, and
 so f' and f'', unchanged; every exponent u moves by the constant 2s/a, and
 w scales by e^{2s/a}.  Large xi is a window far out along one profile.
+
+M4, E-scale, at scan level: at xi = 0, w = e^{-2r/a}, so
+(E, r) -> (E e^s, r - s a) leaves x = w/E^2, u' and u'' unchanged.  The
+expansion and its proper-time rate read E only through x, so they keep
+their values; the null rate carries the factor |E| and scales by e^s.
 """
 
 import math
@@ -24,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lbverify import model, suites
+from lbverify import congruence, model, suites
 from lbverify.errors import LBVerifyError
 from lbverify.report import emit_csv
 
@@ -101,3 +106,25 @@ def test_xi_shift_moves_the_profile_along_r(lam, xi, shift):
     assert np.max(np.abs(s_shifted.u - s.u - 2.0 * shift) / np.maximum(1.0, np.abs(s.u))) <= 1e-12
     w_ratio = s_shifted.w / s.w
     assert np.max(np.abs(w_ratio / math.exp(2.0 * shift) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("e_tilde", [1.5, 2.0, 100.0])
+@pytest.mark.parametrize("lam", [0.75, 3.0, 12.0])
+def test_e_scale_at_xi_zero_is_a_shift_along_r(lam, e_tilde, shift):
+    # Each column agrees to 64 eps of its largest |value|.
+    params = model.params_from_xi(lam, 0.0)
+    grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 257)
+    base, scaled = (
+        congruence.kinematics_scan(model.metric_eval(params, radii), congruence.CongruenceConfig(e_tilde=energy))
+        for radii, energy in ((grid, e_tilde), (grid - shift * params.a, e_tilde * math.exp(shift)))
+    )
+    assert base.r.size > 0
+    assert np.array_equal(scaled.r, base.r - shift * params.a)
+    pairs = (
+        (scaled.theta, base.theta),
+        (scaled.dtheta_dtau, base.dtheta_dtau),
+        (scaled.null_rate, math.exp(shift) * base.null_rate),
+    )
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 64.0 * np.finfo(float).eps * np.max(np.abs(want))

@@ -262,7 +262,7 @@ def test_reading_w_takes_no_log1p(monkeypatch):
     params = params_from_xi(3.0, 0.7)
     s = metric_eval(params, np.linspace(-2.0, 2.0, 17))
     for sample in (s, metric_eval(params, 0.3)):
-        assert np.all(np.isfinite((sample.w, sample.w_p, sample.w_pp)))
+        assert np.all(np.isfinite((sample.w, sample.w * sample.u_p, sample.w * (sample.u_pp + sample.u_p**2))))
     assert calls == []
     f = s.f
     assert s.f is f and np.all(np.isfinite(s.u))
@@ -427,8 +427,8 @@ def test_w_positive_everywhere():
 def test_w_has_one_interior_minimum(xi):
     params = params_from_xi(3.0, xi)
     grid = np.linspace(-2.0 * params.a, 2.0 * params.a, 4096)
-    w_p = metric_eval(params, grid).w_p
-    signs = np.sign(w_p)
+    sample = metric_eval(params, grid)
+    signs = np.sign(sample.w * sample.u_p)
     changes = np.nonzero(np.diff(signs) != 0)[0]
     assert len(changes) == 1
     # The stationary point is the closed-form r = -(a/3) log|xi|.
@@ -437,7 +437,7 @@ def test_w_has_one_interior_minimum(xi):
 
 
 def test_metric_derivatives_match_finite_differences():
-    # The sample's w', w'', f' and f'' against jets of the printed log w
+    # The sample's w' = w u', w'' = w (u'' + u'^2), f' and f'' against jets of the printed log w
     # (f = (3/2) log w - log(12 lambda)/2) and against mpmath's numerical
     # derivatives of the printed w and f at 30 digits.
     mpmath = pytest.importorskip("mpmath")
@@ -447,8 +447,8 @@ def test_metric_derivatives_match_finite_differences():
         s = metric_eval(params, r)
         log_w = log_w_jet(params, r)
         w = log_w.exp()
-        assert w.d1 == pytest.approx(s.w_p, rel=1e-13, abs=1e-13)
-        assert w.d2 == pytest.approx(s.w_pp, rel=1e-13, abs=1e-13)
+        assert w.d1 == pytest.approx(s.w * s.u_p, rel=1e-13, abs=1e-13)
+        assert w.d2 == pytest.approx(s.w * (s.u_pp + s.u_p**2), rel=1e-13, abs=1e-13)
         assert 1.5 * log_w.d1 == pytest.approx(s.f_p, rel=1e-13, abs=1e-13)
         assert 1.5 * log_w.d2 == pytest.approx(s.f_pp, rel=1e-13, abs=1e-13)
 
@@ -458,7 +458,8 @@ def test_metric_derivatives_match_finite_differences():
         f_mp = lambda x: -3 * x / a + mpmath.log(1 + xi_sq * mpmath.exp(6 * x / a)) - mpmath.log(12 * lam) / 2
         for r in radii:
             s = metric_eval(params, r)
-            for fn, d1, d2 in ((w_mp, s.w_p, s.w_pp), (f_mp, s.f_p, s.f_pp)):
+            w_p, w_pp = s.w * s.u_p, s.w * (s.u_pp + s.u_p**2)
+            for fn, d1, d2 in ((w_mp, w_p, w_pp), (f_mp, s.f_p, s.f_pp)):
                 assert float(mpmath.diff(fn, r, 1)) == pytest.approx(d1, rel=1e-13, abs=1e-13)
                 assert float(mpmath.diff(fn, r, 2)) == pytest.approx(d2, rel=1e-13, abs=1e-13)
 
