@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .model import MAX_ABS_XI, MetricSample, SolutionParams, _check_range, metric_eval
-from .numerics import FD_FIRST_STEP, adaptive_simpson, sign_change_roots
-from .special_functions import hyp2f1
+from .numerics import FD_FIRST_STEP, adaptive_gauss_kronrod, sign_change_roots
+from .special_functions import gauss_2f1_series
 
 #: Scans skip radii with |E^2 - w| < TURNING_GUARD_REL * E^2.
 TURNING_GUARD_REL = 1e-10
@@ -145,13 +145,14 @@ def hypersurface_potential(params: SolutionParams, cfg: CongruenceConfig, r0: fl
 
     Normalized so that the full potential is E * t + (this value) and the
     covector relation u_alpha = -d_alpha(potential) holds; the gauge is
-    potential(r0) = 0.  One ``adaptive_simpson`` call integrates
+    potential(r0) = 0.  One ``adaptive_gauss_kronrod`` call integrates
     sqrt(E^2/w - 1) over [r0, r1] (either orientation) to an absolute 1e-10.
     A turning point (w = E^2) may be an endpoint: the integrand's
-    square-root cusp there is integrable, and the quadrature refines toward
-    it until its error estimate or its rounding floor is met.
+    square-root cusp there is integrable, no node lies on it, and the
+    quadrature refines toward it until its error estimate or its rounding
+    floor is met, or to its depth cap.
     """
-    return -adaptive_simpson(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
+    return -adaptive_gauss_kronrod(lambda r: _sqrt_integrand(params, cfg, r), r0, r1, 1e-10)
 
 
 def _theta(x, u_p):
@@ -331,48 +332,53 @@ def tortoise_series(params: SolutionParams, r):
     exponentials.  At xi = 0 (q = -inf) the value is a e^{r/a}.
     Every finite q is accepted, so the radii are the model's: |r| up to
     ``radial_bound``, past which ParameterDomainError is raised as for w.
-    Elementwise over an array of radii, one scalar ``hyp2f1`` per radius; a
-    scalar r gives a float.
+    Elementwise over an array of radii, with one ``gauss_2f1_series`` call
+    for all of them; a scalar r gives a float.
     """
     _check_range(params, r)
     a = params.a
     xi = abs(params.xi)
     log_xi = math.log(xi) if xi else -math.inf
-    cbrt_xi = math.cbrt(xi)
     r = np.asarray(r, dtype=float)
-    values = []
-    for radius in r.ravel().tolist():
-        q = 6.0 * radius / a + 2.0 * log_xi
-        e = math.exp(-abs(q))
-        # (1 + e^{-|q|})^{-1/3} F(1/3, 1; 7/6; x) at x = e^{-|q|} / (1 + e^{-|q|}).
-        g = math.exp(-math.log1p(e) / 3.0) * hyp2f1(1.0 / 3.0, 1.0, 7.0 / 6.0, e / (1.0 + e))
-        if q <= 0.0:
-            values.append(a * math.exp(radius / a) * g)
-        else:
-            values.append(a / cbrt_xi * (_BETA_SIXTH / 6.0 - math.exp(-radius / a) / cbrt_xi * g))
-    values = np.array(values).reshape(r.shape)
+    radius = r.ravel()
+    q = 6.0 * radius / a + 2.0 * log_xi
+    e = np.exp(-np.abs(q))
+    # (1 + e^{-|q|})^{-1/3} F(1/3, 1; 7/6; x) at x = e^{-|q|} / (1 + e^{-|q|}).
+    g = np.exp(-np.log1p(e) / 3.0) * gauss_2f1_series(1.0 / 3.0, 1.0, 7.0 / 6.0, e / (1.0 + e))
+    values = np.empty(radius.size)
+    low = q <= 0.0
+    values[low] = a * np.exp(radius[low] / a) * g[low]
+    if xi:
+        # At xi = 0 every q is -inf: no radius takes this branch, whose 1/cbrt|xi| is infinite.
+        high = ~low
+        cbrt_xi = math.cbrt(xi)
+        values[high] = a / cbrt_xi * (_BETA_SIXTH / 6.0 - np.exp(-radius[high] / a) / cbrt_xi * g[high])
+    values = values.reshape(r.shape)
     return float(values) if r.ndim == 0 else values
 
 
 def tortoise_quadrature(params: SolutionParams, r):
-    """Tortoise coordinate as int_0^r dr'/sqrt(w) plus the r = 0 constant.
+    """The integral int_0^r dr'/sqrt(w), elementwise over an array of radii.
 
-    Elementwise over an array of radii, to an absolute 1e-11 per radius.
-    The constant is ``tortoise_series`` at r = 0.
-    The sorted distinct nodes {0} and r cut the axis into panels, and one
-    ``adaptive_simpson`` call integrates every panel once, each to
+    To an absolute 1e-11 per radius; the tortoise coordinate is this plus
+    its value at r = 0, which the quadrature does not read.  The sorted
+    nodes {0} and r cut the axis into panels, and one
+    ``adaptive_gauss_kronrod`` call integrates every panel once, each to
     1e-11 / (number of panels); the integral to r_i is the sum of the
-    panels between 0 and r_i, so its error stays within 1e-11.  A scalar r
-    is the one panel between 0 and r, and gives a float.
+    panels between 0 and r_i, so its error stays within 1e-11.  A repeated
+    node gives a zero-length panel, which integrates to 0.  A scalar r is
+    the one panel between 0 and r, and gives a float.
     """
-    constant = tortoise_series(params, 0.0)
     r = np.asarray(r, dtype=float)
-    nodes, at = np.unique(np.append(r, 0.0), return_inverse=True)
-    panels = adaptive_simpson(
+    points = np.append(r, 0.0)
+    order = np.argsort(points, kind="stable")
+    nodes = points[order]
+    panels = adaptive_gauss_kronrod(
         lambda x: 1.0 / np.sqrt(metric_eval(params, x).w), nodes[:-1], nodes[1:], 1e-11 / max(1, nodes.size - 1)
     )
-    cum = np.concatenate(([0.0], np.cumsum(panels)))
-    total = constant + (cum[at[:-1]] - cum[at[-1]]).reshape(r.shape)
+    cum = np.empty(points.size)
+    cum[order] = np.concatenate(([0.0], np.cumsum(panels)))
+    total = (cum[:-1] - cum[-1]).reshape(r.shape)
     return float(total) if r.ndim == 0 else total
 
 

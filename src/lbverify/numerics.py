@@ -1,13 +1,12 @@
-"""Shared numerical kernels: second-order Taylor jets, a finite difference,
-adaptive Simpson quadrature, a bracketing root scan and a fixed-step RK4
-integrator.
+"""Shared numerical kernels: second-order Taylor jets, adaptive Gauss-Kronrod
+quadrature, a bracketing root scan and a fixed-step RK4 integrator.
 
-The difference, the quadrature and the bracket scan are array-first: they
-call ``fn`` on whole arrays of points (one call per Simpson level, one per
-scan).  The root scan ``sign_change_roots`` narrows each bracket by
-rescanning it, one scan per round.  ``rk4`` steps one point at a time.
-``Jet`` takes no step; the difference takes ``FD_FIRST_STEP`` times the de
-Sitter length a, the family's one length, in the report oracles.
+The quadrature and the bracket scan are array-first: they call ``fn`` on
+whole arrays of points (one call per quadrature level, one per scan).  The
+root scan ``sign_change_roots`` narrows each bracket by rescanning it, one
+scan per round.  ``rk4`` steps one point at a time.  ``Jet`` takes no step;
+a report's finite-difference oracle takes ``FD_FIRST_STEP`` times the de
+Sitter length a, the family's one length.
 
 These are deliberately plain implementations; every closed-form expression in
 the toolkit is cross-checked against at least one of them, so they must stay
@@ -33,20 +32,35 @@ BISECT_SECTIONS = 64
 #: Rounds after which ``sign_change_roots`` stops: 34 rounds are 204 halvings.
 BISECT_ROUNDS = 34
 
-#: Subdivision levels after which ``adaptive_simpson`` accepts a subinterval.
-SIMPSON_DEPTH_CAP = 60
-#: Rounding floor of a Simpson error estimate, in units of eps times the
-#: magnitude of the two-panel sum: the estimate is the difference of two
-#: Simpson sums of rounded integrand values, so below this it is rounding.
-SIMPSON_ROUNDING_FLOOR = 8.0
+#: Bisection levels after which ``adaptive_gauss_kronrod`` accepts a subinterval.
+QUAD_DEPTH_CAP = 60
+#: Rounding floor of a Gauss-Kronrod error estimate, in units of eps times
+#: the magnitude of the Kronrod value: the estimate is the difference of two
+#: weighted sums of rounded integrand values, so below this it is rounding.
+QUAD_ROUNDING_FLOOR = 8.0
 
-
-def central_diff(fn: Callable, x, h):
-    """3-point central first derivative of ``fn`` at ``x`` with step ``h``.
-
-    Elementwise over arrays ``x`` (and ``h``) when ``fn`` accepts arrays.
-    """
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+#: QUADPACK's ``qk15`` rule on [-1, 1]: the 15 Kronrod nodes, ascending, with
+#: their weights; the odd entries are the 7 Gauss-Legendre nodes, whose
+#: weights are ``GAUSS_WEIGHTS``.  Each table is one half and its mirror.
+_KRONROD_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_KRONROD_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_GAUSS_W = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+])
+KRONROD_NODES = np.concatenate([-_KRONROD_X, [0.0], _KRONROD_X[::-1]])
+KRONROD_WEIGHTS = np.concatenate([_KRONROD_W, [0.209482141084727828012999174891714], _KRONROD_W[::-1]])
+GAUSS_WEIGHTS = np.concatenate([_GAUSS_W, [0.417959183673469387755102040816327], _GAUSS_W[::-1]])
 
 
 class Jet:
@@ -105,55 +119,44 @@ def _lift(x) -> Jet:
     return x if isinstance(x, Jet) else Jet(x, 0.0, 0.0)
 
 
-def _simpson(lo, hi, flo, fmid, fhi):
-    return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+def adaptive_gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float):
+    """Adaptive Gauss-Kronrod quadrature, the 7-point Gauss rule inside the 15-point Kronrod rule.
 
-
-def _halves(left, right, keep):
-    """The kept entries of ``left`` followed by the kept entries of ``right``."""
-    return np.concatenate([left[keep], right[keep]])
-
-
-def adaptive_simpson(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: float):
-    """Adaptive Simpson quadrature with Richardson correction.
-
-    ``tol`` is an absolute tolerance on each interval [a, b]; it is halved on
-    each subdivision so the accumulated error stays below it.  A subinterval
-    ``depth`` halvings deep is accepted once its error estimate is below
-    ``tol / 2**depth``, or at its rounding floor ``SIMPSON_ROUNDING_FLOOR``
-    eps |S| (S its two-panel Simpson sum, below which halving cannot shrink
-    the estimate), or at ``SIMPSON_DEPTH_CAP``.  ``a`` and ``b``
-    broadcast, and the open subintervals of all intervals are refined
-    together, one level at a time: ``fn`` must accept an array, and is called
-    once for the endpoints and midpoints, then once per level.  A reversed
-    interval integrates to minus the forward one, a zero-length one to 0.
+    Each open interval is integrated by both rules (QUADPACK's ``qk15``:
+    R. Piessens et al., *QUADPACK*, Springer, 1983) at its 15 interior
+    nodes; the Kronrod value is the result, and |Kronrod - Gauss| its error
+    estimate.  ``tol`` is an absolute tolerance on each interval [a, b]; it
+    is halved on each bisection so the accumulated error stays below it.  A
+    subinterval ``depth`` bisections deep is accepted once its estimate is
+    below ``tol / 2**depth``, or at its rounding floor
+    ``QUAD_ROUNDING_FLOOR`` eps |K| (K its Kronrod value, below which
+    bisection cannot shrink the estimate), or at ``QUAD_DEPTH_CAP``.  ``a``
+    and ``b`` broadcast, and the open subintervals of all intervals are
+    refined together, one level at a time: ``fn`` must accept an array, and
+    is called once per level.  Each rule is a row sum of the node values
+    times its weights, so an interval's value does not depend on the
+    intervals batched with it.  No node is an endpoint.  A reversed interval
+    integrates to minus the forward one, a zero-length one to 0.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
-    n = lo.size
-    values = fn(np.concatenate([lo, 0.5 * (lo + hi), hi]))
-    flo, fmid, fhi = values[:n], values[n : 2 * n], values[2 * n :]
-    whole = _simpson(lo, hi, flo, fmid, fhi)
-    owner = np.arange(lo.size)
     total = np.zeros(lo.size)
-    for depth in range(SIMPSON_DEPTH_CAP + 1):
-        mid = 0.5 * (lo + hi)
-        values = fn(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]))
-        flm, frm = values[: lo.size], values[lo.size :]
-        left = _simpson(lo, mid, flo, flm, fmid)
-        right = _simpson(mid, hi, fmid, frm, fhi)
-        err = (left + right - whole) / 15.0
-        size = np.abs(err)
-        done = (size < tol / 2.0**depth) | (size <= SIMPSON_ROUNDING_FLOOR * EPS * np.abs(left + right))
-        done |= depth == SIMPSON_DEPTH_CAP
-        total += np.bincount(owner[done], weights=(left + right + err)[done], minlength=total.size)
-        keep = ~done
-        if not keep.any():
+    owner = np.flatnonzero(lo < hi)
+    lo, hi = lo[owner], hi[owner]
+    for depth in range(QUAD_DEPTH_CAP + 1):
+        if not owner.size:
             break
-        lo, hi = _halves(lo, mid, keep), _halves(mid, hi, keep)
-        flo, fmid, fhi = _halves(flo, fmid, keep), _halves(flm, frm, keep), _halves(fmid, fhi, keep)
-        whole = _halves(left, right, keep)
-        owner = _halves(owner, owner, keep)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values = fn((mid[:, None] + half[:, None] * KRONROD_NODES).ravel()).reshape(-1, KRONROD_NODES.size)
+        kronrod = half * (values * KRONROD_WEIGHTS).sum(axis=1)
+        gauss = half * (values[:, 1::2] * GAUSS_WEIGHTS).sum(axis=1)
+        size = np.abs(kronrod - gauss)
+        done = (size < tol / 2.0**depth) | (size <= QUAD_ROUNDING_FLOOR * EPS * np.abs(kronrod))
+        done |= depth == QUAD_DEPTH_CAP
+        total += np.bincount(owner[done], weights=kronrod[done], minlength=total.size)
+        keep = ~done
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        owner = np.concatenate([owner[keep], owner[keep]])
     total = np.where(b < a, -total.reshape(a.shape), total.reshape(a.shape))
     return float(total) if total.ndim == 0 else total
 

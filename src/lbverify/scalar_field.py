@@ -26,7 +26,7 @@ import numpy as np
 from .curvature import ricci_mixed
 from .errors import ParameterDomainError
 from .model import MetricSample, SolutionParams, metric_eval
-from .numerics import adaptive_simpson
+from .numerics import adaptive_gauss_kronrod
 
 #: Absolute quadrature tolerance for phi accumulation.
 PHI_QUAD_TOL = 1e-10
@@ -82,7 +82,7 @@ def phi_accumulate(params: SolutionParams, r0: float, r1: float) -> float:
             )
         return np.sqrt(np.maximum(val, 0.0))
 
-    return adaptive_simpson(integrand, r0, r1, PHI_QUAD_TOL)
+    return adaptive_gauss_kronrod(integrand, r0, r1, PHI_QUAD_TOL)
 
 
 def log_noether(params: SolutionParams, sample: MetricSample):

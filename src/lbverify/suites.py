@@ -20,7 +20,7 @@ from . import energy_conditions as ec
 from . import model, scalar_field, stability
 from .curvature import field_residual, ricci_diagonal, ricci_diagonal_generic, ricci_mixed
 from .errors import NumericalError, ParameterDomainError
-from .numerics import FD_FIRST_STEP, Jet, central_diff
+from .numerics import FD_FIRST_STEP, Jet
 from .report import Report
 
 #: Residual tolerance for the integration-constant sum checks.
@@ -279,14 +279,15 @@ def build_congruence_report(
 
     norm_err = _max_abs(-scan.w * scan.u_t**2 + u_r**2 + 1.0)
     # theta = F'/G, the divergence of u, and theta' = (F'' - theta G')/G: F = sqrt|g| u^r = |E| w sqrt(1 - x),
-    # G = sqrt|g| = w^{3/2}, jets at every admissible radius valued at the scan's w and x (one 1 - x on both
-    # sides), with x_jet = e^{l - l0} x.
+    # G = sqrt|g| = w^{3/2}.  Divided by the scan's w, with s = e^{l - l0} the jet of w/w(r0) at every
+    # admissible radius, F = |E| w F~ and G = w^{3/2} G~ with F~ = s sqrt(1 - s x) and G~ = s^{3/2}, so that
+    # theta = F~'/sqrt(x) and theta' = F~''/sqrt(x) - theta G~' (|E|/sqrt(w) = 1/sqrt(x)): no E w product forms.
     log_w = model.log_w_jet(params, r)
     scale = (log_w - log_w.v).exp()
-    w_jet = scale * scan.w
-    flux, volume = abs(cfg.e_tilde) * w_jet * (1.0 - scale * x) ** 0.5, w_jet**1.5
-    theta_jet = flux.d1 / volume.v
-    theta_p = (flux.d2 - theta_jet * volume.d1) / volume.v
+    flux, volume = scale * (1.0 - scale * x) ** 0.5, scale**1.5
+    root_x = np.sqrt(x)
+    theta_jet = flux.d1 / root_x
+    theta_p = flux.d2 / root_x - theta_jet * volume.d1
     # Relative to the largest rate, so a root of the rate divides by nothing; 1/a^2 on an empty scan.
     chain_err = _max_abs(theta_p * u_r - rate) / (_max_abs(rate) or params.a**-2)
     div_err = _max_abs(theta_jet - theta)
@@ -369,14 +370,21 @@ def build_tortoise_report(
     grid = np.linspace(r_min, r_max, samples)
     # The channel row evaluates the series only at the radii it compares.
     checked = grid[:: max(1, samples // 32)]
-    channel_gap = _max_abs(cg.tortoise_series(params, checked) - cg.tortoise_quadrature(params, checked))
-    rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)
-
     # Stencil centres clipped so that every stencil point stays within the radial bound.
     h = FD_FIRST_STEP * params.a
     edge = model.radial_bound(params) - h
     deriv_r = np.clip(np.linspace(r_min, r_max, 9), -edge, edge)
-    d = central_diff(lambda x: cg.tortoise_series(params, x), deriv_r, h)
+    # One series call: the checked radii, the stencil's two sides and r = 0.
+    series = cg.tortoise_series(params, np.concatenate([checked, deriv_r + h, deriv_r - h, [0.0]]))
+    n, m = checked.size, deriv_r.size
+    at_checked, plus, minus = series[:n], series[n : n + m], series[n + m : -1]
+
+    # The quadrature is the integral from r = 0: the series' T(r) - T(0).
+    channel_gap = _max_abs(at_checked - series[-1] - cg.tortoise_quadrature(params, checked))
+    rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)
+
+    # The central difference of T, with the stencil's values from that call.
+    d = (plus - minus) / (2.0 * h)
     deriv_err = _max_abs(d * np.sqrt(model.metric_eval(params, deriv_r).w) - 1.0)
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 

@@ -34,13 +34,16 @@ from lbverify.model import log_w_jet, metric_eval, params_from_xi
 from lbverify.numerics import (
     EPS,
     FD_FIRST_STEP,
-    SIMPSON_DEPTH_CAP,
-    SIMPSON_ROUNDING_FLOOR,
-    adaptive_simpson,
+    GAUSS_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
+    QUAD_DEPTH_CAP,
+    QUAD_ROUNDING_FLOOR,
+    adaptive_gauss_kronrod,
     bracket_sign_changes,
-    central_diff,
     sign_change_roots,
 )
+from oracles import central_diff
 
 
 @pytest.fixture
@@ -190,7 +193,7 @@ def test_potential_turning_point_endpoint(vacuum, unit_xi):
     # oracle removes the cusp with r = r_turn + s^2.
     r_turn = -0.5 * math.log(4.0)
     s_max = math.sqrt(-r_turn)
-    oracle = -adaptive_simpson(
+    oracle = -adaptive_gauss_kronrod(
         lambda s: np.sqrt(np.maximum(4.0 * np.exp(2.0 * (r_turn + s * s)) - 1.0, 0.0)) * 2.0 * s,
         0.0,
         s_max,
@@ -211,7 +214,7 @@ def test_potential_turning_point_endpoint(vacuum, unit_xi):
 
     def from_end(end, step):
         integrand = lambda r: np.sqrt(np.maximum(4.0 / metric_eval(unit_xi, r).w - 1.0, 0.0))
-        return adaptive_simpson(
+        return adaptive_gauss_kronrod(
             lambda s: integrand(end + step * s * s) * 2.0 * s, 0.0, math.sqrt(abs(mid - end)), 1e-12
         )
 
@@ -228,7 +231,7 @@ def test_potential_interval_with_both_ends_near_turning_point(vacuum):
     for r0, r1 in ((r_turn + 2e-10, r_turn + 4e-10), (-0.6931471803099453, np.nextafter(-0.6931471803099453, 0.0))):
         e2_minus_w = 4.0 - metric_eval(vacuum, np.array([r0, r1])).w
         assert np.all((e2_minus_w > 0.0) & (e2_minus_w <= 4e-9))
-        plain = -adaptive_simpson(lambda r: congruence._sqrt_integrand(vacuum, OUT2, r), r0, r1, 1e-10)
+        plain = -adaptive_gauss_kronrod(lambda r: congruence._sqrt_integrand(vacuum, OUT2, r), r0, r1, 1e-10)
         assert hypersurface_potential(vacuum, OUT2, r0, r1) == plain
         # q - arctan(q) with q = sqrt(4 e^{2r} - 1), as above.
         q0, q1 = (math.sqrt(4.0 * math.exp(2.0 * r) - 1.0) for r in (r0, r1))
@@ -240,9 +243,12 @@ def test_potential_forbidden_interval(unit_xi):
         hypersurface_potential(unit_xi, CongruenceConfig(e_tilde=1.2), -1.0, 1.0)
     # w(-21.4) = 3.87e18 > E^2 = 1e16, a forbidden radius of the scans: the
     # guard reads E^2/w - 1, which never drops below -1, so it must not
-    # scale with E^2.
-    with pytest.raises(ParameterDomainError, match=r"> E\^2 at r = -21\.4 "):
+    # scale with E^2.  The radius it names is a node inside the interval.
+    with pytest.raises(ParameterDomainError, match=r"> E\^2 at r = \S+ inside") as excinfo:
         hypersurface_potential(unit_xi, CongruenceConfig(e_tilde=1e8), -21.4, -17.4)
+    r = float(re.search(r"at r = (\S+) inside", str(excinfo.value)).group(1))
+    assert -21.4 < r < -17.4
+    assert float(metric_eval(unit_xi, r).w) > 1e16
 
 
 def test_expansion_zero_at_stationary_w(unit_xi):
@@ -546,27 +552,30 @@ def test_radius_rejects_nonpositive(unit_xi):
 
 
 def test_tortoise_vacuum_exponential(vacuum):
+    constant = tortoise_series(vacuum, 0.0)
     for r in (-1.0, 0.0, 0.5, 1.0):
         series = tortoise_series(vacuum, r)
         assert series == pytest.approx(math.exp(r), rel=1e-14)
-        assert abs(series - tortoise_quadrature(vacuum, r)) <= 1e-8 * max(1.0, abs(series))
+        assert abs(series - (constant + tortoise_quadrature(vacuum, r))) <= 1e-8 * max(1.0, abs(series))
 
 
 def test_tortoise_constant_pinned_by_improper_integral(unit_xi):
     # r*(0) equals the integral of 1/sqrt(w) from far below, where r* -> 0.
     value = tortoise_series(unit_xi, 0.0)
-    oracle = adaptive_simpson(
+    oracle = adaptive_gauss_kronrod(
         lambda x: 1.0 / np.sqrt(metric_eval(unit_xi, x).w), -40.0, 0.0, 1e-12
     )
     assert value == pytest.approx(oracle, abs=1e-8)
 
 
 def test_tortoise_channels_agree(unit_xi):
+    # The quadrature is the integral from 0; the series carries T(0).
+    constant = tortoise_series(unit_xi, 0.0)
     radii = (-0.8, -0.2, 0.0, 0.4, 1.0)
     for r in radii:
-        assert abs(tortoise_series(unit_xi, r) - tortoise_quadrature(unit_xi, r)) < 1e-8
+        assert abs(tortoise_series(unit_xi, r) - (constant + tortoise_quadrature(unit_xi, r))) < 1e-8
     series = np.array([tortoise_series(unit_xi, r) for r in radii])
-    assert np.max(np.abs(series - tortoise_quadrature(unit_xi, np.array(radii)))) < 1e-8
+    assert np.max(np.abs(series - (constant + tortoise_quadrature(unit_xi, np.array(radii))))) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -585,21 +594,22 @@ def test_tortoise_quadrature_within_its_tolerance_on_the_report_grid(lam, xi):
             float(a * mpmath.exp(r / a) * mpmath.hyp2f1(sixth, 2 * sixth, 7 * sixth, -(mpmath.mpf(xi) ** 2) * mpmath.exp(6 * r / a)))
             for r in map(mpmath.mpf, radii.tolist())
         ]
-    assert np.max(np.abs(tortoise_quadrature(params, radii) - expected)) <= 1e-11
+    constant = tortoise_series(params, 0.0)
+    assert np.max(np.abs(constant + tortoise_quadrature(params, radii) - expected)) <= 1e-11
 
 
 def test_tortoise_report_integrates_each_panel_once(monkeypatch):
     intervals = []
-    simpson = congruence.adaptive_simpson
+    quadrature = congruence.adaptive_gauss_kronrod
 
     def recording(fn, lo, hi, tol):
         intervals.append((np.array(lo), np.array(hi)))
-        return simpson(fn, lo, hi, tol)
+        return quadrature(fn, lo, hi, tol)
 
     def forbidden(self):
         raise AssertionError("u' or u'' read")
 
-    monkeypatch.setattr(congruence, "adaptive_simpson", recording)
+    monkeypatch.setattr(congruence, "adaptive_gauss_kronrod", recording)
     for name in ("u_p", "u_pp"):
         monkeypatch.setattr(model.MetricSample, name, property(forbidden))
     rpt = suites.build_tortoise_report(3.0, 0.5, samples=65)
@@ -608,7 +618,7 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
     lo, hi = intervals[0]
     a = model.params_from_xi(3.0, 0.5).a
     grid = np.linspace(-a, a, 65)[::2]
-    nodes = np.unique(np.append(grid, 0.0))
+    nodes = np.sort(np.append(grid, 0.0))
     assert np.array_equal(lo, nodes[:-1]) and np.array_equal(hi, nodes[1:])
     assert np.max(hi - lo) <= (grid[1] - grid[0]) * (1.0 + 1e-12)
 
@@ -616,17 +626,33 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
 @pytest.mark.parametrize("samples", (65, 513))
 def test_tortoise_report_runs_2f1_only_at_the_radii_it_reads(monkeypatch, samples):
     # 33 channel radii, the 9-point derivative stencil's 18 and the r = 0
-    # constant of the quadrature: 52, whatever the grid density.
+    # constant of the channel: 52, whatever the grid density, in one call.
     calls = []
-    hyp2f1 = congruence.hyp2f1
+    series = congruence.gauss_2f1_series
 
     def counted(a, b, c, z):
-        calls.append(z)
-        return hyp2f1(a, b, c, z)
+        calls.append(np.shape(z))
+        return series(a, b, c, z)
 
-    monkeypatch.setattr(congruence, "hyp2f1", counted)
+    monkeypatch.setattr(congruence, "gauss_2f1_series", counted)
     assert suites.build_tortoise_report(3.0, 0.5, samples=samples).exit_code() == 0
-    assert len(calls) == 52
+    assert calls == [(52,)]
+
+
+def test_tortoise_report_makes_one_series_and_one_quadrature_call(monkeypatch):
+    calls = []
+    for name in ("tortoise_series", "tortoise_quadrature"):
+        original = getattr(congruence, name)
+
+        def recording(params, r, name=name, original=original):
+            calls.append((name, np.shape(r)))
+            return original(params, r)
+
+        monkeypatch.setattr(congruence, name, recording)
+    assert suites.build_tortoise_report(3.0, 0.5, samples=65).exit_code() == 0
+    # The series at 33 checked radii, both sides of the 9-point stencil and
+    # r = 0; the quadrature at the 33 checked radii.
+    assert calls == [("tortoise_series", (52,)), ("tortoise_quadrature", (33,))]
 
 
 def test_tortoise_vacuum_report_compares_the_whole_grid(monkeypatch, vacuum):
@@ -668,60 +694,53 @@ def test_tortoise_report_rejects_a_window_past_the_radial_bound(unit_xi):
 
 
 def test_tortoise_quadrature_scalar_is_one_panel_from_zero(unit_xi):
-    constant = tortoise_series(unit_xi, 0.0)
     integrand = lambda x: 1.0 / np.sqrt(metric_eval(unit_xi, x).w)
     for r in (-0.7, 0.0, 0.4):
         value = tortoise_quadrature(unit_xi, r)
         assert type(value) is float
-        assert value == constant + adaptive_simpson(integrand, 0.0, r, 1e-11)
+        assert value == adaptive_gauss_kronrod(integrand, 0.0, r, 1e-11)
     # Unsorted, repeated and 2-D radii share the panels of their sorted nodes.
     radii = np.array([[0.4, -0.7, 0.4], [0.0, -0.2, -0.7]])
     values = tortoise_quadrature(unit_xi, radii)
     assert values.shape == radii.shape
     assert values[0, 0] == values[0, 2] and values[0, 1] == values[1, 2]
-    assert values[1, 0] == constant
+    assert values[1, 0] == 0.0
     for r, value in zip(radii.ravel().tolist(), values.ravel().tolist()):
         assert value == pytest.approx(tortoise_quadrature(unit_xi, r), abs=2e-11)
 
 
-def _split_simpson(fn, a, b, tol):
-    """``numerics.adaptive_simpson`` as it took the node values apart with ``np.split`` (the reference)."""
+def _kronrod_one_interval_at_a_time(fn, a, b, tol):
+    """``numerics.adaptive_gauss_kronrod`` with one ``fn`` call and 1-D weighted sums per subinterval (the reference).
 
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def halves(left, right, keep):
-        return np.concatenate([left[keep], right[keep]])
-
+    Each interval is refined on its own, level by level, its kept halves
+    ordered left halves first, as the batched level loop orders them.
+    """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
-    flo, fmid, fhi = np.split(fn(np.concatenate([lo, 0.5 * (lo + hi), hi])), 3)
-    whole = simpson(lo, hi, flo, fmid, fhi)
-    owner = np.arange(lo.size)
-    total = np.zeros(lo.size)
-    for depth in range(SIMPSON_DEPTH_CAP + 1):
-        mid = 0.5 * (lo + hi)
-        flm, frm = np.split(fn(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), 2)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        err = (left + right - whole) / 15.0
-        size = np.abs(err)
-        done = (size < tol / 2.0**depth) | (size <= SIMPSON_ROUNDING_FLOOR * EPS * np.abs(left + right))
-        done |= depth == SIMPSON_DEPTH_CAP
-        total += np.bincount(owner[done], weights=(left + right + err)[done], minlength=total.size)
-        keep = ~done
-        if not keep.any():
-            break
-        lo, hi = halves(lo, mid, keep), halves(mid, hi, keep)
-        flo, fmid, fhi = halves(flo, fmid, keep), halves(flm, frm, keep), halves(fmid, fhi, keep)
-        whole = halves(left, right, keep)
-        owner = halves(owner, owner, keep)
-    total = np.where(b < a, -total.reshape(a.shape), total.reshape(a.shape))
+    totals = []
+    for lo, hi in zip(np.minimum(a, b).ravel().tolist(), np.maximum(a, b).ravel().tolist()):
+        total, pending = 0.0, [(lo, hi)] if lo < hi else []
+        for depth in range(QUAD_DEPTH_CAP + 1):
+            level, lefts, rights = 0.0, [], []
+            for lo_i, hi_i in pending:
+                mid, half = 0.5 * (lo_i + hi_i), 0.5 * (hi_i - lo_i)
+                values = fn(mid + half * KRONROD_NODES)
+                kronrod = half * (values * KRONROD_WEIGHTS).sum()
+                size = abs(kronrod - half * (values[1::2] * GAUSS_WEIGHTS).sum())
+                if size < tol / 2.0**depth or size <= QUAD_ROUNDING_FLOOR * EPS * abs(kronrod) or depth == QUAD_DEPTH_CAP:
+                    level += kronrod
+                else:
+                    lefts.append((lo_i, mid))
+                    rights.append((mid, hi_i))
+            total += level
+            pending = lefts + rights
+        totals.append(total)
+    total = np.array(totals).reshape(a.shape)
+    total = np.where(b < a, -total, total)
     return float(total) if total.ndim == 0 else total
 
 
 @pytest.mark.parametrize("xi", (0.0, 0.5, 1.0))
-def test_simpson_by_slices_is_bit_identical_to_split(monkeypatch, xi):
+def test_kronrod_rows_are_bit_identical_to_one_interval_at_a_time(monkeypatch, xi):
     # The tortoise report's panels, and the congruence report's potential
     # stencil plus an interval with a turning end, which refines deep.
     params = params_from_xi(3.0, xi)
@@ -737,10 +756,10 @@ def test_simpson_by_slices_is_bit_identical_to_split(monkeypatch, xi):
         potentials = [hypersurface_potential(params, OUT2, r0, r1) for r0, r1 in intervals]
         return tortoise_quadrature(params, radii), np.array(potentials)
 
-    slices = results()
-    monkeypatch.setattr(congruence, "adaptive_simpson", _split_simpson)
-    split = results()
-    assert np.array_equal(slices[0], split[0]) and np.array_equal(slices[1], split[1])
+    rows = results()
+    monkeypatch.setattr(congruence, "adaptive_gauss_kronrod", _kronrod_one_interval_at_a_time)
+    single = results()
+    assert np.array_equal(rows[0], single[0]) and np.array_equal(rows[1], single[1])
 
 
 def test_chain_rule_step_with_subnormal_slope(unit_xi):

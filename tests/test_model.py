@@ -12,7 +12,8 @@ from lbverify.model import (
     params_from_xi,
     radial_bound,
 )
-from lbverify.numerics import FD_FIRST_STEP, central_diff
+from lbverify.numerics import FD_FIRST_STEP
+from oracles import central_diff
 
 LAMBDAS = (0.75, 3.0, 12.0)
 XIS = (0.0, 0.1, 0.5, 1.0, 2.0)
@@ -543,16 +544,16 @@ def test_builders_evaluate_each_report_grid_once(monkeypatch):
 
 
 def test_congruence_report_takes_one_potential_quadrature(monkeypatch):
-    # The potential-gradient stencil is one adaptive_simpson call over the
-    # scalar interval [mid - h, mid + h]; no other congruence row integrates.
+    # The potential-gradient stencil is one adaptive_gauss_kronrod call over
+    # the scalar interval [mid - h, mid + h]; no other congruence row integrates.
     calls = []
-    simpson = congruence.adaptive_simpson
+    quadrature = congruence.adaptive_gauss_kronrod
 
     def counting(fn, a, b, tol):
         calls.append((np.ndim(a), np.ndim(b)))
-        return simpson(fn, a, b, tol)
+        return quadrature(fn, a, b, tol)
 
-    monkeypatch.setattr(congruence, "adaptive_simpson", counting)
+    monkeypatch.setattr(congruence, "adaptive_gauss_kronrod", counting)
     suites.build_congruence_report(3.0, 1.0, 2.0)
     assert calls == [(0, 0)]
 

@@ -6,9 +6,13 @@ import pytest
 from lbverify.numerics import (
     BISECT_ROUNDS,
     BISECT_SECTIONS,
-    SIMPSON_DEPTH_CAP,
+    EPS,
+    GAUSS_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
+    QUAD_DEPTH_CAP,
     Jet,
-    adaptive_simpson,
+    adaptive_gauss_kronrod,
     bracket_sign_changes,
     sign_change_roots,
 )
@@ -32,58 +36,74 @@ def _counted(fn):
 def test_batched_endpoints_match_single_intervals_bit_for_bit():
     a = np.array([[-3.0, 0.0], [2.0, 0.5]])
     b = np.array([[5.0, 1.0], [-1.0, 0.5]])
-    batch = adaptive_simpson(_integrand, a, b, 1e-12)
+    batch = adaptive_gauss_kronrod(_integrand, a, b, 1e-12)
     assert batch.shape == a.shape
-    single = [[adaptive_simpson(_integrand, lo, hi, 1e-12) for lo, hi in zip(*row)] for row in zip(a, b)]
+    single = [[adaptive_gauss_kronrod(_integrand, lo, hi, 1e-12) for lo, hi in zip(*row)] for row in zip(a, b)]
     assert batch.tolist() == single
     # A scalar endpoint broadcasts against an array of the other.
-    fan = adaptive_simpson(_integrand, 0.0, np.array([-1.0, 0.4, 2.0]), 1e-12)
-    assert fan.tolist() == [adaptive_simpson(_integrand, 0.0, hi, 1e-12) for hi in (-1.0, 0.4, 2.0)]
+    fan = adaptive_gauss_kronrod(_integrand, 0.0, np.array([-1.0, 0.4, 2.0]), 1e-12)
+    assert fan.tolist() == [adaptive_gauss_kronrod(_integrand, 0.0, hi, 1e-12) for hi in (-1.0, 0.4, 2.0)]
 
 
 def test_reversed_interval_is_exactly_minus_forward():
-    forward = adaptive_simpson(_integrand, -3.0, 5.0, 1e-12)
-    assert adaptive_simpson(_integrand, 5.0, -3.0, 1e-12) == -forward
-    both = adaptive_simpson(_integrand, np.array([-3.0, 5.0]), np.array([5.0, -3.0]), 1e-12)
+    forward = adaptive_gauss_kronrod(_integrand, -3.0, 5.0, 1e-12)
+    assert adaptive_gauss_kronrod(_integrand, 5.0, -3.0, 1e-12) == -forward
+    both = adaptive_gauss_kronrod(_integrand, np.array([-3.0, 5.0]), np.array([5.0, -3.0]), 1e-12)
     assert both.tolist() == [forward, -forward]
 
 
 def test_zero_length_interval_is_zero():
-    assert adaptive_simpson(_integrand, 1.5, 1.5, 1e-10) == 0.0
-    assert adaptive_simpson(_integrand, np.array([1.5, 0.0]), np.array([1.5, 1.0]), 1e-10)[0] == 0.0
+    assert adaptive_gauss_kronrod(_integrand, 1.5, 1.5, 1e-10) == 0.0
+    assert adaptive_gauss_kronrod(_integrand, np.array([1.5, 0.0]), np.array([1.5, 1.0]), 1e-10)[0] == 0.0
 
 
 def test_integrand_calls_bounded_by_depth_cap():
-    # The subinterval holding the jump never meets its tolerance, so it is
-    # refined down to the depth cap; every other one is accepted at once.
-    step, sizes = _counted(lambda x: np.where(x > 0.3, 1.0, 0.0))
-    value = adaptive_simpson(step, -1024.0, 1024.0, 1e-12)
-    assert len(sizes) == SIMPSON_DEPTH_CAP + 2
-    assert value == pytest.approx(1024.0 - 0.3, abs=1e-12)
+    # The jump at 0 sits a third of the way into every subinterval that holds
+    # it, so one of the 15 nodes on each side sees it: that subinterval never
+    # meets its tolerance and is refined down to the depth cap, while every
+    # other one is accepted at once.  One call per level, depths 0 to the cap.
+    step, sizes = _counted(lambda x: np.where(x > 0.0, 1.0, 0.0))
+    value = adaptive_gauss_kronrod(step, -1024.0, 2048.0, 1e-12)
+    assert len(sizes) == QUAD_DEPTH_CAP + 1
+    assert value == pytest.approx(2048.0, abs=1e-12)
 
 
 def test_rounding_floor_stops_refinement_of_a_large_integral():
     # At tol 1e-20 an O(1e6) integral has no subinterval whose error estimate
     # can meet tol / 2**depth: rounding alone puts it near 1e-10.  Each one is
     # accepted at its rounding floor instead of splitting down to the depth
-    # cap (over a million integrand evaluations here before).
-    assert adaptive_simpson(lambda x: np.ones_like(x), 0.0, 1e6, 1e-20) == 1e6
+    # cap (over a million integrand evaluations for adaptive Simpson before it).
+    assert adaptive_gauss_kronrod(lambda x: np.ones_like(x), 0.0, 1e6, 1e-20) == 1e6
     fn, sizes = _counted(lambda x: np.exp(x / 1e6))
-    value = adaptive_simpson(fn, 0.0, 1e6, 1e-20)
+    value = adaptive_gauss_kronrod(fn, 0.0, 1e6, 1e-20)
     assert value == pytest.approx(1e6 * math.expm1(1.0), rel=1e-14)
-    assert len(sizes) < SIMPSON_DEPTH_CAP and sum(sizes) < 10_000
+    assert len(sizes) < QUAD_DEPTH_CAP and sum(sizes) < 10_000
 
 
 def test_node_set_matches_recursive_count():
-    # 3001 integrand evaluations is what the one-point-at-a-time recursive
-    # form of this rule needs here; the level loop visits the same nodes.
+    # 315 integrand evaluations, 15 per subinterval, is what the
+    # one-interval-at-a-time recursive form of this rule needs here (3001
+    # for adaptive Simpson); the level loop visits the same nodes.
     fn, sizes = _counted(_integrand)
-    value = adaptive_simpson(fn, -3.0, 5.0, 1e-12)
-    assert sum(sizes) == 3001
+    value = adaptive_gauss_kronrod(fn, -3.0, 5.0, 1e-12)
+    assert sum(sizes) == 315
     x = np.linspace(-3.0, 5.0, 200_001)
     fx = _integrand(x)
     composite = (x[1] - x[0]) / 3.0 * (fx[0] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum() + fx[-1])
     assert value == pytest.approx(composite, abs=1e-12)
+
+
+def test_kronrod_rule_is_exact_for_polynomials_through_degree_22():
+    # K15 integrates x^d over [-1, 1] exactly for d <= 3 * 7 + 1 = 22, and
+    # its odd entries are the nodes of the 7-point Gauss-Legendre rule.
+    for d in range(23):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert (KRONROD_WEIGHTS * KRONROD_NODES**d).sum() == pytest.approx(exact, abs=4 * EPS), d
+    assert (KRONROD_WEIGHTS * KRONROD_NODES**24).sum() != pytest.approx(2.0 / 25, abs=1e-12)
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(KRONROD_NODES[1::2] - gauss_nodes)) <= EPS
+    assert np.max(np.abs(GAUSS_WEIGHTS - gauss_weights)) <= 2 * EPS
+    assert KRONROD_WEIGHTS.sum() == 2.0 and np.array_equal(KRONROD_NODES, -KRONROD_NODES[::-1])
 
 
 @pytest.mark.parametrize("scale", (1e200, 1e-200))

@@ -35,7 +35,7 @@ TEST_ONLY = {
     ("scalar_field", "noether_charge"): "acceptance criterion 4, the first integral",
     ("scalar_field", "phi_accumulate"): "acceptance criterion 4, phi by quadrature",
     ("curvature", "alpha_deformation_metric"): "the paper's general-form claim",
-    ("special_functions", "gauss_2f1_series"): "the reference branch of hyp2f1",
+    ("special_functions", "hyp2f1"): "acceptance criterion 11, general (a, b, c) on z in [-10, 0]",
 }
 
 #: Dataclass fields that no module of the package reads, and why they stay.
@@ -65,6 +65,12 @@ BENCHMARK_DEAD_NAMES = {
     "numerics.bisect": "removed by f580abb; ROADMAP item 1 re-points it",
     "stability.jacobian_eigen": "removed by 59a6027; ROADMAP item 1 re-points it",
     "numerics.five_point_diffs": "removed by the commit that adds numerics.Jet; ROADMAP item 1 re-points it",
+    "numerics.adaptive_simpson": (
+        "replaced by numerics.adaptive_gauss_kronrod in the commit that adds it; ROADMAP item 1 re-points it"
+    ),
+    "numerics.central_diff": (
+        "moved into the tests by the commit that adds numerics.adaptive_gauss_kronrod; ROADMAP item 1 re-points it"
+    ),
     "curvature.ricci_diagonal_fd": (
         "renamed curvature.ricci_diagonal_generic by the commit that adds numerics.Jet; ROADMAP item 1 re-points it"
     ),

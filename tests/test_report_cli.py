@@ -430,6 +430,21 @@ def test_cli_numerical_failure_exits_3(args):
     assert proc.stderr.startswith(b"lbverify: numerical failure: ")
 
 
+def test_cli_congruence_jet_oracle_stays_in_range_at_huge_xi_and_e_tilde(tmp_path, capsys):
+    # At lambda = 1e-300, xi = 1e154, E = 1e150 the profile w reaches past
+    # 1e150, and |E| w sqrt(1 - x) would overflow: the jet oracle divides the
+    # scan's w out of its flux and volume.  The report fails rows of its own
+    # (exit 1), with no numerical failure.
+    from lbverify import cli
+
+    out = tmp_path / "report.csv"
+    argv = ["congruence", "--lambda", "1e-300", "--xi", "1e154", "--e-tilde", "1e150", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ""
+    rows = {r["check"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
+    assert rows["expansion-covariant-divergence"]["verdict"] == "pass"
+
+
 def _assert_usage_error(proc, needle):
     assert proc.returncode == 2
     assert proc.stdout == b""
@@ -800,7 +815,7 @@ def test_cli_energy_green():
 @pytest.mark.parametrize("lam", ["1e-12", "1e-300"])
 def test_tiny_lambda_tortoise_runs_in_bounded_memory(lam):
     # a = sqrt(3 / lambda) reaches 1.7e6 and 1.7e150: the quadrature channel
-    # integrates O(a) panels, whose Simpson estimates sit at rounding level.
+    # integrates O(a) panels, whose Gauss-Kronrod estimates sit at rounding level.
     resource = pytest.importorskip("resource")
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)

@@ -205,6 +205,19 @@ def test_series_past_the_cached_ratios_is_bit_identical():
     assert gauss_2f1_series(*TORTOISE_ABC, z) == expected
 
 
+def test_array_series_is_bit_identical_to_the_plain_recurrence_elementwise():
+    # One call on a mixed array: z = -0.99 runs past the cached ratios while
+    # the others stop inside them, and z = 0 stops at its first two terms.
+    z = np.array([[0.3, -0.99, 0.0], [1e-300, -0.5, 0.49]])
+    values = gauss_2f1_series(*TORTOISE_ABC, z)
+    assert values.shape == z.shape
+    assert values.tolist() == [[plain_series(*TORTOISE_ABC, x)[0] for x in row] for row in z.tolist()]
+    assert plain_series(*TORTOISE_ABC, -0.99)[1] > CACHED_TERMS
+    assert gauss_2f1_series(*TORTOISE_ABC, np.array([])).shape == (0,)
+    with pytest.raises(ParameterDomainError, match=r"diverges at \|z\| = 1\.5 >= 1"):
+        gauss_2f1_series(*TORTOISE_ABC, np.array([0.2, -1.5]))
+
+
 def test_series_term_cap_message_unchanged():
     z = -(1.0 - 1e-9)
     assert plain_series(0.5, 0.5, 1.5, z)[0] is None
