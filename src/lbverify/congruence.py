@@ -12,7 +12,7 @@ q = 6r/a + 2 log|xi|: the tortoise coordinate is a symmetric incomplete
 beta function of s = 1/(1 + e^{-q}), and w equals a value at an arccosh
 pair of radii.  The kinematics read w and the exponent's u' and u'' from
 a ``metric_eval`` sample, and E only through x = w/E^2 and the |E|
-factors of u^t and the null rate: with w' = w u' and w'' = w (u'' + u'^2)
+factor of the null rate: with w' = w u' and w'' = w (u'' + u'^2)
 no E^2 w or E^4 product forms, and the direct rates meet the quoted form
 in its own variables (E. Poisson, *A Relativist's Toolkit*, 2004, §2.4).
 
@@ -22,8 +22,8 @@ Turning points (w = E^2) are flags, not exceptions, in the expansion-rate
 evaluations: the divergence there is genuine, and ``kinematics_scan``, one
 pass over a grid for both congruences, keeps only the admissible radii: it
 drops the forbidden ones (w > E^2) and a relative guard band
-``TURNING_GUARD_REL`` around the turning points.  Its columns, w included,
-are what a report reads at those radii.
+``TURNING_GUARD_REL`` around the turning points.  Its columns are what a
+report reads at those radii.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ class CongruenceConfig:
 class KinematicsScan:
     """Timelike and null kinematics at the admissible radii of a scan grid.
 
-    The fields are the admissible radii r, in grid order, the profile w,
-    x = w/E^2 and the exponent's u' and u'' at them, and E.  The columns
-    theta, dtheta_dtau (the timelike rate), null_rate and the 4-velocity
-    components u_t, u_r are computed on first read, so a caller pays only
-    for the ones it reads.
+    The fields are the admissible radii r, in grid order, x = w/E^2 and
+    the exponent's u' and u'' at them, and E.  The columns theta,
+    dtheta_dtau (the timelike rate), null_rate and the 4-velocity's radial
+    component u_r are computed on first read, so a caller pays only for the
+    ones it reads.  The time component u^t = E/w is not a column: the
+    normalization reads it as -w (u^t)^2 = -1/x.
     """
 
     r: np.ndarray
-    w: np.ndarray
     x: np.ndarray
     u_p: np.ndarray
     u_pp: np.ndarray
@@ -105,11 +105,6 @@ class KinematicsScan:
         bracket u'' - u'^2/2 alone carries the energy-independent content).
         """
         return abs(self.e_tilde) * np.sqrt(1.0 - self.x) * (self.u_pp - 0.5 * self.u_p * self.u_p)
-
-    @functools.cached_property
-    def u_t(self) -> np.ndarray:
-        """u^t = E/w of the marginally bound radial geodesics."""
-        return self.e_tilde / self.w
 
     @functools.cached_property
     def u_r(self) -> np.ndarray:
@@ -300,7 +295,7 @@ def radius_candidates(params: SolutionParams, X: float) -> RadiusCandidates:
     if params.xi == 0.0:
         roots = [-0.5 * a * math.log(X)]
     else:
-        log_xi = math.log(abs(params.xi))
+        log_xi = params.log_abs_xi
         # log(X^{3/2}/(2|xi|)) = m, taken in log form because the ratio itself
         # over- or underflows at extreme X or xi; arccosh(e^m) for m >= 0 is
         # m + log(1 + sqrt(1 - e^{-2m})).
@@ -338,7 +333,7 @@ def tortoise_series(params: SolutionParams, r):
     _check_range(params, r)
     a = params.a
     xi = abs(params.xi)
-    log_xi = math.log(xi) if xi else -math.inf
+    log_xi = params.log_abs_xi
     r = np.asarray(r, dtype=float)
     radius = r.ravel()
     q = 6.0 * radius / a + 2.0 * log_xi
@@ -396,8 +391,7 @@ def kinematics_scan(sample: MetricSample, cfg: CongruenceConfig) -> KinematicsSc
     e2 = cfg.e_tilde**2
     ok = ~((w > e2) | (np.abs(e2 - w) < TURNING_GUARD_REL * e2))
     r = np.asarray(sample.r, dtype=float)[ok]
-    w = w[ok]
-    return KinematicsScan(r=r, w=w, x=w / e2, u_p=sample.u_p[ok], u_pp=sample.u_pp[ok], e_tilde=cfg.e_tilde)
+    return KinematicsScan(r=r, x=w[ok] / e2, u_p=sample.u_p[ok], u_pp=sample.u_pp[ok], e_tilde=cfg.e_tilde)
 
 
 def focusing_sign_map(b_values) -> dict[float, int]:

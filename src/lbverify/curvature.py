@@ -12,9 +12,10 @@ s = u1' + u2' + u3', and R^r_r = R_rr.  Every member of the family has one
 exponent u on the three non-radial axes, so ``ricci_mixed`` returns the pair
 (R^n_n, R^r_r), n standing for t, phi and z, once per sample, and the field
 residual, phi'^2 and the frame stresses read that one pair, so none carries
-the rounding of e^u (about xi^(4/3) at large xi).  ``ricci_diagonal`` lowers
-it to the covariant components R_mn = g_mm R^m_m for the comparison with
-the generic route, which works in covariant components.
+the rounding of e^u (about xi^(4/3) at large xi).  Fed each metric
+component normalised at its own point, the generic route gives the same
+mixed components, (-R^t_t, R^r_r, R^phi_phi, R^z_z); the verify report
+compares them with the pair and lowers each difference once, by e^u.
 
 The paper's general form, exponents u + alpha_i T(r) that differ per axis,
 has no closed-form path: ``alpha_deformation_metric`` gives its metric as
@@ -52,17 +53,6 @@ def ricci_mixed(sample: MetricSample):
     u_p, u_pp = sample.u_p, sample.u_pp
     s = 3.0 * u_p
     return 0.25 * (2.0 * u_pp + u_p * s), 0.5 * (3.0 * u_pp) + 0.25 * (3.0 * u_p**2)
-
-
-def ricci_diagonal(sample: MetricSample):
-    """Closed-form covariant diagonal Ricci (R_tt, R_rr, R_phiphi, R_zz).
-
-    ``ricci_mixed``'s pair lowered by (g_tt, g_rr, g_phiphi, g_zz) =
-    (-e^u, 1, e^u, e^u).
-    """
-    r_nn, r_rr = ricci_mixed(sample)
-    g = np.exp(sample.u)
-    return -g * r_nn, r_rr, g * r_nn, g * r_nn
 
 
 def ricci_diagonal_generic(metric):
@@ -154,7 +144,7 @@ def alpha_deformation_metric(
         axi = abs(params.xi)
         m = axi * np.exp(k * np.asarray(r, dtype=float))
         if form == "printed":
-            r_max = -math.log(axi) / k
+            r_max = -params.log_abs_xi / k
             if np.any(m >= 1.0):
                 raise ParameterDomainError(
                     f"artanh argument |xi| e^(kr) >= 1; admissible interval is r < {r_max:.6g}"

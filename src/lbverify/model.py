@@ -70,6 +70,11 @@ class SolutionParams:
         """Radial rate sqrt(3*lam) = 3/a."""
         return 3.0 / self.a
 
+    @property
+    def log_abs_xi(self) -> float:
+        """log|xi|, the offset of q = 2kr + 2 log|xi|; -inf at xi = 0."""
+        return math.log(abs(self.xi)) if self.xi else -math.inf
+
 
 class MetricSample:
     """All radial profile quantities at one radius (or one grid), built from
@@ -187,7 +192,7 @@ def _sech_sq(x):
 
 def _q(params: SolutionParams, r):
     """q = 2kr + 2 log|xi|, so that c1 e^{2kr} - c2 = e^q + 1; -inf at xi = 0."""
-    return 2.0 * params.k * r + (2.0 * math.log(abs(params.xi)) if params.xi else -math.inf)
+    return 2.0 * params.k * r + 2.0 * params.log_abs_xi
 
 
 def _w_value(params: SolutionParams, r, reach: float):
@@ -198,7 +203,7 @@ def _w_value(params: SolutionParams, r, reach: float):
     log|xi| as e^{2r/a} |xi|^{4/3} (1 + xi^-2 e^{-6r/a})^{2/3}.
     """
     a = params.a
-    log_xi = math.log(abs(params.xi)) if params.xi else -math.inf
+    log_xi = params.log_abs_xi
     if 2.0 * log_xi + 6.0 * reach / a <= _W_PRODUCT_EXPONENT:
         return np.exp(-2.0 * r / a) * (1.0 + params.xi**2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
     # xi^2 e^{6r/a} = e^q, q = 6r/a + 2 log|xi|, may overflow on these
@@ -216,7 +221,7 @@ def log_w_jet(params: SolutionParams, r) -> Jet:
     f''.  No range check: the callers' radii lie in a checked window.
     """
     x = Jet.variable(r)
-    log_xi = math.log(abs(params.xi)) if params.xi else -math.inf
+    log_xi = params.log_abs_xi
     return x * (-2.0 / params.a) + (2.0 / 3.0) * (x * (6.0 / params.a) + 2.0 * log_xi).softplus()
 
 

@@ -19,14 +19,11 @@ with the bits of the scalar recurrence.  The tortoise coordinate calls it
 once per report for its one series, F(1/3, 1; 7/6; x) with x <= 1/2 (see
 ``congruence.tortoise_series``).  The Pfaff argument approaches 1 as
 z -> -inf, so far enough out its series reaches ``MAX_TERMS`` and raises
-``SpecialFunctionError``.  The term ratios of a series depend on its
-parameter triple alone, so each triple computes its first chunk of them
-once (``_term_ratios``).
+``SpecialFunctionError``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -39,9 +36,9 @@ SERIES_RTOL = 1e-16
 #: exceeds 1/2 and the term count grows like 1/(1 - t) = 1 - z; the cap ends
 #: a series that would not converge in practice.
 MAX_TERMS = 100_000
-#: Term ratios cached per parameter triple, the series' first chunk of terms;
-#: each later chunk doubles the number of terms summed.  The tortoise
-#: coordinate's series stops within 48 terms.
+#: Terms in the series' first chunk; each later chunk doubles the number of
+#: terms summed.  The tortoise coordinate's series stops within 48 terms,
+#: inside the first chunk.
 CACHED_TERMS = 64
 
 
@@ -49,14 +46,6 @@ def _ratio_range(a: float, b: float, c: float, start: int, stop: int) -> np.ndar
     """The ratios (a+k)(b+k) / ((c+k)(k+1)) of consecutive terms, for start <= k < stop."""
     k = np.arange(start, stop, dtype=float)
     return (a + k) * (b + k) / ((c + k) * (k + 1.0))
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _term_ratios(a: float, b: float, c: float) -> np.ndarray:
-    """The first ``CACHED_TERMS`` term ratios, read-only."""
-    ratios = _ratio_range(a, b, c, 0, CACHED_TERMS)
-    ratios.flags.writeable = False
-    return ratios
 
 
 def _series(a: float, b: float, c: float, z, caller_z: float | None = None) -> np.ndarray:
@@ -80,7 +69,7 @@ def _series(a: float, b: float, c: float, z, caller_z: float | None = None) -> n
     # overflow; a scalar loop never computes those terms.
     with np.errstate(all="ignore"):
         while True:
-            ratios = _term_ratios(a, b, c) if start == 0 else _ratio_range(a, b, c, start, stop)
+            ratios = _ratio_range(a, b, c, start, stop)
             # The first column takes up the previous chunk's term and total, so
             # the running product and sum continue term *= ratio * z; total += term.
             terms = flat[live, None] * ratios
@@ -119,8 +108,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     _check_c(c)
     if z > 0.5:
         raise ParameterDomainError(f"z = {z:.6g} > 1/2 is unsupported")
-    if z == 0.0:
-        return 1.0
     if z >= -0.5:
         return float(_series(a, b, c, z))
     return gauss_2f1_pfaff(a, b, c, z)
@@ -145,7 +132,5 @@ def gauss_2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
     _check_c(c)
     if z > 0.0:
         raise ParameterDomainError(f"z = {z:.6g} > 0 is unsupported")
-    if z == 0.0:
-        return 1.0
     t = z / (z - 1.0)
     return (1.0 - z) ** (-a) * float(_series(a, c - b, c, t, caller_z=z))

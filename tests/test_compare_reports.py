@@ -92,6 +92,25 @@ def test_a_value_moved_beyond_its_slack_is_a_difference(tmp_path):
     assert any("'verify'" in line for line in differences)
 
 
+def test_a_value_moved_inside_its_slack_prints_its_share_of_the_slack(tmp_path):
+    # The same row moved by 1e-12 relative: a thousandth of the checker's
+    # REL = 1e-9 slack on a row of tolerance 0, so no difference.
+    copy = _copy_tree(tmp_path, lambda argv: argv[0] == "verify")
+    suites = copy / "src" / "lbverify" / "suites.py"
+    text = suites.read_text()
+    assert text.count(GAP_LINE) == 1
+    suites.write_text(text.replace(GAP_LINE, GAP_LINE.replace("params.a,", "params.a * (1.0 + 1e-12),")))
+
+    proc = _compare(ROOT, copy)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "calls: 3",
+        "byte-identical: 1",
+        "largest relative value move per check or meta number:",
+        "  quoted-linear-coefficient-gap: 1e-12 (0.001 of the slack)",
+    ]
+
+
 def test_a_changed_version_is_a_difference_of_the_json_reports(tmp_path):
     # Only a JSON report carries the version, in its meta object; the rows
     # and every CSV report stay byte-identical.

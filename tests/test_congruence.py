@@ -110,9 +110,9 @@ def _scan_theta(params, cfg, r):
 
 
 def _scan_velocity(params, cfg, r):
-    """The scan's (u^t, u^r) at one admissible radius."""
+    """The scan's (x, u^r) at one admissible radius; u^t = E/w enters the norm as -w (u^t)^2 = -1/x."""
     scan = _scan_at(params, cfg, r)
-    return float(scan.u_t[0]), float(scan.u_r[0])
+    return float(scan.x[0]), float(scan.u_r[0])
 
 
 def test_config_rejects_subunit_energy():
@@ -127,21 +127,24 @@ def test_four_velocity_turning_point(vacuum):
     # w(0) = 1 = E^2: a scan drops the radius into its guard band, so the
     # columns are read on a scan built at x = 1 itself.
     s = metric_eval(vacuum, np.array([0.0]))
-    scan = KinematicsScan(r=s.r, w=s.w, x=s.w / 1.0, u_p=s.u_p, u_pp=s.u_pp, e_tilde=1.0)
-    assert (scan.u_t.tolist(), scan.u_r.tolist()) == ([1.0], [0.0])
+    scan = KinematicsScan(r=s.r, x=s.w / 1.0, u_p=s.u_p, u_pp=s.u_pp, e_tilde=1.0)
+    assert (scan.x.tolist(), scan.u_r.tolist()) == ([1.0], [0.0])
 
 
 def test_four_velocity_values_and_norm(vacuum):
-    u = _scan_velocity(vacuum, OUT2, 0.0)
-    assert u == (2.0, math.sqrt(3.0))
+    # w(0) = 1: x = 1/4, u^t = E/w = 2 and u^r = sqrt(3).
+    x, u_r = _scan_velocity(vacuum, OUT2, 0.0)
+    assert (x, u_r) == (0.25, math.sqrt(3.0))
     w = float(metric_eval(vacuum, 0.0).w)
-    assert -w * u[0] ** 2 + u[1] ** 2 == pytest.approx(-1.0, abs=1e-12)
+    assert x == w / OUT2.e_tilde**2
+    assert -w * (OUT2.e_tilde / w) ** 2 == -1.0 / x
+    assert -1.0 / x + u_r**2 == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_four_velocity_forbidden_region(unit_xi):
     # w(0) = 2^(2/3) > 1 = E^2: the scan drops the radius, so it has no 4-velocity there.
     scan = _scan_at(unit_xi, CongruenceConfig(e_tilde=1.0), 0.0)
-    assert scan.u_t.size == scan.u_r.size == 0
+    assert scan.x.size == scan.u_r.size == 0
 
 
 def test_normalization_random_admissible():
@@ -156,8 +159,9 @@ def test_normalization_random_admissible():
         w = float(metric_eval(params, r).w)
         if w > e_tilde**2:
             continue
-        u = _scan_velocity(params, CongruenceConfig(e_tilde=e_tilde), r)
-        assert -w * u[0] ** 2 + u[1] ** 2 == pytest.approx(-1.0, abs=1e-12)
+        x, u_r = _scan_velocity(params, CongruenceConfig(e_tilde=e_tilde), r)
+        assert x == pytest.approx(w / e_tilde**2, rel=1e-15)
+        assert -1.0 / x + u_r**2 == pytest.approx(-1.0, abs=1e-12)
         count += 1
 
 
@@ -880,7 +884,7 @@ def test_turning_guard_band_is_relative_to_e_squared():
     r = np.arange(w.size, dtype=float)
     scan = kinematics_scan(SimpleNamespace(r=r, w=w, u_p=np.ones_like(w), u_pp=np.zeros_like(w)), OUT2)
     assert scan.r.tolist() == [1.0, 2.0]
-    assert scan.w.tolist() == w[1:3].tolist()
+    assert scan.x.tolist() == (w[1:3] / e2).tolist()
 
 
 def test_null_rate_forbidden(unit_xi):
@@ -968,7 +972,7 @@ def test_scans_of_empty_grid():
     grid = np.array([])
     scan = kinematics_scan(metric_eval(params, grid), OUT2)
     columns = [field.name for field in dataclasses.fields(scan) if field.name != "e_tilde"]
-    columns += ["theta", "dtheta_dtau", "null_rate", "u_t", "u_r"]
+    columns += ["theta", "dtheta_dtau", "null_rate", "u_r"]
     assert all(getattr(scan, column).size == 0 for column in columns)
 
 
@@ -1146,7 +1150,7 @@ def test_point_functions_vectorize(unit_xi):
     h = congruence.chain_rule_fd_step(unit_xi, OUT2, r)
     assert np.array_equal(scan.r, r)
     for i, r_i in enumerate(r.tolist()):
-        assert (scan.u_t[i], scan.u_r[i]) == _scan_velocity(unit_xi, OUT2, r_i)
+        assert (scan.x[i], scan.u_r[i]) == _scan_velocity(unit_xi, OUT2, r_i)
         assert h[i] == congruence.chain_rule_fd_step(unit_xi, OUT2, r_i)
 
 

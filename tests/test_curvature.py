@@ -8,7 +8,6 @@ from lbverify.curvature import (
     alpha_deformation_metric,
     field_residual,
     ode_integrate_f,
-    ricci_diagonal,
     ricci_diagonal_generic,
     ricci_mixed,
 )
@@ -20,22 +19,28 @@ from lbverify.scalar_field import phi_prime_sq_constraint
 from lbverify.suites import build_verify_report
 
 
-#: Bound of the dual-path gap in units of eps * max |R_mm|: the worst of the
-#: spot and random-draw radii below is 4.5.
+#: Bound of the dual-path gap in units of eps * max |R^m_m|: the worst of the
+#: spot and random-draw radii below is 4.2.
 DUAL_PATH_EPS = 64.0
 
 
-def _generic_ricci(params, r):
-    """Covariant Ricci of the generic contraction, as the verify report builds it.
+def _generic_mixed_ricci(params, r):
+    """Mixed Ricci (R^t_t, R^r_r, R^phi_phi, R^z_z) of the generic contraction, as the verify report builds it.
 
     Each component is normalised at its own point, a jet (1, l', l'' + l'^2)
-    of l = log w, and the result is lowered by the sample's e^u.
+    of l = log w, which leaves the mixed components; the generic path
+    returns -R^t_t.
     """
     log_w = log_w_jet(params, r)
     unit = (log_w - log_w.v).exp()
     r_tt, r_rr, r_pp, r_zz = ricci_diagonal_generic((-unit, Jet(1.0, 0.0, 0.0), unit, unit))
-    g = np.exp(metric_eval(params, r).u)
-    return g * r_tt, r_rr, g * r_pp, g * r_zz
+    return -r_tt, r_rr, r_pp, r_zz
+
+
+def _closed_mixed_ricci(params, r):
+    """``ricci_mixed``'s pair spread over the four axes (R^t_t, R^r_r, R^phi_phi, R^z_z)."""
+    r_nn, r_rr = ricci_mixed(metric_eval(params, r))
+    return r_nn, r_rr, r_nn, r_nn
 
 
 def _deformation_term(params, r, form):
@@ -55,15 +60,15 @@ def _deformed_exponents(params, alpha, r, form):
 
 
 def test_flat_metric_has_zero_ricci():
-    flat = SimpleNamespace(u=0.0, u_p=0.0, u_pp=0.0)
-    assert ricci_diagonal(flat) == (0.0, 0.0, 0.0, 0.0)
+    flat = SimpleNamespace(u_p=0.0, u_pp=0.0)
+    assert ricci_mixed(flat) == (0.0, 0.0)
 
 
 def test_dual_path_ricci_spot():
     params = params_from_xi(3.0, 1.0)
     for r in (0.3, np.array([-0.9, 0.3, 1.1])):
-        closed = ricci_diagonal(metric_eval(params, r))
-        generic = _generic_ricci(params, r)
+        closed = _closed_mixed_ricci(params, r)
+        generic = _generic_mixed_ricci(params, r)
         assert np.max(np.abs(np.subtract(closed, generic))) <= DUAL_PATH_EPS * EPS * np.max(np.abs(closed))
 
 
@@ -83,8 +88,8 @@ def test_dual_path_ricci_random_draws():
         xi = float(rng.uniform(0.0, 2.0))
         params = params_from_xi(lam, xi)
         r = float(rng.uniform(-params.a, params.a))
-        closed = ricci_diagonal(metric_eval(params, r))
-        generic = _generic_ricci(params, r)
+        closed = _closed_mixed_ricci(params, r)
+        generic = _generic_mixed_ricci(params, r)
         gap = max(abs(float(c) - d) for c, d in zip(closed, generic))
         worst = max(worst, gap / (EPS * max(abs(float(c)) for c in closed)))
     assert worst <= DUAL_PATH_EPS
@@ -94,7 +99,7 @@ def test_rr_component_reproduces_constraint():
     params = params_from_xi(3.0, 1.0)
     for r in (-1.5, 0.0, 0.8):
         sample = metric_eval(params, r)
-        _, r_rr, _, _ = ricci_diagonal(sample)
+        _, r_rr = ricci_mixed(sample)
         assert abs((r_rr - params.lam) - phi_prime_sq_constraint(ricci_mixed(sample), params.lam)) < 1e-9
 
 
@@ -186,7 +191,7 @@ def test_field_residual_max_is_over_tt_phi_z():
     mixed = ricci_mixed(s)
     res = field_residual(mixed, params.lam)
     assert isinstance(res, float)
-    r_rr = ricci_diagonal(s)[1]
+    r_rr = mixed[1]
     assert np.all(r_rr - params.lam - phi_prime_sq_constraint(mixed, params.lam) == 0.0)
     assert res == float(np.max(np.abs(mixed[0] - params.lam)))
 

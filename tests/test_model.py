@@ -225,23 +225,36 @@ def test_log1p_exp_matches_logaddexp():
     assert np.max(_ulps(_log1p_exp(dense), exact)) <= 2.0
 
 
-def test_ricci_diagonal_is_exp_u_times_mixed_components():
-    params = params_from_xi(3.0, 0.5)
-    s = metric_eval(params, np.linspace(-2.0, 0.5, 33))
-    # The three exponents of a metric_eval sample are one: one bracket
-    # serves every non-radial axis.
-    r_nn, r_rr = curvature.ricci_mixed(s)
+@pytest.mark.parametrize("lam, xi", [(3.0, 1e5), (0.75, 1e10), (12.0, 1e3)])
+def test_ricci_dual_path_tolerance_is_the_covariant_closed_form_scale(lam, xi):
+    # The row lowers the mixed differences by e^u itself; its tolerance is
+    # 1e-9 max |R_mn| of the covariant closed forms R_nn = g_nn (2 u_n'' +
+    # u_n' s) / 4 and R_rr = sum(u_i'')/2 + sum(u_i'^2)/4, written out per
+    # axis: the scaling by 1/4 is exact and u' + u' + u' rounds 3 u' once,
+    # so the tolerance matches them bit for bit.  These members put that
+    # scale above the absolute floor 1e-6.
+    params = params_from_xi(lam, xi)
+    row = next(row for row in suites.build_verify_report(lam, xi).rows if row.check == "ricci-dual-path")
+    s = metric_eval(params, np.linspace(-2.0 * params.a, 2.0 * params.a, 25))
     g = np.exp(s.u)
-    covariant = curvature.ricci_diagonal(s)
-    for got, want in zip(covariant, (-g * r_nn, r_rr, g * r_nn, g * r_nn)):
-        assert np.array_equal(got, want)
-    # The covariant closed forms R_nn = g_nn (2 u_n'' + u_n' s) / 4,
-    # written out: the scaling by 1/4 is exact, so lowering the mixed
-    # components reproduces them bit for bit, and ricci-dual-path with them.
     total = s.u_p + s.u_p + s.u_p
-    assert np.array_equal(covariant[0], -0.25 * g * (2.0 * s.u_pp + s.u_p * total))
-    for n in (2, 3):
-        assert np.array_equal(covariant[n], 0.25 * g * (2.0 * s.u_pp + s.u_p * total))
+    r_nn = 0.25 * g * (2.0 * s.u_pp + s.u_p * total)
+    r_rr = 0.5 * (s.u_pp + s.u_pp + s.u_pp) + 0.25 * (s.u_p**2 + s.u_p**2 + s.u_p**2)
+    scale = float(np.max(np.abs((-r_nn, r_rr, r_nn, r_nn))))
+    assert 1e-9 * scale > 1e-6
+    assert row.tolerance == 1e-9 * scale
+    assert row.verdict == "pass"
+
+
+@pytest.mark.parametrize("xi, samples, residual_is_zero", [(1.0, 9000, False), (1e154, 4096, True)])
+def test_exponent_system_residual_is_four_field_equation_residuals(xi, samples, residual_is_zero):
+    # 2 u'' + u' (u1' + u2' + u3') - 4 lambda is 4 (R^n_n - lambda), and
+    # scaling by 4 is exact: the row is 4 times the field residual bit for
+    # bit, over several grid blocks and at the largest xi, where R^n_n
+    # rounds to lambda on the whole grid.
+    rows = {row.check: row.value for row in suites.build_verify_report(3.0, xi, samples=samples).rows}
+    assert (rows["field-equation-residual"] == 0.0) == residual_is_zero
+    assert rows["exponent-system-residual"] == 4.0 * rows["field-equation-residual"]
 
 
 def test_reading_w_takes_no_log1p(monkeypatch):
@@ -309,7 +322,7 @@ def test_each_block_forms_the_mixed_ricci_once(monkeypatch):
 
     monkeypatch.setattr(suites, "ricci_mixed", counting)
     suites.build_verify_report(3.0, 1.0, samples=9000)
-    assert calls == [4096, 4096, 808]
+    assert calls == [4096, 4096, 808, 25]
     calls.clear()
     suites.build_energy_report(12.0, 0.5, samples=9000)
     assert calls == [4096, 4096, 808]

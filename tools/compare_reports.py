@@ -13,8 +13,11 @@ two subprocesses run side by side.
 
 The script prints the call count, the number of calls that are
 byte-identical (report, stderr and exit code), and the largest relative move
-of a row value per check, over every check whose values moved, and of each
-JSON ``meta`` number (``a``, ``lambda``, ``xi``) that moved.  It exits 1
+of a row value per check, over every check whose values moved, beside the
+largest share of its slack (below) that a move of that check took, and the
+largest relative move of each JSON ``meta`` number (``a``, ``lambda``,
+``xi``) that moved.  A relative move of 1 on a value of 1e-13 reads as
+alarming; the slack share says how close it came to a difference.  It exits 1
 when any call differs in exit code, in stderr, in its sequence of
 (check, location, tolerance, verdict) rows, in a row value by more than
 REL * |old value| + old tolerance (the slack of ``perfbench/check.py`` and
@@ -132,6 +135,14 @@ def relative_move(old: float, new: float) -> float:
     return abs(new - old) / abs(old) if old else math.inf
 
 
+def slack_share(old: float, new: float, tolerance: float) -> float:
+    """|new - old| as a share of the slack REL * |old| + tolerance (above 1: a difference)."""
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    slack = REL * abs(old) + tolerance
+    return abs(new - old) / slack if slack else math.inf
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -148,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         if one != other
     ]
 
-    identical, failures, moves = 0, [], {}
+    identical, failures, moves, slack_shares = 0, [], {}, {}
     for argv, old, new in zip(calls, before, after):
         if old == new:
             identical += 1
@@ -173,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
             move = relative_move(old_value, new_value)
             if move:
                 moves[check] = max(moves.get(check, 0.0), move)
+                share = slack_share(old_value, new_value, tol)
+                slack_shares[check] = max(slack_shares.get(check, 0.0), share)
             if not abs(new_value - old_value) <= REL * abs(old_value) + tol:
                 failures.append(f"{argv}: {check} at {loc} moved from {old_value!r} to {new_value!r}")
 
@@ -181,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     if moves:
         print("largest relative value move per check or meta number:")
         for check, move in sorted(moves.items(), key=lambda item: -item[1]):
-            print(f"  {check}: {move:.3g}")
+            share = f" ({slack_shares[check]:.3g} of the slack)" if check in slack_shares else ""
+            print(f"  {check}: {move:.3g}{share}")
     else:
         print("no row value moved")
     for failure in failures:
