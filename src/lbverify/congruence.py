@@ -390,8 +390,7 @@ def kinematics_scan(sample: MetricSample, cfg: CongruenceConfig) -> KinematicsSc
     w = sample.w
     e2 = cfg.e_tilde**2
     ok = ~((w > e2) | (np.abs(e2 - w) < TURNING_GUARD_REL * e2))
-    r = np.asarray(sample.r, dtype=float)[ok]
-    return KinematicsScan(r=r, x=w[ok] / e2, u_p=sample.u_p[ok], u_pp=sample.u_pp[ok], e_tilde=cfg.e_tilde)
+    return KinematicsScan(r=sample.r[ok], x=w[ok] / e2, u_p=sample.u_p[ok], u_pp=sample.u_pp[ok], e_tilde=cfg.e_tilde)
 
 
 def focusing_sign_map(b_values) -> dict[float, int]:

@@ -52,7 +52,7 @@ def ricci_mixed(sample: MetricSample):
     """
     u_p, u_pp = sample.u_p, sample.u_pp
     s = 3.0 * u_p
-    return 0.25 * (2.0 * u_pp + u_p * s), 0.5 * (3.0 * u_pp) + 0.25 * (3.0 * u_p**2)
+    return 0.25 * (2.0 * u_pp + u_p * s), 0.5 * (3.0 * u_pp) + 0.25 * (3.0 * (u_p * u_p))
 
 
 def ricci_diagonal_generic(metric):

@@ -20,7 +20,7 @@ and the conformal factor of the isotropic form of the line element
 exponent u_i with their derivatives, and w; ``log_w_jet`` is log w as a
 jet.  Functions accept a scalar r or a numpy array and vectorize
 elementwise: one array path serves both, and a scalar r yields NumPy float
-scalars.
+scalars with the bits it gets inside any array.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from .numerics import Jet
 
 # e^{2k|r|} stays finite (and so does e^f downstream) below this exponent.
 _MAX_EXPONENT = 700.0
-
-# xi^2 e^{6r/a} stays below the float maximum (about e^709.78) up to this
-# exponent of it; ``_w_value`` composes w through log|xi| beyond it.
-_W_PRODUCT_EXPONENT = 709.0
 
 #: Largest accepted |xi|: c1 = xi^2 must stay a finite float.
 MAX_ABS_XI = math.sqrt(sys.float_info.max)
@@ -91,17 +87,17 @@ class MetricSample:
 
     Every column is computed on first read: reading w takes neither f' nor
     f'', and reading derivatives takes neither the exp nor the log1p of f.
-    w takes the branch of ``_w_value`` that ``reach``, the checked max |r|,
-    selects.  The sample carries no metric factor e^u: the curvature layers
-    read mixed components, which need none.
+    Each column at a radius depends on that radius alone.  The sample
+    carries no metric factor e^u: the curvature layers read mixed
+    components, which need none.
     """
 
-    def __init__(self, params: SolutionParams, r, reach: float):
-        self.params, self.r, self.reach = params, r, reach
+    def __init__(self, params: SolutionParams, r):
+        self.params, self.r = params, r
 
     @functools.cached_property
     def q(self):
-        return _q(self.params, np.asarray(self.r, dtype=float))
+        return _q(self.params, self.r)
 
     @functools.cached_property
     def f_p(self):
@@ -116,7 +112,7 @@ class MetricSample:
     @functools.cached_property
     def f_p_sq(self):
         """f'^2, read by the f ODE residual and the quoted scalar integrand."""
-        return self.f_p**2
+        return self.f_p * self.f_p
 
     @functools.cached_property
     def u_p(self):
@@ -139,7 +135,7 @@ class MetricSample:
     def f(self):
         """f = -kr + log(1 + e^q) - log(12 lambda)/2; at xi = 0 (q = -inf), -kr - log(12 lambda)/2."""
         log1p_exp_q = np.maximum(self.q, 0.0) + self.log1p_exp_neg_abs_q
-        return -self.params.k * np.asarray(self.r, dtype=float) + log1p_exp_q - 0.5 * math.log(12.0 * self.params.lam)
+        return -self.params.k * self.r + log1p_exp_q - 0.5 * math.log(12.0 * self.params.lam)
 
     @functools.cached_property
     def u(self):
@@ -149,7 +145,7 @@ class MetricSample:
     @functools.cached_property
     def w(self):
         """w = e^{u_i} from its printed form (``_w_value``), not from exp(u)."""
-        return _w_value(self.params, np.asarray(self.r, dtype=float), self.reach)
+        return _w_value(self.params, self.r)
 
 
 def params_from_xi(lam: float, xi: float) -> SolutionParams:
@@ -175,19 +171,18 @@ def radial_bound(params: SolutionParams) -> float:
     return _MAX_EXPONENT / (2.0 * params.k)
 
 
-def _check_range(params: SolutionParams, r) -> float:
-    """Raise ParameterDomainError beyond ``radial_bound``; return max |r| (0 for no radii)."""
+def _check_range(params: SolutionParams, r) -> None:
+    """Raise ParameterDomainError beyond ``radial_bound``."""
     bound = radial_bound(params)
-    reach = float(np.abs(r).max(initial=0.0))
-    if reach > bound:
+    if np.abs(r).max(initial=0.0) > bound:
         raise ParameterDomainError(f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}")
-    return reach
 
 
 def _sech_sq(x):
     """Stable sech(x)^2 for any real x."""
     e = np.exp(-np.abs(x))
-    return (2.0 * e / (1.0 + e * e)) ** 2
+    s = 2.0 * e / (1.0 + e * e)
+    return s * s
 
 
 def _q(params: SolutionParams, r):
@@ -195,23 +190,18 @@ def _q(params: SolutionParams, r):
     return 2.0 * params.k * r + 2.0 * params.log_abs_xi
 
 
-def _w_value(params: SolutionParams, r, reach: float):
-    """w = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3} at r, with reach = max |r|; no range check.
+def _w_value(params: SolutionParams, r):
+    """w = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3} at r, elementwise; no range check.
 
     A different arithmetic path from exp(u1), cross-checked in the tests.
-    Where xi^2 e^{6r/a} could overflow at |r| = reach, w is taken through
-    log|xi| as e^{2r/a} |xi|^{4/3} (1 + xi^-2 e^{-6r/a})^{2/3}.
+    With t = 2r/a and q = 3t + 2 log|xi| (e^q = xi^2 e^{6r/a}), the larger of 1
+    and e^q leaves the power: w = e^{max(-t, t + (4/3) log|xi|)} (1 + e^{-|q|})^{2/3},
+    finite inside ``radial_bound``, and e^{-t} at xi = 0 (q = -inf).
     """
-    a = params.a
+    t = 2.0 * r / params.a
     log_xi = params.log_abs_xi
-    if 2.0 * log_xi + 6.0 * reach / a <= _W_PRODUCT_EXPONENT:
-        return np.exp(-2.0 * r / a) * (1.0 + params.xi**2 * np.exp(6.0 * r / a)) ** (2.0 / 3.0)
-    # xi^2 e^{6r/a} = e^q, q = 6r/a + 2 log|xi|, may overflow on these
-    # radii: factor it out of the power, w = e^{2r/a} |xi|^{4/3} (1 + e^{-q})^{2/3}.
-    # Inside the radial bound 6|r|/a <= _MAX_EXPONENT, so this branch
-    # has 2 log|xi| > 9 and e^{-q} < e^{_MAX_EXPONENT - 9} stays finite.
-    q = 6.0 * r / a + 2.0 * log_xi
-    return np.exp(2.0 * r / a + (4.0 / 3.0) * log_xi) * (1.0 + np.exp(-q)) ** (2.0 / 3.0)
+    q = 3.0 * t + 2.0 * log_xi
+    return np.exp(np.maximum(-t, t + (4.0 / 3.0) * log_xi)) * np.power(1.0 + np.exp(-np.abs(q)), 2.0 / 3.0)
 
 
 def log_w_jet(params: SolutionParams, r) -> Jet:
@@ -234,18 +224,20 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     is surfaced in the verification reports).  The three exponents are
     equal, so the sample carries one, and the curvature layers build one
     bracket for the three axes.  Every column, w included, is computed on
-    first read.
+    first read.  r becomes a float array once, 0-d for a scalar.
     """
-    return MetricSample(params, r, _check_range(params, r))
+    r = np.asarray(r, dtype=float)
+    _check_range(params, r)
+    return MetricSample(params, r)
 
 
 def metric_blocks(params: SolutionParams, r_min: float, r_max: float, samples: int):
     """``metric_eval``'s samples of ``samples`` equispaced radii on [r_min, r_max].
 
     One range check of the window ends, whose |r| is the grid's largest,
-    then consecutive blocks of ``GRID_BLOCK`` points: each block's w takes
-    the branch the whole grid would.
+    then consecutive blocks of ``GRID_BLOCK`` points: every column is
+    elementwise, so each block gives its radii the whole grid's values.
     """
-    reach = _check_range(params, (r_min, r_max))
+    _check_range(params, (r_min, r_max))
     grid = np.linspace(r_min, r_max, samples)
-    return (MetricSample(params, grid[i : i + GRID_BLOCK], reach) for i in range(0, samples, GRID_BLOCK))
+    return (MetricSample(params, grid[i : i + GRID_BLOCK]) for i in range(0, samples, GRID_BLOCK))

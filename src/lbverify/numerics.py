@@ -2,7 +2,8 @@
 quadrature, a bracketing root scan and a fixed-step RK4 integrator.
 
 The quadrature and the bracket scan are array-first: they call ``fn`` on
-whole arrays of points (one call per quadrature level, one per scan).  The
+whole arrays of points (one call per quadrature level, of at most
+``QUAD_MAX_INTERVALS`` subintervals, and one per scan).  The
 root scan ``sign_change_roots`` narrows each bracket by rescanning it, one
 scan per round.  ``rk4`` steps one point at a time.  ``Jet`` takes no step;
 a report's finite-difference oracle takes ``FD_FIRST_STEP`` times the de
@@ -20,6 +21,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .errors import NumericalError
+
 EPS = sys.float_info.epsilon
 
 # Step as a fraction of the length a profile varies on: eps**(1/3) balances
@@ -34,6 +37,9 @@ BISECT_ROUNDS = 34
 
 #: Bisection levels after which ``adaptive_gauss_kronrod`` accepts a subinterval.
 QUAD_DEPTH_CAP = 60
+#: Open subintervals past which ``adaptive_gauss_kronrod`` raises: noise above
+#: every acceptance test doubles them each level, long before the depth cap.
+QUAD_MAX_INTERVALS = 2**16
 #: Rounding floor of a Gauss-Kronrod error estimate, in units of eps times
 #: the magnitude of the Kronrod value: the estimate is the difference of two
 #: weighted sums of rounded integrand values, so below this it is rounding.
@@ -130,7 +136,8 @@ def adaptive_gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: fl
     subinterval ``depth`` bisections deep is accepted once its estimate is
     below ``tol / 2**depth``, or at its rounding floor
     ``QUAD_ROUNDING_FLOOR`` eps |K| (K its Kronrod value, below which
-    bisection cannot shrink the estimate), or at ``QUAD_DEPTH_CAP``.  ``a``
+    bisection cannot shrink the estimate), or at ``QUAD_DEPTH_CAP``.  More
+    than ``QUAD_MAX_INTERVALS`` open subintervals raise NumericalError.  ``a``
     and ``b`` broadcast, and the open subintervals of all intervals are
     refined together, one level at a time: ``fn`` must accept an array, and
     is called once per level.  Each rule is a row sum of the node values
@@ -157,6 +164,8 @@ def adaptive_gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], a, b, tol: fl
         keep = ~done
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         owner = np.concatenate([owner[keep], owner[keep]])
+        if owner.size > QUAD_MAX_INTERVALS:
+            raise NumericalError(f"adaptive quadrature: {owner.size} open subintervals, more than {QUAD_MAX_INTERVALS}")
     total = np.where(b < a, -total.reshape(a.shape), total.reshape(a.shape))
     return float(total) if total.ndim == 0 else total
 

@@ -262,20 +262,19 @@ def build_congruence_report(
     e_tilde: float,
     r_min: float | None = None,
     r_max: float | None = None,
-    samples: int = 4096,
+    samples: int = 257,
     b: float | None = None,
 ) -> Report:
     # b = 0 lies in the range, and its root count is a row of every report.
     roots_b = None if b is None or b == 0.0 else cg.focusing_polynomial_roots(b)
     params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
     cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-    scan_samples = min(samples, 257)
-    loc = _loc(r_min, r_max, scan_samples)
+    loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     # One scan feeds every row on the admissible radii below; only the
     # oracles evaluate w again.
-    grid = np.linspace(r_min, r_max, scan_samples)
+    grid = np.linspace(r_min, r_max, samples)
     scan = cg.kinematics_scan(model.metric_eval(params, grid), cfg)
     r, x, theta, rate, u_r = scan.r, scan.x, scan.theta, scan.dtheta_dtau, scan.u_r
     rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)

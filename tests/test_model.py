@@ -201,7 +201,7 @@ def _log1p_exp(q):
     k = 1/2 and log|xi| = 0 exactly, so q = 2kr + 2 log|xi| is r."""
     params = params_from_xi(1.0 / 12.0, 1.0 if np.all(np.isfinite(q)) else 0.0)
     r = np.where(np.isfinite(q), q, 0.0)
-    sample = model.MetricSample(params, r, float(np.abs(r).max()))
+    sample = model.MetricSample(params, r)
     assert np.array_equal(sample.q, q)
     return np.maximum(sample.q, 0.0) + sample.log1p_exp_neg_abs_q
 
@@ -337,9 +337,9 @@ def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
     calls = []
     value = model._w_value
 
-    def counting(params, r, reach):
+    def counting(params, r):
         calls.append(np.size(r))
-        return value(params, r, reach)
+        return value(params, r)
 
     monkeypatch.setattr(model, "_w_value", counting)
     suites.build_energy_report(12.0, 0.5, samples=9000)
@@ -349,16 +349,84 @@ def test_dense_blocks_evaluate_w_only_for_verify(monkeypatch):
 
 
 def test_verify_w_row_is_the_whole_grid_value_across_the_w_branch():
-    # At xi = 1e130, xi^2 e^{6r/a} passes e^709 at r = 18.38 a.  On
-    # [17a, 19a] the whole grid takes _w_value's log|xi| branch, while the
-    # first 4096-point block alone, reaching 17.9 a, would take the direct
-    # one, which rounds the minimum of w 4 ulps apart.  Each block takes the
-    # window's branch, so the row is the whole-grid value.
+    # At xi = 1e130, xi^2 e^{6r/a} passes e^709 at r = 18.38 a, where a
+    # product form of w would overflow; on [17a, 19a] the 4096-point blocks
+    # of a 9000-point grid lie on both sides of it.  w is elementwise, so
+    # every block gives each of its radii the whole grid's w, and the row
+    # is the whole-grid value.
     params = params_from_xi(3.0, 1e130)
     grid = np.linspace(17.0, 19.0, 9000)
+    whole = metric_eval(params, grid).w
     rows = {row.check: row for row in suites.build_verify_report(3.0, 1e130, 17.0, 19.0, 9000).rows}
-    assert rows["w-positivity-min"].value == metric_eval(params, grid).w.min()
-    assert metric_eval(params, grid[: model.GRID_BLOCK]).w.min() != rows["w-positivity-min"].value
+    assert rows["w-positivity-min"].value == whole.min()
+    blocks = list(model.metric_blocks(params, 17.0, 19.0, 9000))
+    assert [block.r.size for block in blocks] == [4096, 4096, 808]
+    assert np.array_equal(np.concatenate([block.w for block in blocks]), whole)
+
+
+def test_scalar_radius_gets_the_array_bits():
+    # Every column at a radius depends on that radius alone: a scalar r and
+    # the same r inside a 3-point array give the same bits, in every column
+    # and in the mixed Ricci pair.
+    columns = ("q", "f_p", "f_pp", "f_p_sq", "u_p", "u_pp", "abs_q", "log1p_exp_neg_abs_q", "f", "u", "w")
+    rng = np.random.default_rng(20260)
+    mismatches = []
+    for _ in range(3000):
+        lam = rng.uniform(0.75, 12.0)
+        xi = 10.0 ** rng.uniform(0.0, 154.0) if rng.random() < 0.1 else rng.uniform(0.0, 2.0)
+        params = params_from_xi(lam, xi)
+        radii = rng.uniform(-2.0, 2.0, 3) * params.a
+        point, grid = metric_eval(params, float(radii[1])), metric_eval(params, radii)
+        pairs = [(name, getattr(point, name), getattr(grid, name)[1]) for name in columns]
+        for name, one, many in zip(("R^n_n", "R^r_r"), curvature.ricci_mixed(point), curvature.ricci_mixed(grid)):
+            pairs.append((name, one, many[1]))
+        mismatches += [(name, lam, xi, radii[1]) for name, one, many in pairs if np.float64(one).tobytes() != many.tobytes()]
+    assert mismatches == []
+
+
+def test_w_matches_the_printed_form_to_its_rounding_error_model():
+    # w = e^E (1 + e^{-|q|})^{2/3} with t = 2r/a, L = log|xi|, M = (4/3)|L|,
+    # E = max(-t, t + (4/3) L) and q = 3t + 2L.  With u = eps/2 the unit
+    # roundoff, and exp, log and power each within one ulp (2u), the first
+    # order relative errors against the printed form at the same float r,
+    # a and xi (Higham, Accuracy and Stability of Numerical Algorithms,
+    # ch. 1-2: exp turns an absolute error of its argument into a relative
+    # error of its value) are:
+    # - e^E: t rounds once (u|t|), log|xi| (2uM), the constant 4/3 and the
+    #   product (uM each) and the sum (u(|t| + M)), all in the argument, and
+    #   exp itself (2u): 2u|t| + 5uM + 2u;
+    # - the power: q carries the roundings of t (3u|t|), of 3t (3u|t|), of
+    #   log|xi| (3uM) and of the sum (u|q|), and exp(-|q|) adds 2u; the sum
+    #   1 + e^{-|q|} passes them on weighted by e^{-|q|} / (1 + e^{-|q|})
+    #   and adds u; the power multiplies by 2/3, adds 2u for itself and u/2
+    #   for the rounded 2/3: omega (6|t| + 3M + |q| + 2) u + 19u/6, with
+    #   omega = (2/3) e^{-|q|} / (1 + e^{-|q|}) <= 1/3;
+    # - the product of the two factors: u.
+    # In units of eps the sum is at most
+    #   |t| + (5/2) M + 7/2 + omega (3|t| + (3/2) M + |q|/2 + 1),
+    # an error model in eps (1 + 2|r|/a + (4/3)|log|xi||).  A product form
+    # that rounds 6r/a into a 2/3 power carries 2|t| where this carries |t|.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    worst = 0.0
+    with mpmath.workdps(60):
+        for lam in (1e-300, 1e-12, 3.0, 1e12, 1e300):
+            for xi in (0.0, 1e-300, 1e-6, 1.0, 1e5, 1e100, 1e154):
+                params = params_from_xi(lam, xi)
+                b = radial_bound(params)
+                r = np.concatenate([np.linspace(-b, b, 41), np.linspace(0.95 * b, b, 21), np.linspace(-b, -0.95 * b, 21)])
+                w = metric_eval(params, r).w
+                a, xi_sq = mpmath.mpf(params.a), mpmath.mpf(xi) ** 2
+                t, big_m = 2.0 * np.abs(r) / params.a, (4.0 / 3.0) * abs(params.log_abs_xi if xi else 0.0)
+                q = np.abs(6.0 * r / params.a + 2.0 * params.log_abs_xi)
+                omega = (2.0 / 3.0) * np.exp(-q) / (1.0 + np.exp(-q))
+                # At xi = 0, q = inf and omega = 0: cap q so that omega |q| reads 0, not NaN.
+                model_units = t + 2.5 * big_m + 3.5 + omega * (3.0 * t + 1.5 * big_m + np.minimum(q, 1e3) / 2.0 + 1.0)
+                for r_i, w_i, units in zip(r, w, model_units):
+                    x = mpmath.mpf(r_i)
+                    printed = mpmath.exp(-2 * x / a) * (1 + xi_sq * mpmath.exp(6 * x / a)) ** (mpmath.mpf(2) / 3)
+                    worst = max(worst, float(abs(w_i - printed) / printed) / (eps * units))
+    assert worst <= 1.0
 
 
 def test_mixed_curvature_takes_no_exp_on_metric_eval_sample(monkeypatch):
@@ -540,9 +608,9 @@ def test_builders_evaluate_each_report_grid_once(monkeypatch):
     arrays = []
     core = model.MetricSample.__init__
 
-    def recording(self, params, r, reach):
+    def recording(self, params, r):
         arrays.append(np.array(r))
-        core(self, params, r, reach)
+        core(self, params, r)
 
     monkeypatch.setattr(model.MetricSample, "__init__", recording)
     for samples in (9000, 65536):

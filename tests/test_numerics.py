@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lbverify.errors import NumericalError
 from lbverify.numerics import (
     BISECT_ROUNDS,
     BISECT_SECTIONS,
@@ -11,6 +12,7 @@ from lbverify.numerics import (
     KRONROD_NODES,
     KRONROD_WEIGHTS,
     QUAD_DEPTH_CAP,
+    QUAD_MAX_INTERVALS,
     Jet,
     adaptive_gauss_kronrod,
     bracket_sign_changes,
@@ -78,6 +80,20 @@ def test_rounding_floor_stops_refinement_of_a_large_integral():
     value = adaptive_gauss_kronrod(fn, 0.0, 1e6, 1e-20)
     assert value == pytest.approx(1e6 * math.expm1(1.0), rel=1e-14)
     assert len(sizes) < QUAD_DEPTH_CAP and sum(sizes) < 10_000
+
+
+def test_noise_above_every_acceptance_test_raises_at_the_interval_bound():
+    # Noise of relative size 1e-9 is above the rounding floor, and its
+    # error estimate stays near 500 times a subinterval's share of tol:
+    # almost no subinterval is accepted, and the open ones nearly double
+    # each level.  The quadrature raises once they pass the bound, long
+    # before the depth cap, and no level evaluates more than the bound's
+    # nodes.
+    fn, sizes = _counted(lambda x: 1.0 + 1e-9 * np.sin(1e9 * x))
+    with pytest.raises(NumericalError, match=f"more than {QUAD_MAX_INTERVALS}"):
+        adaptive_gauss_kronrod(fn, 0.0, 1.0, 1e-12)
+    assert max(sizes) <= KRONROD_NODES.size * QUAD_MAX_INTERVALS
+    assert len(sizes) < QUAD_DEPTH_CAP
 
 
 def test_node_set_matches_recursive_count():
