@@ -63,15 +63,23 @@ the last digits, and a residual row only asserts |value| <= tolerance.
 """
 
 import csv
+import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lbverify.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REL = 1e-9
+_SPEC = importlib.util.spec_from_file_location("compare_reports", ROOT / "tools" / "compare_reports.py")
+compare_reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_reports)
 
 CONFIGS = {
     "verify": ["verify", "--lambda", "3", "--xi", "1"],
@@ -124,3 +132,34 @@ def test_report_matches_golden(name, tmp_path):
         assert abs(float(tol) - float(ref_tol)) <= REL * abs(float(ref_tol)), check
         slack = REL * abs(float(ref_value)) + float(ref_tol)
         assert abs(float(value) - float(ref_value)) <= slack, (check, value, ref_value)
+
+
+def test_golden_calls_hold_at_a_lower_simd_dispatch_level():
+    # numpy picks its exp, log1p, power and cbrt kernels by CPU feature at
+    # run time, so another dispatch level may move the last bits of a value.
+    # A child with every dispatch target this host enables switched off
+    # gives the same exit codes, stderr and (check, location, verdict) rows
+    # as one at the native level, with values and tolerances inside the
+    # golden slack.  Only the child's environment changes.
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    if not enabled:
+        pytest.skip("numpy dispatches to no target above its baseline on this host")
+    lower = {"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}
+    probe = subprocess.run(
+        [sys.executable, "-c", "from numpy._core import _multiarray_umath as m; print(any(m.__cpu_features__[n] "
+         f"for n in {enabled!r}))"],
+        env=dict(os.environ, **lower), capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "False", probe
+    calls = list(CONFIGS.values())
+    children = [compare_reports.start(ROOT, calls), compare_reports.start(ROOT, calls, lower)]
+    (native, _), (reduced, _) = (compare_reports.finish(child, ROOT) for child in children)
+    for argv, one, other in zip(calls, native, reduced):
+        assert (one["rc"], one["stderr"]) == (other["rc"], other["stderr"]), argv
+        (_, rows), (_, low_rows) = (compare_reports.parse(result["report"], argv) for result in (one, other))
+        assert [(c, loc, v) for c, loc, _, _, v in rows] == [(c, loc, v) for c, loc, _, _, v in low_rows], argv
+        for (check, _, value, tol, _), (_, _, low_value, low_tol, _) in zip(rows, low_rows):
+            assert abs(low_tol - tol) <= REL * abs(tol), (argv, check, tol, low_tol)
+            assert abs(low_value - value) <= REL * abs(value) + tol, (argv, check, value, low_value)

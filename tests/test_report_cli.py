@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -301,17 +302,78 @@ def test_cli_window_validation():
     assert proc.returncode == 2
 
 
+def _whole(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize(
     ("build", "args", "kwargs", "needle"),
     [
         ("build_verify_report", (3.0, 1.0), {"samples": 1}, "samples must be >= 2"),
         ("build_tortoise_report", (3.0, 1.0), {"r_min": 1.0, "r_max": -1.0}, "r-min must be < r-max"),
         ("build_congruence_report", (3.0, 1.0, 2.0), {"b": 0.7}, "b must lie in"),
+        # Two faults at once: the rule checked first names its fault.  Window
+        # ends before samples, samples before (lambda, xi), (lambda, xi)
+        # before the window's order and range; in congruence b comes first
+        # and E last.
+        ("build_verify_report", (-1.0, 1.0), {"r_min": math.inf}, _whole("r-min must be finite, got inf")),
+        ("build_verify_report", (3.0, math.inf), {"samples": 1}, _whole("samples must be >= 2, got 1")),
+        (
+            "build_verify_report",
+            (0.0, 1.0),
+            {"r_min": 5.0, "r_max": 1.0},
+            _whole("lambda must be positive and finite, got 0.0"),
+        ),
+        (
+            "build_congruence_report",
+            (3.0, 1.0, 2.0),
+            {"r_min": 5.0, "r_max": 1.0, "b": 2.0},
+            _whole("b must lie in [0, 1/2], got 2.0"),
+        ),
+        (
+            "build_congruence_report",
+            (3.0, 1.0, 0.5),
+            {"r_max": 1e9},
+            _whole("|r| exceeds the overflow bound 116.667 for lambda=3.0"),
+        ),
+        (
+            "build_tortoise_report",
+            (-1.0, 1.0),
+            {"samples": 99999999},
+            _whole("samples must be <= 16777216, got 99999999"),
+        ),
+        ("build_sweep_report", ("-1", "0:1:2", "2"), {"samples": 1}, _whole("samples must be >= 2, got 1")),
+        (
+            "build_energy_report",
+            (math.inf, 1.0),
+            {"r_min": 3.0, "r_max": 1.0},
+            _whole("lambda must be positive and finite, got inf"),
+        ),
+        (
+            "build_congruence_report",
+            (3.0, 1.0, 0.5),
+            {"r_min": 1.0, "r_max": 0.0},
+            _whole("r-min must be < r-max, got [1.0, 0.0]"),
+        ),
     ],
-    ids=("verify-samples", "tortoise-window-order", "congruence-b"),
+    ids=(
+        "verify-samples",
+        "tortoise-window-order",
+        "congruence-b",
+        "verify-infinite-end-before-lambda",
+        "verify-samples-before-xi",
+        "verify-lambda-before-window-order",
+        "congruence-b-before-window-order",
+        "congruence-range-before-e",
+        "tortoise-samples-cap-before-lambda",
+        "sweep-samples-before-lambda",
+        "energy-lambda-before-window-order",
+        "congruence-window-order-before-e",
+    ),
 )
 def test_builders_validate_their_own_inputs(build, args, kwargs, needle):
-    # A direct builder call gets the same input rules as the command line.
+    # A direct builder call gets the same input rules as the command line,
+    # in the same order.
     from lbverify import suites
     from lbverify.errors import ParameterDomainError
 

@@ -95,8 +95,9 @@ def load_calls(tree: Path) -> list[list[str]]:
     return calls
 
 
-def start(tree: Path, calls: list[list[str]]) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+def start(tree: Path, calls: list[list[str]], extra_env: dict[str, str] | None = None) -> subprocess.Popen:
+    """Start the child that runs ``calls`` on the tree, with ``extra_env`` added to its environment."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **(extra_env or {}))
     env.pop("PYTHONPATH", None)
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, str((tree / "src").resolve())],
