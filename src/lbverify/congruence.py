@@ -11,7 +11,7 @@ radii are closed forms of the identity w = (2|xi| cosh(q/2))^{2/3},
 q = 6r/a + 2 log|xi|: the tortoise coordinate is a symmetric incomplete
 beta function of s = 1/(1 + e^{-q}), and w equals a value at an arccosh
 pair of radii.  The kinematics read w and the exponent's u' and u'' from
-a ``metric_eval`` sample, and E only through x = w/E^2 and the |E|
+a ``MetricSample``, and E only through x = w/E^2 and the |E|
 factor of the null rate: with w' = w u' and w'' = w (u'' + u'^2)
 no E^2 w or E^4 product forms, and the direct rates meet the quoted form
 in its own variables (E. Poisson, *A Relativist's Toolkit*, 2004, §2.4).
@@ -380,7 +380,7 @@ def tortoise_quadrature(params: SolutionParams, r):
 def kinematics_scan(sample: MetricSample, cfg: CongruenceConfig) -> KinematicsScan:
     """Expansion, its proper-time rate and the null rate at the admissible radii of a grid.
 
-    ``sample`` is ``metric_eval`` on the grid, read through its r, w, u'
+    ``sample`` is a ``MetricSample`` of the grid, read through its r, w, u'
     and u'': one sample serves both congruences, and any number of
     energies.  A radius is admissible unless w > E^2 (forbidden) or
     |E^2 - w| < TURNING_GUARD_REL * E^2 (the guard band around a turning

@@ -16,11 +16,11 @@ and the conformal factor of the isotropic form of the line element
 
     w(r) = e^{u_i(r)} = e^{-2r/a} (1 + xi^2 e^{6r/a})^{2/3}.
 
-``metric_eval`` is the one evaluator: its sample carries f and the one
-exponent u_i with their derivatives, and w; ``log_w_jet`` is log w as a
-jet.  Functions accept a scalar r or a numpy array and vectorize
-elementwise: one array path serves both, and a scalar r yields NumPy float
-scalars with the bits it gets inside any array.
+A ``MetricSample`` carries f and the one exponent u_i with their derivatives,
+and w, on a ``Window``'s checked radii or on radii ``metric_eval`` checks;
+``log_w_jet`` is log w as a jet.  Functions accept a scalar r or a numpy
+array and vectorize elementwise: one array path serves both, and a scalar r
+yields NumPy float scalars with the bits it gets inside any array.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ _MAX_EXPONENT = 700.0
 #: Largest accepted |xi|: c1 = xi^2 must stay a finite float.
 MAX_ABS_XI = math.sqrt(sys.float_info.max)
 
-#: Points per sample of ``metric_blocks``.  A float64 temporary of 4096
+#: Largest window ``samples`` and sweep cell count; a float64 grid this size is 128 MiB.
+MAX_GRID_SIZE = 2**24
+
+#: Points per sample of ``Window.blocks``.  A float64 temporary of 4096
 #: points is 32 KiB, below glibc's 128 KiB mmap threshold, so freed blocks
 #: are reused from the heap; a whole 65,536-point grid would make every
 #: 512 KiB temporary a fresh mapping, faulted in page by page.
@@ -231,13 +234,43 @@ def metric_eval(params: SolutionParams, r) -> MetricSample:
     return MetricSample(params, r)
 
 
-def metric_blocks(params: SolutionParams, r_min: float, r_max: float, samples: int):
-    """``metric_eval``'s samples of ``samples`` equispaced radii on [r_min, r_max].
+class Window:
+    """``samples`` equispaced radii on [r_min, r_max] of one family member, checked once.
 
-    One range check of the window ends, whose |r| is the grid's largest,
-    then consecutive blocks of ``GRID_BLOCK`` points: every column is
-    elementwise, so each block gives its radii the whole grid's values.
+    In order: finite ends, 2 <= samples <= ``MAX_GRID_SIZE``, (lambda, xi);
+    then an end given as None defaults to -/+ half_width * a, and r_min <
+    r_max within ``radial_bound``.  Every radius handed out lies between the
+    ends, so no sample is checked again.
     """
-    _check_range(params, (r_min, r_max))
-    grid = np.linspace(r_min, r_max, samples)
-    return (MetricSample(params, grid[i : i + GRID_BLOCK]) for i in range(0, samples, GRID_BLOCK))
+
+    def __init__(self, lam, xi, r_min, r_max, samples: int, half_width: float):
+        for name, bound in (("r-min", r_min), ("r-max", r_max)):
+            if bound is not None and not math.isfinite(bound):
+                raise ParameterDomainError(f"{name} must be finite, got {bound}")
+        if samples < 2:
+            raise ParameterDomainError(f"samples must be >= 2, got {samples}")
+        if samples > MAX_GRID_SIZE:
+            raise ParameterDomainError(f"samples must be <= {MAX_GRID_SIZE}, got {samples}")
+        self.params = params = params_from_xi(lam, xi)
+        self.r_min = float(-half_width * params.a if r_min is None else r_min)
+        self.r_max = float(half_width * params.a if r_max is None else r_max)
+        if not self.r_min < self.r_max:
+            raise ParameterDomainError(f"r-min must be < r-max, got [{self.r_min}, {self.r_max}]")
+        _check_range(params, (self.r_min, self.r_max))
+        self.samples = samples
+
+    def radii(self, n: int | None = None) -> np.ndarray:
+        """``n`` equispaced radii from r_min to r_max, by default ``samples``."""
+        return np.linspace(self.r_min, self.r_max, n or self.samples)
+
+    def location(self, n: int | None = None) -> str:
+        """The location text of a row read on ``radii(n)``."""
+        return f"grid[{self.r_min:.9g};{self.r_max:.9g}]x{n or self.samples}"
+
+    def sample(self, n: int | None = None) -> MetricSample:
+        return MetricSample(self.params, self.radii(n))
+
+    def blocks(self):
+        """Samples of ``radii()`` by ``GRID_BLOCK`` points; columns are elementwise, so each is the whole grid's."""
+        grid = self.radii()
+        return (MetricSample(self.params, grid[i : i + GRID_BLOCK]) for i in range(0, self.samples, GRID_BLOCK))

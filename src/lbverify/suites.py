@@ -34,36 +34,6 @@ _STRONG_MARGIN_TOL = 1e-8
 #: Fixed b values of the focusing-polynomial sign map.
 SIGN_MAP_B_VALUES = (0.0, 0.1, 0.25, 0.49)
 
-#: Largest ``--samples`` of any subcommand and largest sweep cell count (the
-#: product of the three counts); a float64 grid of this size is 128 MiB.
-MAX_GRID_SIZE = 2**24
-
-
-def _window(lam, xi, r_min, r_max, samples, half_width):
-    """Parameters and scan window of one family member.
-
-    A bound left as None defaults to -half_width * a or +half_width * a; then r-min < r-max must hold,
-    and the window must lie within the model's ``radial_bound``.
-    """
-    for name, bound in (("r-min", r_min), ("r-max", r_max)):
-        if bound is not None and not math.isfinite(bound):
-            raise ParameterDomainError(f"{name} must be finite, got {bound}")
-    if samples < 2:
-        raise ParameterDomainError(f"samples must be >= 2, got {samples}")
-    if samples > MAX_GRID_SIZE:
-        raise ParameterDomainError(f"samples must be <= {MAX_GRID_SIZE}, got {samples}")
-    params = model.params_from_xi(lam, xi)
-    r_min = float(-half_width * params.a if r_min is None else r_min)
-    r_max = float(half_width * params.a if r_max is None else r_max)
-    if not r_min < r_max:
-        raise ParameterDomainError(f"r-min must be < r-max, got [{r_min}, {r_max}]")
-    model._check_range(params, (r_min, r_max))
-    return params, r_min, r_max
-
-
-def _loc(r_min, r_max, samples):
-    return f"grid[{r_min:.9g};{r_max:.9g}]x{samples}"
-
 
 def _max_abs(values) -> float:
     """Largest |value|, 0 for an empty array."""
@@ -91,14 +61,14 @@ def build_verify_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 4096
 ) -> Report:
     """Internal-consistency suite for one family member."""
-    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
-    loc = _loc(r_min, r_max, samples)
+    window = model.Window(lam, xi, r_min, r_max, samples, 2.0)
+    params, loc = window.params, window.location()
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     # Row values are folded across the grid blocks: NaN-propagating max/min
     # of the block maxima/minima, and the Noether mean as sum / samples.
     fold = defaultdict(list)
-    for sample in model.metric_blocks(params, r_min, r_max, samples):
+    for sample in window.blocks():
         fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
         exponent_res = sample.u_pp + sample.u_p * sample.f_p - 2.0 * lam
         fold["exponent-ode-residual"].append(_max_abs(exponent_res))
@@ -137,16 +107,15 @@ def build_verify_report(
     # difference from ``ricci_mixed``'s pair once.  The tolerance scales with
     # the covariant Ricci magnitude, max(e^u |R^n_n|, |R^r_r|), once it
     # exceeds what an absolute 1e-6 can mean.
-    ricci_r = np.linspace(r_min, r_max, 25)
-    sample = model.metric_eval(params, ricci_r)
+    sample = window.sample(25)
     r_nn, r_rr = ricci_mixed(sample)
-    log_w = model.log_w_jet(params, ricci_r)
+    log_w = model.log_w_jet(params, sample.r)
     unit = (log_w - log_w.v).exp()
     gen_tt, gen_rr, gen_pp, gen_zz = ricci_diagonal_generic((-unit, Jet(1.0, 0.0, 0.0), unit, unit))
     g = np.exp(sample.u)
     gap = (g * (r_nn + gen_tt), r_rr - gen_rr, g * (r_nn - gen_pp), g * (r_nn - gen_zz))
     tol = max(1e-6, 1e-9 * max(_max_abs(g * r_nn), _max_abs(r_rr)))
-    rpt.add_check("ricci-dual-path", _loc(r_min, r_max, 25), _max_abs(gap), tol)
+    rpt.add_check("ricci-dual-path", window.location(25), _max_abs(gap), tol)
 
     if xi != 0.0:
         mean = float(np.sum(fold["noether-sum"])) / samples
@@ -199,13 +168,13 @@ def build_stability_report(lam: float) -> Report:
 def build_energy_report(
     lam: float, xi: float, r_min: float | None = None, r_max: float | None = None, samples: int = 4096
 ) -> Report:
-    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
-    loc = _loc(r_min, r_max, samples)
+    window = model.Window(lam, xi, r_min, r_max, samples, 2.0)
+    loc = window.location()
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     hold_tol = ec.hold_tolerance(lam)
     fold = defaultdict(list)
-    for sample in model.metric_blocks(params, r_min, r_max, samples):
+    for sample in window.blocks():
         ricci = ricci_mixed(sample)
         margins = ec.condition_margins(ec.stress_decompose(ricci))
         phi_sq = scalar_field.phi_prime_sq_constraint(ricci, lam)
@@ -235,14 +204,14 @@ def build_energy_report(
     # By the identities of ``energy_conditions`` each condition holds on the
     # whole window or nowhere; a partial hold is a rounding the hold
     # tolerance does not cover.
-    window = f"[{r_min:.9g};{r_max:.9g}]"
+    interval = f"[{window.r_min:.9g};{window.r_max:.9g}]"
     for cond in ec.CONDITIONS:
         everywhere = all(fold[f"{cond}-everywhere"])
         if everywhere != any(fold[f"{cond}-somewhere"]):
             raise NumericalError(f"{cond} holds on part of the window {loc} only, at tolerance {hold_tol:.3g}")
         rpt.add_check(f"energy-{cond}-holds-fraction", loc, float(everywhere), hold_tol, holds=True)
         if everywhere:
-            rpt.add_check(f"energy-{cond}-interval", window, r_max - r_min, hold_tol, holds=True)
+            rpt.add_check(f"energy-{cond}-interval", interval, window.r_max - window.r_min, hold_tol, holds=True)
     return rpt
 
 
@@ -267,15 +236,14 @@ def build_congruence_report(
 ) -> Report:
     # b = 0 lies in the range, and its root count is a row of every report.
     roots_b = None if b is None or b == 0.0 else cg.focusing_polynomial_roots(b)
-    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 2.0)
+    window = model.Window(lam, xi, r_min, r_max, samples, 2.0)
+    params, loc = window.params, window.location()
     cfg = cg.CongruenceConfig(e_tilde=e_tilde)
-    loc = _loc(r_min, r_max, samples)
     rpt = Report(lam=lam, xi=xi, rows=[])
 
     # One scan feeds every row on the admissible radii below; only the
     # oracles evaluate w again.
-    grid = np.linspace(r_min, r_max, samples)
-    scan = cg.kinematics_scan(model.metric_eval(params, grid), cfg)
+    scan = cg.kinematics_scan(window.sample(), cfg)
     r, x, theta, rate, u_r = scan.r, scan.x, scan.theta, scan.dtheta_dtau, scan.u_r
     rpt.add_check("timelike-admissible-points", loc, float(r.size), 0.0, holds=True)
 
@@ -366,17 +334,17 @@ def build_tortoise_report(
     # Narrower default window than the other scans.  The series channel's
     # term count is bounded for every r; the window stays [-a, a] only
     # because widening it would change the default reports.
-    params, r_min, r_max = _window(lam, xi, r_min, r_max, samples, 1.0)
-    loc = _loc(r_min, r_max, samples)
+    window = model.Window(lam, xi, r_min, r_max, samples, 1.0)
+    params, loc = window.params, window.location()
     rpt = Report(lam=lam, xi=xi, rows=[])
 
-    grid = np.linspace(r_min, r_max, samples)
+    grid = window.radii()
     # The channel row evaluates the series only at the radii it compares.
     checked = grid[:: max(1, samples // 32)]
     # Stencil centres clipped so that every stencil point stays within the radial bound.
     h = FD_FIRST_STEP * params.a
     edge = model.radial_bound(params) - h
-    deriv_r = np.clip(np.linspace(r_min, r_max, 9), -edge, edge)
+    deriv_r = np.clip(window.radii(9), -edge, edge)
     # One series call: the checked radii, the stencil's two sides and r = 0.
     series = cg.tortoise_series(params, np.concatenate([checked, deriv_r + h, deriv_r - h, [0.0]]))
     n, m = checked.size, deriv_r.size
@@ -388,7 +356,7 @@ def build_tortoise_report(
 
     # The central difference of T, with the stencil's values from that call.
     d = (plus - minus) / (2.0 * h)
-    deriv_err = _max_abs(d * np.sqrt(model.metric_eval(params, deriv_r).w) - 1.0)
+    deriv_err = _max_abs(d * np.sqrt(model.MetricSample(params, deriv_r).w) - 1.0)
     rpt.add_check("tortoise-derivative-identity", loc, deriv_err, 1e-6)
 
     if xi == 0.0:
@@ -424,20 +392,18 @@ def _parse_triple(text: str, name: str) -> tuple[int, Callable[[], np.ndarray]]:
 def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 257) -> Report:
     """Compact verification rows over a (lambda, xi, e_tilde) grid, in grid order.
 
-    Each (lambda, xi) member takes one ``metric_eval`` sample of its grid,
+    Each (lambda, xi) member takes one sample of its window's grid,
     which feeds the rows that depend on (lambda, xi) alone and the null-rate
     scans of its E cells.
     """
     specs = [_parse_triple(lam_spec, "lambda"), _parse_triple(xi_spec, "xi"), _parse_triple(e_spec, "e-tilde")]
     cells = math.prod(count for count, _ in specs)
-    if cells > MAX_GRID_SIZE:
-        raise ParameterDomainError(f"sweep cell count must be <= {MAX_GRID_SIZE}, got {cells}")
+    if cells > model.MAX_GRID_SIZE:
+        raise ParameterDomainError(f"sweep cell count must be <= {model.MAX_GRID_SIZE}, got {cells}")
     lams, xis, es = (values() for _, values in specs)
     rpt = Report(lam=float(lams[0]), xi=float(xis[0]), rows=[])
     for lam, xi in itertools.product(lams.tolist(), xis.tolist()):
-        params, r_min, r_max = _window(lam, xi, None, None, samples, 2.0)
-        grid = np.linspace(r_min, r_max, samples)
-        sample = model.metric_eval(params, grid)
+        sample = model.Window(lam, xi, None, None, samples, 2.0).sample()
         ricci = ricci_mixed(sample)
         margins = ec.condition_margins(ec.stress_decompose(ricci))
         member_rows = (

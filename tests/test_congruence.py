@@ -998,28 +998,24 @@ def test_builders_take_one_kinematics_scan_per_congruence(monkeypatch):
 
 def test_sweep_evaluates_each_member_once_and_reads_only_the_null_rate(monkeypatch):
     # Two members (xi = 0, 1), three E values: -2 and 2 are scanned, 0 is
-    # sub-unit.  Each member takes one metric_eval sample, and the
-    # sweep's only scan row reads the null rate, never theta or the rate.
+    # sub-unit.  Each member takes one metric sample, of its whole grid, and
+    # the sweep's only scan row reads the null rate, never theta or the rate.
     expected = suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65).rows
     calls = []
+    core = model.MetricSample.__init__
 
-    def counting(name):
-        fn = getattr(model, name)
-
-        def counted(params, r):
-            calls.append((name, params.xi))
-            return fn(params, r)
-
-        return counted
+    def counted(self, params, r):
+        calls.append((params.xi, np.size(r)))
+        core(self, params, r)
 
     def unread(*args):
         raise AssertionError("the sweep evaluated a timelike column")
 
-    monkeypatch.setattr(model, "metric_eval", counting("metric_eval"))
+    monkeypatch.setattr(model.MetricSample, "__init__", counted)
     monkeypatch.setattr(congruence, "_theta", unread)
     monkeypatch.setattr(congruence, "_rate", unread)
     rows = suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65).rows
-    assert calls == [("metric_eval", 0.0), ("metric_eval", 1.0)]
+    assert calls == [(0.0, 65), (1.0, 65)]
     assert rows == expected
     assert len(rows) == 2 * (3 * 3 + 2)
 
@@ -1033,13 +1029,12 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
     assert admissible.size > 1
     arrays, depth = [], [0]
 
-    def recording(core):
-        def wrapped(params, r):
-            if not depth[0]:
-                arrays.append(np.array(r, dtype=float))
-            return core(params, r)
+    core = model.MetricSample.__init__
 
-        return wrapped
+    def recording(self, params, r):
+        if not depth[0]:
+            arrays.append(np.array(r, dtype=float))
+        core(self, params, r)
 
     def oracle(fn):
         def wrapped(*args):
@@ -1051,9 +1046,7 @@ def test_congruence_report_reads_w_from_its_scan(monkeypatch, unit_xi):
 
         return wrapped
 
-    recorder = recording(model.metric_eval)
-    monkeypatch.setattr(model, "metric_eval", recorder)
-    monkeypatch.setattr(congruence, "metric_eval", recorder)
+    monkeypatch.setattr(model.MetricSample, "__init__", recording)
     monkeypatch.setattr(congruence, "chain_rule_fd_step", oracle(congruence.chain_rule_fd_step))
     monkeypatch.setattr(congruence, "_sqrt_integrand", oracle(congruence._sqrt_integrand))
     suites.build_congruence_report(3.0, 1.0, 2.0)

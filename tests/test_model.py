@@ -359,7 +359,7 @@ def test_verify_w_row_is_the_whole_grid_value_across_the_w_branch():
     whole = metric_eval(params, grid).w
     rows = {row.check: row for row in suites.build_verify_report(3.0, 1e130, 17.0, 19.0, 9000).rows}
     assert rows["w-positivity-min"].value == whole.min()
-    blocks = list(model.metric_blocks(params, 17.0, 19.0, 9000))
+    blocks = list(model.Window(3.0, 1e130, 17.0, 19.0, 9000, 2.0).blocks())
     assert [block.r.size for block in blocks] == [4096, 4096, 808]
     assert np.array_equal(np.concatenate([block.w for block in blocks]), whole)
 
@@ -601,7 +601,7 @@ def test_validate_constants_beta_at_special_lambda():
 
 
 def test_builders_evaluate_each_report_grid_once(monkeypatch):
-    # Every metric_eval and metric_blocks sample is a MetricSample:
+    # Every metric sample, a window's or metric_eval's, is a MetricSample:
     # record the arrays they are built on.
     # Beside the report grid, verify only evaluates the 25-point Ricci
     # stencils, and energy evaluates nothing else.
@@ -622,6 +622,28 @@ def test_builders_evaluate_each_report_grid_once(monkeypatch):
             dense = [r for r in arrays if r.size > 25]
             # Each report-grid radius once, in order: no midpoint pass.
             assert np.array_equal(np.concatenate(dense), grid), (build.__name__, samples)
+
+
+def test_each_window_is_range_checked_once(monkeypatch):
+    # The window checks its two ends against the radial bound; every radius
+    # it hands out lies between them, so no sample is checked again: verify
+    # and energy check once per report (blocks and the 25 Ricci radii
+    # included), a sweep once per member.
+    calls = []
+    check = model._check_range
+
+    def counting(params, r):
+        calls.append(np.size(r))
+        check(params, r)
+
+    monkeypatch.setattr(model, "_check_range", counting)
+    for build in (suites.build_verify_report, suites.build_energy_report):
+        calls.clear()
+        build(3.0, 1.0, samples=9000)
+        assert calls == [2], build.__name__
+    calls.clear()
+    suites.build_sweep_report("3", "0:1:2", "-2:2:3", samples=65)
+    assert calls == [2, 2]
 
 
 def test_congruence_report_takes_one_potential_quadrature(monkeypatch):

@@ -49,7 +49,6 @@ TEST_ONLY_FIELDS = {
 #: (module, target module, private name) references between package modules, and why each stays.
 PRIVATE_REFERENCES = {
     ("congruence", "model", "_check_range"): "the tortoise series shares the model's radial bound and its message",
-    ("suites", "model", "_check_range"): "_window checks the scan window against the model's radial bound",
     ("suites", "energy_conditions", "_condition_minima"): "the energy report applies the hold rule to each block",
 }
 
