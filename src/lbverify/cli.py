@@ -8,7 +8,8 @@ fails, 2 for invalid parameters or usage, always with exactly one
 accepted input, with exactly one ``lbverify: numerical failure:`` line.
 Each report builder in ``suites`` owns its defaults and input rules; this
 module parses, dispatches and emits.  Output is deterministic: the same
-configuration produces byte-identical CSV/JSON.
+configuration produces byte-identical CSV/JSON on one numpy build at one SIMD
+dispatch level (another level may move the last bits of a value).
 """
 
 from __future__ import annotations

@@ -77,7 +77,8 @@ class SolutionParams:
 
 class MetricSample:
     """All radial profile quantities at one radius (or one grid), built from
-    q = 2kr + 2 log|xi|; ``metric_eval`` returns it.
+    q = 2kr + 2 log|xi|; ``metric_eval``, ``Window.sample`` and
+    ``Window.blocks`` return it.
 
     r        the radius or radii
     f        f in its printed normalization

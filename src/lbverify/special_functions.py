@@ -39,7 +39,7 @@ MAX_TERMS = 100_000
 #: Terms in the series' first chunk; each later chunk doubles the number of
 #: terms summed.  The tortoise coordinate's series stops within 48 terms,
 #: inside the first chunk.
-CACHED_TERMS = 64
+FIRST_CHUNK_TERMS = 64
 
 
 def _ratio_range(a: float, b: float, c: float, start: int, stop: int) -> np.ndarray:
@@ -64,7 +64,7 @@ def _series(a: float, b: float, c: float, z, caller_z: float | None = None) -> n
     out = np.empty(flat.size)
     live = np.arange(flat.size)
     term, total, small = np.ones(flat.size), np.ones(flat.size), np.zeros(flat.size, dtype=bool)
-    start, stop = 0, CACHED_TERMS
+    start, stop = 0, FIRST_CHUNK_TERMS
     # Past an element's stopping term its running product may under- or
     # overflow; a scalar loop never computes those terms.
     with np.errstate(all="ignore"):

@@ -1,18 +1,16 @@
 """``tools/compare_reports.py`` passes a tree against itself and fails a changed tolerance, value or version,
 and a report that depends on the calls before it."""
 
-import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import compare_reports
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
-_SPEC = importlib.util.spec_from_file_location("compare_reports", TOOL)
-compare_reports = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_reports)
 TOLERANCE_LINE = 'rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)'
 GAP_LINE = "        -1.0 / params.a,\n"
 

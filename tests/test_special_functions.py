@@ -7,7 +7,7 @@ from lbverify.congruence import tortoise_series
 from lbverify.errors import ParameterDomainError, SpecialFunctionError
 from lbverify.model import params_from_xi
 from lbverify.special_functions import (
-    CACHED_TERMS,
+    FIRST_CHUNK_TERMS,
     MAX_TERMS,
     SERIES_RTOL,
     gauss_2f1_pfaff,
@@ -201,7 +201,7 @@ def test_cached_series_is_bit_identical_to_the_plain_recurrence():
 def test_series_past_the_cached_ratios_is_bit_identical():
     z = -0.99
     expected, terms = plain_series(*TORTOISE_ABC, z)
-    assert terms > CACHED_TERMS
+    assert terms > FIRST_CHUNK_TERMS
     assert gauss_2f1_series(*TORTOISE_ABC, z) == expected
 
 
@@ -212,7 +212,7 @@ def test_array_series_is_bit_identical_to_the_plain_recurrence_elementwise():
     values = gauss_2f1_series(*TORTOISE_ABC, z)
     assert values.shape == z.shape
     assert values.tolist() == [[plain_series(*TORTOISE_ABC, x)[0] for x in row] for row in z.tolist()]
-    assert plain_series(*TORTOISE_ABC, -0.99)[1] > CACHED_TERMS
+    assert plain_series(*TORTOISE_ABC, -0.99)[1] > FIRST_CHUNK_TERMS
     assert gauss_2f1_series(*TORTOISE_ABC, np.array([])).shape == (0,)
     with pytest.raises(ParameterDomainError, match=r"diverges at \|z\| = 1\.5 >= 1"):
         gauss_2f1_series(*TORTOISE_ABC, np.array([0.2, -1.5]))

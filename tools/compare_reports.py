@@ -20,12 +20,15 @@ largest relative move of each JSON ``meta`` number (``a``, ``lambda``,
 alarming; the slack share says how close it came to a difference.  It exits 1
 when any call differs in exit code, in stderr, in its sequence of
 (check, location, tolerance, verdict) rows, in a row value by more than
-REL * |old value| + old tolerance (the slack of ``perfbench/check.py`` and
-``tests/test_golden.py``), or in a JSON report's ``meta`` keys or
-``tool_version``, or when a call's exit code, stderr or report differs
-between its two runs in one tree (printed as ``ORDER-DEPENDENT``), and 0
-otherwise.  It uses the standard library only and
-writes nothing under either tree.
+its ``slack``, REL * |old value| + old tolerance, or in a JSON report's
+``meta`` keys or ``tool_version``, or when a call's exit code, stderr or
+report differs between its two runs in one tree (printed as
+``ORDER-DEPENDENT``), and 0 otherwise.  It uses the standard library only
+and writes nothing under either tree.
+
+In ``tools/`` and ``tests/`` this module owns the report-identity rules:
+``slack``, ``parse`` and the in-process runner ``start``/``finish``.
+``tests/test_golden.py`` and ``tools/edge_matrix.py`` import them.
 """
 
 from __future__ import annotations
@@ -136,12 +139,17 @@ def relative_move(old: float, new: float) -> float:
     return abs(new - old) / abs(old) if old else math.inf
 
 
+def slack(old: float, tolerance: float = 0.0) -> float:
+    """How far a value may move from ``old``, on a row of the given tolerance: REL * |old| + tolerance."""
+    return REL * abs(old) + tolerance
+
+
 def slack_share(old: float, new: float, tolerance: float) -> float:
-    """|new - old| as a share of the slack REL * |old| + tolerance (above 1: a difference)."""
+    """|new - old| as a share of ``slack(old, tolerance)`` (above 1: a difference)."""
     if old == new or (math.isnan(old) and math.isnan(new)):
         return 0.0
-    slack = REL * abs(old) + tolerance
-    return abs(new - old) / slack if slack else math.inf
+    room = slack(old, tolerance)
+    return abs(new - old) / room if room else math.inf
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                 moves[check] = max(moves.get(check, 0.0), move)
                 share = slack_share(old_value, new_value, tol)
                 slack_shares[check] = max(slack_shares.get(check, 0.0), share)
-            if not abs(new_value - old_value) <= REL * abs(old_value) + tol:
+            if not abs(new_value - old_value) <= slack(old_value, tol):
                 failures.append(f"{argv}: {check} at {loc} moved from {old_value!r} to {new_value!r}")
 
     print(f"calls: {len(calls)}")

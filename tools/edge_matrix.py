@@ -2,7 +2,7 @@
 
     python tools/edge_matrix.py [TREE]
 
-TREE defaults to the checkout that holds this script.  The grid has two
+TREE defaults to the checkout that holds this script.  The grid has three
 parts:
 
 - the default-window grid: ``verify`` and ``energy`` at ``--samples 257``
@@ -10,11 +10,12 @@ parts:
   (lambda, xi) of ``LAMBDAS`` x ``XIS``, and ``congruence`` at
   ``--samples 65`` at every (lambda, xi, E) of ``LAMBDAS`` x ``XIS`` x
   ``E_TILDES`` (693 calls);
-- the radial-bound grid of ``test_radial_bound_windows_run_in_bounded_memory``:
-  ``verify``, ``energy``, ``tortoise`` and ``congruence --e-tilde 2`` at
-  ``--samples 257`` on [-b, b], [0.95b, b] and [-b, -0.95b], with b the
-  model's radial bound, at lambda in {1e-300, 3, 1e300} x xi in {0, 1, 1e154}
-  (108 calls).
+- the radial-bound grid: ``verify``, ``energy``, ``tortoise`` and
+  ``congruence --e-tilde 2`` at ``--samples 257`` on [-b, b], [0.95b, b]
+  and [-b, -0.95b], with b the model's radial bound, at lambda in
+  {1e-300, 3, 1e300} x xi in {0, 1, 1e154} (108 calls);
+- ``TINY_LAMBDA_CALLS``: ``tortoise`` at lambda = 1e-12 and 1e-300, every
+  other option at its default (2 calls).
 
 The calls run in process in one child interpreter, through the runner of
 ``tools/compare_reports.py``.  The script prints one line per call:
@@ -30,6 +31,9 @@ table; a change that moves a line re-records it with
 
 and lists the moved lines.  It exits 1 when a call's result depends on the
 calls before it (printed as ``ORDER-DEPENDENT`` on stderr), and 0 otherwise.
+``tests/test_edge_matrix.py`` runs it under a 1 GiB address-space cap, which
+the runner's child inherits: a call that runs out of memory prints a
+``MemoryError`` traceback line in place of its recorded line.
 """
 
 from __future__ import annotations
@@ -44,8 +48,13 @@ LAMBDAS = ("1e-300", "1e-12", "0.75", "3", "12", "1e6", "1e12", "1e100", "1e300"
 XIS = ("0", "1e-300", "1e-6", "1", "1e5", "1e100", "1e154")
 E_TILDES = ("1.01", "2", "100", "1e40", "1e52", "1e80", "1e150")
 
-#: ``model._MAX_EXPONENT``: the radial bound is 700 / (2 sqrt(3 lambda)).
+#: ``model._MAX_EXPONENT``, copied so that the tool never imports the tree
+#: it runs: the radial bound is 700 / (2 sqrt(3 lambda)).  A test pins the
+#: grid's bounds to ``model.radial_bound``.
 _MAX_EXPONENT = 700.0
+#: a = sqrt(3 / lambda) reaches 1.7e6 and 1.7e150: the quadrature channel
+#: integrates O(a) panels, whose Gauss-Kronrod estimates sit at rounding level.
+TINY_LAMBDA_CALLS = [["tortoise", "--lambda", "1e-12"], ["tortoise", "--lambda", "1e-300"]]
 
 
 def default_window_calls() -> list[list[str]]:
@@ -86,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python tools/edge_matrix.py [TREE]", file=sys.stderr)
         return 2
     tree = Path(args[0]) if args else Path(__file__).resolve().parents[1]
-    calls = default_window_calls() + radial_bound_calls()
+    calls = default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS
     first, again = finish(start(tree, calls), tree)
     for argv, result in zip(calls, first):
         print(line(argv, result))
