@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .model import MAX_ABS_XI, MetricSample, SolutionParams, _check_range, metric_eval
-from .numerics import FD_FIRST_STEP, adaptive_gauss_kronrod, sign_change_roots
+from .model import MAX_ABS_XI, MetricSample, SolutionParams, metric_eval
+from .numerics import EPS, FD_FIRST_STEP, adaptive_gauss_kronrod, sign_change_roots
 from .special_functions import gauss_2f1_series
 
 #: Scans skip radii with |E^2 - w| < TURNING_GUARD_REL * E^2.
@@ -206,7 +206,7 @@ def focusing_polynomial(x, b: float):
     y_sq = x**6 - 4.0 * b * b * x**3
     # Clamp cancellation noise at the y = 0 domain edge; genuine violations
     # sit far above this scale.
-    noise = 8.0 * np.finfo(float).eps * (np.abs(x) ** 6 + 4.0 * b * b * np.abs(x) ** 3)
+    noise = 8.0 * EPS * (np.abs(x) ** 6 + 4.0 * b * b * np.abs(x) ** 3)
     outside = y_sq < -noise
     if np.any(outside):
         raise ParameterDomainError(
@@ -330,11 +330,10 @@ def tortoise_series(params: SolutionParams, r):
     Elementwise over an array of radii, with one ``gauss_2f1_series`` call
     for all of them; a scalar r gives a float.
     """
-    _check_range(params, r)
+    r = metric_eval(params, r).r
     a = params.a
     xi = abs(params.xi)
     log_xi = params.log_abs_xi
-    r = np.asarray(r, dtype=float)
     radius = r.ravel()
     q = 6.0 * radius / a + 2.0 * log_xi
     e = np.exp(-np.abs(q))

@@ -28,7 +28,7 @@ as 0.5 (R^t_t + R^r_r + R^phi_phi + R^z_z), so every value has the bits of
 the per-axis expressions, and rho + p_t is an exact zero.
 
 Margins are the primitive output; whether a condition holds derives from its
-minimum margin (``_condition_minima``) and the single tolerance
+minimum margin (``condition_minima``) and the single tolerance
 ``hold_tolerance(lambda)``, so that marginal saturation stays visible.  Every
 frame stress is of the size of lambda, and the NEC, WEC and DEC margins,
 >= 0 by the identities above, round to as low as about -0.8 eps lambda: the
@@ -91,7 +91,7 @@ def condition_margins(stress: FrameStress) -> ConditionMargins:
     )
 
 
-def _condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
+def condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]:
     """Minimum margin of each condition; every one includes the NEC minimum.
 
     A condition holds at r iff its minimum there is >= -``hold_tolerance``.

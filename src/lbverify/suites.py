@@ -187,7 +187,7 @@ def build_energy_report(
         # somewhere iff its largest does.  A NaN margin makes both False
         # here, but it also makes a margin row above non-finite, which
         # raises before the holds are read.
-        for cond, minimum in ec._condition_minima(margins).items():
+        for cond, minimum in ec.condition_minima(margins).items():
             fold[f"{cond}-everywhere"].append(bool(minimum.min() >= -hold_tol))
             fold[f"{cond}-somewhere"].append(bool(minimum.max() >= -hold_tol))
 

@@ -11,7 +11,7 @@ from lbverify.curvature import (
     ricci_diagonal_generic,
     ricci_mixed,
 )
-from lbverify.energy_conditions import _condition_minima, condition_margins, stress_decompose
+from lbverify.energy_conditions import condition_margins, condition_minima, stress_decompose
 from lbverify.errors import ParameterDomainError
 from lbverify.model import log_w_jet, metric_eval, params_from_xi
 from lbverify.numerics import EPS, Jet
@@ -372,7 +372,7 @@ def test_shared_axis_path_gives_the_general_path_bits(lam, xi, nan):
     }
     for name, (got, want) in pairs.items():
         assert _same_bits(got, want), name
-    for cond, minimum in _condition_minima(margins).items():
+    for cond, minimum in condition_minima(margins).items():
         assert _same_bits(minimum, minima[cond]), cond
 
 

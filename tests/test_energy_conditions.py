@@ -1,3 +1,4 @@
+import compare_reports
 import numpy as np
 import pytest
 
@@ -7,8 +8,8 @@ from lbverify.energy_conditions import (
     CONDITIONS,
     HOLD_TOL,
     FrameStress,
-    _condition_minima,
     condition_margins,
+    condition_minima,
     hold_tolerance,
     stress_decompose,
 )
@@ -21,7 +22,7 @@ from lbverify.suites import build_energy_report
 
 def _holds(margins, tol):
     """Per condition, where it holds: every one of its margins is >= -tol, so its minimum is."""
-    return {cond: minimum >= -tol for cond, minimum in _condition_minima(margins).items()}
+    return {cond: minimum >= -tol for cond, minimum in condition_minima(margins).items()}
 
 
 def test_trace_identities_random_points():
@@ -195,13 +196,13 @@ def test_a_nan_margin_is_a_non_finite_row_before_any_hold(monkeypatch):
         build_energy_report(3.0, 1.0, -1.0, 1.0, 41)
 
 
-def test_cli_partial_hold_exits_3(monkeypatch, capsys):
+def test_cli_partial_hold_exits_3(monkeypatch, tmp_path):
     monkeypatch.setattr(suites, "ricci_mixed", _cubic_stress((-0.6123, 0.1357, 0.7071), 1.0))
-    assert cli.main(["energy", "--r-min", "-1", "--r-max", "1", "--samples", "41"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("lbverify: numerical failure: NEC holds on part of the window")
+    argv = ["energy", "--r-min", "-1", "--r-max", "1", "--samples", "41"]
+    result = compare_reports.run_call(cli.main, argv, str(tmp_path / "report"))
+    assert (result["rc"], result["report"]) == (3, None)
+    assert result["stderr"].count("\n") == 1
+    assert result["stderr"].startswith("lbverify: numerical failure: NEC holds on part of the window")
 
 
 def test_dec_radial_margin_nonnegative():

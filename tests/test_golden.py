@@ -78,7 +78,6 @@ from lbverify.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
-HEADER = "check,location,value,tolerance,verdict\n"
 
 CONFIGS = {
     "verify": ["verify", "--lambda", "3", "--xi", "1"],
@@ -124,11 +123,11 @@ def test_every_golden_file_has_a_config():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_matches_golden(name, tmp_path):
-    out = tmp_path / f"{name}.csv"
-    assert main([*CONFIGS[name], "--out", str(out)]) == 0
-    report, golden = (path.read_text(encoding="utf-8") for path in (out, GOLDEN_DIR / f"{name}.csv"))
-    assert report.startswith(HEADER) and golden.startswith(HEADER)
-    (_, rows), (_, ref_rows) = (compare_reports.parse(text, CONFIGS[name]) for text in (report, golden))
+    # ``parse`` reads both reports and raises on one without its header line.
+    result = compare_reports.run_call(main, CONFIGS[name], str(tmp_path / "report"))
+    assert (result["rc"], result["stderr"]) == (0, "")
+    golden = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
+    (_, rows), (_, ref_rows) = (compare_reports.parse(text, CONFIGS[name]) for text in (result["report"], golden))
     _assert_same_rows(rows, ref_rows, name)
 
 

@@ -47,10 +47,7 @@ TEST_ONLY_FIELDS = {
 
 
 #: (module, target module, private name) references between package modules, and why each stays.
-PRIVATE_REFERENCES = {
-    ("congruence", "model", "_check_range"): "the tortoise series shares the model's radial bound and its message",
-    ("suites", "energy_conditions", "_condition_minima"): "the energy report applies the hold rule to each block",
-}
+PRIVATE_REFERENCES = {}
 
 #: Functions the benchmark tracer (``perfbench/tracer.py``) hooks by name that
 #: the package no longer defines, each with the commit that removed it.  Their

@@ -2,19 +2,29 @@ import csv
 import io
 import json
 import math
+import os
 import re
-import subprocess
-import sys
+import tempfile
 
+import compare_reports
 import pytest
 
-from lbverify import __version__, suites
+from lbverify import __version__, cli, errors, suites
 from lbverify.model import MAX_ABS_XI, params_from_xi, radial_bound
 from lbverify.report import VERDICTS, Report, VerificationRow, emit_csv, emit_json
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "lbverify", *args], capture_output=True)
+def run(*argv):
+    """Exit code, stderr and ``compare_reports.parse`` rows (None: no report) of one ``run_call``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        result = compare_reports.run_call(cli.main, list(argv), os.path.join(tmp, "report"))
+    rows = None if result["report"] is None else compare_reports.parse(result["report"], list(argv))[1]
+    return result["rc"], result["stderr"], rows
+
+
+def _by_check(rows):
+    """Each check's row (its last, for a check with several)."""
+    return {row[0]: row for row in rows}
 
 
 def sample_report():
@@ -148,28 +158,26 @@ def test_holds_overrides_the_tolerance_rule():
 
 
 def test_cli_verify_defaults_green():
-    proc = run_cli("verify", "--lambda", "3", "--xi", "1", "--samples", "512")
-    assert proc.returncode == 0
-    lines = proc.stdout.decode("utf-8").strip().split("\n")
-    assert lines[0] == "check,location,value,tolerance,verdict"
-    assert not any(line.endswith(",fail") for line in lines[1:])
-    checks = {line.split(",")[0] for line in lines[1:]}
-    assert {"f-ode-residual", "exponent-ode-residual", "field-equation-residual"} <= checks
-    assert any(line.endswith(",discrepancy-logged") for line in lines[1:])
+    rc, _, rows = run("verify", "--lambda", "3", "--xi", "1", "--samples", "512")
+    assert rc == 0
+    verdicts = {verdict for *_, verdict in rows}
+    assert "fail" not in verdicts and "discrepancy-logged" in verdicts
+    assert {"f-ode-residual", "exponent-ode-residual", "field-equation-residual"} <= set(_by_check(rows))
 
 
-def test_cli_deterministic_output():
-    args = ("verify", "--lambda", "3", "--xi", "0.5", "--samples", "512", "--format", "json")
-    first = run_cli(*args)
-    second = run_cli(*args)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+def test_cli_deterministic_output(tmp_path):
+    # A rerun in the same process gives the same bytes; two interpreters
+    # over every catalog and golden call are compared by
+    # test_compare_reports' tree-against-itself test.
+    argv = ["verify", "--lambda", "3", "--xi", "0.5", "--samples", "512", "--format", "json"]
+    first, second = (compare_reports.run_call(cli.main, argv, str(tmp_path / "report")) for _ in range(2))
+    assert first["rc"] == 0 and first["report"]
+    assert second == first
 
 
 def test_cli_invalid_lambda_exits_2():
-    proc = run_cli("verify", "--lambda", "-1", "--xi", "1")
-    assert proc.returncode == 2
-    assert b"lambda" in proc.stderr
+    rc, stderr, _ = run("verify", "--lambda", "-1", "--xi", "1")
+    assert rc == 2 and "lambda" in stderr
 
 
 @pytest.mark.parametrize(
@@ -187,18 +195,15 @@ def test_cli_invalid_lambda_exits_2():
     ids=("xi-inf", "xi-overflow", "lambda-inf", "e-tilde-inf", "e-tilde-nan", "e-tilde-overflow", "sweep-e-tilde-overflow"),
 )
 def test_cli_rejects_nonfinite_or_overflowing_parameters(args):
-    _assert_usage_error(run_cli(*args, "--samples", "64"), b"")
+    _assert_usage_error(run(*args, "--samples", "64"), "")
 
 
 def test_cli_verify_tiny_xi_reports_constant_noether_charge():
     # f'' ~ xi^2 underflows to 0 on the whole grid; J = e^f phi' ~ |xi| does not.
-    proc = run_cli("verify", "--xi", "1e-300")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == b""
-    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
-    constancy = next(r for r in rows if r["check"] == "noether-constancy-rel")
-    assert float(constancy["value"]) < 1e-12
-    assert all(r["verdict"] != "fail" for r in rows)
+    rc, stderr, rows = run("verify", "--xi", "1e-300")
+    assert (rc, stderr) == (0, "")
+    assert _by_check(rows)["noether-constancy-rel"][2] < 1e-12
+    assert all(verdict != "fail" for *_, verdict in rows)
 
 
 @pytest.mark.parametrize(
@@ -206,17 +211,13 @@ def test_cli_verify_tiny_xi_reports_constant_noether_charge():
     (["verify"], ["energy"], ["congruence", "--e-tilde", "2"], ["sweep", "--e-tilde", "2"]),
     ids=("verify", "energy", "congruence", "sweep"),
 )
-def test_cli_huge_xi_writes_nothing_to_stderr(argv, tmp_path, capsys):
+def test_cli_huge_xi_writes_nothing_to_stderr(argv):
     # xi^2 e^{6r/a} overflows on the default window at |xi| = 1e154, and w
-    # reaches about 1e205 at the forbidden points of the congruence scans; in
-    # process, any RuntimeWarning is an error under the test configuration.
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
-    assert cli.main([*argv, "--xi", "1e154", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert rows and all(math.isfinite(float(r["value"])) for r in rows)
+    # reaches about 1e205 at the forbidden points of the congruence scans;
+    # the runner prints any warning of the call to its stderr.
+    rc, stderr, rows = run(*argv, "--xi", "1e154")
+    assert (rc, stderr) == (0, "")
+    assert rows and all(math.isfinite(value) for _, _, value, _, _ in rows)
 
 
 @pytest.mark.parametrize(
@@ -224,15 +225,12 @@ def test_cli_huge_xi_writes_nothing_to_stderr(argv, tmp_path, capsys):
     (["verify", "--xi", "1e4"], ["sweep", "--xi", "0:1e8:3", "--e-tilde", "2"]),
     ids=("verify", "sweep"),
 )
-def test_cli_large_xi_field_residual_passes(argv, tmp_path):
+def test_cli_large_xi_field_residual_passes(argv):
     # e^u reaches about xi^(4/3); a residual that carried its rounding
     # failed here (1.5e-8 at xi = 1e4, 4.6e-5 and 6.1e-5 in the sweep).
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
-    assert cli.main([argv[0], "--lambda", "3", *argv[1:], "--out", str(out)]) == 0
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    residuals = [float(r["value"]) for r in rows if r["check"] == "field-equation-residual"]
+    rc, _, rows = run(argv[0], "--lambda", "3", *argv[1:])
+    assert rc == 0
+    residuals = [value for check, _, value, _, _ in rows if check == "field-equation-residual"]
     assert residuals and max(residuals) <= 1e-13
 
 
@@ -241,34 +239,29 @@ def test_cli_large_xi_field_residual_passes(argv, tmp_path):
     [("--xi", "1e5"), ("--xi", "1e100"), ("--xi", "1e150"), ("--r-min", "110.8333", "--r-max", "116.6666")],
     ids=("xi-1e5", "xi-1e100", "xi-1e150", "window-at-radial-bound"),
 )
-def test_cli_verify_dual_path_passes_at_huge_components(argv, tmp_path):
+def test_cli_verify_dual_path_passes_at_huge_components(argv):
     # The components reach e^u of about xi^(4/3) or e^{2r/a}, beyond which a
     # difference stencil's rounding floor exceeds the row tolerance.  The
     # generic Ricci path reads exact jets, so every row passes.
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
-    assert cli.main(["verify", "--lambda", "3", *argv, "--out", str(out)]) == 0
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert [r["verdict"] for r in rows if r["check"] == "ricci-dual-path"] == ["pass"]
+    rc, _, rows = run("verify", "--lambda", "3", *argv)
+    assert rc == 0
+    assert [verdict for check, *_, verdict in rows if check == "ricci-dual-path"] == ["pass"]
 
 
 @pytest.mark.parametrize("lam", ("inf", "1e-320"))
 def test_cli_stability_rejects_unusable_lambda(lam):
-    _assert_usage_error(run_cli("stability", "--lambda", lam), b"")
+    _assert_usage_error(run("stability", "--lambda", lam), "")
 
 
 def test_cli_congruence_requires_unit_energy():
-    proc = run_cli("congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "0.5")
-    assert proc.returncode == 2
-    proc = run_cli("congruence", "--lambda", "3", "--xi", "0")
-    assert proc.returncode == 2
+    assert run("congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "0.5")[0] == 2
+    assert run("congruence", "--lambda", "3", "--xi", "0")[0] == 2
 
 
 def test_cli_unknown_subcommand_usage_on_stderr():
-    proc = run_cli("frobnicate")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(b"lbverify: error: argument subcommand: invalid choice: 'frobnicate'")
+    rc, stderr, _ = run("frobnicate")
+    assert rc == 2
+    assert stderr.startswith("lbverify: error: argument subcommand: invalid choice: 'frobnicate'")
 
 
 @pytest.mark.parametrize(
@@ -283,23 +276,19 @@ def test_cli_unknown_subcommand_usage_on_stderr():
     ],
     ids=("bad-float", "unknown-flag", "no-subcommand", "unknown-subcommand", "sweep-bad-int", "float-samples"),
 )
-def test_argparse_errors_are_one_line(argv, capsys):
-    from lbverify.cli import main
-
-    with pytest.raises(SystemExit) as excinfo:
-        main(list(argv))
-    assert excinfo.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+def test_argparse_errors_are_one_line(argv):
+    # With --out appended, no-subcommand reads the out path as an unknown
+    # subcommand; test_main_reuses_parser_across_calls calls main with no
+    # argument at all.
+    rc, err, rows = run(*argv)
+    assert (rc, rows) == (2, None)
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith("lbverify: error: ")
 
 
 def test_cli_window_validation():
-    proc = run_cli("verify", "--r-min", "1", "--r-max", "-1")
-    assert proc.returncode == 2
-    proc = run_cli("verify", "--samples", "1")
-    assert proc.returncode == 2
+    assert run("verify", "--r-min", "1", "--r-max", "-1")[0] == 2
+    assert run("verify", "--samples", "1")[0] == 2
 
 
 def _whole(message: str) -> str:
@@ -374,10 +363,7 @@ def _whole(message: str) -> str:
 def test_builders_validate_their_own_inputs(build, args, kwargs, needle):
     # A direct builder call gets the same input rules as the command line,
     # in the same order.
-    from lbverify import suites
-    from lbverify.errors import ParameterDomainError
-
-    with pytest.raises(ParameterDomainError, match=needle):
+    with pytest.raises(errors.ParameterDomainError, match=needle):
         getattr(suites, build)(*args, **kwargs)
 
 
@@ -392,14 +378,11 @@ def test_builders_validate_their_own_inputs(build, args, kwargs, needle):
     ],
     ids=("energy-empty", "verify-reversed", "tortoise-reversed", "congruence-reversed", "energy-reversed"),
 )
-def test_one_sided_window_is_checked_against_the_default_bound(argv, capsys):
+def test_one_sided_window_is_checked_against_the_default_bound(argv):
     # At lambda = 3 the default window is [-2, 2] ([-1, 1] for tortoise); a
     # single bound past the other one's default leaves no window to scan.
-    from lbverify import cli
-
-    assert cli.main(list(argv)) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    rc, err, rows = run(*argv)
+    assert (rc, rows) == (2, None)
     assert len(err.splitlines()) == 1
     assert err.startswith("lbverify: error: r-min must be < r-max")
 
@@ -407,8 +390,6 @@ def test_one_sided_window_is_checked_against_the_default_bound(argv, capsys):
 def test_sweep_rows_equal_single_member_rows():
     # One definition per check: on the same 257-point grid, each sweep cell
     # gives the same values as the verify, energy and congruence reports.
-    from lbverify import suites
-
     def values(rpt, check):
         return [row.value for row in rpt.rows if row.check == check]
 
@@ -438,8 +419,6 @@ def test_sweep_rows_equal_single_member_rows():
 def test_main_reads_the_builder_from_suites_on_each_call(monkeypatch, tmp_path):
     # A tracer wraps builders by replacing the module attribute; main must
     # see the replacement, and pass only the options given on the command line.
-    from lbverify import cli, suites
-
     calls = []
     original = suites.build_verify_report
 
@@ -452,11 +431,9 @@ def test_main_reads_the_builder_from_suites_on_each_call(monkeypatch, tmp_path):
     assert calls == [{"lam": 3.0, "xi": 1.0, "samples": 64}]
 
 
-def test_one_exception_type_per_exit_code(monkeypatch, capsys):
+def test_one_exception_type_per_exit_code(monkeypatch):
     # An input outside a computation's domain exits 2; a numerical method
     # that fails on accepted input exits 3. No other kind is told apart.
-    from lbverify import cli, errors, suites
-
     defined = {name for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__}
     assert defined == {"LBVerifyError", "ParameterDomainError", "NumericalError", "SpecialFunctionError"}
     for exc, code, prefix in (
@@ -468,8 +445,7 @@ def test_one_exception_type_per_exit_code(monkeypatch, capsys):
             raise exc("boom")
 
         monkeypatch.setattr(suites, "build_verify_report", failing)
-        assert cli.main(["verify"]) == code
-        assert capsys.readouterr() == ("", f"{prefix}boom\n")
+        assert run("verify") == (code, f"{prefix}boom\n", None)
 
 
 @pytest.mark.parametrize(
@@ -485,34 +461,28 @@ def test_one_exception_type_per_exit_code(monkeypatch, capsys):
 )
 def test_cli_numerical_failure_exits_3(args):
     # Accepted inputs whose arithmetic overflows: one line, no traceback.
-    proc = run_cli(*args)
-    assert proc.returncode == 3
-    assert proc.stdout == b""
-    assert proc.stderr.count(b"\n") == 1
-    assert proc.stderr.startswith(b"lbverify: numerical failure: ")
+    rc, stderr, rows = run(*args)
+    assert (rc, rows) == (3, None)
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("lbverify: numerical failure: ")
 
 
-def test_cli_congruence_jet_oracle_stays_in_range_at_huge_xi_and_e_tilde(tmp_path, capsys):
+def test_cli_congruence_jet_oracle_stays_in_range_at_huge_xi_and_e_tilde():
     # At lambda = 1e-300, xi = 1e154, E = 1e150 the profile w reaches past
     # 1e150, and |E| w sqrt(1 - x) would overflow: the jet oracle divides the
     # scan's w out of its flux and volume.  The report fails rows of its own
     # (exit 1), with no numerical failure.
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
-    argv = ["congruence", "--lambda", "1e-300", "--xi", "1e154", "--e-tilde", "1e150", "--out", str(out)]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err == ""
-    rows = {r["check"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
-    assert rows["expansion-covariant-divergence"]["verdict"] == "pass"
+    rc, stderr, rows = run("congruence", "--lambda", "1e-300", "--xi", "1e154", "--e-tilde", "1e150")
+    assert (rc, stderr) == (1, "")
+    assert _by_check(rows)["expansion-covariant-divergence"][4] == "pass"
 
 
-def _assert_usage_error(proc, needle):
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr.count(b"\n") == 1
-    assert proc.stderr.startswith(b"lbverify: error: ")
-    assert needle in proc.stderr
+def _assert_usage_error(result, needle):
+    rc, stderr, rows = result
+    assert (rc, rows) == (2, None)
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("lbverify: error: ")
+    assert needle in stderr
 
 
 @pytest.mark.parametrize(
@@ -529,7 +499,7 @@ def _assert_usage_error(proc, needle):
 )
 def test_cli_rejects_nonfinite_window(args):
     # A non-finite bound would make a NaN grid, which passes every range check.
-    _assert_usage_error(run_cli(*args, "--samples", "64"), b"must be finite")
+    _assert_usage_error(run(*args, "--samples", "64"), "must be finite")
 
 
 @pytest.mark.parametrize(
@@ -545,112 +515,97 @@ def test_cli_rejects_nonfinite_window(args):
 def test_cli_negative_values_in_any_float_form(spaced, joined, code, capsysbinary):
     # argparse alone reads a token such as -1e10 or -1:1:2 as an option, and
     # only the --opt=value spelling would work.
-    from lbverify.cli import main
-
-    assert main(list(spaced)) == code
+    assert cli.main(list(spaced)) == code
     first = capsysbinary.readouterr()
-    assert main(list(joined)) == code
+    assert cli.main(list(joined)) == code
     assert capsysbinary.readouterr() == first
-    assert first.out.startswith(b"check,") and first.err == b""
+    assert compare_reports.parse(first.out.decode(), list(spaced))[1] and first.err == b""
 
 
 @pytest.mark.parametrize("samples", ("1", "0", "-5"))
 def test_cli_sweep_follows_the_samples_rule(samples):
-    _assert_usage_error(run_cli("sweep", "--samples", samples), b"samples must be >= 2")
+    _assert_usage_error(run("sweep", "--samples", samples), "samples must be >= 2")
 
 
 @pytest.mark.parametrize(
     ("args", "needle"),
     [
-        (("verify", "--samples", "100000000000"), b"samples must be <= 16777216"),
-        (("energy", "--samples", "100000000000"), b"samples must be <= 16777216"),
-        (("tortoise", "--samples", "100000000000"), b"samples must be <= 16777216"),
-        (("congruence", "--e-tilde", "2", "--samples", "16777217"), b"samples must be <= 16777216"),
-        (("sweep", "--samples", "100000000000"), b"samples must be <= 16777216"),
-        (("sweep", "--xi", "0:1:100000000000"), b"sweep cell count must be <= 16777216"),
-        (("sweep", "--xi", "0:inf:3"), b"xi range bounds must be finite"),
+        (("verify", "--samples", "100000000000"), "samples must be <= 16777216"),
+        (("energy", "--samples", "100000000000"), "samples must be <= 16777216"),
+        (("tortoise", "--samples", "100000000000"), "samples must be <= 16777216"),
+        (("congruence", "--e-tilde", "2", "--samples", "16777217"), "samples must be <= 16777216"),
+        (("sweep", "--samples", "100000000000"), "samples must be <= 16777216"),
+        (("sweep", "--xi", "0:1:100000000000"), "sweep cell count must be <= 16777216"),
+        (("sweep", "--xi", "0:inf:3"), "xi range bounds must be finite"),
     ],
     ids=("verify", "energy", "tortoise", "congruence", "sweep", "sweep-xi-count", "sweep-inf-range"),
 )
 def test_cli_bounds_grid_sizes_before_allocating(args, needle):
     # Without the bound, numpy fails to allocate the grid with a traceback.
-    _assert_usage_error(run_cli(*args), needle)
+    _assert_usage_error(run(*args), needle)
 
 
 def test_congruence_scans_the_samples_it_names(capsysbinary):
     # The scan grid is the --samples grid, 257 by default, and every row's
     # location names it.
-    from lbverify.cli import main
-
     reports = {}
     for extra in ((), ("--samples", "257"), ("--samples", "1000")):
-        assert main(["congruence", "--e-tilde", "2", *extra]) == 0
+        assert cli.main(["congruence", "--e-tilde", "2", *extra]) == 0
         reports[extra] = capsysbinary.readouterr().out
     assert reports[()] == reports[("--samples", "257")]
     for samples, admissible in (("257", 89), ("1000", 344)):
-        rows = list(csv.reader(io.StringIO(reports[("--samples", samples)].decode())))[1:]
-        assert {row[1] for row in rows if row[1].startswith("grid")} == {f"grid[-2;2]x{samples}"}
-        assert ["timelike-admissible-points", f"grid[-2;2]x{samples}", str(admissible), "0", "pass"] in rows
+        argv = ["congruence", "--e-tilde", "2", "--samples", samples]
+        _, rows = compare_reports.parse(reports[("--samples", samples)].decode(), argv)
+        assert {loc for _, loc, _, _, _ in rows if loc.startswith("grid")} == {f"grid[-2;2]x{samples}"}
+        assert ("timelike-admissible-points", f"grid[-2;2]x{samples}", admissible, 0.0, "pass") in rows
 
 
 def test_sweep_bounds_its_cell_count_before_building_a_grid(monkeypatch):
     # 4097 x 4096 cells: each count is small, their product is not.
-    from lbverify import suites
-    from lbverify.errors import ParameterDomainError
-
     def forbidden(*args):
         raise AssertionError("grid built")
 
     monkeypatch.setattr(suites.np, "linspace", forbidden)
-    with pytest.raises(ParameterDomainError, match="sweep cell count must be <= 16777216, got 16781312"):
+    with pytest.raises(errors.ParameterDomainError, match="sweep cell count must be <= 16777216, got 16781312"):
         suites.build_sweep_report("1:2:4097", "0:1:4096", "2")
 
 
 @pytest.mark.parametrize("e_tilde", ("nan", "inf", "-inf", "2:nan:2"))
 def test_cli_sweep_rejects_nonfinite_energy(e_tilde):
-    proc = run_cli("sweep", f"--e-tilde={e_tilde}", "--samples", "16")
-    _assert_usage_error(proc, b"must be finite")
+    _assert_usage_error(run("sweep", f"--e-tilde={e_tilde}", "--samples", "16"), "must be finite")
 
 
-def test_cli_out_file_round_trip(tmp_path):
-    out = tmp_path / "report.csv"
-    proc = run_cli("stability", "--lambda", "3", "--out", str(out))
-    assert proc.returncode == 0
-    assert proc.stdout == b""
-    content = out.read_bytes()
-    assert content.startswith(b"check,location,value,tolerance,verdict\n")
+def test_cli_out_file_round_trip(capsysbinary):
+    # ``parse`` raises on a report without its header line.
+    rc, _, rows = run("stability", "--lambda", "3")
+    assert rc == 0 and rows
+    assert capsysbinary.readouterr().out == b""
 
 
-def test_cli_sweep_deterministic_output():
-    args = ("sweep", "--lambda", "0.75:3:2", "--xi", "0:1:2", "--e-tilde", "2", "--samples", "65")
-    first = run_cli(*args)
-    second = run_cli(*args)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+def test_cli_sweep_deterministic_output(tmp_path):
+    argv = ["sweep", "--lambda", "0.75:3:2", "--xi", "0:1:2", "--e-tilde", "2", "--samples", "65"]
+    first, second = (compare_reports.run_call(cli.main, argv, str(tmp_path / "report")) for _ in range(2))
+    assert first["rc"] == 0 and first["report"]
+    assert second == first
 
 
-def test_cli_sweep_rejects_malformed_range(capsys):
-    from lbverify import cli
-
+def test_cli_sweep_rejects_malformed_range():
     for bad, needle in (("1:2", "start:stop:count"), ("1:x:2", "malformed"), ("1:2:0", "count must be >= 1")):
-        assert cli.main(["sweep", "--lambda", bad, "--xi", "1", "--e-tilde", "2"]) == 2, bad
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
+        rc, err, rows = run("sweep", "--lambda", bad, "--xi", "1", "--e-tilde", "2")
+        assert (rc, rows) == (2, None), bad
+        assert len(err.splitlines()) == 1
         assert err.startswith("lbverify: error: ") and needle in err
 
 
-def test_cli_sweep_accepts_a_count_of_one(capsys):
-    from lbverify import cli
-
-    assert cli.main(["sweep", "--lambda", "3:3:1", "--xi", "1", "--e-tilde", "2"]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+def test_cli_sweep_accepts_a_count_of_one():
+    rc, _, rows = run("sweep", "--lambda", "3:3:1", "--xi", "1", "--e-tilde", "2")
+    assert rc == 0
     assert len(rows) == 4
-    assert {row[1] for row in rows} == {"lambda=3;xi=1;E=2"}
+    assert {loc for _, loc, _, _, _ in rows} == {"lambda=3;xi=1;E=2"}
 
 
 def test_cli_tortoise_green():
-    proc = run_cli("tortoise", "--lambda", "3", "--xi", "0.5", "--samples", "65")
-    assert proc.returncode == 0
+    assert run("tortoise", "--lambda", "3", "--xi", "0.5", "--samples", "65")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -661,18 +616,15 @@ def test_cli_tortoise_large_argument_green(extra):
     # z = -xi^2 e^{6r/a} reaches about -5e3 in the first three, past where a
     # Pfaff-only 2F1 series would need more than 100,000 terms, and lies past
     # the float range on the whole last window, which the beta form accepts.
-    proc = run_cli("tortoise", *extra)
-    assert proc.returncode == 0
-    assert proc.stderr == b""
-    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
-    assert [row["check"] for row in rows] == ["tortoise-channel-agreement", "tortoise-derivative-identity"]
-    assert all(row["verdict"] == "pass" for row in rows)
+    rc, stderr, rows = run("tortoise", *extra)
+    assert (rc, stderr) == (0, "")
+    assert [check for check, *_ in rows] == ["tortoise-channel-agreement", "tortoise-derivative-identity"]
+    assert all(verdict == "pass" for *_, verdict in rows)
 
 
 def test_cli_tortoise_overflowing_window_is_usage_error():
-    proc = run_cli("tortoise", "--r-max", "1000")
-    assert proc.returncode == 2
-    assert proc.stderr == b"lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n"
+    message = "lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n"
+    assert run("tortoise", "--r-max", "1000") == (2, message, None)
 
 
 _PAST_BOUND = repr(1.000001 * radial_bound(params_from_xi(3.0, 1.0)))
@@ -690,12 +642,10 @@ _PAST_BOUND = repr(1.000001 * radial_bound(params_from_xi(3.0, 1.0)))
     ],
     ids=("verify", "energy", "congruence", "tortoise", "tortoise-r-min", "tortoise-huge-xi"),
 )
-def test_windows_past_the_radial_bound_share_one_usage_error(argv, capsys):
+def test_windows_past_the_radial_bound_share_one_usage_error(argv):
     # Every windowed subcommand accepts the model's radial range and no more.
-    from lbverify import cli
-
-    assert cli.main([argv[0], "--lambda", "3", *argv[1:]]) == 2
-    assert capsys.readouterr() == ("", "lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n")
+    message = "lbverify: error: |r| exceeds the overflow bound 116.667 for lambda=3.0\n"
+    assert run(argv[0], "--lambda", "3", *argv[1:]) == (2, message, None)
 
 
 @pytest.mark.parametrize("side", (1.0, -1.0), ids=("r-max", "r-min"))
@@ -704,63 +654,49 @@ def test_windows_past_the_radial_bound_share_one_usage_error(argv, capsys):
     [("verify",), ("energy",), ("congruence", "--e-tilde", "2"), ("tortoise",)],
     ids=("verify", "energy", "congruence", "tortoise"),
 )
-def test_windows_ending_at_the_radial_bound_write_a_report(argv, side, tmp_path, capsys):
+def test_windows_ending_at_the_radial_bound_write_a_report(argv, side):
     # The accepting side of the rule above: a window ending exactly at
     # +/- radial_bound is inside the model's range, finite-difference
     # stencils included, and is answered with a report, not a usage error.
-    from lbverify import cli
-
     bound = radial_bound(params_from_xi(3.0, 1.0))
     r_min, r_max = sorted((side * bound, side * (bound - 6.0)))
-    out = tmp_path / "report.csv"
-    window = ["--r-min", repr(r_min), "--r-max", repr(r_max), "--out", str(out)]
-    assert cli.main([argv[0], "--lambda", "3", *argv[1:], *window]) in (0, 1)
-    assert capsys.readouterr() == ("", "")
-    rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
-    assert rows and all(row["verdict"] in VERDICTS for row in rows)
+    rc, stderr, rows = run(argv[0], "--lambda", "3", *argv[1:], "--r-min", repr(r_min), "--r-max", repr(r_max))
+    assert rc in (0, 1) and stderr == ""
+    assert rows and all(verdict in VERDICTS for *_, verdict in rows)
 
 
 def test_cli_congruence_extra_b_scan():
-    proc = run_cli("congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", "2",
-                   "--samples", "64", "--b", "0.49")
-    assert proc.returncode == 0
-    out = proc.stdout.decode()
-    assert "focusing-roots-found[b=0.49]" in out
-    assert "focusing-root[b=0.49]" in out
-    bad = run_cli("congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", "2", "--b", "0.7")
-    assert bad.returncode == 2
+    rc, _, rows = run("congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", "2", "--samples", "64", "--b", "0.49")
+    assert rc == 0
+    assert {"focusing-roots-found[b=0.49]", "focusing-root[b=0.49]"} <= set(_by_check(rows))
+    assert run("congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", "2", "--b", "0.7")[0] == 2
 
 
 @pytest.mark.parametrize("b", ["0", "-0"])
-def test_cli_congruence_b_zero_adds_no_root_row(b, capsys):
+def test_cli_congruence_b_zero_adds_no_root_row(b):
     # b = 0 is the sign map's first value: its one root-count row stands.
-    from lbverify import cli
-
-    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 0
-    checks = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+    rc, _, rows = run("congruence", "--e-tilde", "2", "--b", b, "--samples", "64")
+    assert rc == 0
+    checks = [check for check, *_ in rows]
     assert checks.count("focusing-roots-found[b=0]") == 1
     assert not [check for check in checks if "[b=-0]" in check]
 
 
 @pytest.mark.parametrize("b", ["nan", "-1e-300", "0.7"])
-def test_cli_congruence_rejects_b_outside_its_range(b, capsys):
-    from lbverify import cli
-
-    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("lbverify: error: b must lie in [0, 1/2]")
+def test_cli_congruence_rejects_b_outside_its_range(b):
+    rc, err, rows = run("congruence", "--e-tilde", "2", "--b", b, "--samples", "64")
+    assert (rc, rows) == (2, None)
+    assert err.startswith("lbverify: error: b must lie in [0, 1/2]")
 
 
 @pytest.mark.parametrize("b", ["1e-170", "5e-324"])
-def test_cli_congruence_tiny_b_scans_its_roots(b, capsys):
+def test_cli_congruence_tiny_b_scans_its_roots(b):
     # Below b ~ 7.9e-163, 4 b^2 rounds to 0 and the quoted domain starts at
     # x = 0, where the focusing polynomial is 0/0.
-    from lbverify import cli
-
-    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    found = [row for row in rows if row[0] == f"focusing-roots-found[b={float(b):.9g}]"]
-    assert [(row[2], row[4]) for row in found] == [("0", "pass")]
+    rc, _, rows = run("congruence", "--e-tilde", "2", "--b", b, "--samples", "64")
+    assert rc == 0
+    found = f"focusing-roots-found[b={float(b):.9g}]"
+    assert [(value, verdict) for check, _, value, _, verdict in rows if check == found] == [(0.0, "pass")]
 
 
 @pytest.mark.parametrize(
@@ -772,37 +708,30 @@ def test_cli_congruence_tiny_b_scans_its_roots(b, capsys):
     ],
     ids=("tiny-lambda", "tiny-lambda-vacuum", "huge-e"),
 )
-def test_cli_congruence_underflowing_x_cubed_writes_a_report(argv, capsys):
+def test_cli_congruence_underflowing_x_cubed_writes_a_report(argv):
     # x = w/E^2 is so small here that x^3 underflows to 0.  These points
     # lie outside the quoted domain, so the quoted comparison covers none of
     # them; rounding in its denominator is not a usage error (exit 2).
     # Rows of other checks may still fail on these inputs (exit 1).
-    from lbverify import cli
-
-    assert cli.main(["congruence", *argv]) in (0, 1)
-    out, err = capsys.readouterr()
-    assert err == ""
-    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
-    assert rows["quoted-scaled-rate-points"][2] == "0"
-    assert "quoted-scaled-rate-vs-direct" not in rows
+    rc, err, rows = run("congruence", *argv)
+    assert rc in (0, 1) and err == ""
+    by_check = _by_check(rows)
+    assert by_check["quoted-scaled-rate-points"][2] == 0.0
+    assert "quoted-scaled-rate-vs-direct" not in by_check
 
 
 @pytest.mark.parametrize("e_tilde", ("1e52", "1e80", "1e100"))
-def test_cli_congruence_huge_e_tilde_writes_a_report(e_tilde, capsys):
+def test_cli_congruence_huge_e_tilde_writes_a_report(e_tilde):
     # E enters the rates only through x = w/E^2, so no E^2 w or E^4 product
     # overflows.  At E = 1e52, x^6 and 4 b^2 x^3 underflow to 0 while x^3
     # stays subnormal; the quoted domain test compares x with cbrt(4 b^2)
     # and keeps these points out of the comparison.  The failing rows are
     # the three whose tolerances are absolute, while their values scale
     # with E.
-    from lbverify import cli
-
-    assert cli.main(["congruence", "--e-tilde", e_tilde]) == 1
-    out, err = capsys.readouterr()
-    assert err == ""
-    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
-    assert rows["quoted-scaled-rate-points"][2] == "0"
-    failing = {check for check, row in rows.items() if row[4] == "fail"}
+    rc, err, rows = run("congruence", "--e-tilde", e_tilde)
+    assert (rc, err) == (1, "")
+    assert _by_check(rows)["quoted-scaled-rate-points"][2] == 0.0
+    failing = {check for check, *_, verdict in rows if verdict == "fail"}
     assert failing == {"four-velocity-normalization", "expansion-covariant-divergence", "potential-gradient-covector"}
 
 
@@ -818,55 +747,46 @@ _FIXED_CELLS = [f"focusing-positive-cells[b={b:.9g}]" for b in suites.SIGN_MAP_B
         ("0.3", [*_FIXED_CELLS, "focusing-positive-cells[b=0.3]"]),
     ],
 )
-def test_cli_congruence_b_sign_map_rows(b, cells, capsys):
+def test_cli_congruence_b_sign_map_rows(b, cells):
     # A --b value that the sign map fixes adds no row; any other adds one,
     # after the fixed rows and before the discriminant.
-    from lbverify import cli
-
-    assert cli.main(["congruence", "--e-tilde", "2", "--b", b, "--samples", "64"]) == 0
-    checks = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+    rc, _, rows = run("congruence", "--e-tilde", "2", "--b", b, "--samples", "64")
+    assert rc == 0
+    checks = [check for check, *_ in rows]
     end = checks.index("focusing-reduced-discriminant")
     assert checks[end - len(cells) : end] == cells
     assert sum(check.startswith("focusing-positive-cells[") for check in checks) == len(cells)
 
 
 def test_cli_out_io_failure_exits_1(tmp_path):
-    proc = run_cli(
-        "stability", "--lambda", "3", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")
-    )
-    assert proc.returncode == 1
-    assert proc.stderr
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    result = compare_reports.run_call(cli.main, ["stability", "--lambda", "3"], str(out))
+    assert (result["rc"], result["report"]) == (1, None)
+    assert result["stderr"].startswith("lbverify: error: ")
 
 
 def test_exit_code_contract_randomized_configs():
     # In-process property check of the exit-code contract over random
     # configurations: invalid parameters are always 2, valid smoke runs 0.
-    from lbverify.cli import main
-
     rng = __import__("numpy").random.default_rng(80552)
     for _ in range(25):
         lam = float(rng.uniform(-2.0, 12.0))
         xi = float(rng.uniform(-2.0, 2.0))
         samples = int(rng.integers(0, 200))
-        argv = ["verify", "--lambda", str(lam), "--xi", str(xi), "--samples", str(samples), "--out", "/dev/null"]
-        code = main(argv)
+        code = run("verify", "--lambda", str(lam), "--xi", str(xi), "--samples", str(samples))[0]
         if lam <= 0.0 or samples < 2:
             assert code == 2
         else:
             assert code == 0
     for _ in range(10):
         e_tilde = float(rng.uniform(-2.0, 2.0))
-        argv = ["congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", str(e_tilde),
-                "--samples", "64", "--out", "/dev/null"]
-        code = main(argv)
+        code = run("congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", str(e_tilde), "--samples", "64")[0]
         assert code == (0 if abs(e_tilde) >= 1.0 else 2)
 
 
 def test_main_reuses_parser_across_calls(tmp_path, capsys):
     # main keeps one parser per process: repeated and interleaved calls give
     # the same bytes, and a parse error still exits 2 with argparse's message.
-    from lbverify import cli
-
     argv = ["tortoise", "--xi", "0.5", "--samples", "33"]
     outputs = []
     for i, extra in enumerate(([], ["--format", "json"], [])):
@@ -875,19 +795,18 @@ def test_main_reuses_parser_across_calls(tmp_path, capsys):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[2] != outputs[1]
     assert cli._parser() is cli._parser()
-    for _ in range(2):
+    many = (["tortoise", "--samples", "many"], "argument --samples: invalid int value: 'many'")
+    for bad, message in 2 * (many, ([], "the following arguments are required: subcommand")):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["tortoise", "--samples", "many"])
+            cli.main(bad)
         assert excinfo.value.code == 2
-        assert "argument --samples: invalid int value: 'many'" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"lbverify: error: {message}\n")
 
 
 def test_cli_energy_green():
-    proc = run_cli("energy", "--lambda", "3", "--xi", "0", "--samples", "257")
-    assert proc.returncode == 0
-    lines = proc.stdout.decode().strip().split("\n")
-    sec_rows = [l for l in lines if l.startswith("energy-SEC-holds-fraction")]
-    assert len(sec_rows) == 1 and ",0," in sec_rows[0]
+    rc, _, rows = run("energy", "--lambda", "3", "--xi", "0", "--samples", "257")
+    assert rc == 0
+    assert [value for check, _, value, _, _ in rows if check.startswith("energy-SEC-holds-fraction")] == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -913,15 +832,12 @@ def test_cli_energy_green():
     ids=("tortoise-tiny-lambda", "tortoise-huge-lambda", "congruence-lambda-1e4", "congruence-lambda-1e12",
          "congruence-near-turning-point"),
 )
-def test_cli_finite_difference_steps_scale_with_a(argv, code, failing, tmp_path):
+def test_cli_finite_difference_steps_scale_with_a(argv, code, failing):
     # Every stencil step is a fraction of the de Sitter length a, so no row
     # fails on a step that is too wide or too narrow for the window.
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
-    assert cli.main([*argv, "--out", str(out)]) == code
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert [r["check"] for r in rows if r["verdict"] == "fail"] == failing
+    rc, _, rows = run(*argv)
+    assert rc == code
+    assert [check for check, *_, verdict in rows if verdict == "fail"] == failing
 
 
 @pytest.mark.parametrize(
@@ -934,49 +850,45 @@ def test_cli_finite_difference_steps_scale_with_a(argv, code, failing, tmp_path)
     ],
     ids=("lambda-3-xi-0", "lambda-3-xi-1", "lambda-1-xi-0", "lambda-1-xi-1"),
 )
-def test_cli_congruence_oracles_score_every_point_near_a_turning_point(lam, xi, r_min, r_max, tmp_path):
+def test_cli_congruence_oracles_score_every_point_near_a_turning_point(lam, xi, r_min, r_max):
     # All 58 admissible radii lie within 1e-3 E^2 of the turning point
     # (r = -a log 2 at xi = 0, shifted at xi = 1).  The chain-rule and
     # divergence rows read jets at each of them, so they score nonzero
     # rounding, not 0 over no point.  The jet of w takes the scan's value,
     # so E^2 - w agrees on both sides also where a is not a power of two.
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
     argv = ["congruence", "--lambda", lam, "--xi", xi, "--e-tilde", "2", "--samples", "64"]
-    assert cli.main([*argv, "--r-min", r_min, "--r-max", r_max, "--out", str(out)]) == 0
-    rows = {r["check"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
-    assert float(rows["timelike-admissible-points"]["value"]) == 58.0
+    rc, _, rows = run(*argv, "--r-min", r_min, "--r-max", r_max)
+    assert rc == 0
+    by_check = _by_check(rows)
+    assert by_check["timelike-admissible-points"][2] == 58.0
     for check in ("rate-chain-rule-rel", "expansion-covariant-divergence"):
-        assert rows[check]["verdict"] == "pass"
-        assert 0.0 < float(rows[check]["value"]) <= 1e-3 * float(rows[check]["tolerance"]), check
+        _, _, value, tolerance, verdict = by_check[check]
+        assert verdict == "pass"
+        assert 0.0 < value <= 1e-3 * tolerance, check
 
 
 @pytest.mark.parametrize(
     "e_tilde", [repr(math.sqrt(1.5 * 2 ** (2 / 3))), repr(math.nextafter(math.sqrt(1.5 * 2 ** (2 / 3)), 2.0))]
 )
-def test_cli_congruence_chain_rule_row_passes_at_a_root_of_the_rate(e_tilde, tmp_path):
+def test_cli_congruence_chain_rule_row_passes_at_a_root_of_the_rate(e_tilde):
     # At xi = 1 the grid point r = 0 has w' = 0, and E^2 = 1.5 w(0) zeroes
     # the rate there: exactly at the first E, from cancelling terms at the
     # next double.  The row divides by the scan's largest rate, not by the
     # rate at each point, so neither is a division by zero or a false fail.
-    from lbverify import cli
-
-    out = tmp_path / "report.csv"
-    assert cli.main(["congruence", "--xi", "1", "--e-tilde", e_tilde, "--out", str(out)]) == 0
-    rows = {r["check"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
-    assert rows["rate-chain-rule-rel"]["verdict"] == "pass"
-    assert float(rows["rate-chain-rule-rel"]["value"]) <= 1e-9
+    rc, _, rows = run("congruence", "--xi", "1", "--e-tilde", e_tilde)
+    assert rc == 0
+    _, _, value, _, verdict = _by_check(rows)["rate-chain-rule-rel"]
+    assert verdict == "pass"
+    assert value <= 1e-9
 
 
 def test_cli_potential_stencil_between_near_turning_ends():
     # The middle admissible radius has E^2 - w of about 1e-9 E^2, so both
     # ends of the potential stencil (h of about 1e-14) lie within 1e-9 E^2
     # of the turning point r = -log(2).
-    proc = run_cli(
+    rc, stderr, rows = run(
         "congruence", "--lambda", "3", "--xi", "0", "--e-tilde", "2",
         "--r-min", "-0.6931471803199453", "--r-max", "-0.6931471802999453", "--samples", "3",
     )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
-    assert [r["verdict"] for r in rows if r["check"] == "potential-gradient-covector"] == ["pass"]
+    assert (rc, stderr) == (0, "")
+    assert [verdict for check, *_, verdict in rows if check == "potential-gradient-covector"] == ["pass"]

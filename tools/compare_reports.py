@@ -5,11 +5,11 @@
 The calls are every call of the four ``perfbench/catalog/*.json`` files and
 every ``CONFIGS`` entry of ``tests/test_golden.py``, both read from
 CHANGE_DIR.  For each tree one subprocess imports ``lbverify`` from that
-tree's ``src/`` and runs every call in process through
-``lbverify.cli.main``, each with its report written to a file and its
-stderr captured.  It then runs every call a second time, in reverse order,
-in the same process: a report must not depend on the calls before it.  The
-two subprocesses run side by side.
+tree's ``src/`` and runs every call in process through ``run_call``, which
+it imports from this script's directory, never from the tree, so that a
+parent older than ``run_call`` still compares.  It then runs every call a
+second time, in reverse order, in the same process: a report must not
+depend on the calls before it.  The two subprocesses run side by side.
 
 The script prints the call count, the number of calls that are
 byte-identical (report, stderr and exit code), and the largest relative move
@@ -21,19 +21,23 @@ alarming; the slack share says how close it came to a difference.  It exits 1
 when any call differs in exit code, in stderr, in its sequence of
 (check, location, tolerance, verdict) rows, in a row value by more than
 its ``slack``, REL * |old value| + old tolerance, or in a JSON report's
-``meta`` keys or ``tool_version``, or when a call's exit code, stderr or
+``meta`` keys or ``tool_version``, when a report does not parse (a CSV
+report without its header line), or when a call's exit code, stderr or
 report differs between its two runs in one tree (printed as
 ``ORDER-DEPENDENT``), and 0 otherwise.  It uses the standard library only
 and writes nothing under either tree.
 
 In ``tools/`` and ``tests/`` this module owns the report-identity rules:
-``slack``, ``parse`` and the in-process runner ``start``/``finish``.
-``tests/test_golden.py`` and ``tools/edge_matrix.py`` import them.
+``slack``, ``parse``, the one in-process CLI call ``run_call``, and the
+child runner ``start``/``finish`` built on it.  ``tools/edge_matrix.py`` and
+the golden SIMD test run through ``start``/``finish``; ``test_golden``,
+``test_report_cli`` and ``test_energy_conditions`` call ``run_call``.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -41,49 +45,62 @@ import math
 import os
 import subprocess
 import sys
+import traceback
+import warnings
 from pathlib import Path
 
 CATALOGS = ("audit-dense", "cli-cold", "scan-scalar", "tortoise-channels")
 
 #: Relative slack of a row value, beside the row's own tolerance.
 REL = 1e-9
+#: The first line of every CSV report.
+HEADER = ["check", "location", "value", "tolerance", "verdict"]
 
-# Runs in a fresh interpreter: argv[1] is the tree's src/, stdin the calls.
+# Runs in a fresh interpreter: argv[1] is the tree's src/, argv[2] this module's directory, stdin the calls.
 _CHILD = r"""
-import contextlib, io, json, os, sys, tempfile, traceback, warnings
+import json, os, sys, tempfile
 
-src = sys.argv[1]
+src, tools = sys.argv[1:3]
 sys.path.insert(0, src)
 import lbverify.cli
 
 if os.path.dirname(os.path.abspath(lbverify.cli.__file__)) != os.path.join(src, "lbverify"):
     sys.exit(f"imported lbverify from {lbverify.cli.__file__}, not from {src}")
+sys.path.insert(0, tools)
+from compare_reports import run_call
+
 calls = json.load(sys.stdin)
 results = []
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "report")
     for argv in calls + calls[::-1]:
-        if os.path.exists(out):
-            os.remove(out)
-        err = io.StringIO()
-        # A fresh filter per call, so that each call shows its own warnings.
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("default")
-            try:
-                rc = lbverify.cli.main(argv + ["--out", out])
-            except SystemExit as exc:
-                rc = exc.code
-            except Exception:
-                rc = "exception"
-                traceback.print_exc()
-        report = None
-        if os.path.exists(out):
-            with open(out, encoding="utf-8") as handle:
-                report = handle.read()
-        results.append({"rc": rc, "stderr": err.getvalue().replace(src, "<src>"), "report": report})
+        result = run_call(lbverify.cli.main, argv, out)
+        results.append(dict(result, stderr=result["stderr"].replace(src, "<src>")))
 # The forward run, and the reverse run back in call order.
 json.dump([results[: len(calls)], results[len(calls) :][::-1]], sys.stdout)
 """
+
+
+def run_call(main, argv: list[str], out: str) -> dict:
+    """``{"rc", "stderr", "report"}`` of one ``main(argv + ["--out", out])``, with a stale ``out`` removed first.
+
+    A fresh warnings filter per call shows the call's own warnings in its
+    stderr.  A ``SystemExit`` code is the exit code; any other exception is
+    ``"exception"``, with its traceback in stderr.
+    """
+    Path(out).unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        try:
+            rc = main(argv + ["--out", out])
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception:
+            rc = "exception"
+            traceback.print_exc()
+    report = Path(out).read_text(encoding="utf-8") if os.path.exists(out) else None
+    return {"rc": rc, "stderr": err.getvalue(), "report": report}
 
 
 def load_calls(tree: Path) -> list[list[str]]:
@@ -103,7 +120,7 @@ def start(tree: Path, calls: list[list[str]], extra_env: dict[str, str] | None =
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **(extra_env or {}))
     env.pop("PYTHONPATH", None)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _CHILD, str((tree / "src").resolve())],
+        [sys.executable, "-c", _CHILD, str((tree / "src").resolve()), str(Path(__file__).resolve().parent)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
     )
     proc.stdin.write(json.dumps(calls))
@@ -120,7 +137,10 @@ def finish(proc: subprocess.Popen, tree: Path) -> list[list[dict]]:
 
 
 def parse(report: str | None, argv: list[str]) -> tuple[dict, list[tuple[str, str, float, float, str]]]:
-    """The ``meta`` object ({} for CSV) and the (check, location, value, tolerance, verdict) rows of a report."""
+    """The ``meta`` object ({} for CSV) and the (check, location, value, tolerance, verdict) rows of a report.
+
+    No report (None) has no rows; a CSV report without its header line raises ValueError.
+    """
     if report is None:
         return {}, []
     if "--format" in argv and argv[argv.index("--format") + 1] == "json":
@@ -129,8 +149,10 @@ def parse(report: str | None, argv: list[str]) -> tuple[dict, list[tuple[str, st
             (r["check"], r["location"], float(r["value"]), float(r["tolerance"]), r["verdict"]) for r in doc["rows"]
         ]
         return doc["meta"], table
-    table = list(csv.reader(io.StringIO(report)))[1:]
-    return {}, [(check, loc, float(value), float(tol), verdict) for check, loc, value, tol, verdict in table]
+    table = list(csv.reader(io.StringIO(report)))
+    if table[:1] != [HEADER]:
+        raise ValueError(f"the first line of the CSV report of {argv} is not {','.join(HEADER)}")
+    return {}, [(check, loc, float(value), float(tol), verdict) for check, loc, value, tol, verdict in table[1:]]
 
 
 def relative_move(old: float, new: float) -> float:
@@ -173,11 +195,15 @@ def main(argv: list[str] | None = None) -> int:
         if old == new:
             identical += 1
             continue
-        (old_meta, old_rows), (new_meta, new_rows) = parse(old["report"], argv), parse(new["report"], argv)
         if old["rc"] != new["rc"]:
             failures.append(f"{argv}: exit code {old['rc']} -> {new['rc']}")
         if old["stderr"] != new["stderr"]:
             failures.append(f"{argv}: stderr {old['stderr']!r} -> {new['stderr']!r}")
+        try:
+            (old_meta, old_rows), (new_meta, new_rows) = parse(old["report"], argv), parse(new["report"], argv)
+        except ValueError as exc:
+            failures.append(f"{argv}: unparsable report: {exc}")
+            continue
         if old_meta.keys() != new_meta.keys() or old_meta.get("tool_version") != new_meta.get("tool_version"):
             failures.append(f"{argv}: the meta keys or tool_version differ")
         for key in ("a", "lambda", "xi"):

@@ -22,7 +22,8 @@ The calls run in process in one child interpreter, through the runner of
 
     <argv> | exit <code> | <stderr line> | <failing checks, sorted>
 
-with ``-`` for an empty stderr or no failing check.  It prints no row
+with ``-`` for an empty stderr or no failing check, and ``no report`` for
+an exit-0 or exit-1 call that wrote no report ``parse`` reads.  It prints no row
 value, so a change in the last bits of a value (another numpy build or SIMD
 dispatch level) cannot change a line.  ``tests/edge/matrix.txt`` holds the
 table; a change that moves a line re-records it with
@@ -83,10 +84,15 @@ def radial_bound_calls() -> list[list[str]]:
 
 
 def line(argv: list[str], result: dict) -> str:
-    _, rows = parse(result["report"], argv)
-    failing = sorted({check for check, _, _, _, verdict in rows if verdict == "fail"})
+    try:
+        _, rows = parse(result["report"], argv)
+    except ValueError:
+        rows = None
+    failing = " ".join(sorted({check for check, _, _, _, verdict in rows or () if verdict == "fail"})) or "-"
+    if result["rc"] in (0, 1) and (rows is None or result["report"] is None):
+        failing = "no report"
     stderr = " / ".join(result["stderr"].splitlines())
-    return f"{' '.join(argv)} | exit {result['rc']} | {stderr or '-'} | {' '.join(failing) or '-'}"
+    return f"{' '.join(argv)} | exit {result['rc']} | {stderr or '-'} | {failing}"
 
 
 def main(argv: list[str] | None = None) -> int:
