@@ -25,6 +25,10 @@ written by the commit that introduced this test:
     python -m lbverify verify --lambda 3 --xi 1e-300 --out tests/golden/verify-tiny-xi.csv
     python -m lbverify energy --lambda 3 --xi 1e10 --out tests/golden/energy-large-xi.csv
     python -m lbverify stability --lambda 1e-300 --out tests/golden/stability-tiny-lambda.csv
+    python -m lbverify congruence --lambda 3 --xi 0.5 --e-tilde 2 --samples 9108 --out tests/golden/congruence-blocks.csv
+    python -m lbverify sweep --lambda 3:12:2 --xi 0:0.5:2 --e-tilde 2:3:2 --samples 9000 --out tests/golden/sweep-blocks.csv
+    python -m lbverify tortoise --lambda 3 --xi 0 --samples 9000 --out tests/golden/tortoise-vacuum-blocks.csv
+    python -m lbverify tortoise --lambda 3 --xi 0.5 --samples 9000 --out tests/golden/tortoise-blocks.csv
 
 The first six are the README examples; the congruence edge cases have zero
 admissible points and an extra focusing-polynomial b.  The next three were
@@ -56,7 +60,15 @@ the rounding of e^u.  ``stability-tiny-lambda`` was recorded the same way
 by the parent of the commit that reads the stability verdict from one
 spectrum rule: at lambda = 1e-300, a is about 1.7e150 and
 ``stationarity-linear`` is the subnormal 6.63e-316, the float edge of the
-stability report.  Every configuration exits 0.  A report matches its
+stability report.  The last four were recorded the same way by the parent
+of the commit that streams every report's grid in ``GRID_BLOCK`` blocks:
+``congruence-blocks`` spans three blocks, its first 16 null-rate violations
+sit at grid indices 4081-4096, across the first block edge, and its middle
+admissible radius at index 5080, in the second block; ``sweep-blocks`` folds
+each member's residual rows and its E cells' null-rate counts across three
+blocks; ``tortoise-vacuum-blocks`` folds the ``tortoise-exponential-form`` row
+across them, and both tortoise reports take every 281st radius of a
+multi-block grid.  Every configuration exits 0.  A report matches its
 golden file when the (check, location, verdict) sequence is identical and
 each value agrees within ``compare_reports.slack(ref, ref_tolerance)``,
 REL * |ref| + ref_tolerance: array and scalar evaluation orders may move the
@@ -106,6 +118,10 @@ CONFIGS = {
     "verify-tiny-xi": ["verify", "--lambda", "3", "--xi", "1e-300"],
     "energy-large-xi": ["energy", "--lambda", "3", "--xi", "1e10"],
     "stability-tiny-lambda": ["stability", "--lambda", "1e-300"],
+    "congruence-blocks": ["congruence", "--lambda", "3", "--xi", "0.5", "--e-tilde", "2", "--samples", "9108"],
+    "sweep-blocks": ["sweep", "--lambda", "3:12:2", "--xi", "0:0.5:2", "--e-tilde", "2:3:2", "--samples", "9000"],
+    "tortoise-vacuum-blocks": ["tortoise", "--lambda", "3", "--xi", "0", "--samples", "9000"],
+    "tortoise-blocks": ["tortoise", "--lambda", "3", "--xi", "0.5", "--samples", "9000"],
 }
 
 
