@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"lbverify: error: {message}\n")
 
 
+class _AfterSubcommand(argparse.Action):
+    """An output option given before the subcommand, where argparse would read its value as the subcommand."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the subcommand")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lbverify",
@@ -65,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
             " spacetime with positive cosmological constant."
         ),
     )
+    for option in ("--format", "--out"):
+        parser.add_argument(option, action=_AfterSubcommand, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     _add_common(subs.add_parser("verify", help="internal-consistency suite"), "2a")

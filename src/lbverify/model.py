@@ -41,13 +41,16 @@ _MAX_EXPONENT = 700.0
 #: Largest accepted |xi|: c1 = xi^2 must stay a finite float.
 MAX_ABS_XI = math.sqrt(sys.float_info.max)
 
-#: Largest window ``samples`` and sweep cell count; a float64 grid this size is 128 MiB.
+#: Largest window ``samples`` and sweep cell count.  A window hands out its
+#: radii ``GRID_BLOCK`` at a time, so a report's peak memory does not grow
+#: with ``samples``; a float64 grid of this size would be 128 MiB.
 MAX_GRID_SIZE = 2**24
 
-#: Points per sample of ``Window.blocks``.  A float64 temporary of 4096
-#: points is 32 KiB, below glibc's 128 KiB mmap threshold, so freed blocks
-#: are reused from the heap; a whole 65,536-point grid would make every
-#: 512 KiB temporary a fresh mapping, faulted in page by page.
+#: Points per sample of ``Window.blocks``, and so the largest grid array a
+#: report builds.  A float64 temporary of 4096 points is 32 KiB, below
+#: glibc's 128 KiB mmap threshold, so freed blocks are reused from the heap;
+#: a whole 65,536-point grid would make every 512 KiB temporary a fresh
+#: mapping, faulted in page by page.
 GRID_BLOCK = 4096
 
 
@@ -77,8 +80,8 @@ class SolutionParams:
 
 class MetricSample:
     """All radial profile quantities at one radius (or one grid), built from
-    q = 2kr + 2 log|xi|; ``metric_eval``, ``Window.sample`` and
-    ``Window.blocks`` return it.
+    q = 2kr + 2 log|xi|; ``metric_eval``, ``Window.sample``, ``Window.block``
+    and ``Window.blocks`` return it.
 
     r        the radius or radii
     f        f in its printed normalization
@@ -241,7 +244,8 @@ class Window:
     In order: finite ends, 2 <= samples <= ``MAX_GRID_SIZE``, (lambda, xi);
     then an end given as None defaults to -/+ half_width * a, and r_min <
     r_max within ``radial_bound``.  Every radius handed out lies between the
-    ends, so no sample is checked again.
+    ends, so no sample is checked again.  The grid is handed out by block or
+    by index, never whole, so no array of ``samples`` points is built.
     """
 
     def __init__(self, lam, xi, r_min, r_max, samples: int, half_width: float):
@@ -260,18 +264,38 @@ class Window:
         _check_range(params, (self.r_min, self.r_max))
         self.samples = samples
 
-    def radii(self, n: int | None = None) -> np.ndarray:
-        """``n`` equispaced radii from r_min to r_max, by default ``samples``."""
-        return np.linspace(self.r_min, self.r_max, n or self.samples)
+    def radii(self, index: range, n: int | None = None) -> np.ndarray:
+        """``np.linspace(r_min, r_max, n)[index]`` bit for bit, n by default ``samples``; only these radii are built.
+
+        Radius k is k * step + r_min with step = (r_max - r_min) / (n - 1),
+        or k / (n - 1) * (r_max - r_min) + r_min where that step rounds to 0
+        (linspace's branch for a subnormal step), and radius n - 1 is r_max.
+        """
+        n = n or self.samples
+        delta = self.r_max - self.r_min
+        step = delta / (n - 1)
+        k = np.arange(index.start, index.stop, index.step, dtype=float)
+        radii = k * step + self.r_min if step else k / (n - 1) * delta + self.r_min
+        if index and index[-1] == n - 1:
+            radii[-1] = self.r_max
+        return radii
 
     def location(self, n: int | None = None) -> str:
-        """The location text of a row read on ``radii(n)``."""
+        """The location text of a row read on the n-point grid, by default ``samples``."""
         return f"grid[{self.r_min:.9g};{self.r_max:.9g}]x{n or self.samples}"
 
-    def sample(self, n: int | None = None) -> MetricSample:
-        return MetricSample(self.params, self.radii(n))
+    def sample(self, n: int) -> MetricSample:
+        """The sample of the n-point grid on the window."""
+        return MetricSample(self.params, self.radii(range(n), n))
+
+    def block(self, j: int) -> MetricSample:
+        """The sample of the j-th ``GRID_BLOCK`` radii of the ``samples`` grid."""
+        start = j * GRID_BLOCK
+        return MetricSample(self.params, self.radii(range(start, min(start + GRID_BLOCK, self.samples))))
 
     def blocks(self):
-        """Samples of ``radii()`` by ``GRID_BLOCK`` points; columns are elementwise, so each is the whole grid's."""
-        grid = self.radii()
-        return (MetricSample(self.params, grid[i : i + GRID_BLOCK]) for i in range(0, self.samples, GRID_BLOCK))
+        """``block(0)``, ``block(1)``, ...: the grid in order, each block's radii built as it is reached.
+
+        Columns are elementwise, so each block's are the whole grid's.
+        """
+        return (self.block(j) for j in range(-(-self.samples // GRID_BLOCK)))

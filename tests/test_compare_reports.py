@@ -23,7 +23,7 @@ SPAWNING_TESTS = {
     "test_congruence": "the focusing facts are computed once per fresh process",
     "test_golden": "the golden calls in a child at a lower SIMD dispatch level",
     "test_compare_reports": "the tool runs each tree in its own child interpreter",
-    "test_edge_matrix": "the tool runs under an address-space cap that its child inherits",
+    "test_edge_matrix": "the tool and the peak-memory calls run under an address-space cap that a child inherits",
 }
 
 TOLERANCE_LINE = 'rpt.add_check("tortoise-channel-agreement", loc, channel_gap, 1e-8)'

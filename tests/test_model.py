@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lbverify import congruence, curvature, model, scalar_field, suites
-from lbverify.errors import ParameterDomainError
+from lbverify.errors import NumericalError, ParameterDomainError
 from lbverify.model import (
     MAX_ABS_XI,
     log_w_jet,
@@ -364,6 +364,45 @@ def test_verify_w_row_is_the_whole_grid_value_across_the_w_branch():
     assert np.array_equal(np.concatenate([block.w for block in blocks]), whole)
 
 
+_BOUND = radial_bound(params_from_xi(3.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    ("r_min", "r_max", "samples"),
+    [
+        (-2.0, 2.0, 2),
+        *((-2.0, 2.1, blocks * model.GRID_BLOCK + d) for blocks in (1, 2) for d in (-1, 0, 1)),
+        # A step that rounds to 0 (linspace's branch for it), and a subnormal one.
+        (0.0, math.nextafter(0.0, math.inf), 9000),
+        (1e-310, math.nextafter(1e-310, math.inf), 9000),
+        (0.0, 1e-310, 3),
+        (-_BOUND, _BOUND, 9000),
+        (0.95 * _BOUND, _BOUND, 9000),
+        (-_BOUND, -0.95 * _BOUND, 4097),
+    ],
+)
+def test_window_radii_are_linspace_bits(r_min, r_max, samples):
+    # The blocks and the every-k-th radii are built without the whole grid,
+    # yet each radius has the bits np.linspace gives it.
+    window = model.Window(3.0, 1.0, r_min, r_max, samples, 2.0)
+    grid = np.linspace(r_min, r_max, samples)
+    assert np.concatenate([block.r for block in window.blocks()]).tobytes() == grid.tobytes()
+    for k in {1, 2, 3, max(1, samples // 32), model.GRID_BLOCK + 1}:
+        assert window.radii(range(0, samples, k)).tobytes() == grid[::k].tobytes(), k
+    for n in (2, 9, 25):
+        assert window.sample(n).r.tobytes() == np.linspace(r_min, r_max, n).tobytes(), n
+
+
+def test_last_radius_of_the_largest_window_is_r_max():
+    # k * step + r_min rounds to 2.0999999999999996 at k = 2^24 - 1; the
+    # last radius is r_max itself, as in np.linspace.
+    window = model.Window(3.0, 1.0, -2.0, 2.1, model.MAX_GRID_SIZE, 2.0)
+    last = model.MAX_GRID_SIZE - 1
+    assert (last * ((2.1 + 2.0) / last) - 2.0) != 2.1
+    assert window.radii(range(last, last + 1)).tolist() == [2.1]
+    assert window.block(last // model.GRID_BLOCK).r[-1] == 2.1
+
+
 def test_scalar_radius_gets_the_array_bits():
     # Every column at a radius depends on that radius alone: a scalar r and
     # the same r inside a 3-point array give the same bits, in every column
@@ -661,6 +700,29 @@ def test_congruence_report_takes_one_potential_quadrature(monkeypatch):
     assert calls == [(0, 0)]
 
 
+def test_congruence_scans_each_block_once(monkeypatch):
+    # A one-block window is scanned once.  At 9108 samples (three blocks)
+    # the middle admissible radius, grid index 5080, lies in the second
+    # block, which alone is scanned again for the potential-gradient row.
+    scans = []
+    scan = congruence.kinematics_scan
+
+    def recording(sample, cfg):
+        scans.append((sample.r.size, float(sample.r[0])))
+        return scan(sample, cfg)
+
+    monkeypatch.setattr(congruence, "kinematics_scan", recording)
+    suites.build_congruence_report(3.0, 0.5, 2.0)
+    assert scans == [(257, -2.0)]
+    scans.clear()
+    rows = suites.build_congruence_report(3.0, 0.5, 2.0, samples=9108).rows
+    second = (model.GRID_BLOCK, float(np.linspace(-2.0, 2.0, 9108)[model.GRID_BLOCK]))
+    assert scans == [(model.GRID_BLOCK, -2.0), second, (916, scans[2][1]), second]
+    assert [row.location for row in rows if row.check == "potential-gradient-covector"] == [
+        f"r={np.linspace(-2.0, 2.0, 9108)[5080]:.9g}"
+    ]
+
+
 def test_verify_folds_noether_rows_across_blocks(monkeypatch):
     # A non-constant stand-in for log J makes both Noether rows depend on
     # every block: the folded values must be the whole-grid ones.
@@ -671,3 +733,13 @@ def test_verify_folds_noether_rows_across_blocks(monkeypatch):
     assert rows["noether-constancy-rel"] == pytest.approx((j.max() - j.min()) / j.mean(), rel=1e-13)
     rows = {row.check: row.value for row in suites.build_verify_report(3.0, 0.0, samples=samples).rows}
     assert rows["noether-zero"] == j.max()
+
+
+def test_a_nan_in_a_later_block_reaches_the_folded_row(monkeypatch):
+    # A NaN at grid index 5000, in the second of three blocks, makes that
+    # block's noether-zero maximum NaN; the fold keeps it, as a whole-grid
+    # max would, and the row raises.
+    r_nan = np.linspace(-2.0, 2.0, 9000)[5000]
+    monkeypatch.setattr(scalar_field, "log_noether", lambda params, sample: np.where(sample.r == r_nan, np.nan, -5.0))
+    with pytest.raises(NumericalError, match="noether-zero"):
+        suites.build_verify_report(3.0, 0.0, samples=9000)

@@ -265,25 +265,31 @@ def test_cli_unknown_subcommand_usage_on_stderr():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "message"),
     [
-        ("verify", "--xi", "abc"),
-        ("verify", "--bogus"),
-        (),
-        ("nosuch",),
-        ("sweep", "--samples", "x"),
-        ("verify", "--samples", "2.5"),
+        (("verify", "--xi", "abc"), "argument --xi: invalid float value: 'abc'"),
+        (("verify", "--bogus"), "unrecognized arguments: --bogus"),
+        ((), "--out goes after the subcommand"),
+        (("nosuch",), "argument subcommand: invalid choice: 'nosuch'"),
+        (("sweep", "--samples", "x"), "argument --samples: invalid int value: 'x'"),
+        (("verify", "--samples", "2.5"), "argument --samples: invalid int value: '2.5'"),
+        (("--out", "FILE", "verify"), "--out goes after the subcommand"),
+        (("--format", "json", "verify"), "--format goes after the subcommand"),
     ],
-    ids=("bad-float", "unknown-flag", "no-subcommand", "unknown-subcommand", "sweep-bad-int", "float-samples"),
+    ids=(
+        "bad-float", "unknown-flag", "no-subcommand", "unknown-subcommand", "sweep-bad-int", "float-samples",
+        "out-before-subcommand", "format-before-subcommand",
+    ),
 )
-def test_argparse_errors_are_one_line(argv):
-    # With --out appended, no-subcommand reads the out path as an unknown
-    # subcommand; test_main_reuses_parser_across_calls calls main with no
-    # argument at all.
+def test_argparse_errors_are_one_line(argv, message):
+    # --out PATH is appended, so with no subcommand it is the misplaced
+    # option; test_main_reuses_parser_across_calls calls main with no
+    # argument at all.  An output option before the subcommand is named,
+    # not its value read as the subcommand.
     rc, err, rows = run(*argv)
     assert (rc, rows) == (2, None)
     assert len(err.splitlines()) == 1 and err.endswith("\n")
-    assert err.startswith("lbverify: error: ")
+    assert err.startswith(f"lbverify: error: {message}")
 
 
 def test_cli_window_validation():
