@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _AfterSubcommand(argparse.Action):
-    """An output option given before the subcommand, where argparse would read its value as the subcommand."""
+    """A subcommand option given before the subcommand, where argparse would read its value as the subcommand."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         parser.error(f"{option_string} goes after the subcommand")
@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
             " spacetime with positive cosmological constant."
         ),
     )
-    for option in ("--format", "--out"):
-        parser.add_argument(option, action=_AfterSubcommand, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     _add_common(subs.add_parser("verify", help="internal-consistency suite"), "2a")
@@ -94,6 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--e-tilde", dest="e_spec", default="2", help="value or start:stop:count")
     sub.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     _add_output(sub)
+    # Every subcommand option is named when it comes first, in the
+    # subcommands' order, so that an ambiguous prefix lists its matches as
+    # the subcommand would.
+    options = (option for choice in subs.choices.values() for option in choice._option_string_actions)
+    for option in dict.fromkeys(options):
+        if option not in ("-h", "--help"):
+            parser.add_argument(option, action=_AfterSubcommand, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return parser
 
 

@@ -627,10 +627,13 @@ def test_tortoise_report_integrates_each_panel_once(monkeypatch):
     assert np.max(hi - lo) <= (grid[1] - grid[0]) * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("samples", (65, 513))
-def test_tortoise_report_runs_2f1_only_at_the_radii_it_reads(monkeypatch, samples):
+@pytest.mark.parametrize(
+    ("xi", "samples"), [(0.5, 65), (0.5, 513), (0.0, 65), (0.0, 513)], ids=("65", "513", "vacuum-65", "vacuum-513")
+)
+def test_tortoise_report_runs_2f1_only_at_the_radii_it_reads(monkeypatch, xi, samples):
     # 33 channel radii, the 9-point derivative stencil's 18 and the r = 0
-    # constant of the channel: 52, whatever the grid density, in one call.
+    # constant of the channel: 52, whatever the grid density or member
+    # (the vacuum member too), in one call.
     calls = []
     series = congruence.gauss_2f1_series
 
@@ -639,7 +642,7 @@ def test_tortoise_report_runs_2f1_only_at_the_radii_it_reads(monkeypatch, sample
         return series(a, b, c, z)
 
     monkeypatch.setattr(congruence, "gauss_2f1_series", counted)
-    assert suites.build_tortoise_report(3.0, 0.5, samples=samples).exit_code() == 0
+    assert suites.build_tortoise_report(3.0, xi, samples=samples).exit_code() == 0
     assert calls == [(52,)]
 
 
@@ -657,21 +660,6 @@ def test_tortoise_report_makes_one_series_and_one_quadrature_call(monkeypatch):
     # The series at 33 checked radii, both sides of the 9-point stencil and
     # r = 0; the quadrature at the 33 checked radii.
     assert calls == [("tortoise_series", (52,)), ("tortoise_quadrature", (33,))]
-
-
-def test_tortoise_vacuum_report_compares_the_whole_grid(monkeypatch, vacuum):
-    seen = []
-    series = congruence.tortoise_series
-
-    def recording(params, r):
-        seen.append(np.array(r))
-        return series(params, r)
-
-    monkeypatch.setattr(congruence, "tortoise_series", recording)
-    rpt = suites.build_tortoise_report(3.0, 0.0, samples=65)
-    assert [row.check for row in rpt.rows][-1] == "tortoise-exponential-form"
-    grid = np.linspace(-vacuum.a, vacuum.a, 65)
-    assert any(np.array_equal(r, grid) for r in seen)
 
 
 def test_tortoise_series_is_elementwise(unit_xi):

@@ -42,7 +42,7 @@ def test_edge_matrix_matches_the_recorded_table():
     )
     assert proc.returncode == 0, proc.stderr
     recorded, rerun = MATRIX.read_text(encoding="utf-8").splitlines(), proc.stdout.splitlines()
-    assert len(rerun) == len(recorded) == 803
+    assert len(rerun) == len(recorded) == 805
     moved = [f"{old}  ->  {new}" for old, new in zip(recorded, rerun) if old != new]
     assert not moved, "\n".join(moved[:20])
 
@@ -70,9 +70,7 @@ def test_radial_bound_windows_end_at_the_models_radial_bound():
         (["congruence", "--e-tilde", "2"], 1 << 22),
         (["sweep"], 1 << 22),
         (["tortoise", "--xi", "1"], 1 << 22),
-        # The xi = 0 exponential-form row sums a 64-term 2F1 chunk per
-        # radius, about 6.7 ms per block: a quarter of the size keeps it short.
-        (["tortoise", "--xi", "0"], 1 << 20),
+        (["tortoise", "--xi", "0"], 1 << 22),
     ],
     ids=("verify", "energy", "congruence", "sweep", "tortoise", "tortoise-vacuum"),
 )

@@ -33,10 +33,10 @@ written by the commit that introduced this test:
 The first six are the README examples; the congruence edge cases have zero
 admissible points and an extra focusing-polynomial b.  The next three were
 added by a later commit, from the code of its parent: ``tortoise-vacuum`` is
-the only configuration with the ``tortoise-exponential-form`` row,
-``tortoise-window`` has an asymmetric window and a quadrature-channel stride
-of 3, and ``verify-vacuum`` has the ``noether-zero`` row and the
-``ricci-dual-path`` stencil at a = 2.  The last three were added the same
+the vacuum member's series at q = -inf, ``tortoise-window`` has an
+asymmetric window and a quadrature-channel stride of 3, and
+``verify-vacuum`` is the vacuum member's verify report, with the
+``ricci-dual-path`` radii at a = 2.  The last three were added the same
 way: ``energy-vacuum-window`` is the vacuum member on an asymmetric
 two-point window (the smallest energy grid, whose one interval per holding
 condition is the window itself), ``sweep-subunit`` has rows with E < 1 and
@@ -48,7 +48,7 @@ adds no second ``focusing-roots-found[b=0]`` row.  The
 ``*-blocks`` three were recorded by the parent of the commit that evaluates
 dense grids in ``GRID_BLOCK`` blocks (now ``model.GRID_BLOCK``): at 9000 samples they span two
 full blocks and a remainder, so every row folded across blocks (including
-``noether-zero`` and the energy hold masks) crosses a block boundary.  The huge-xi and tiny-xi
+the energy hold masks) crosses a block boundary.  The huge-xi and tiny-xi
 three were recorded, the same way, by the parent of the commit that computes
 each model quantity once per dense block: at xi = 1e154 w is composed through
 log|xi| and q = 2kr + 2 log|xi| reaches about +721, at xi = 1e-300 it reaches
@@ -66,9 +66,11 @@ of the commit that streams every report's grid in ``GRID_BLOCK`` blocks:
 sit at grid indices 4081-4096, across the first block edge, and its middle
 admissible radius at index 5080, in the second block; ``sweep-blocks`` folds
 each member's residual rows and its E cells' null-rate counts across three
-blocks; ``tortoise-vacuum-blocks`` folds the ``tortoise-exponential-form`` row
-across them, and both tortoise reports take every 281st radius of a
-multi-block grid.  Every configuration exits 0.  A report matches its
+blocks; both tortoise reports take every 281st radius of a multi-block
+grid.  The four xi = 0 tortoise and verify goldens were re-recorded, with
+their commands above, by the commit that deletes the two xi = 0 rows that
+read 0 by construction, ``tortoise-exponential-form`` and ``noether-zero``.
+Every configuration exits 0.  A report matches its
 golden file when the (check, location, verdict) sequence is identical and
 each value agrees within ``compare_reports.slack(ref, ref_tolerance)``,
 REL * |ref| + ref_tolerance: array and scalar evaluation orders may move the

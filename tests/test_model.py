@@ -731,15 +731,19 @@ def test_verify_folds_noether_rows_across_blocks(monkeypatch):
     j = np.exp(np.sin(3.0 * np.linspace(-2.0, 2.0, samples)) - 5.0)
     rows = {row.check: row.value for row in suites.build_verify_report(3.0, 1.0, samples=samples).rows}
     assert rows["noether-constancy-rel"] == pytest.approx((j.max() - j.min()) / j.mean(), rel=1e-13)
-    rows = {row.check: row.value for row in suites.build_verify_report(3.0, 0.0, samples=samples).rows}
-    assert rows["noether-zero"] == j.max()
 
 
 def test_a_nan_in_a_later_block_reaches_the_folded_row(monkeypatch):
     # A NaN at grid index 5000, in the second of three blocks, makes that
-    # block's noether-zero maximum NaN; the fold keeps it, as a whole-grid
-    # max would, and the row raises.
+    # block's field-equation-residual maximum NaN; the fold keeps it, as a
+    # whole-grid max would, and the first row that reads it raises.
     r_nan = np.linspace(-2.0, 2.0, 9000)[5000]
-    monkeypatch.setattr(scalar_field, "log_noether", lambda params, sample: np.where(sample.r == r_nan, np.nan, -5.0))
-    with pytest.raises(NumericalError, match="noether-zero"):
-        suites.build_verify_report(3.0, 0.0, samples=9000)
+    ricci_mixed = curvature.ricci_mixed
+
+    def nan_at_r_nan(sample):
+        r_nn, r_rr = ricci_mixed(sample)
+        return np.where(sample.r == r_nan, np.nan, r_nn), r_rr
+
+    monkeypatch.setattr(suites, "ricci_mixed", nan_at_r_nan)
+    with pytest.raises(NumericalError, match="'exponent-system-residual'"):
+        suites.build_verify_report(3.0, 1.0, samples=9000)

@@ -275,16 +275,20 @@ def test_cli_unknown_subcommand_usage_on_stderr():
         (("verify", "--samples", "2.5"), "argument --samples: invalid int value: '2.5'"),
         (("--out", "FILE", "verify"), "--out goes after the subcommand"),
         (("--format", "json", "verify"), "--format goes after the subcommand"),
+        (("--lambda", "3", "verify"), "--lambda goes after the subcommand"),
+        (("--samples", "9", "verify"), "--samples goes after the subcommand"),
+        (("--e-tilde", "2", "congruence"), "--e-tilde goes after the subcommand"),
     ],
     ids=(
         "bad-float", "unknown-flag", "no-subcommand", "unknown-subcommand", "sweep-bad-int", "float-samples",
-        "out-before-subcommand", "format-before-subcommand",
+        "out-before-subcommand", "format-before-subcommand", "lambda-before-subcommand",
+        "samples-before-subcommand", "e-tilde-before-subcommand",
     ),
 )
 def test_argparse_errors_are_one_line(argv, message):
     # --out PATH is appended, so with no subcommand it is the misplaced
     # option; test_main_reuses_parser_across_calls calls main with no
-    # argument at all.  An output option before the subcommand is named,
+    # argument at all.  A subcommand option before the subcommand is named,
     # not its value read as the subcommand.
     rc, err, rows = run(*argv)
     assert (rc, rows) == (2, None)

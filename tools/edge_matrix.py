@@ -15,7 +15,9 @@ parts:
   and [-b, -0.95b], with b the model's radial bound, at lambda in
   {1e-300, 3, 1e300} x xi in {0, 1, 1e154} (108 calls);
 - ``TINY_LAMBDA_CALLS``: ``tortoise`` at lambda = 1e-12 and 1e-300, every
-  other option at its default (2 calls).
+  other option at its default (2 calls);
+- ``HUGE_XI_CALLS``: ``tortoise --xi 1e20`` at ``--samples 65`` and ``257``
+  (2 calls).
 
 The calls run in process in one child interpreter, through the runner of
 ``tools/compare_reports.py``.  The script prints one line per call:
@@ -56,6 +58,10 @@ _MAX_EXPONENT = 700.0
 #: a = sqrt(3 / lambda) reaches 1.7e6 and 1.7e150: the quadrature channel
 #: integrates O(a) panels, whose Gauss-Kronrod estimates sit at rounding level.
 TINY_LAMBDA_CALLS = [["tortoise", "--lambda", "1e-12"], ["tortoise", "--lambda", "1e-300"]]
+#: At xi = 1e20 the series' complete-beta constant dwarfs its variable term
+#: past q = 0, so the derivative row's central difference T(r + h) - T(r - h)
+#: is mostly rounding.
+HUGE_XI_CALLS = [["tortoise", "--xi", "1e20", "--samples", samples] for samples in ("65", "257")]
 
 
 def default_window_calls() -> list[list[str]]:
@@ -101,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python tools/edge_matrix.py [TREE]", file=sys.stderr)
         return 2
     tree = Path(args[0]) if args else Path(__file__).resolve().parents[1]
-    calls = default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS
+    calls = default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS + HUGE_XI_CALLS
     first, again = finish(start(tree, calls), tree)
     for argv, result in zip(calls, first):
         print(line(argv, result))
