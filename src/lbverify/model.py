@@ -25,7 +25,6 @@ yields NumPy float scalars with the bits it gets inside any array.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,7 +49,12 @@ MAX_GRID_SIZE = 2**24
 #: report builds.  A float64 temporary of 4096 points is 32 KiB, below
 #: glibc's 128 KiB mmap threshold, so freed blocks are reused from the heap;
 #: a whole 65,536-point grid would make every 512 KiB temporary a fresh
-#: mapping, faulted in page by page.
+#: mapping, faulted in page by page.  A block's columns and the values formed
+#: from them are each one fresh array, finished in place (``out=`` and
+#: augmented assignment) by the same ufuncs on the same operands in the same
+#: order, so they keep the bits of the expressions they replace, and the
+#: report builders reduce their row temporaries in place.  The block
+#: partition sets the bits of the Noether sum.
 GRID_BLOCK = 4096
 
 
@@ -78,6 +82,34 @@ class SolutionParams:
         return math.log(abs(self.xi)) if self.xi else -math.inf
 
 
+def _out(x):
+    """The ``out=`` of a ufunc that finishes x in place: x, or None for a scalar, which ``out=`` rejects.
+
+    NumPy returns a scalar for a 0-d radius, and an object for the symbols that tests pass.
+    """
+    return x if isinstance(x, np.ndarray) else None
+
+
+class _column:
+    """A ``MetricSample`` column: computed on its first read and cached in the sample.
+
+    ``functools.cached_property`` without its per-read lock: the value lands
+    in the instance dict, which shadows this non-data descriptor from then on.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sample, owner=None):
+        if sample is None:
+            return self
+        value = sample.__dict__[self.name] = self.fn(sample)
+        return value
+
+
 class MetricSample:
     """All radial profile quantities at one radius (or one grid), built from
     q = 2kr + 2 log|xi|; ``metric_eval``, ``Window.sample``, ``Window.block``
@@ -94,62 +126,76 @@ class MetricSample:
 
     Every column is computed on first read: reading w takes neither f' nor
     f'', and reading derivatives takes neither the exp nor the log1p of f.
-    Each column at a radius depends on that radius alone.  The sample
-    carries no metric factor e^u: the curvature layers read mixed
-    components, which need none.
+    Each column at a radius depends on that radius alone.  A column is one
+    fresh array, finished in place, and never written once it is cached:
+    its readers write only into arrays they made.  At a 0-d radius every
+    column is a NumPy float scalar.  The sample carries no metric factor
+    e^u: the curvature layers read mixed components, which need none.
     """
 
     def __init__(self, params: SolutionParams, r):
         self.params, self.r = params, r
 
-    @functools.cached_property
+    @_column
     def q(self):
         return _q(self.params, self.r)
 
-    @functools.cached_property
+    @_column
     def f_p(self):
         """f' = k tanh(q/2); at q = -inf, -k."""
-        return self.params.k * np.tanh(0.5 * self.q)
+        t = np.multiply(0.5, self.q)
+        t = np.tanh(t, out=_out(t))
+        return np.multiply(self.params.k, t, out=_out(t))
 
-    @functools.cached_property
+    @_column
     def f_pp(self):
         """f'' = k^2 sech^2(q/2); at q = -inf, +0."""
-        return self.params.k * self.params.k * _sech_sq(0.5 * self.q)
+        k = self.params.k
+        s = _sech_sq(np.multiply(0.5, self.q))
+        return np.multiply(k * k, s, out=_out(s))
 
-    @functools.cached_property
+    @_column
     def f_p_sq(self):
         """f'^2, read by the f ODE residual and the quoted scalar integrand."""
         return self.f_p * self.f_p
 
-    @functools.cached_property
+    @_column
     def u_p(self):
         return (2.0 / 3.0) * self.f_p
 
-    @functools.cached_property
+    @_column
     def u_pp(self):
         return (2.0 / 3.0) * self.f_pp
 
-    @functools.cached_property
+    @_column
     def abs_q(self):
         return np.abs(self.q)
 
-    @functools.cached_property
+    @_column
     def log1p_exp_neg_abs_q(self):
         """log1p(e^-|q|); log(1 + e^q) is max(q, 0) plus it, with no overflow for finite q."""
-        return np.log1p(np.exp(-self.abs_q))
+        t = np.negative(self.abs_q)
+        t = np.exp(t, out=_out(t))
+        return np.log1p(t, out=_out(t))
 
-    @functools.cached_property
+    @_column
     def f(self):
         """f = -kr + log(1 + e^q) - log(12 lambda)/2; at xi = 0 (q = -inf), -kr - log(12 lambda)/2."""
-        log1p_exp_q = np.maximum(self.q, 0.0) + self.log1p_exp_neg_abs_q
-        return -self.params.k * self.r + log1p_exp_q - 0.5 * math.log(12.0 * self.params.lam)
+        log1p_exp_q = np.maximum(self.q, 0.0)
+        log1p_exp_q += self.log1p_exp_neg_abs_q
+        f = np.multiply(-self.params.k, self.r)
+        f += log1p_exp_q
+        f -= 0.5 * math.log(12.0 * self.params.lam)
+        return f
 
-    @functools.cached_property
+    @_column
     def u(self):
         """u_i = (2/3) f + log(12 lambda)/3."""
-        return (2.0 / 3.0) * self.f + (1.0 / 3.0) * math.log(12.0 * self.params.lam)
+        u = np.multiply(2.0 / 3.0, self.f)
+        u += (1.0 / 3.0) * math.log(12.0 * self.params.lam)
+        return u
 
-    @functools.cached_property
+    @_column
     def w(self):
         """w = e^{u_i} from its printed form (``_w_value``), not from exp(u)."""
         return _w_value(self.params, self.r)
@@ -186,15 +232,23 @@ def _check_range(params: SolutionParams, r) -> None:
 
 
 def _sech_sq(x):
-    """Stable sech(x)^2 for any real x."""
-    e = np.exp(-np.abs(x))
-    s = 2.0 * e / (1.0 + e * e)
-    return s * s
+    """Stable sech(x)^2 for any real x, finished in x's buffer: the caller's own temporary."""
+    x = np.abs(x, out=_out(x))
+    x = np.negative(x, out=_out(x))
+    e = np.exp(x, out=_out(x))
+    d = np.multiply(e, e)
+    d = np.add(1.0, d, out=_out(d))
+    s = np.multiply(2.0, e, out=_out(e))
+    s /= d
+    s *= s
+    return s
 
 
 def _q(params: SolutionParams, r):
     """q = 2kr + 2 log|xi|, so that c1 e^{2kr} - c2 = e^q + 1; -inf at xi = 0."""
-    return 2.0 * params.k * r + 2.0 * params.log_abs_xi
+    q = np.multiply(2.0 * params.k, r)
+    q += 2.0 * params.log_abs_xi
+    return q
 
 
 def _w_value(params: SolutionParams, r):
@@ -205,10 +259,21 @@ def _w_value(params: SolutionParams, r):
     and e^q leaves the power: w = e^{max(-t, t + (4/3) log|xi|)} (1 + e^{-|q|})^{2/3},
     finite inside ``radial_bound``, and e^{-t} at xi = 0 (q = -inf).
     """
-    t = 2.0 * r / params.a
+    t = np.multiply(2.0, r)
+    t /= params.a
     log_xi = params.log_abs_xi
-    q = 3.0 * t + 2.0 * log_xi
-    return np.exp(np.maximum(-t, t + (4.0 / 3.0) * log_xi)) * np.power(1.0 + np.exp(-np.abs(q)), 2.0 / 3.0)
+    q = np.multiply(3.0, t)
+    q += 2.0 * log_xi
+    neg_t = np.negative(t)
+    t += (4.0 / 3.0) * log_xi
+    e = np.maximum(neg_t, t, out=_out(t))
+    e = np.exp(e, out=_out(e))
+    q = np.abs(q, out=_out(q))
+    q = np.negative(q, out=_out(q))
+    q = np.exp(q, out=_out(q))
+    q = np.add(1.0, q, out=_out(q))
+    q = np.power(q, 2.0 / 3.0, out=_out(q))
+    return np.multiply(e, q, out=_out(e))
 
 
 def log_w_jet(params: SolutionParams, r) -> Jet:
@@ -274,8 +339,13 @@ class Window:
         n = n or self.samples
         delta = self.r_max - self.r_min
         step = delta / (n - 1)
-        k = np.arange(index.start, index.stop, index.step, dtype=float)
-        radii = k * step + self.r_min if step else k / (n - 1) * delta + self.r_min
+        radii = np.arange(index.start, index.stop, index.step, dtype=float)
+        if step:
+            radii *= step
+        else:
+            radii /= n - 1
+            radii *= delta
+        radii += self.r_min
         if index and index[-1] == n - 1:
             radii[-1] = self.r_max
         return radii

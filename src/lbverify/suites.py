@@ -40,6 +40,11 @@ def _max_abs(values) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
+def _abs_peak(temp) -> float:
+    """``_max_abs`` of a temporary the caller made: |temp| is formed in its buffer."""
+    return float(np.maximum.reduce(np.abs(temp, out=temp), initial=0.0))
+
+
 def _peak(values) -> float:
     """The largest of a row's block values, NaN if any is NaN, as ``np.max`` folds them."""
     return math.nan if any(map(math.isnan, values)) else float(max(values))
@@ -47,12 +52,15 @@ def _peak(values) -> float:
 
 def _f_ode_residual(sample, lam) -> float:
     """Largest |f'' + f'^2 - 3 lambda| on a metric sample."""
-    return _max_abs(sample.f_pp + sample.f_p_sq - 3.0 * lam)
+    residual = np.add(sample.f_pp, sample.f_p_sq)
+    residual -= 3.0 * lam
+    return _abs_peak(residual)
 
 
-def _strong_margin_error(margins, lam) -> float:
-    """Largest |rho + sum p + 2 lambda|: the strong-condition margin is -2 lambda."""
-    return _max_abs(margins.sec + 2.0 * lam)
+def _strong_margin_error(sec, lam) -> float:
+    """Largest |rho + sum p + 2 lambda|, formed in the margins' ``sec``: the strong-condition margin is -2 lambda."""
+    sec += 2.0 * lam
+    return _abs_peak(sec)
 
 
 def build_verify_report(
@@ -65,25 +73,31 @@ def build_verify_report(
 
     # Row values are folded across the grid blocks: NaN-propagating max/min
     # of the block maxima/minima, and the Noether mean as sum / samples.
+    # Each block temporary is finished and reduced in its own buffer.
     fold = defaultdict(list)
     for sample in window.blocks():
         fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
-        exponent_res = sample.u_pp + sample.u_p * sample.f_p - 2.0 * lam
-        fold["exponent-ode-residual"].append(_max_abs(exponent_res))
+        exponent_res = np.multiply(sample.u_p, sample.f_p)
+        np.add(sample.u_pp, exponent_res, out=exponent_res)
+        exponent_res -= 2.0 * lam
+        fold["exponent-ode-residual"].append(_abs_peak(exponent_res))
         ricci = ricci_mixed(sample)
         fold["field-equation-residual"].append(field_residual(ricci, lam))
         if xi != 0.0:
             # J / |xi| is O(1) for every xi; the constancy ratio is scale-free.
-            j = np.exp(scalar_field.log_noether(params, sample) - params.log_abs_xi)
-            fold["noether-max"].append(j.max())
-            fold["noether-min"].append(j.min())
-            fold["noether-sum"].append(j.sum())
+            j = scalar_field.log_noether(params, sample)
+            j -= params.log_abs_xi
+            np.exp(j, out=j)
+            fold["noether-max"].append(np.maximum.reduce(j))
+            fold["noether-min"].append(np.minimum.reduce(j))
+            fold["noether-sum"].append(np.add.reduce(j))
         constraint = scalar_field.phi_prime_sq_constraint(ricci, lam)
         quoted = scalar_field.phi_prime_sq_quoted(sample, lam)
-        fold["scalar-gradient-sq-min"].append(constraint.min())
-        fold["w-positivity-min"].append(sample.w.min())
-        fold["quoted-scalar-integrand-min"].append(quoted.min())
-        fold["quoted-integrand-vs-constraint"].append(_max_abs(quoted - constraint))
+        fold["scalar-gradient-sq-min"].append(np.minimum.reduce(constraint))
+        fold["w-positivity-min"].append(np.minimum.reduce(sample.w))
+        fold["quoted-scalar-integrand-min"].append(np.minimum.reduce(quoted))
+        quoted -= constraint
+        fold["quoted-integrand-vs-constraint"].append(_abs_peak(quoted))
     peak = lambda check: _peak(fold[check])
     least = lambda check: float(np.min(fold[check]))
 
@@ -170,19 +184,20 @@ def build_energy_report(
     for sample in window.blocks():
         ricci = ricci_mixed(sample)
         margins = ec.condition_margins(ec.stress_decompose(ricci))
-        phi_sq = scalar_field.phi_prime_sq_constraint(ricci, lam)
-        fold["transverse-null-margin"].append(_max_abs(margins.nec_t))
-        fold["strong-margin-constant"].append(_strong_margin_error(margins, lam))
-        fold["radial-null-vs-gradient-sq"].append(_max_abs(margins.nec_r - phi_sq))
-        fold["radial-null-margin-min"].append(margins.nec_r.min())
-        fold["radial-dominant-margin-min"].append(margins.dec_r.min())
         # A condition holds on the whole block iff its least minimum does, and
         # somewhere iff its largest does.  A NaN margin makes both False
-        # here, but it also makes a margin row above non-finite, which
-        # raises before the holds are read.
+        # here, but it also makes a margin row below non-finite, which
+        # raises before the holds are read.  The minima are taken before
+        # the rows below overwrite the margins they read.
         for cond, minimum in ec.condition_minima(margins).items():
-            fold[f"{cond}-everywhere"].append(bool(minimum.min() >= -hold_tol))
-            fold[f"{cond}-somewhere"].append(bool(minimum.max() >= -hold_tol))
+            fold[f"{cond}-everywhere"].append(bool(np.minimum.reduce(minimum) >= -hold_tol))
+            fold[f"{cond}-somewhere"].append(bool(np.maximum.reduce(minimum) >= -hold_tol))
+        fold["radial-null-margin-min"].append(np.minimum.reduce(margins.nec_r))
+        fold["radial-dominant-margin-min"].append(np.minimum.reduce(margins.dec_r))
+        fold["transverse-null-margin"].append(_abs_peak(margins.nec_t))
+        fold["strong-margin-constant"].append(_strong_margin_error(margins.sec, lam))
+        null_gap = np.subtract(margins.nec_r, scalar_field.phi_prime_sq_constraint(ricci, lam), out=margins.nec_r)
+        fold["radial-null-vs-gradient-sq"].append(_abs_peak(null_gap))
 
     # The phi and z rows read the one transverse margin.
     transverse = _peak(fold["transverse-null-margin"])
@@ -428,7 +443,7 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
             margins = ec.condition_margins(ec.stress_decompose(ricci))
             fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
             fold["field-equation-residual"].append(field_residual(ricci, lam))
-            fold["strong-margin-constant"].append(_strong_margin_error(margins, lam))
+            fold["strong-margin-constant"].append(_strong_margin_error(margins.sec, lam))
             for k, e_tilde in enumerate(es):
                 # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
                 # rejects a non-finite E and one whose square overflows.

@@ -23,6 +23,7 @@ SPAWNING_TESTS = {
     "test_congruence": "the focusing facts are computed once per fresh process",
     "test_golden": "the golden calls in a child at a lower SIMD dispatch level",
     "test_compare_reports": "the tool runs each tree in its own child interpreter",
+    "test_bench_pairs": "the tool runs each stub tree's perfbench/run.py in its own child interpreter",
     "test_edge_matrix": "the tool and the peak-memory calls run under an address-space cap that a child inherits",
 }
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lbverify import congruence, curvature, model, scalar_field, suites
+from lbverify import congruence, curvature, energy_conditions, model, scalar_field, suites
 from lbverify.errors import NumericalError, ParameterDomainError
 from lbverify.model import (
     MAX_ABS_XI,
@@ -266,9 +266,9 @@ def test_reading_w_takes_no_log1p(monkeypatch):
     def counted(name):
         original = getattr(np, name)
 
-        def fn(*args):
+        def fn(*args, **kwargs):
             calls.append(name)
-            return original(*args)
+            return original(*args, **kwargs)
 
         return fn
 
@@ -747,3 +747,138 @@ def test_a_nan_in_a_later_block_reaches_the_folded_row(monkeypatch):
     monkeypatch.setattr(suites, "ricci_mixed", nan_at_r_nan)
     with pytest.raises(NumericalError, match="'exponent-system-residual'"):
         suites.build_verify_report(3.0, 1.0, samples=9000)
+
+
+#: Grid index 5000 of a 9000-point grid: in the second of its three blocks.
+R_SPOILED = np.linspace(-2.0, 2.0, 9000)[5000]
+
+
+def _spoiled_column(name, value):
+    """A stand-in for the MetricSample column ``name`` with ``value`` at R_SPOILED."""
+    column = vars(model.MetricSample)[name]
+    return model.MetricSample, name, property(
+        lambda sample: np.where(sample.r == R_SPOILED, value, column.__get__(sample, model.MetricSample))
+    )
+
+
+def _spoiled_result(module, name, radii, value):
+    """A stand-in for ``module.name`` with ``value`` at R_SPOILED; ``radii`` takes its arguments to its radii."""
+    original = getattr(module, name)
+    return module, name, lambda *args: np.where(radii(*args) == R_SPOILED, value, original(*args))
+
+
+def _spoiled_ricci(component, value):
+    """A stand-in for the verify and energy blocks' ``ricci_mixed`` with ``value`` at R_SPOILED in one component."""
+
+    def ricci(sample):
+        pair = list(curvature.ricci_mixed(sample))
+        pair[component] = np.where(sample.r == R_SPOILED, value, pair[component])
+        return tuple(pair)
+
+    return suites, "ricci_mixed", ricci
+
+
+# Each row reduced in place by a block, with the stand-in that feeds its
+# reduction, and the first row that reads it.  R^n_n feeds the field
+# residual, and R^r_r the constraint phi'^2 alone.  The quoted integrand and
+# phi'^2 are reduced by their own minimum rows first, so an inf in both
+# makes the NaN in their difference alone.
+SPOILED_ROWS = {
+    "f-ode-residual": ("verify", lambda: [_spoiled_column("f_p_sq", np.nan)], "f-ode-residual"),
+    "exponent-ode-residual": ("verify", lambda: [_spoiled_column("u_pp", np.nan)], "exponent-ode-residual"),
+    "field-equation-residual": ("verify", lambda: [_spoiled_ricci(0, np.nan)], "exponent-system-residual"),
+    "noether": (
+        "verify",
+        lambda: [_spoiled_result(scalar_field, "log_noether", lambda params, sample: sample.r, np.nan)],
+        "noether-constancy-rel",
+    ),
+    "scalar-gradient-sq-min": ("verify", lambda: [_spoiled_ricci(1, np.nan)], "scalar-gradient-sq-min"),
+    "w-positivity-min": (
+        "verify", lambda: [_spoiled_result(model, "_w_value", lambda params, r: r, np.nan)], "w-positivity-min"
+    ),
+    "quoted-scalar-integrand-min": (
+        "verify",
+        lambda: [_spoiled_result(scalar_field, "phi_prime_sq_quoted", lambda sample, lam: sample.r, np.nan)],
+        "quoted-scalar-integrand-min",
+    ),
+    "quoted-integrand-vs-constraint": (
+        "verify",
+        lambda: [
+            _spoiled_result(scalar_field, "phi_prime_sq_quoted", lambda sample, lam: sample.r, np.inf),
+            _spoiled_ricci(1, np.inf),
+        ],
+        "quoted-integrand-vs-constraint",
+    ),
+    "margins": ("energy", lambda: [_spoiled_ricci(0, np.nan)], "transverse-null-margin-phi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPOILED_ROWS))
+def test_a_nan_in_a_later_block_reaches_every_row_reduced_in_place(monkeypatch, case):
+    # Every block temporary is reduced in its own buffer by NaN-propagating
+    # maximum and minimum reductions: a NaN at grid index 5000 reaches the
+    # folded row, as a whole-grid reduction would, and the first row that
+    # reads it raises.
+    report, stand_ins, first_row = SPOILED_ROWS[case]
+    for owner, name, stand_in in stand_ins():
+        monkeypatch.setattr(owner, name, stand_in)
+    build = suites.build_verify_report if report == "verify" else suites.build_energy_report
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"'{first_row}'"):
+        build(3.0, 1.0, samples=9000)
+
+
+#: Every cached column of a MetricSample.
+SAMPLE_COLUMNS = ("q", "f_p", "f_pp", "f_p_sq", "u_p", "u_pp", "abs_q", "log1p_exp_neg_abs_q", "f", "u", "w")
+
+
+def _record_columns(monkeypatch):
+    """Record each MetricSample column as it is computed: [(name, value, bytes at that moment)]."""
+    records = []
+    for name, column in vars(model.MetricSample).items():
+        if isinstance(column, model._column):
+
+            def recorded(sample, fn=column.fn, name=name):
+                value = fn(sample)
+                records.append((name, value, np.asarray(value).tobytes()))
+                return value
+
+            monkeypatch.setattr(column, "fn", recorded)
+    return records
+
+
+def _written_columns(records):
+    return [name for name, value, first in records if np.asarray(value).tobytes() != first]
+
+
+@pytest.mark.parametrize("radius", ["block", "0-d"])
+def test_no_reader_writes_into_a_sample_column(monkeypatch, radius):
+    # A column is one fresh array, never written once it is cached: the
+    # curvature, scalar-field and energy readers finish their values in
+    # arrays of their own, and at a 0-d radius every column stays a scalar.
+    records = _record_columns(monkeypatch)
+    params = params_from_xi(3.0, 0.7)
+    r = np.linspace(-2.0, 2.0, model.GRID_BLOCK) if radius == "block" else np.float64(0.3)
+    sample = metric_eval(params, r)
+    for name in SAMPLE_COLUMNS:
+        getattr(sample, name)
+    ricci = curvature.ricci_mixed(sample)
+    curvature.field_residual(ricci, params.lam)
+    scalar_field.log_noether(params, sample)
+    scalar_field.phi_prime_sq_quoted(sample, params.lam)
+    margins = energy_conditions.condition_margins(energy_conditions.stress_decompose(ricci))
+    energy_conditions.condition_minima(margins)
+    assert [name for name, _, _ in records] == list(SAMPLE_COLUMNS)
+    assert _written_columns(records) == []
+    if radius == "0-d":
+        assert [name for name, value, _ in records if not isinstance(value, np.float64)] == []
+
+
+def test_no_report_writes_into_a_sample_column(monkeypatch):
+    # The same for every column the verify, energy and sweep builders read
+    # in their blocks, where each row temporary is reduced in its own buffer.
+    records = _record_columns(monkeypatch)
+    suites.build_verify_report(3.0, 0.7, samples=9000)
+    suites.build_energy_report(3.0, 0.7, samples=9000)
+    suites.build_sweep_report("3", "0.7", "2", samples=9000)
+    assert {name for name, _, _ in records} == set(SAMPLE_COLUMNS)
+    assert _written_columns(records) == []

@@ -15,7 +15,10 @@ derived from the metric alone, by Christoffel contraction, and must be
 ``ricci_mixed``'s pair in the package sign.  At xi = 0 the exponent is
 u = -2r/a: every component is then 3/a^2 = lambda (the member without a
 scalar field is de Sitter), and the tortoise integral of 1/sqrt(w) = e^{r/a}
-is a e^{r/a}.  Both are compared with the package's floats.
+is a e^{r/a}.  Both are compared with the package's floats.  The Weyl
+tensor of ds^2 = dr^2 + w(r)(-dt^2 + dphi^2 + dz^2) vanishes for every w
+(every member is conformally flat), and so R_ab = lambda g_ab alone makes
+the xi = 0 member de Sitter.
 """
 
 import itertools
@@ -86,16 +89,22 @@ u = sp.Function("u")(r)
 METRIC = sp.diag(-sp.exp(u), 1, sp.exp(u), sp.exp(u))
 
 
+def _christoffel(metric, coords):
+    """Gamma^l_{mk} = g^{ls} (d_k g_sm + d_m g_sk - d_s g_mk) / 2, keyed (l, m, k)."""
+    inverse, axes = metric.inv(), range(len(coords))
+    d = lambda expr, k: sp.diff(expr, coords[k])
+    return {
+        (l, m, k): sum(inverse[l, s] * (d(metric[s, m], k) + d(metric[s, k], m) - d(metric[m, k], s)) for s in axes) / 2
+        for l, m, k in itertools.product(axes, repeat=3)
+    }
+
+
 def _mixed_ricci(metric, coords):
     """R^m_n by Christoffel contraction, in the package sign: minus the sphere-positive convention."""
     n, inverse = len(coords), metric.inv()
     axes = range(n)
     d = lambda expr, k: sp.diff(expr, coords[k])
-    # Gamma^l_{mk} = g^{ls} (d_k g_sm + d_m g_sk - d_s g_mk) / 2
-    gamma = {
-        (l, m, k): sum(inverse[l, s] * (d(metric[s, m], k) + d(metric[s, k], m) - d(metric[m, k], s)) for s in axes) / 2
-        for l, m, k in itertools.product(axes, repeat=3)
-    }
+    gamma = _christoffel(metric, coords)
 
     def ricci(m, k):
         """R_mk = d_l Gamma^l_mk - d_k Gamma^l_ml + Gamma^l_ls Gamma^s_mk - Gamma^l_ks Gamma^s_ml."""
@@ -147,3 +156,48 @@ def test_vacuum_tortoise_is_exponential():
         radii = np.linspace(-params.a, params.a, 5)
         want = np.array([fn(radius, params.a) for radius in radii.tolist()])
         assert np.max(np.abs(tortoise_series(params, radii) - want) / np.spacing(want)) <= 4, lam
+
+
+def _weyl(metric, coords):
+    """Every component C_{abcd} of the Weyl tensor, unsimplified.
+
+    Sphere-positive sign throughout: R^l_{smn} = d_m Gamma^l_{ns} - d_n Gamma^l_{ms}
+    + Gamma^l_{mk} Gamma^k_{ns} - Gamma^l_{nk} Gamma^k_{ms} and R_sn = R^l_{sln}; in four
+    dimensions C_abcd = R_abcd - (g_ac R_bd - g_ad R_bc - g_bc R_ad + g_bd R_ac) / 2
+    + R (g_ac g_bd - g_ad g_bc) / 6.  The Weyl tensor does not depend on the sign.
+    """
+    n, g = len(coords), metric
+    axes = range(n)
+    d = lambda expr, k: sp.diff(expr, coords[k])
+    gamma = _christoffel(metric, coords)
+    up = {
+        (l, s, m, k): d(gamma[l, k, s], m) - d(gamma[l, m, s], k)
+        + sum(gamma[l, m, j] * gamma[j, k, s] - gamma[l, k, j] * gamma[j, m, s] for j in axes)
+        for l, s, m, k in itertools.product(axes, repeat=4)
+    }
+    riemann = {(a, b, c, e): sum(g[a, l] * up[l, b, c, e] for l in axes) for a, b, c, e in up}
+    ricci = sp.Matrix(n, n, lambda b, e: sum(up[l, b, l, e] for l in axes))
+    scalar = sum(metric.inv()[b, e] * ricci[b, e] for b in axes for e in axes)
+    return [
+        riemann[a, b, c, e]
+        - (g[a, c] * ricci[b, e] - g[a, e] * ricci[b, c] - g[b, c] * ricci[a, e] + g[b, e] * ricci[a, c]) / 2
+        + scalar * (g[a, c] * g[b, e] - g[a, e] * g[b, c]) / 6
+        for a, b, c, e in itertools.product(axes, repeat=4)
+    ]
+
+
+def test_every_member_is_conformally_flat():
+    # dr^2 + w (-dt^2 + dphi^2 + dz^2) = w (dT^2 - dt^2 + dphi^2 + dz^2) with
+    # dT = dr / sqrt(w): conformal to Minkowski for every w(r), so its Weyl
+    # tensor vanishes.  R_ab proportional to g_ab then fixes the Riemann
+    # tensor, which is why xi = 0, with R^m_n = lambda delta^m_n, is de Sitter.
+    w = sp.Function("w", positive=True)(r)
+    assert [sp.simplify(component) for component in _weyl(sp.diag(-w, 1, w, w), COORDS)] == [0] * 256
+
+
+def test_distinct_transverse_exponents_are_not_conformally_flat():
+    # The negative control: -w1 dt^2 + w2 (dphi^2 + dz^2) with w1 != w2 has a Weyl tensor.
+    w1, w2 = (sp.Function(name, positive=True)(r) for name in ("w1", "w2"))
+    weyl = _weyl(sp.diag(-w1, 1, w2, w2), COORDS)
+    assert any(sp.simplify(component) != 0 for component in weyl)
+    assert [sp.simplify(component.subs(w2, w1).doit()) for component in weyl] == [0] * 256
