@@ -25,6 +25,7 @@ yields NumPy float scalars with the bits it gets inside any array.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -90,26 +91,6 @@ def _out(x):
     return x if isinstance(x, np.ndarray) else None
 
 
-class _column:
-    """A ``MetricSample`` column: computed on its first read and cached in the sample.
-
-    ``functools.cached_property`` without its per-read lock: the value lands
-    in the instance dict, which shadows this non-data descriptor from then on.
-    """
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, sample, owner=None):
-        if sample is None:
-            return self
-        value = sample.__dict__[self.name] = self.fn(sample)
-        return value
-
-
 class MetricSample:
     """All radial profile quantities at one radius (or one grid), built from
     q = 2kr + 2 log|xi|; ``metric_eval``, ``Window.sample``, ``Window.block``
@@ -136,49 +117,58 @@ class MetricSample:
     def __init__(self, params: SolutionParams, r):
         self.params, self.r = params, r
 
-    @_column
+    @functools.cached_property
     def q(self):
         return _q(self.params, self.r)
 
-    @_column
+    @functools.cached_property
     def f_p(self):
         """f' = k tanh(q/2); at q = -inf, -k."""
         t = np.multiply(0.5, self.q)
         t = np.tanh(t, out=_out(t))
         return np.multiply(self.params.k, t, out=_out(t))
 
-    @_column
+    @functools.cached_property
     def f_pp(self):
         """f'' = k^2 sech^2(q/2); at q = -inf, +0."""
+        # Stable sech(x)^2 = (2 e^-|x| / (1 + e^-2|x|))^2 at x = q/2, in buffers this column owns.
+        x = np.multiply(0.5, self.q)
+        x = np.abs(x, out=_out(x))
+        x = np.negative(x, out=_out(x))
+        e = np.exp(x, out=_out(x))
+        d = np.multiply(e, e)
+        d = np.add(1.0, d, out=_out(d))
+        s = np.multiply(2.0, e, out=_out(e))
+        s /= d
+        s *= s
         k = self.params.k
-        s = _sech_sq(np.multiply(0.5, self.q))
         return np.multiply(k * k, s, out=_out(s))
 
-    @_column
+    @functools.cached_property
     def f_p_sq(self):
         """f'^2, read by the f ODE residual and the quoted scalar integrand."""
         return self.f_p * self.f_p
 
-    @_column
+    @functools.cached_property
     def u_p(self):
         return (2.0 / 3.0) * self.f_p
 
-    @_column
+    @functools.cached_property
     def u_pp(self):
         return (2.0 / 3.0) * self.f_pp
 
-    @_column
+    @functools.cached_property
     def abs_q(self):
         return np.abs(self.q)
 
-    @_column
+    @functools.cached_property
     def log1p_exp_neg_abs_q(self):
         """log1p(e^-|q|); log(1 + e^q) is max(q, 0) plus it, with no overflow for finite q."""
         t = np.negative(self.abs_q)
         t = np.exp(t, out=_out(t))
         return np.log1p(t, out=_out(t))
 
-    @_column
+    @functools.cached_property
     def f(self):
         """f = -kr + log(1 + e^q) - log(12 lambda)/2; at xi = 0 (q = -inf), -kr - log(12 lambda)/2."""
         log1p_exp_q = np.maximum(self.q, 0.0)
@@ -188,14 +178,14 @@ class MetricSample:
         f -= 0.5 * math.log(12.0 * self.params.lam)
         return f
 
-    @_column
+    @functools.cached_property
     def u(self):
         """u_i = (2/3) f + log(12 lambda)/3."""
         u = np.multiply(2.0 / 3.0, self.f)
         u += (1.0 / 3.0) * math.log(12.0 * self.params.lam)
         return u
 
-    @_column
+    @functools.cached_property
     def w(self):
         """w = e^{u_i} from its printed form (``_w_value``), not from exp(u)."""
         return _w_value(self.params, self.r)
@@ -229,19 +219,6 @@ def _check_range(params: SolutionParams, r) -> None:
     bound = radial_bound(params)
     if np.abs(r).max(initial=0.0) > bound:
         raise ParameterDomainError(f"|r| exceeds the overflow bound {bound:.6g} for lambda={params.lam}")
-
-
-def _sech_sq(x):
-    """Stable sech(x)^2 for any real x, finished in x's buffer: the caller's own temporary."""
-    x = np.abs(x, out=_out(x))
-    x = np.negative(x, out=_out(x))
-    e = np.exp(x, out=_out(x))
-    d = np.multiply(e, e)
-    d = np.add(1.0, d, out=_out(d))
-    s = np.multiply(2.0, e, out=_out(e))
-    s /= d
-    s *= s
-    return s
 
 
 def _q(params: SolutionParams, r):

@@ -55,7 +55,7 @@ def test_pairs_alternate_and_each_metric_is_summarized(tmp_path):
     order = [(tree, int(seed)) for tree, _, seed, _, _ in runs]
     assert order == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
                      ("parent", 7), ("change", 7), ("change", 8), ("parent", 8)]
-    assert {(workload, seconds, trace) for _, workload, _, seconds, trace in runs} == {("audit-dense", "25.0", "0")}
+    assert {(workload, seconds, trace) for _, workload, _, seconds, trace in runs} == {("audit-dense", "25", "0")}
 
     document = json.loads(out.read_text())
     assert document["workloads"]["scan-scalar"] == {"kept": True}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -290,7 +291,7 @@ def test_reading_w_takes_no_tanh_and_no_sech_sq(monkeypatch):
 
     sample = metric_eval(params_from_xi(3.0, 0.7), np.linspace(-2.0, 2.0, 17))
     monkeypatch.setattr(np, "tanh", forbidden)
-    monkeypatch.setattr(model, "_sech_sq", forbidden)
+    monkeypatch.setattr(vars(model.MetricSample)["f_pp"], "func", forbidden)
     assert np.all(sample.w > 0.0)
 
 
@@ -835,14 +836,14 @@ def _record_columns(monkeypatch):
     """Record each MetricSample column as it is computed: [(name, value, bytes at that moment)]."""
     records = []
     for name, column in vars(model.MetricSample).items():
-        if isinstance(column, model._column):
+        if isinstance(column, functools.cached_property):
 
-            def recorded(sample, fn=column.fn, name=name):
+            def recorded(sample, fn=column.func, name=name):
                 value = fn(sample)
                 records.append((name, value, np.asarray(value).tobytes()))
                 return value
 
-            monkeypatch.setattr(column, "fn", recorded)
+            monkeypatch.setattr(column, "func", recorded)
     return records
 
 

@@ -1,11 +1,10 @@
 """Benchmark two checkouts of lbverify in alternating pairs of runs.
 
-    python tools/bench_pairs.py PARENT CHANGE WORKLOAD PAIRS OUT [--first-seed N] [--seconds S]
+    python tools/bench_pairs.py PARENT CHANGE WORKLOAD PAIRS OUT [--first-seed N]
 
 Pair i runs each tree's own ``perfbench/run.py --workload WORKLOAD --seed
-N+i --seconds S --trace 0`` (seeds from ``--first-seed``, 1 by default;
-25 s by default), the parent first in even pairs and the change first in
-odd ones, so that a drift of the host over the session falls on both sides.
+N+i --seconds 25 --trace 0`` (seeds from ``--first-seed``, 1 by default),
+the parent first in even pairs and the change first in odd ones, so that a drift of the host over the session falls on both sides.
 Each run's last stdout line is its metrics JSON; a run that exits non-zero
 or prints no such line stops the script with exit 1.
 
@@ -43,6 +42,9 @@ from pathlib import Path
 #: Fraction of pairs the change must win for a claimed gain.
 CLAIM_WIN_SHARE = 0.9
 
+#: Length of every run, the same on both trees.
+RUN_SECONDS = 25
+
 _SIMD_PROBE = (
     "import json, numpy\n"
     "from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__\n"
@@ -59,10 +61,10 @@ def quantile(ordered: list[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """(environment, metrics) of one ``perfbench/run.py`` run in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("pairs", type=int)
     parser.add_argument("out", type=Path)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("PAIRS must be >= 1")
@@ -123,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            env, metrics = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            env, metrics = run_once(getattr(args, side), args.workload, seed)
             environment = environment or env
             runs[side].append(metrics)
             print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
@@ -132,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     names = [name for name in runs["parent"][0] if name != "correct" and name in runs["change"][0]]
     entry = {
         "seeds": seeds,
-        "seconds": args.seconds,
+        "seconds": RUN_SECONDS,
         "order": "parent first in even pairs, change first in odd pairs",
         "correct": all(m["correct"] for side in runs.values() for m in side),
         "metrics": {
