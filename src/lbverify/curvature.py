@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import ParameterDomainError
-from .model import MetricSample, SolutionParams, _out, metric_eval
+from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import Jet, rk4
 
 
@@ -51,16 +51,16 @@ def ricci_mixed(sample: MetricSample):
     once.
     """
     u_p, u_pp = sample.u_p, sample.u_pp
-    s = np.multiply(3.0, u_p)
-    s = np.multiply(u_p, s, out=_out(s))
-    r_nn = np.multiply(2.0, u_pp)
+    s = 3.0 * u_p
+    s *= u_p
+    r_nn = 2.0 * u_pp
     r_nn += s
-    r_nn = np.multiply(0.25, r_nn, out=_out(r_nn))
-    r_rr = np.multiply(3.0, u_pp)
-    r_rr = np.multiply(0.5, r_rr, out=_out(r_rr))
-    s = np.multiply(u_p, u_p, out=_out(s))
-    s = np.multiply(3.0, s, out=_out(s))
-    s = np.multiply(0.25, s, out=_out(s))
+    r_nn *= 0.25
+    r_rr = 3.0 * u_pp
+    r_rr *= 0.5
+    s = u_p * u_p
+    s *= 3.0
+    s *= 0.25
     r_rr += s
     return r_nn, r_rr
 
@@ -98,8 +98,7 @@ def field_residual(ricci, lam: float) -> float:
     defines phi'^2 (``phi_prime_sq_constraint`` returns R^r_r - lambda), so
     its residual is 0 by construction.  A NaN component makes the result NaN.
     """
-    gap = np.subtract(ricci[0], lam)
-    return float(np.maximum.reduce(np.abs(gap, out=_out(gap)), axis=None))
+    return float(np.abs(ricci[0] - lam).max())
 
 
 def ode_integrate_f(params: SolutionParams, r0: float, r1: float, steps: int):

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _out
 from .numerics import EPS
 
 #: ``hold_tolerance`` for lambda from HOLD_TOL to about 1126; below it the tolerance is lambda.
@@ -74,28 +73,33 @@ class ConditionMargins:
 def stress_decompose(ricci) -> FrameStress:
     """Orthonormal-frame (rho, p_r, p_t) from the mixed Ricci pair (R^n_n, R^r_r)."""
     r_nn, r_rr = ricci
-    half_r = np.add(r_nn, r_rr)
+    half_r = r_nn + r_rr
     half_r += r_nn
     half_r += r_nn
-    half_r = np.multiply(0.5, half_r, out=_out(half_r))
-    rho, p_r = np.subtract(half_r, r_nn), np.subtract(r_rr, half_r)
-    return FrameStress(rho=rho, p_r=p_r, p_t=np.subtract(r_nn, half_r, out=_out(half_r)))
+    half_r *= 0.5
+    p_r, p_t = r_rr - half_r, r_nn - half_r
+    half_r -= r_nn
+    return FrameStress(rho=half_r, p_r=p_r, p_t=p_t)
+
+
+def strong_margin(stress: FrameStress):
+    """The strong-condition margin rho + p_r + 2 p_t, the constant -2 lambda for this family."""
+    sec = stress.rho + stress.p_r
+    sec += stress.p_t
+    sec += stress.p_t
+    return sec
 
 
 def condition_margins(stress: FrameStress) -> ConditionMargins:
     """Pure arithmetic margins of the four classical conditions, radial and transverse."""
-    rho, p_r, p_t = stress.rho, stress.p_r, stress.p_t
-    nec_r = rho + p_r
-    sec = nec_r + p_t
-    sec += p_t
-    dec_r, dec_t = np.abs(p_r), np.abs(p_t)
+    rho = stress.rho
     return ConditionMargins(
-        nec_r=nec_r,
-        nec_t=rho + p_t,
+        nec_r=rho + stress.p_r,
+        nec_t=rho + stress.p_t,
         wec_extra=rho,
-        sec=sec,
-        dec_r=np.subtract(rho, dec_r, out=_out(dec_r)),
-        dec_t=np.subtract(rho, dec_t, out=_out(dec_t)),
+        sec=strong_margin(stress),
+        dec_r=rho - np.abs(stress.p_r),
+        dec_t=rho - np.abs(stress.p_t),
     )
 
 
@@ -110,7 +114,7 @@ def condition_minima(margins: ConditionMargins) -> dict[str, float | np.ndarray]
         "NEC": nec,
         "WEC": np.minimum(nec, margins.wec_extra),
         "SEC": np.minimum(nec, margins.sec),
-        "DEC": np.minimum(nec, dec, out=_out(dec)),
+        "DEC": np.minimum(nec, dec),
     }
 
 

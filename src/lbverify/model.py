@@ -51,11 +51,12 @@ MAX_GRID_SIZE = 2**24
 #: glibc's 128 KiB mmap threshold, so freed blocks are reused from the heap;
 #: a whole 65,536-point grid would make every 512 KiB temporary a fresh
 #: mapping, faulted in page by page.  A block's columns and the values formed
-#: from them are each one fresh array, finished in place (``out=`` and
-#: augmented assignment) by the same ufuncs on the same operands in the same
-#: order, so they keep the bits of the expressions they replace, and the
-#: report builders reduce their row temporaries in place.  The block
-#: partition sets the bits of the Noether sum.
+#: from them are each one fresh array, finished in place by augmented
+#: assignment on the operands of the expressions they replace, and keep their
+#: bits: a ufunc passes on its left NaN, so the buffer stays the left operand
+#: where two can differ.  ``out=`` on a value that may be a scalar lives here
+#: alone (``_out``).  The report builders reduce their row temporaries in
+#: place; the block partition sets the bits of the Noether sum.
 GRID_BLOCK = 4096
 
 
@@ -86,7 +87,8 @@ class SolutionParams:
 def _out(x):
     """The ``out=`` of a ufunc that finishes x in place: x, or None for a scalar, which ``out=`` rejects.
 
-    NumPy returns a scalar for a 0-d radius, and an object for the symbols that tests pass.
+    NumPy returns a scalar for a 0-d radius, and an object for the symbols that tests pass.  Only
+    tanh, abs, negative, exp, power and a two-array maximum, which have no augmented form, need it.
     """
     return x if isinstance(x, np.ndarray) else None
 
@@ -126,7 +128,8 @@ class MetricSample:
         """f' = k tanh(q/2); at q = -inf, -k."""
         t = np.multiply(0.5, self.q)
         t = np.tanh(t, out=_out(t))
-        return np.multiply(self.params.k, t, out=_out(t))
+        t *= self.params.k
+        return t
 
     @functools.cached_property
     def f_pp(self):
@@ -136,13 +139,13 @@ class MetricSample:
         x = np.abs(x, out=_out(x))
         x = np.negative(x, out=_out(x))
         e = np.exp(x, out=_out(x))
-        d = np.multiply(e, e)
-        d = np.add(1.0, d, out=_out(d))
-        s = np.multiply(2.0, e, out=_out(e))
-        s /= d
-        s *= s
-        k = self.params.k
-        return np.multiply(k * k, s, out=_out(s))
+        d = e * e
+        d += 1.0
+        e *= 2.0
+        e /= d
+        e *= e
+        e *= self.params.k * self.params.k
+        return e
 
     @functools.cached_property
     def f_p_sq(self):
@@ -164,9 +167,7 @@ class MetricSample:
     @functools.cached_property
     def log1p_exp_neg_abs_q(self):
         """log1p(e^-|q|); log(1 + e^q) is max(q, 0) plus it, with no overflow for finite q."""
-        t = np.negative(self.abs_q)
-        t = np.exp(t, out=_out(t))
-        return np.log1p(t, out=_out(t))
+        return np.log1p(np.exp(-self.abs_q))
 
     @functools.cached_property
     def f(self):
@@ -248,9 +249,10 @@ def _w_value(params: SolutionParams, r):
     q = np.abs(q, out=_out(q))
     q = np.negative(q, out=_out(q))
     q = np.exp(q, out=_out(q))
-    q = np.add(1.0, q, out=_out(q))
+    q += 1.0
     q = np.power(q, 2.0 / 3.0, out=_out(q))
-    return np.multiply(e, q, out=_out(e))
+    e *= q
+    return e
 
 
 def log_w_jet(params: SolutionParams, r) -> Jet:

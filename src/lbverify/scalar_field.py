@@ -25,7 +25,7 @@ import numpy as np
 
 from .curvature import ricci_mixed
 from .errors import ParameterDomainError
-from .model import MetricSample, SolutionParams, _out, metric_eval
+from .model import MetricSample, SolutionParams, metric_eval
 from .numerics import adaptive_gauss_kronrod
 
 #: Absolute quadrature tolerance for phi accumulation.
@@ -56,8 +56,7 @@ def phi_prime_sq_constraint(ricci, lam: float):
 
 def phi_prime_sq_quoted(sample: MetricSample, lam: float):
     """The quoted integrand squared, 2 (lambda - f'^2); may be negative."""
-    t = np.subtract(lam, sample.f_p_sq)
-    return np.multiply(2.0, t, out=_out(t))
+    return 2.0 * (lam - sample.f_p_sq)
 
 
 def phi_prime(params: SolutionParams, r):
@@ -99,11 +98,11 @@ def log_noether(params: SolutionParams, sample: MetricSample):
     log1p(e^-|q|) are the sample's, the ones its f was composed from.
     -inf at xi = 0.
     """
-    log_f_pp = np.subtract(2.0 * math.log(params.k) + math.log(4.0), sample.abs_q)
-    log_f_pp -= np.multiply(2.0, sample.log1p_exp_neg_abs_q)
-    t = np.add(math.log(2.0 / 3.0), log_f_pp, out=_out(log_f_pp))
-    t = np.multiply(0.5, t, out=_out(t))
-    return np.add(sample.f, t, out=_out(t))
+    log_phi_p = (2.0 * math.log(params.k) + math.log(4.0)) - sample.abs_q
+    log_phi_p -= 2.0 * sample.log1p_exp_neg_abs_q
+    log_phi_p += math.log(2.0 / 3.0)
+    log_phi_p *= 0.5
+    return sample.f + log_phi_p
 
 
 def noether_charge(params: SolutionParams, r: float) -> float:

@@ -26,10 +26,8 @@ from .report import Report
 #: Residual tolerance for the integration-constant sum checks.
 CONSTANT_SUM_TOL = 1e-12
 
-#: Tolerances of the rows that ``build_sweep_report`` shares with verify and energy.
-_F_ODE_TOL = 1e-9
-_FIELD_EQUATION_TOL = 1e-8
-_STRONG_MARGIN_TOL = 1e-8
+#: Tolerance of each row that ``build_sweep_report`` shares with verify and energy, in the sweep's row order.
+_MEMBER_TOL = {"f-ode-residual": 1e-9, "field-equation-residual": 1e-8, "strong-margin-constant": 1e-8}
 
 #: Fixed b values of the focusing-polynomial sign map.
 SIGN_MAP_B_VALUES = (0.0, 0.1, 0.25, 0.49)
@@ -50,6 +48,11 @@ def _peak(values) -> float:
     return math.nan if any(map(math.isnan, values)) else float(max(values))
 
 
+def _add_member_row(rpt: Report, check: str, location: str, value: float) -> None:
+    """A row that ``build_sweep_report`` shares with verify and energy, at its one tolerance."""
+    rpt.add_check(check, location, value, _MEMBER_TOL[check])
+
+
 def _f_ode_residual(sample, lam) -> float:
     """Largest |f'' + f'^2 - 3 lambda| on a metric sample."""
     residual = np.add(sample.f_pp, sample.f_p_sq)
@@ -58,7 +61,7 @@ def _f_ode_residual(sample, lam) -> float:
 
 
 def _strong_margin_error(sec, lam) -> float:
-    """Largest |rho + sum p + 2 lambda|, formed in the margins' ``sec``: the strong-condition margin is -2 lambda."""
+    """Largest |rho + sum p + 2 lambda|, formed in ``sec``, a strong margin the caller made: it is -2 lambda."""
     sec += 2.0 * lam
     return _abs_peak(sec)
 
@@ -101,13 +104,13 @@ def build_verify_report(
     peak = lambda check: _peak(fold[check])
     least = lambda check: float(np.min(fold[check]))
 
-    rpt.add_check("f-ode-residual", loc, peak("f-ode-residual"), _F_ODE_TOL)
+    _add_member_row(rpt, "f-ode-residual", loc, peak("f-ode-residual"))
     rpt.add_check("exponent-ode-residual", loc, peak("exponent-ode-residual"), 1e-8)
     # 2 u'' + u' (u1' + u2' + u3') - 4 lambda is 4 (R^n_n - lambda), and
     # scaling by 4 is exact.
     peak_residual = peak("field-equation-residual")
     rpt.add_check("exponent-system-residual", loc, 4.0 * peak_residual, 1e-9)
-    rpt.add_check("field-equation-residual", loc, peak_residual, _FIELD_EQUATION_TOL)
+    _add_member_row(rpt, "field-equation-residual", loc, peak_residual)
 
     # The generic path reads each component normalised at its own point,
     # e^{l(r) - l(r0)} with l = log w: the jet (1, l', l'' + l'^2).  That
@@ -203,8 +206,8 @@ def build_energy_report(
     transverse = _peak(fold["transverse-null-margin"])
     rpt.add_check("transverse-null-margin-phi", loc, transverse, 1e-9)
     rpt.add_check("transverse-null-margin-z", loc, transverse, 1e-9)
-    for check, tol in (("strong-margin-constant", _STRONG_MARGIN_TOL), ("radial-null-vs-gradient-sq", 1e-9)):
-        rpt.add_check(check, loc, _peak(fold[check]), tol)
+    _add_member_row(rpt, "strong-margin-constant", loc, _peak(fold["strong-margin-constant"]))
+    rpt.add_check("radial-null-vs-gradient-sq", loc, _peak(fold["radial-null-vs-gradient-sq"]), 1e-9)
     for check in ("radial-null-margin-min", "radial-dominant-margin-min"):
         least = float(np.min(fold[check]))
         rpt.add_check(check, loc, least, 1e-9, holds=least >= -1e-9)
@@ -440,28 +443,21 @@ def build_sweep_report(lam_spec: str, xi_spec: str, e_spec: str, samples: int = 
         null_cells = [0] * len(es)
         for sample in window.blocks():
             ricci = ricci_mixed(sample)
-            margins = ec.condition_margins(ec.stress_decompose(ricci))
             fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
             fold["field-equation-residual"].append(field_residual(ricci, lam))
-            fold["strong-margin-constant"].append(_strong_margin_error(margins.sec, lam))
+            strong = ec.strong_margin(ec.stress_decompose(ricci))
+            fold["strong-margin-constant"].append(_strong_margin_error(strong, lam))
             for k, e_tilde in enumerate(es):
                 # Sub-unit |E| has no timelike congruence to scan; CongruenceConfig
                 # rejects a non-finite E and one whose square overflows.
                 if not abs(e_tilde) < 1.0:
                     scan = cg.kinematics_scan(sample, cg.CongruenceConfig(e_tilde=e_tilde))
                     null_cells[k] += np.count_nonzero(scan.null_rate >= 0.0)
-        member_rows = [
-            (check, _peak(fold[check]), tolerance)
-            for check, tolerance in (
-                ("f-ode-residual", _F_ODE_TOL),
-                ("field-equation-residual", _FIELD_EQUATION_TOL),
-                ("strong-margin-constant", _STRONG_MARGIN_TOL),
-            )
-        ]
+        peaks = {check: _peak(fold[check]) for check in _MEMBER_TOL}
         for e_tilde, cells_at_e in zip(es, null_cells):
             tag = f"lambda={lam:.9g};xi={xi:.9g};E={e_tilde:.9g}"
-            for check, value, tolerance in member_rows:
-                rpt.add_check(check, tag, value, tolerance)
+            for check, value in peaks.items():
+                _add_member_row(rpt, check, tag, value)
             if not abs(e_tilde) < 1.0:
                 rpt.add_comparison("null-rate-nonnegative-cells", tag, float(cells_at_e), 0.0)
     return rpt

@@ -1,5 +1,5 @@
 """``tools/bench_pairs.py`` on two stub trees: the alternating run order and seeds, the summary of each metric,
-the merge into an existing OUT, and the claim rule."""
+the merge into an existing OUT, and the claim rule with its effect floor."""
 
 import json
 import shutil
@@ -85,3 +85,13 @@ def test_claim_needs_nine_of_ten_wins_and_a_move_beyond_the_parent_iqr():
     assert result["wins"] == 8 and not result["claim_met"]
     slower = bench_pairs.summarize(parent, [v * 1.3 for v in parent], "lower", 0.25)
     assert slower["worse_by"] > 0.25 and not slower["within_bound"]
+
+
+def test_claim_needs_a_move_of_at_least_one_percent_of_the_parent_median():
+    # BENCH_55's audit-dense peak RSS: lower in 10 of 10 pairs and by more
+    # than the parent's IQR, but by 0.21% of the parent median, no gain.
+    memory = json.loads((ROOT / "BENCH_55.json").read_text())["workloads"]["audit-dense"]["metrics"]["peak_rss_mb"]
+    result = bench_pairs.summarize(memory["parent"]["runs"], memory["change"]["runs"], "lower", 0.05)
+    assert (round(result["parent"]["median"], 3), round(result["change"]["median"], 3)) == (32.543, 32.475)
+    assert result["wins"] == 10 and round(result["parent"]["q3"] - result["parent"]["q1"], 3) == 0.051
+    assert not result["claim_met"]

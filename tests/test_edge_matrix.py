@@ -1,6 +1,7 @@
 """``tools/edge_matrix.py`` reproduces ``tests/edge/matrix.txt``: the exit
-code, stderr line and failing checks of every call of the edge grid; and a
-report's peak memory does not grow with ``--samples``."""
+code, stderr line and failing checks of every call of the edge grid; each
+exit-2 call is rejected before a grid is built; and a report's peak memory
+does not grow with ``--samples``."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import edge_matrix
 import pytest
 
+from lbverify import cli, model
 from lbverify.model import params_from_xi, radial_bound
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,9 +44,20 @@ def test_edge_matrix_matches_the_recorded_table():
     )
     assert proc.returncode == 0, proc.stderr
     recorded, rerun = MATRIX.read_text(encoding="utf-8").splitlines(), proc.stdout.splitlines()
-    assert len(rerun) == len(recorded) == 805
+    assert len(rerun) == len(recorded) == 817
     moved = [f"{old}  ->  {new}" for old, new in zip(recorded, rerun) if old != new]
     assert not moved, "\n".join(moved[:20])
+
+
+@pytest.mark.parametrize("argv", edge_matrix.EXIT_2_CALLS, ids=" ".join)
+def test_an_exit_2_call_prints_one_line_and_builds_no_grid(monkeypatch, capsys, argv):
+    # The input checks reject each call before its window hands out a radius.
+    def no_grid(*args):
+        raise AssertionError(f"{argv} built radii {args[1:]}")
+
+    monkeypatch.setattr(model.Window, "radii", no_grid)
+    assert cli.main(argv) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_radial_bound_windows_end_at_the_models_radial_bound():

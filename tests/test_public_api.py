@@ -47,13 +47,7 @@ TEST_ONLY_FIELDS = {
 
 
 #: (module, target module, private name) references between package modules, and why each stays.
-PRIVATE_REFERENCES = {
-    (module, "model", "_out"): (
-        "the out= of an in-place step on block arrays; a public helper would be wrapped, and timed, "
-        "by the benchmark tracer at every ufunc call"
-    )
-    for module in ("curvature", "energy_conditions", "scalar_field")
-}
+PRIVATE_REFERENCES = {}
 
 #: Functions the benchmark tracer (``perfbench/tracer.py``) hooks by name that
 #: the package no longer defines, each with the commit that removed it.  Their

@@ -399,9 +399,10 @@ def test_one_sided_window_is_checked_against_the_default_bound(argv):
 
 def test_sweep_rows_equal_single_member_rows():
     # One definition per check: on the same 257-point grid, each sweep cell
-    # gives the same values as the verify, energy and congruence reports.
+    # gives the same value, tolerance and verdict as the verify, energy and
+    # congruence reports.
     def values(rpt, check):
-        return [row.value for row in rpt.rows if row.check == check]
+        return [(row.value, row.tolerance, row.verdict) for row in rpt.rows if row.check == check]
 
     for lam in (0.75, 3.0, 11.3):
         for xi in (0.0, 0.7, 1.9):
@@ -423,7 +424,7 @@ def test_sweep_rows_equal_single_member_rows():
                     congruence = suites.build_congruence_report(lam, xi, e_tilde, samples=257)
                     expected += values(congruence, "null-rate-nonnegative-cells")
                 assert [row.check for row in cell] == member_checks
-                assert [row.value for row in cell] == expected, tag
+                assert [(row.value, row.tolerance, row.verdict) for row in cell] == expected, tag
 
 
 def test_main_reads_the_builder_from_suites_on_each_call(monkeypatch, tmp_path):

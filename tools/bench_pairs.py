@@ -22,7 +22,9 @@ change's median is than the parent's as a share of the parent's
 - ``within_bound``: ``worse_by`` is at most the bound;
 - ``claim_met``: the claim rule for a gain holds.  The change wins at
   least 9 of every 10 pairs, and its median moves the right way by more
-  than the parent's interquartile range.
+  than the parent's interquartile range and by at least 1% of the
+  parent's median, so that a move too small to matter is no gain however
+  steady it is.
 
 Quartiles interpolate linearly between the closest ranks, as
 ``perfbench/run.py`` does.  The script uses the standard library only
@@ -41,6 +43,9 @@ from pathlib import Path
 
 #: Fraction of pairs the change must win for a claimed gain.
 CLAIM_WIN_SHARE = 0.9
+
+#: Least move of the median for a claimed gain, as a fraction of the parent's median.
+CLAIM_EFFECT_FLOOR = 0.01
 
 #: Length of every run, the same on both trees.
 RUN_SECONDS = 25
@@ -99,7 +104,9 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "bound": bound,
         "worse_by": worse_by,
         "within_bound": None if bound is None else worse_by <= bound,
-        "claim_met": wins >= math.ceil(CLAIM_WIN_SHARE * len(parent)) and gain > p_q[2] - p_q[0],
+        "claim_met": wins >= math.ceil(CLAIM_WIN_SHARE * len(parent))
+        and gain > p_q[2] - p_q[0]
+        and gain >= CLAIM_EFFECT_FLOOR * abs(p_q[1]),
     }
 
 
@@ -147,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     document["environment"] = {**keep, **simd_level()}
     document["claim_rule"] = (
         f"the change wins at least {CLAIM_WIN_SHARE:.0%} of the pairs and its median moves by more than "
-        "the parent's interquartile range"
+        f"the parent's interquartile range and by at least {CLAIM_EFFECT_FLOOR:.0%} of the parent's median"
     )
     document.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(document, indent=1) + "\n")

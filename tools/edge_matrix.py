@@ -2,7 +2,7 @@
 
     python tools/edge_matrix.py [TREE]
 
-TREE defaults to the checkout that holds this script.  The grid has three
+TREE defaults to the checkout that holds this script.  The grid has five
 parts:
 
 - the default-window grid: ``verify`` and ``energy`` at ``--samples 257``
@@ -17,7 +17,9 @@ parts:
 - ``TINY_LAMBDA_CALLS``: ``tortoise`` at lambda = 1e-12 and 1e-300, every
   other option at its default (2 calls);
 - ``HUGE_XI_CALLS``: ``tortoise --xi 1e20`` at ``--samples 65`` and ``257``
-  (2 calls).
+  (2 calls);
+- ``EXIT_2_CALLS``: one call per exit-2 message of the input checks (12
+  calls).
 
 The calls run in process in one child interpreter, through the runner of
 ``tools/compare_reports.py``.  The script prints one line per call:
@@ -62,6 +64,23 @@ TINY_LAMBDA_CALLS = [["tortoise", "--lambda", "1e-12"], ["tortoise", "--lambda",
 #: past q = 0, so the derivative row's central difference T(r + h) - T(r - h)
 #: is mostly rounding.
 HUGE_XI_CALLS = [["tortoise", "--xi", "1e20", "--samples", samples] for samples in ("65", "257")]
+#: Each input check rejects its call with exit 2 and one stderr line before a grid is built: a non-finite
+#: window end, too few and too many samples, |xi| > MAX_ABS_XI, a lambda whose a overflows, a window past the
+#: radial bound, reversed ends, a sub-unit E, b outside its range and three malformed sweep triples.
+EXIT_2_CALLS = [
+    ["verify", "--r-min", "nan"],
+    ["verify", "--samples", "1"],
+    ["verify", "--samples", "16777217"],
+    ["verify", "--xi", "1e155"],
+    ["verify", "--lambda", "1e-320"],
+    ["verify", "--r-min", "-1e9", "--r-max", "1"],
+    ["tortoise", "--r-min", "-2", "--r-max", "-3"],
+    ["congruence", "--e-tilde", "0.5"],
+    ["congruence", "--e-tilde", "2", "--b", "0.6"],
+    ["sweep", "--lambda", "1:2"],
+    ["sweep", "--lambda", "1:2:0"],
+    ["sweep", "--lambda", "1:inf:2"],
+]
 
 
 def default_window_calls() -> list[list[str]]:
@@ -107,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python tools/edge_matrix.py [TREE]", file=sys.stderr)
         return 2
     tree = Path(args[0]) if args else Path(__file__).resolve().parents[1]
-    calls = default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS + HUGE_XI_CALLS
+    calls = default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS + HUGE_XI_CALLS + EXIT_2_CALLS
     first, again = finish(start(tree, calls), tree)
     for argv, result in zip(calls, first):
         print(line(argv, result))
