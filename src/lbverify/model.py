@@ -19,8 +19,8 @@ and the conformal factor of the isotropic form of the line element
 A ``MetricSample`` carries f and the one exponent u_i with their derivatives,
 and w, on a ``Window``'s checked radii or on radii ``metric_eval`` checks;
 ``log_w_jet`` is log w as a jet.  Functions accept a scalar r or a numpy
-array and vectorize elementwise: one array path serves both, and a scalar r
-yields NumPy float scalars with the bits it gets inside any array.
+array and vectorize elementwise: one array path serves both, and a finite
+scalar r yields NumPy float scalars with the bits it gets inside any array.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ MAX_GRID_SIZE = 2**24
 #: assignment on the operands of the expressions they replace, and keep their
 #: bits: a ufunc passes on its left NaN, so the buffer stays the left operand
 #: where two can differ.  ``out=`` on a value that may be a scalar lives here
-#: alone (``_out``).  The report builders reduce their row temporaries in
-#: place; the block partition sets the bits of the Noether sum.
+#: alone (``_out``).  A report block reduces each row temporary in a buffer
+#: that no other row reads, and ``report.Report._add`` alone makes and checks
+#: a row; the block partition sets the bits of the Noether sum.
 GRID_BLOCK = 4096
 
 
@@ -87,8 +88,8 @@ class SolutionParams:
 def _out(x):
     """The ``out=`` of a ufunc that finishes x in place: x, or None for a scalar, which ``out=`` rejects.
 
-    NumPy returns a scalar for a 0-d radius, and an object for the symbols that tests pass.  Only
-    tanh, abs, negative, exp, power and a two-array maximum, which have no augmented form, need it.
+    NumPy returns a scalar for a 0-d radius.  Only tanh, abs, negative, exp, power and a two-array
+    maximum, which have no augmented form, need it.
     """
     return x if isinstance(x, np.ndarray) else None
 

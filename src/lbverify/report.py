@@ -18,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .errors import NumericalError
@@ -25,19 +26,12 @@ from .errors import NumericalError
 VERDICTS = ("pass", "fail", "discrepancy-logged")
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     check: str
     location: str
     value: float
     tolerance: float
     verdict: str
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if not (math.isfinite(self.value) and math.isfinite(self.tolerance)):
-            raise NumericalError(f"non-finite row value in check {self.check!r}")
 
 
 @dataclass
@@ -61,16 +55,16 @@ class Report:
         self._add(check, location, value, tolerance, holds, "discrepancy-logged")
 
     def _add(self, check, location, value, tolerance, holds, otherwise) -> None:
+        """The one place a row is made: finite float value and tolerance, and its verdict."""
+        value, tolerance = float(value), float(tolerance)
+        if not (math.isfinite(value) and math.isfinite(tolerance)):
+            raise NumericalError(f"non-finite row value in check {check!r}")
         if holds is None:
             holds = abs(value) <= tolerance
-        verdict = "pass" if holds else otherwise
-        self.rows.append(VerificationRow(check, location, float(value), float(tolerance), verdict))
-
-    def failed(self) -> bool:
-        return any(row.verdict == "fail" for row in self.rows)
+        self.rows.append(VerificationRow(check, location, value, tolerance, "pass" if holds else otherwise))
 
     def exit_code(self) -> int:
-        return 1 if self.failed() else 0
+        return 1 if any(row.verdict == "fail" for row in self.rows) else 0
 
 
 def _num17(x: float) -> str:

@@ -61,9 +61,8 @@ def _f_ode_residual(sample, lam) -> float:
 
 
 def _strong_margin_error(sec, lam) -> float:
-    """Largest |rho + sum p + 2 lambda|, formed in ``sec``, a strong margin the caller made: it is -2 lambda."""
-    sec += 2.0 * lam
-    return _abs_peak(sec)
+    """Largest |rho + sum p + 2 lambda| of a strong margin ``sec``, which is -2 lambda."""
+    return _abs_peak(sec + 2.0 * lam)
 
 
 def build_verify_report(
@@ -76,7 +75,7 @@ def build_verify_report(
 
     # Row values are folded across the grid blocks: NaN-propagating max/min
     # of the block maxima/minima, and the Noether mean as sum / samples.
-    # Each block temporary is finished and reduced in its own buffer.
+    # Each row temporary is reduced in a buffer that no other row reads.
     fold = defaultdict(list)
     for sample in window.blocks():
         fold["f-ode-residual"].append(_f_ode_residual(sample, lam))
@@ -99,8 +98,7 @@ def build_verify_report(
         fold["scalar-gradient-sq-min"].append(np.minimum.reduce(constraint))
         fold["w-positivity-min"].append(np.minimum.reduce(sample.w))
         fold["quoted-scalar-integrand-min"].append(np.minimum.reduce(quoted))
-        quoted -= constraint
-        fold["quoted-integrand-vs-constraint"].append(_abs_peak(quoted))
+        fold["quoted-integrand-vs-constraint"].append(_abs_peak(quoted - constraint))
     peak = lambda check: _peak(fold[check])
     least = lambda check: float(np.min(fold[check]))
 
@@ -190,16 +188,15 @@ def build_energy_report(
         # A condition holds on the whole block iff its least minimum does, and
         # somewhere iff its largest does.  A NaN margin makes both False
         # here, but it also makes a margin row below non-finite, which
-        # raises before the holds are read.  The minima are taken before
-        # the rows below overwrite the margins they read.
+        # raises before the holds are read.
         for cond, minimum in ec.condition_minima(margins).items():
             fold[f"{cond}-everywhere"].append(bool(np.minimum.reduce(minimum) >= -hold_tol))
             fold[f"{cond}-somewhere"].append(bool(np.maximum.reduce(minimum) >= -hold_tol))
         fold["radial-null-margin-min"].append(np.minimum.reduce(margins.nec_r))
         fold["radial-dominant-margin-min"].append(np.minimum.reduce(margins.dec_r))
-        fold["transverse-null-margin"].append(_abs_peak(margins.nec_t))
+        fold["transverse-null-margin"].append(_max_abs(margins.nec_t))
         fold["strong-margin-constant"].append(_strong_margin_error(margins.sec, lam))
-        null_gap = np.subtract(margins.nec_r, scalar_field.phi_prime_sq_constraint(ricci, lam), out=margins.nec_r)
+        null_gap = margins.nec_r - scalar_field.phi_prime_sq_constraint(ricci, lam)
         fold["radial-null-vs-gradient-sq"].append(_abs_peak(null_gap))
 
     # The phi and z rows read the one transverse margin.

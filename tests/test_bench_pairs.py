@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import bench_pairs
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_pairs.py"
 
-#: A ``perfbench/run.py`` that logs its call and prints metrics from its tree's ``speed`` file and the seed.
+#: A ``perfbench/run.py`` that logs its call, prints metrics from its tree's ``speed`` file and the seed, and
+#: writes its op summary as ``perfbench/run.py`` does: 10 ops of ``speed`` ms each.
 STUB_RUN = """\
 import argparse, json
 from pathlib import Path
@@ -28,6 +30,10 @@ speed = float((tree / "speed").read_text()) + int(args.seed)
 print(json.dumps({"environment": {"cpu": "stub", "nproc": 1, "python": "3", "numpy": "2", "seed": args.seed}}))
 print("ops 10, failed 0")
 metrics = {"configs_per_s": speed, "op_p50_ms": 100.0 / speed, "peak_rss_mb": 30.0}
+(tree / ".perfbench").mkdir(exist_ok=True)
+ops = [{"id": i, "ms": speed} for i in range(10)]
+summary = tree / ".perfbench" / f"ops-{args.workload}-seed{args.seed}-trace{args.trace}.json"
+summary.write_text(json.dumps({"environment": {}, "ops": ops}))
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}))
 """
@@ -72,6 +78,12 @@ def test_pairs_alternate_and_each_metric_is_summarized(tmp_path):
     assert latency["wins"] == 4 and latency["claim_met"]
     memory = entry["metrics"]["peak_rss_mb"]
     assert (memory["wins"], memory["worse_by"], memory["within_bound"], memory["claim_met"]) == (0, 0.0, True, False)
+    # Each run's op seconds are the sum of the ms in the op summary it wrote: 10 ops of 15..18 and 17..20 ms.
+    assert entry["op_seconds"]["parent"]["runs"] == [0.15, 0.16, 0.17, 0.18]
+    assert entry["op_seconds"]["change"]["runs"] == [0.17, 0.18, 0.19, 0.2]
+    assert (entry["op_seconds"]["parent"]["median"], entry["op_seconds"]["change"]["median"]) == (
+        pytest.approx(0.165), pytest.approx(0.185)
+    )
 
 
 def test_claim_needs_nine_of_ten_wins_and_a_move_beyond_the_parent_iqr():

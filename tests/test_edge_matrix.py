@@ -44,7 +44,7 @@ def test_edge_matrix_matches_the_recorded_table():
     )
     assert proc.returncode == 0, proc.stderr
     recorded, rerun = MATRIX.read_text(encoding="utf-8").splitlines(), proc.stdout.splitlines()
-    assert len(rerun) == len(recorded) == 817
+    assert len(rerun) == len(recorded) == 828
     moved = [f"{old}  ->  {new}" for old, new in zip(recorded, rerun) if old != new]
     assert not moved, "\n".join(moved[:20])
 

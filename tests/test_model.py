@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -422,6 +423,18 @@ def test_scalar_radius_gets_the_array_bits():
             pairs.append((name, one, many[1]))
         mismatches += [(name, lam, xi, radii[1]) for name, one, many in pairs if np.float64(one).tobytes() != many.tobytes()]
     assert mismatches == []
+
+
+@pytest.mark.parametrize("lam", [0.75, 3.0])
+@pytest.mark.parametrize("xi", [0.0, 0.7])
+def test_nan_scalar_radius_gives_nan_columns(lam, xi):
+    # The array bits hold at finite radii only: at a NaN 0-d radius NumPy's
+    # scalar arithmetic passes on another operand's NaN sign than the ufunc
+    # loop does.  What holds is that every column is a NaN.
+    columns = ("q", "f_p", "f_pp", "f_p_sq", "u_p", "u_pp", "abs_q", "log1p_exp_neg_abs_q", "f", "u", "w")
+    for r in (math.nan, math.copysign(math.nan, -1.0)):
+        sample = metric_eval(params_from_xi(lam, xi), r)
+        assert [name for name in columns if not np.isnan(getattr(sample, name))] == [], r
 
 
 def test_w_matches_the_printed_form_to_its_rounding_error_model():
@@ -883,3 +896,38 @@ def test_no_report_writes_into_a_sample_column(monkeypatch):
     suites.build_sweep_report("3", "0.7", "2", samples=9000)
     assert {name for name, _, _ in records} == set(SAMPLE_COLUMNS)
     assert _written_columns(records) == []
+
+
+def test_no_report_row_writes_into_an_array_another_row_reads(monkeypatch):
+    # A block's margins feed the condition minima and the margin rows, and
+    # its quoted integrand two rows: each row reduces a temporary of its own.
+    # One array at a time is read-only, so a write that keeps its bits (|x|
+    # of the transverse null margin, an exact +0) raises as well.
+    frozen, records = None, []
+
+    def recorded(fn):
+        def wrapper(*args):
+            value = fn(*args)
+            arrays = vars(value) if isinstance(value, energy_conditions.ConditionMargins) else {"quoted": value}
+            for name, array in arrays.items():
+                records.append((name, array, array.tobytes()))
+                array.flags.writeable = name != frozen
+            return value
+
+        return wrapper
+
+    monkeypatch.setattr(energy_conditions, "condition_margins", recorded(energy_conditions.condition_margins))
+    monkeypatch.setattr(scalar_field, "phi_prime_sq_quoted", recorded(scalar_field.phi_prime_sq_quoted))
+    names = (*(field.name for field in dataclasses.fields(energy_conditions.ConditionMargins)), "quoted")
+    written = set()
+    for frozen in names:
+        records.clear()
+        try:
+            suites.build_energy_report(3.0, 0.7, samples=9000)
+            suites.build_verify_report(3.0, 0.7, samples=9000)
+        except ValueError as exc:
+            assert "read-only" in str(exc), exc
+            written.add(frozen)
+        written |= {name for name, array, first in records if array.tobytes() != first}
+    assert {name for name, _, _ in records} == set(names)
+    assert sorted(written) == []

@@ -11,7 +11,7 @@ import pytest
 
 from lbverify import __version__, cli, errors, suites
 from lbverify.model import MAX_ABS_XI, params_from_xi, radial_bound
-from lbverify.report import VERDICTS, Report, VerificationRow, emit_csv, emit_json
+from lbverify.report import VERDICTS, Report, emit_csv, emit_json
 
 
 def run(*argv):
@@ -34,14 +34,14 @@ def sample_report():
     return rpt
 
 
-def test_row_rejects_unknown_verdict():
-    with pytest.raises(ValueError):
-        VerificationRow("x", "y", 0.0, 0.0, "maybe")
-
-
 def test_row_rejects_non_finite_value():
-    with pytest.raises(ValueError):
-        VerificationRow("x", "y", math.nan, 0.0, "pass")
+    # Both row kinds: a NaN value or an infinite tolerance raises, naming the check, and adds no row.
+    rpt = Report(lam=3.0, xi=0.0, rows=[])
+    for add in (rpt.add_check, rpt.add_comparison):
+        for value, tolerance in ((math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(errors.NumericalError, match="non-finite row value in check 'x'"):
+                add("x", "y", value, tolerance)
+    assert rpt.rows == []
 
 
 def test_csv_header_and_empty_report():

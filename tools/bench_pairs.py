@@ -26,6 +26,10 @@ change's median is than the parent's as a share of the parent's
   parent's median, so that a move too small to matter is no gain however
   steady it is.
 
+The entry's ``op_seconds`` gives each side's timed op seconds per run, the
+sum of the ops' ``ms`` in the op summary that the run wrote in its tree
+(``.perfbench/ops-WORKLOAD-seedN-trace0.json``), and their median.
+
 Quartiles interpolate linearly between the closest ranks, as
 ``perfbench/run.py`` does.  The script uses the standard library only
 (numpy's SIMD level is read by a child interpreter) and writes nothing
@@ -66,8 +70,8 @@ def quantile(ordered: list[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    """(environment, metrics) of one ``perfbench/run.py`` run in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict, float]:
+    """(environment, metrics, timed op seconds) of one ``perfbench/run.py`` run in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
@@ -78,7 +82,8 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     result = json.loads(lines[-1])
     metrics = {name: item["value"] for name, item in result["metrics"].items()}
     metrics["correct"] = bool(result.get("correct"))
-    return environment, metrics
+    ops = json.loads((tree / ".perfbench" / f"ops-{workload}-seed{seed}-trace0.json").read_text())["ops"]
+    return environment, metrics, sum(op["ms"] for op in ops) / 1e3
 
 
 def simd_level() -> dict:
@@ -125,15 +130,16 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
-    runs = {"parent": [], "change": []}
+    runs, op_seconds = {"parent": [], "change": []}, {"parent": [], "change": []}
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     environment = None
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            env, metrics = run_once(getattr(args, side), args.workload, seed)
+            env, metrics, seconds = run_once(getattr(args, side), args.workload, seed)
             environment = environment or env
             runs[side].append(metrics)
+            op_seconds[side].append(seconds)
             print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                   + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items() if k in bounds), flush=True)
 
@@ -143,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": RUN_SECONDS,
         "order": "parent first in even pairs, change first in odd pairs",
         "correct": all(m["correct"] for side in runs.values() for m in side),
+        "op_seconds": {side: {"runs": values, "median": quantile(sorted(values), 0.5)}
+                       for side, values in op_seconds.items()},
         "metrics": {
             name: summarize([m[name] for m in runs["parent"]], [m[name] for m in runs["change"]],
                             directions.get(name, "lower"), bounds.get(name))

@@ -2,7 +2,7 @@
 
     python tools/edge_matrix.py [TREE]
 
-TREE defaults to the checkout that holds this script.  The grid has five
+TREE defaults to the checkout that holds this script.  The grid has six
 parts:
 
 - the default-window grid: ``verify`` and ``energy`` at ``--samples 257``
@@ -19,7 +19,9 @@ parts:
 - ``HUGE_XI_CALLS``: ``tortoise --xi 1e20`` at ``--samples 65`` and ``257``
   (2 calls);
 - ``EXIT_2_CALLS``: one call per exit-2 message of the input checks (12
-  calls).
+  calls);
+- ``STABILITY_CALLS``: ``stability`` at every lambda of ``LAMBDAS``, at
+  1e308 and at 1.797e308, next to the largest float (11 calls).
 
 The calls run in process in one child interpreter, through the runner of
 ``tools/compare_reports.py``.  The script prints one line per call:
@@ -81,6 +83,9 @@ EXIT_2_CALLS = [
     ["sweep", "--lambda", "1:2:0"],
     ["sweep", "--lambda", "1:inf:2"],
 ]
+#: The fixed point's rows have absolute tolerances on values of the size of 1/a, and its arithmetic overflows
+#: near the largest float.
+STABILITY_CALLS = [["stability", "--lambda", lam] for lam in (*LAMBDAS, "1e308", "1.797e308")]
 
 
 def default_window_calls() -> list[list[str]]:
@@ -126,7 +131,10 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python tools/edge_matrix.py [TREE]", file=sys.stderr)
         return 2
     tree = Path(args[0]) if args else Path(__file__).resolve().parents[1]
-    calls = default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS + HUGE_XI_CALLS + EXIT_2_CALLS
+    calls = (
+        default_window_calls() + radial_bound_calls() + TINY_LAMBDA_CALLS + HUGE_XI_CALLS + EXIT_2_CALLS
+        + STABILITY_CALLS
+    )
     first, again = finish(start(tree, calls), tree)
     for argv, result in zip(calls, first):
         print(line(argv, result))
